@@ -2,7 +2,8 @@
 //! distance tables (paper Sections 3.3.2 and 3.3.3).
 
 use quantizers::{kmeans, PcaCodec};
-use simdops::LUT_BATCH;
+use simdops::{dist16, LUT_BATCH};
+use std::cell::RefCell;
 use vecstore::VectorSet;
 
 /// Number of centroids per subspace. Fixed at 16 so one ADT (16 × 8-bit
@@ -87,8 +88,9 @@ struct Span {
 pub struct FlashCodec {
     pca: PcaCodec,
     spans: Vec<Span>,
-    /// Concatenated codebooks: subspace `s` holds `K * spans[s].len` floats
-    /// at `codebook_offsets[s]`.
+    /// Concatenated codebooks, each stored dimension-major for
+    /// [`simdops::dist16`]: subspace `s` holds `spans[s].len * K` floats at
+    /// `codebook_offsets[s]`, coordinate `t` of centroid `c` at `t * K + c`.
     codebooks: Vec<f32>,
     codebook_offsets: Vec<usize>,
     /// Quantization grid shared by ADT and SDT (paper: same `Δ` and `H` for
@@ -102,9 +104,22 @@ pub struct FlashCodec {
     sdt: Vec<u8>,
 }
 
+thread_local! {
+    /// Projection scratch of the per-vector paths ([`FlashCodec::encode`],
+    /// [`FlashCodec::adt`]): an insert or a query allocates only the tables
+    /// it returns.
+    static PROJECTED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Rows projected per [`FlashCodec::encode_batch`] step — enough to amortize
+/// streaming the basis, small enough that the projections stay in cache
+/// until they are encoded.
+const ENCODE_BATCH_ROWS: usize = 256;
+
 impl FlashCodec {
     /// Trains PCA, the subspace codebooks, the quantization grid and the
-    /// SDT on (a sample of) `data`.
+    /// SDT on (a sample of) `data`. The result is a deterministic function
+    /// of `(data, params)` at a given SIMD dispatch level.
     ///
     /// # Panics
     /// Panics if `data` is empty, `m_f == 0`, `m_f > d_f`, or
@@ -125,10 +140,9 @@ impl FlashCodec {
         let pca = PcaCodec::fit(&pca_sample, params.d_f);
 
         // Project the sample once; codebooks are trained in PCA space.
-        let mut projected = VectorSet::with_capacity(params.d_f, sample.len());
-        for v in sample.iter() {
-            projected.push(&pca.project(v));
-        }
+        let n = sample.len();
+        let mut projected = vec![0.0f32; n * params.d_f];
+        pca.project_batch(sample.as_flat(), &mut projected);
 
         // Subspace partition (front-loads the remainder like PQ).
         let base_len = params.d_f / params.m_f;
@@ -141,19 +155,33 @@ impl FlashCodec {
             start += len;
         }
 
-        // Train one 16-centroid codebook per subspace, recording each
-        // centroid's mean squared residual. Table entries are *corrected*
-        // by these residual energies (E[δ²(x,y)] ≈ δ²(c_x,c_y) + r_x + r_y
-        // for independent cell residuals), which puts the asymmetric (one
-        // residual already exact) and symmetric (two residuals dropped)
-        // tables on the same scale — without it, SDT values systematically
-        // undershoot ADT values and the NS pruning rule over-fires.
-        let mut codebooks = Vec::new();
+        // Per subspace: train one 16-centroid codebook, then take every
+        // sample→centroid distance in one `dist16` pass. That pass yields
+        // each centroid's mean squared residual, and — corrected by those
+        // residuals — the ADT-like values the grid is calibrated on.
+        //
+        // Table entries are *corrected* by the residual energies
+        // (E[δ²(x,y)] ≈ δ²(c_x,c_y) + r_x + r_y for independent cell
+        // residuals), which puts the asymmetric (one residual already exact)
+        // and symmetric (two residuals dropped) tables on the same scale —
+        // without it, SDT values systematically undershoot ADT values and
+        // the NS pruning rule over-fires.
+        //
+        // Shared quantization grid: dist_max = Σ_s (the `grid_quantile` of
+        // subspace s over both the sample→centroid (ADT-like) and
+        // centroid→centroid (SDT) values); dist_min = min over subspaces.
+        let q = params.grid_quantile.clamp(0.0, 1.0);
+        let mut codebooks = Vec::with_capacity(params.d_f * K);
         let mut codebook_offsets = Vec::with_capacity(params.m_f);
         let mut residuals = vec![0.0f32; params.m_f * K];
+        let mut centroid_dists = vec![0.0f32; params.m_f * K * K];
+        let mut dist_max_sum = 0.0f32;
+        let mut dist_min_all = f32::INFINITY;
+        let mut sub = Vec::with_capacity(n * (base_len + 1));
+        let mut partials = vec![0.0f32; n * K + K * K];
         for (s, span) in spans.iter().enumerate() {
-            let mut sub = Vec::with_capacity(projected.len() * span.len);
-            for v in projected.iter() {
+            sub.clear();
+            for v in projected.chunks_exact(params.d_f) {
                 sub.extend_from_slice(&v[span.start..span.start + span.len]);
             }
             let result = kmeans(
@@ -163,87 +191,63 @@ impl FlashCodec {
                 params.kmeans_iters,
                 params.seed + s as u64,
             );
+            let off = codebooks.len();
+            codebook_offsets.push(off);
+            codebooks.resize(off + span.len * K, 0.0);
+            simdops::dist16_block(&result.centroids, span.len, &mut codebooks[off..]);
+            let codebook = &codebooks[off..];
+
+            let (to_centroids, between) = partials.split_at_mut(n * K);
             let mut sums = [0.0f64; K];
             let mut counts = [0usize; K];
-            for (i, &a) in result.assignments.iter().enumerate() {
-                let point = &sub[i * span.len..(i + 1) * span.len];
-                sums[a as usize] +=
-                    f64::from(simdops::l2_sq(point, result.centroid(a as usize, span.len)));
+            for ((point, dists), &a) in sub
+                .chunks_exact(span.len)
+                .zip(to_centroids.chunks_exact_mut(K))
+                .zip(result.assignments.iter())
+            {
+                dists.copy_from_slice(&dist16(point, codebook));
+                sums[a as usize] += f64::from(dists[a as usize]);
                 counts[a as usize] += 1;
             }
+            let residual = &mut residuals[s * K..(s + 1) * K];
             for c in 0..K {
-                residuals[s * K + c] = if counts[c] > 0 {
-                    (sums[c] / counts[c] as f64) as f32
-                } else {
-                    0.0
-                };
+                if counts[c] > 0 {
+                    residual[c] = (sums[c] / counts[c] as f64) as f32;
+                }
             }
-            codebook_offsets.push(codebooks.len());
-            codebooks.extend_from_slice(&result.centroids);
-        }
+            for dists in to_centroids.chunks_exact_mut(K) {
+                for (d, &r) in dists.iter_mut().zip(residual.iter()) {
+                    *d += r;
+                }
+            }
+            for (a, row) in between.chunks_exact_mut(K).enumerate() {
+                let dists = dist16(result.centroid(a, span.len), codebook);
+                for (b, slot) in row.iter_mut().enumerate() {
+                    *slot = dists[b] + residual[a] + residual[b];
+                }
+            }
+            centroid_dists[s * K * K..(s + 1) * K * K].copy_from_slice(between);
 
-        // Shared quantization grid: dist_max = Σ_s max_s over both the
-        // sample→centroid (ADT-like) and centroid→centroid (SDT) distances;
-        // dist_min = min over subspaces (0 in practice: SDT diagonals).
-        let mut partial = Self {
+            let idx = ((partials.len() - 1) as f64 * q) as usize;
+            dist_min_all = partials.iter().copied().fold(dist_min_all, f32::min);
+            dist_max_sum += *partials.select_nth_unstable_by(idx, f32::total_cmp).1;
+        }
+        let delta = (dist_max_sum - dist_min_all).max(f32::MIN_POSITIVE);
+
+        let mut codec = Self {
             pca,
             spans,
             codebooks,
             codebook_offsets,
-            dist_min: 0.0,
-            inv_delta: 0.0,
+            dist_min: dist_min_all,
+            inv_delta: ((1u32 << H_BITS) - 1) as f32 / delta,
             residuals,
             sdt: Vec::new(),
         };
-        let q = params.grid_quantile.clamp(0.0, 1.0);
-        let mut dist_max_sum = 0.0f32;
-        let mut dist_min_all = f32::INFINITY;
-        let mut partials: Vec<f32> = Vec::with_capacity(projected.len() * K + K * K);
-        for s in 0..params.m_f {
-            partials.clear();
-            for v in projected.iter() {
-                let span = partial.spans[s];
-                let sub = &v[span.start..span.start + span.len];
-                for c in 0..K {
-                    partials
-                        .push(simdops::l2_sq(sub, partial.centroid(s, c)) + partial.residual(s, c));
-                }
-            }
-            for a in 0..K {
-                for b in 0..K {
-                    partials.push(
-                        simdops::l2_sq(partial.centroid(s, a), partial.centroid(s, b))
-                            + partial.residual(s, a)
-                            + partial.residual(s, b),
-                    );
-                }
-            }
-            partials.sort_by(f32::total_cmp);
-            let smin = partials[0];
-            let idx = ((partials.len() - 1) as f64 * q) as usize;
-            let smax = partials[idx];
-            dist_max_sum += smax;
-            dist_min_all = dist_min_all.min(smin);
-        }
-        let delta = (dist_max_sum - dist_min_all).max(f32::MIN_POSITIVE);
-        partial.dist_min = dist_min_all;
-        partial.inv_delta = ((1u32 << H_BITS) - 1) as f32 / delta;
-
         // Pre-quantized SDT, shared by every insertion (paper: resides in
         // cache, eliminating NS-stage vector fetches).
-        let mut sdt = vec![0u8; params.m_f * K * K];
-        for s in 0..params.m_f {
-            for a in 0..K {
-                for b in 0..K {
-                    let d = simdops::l2_sq(partial.centroid(s, a), partial.centroid(s, b))
-                        + partial.residual(s, a)
-                        + partial.residual(s, b);
-                    sdt[s * K * K + a * K + b] = partial.quantize(d);
-                }
-            }
-        }
-        partial.sdt = sdt;
-        partial
+        codec.sdt = centroid_dists.iter().map(|&d| codec.quantize(d)).collect();
+        codec
     }
 
     /// Number of subspaces `M_F`.
@@ -267,17 +271,28 @@ impl FlashCodec {
         &self.sdt
     }
 
-    /// Mean squared residual of centroid `c` in subspace `s`.
+    /// Squared distances from subspace `s` of a projected vector to that
+    /// subspace's 16 centroids — the one computation codeword selection and
+    /// ADT generation share (paper Remark (2)).
     #[inline]
-    fn residual(&self, s: usize, c: usize) -> f32 {
-        self.residuals[s * K + c]
+    fn centroid_dists(&self, s: usize, projected: &[f32]) -> [f32; K] {
+        let span = self.spans[s];
+        let off = self.codebook_offsets[s];
+        dist16(
+            &projected[span.start..span.start + span.len],
+            &self.codebooks[off..off + span.len * K],
+        )
     }
 
+    /// Quantizes one subspace's centroid distances into its 16-byte ADT.
+    /// Table entries estimate distances to *vectors* coded `c`, hence the
+    /// residual correction.
     #[inline]
-    fn centroid(&self, s: usize, c: usize) -> &[f32] {
-        let len = self.spans[s].len;
-        let off = self.codebook_offsets[s] + c * len;
-        &self.codebooks[off..off + len]
+    fn quantize_adt(&self, s: usize, dists: &[f32; K], adt: &mut [u8]) {
+        let residual = &self.residuals[s * K..(s + 1) * K];
+        for ((slot, &d), &r) in adt.iter_mut().zip(dists.iter()).zip(residual.iter()) {
+            *slot = self.quantize(d + r);
+        }
     }
 
     /// Quantizes one partial distance onto the shared 8-bit grid
@@ -293,6 +308,15 @@ impl FlashCodec {
         self.pca.project(v)
     }
 
+    /// Runs `f` on the projection of `v`, held in this thread's scratch.
+    fn with_projected<R>(&self, v: &[f32], f: impl FnOnce(&[f32]) -> R) -> R {
+        PROJECTED.with_borrow_mut(|buf| {
+            buf.resize(self.d_f(), 0.0);
+            self.pca.project_into(v, buf);
+            f(buf)
+        })
+    }
+
     /// Encodes a *projected* vector, simultaneously emitting its codewords
     /// (4-bit values stored one per byte) and its quantized ADT
     /// (`M_F * 16` bytes, subspace-major) — the integrated implementation
@@ -305,31 +329,55 @@ impl FlashCodec {
             "projected dimensionality mismatch"
         );
         let m = self.subspaces();
-        let mut codes = Vec::with_capacity(m);
+        let mut codes = vec![0u8; m];
         let mut adt = vec![0u8; m * K];
-        for (s, span) in self.spans.iter().enumerate() {
-            let sub = &projected[span.start..span.start + span.len];
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for c in 0..K {
-                let d = simdops::l2_sq(sub, self.centroid(s, c));
-                // Table entries estimate distances to *vectors* coded `c`,
-                // hence the residual correction; codeword selection stays
-                // on the raw centroid distance.
-                adt[s * K + c] = self.quantize(d + self.residual(s, c));
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            codes.push(best as u8);
+        for (s, (code, table)) in codes.iter_mut().zip(adt.chunks_exact_mut(K)).enumerate() {
+            let dists = self.centroid_dists(s, projected);
+            // Codeword selection stays on the raw centroid distance.
+            *code = nearest(&dists);
+            self.quantize_adt(s, &dists, table);
         }
         (codes, adt)
     }
 
     /// Convenience: project then encode.
     pub fn encode(&self, v: &[f32]) -> (Vec<u8>, Vec<u8>) {
-        self.encode_projected(&self.project(v))
+        self.with_projected(v, |projected| self.encode_projected(projected))
+    }
+
+    /// The quantized ADT of `v` alone (`M_F * 16` bytes) — what an insert or
+    /// a query needs; equal to the table [`Self::encode`] returns.
+    pub fn adt(&self, v: &[f32]) -> Vec<u8> {
+        let mut adt = vec![0u8; self.subspaces() * K];
+        self.with_projected(v, |projected| {
+            for (s, table) in adt.chunks_exact_mut(K).enumerate() {
+                self.quantize_adt(s, &self.centroid_dists(s, projected), table);
+            }
+        });
+        adt
+    }
+
+    /// Codewords of every vector of `data` (`len * M_F` bytes), equal to
+    /// concatenating the codes [`Self::encode`] returns. Projects in batches
+    /// through a bounded transient buffer.
+    pub fn encode_batch(&self, data: &VectorSet) -> Vec<u8> {
+        let (m, d_f, dim) = (self.subspaces(), self.d_f(), data.dim());
+        let mut codes = vec![0u8; data.len() * m];
+        let mut projected = vec![0.0f32; ENCODE_BATCH_ROWS.min(data.len()) * d_f];
+        for (rows, codes) in data
+            .as_flat()
+            .chunks(ENCODE_BATCH_ROWS * dim)
+            .zip(codes.chunks_mut(ENCODE_BATCH_ROWS * m))
+        {
+            let projected = &mut projected[..rows.len() / dim * d_f];
+            self.pca.project_batch(rows, projected);
+            for (p, row_codes) in projected.chunks_exact(d_f).zip(codes.chunks_exact_mut(m)) {
+                for (s, code) in row_codes.iter_mut().enumerate() {
+                    *code = nearest(&self.centroid_dists(s, p));
+                }
+            }
+        }
+        codes
     }
 
     /// Quantized symmetric distance between two code sequences (the
@@ -349,10 +397,18 @@ impl FlashCodec {
     /// concatenation), for the Theorem-1 error analysis.
     pub fn reconstruct_projected(&self, codes: &[u8]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.d_f()];
-        for (s, &c) in codes.iter().enumerate() {
-            let span = self.spans[s];
-            out[span.start..span.start + span.len]
-                .copy_from_slice(self.centroid(s, usize::from(c)));
+        for ((span, &off), &c) in self
+            .spans
+            .iter()
+            .zip(self.codebook_offsets.iter())
+            .zip(codes.iter())
+        {
+            for (t, x) in out[span.start..span.start + span.len]
+                .iter_mut()
+                .enumerate()
+            {
+                *x = self.codebooks[off + t * K + usize::from(c)];
+            }
         }
         out
     }
@@ -362,6 +418,18 @@ impl FlashCodec {
         let basis_bytes = self.input_dim() * self.d_f() * 4;
         self.codebooks.len() * 4 + self.sdt.len() + basis_bytes
     }
+}
+
+/// Index of the first minimum of one subspace's centroid distances.
+#[inline]
+fn nearest(dists: &[f32; K]) -> u8 {
+    let mut best = 0usize;
+    for c in 1..K {
+        if dists[c] < dists[best] {
+            best = c;
+        }
+    }
+    best as u8
 }
 
 /// Implements the quantizers `Codec` trait so the Theorem-1 reliability
@@ -434,7 +502,10 @@ mod tests {
             let mut best = 0usize;
             let mut best_d = f32::INFINITY;
             for cand in 0..K {
-                let d = simdops::l2_sq(sub, c.centroid(s, cand));
+                let mut one_hot = vec![0u8; c.subspaces()];
+                one_hot[s] = cand as u8;
+                let centroid = &c.reconstruct_projected(&one_hot)[span.start..][..span.len];
+                let d = simdops::l2_sq(sub, centroid);
                 if d < best_d {
                     best_d = d;
                     best = cand;
@@ -528,7 +599,7 @@ mod tests {
         assert_eq!(codes, codes2, "reconstruction must encode to itself");
         for s in 0..c.subspaces() {
             let own = usize::from(codes[s]);
-            let shift = (c.residual(s, own) * c.inv_delta).round() as i16;
+            let shift = (c.residuals[s * K + own] * c.inv_delta).round() as i16;
             for t in 0..K {
                 let via_adt = i16::from(adt2[s * K + t]);
                 let via_sdt = i16::from(c.sdt()[s * K * K + own * K + t]);
@@ -542,6 +613,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn training_is_deterministic_to_the_byte() {
+        // Same input, same codec: basis, codebooks, grid, residuals and SDT.
+        let (a, data) = codec(64, 16, 8);
+        let (b, _) = codec(64, 16, 8);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.codebooks), bits(&b.codebooks));
+        assert_eq!(bits(&a.residuals), bits(&b.residuals));
+        assert_eq!(a.sdt, b.sdt);
+        assert_eq!(a.dist_min.to_bits(), b.dist_min.to_bits());
+        assert_eq!(a.inv_delta.to_bits(), b.inv_delta.to_bits());
+        // `{:?}` prints every float of the basis in round-trip form.
+        assert_eq!(format!("{:?}", a.pca), format!("{:?}", b.pca));
+        // d_F = 16 of 64 dims takes the top-k eigen solver; 32 took Jacobi.
+        for i in 0..data.len() {
+            assert_eq!(a.encode(data.get(i)), b.encode(data.get(i)));
+        }
+    }
+
+    #[test]
+    fn adt_and_batch_codes_equal_what_encode_returns() {
+        let (c, data) = codec(64, 32, 8);
+        let codes = c.encode_batch(&data);
+        for (i, row) in codes.chunks_exact(c.subspaces()).enumerate() {
+            let (one, adt) = c.encode(data.get(i));
+            assert_eq!(row, one, "vector {i}");
+            assert_eq!(c.adt(data.get(i)), adt, "vector {i}");
+        }
+        // 500 vectors: one full batch and a ragged one.
+        assert_eq!(codes.len(), 500 * c.subspaces());
     }
 
     #[test]

@@ -51,24 +51,16 @@ pub struct FlashProvider {
 }
 
 impl FlashProvider {
-    /// Trains the codec on `base` and encodes every vector.
+    /// Trains the codec on `base` and encodes every vector: exactly
+    /// `from_codec(base, FlashCodec::train(&base, params))`, with
+    /// `coding_ns` covering the training as well.
     pub fn new(base: VectorSet, params: FlashParams) -> Self {
         let t0 = std::time::Instant::now();
         let codec = FlashCodec::train(&base, params);
-        let m = codec.subspaces();
-        let mut codes = Vec::with_capacity(base.len() * m);
-        for v in base.iter() {
-            let (c, _) = codec.encode(v);
-            codes.extend_from_slice(&c);
-        }
-        let coding_ns = t0.elapsed().as_nanos() as u64;
-        Self {
-            base,
-            codec,
-            codes,
-            coding_ns,
-            use_simd: true,
-        }
+        let train_ns = t0.elapsed().as_nanos() as u64;
+        let mut provider = Self::from_codec(base, codec);
+        provider.coding_ns += train_ns;
+        provider
     }
 
     /// Builds a provider over `base` with an already-trained codec.
@@ -80,12 +72,7 @@ impl FlashProvider {
     /// covers encoding alone.
     pub fn from_codec(base: VectorSet, codec: FlashCodec) -> Self {
         let t0 = std::time::Instant::now();
-        let m = codec.subspaces();
-        let mut codes = Vec::with_capacity(base.len() * m);
-        for v in base.iter() {
-            let (c, _) = codec.encode(v);
-            codes.extend_from_slice(&c);
-        }
+        let codes = codec.encode_batch(&base);
         let coding_ns = t0.elapsed().as_nanos() as u64;
         Self {
             base,
@@ -134,15 +121,15 @@ impl DistanceProvider for FlashProvider {
 
     fn prepare_insert(&self, id: u32) -> FlashCtx {
         // The ADT is rebuilt from the original vector: projection + one
-        // distance per centroid, shared with codeword selection at encode
-        // time (here the codes already exist, so only the ADT is needed).
-        let (_, adt) = self.codec.encode(self.base.get(id as usize));
-        FlashCtx { adt }
+        // distance per centroid. The codes already exist, so codeword
+        // selection is skipped.
+        self.prepare_query(self.base.get(id as usize))
     }
 
     fn prepare_query(&self, v: &[f32]) -> FlashCtx {
-        let (_, adt) = self.codec.encode(v);
-        FlashCtx { adt }
+        FlashCtx {
+            adt: self.codec.adt(v),
+        }
     }
 
     #[inline]
@@ -373,6 +360,35 @@ mod tests {
     fn coding_time_recorded() {
         let p = provider(100);
         assert!(p.coding_ns() > 0);
+    }
+
+    #[test]
+    fn new_is_train_then_from_codec() {
+        let (base, _) = vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 300, 1, 21);
+        let params = FlashParams {
+            d_f: 32,
+            m_f: 8,
+            train_sample: 200,
+            kmeans_iters: 8,
+            seed: 4,
+            grid_quantile: 0.9,
+        };
+        let direct = FlashProvider::new(base.clone(), params);
+        let staged = FlashProvider::from_codec(base.clone(), FlashCodec::train(&base, params));
+        assert_eq!(direct.codes, staged.codes);
+        assert_eq!(direct.codec().sdt(), staged.codec().sdt());
+        // `new` times the training on top of the encoding it shares.
+        assert!(direct.coding_ns() > staged.coding_ns());
+    }
+
+    #[test]
+    fn insert_context_is_the_adt_encode_returns() {
+        let p = provider(120);
+        for id in [0u32, 7, 119] {
+            let (codes, adt) = p.codec().encode(p.base().get(id as usize));
+            assert_eq!(p.prepare_insert(id).adt, adt, "id {id}");
+            assert_eq!(p.codes_of(id), codes, "id {id}");
+        }
     }
 
     #[test]

@@ -38,10 +38,9 @@ impl PcaProvider {
     }
 
     fn with_codec(base: VectorSet, pca: PcaCodec) -> Self {
-        let mut projected = VectorSet::with_capacity(pca.kept_dims(), base.len());
-        for v in base.iter() {
-            projected.push(&pca.project(v));
-        }
+        let mut flat = vec![0.0f32; base.len() * pca.kept_dims()];
+        pca.project_batch(base.as_flat(), &mut flat);
+        let projected = VectorSet::from_flat(pca.kept_dims(), flat);
         Self {
             base,
             pca,

@@ -2,8 +2,8 @@
 //!
 //! The paper's reference implementation uses the C++ Eigen library for all
 //! matrix manipulation (principal-component extraction, codebook generation,
-//! distance-table creation). This crate provides the small, dependency-free
-//! subset that the reproduction needs:
+//! distance-table creation). This crate provides the small subset that the
+//! reproduction needs, on `simdops` kernels where the work is `d²`-sized:
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the usual products,
 //! * [`stats`] — mean / centering / covariance of a sample matrix,
@@ -12,9 +12,11 @@
 //! * [`rotation`] — random orthonormal matrices (Gram–Schmidt of a Gaussian
 //!   ensemble), used by the ADSampling search variant.
 //!
-//! Internally, reductions accumulate in `f64` for numerical stability, while
-//! the public storage type stays `f32` to match the vector-data types used
-//! throughout the ANNS stack.
+//! The public storage type is `f32`, matching the vector data used
+//! throughout the ANNS stack. The `d²`-sized products of PCA fitting
+//! (covariance, block power iteration) run in `f32` on `simdops::gemm_nt`;
+//! means, the Jacobi solver and the small matrix–vector helpers accumulate
+//! in `f64`.
 
 pub mod eigen;
 pub mod matrix;
@@ -24,4 +26,4 @@ pub mod stats;
 pub use eigen::{symmetric_eigen, symmetric_eigen_topk, EigenDecomposition};
 pub use matrix::Matrix;
 pub use rotation::random_orthogonal;
-pub use stats::{covariance, mean_vector};
+pub use stats::{covariance, covariance_about, mean_of_rows, mean_vector};

@@ -164,8 +164,7 @@ impl Matrix {
     }
 
     /// Transposed matrix–vector product `selfᵀ * v` without materializing the
-    /// transpose. This is the hot operation when projecting a vector onto a
-    /// PCA basis stored column-wise.
+    /// transpose (OPQ applies its rotation's inverse this way).
     ///
     /// # Panics
     /// Panics if `v.len() != self.rows()`.

@@ -12,12 +12,22 @@ use crate::matrix::Matrix;
 /// # Panics
 /// Panics if the matrix has zero rows.
 pub fn mean_vector(samples: &Matrix) -> Vec<f32> {
-    let n = samples.rows();
-    assert!(n > 0, "mean of an empty sample");
-    let d = samples.cols();
+    mean_of_rows(samples.as_slice(), samples.cols())
+}
+
+/// [`mean_vector`] over a borrowed row-major buffer of `d`-float rows.
+///
+/// # Panics
+/// Panics if `rows` is empty or not whole rows.
+pub fn mean_of_rows(rows: &[f32], d: usize) -> Vec<f32> {
+    assert!(
+        !rows.is_empty() && rows.len().is_multiple_of(d),
+        "mean of an empty or ragged sample"
+    );
+    let n = rows.len() / d;
     let mut acc = vec![0.0f64; d];
-    for i in 0..n {
-        for (a, &x) in acc.iter_mut().zip(samples.row(i).iter()) {
+    for row in rows.chunks_exact(d) {
+        for (a, &x) in acc.iter_mut().zip(row.iter()) {
             *a += f64::from(x);
         }
     }
@@ -40,54 +50,57 @@ pub fn center_rows(samples: &mut Matrix, mean: &[f32]) {
 /// Computes the `d x d` covariance matrix `Σ = (1/n) Ṡᵀ Ṡ` of the samples,
 /// centering internally (the input is not modified).
 ///
-/// Accumulates in `f64`; the result is symmetric by construction (the upper
-/// triangle is computed once and mirrored).
-///
 /// # Panics
 /// Panics if the matrix has zero rows.
 pub fn covariance(samples: &Matrix) -> Matrix {
-    let n = samples.rows();
-    assert!(n > 0, "covariance of an empty sample");
-    let d = samples.cols();
     let mean = mean_vector(samples);
+    covariance_about(samples.as_slice(), &mean)
+}
 
-    // Outer-product accumulation over centered rows. The inner loop is a
-    // contiguous f32 multiply-add that the compiler vectorizes; `f32`
-    // accumulation is ample for PCA (covariance entries are consumed at a
-    // precision far below 24 bits) and is ~5x faster than scalar f64 — this
-    // is the dominant cost of PCA preprocessing at high dimensionality.
+/// Rows transposed per [`covariance_about`] block: bounds the centered,
+/// transposed copy at `d × 1024` floats however large the sample is.
+const COV_BLOCK_ROWS: usize = 1024;
+
+/// Covariance of borrowed row-major `rows` about a `mean` already computed
+/// (its length is the dimensionality).
+///
+/// `Ṡᵀ Ṡ` is a product of the centered sample with itself along the sample
+/// axis, so each block of rows is centered and transposed into `d × block`
+/// and multiplied on [`simdops::gemm_nt`] — `f32` accumulation, ample for
+/// PCA, which consumes covariance entries far below 24 bits. Both triangles
+/// come out of the same dot product with its operands swapped, so the result
+/// is exactly symmetric.
+///
+/// # Panics
+/// Panics if `rows` is empty or not whole rows of `mean.len()` floats.
+pub fn covariance_about(rows: &[f32], mean: &[f32]) -> Matrix {
+    let d = mean.len();
+    assert!(
+        !rows.is_empty() && rows.len().is_multiple_of(d),
+        "covariance of an empty or ragged sample"
+    );
+    let n = rows.len() / d;
     let mut acc = vec![0.0f32; d * d];
-    let mut centered = vec![0.0f32; d];
-    for i in 0..n {
-        for ((c, &x), &m) in centered
-            .iter_mut()
-            .zip(samples.row(i).iter())
-            .zip(mean.iter())
-        {
-            *c = x - m;
+    let mut product = vec![0.0f32; d * d];
+    let mut transposed = vec![0.0f32; d * COV_BLOCK_ROWS.min(n)];
+    for block in rows.chunks(COV_BLOCK_ROWS * d) {
+        let len = block.len() / d;
+        let columns = &mut transposed[..d * len];
+        for (i, row) in block.chunks_exact(d).enumerate() {
+            for (j, (&x, &m)) in row.iter().zip(mean.iter()).enumerate() {
+                columns[j * len + i] = x - m;
+            }
         }
-        for j in 0..d {
-            let cj = centered[j];
-            if cj == 0.0 {
-                continue;
-            }
-            let row = &mut acc[j * d..(j + 1) * d];
-            for (slot, &ck) in row[j..].iter_mut().zip(centered[j..].iter()) {
-                *slot += cj * ck;
-            }
+        simdops::gemm_nt(columns, columns, len, &mut product);
+        for (a, &p) in acc.iter_mut().zip(product.iter()) {
+            *a += p;
         }
     }
-
     let inv_n = 1.0 / n as f32;
-    let mut cov = Matrix::zeros(d, d);
-    for j in 0..d {
-        for k in j..d {
-            let v = acc[j * d + k] * inv_n;
-            cov[(j, k)] = v;
-            cov[(k, j)] = v;
-        }
+    for a in &mut acc {
+        *a *= inv_n;
     }
-    cov
+    Matrix::from_vec(d, d, acc)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use simdops::l2_sq;
+use simdops::{dist16, dist16_block, l2_sq, LUT_BATCH};
 
 /// Output of [`kmeans`].
 #[derive(Debug, Clone)]
@@ -83,22 +83,35 @@ pub fn kmeans(points: &[f32], dim: usize, k: usize, max_iters: usize, seed: u64)
     }
 
     // --- Lloyd iterations --------------------------------------------------
+    // The assignment step scans the centroids sixteen at a time through
+    // `dist16`, from dimension-major blocks refreshed each iteration.
+    let block_len = dim * LUT_BATCH;
+    let mut blocks = vec![0.0f32; k.div_ceil(LUT_BATCH) * block_len];
     let mut assignments = vec![u32::MAX; n];
     let mut iterations = 0;
     for iter in 0..max_iters {
         iterations = iter + 1;
-        // Assignment step.
+        for (block, group) in blocks
+            .chunks_exact_mut(block_len)
+            .zip(centroids.chunks(block_len))
+        {
+            dist16_block(group, dim, block);
+        }
+        // Assignment step: the first centroid at the minimum distance.
         let new_assignments: Vec<u32> = (0..n)
             .into_par_iter()
             .map(|i| {
                 let p = point(i);
                 let mut best = 0u32;
                 let mut best_d = f32::INFINITY;
-                for c in 0..k {
-                    let d = l2_sq(p, &centroids[c * dim..(c + 1) * dim]);
-                    if d < best_d {
-                        best_d = d;
-                        best = c as u32;
+                for (b, block) in blocks.chunks_exact(block_len).enumerate() {
+                    let first = b * LUT_BATCH;
+                    let dists = dist16(p, block);
+                    for (lane, &d) in dists.iter().enumerate().take(k - first) {
+                        if d < best_d {
+                            best_d = d;
+                            best = (first + lane) as u32;
+                        }
                     }
                 }
                 best

@@ -8,16 +8,21 @@
 //! cumulative variance fraction (0.9 in their experiments).
 
 use crate::Codec;
-use linalg::{covariance, symmetric_eigen, symmetric_eigen_topk, Matrix};
+use linalg::{covariance_about, mean_of_rows, symmetric_eigen, symmetric_eigen_topk, Matrix};
 use vecstore::VectorSet;
 
 /// A fitted PCA model with a chosen retained dimensionality.
 #[derive(Debug, Clone)]
 pub struct PcaCodec {
     mean: Vec<f32>,
-    /// Eigenbasis columns sorted by descending eigenvalue. May hold fewer
-    /// than `d` columns when fitted with the top-k solver.
-    basis: Matrix,
+    /// Principal components, one per **row** (`solved × dim`), sorted by
+    /// descending eigenvalue — the layout `simdops::gemm_nt` projects
+    /// through. May hold fewer than `dim` rows when fitted with the top-k
+    /// solver.
+    components: Matrix,
+    /// `components · mean`: projecting `v − mean` is projecting `v` and
+    /// subtracting this, which spares every projection a centered copy.
+    mean_projection: Vec<f32>,
     eigenvalues: Vec<f32>,
     /// Total eigenvalue mass (covariance trace) — the denominator of
     /// cumulative-variance fractions even when only `k` pairs were solved.
@@ -43,29 +48,26 @@ impl PcaCodec {
         let dim = data.dim();
         assert!(keep >= 1 && keep <= dim, "keep must be in 1..=dim");
 
-        let samples = Matrix::from_vec(data.len(), dim, data.as_flat().to_vec());
-        let mean = linalg::mean_vector(&samples);
-        let cov = covariance(&samples);
+        let mean = mean_of_rows(data.as_flat(), dim);
+        let cov = covariance_about(data.as_flat(), &mean);
 
-        if keep * 3 <= dim {
-            let (dec, trace) = symmetric_eigen_topk(&cov, keep, 0xE16E);
-            Self {
-                mean,
-                basis: dec.eigenvectors,
-                eigenvalues: dec.eigenvalues,
-                total_variance: trace,
-                keep,
-            }
+        let (dec, total_variance) = if keep * 3 <= dim {
+            symmetric_eigen_topk(&cov, keep, 0xE16E)
         } else {
             let dec = symmetric_eigen(&cov);
             let total = dec.eigenvalues.iter().map(|&x| f64::from(x.max(0.0))).sum();
-            Self {
-                mean,
-                basis: dec.eigenvectors,
-                eigenvalues: dec.eigenvalues,
-                total_variance: total,
-                keep,
-            }
+            (dec, total)
+        };
+        let components = dec.eigenvectors.transpose();
+        let mut mean_projection = vec![0.0f32; components.rows()];
+        simdops::gemm_nt(&mean, components.as_slice(), dim, &mut mean_projection);
+        Self {
+            mean,
+            components,
+            mean_projection,
+            eigenvalues: dec.eigenvalues,
+            total_variance,
+            keep,
         }
     }
 
@@ -81,7 +83,7 @@ impl PcaCodec {
             let d = model.dims_for_variance(alpha);
             // Trust the answer only if it lies strictly inside the solved
             // subspace (otherwise more components may be needed).
-            if d < model.basis.cols() || model.basis.cols() == dim {
+            if d < model.components.rows() || model.components.rows() == dim {
                 return model.with_dims(d);
             }
             k = (k * 2).min(dim);
@@ -99,7 +101,7 @@ impl PcaCodec {
     /// Panics if `keep` is zero or exceeds the number of solved components.
     pub fn with_dims(mut self, keep: usize) -> Self {
         assert!(
-            keep >= 1 && keep <= self.basis.cols(),
+            keep >= 1 && keep <= self.components.rows(),
             "keep exceeds solved components"
         );
         self.keep = keep;
@@ -129,16 +131,36 @@ impl PcaCodec {
 
     /// Projects `v` to the retained `d_PCA` coordinates (the compact code).
     pub fn project(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(v.len(), self.mean.len(), "dimensionality mismatch");
-        let centered: Vec<f32> = v
-            .iter()
-            .zip(self.mean.iter())
-            .map(|(&x, &m)| x - m)
-            .collect();
-        // basisᵀ · centered, truncated to the first `keep` components.
-        let mut out = self.basis.matvec_t(&centered);
-        out.truncate(self.keep);
+        let mut out = vec![0.0f32; self.keep];
+        self.project_into(v, &mut out);
         out
+    }
+
+    /// [`Self::project`] into a caller-provided buffer of `d_PCA` floats.
+    ///
+    /// # Panics
+    /// Panics if `v` is not one input vector or `out` not `d_PCA` long.
+    pub fn project_into(&self, v: &[f32], out: &mut [f32]) {
+        assert_eq!(v.len(), self.mean.len(), "dimensionality mismatch");
+        self.project_batch(v, out);
+    }
+
+    /// Projects every `dim`-float row of `rows` into the matching
+    /// `d_PCA`-float row of `out`. A row comes out bit-identical to
+    /// projecting it alone.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not whole input vectors or `out` does not hold
+    /// `d_PCA` floats per row.
+    pub fn project_batch(&self, rows: &[f32], out: &mut [f32]) {
+        let dim = self.mean.len();
+        let kept = &self.components.as_slice()[..self.keep * dim];
+        simdops::gemm_nt(rows, kept, dim, out);
+        for row in out.chunks_exact_mut(self.keep) {
+            for (x, &m) in row.iter_mut().zip(self.mean_projection.iter()) {
+                *x -= m;
+            }
+        }
     }
 
     /// Squared distance between two projections (the HNSW-PCA distance).
@@ -149,14 +171,13 @@ impl PcaCodec {
     /// Lifts a projection back to the original space: `mean + A_{1:k} · p`.
     pub fn lift(&self, projected: &[f32]) -> Vec<f32> {
         assert_eq!(projected.len(), self.keep, "projection length mismatch");
-        let d = self.mean.len();
         let mut out = self.mean.clone();
         for (j, &pj) in projected.iter().enumerate() {
             if pj == 0.0 {
                 continue;
             }
-            for (i, o) in out.iter_mut().enumerate().take(d) {
-                *o += pj * self.basis[(i, j)];
+            for (o, &c) in out.iter_mut().zip(self.components.row(j).iter()) {
+                *o += pj * c;
             }
         }
         out

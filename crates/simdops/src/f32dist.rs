@@ -265,6 +265,7 @@ mod tests {
 
     #[test]
     fn all_levels_agree_on_l2() {
+        let _serial = crate::level::serialize_level_tests();
         for n in [1usize, 3, 4, 7, 8, 15, 16, 17, 64, 100, 768, 1024] {
             let (a, b) = vecs(n);
             let reference = l2_sq_scalar(&a, &b);
@@ -281,6 +282,7 @@ mod tests {
 
     #[test]
     fn all_levels_agree_on_ip() {
+        let _serial = crate::level::serialize_level_tests();
         for n in [1usize, 5, 8, 16, 33, 256, 768] {
             let (a, b) = vecs(n);
             let reference: f32 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();

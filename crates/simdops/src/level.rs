@@ -17,7 +17,7 @@ pub enum SimdLevel {
     Scalar = 0,
     /// 128-bit SSE (requires SSSE3 for `pshufb` and SSE4.1 for widening).
     Sse = 1,
-    /// 256-bit AVX2.
+    /// 256-bit AVX2 (requires FMA, which every AVX2 kernel here uses).
     Avx2 = 2,
     /// 512-bit AVX-512 (requires F + BW for byte shuffles).
     Avx512 = 3,
@@ -73,7 +73,8 @@ pub fn detect_level() -> SimdLevel {
         {
             return SimdLevel::Avx512;
         }
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
             return SimdLevel::Avx2;
         }
         if std::arch::is_x86_feature_detected!("sse2")
@@ -142,12 +143,24 @@ pub fn supported_levels() -> Vec<SimdLevel> {
     .collect()
 }
 
+/// Held by every test in this crate that installs or reads the process-wide
+/// override: the test harness runs tests on parallel threads, and two
+/// overlapping [`with_level`] scopes restore each other's values.
+#[cfg(test)]
+pub(crate) fn serialize_level_tests() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding the lock left nothing half-updated.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn override_caps_but_never_raises() {
+        let _serial = serialize_level_tests();
         let detected = detect_level();
         with_level(SimdLevel::Scalar, || {
             assert_eq!(current_level(), SimdLevel::Scalar);
@@ -160,6 +173,7 @@ mod tests {
 
     #[test]
     fn with_level_restores_on_exit() {
+        let _serial = serialize_level_tests();
         set_level_override(Some(SimdLevel::Sse));
         with_level(SimdLevel::Scalar, || {
             assert_eq!(current_level(), SimdLevel::Scalar);

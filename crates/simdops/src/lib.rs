@@ -9,6 +9,9 @@
 //!   HNSW distance path) in scalar, SSE (128-bit), AVX2 (256-bit) and
 //!   AVX-512 variants;
 //! * [`u8dist`] — distances over scalar-quantized `u8` codes (HNSW-SQ path);
+//! * [`gemm`] — the coding layer's linear algebra: a register-tiled `A·Bᵀ`
+//!   (PCA fit and projection) and the one-to-sixteen centroid distance
+//!   (k-means assignment, codeword selection, ADT generation);
 //! * [`lut`] — the Flash kernel: 16-entry 8-bit lookup tables resident in a
 //!   SIMD register, indexed by 4-bit codewords via byte-shuffle instructions
 //!   (`pshufb` / `vpshufb`), producing 16 partial distances per instruction;
@@ -20,12 +23,14 @@
 //! `#[target_feature]` implementations, each guarded by runtime detection.
 
 pub mod f32dist;
+pub mod gemm;
 pub mod level;
 pub mod lut;
 pub mod prefetch;
 pub mod u8dist;
 
 pub use f32dist::{inner_product, l2_sq, norm_sq};
+pub use gemm::{dist16, dist16_block, gemm_nt};
 pub use level::{current_level, detect_level, set_level_override, supported_levels, SimdLevel};
 pub use lut::{lut16_batch, lut16_single, LUT_BATCH};
 pub use prefetch::{prefetch_read, prefetch_slice};

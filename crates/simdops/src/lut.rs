@@ -187,6 +187,7 @@ mod tests {
 
     #[test]
     fn all_levels_match_scalar() {
+        let _serial = crate::level::serialize_level_tests();
         for m in [1usize, 2, 3, 4, 5, 7, 8, 15, 16, 32, 33, 64] {
             let tables = arb_bytes(m * 16, 11, 255);
             let codes = arb_bytes(m * 16, 23, 15);

@@ -132,6 +132,7 @@ mod tests {
 
     #[test]
     fn all_levels_agree() {
+        let _serial = crate::level::serialize_level_tests();
         for n in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 256, 768] {
             let a = codes(n, 3);
             let b = codes(n, 7);
