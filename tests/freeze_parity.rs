@@ -1,0 +1,257 @@
+//! Freeze-then-serve parity: the one frozen-topology beam
+//! (`graphs::search_layers_filtered`) must answer exactly like every search
+//! path it replaces — ids *and* `f32` distance bits — before any of them is
+//! deleted.
+//!
+//! Each check has two halves. One compares against the path being retired
+//! (`search_flat_filtered`, the live `Hnsw::{search_filtered,
+//! search_rerank}`); the other against a reference that outlives it: the
+//! live `Hnsw::search` (the insert-time `search_layer` loop, an independent
+//! beam) and a provider-distance brute force, which a beam of exhaustive
+//! width must reproduce.
+
+use hnsw_flash::engine::GraphIndex;
+use hnsw_flash::graphs::flat_build::search_flat_filtered;
+use hnsw_flash::graphs::{rerank_exact, search_layers_filtered, FlatGraph, GraphLayers};
+use hnsw_flash::prelude::*;
+
+const K: usize = 5;
+const EF: usize = 48;
+const C: usize = 32;
+const R: usize = 8;
+const SEED: u64 = 7;
+const TRAIN: usize = 150;
+const RERANK: usize = 6;
+
+fn workload(n: usize, n_queries: usize) -> (VectorSet, VectorSet) {
+    generate(&DatasetSpec::new(32, 20, 0.95, 0.4, 5), n, n_queries, 1234)
+}
+
+fn flash_fp() -> FlashParams {
+    FlashParams {
+        d_f: 16,
+        m_f: 4,
+        train_sample: TRAIN,
+        kmeans_iters: 5,
+        seed: SEED,
+        grid_quantile: 0.5,
+    }
+}
+
+/// Runs `$body` once per coding with `$provider` bound to a fresh provider
+/// of that coding's concrete type over a clone of `$base`.
+macro_rules! for_each_coding {
+    ($base:expr, |$coding:ident, $provider:ident| $body:expr) => {{
+        {
+            let $coding = Coding::Full;
+            let $provider = || FullPrecision::new($base.clone());
+            $body
+        }
+        {
+            let $coding = Coding::Sq;
+            let $provider = || SqProvider::new($base.clone(), 8);
+            $body
+        }
+        {
+            let $coding = Coding::Pca;
+            let $provider = || PcaProvider::with_variance($base.clone(), 0.9, TRAIN);
+            $body
+        }
+        {
+            let $coding = Coding::Pq;
+            let $provider = || PqProvider::new($base.clone(), 4, 8, TRAIN, SEED);
+            $body
+        }
+        {
+            let $coding = Coding::Opq;
+            let $provider = || OpqProvider::new($base.clone(), 4, 8, 4, TRAIN, SEED);
+            $body
+        }
+        {
+            let $coding = Coding::Flash;
+            let $provider = || FlashProvider::new($base.clone(), flash_fp());
+            $body
+        }
+    }};
+}
+
+fn accept_thirds(id: u32) -> bool {
+    id % 3 == 0
+}
+
+fn accept_all(_: u32) -> bool {
+    true
+}
+
+fn assert_same(expected: &[Hit], got: &[Hit], what: &str) {
+    let bits = |hits: &[Hit]| -> Vec<(u64, u32)> {
+        hits.iter().map(|h| (h.id, h.dist.to_bits())).collect()
+    };
+    assert_eq!(bits(expected), bits(got), "{what}");
+}
+
+/// Exact top-`k` by the provider's own query distance over accepted ids.
+fn brute<P: DistanceProvider>(
+    provider: &P,
+    query: &[f32],
+    k: usize,
+    accept: fn(u32) -> bool,
+) -> Vec<Hit> {
+    let ctx = provider.prepare_query(query);
+    let mut all: Vec<Hit> = (0..provider.len() as u32)
+        .filter(|&id| accept(id))
+        .map(|id| Hit {
+            id: u64::from(id),
+            dist: provider.dist_to(&ctx, id),
+        })
+        .collect();
+    all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    all.truncate(k);
+    all
+}
+
+fn check_flat<P: DistanceProvider>(
+    what: &str,
+    provider: &P,
+    graph: &FlatGraph,
+    queries: &VectorSet,
+) {
+    let layers = GraphLayers::from_flat(graph);
+    let n = provider.len();
+    for (mode, accept) in [
+        ("plain", accept_all as fn(u32) -> bool),
+        ("filtered", accept_thirds),
+    ] {
+        for qi in 0..queries.len() {
+            let q = queries.get(qi);
+            let tag = format!("{what} {mode} query {qi}");
+            let old = search_flat_filtered(provider, graph, q, K, EF, &accept);
+            let new = search_layers_filtered(provider, &layers, q, K, EF, &accept);
+            assert_same(&old, &new, &tag);
+            // A beam as wide as the graph visits every reachable vertex.
+            let exhaustive = search_layers_filtered(provider, &layers, q, K, n, &accept);
+            assert_same(
+                &brute(provider, q, K, accept),
+                &exhaustive,
+                &format!("{tag} (exhaustive)"),
+            );
+        }
+    }
+}
+
+/// Nsg / TauMg / Vamana / Hcnng × six codings × plain and filtered: a flat
+/// graph viewed as a one-layer topology answers like the flat-graph beam.
+#[test]
+fn one_layer_topology_answers_like_the_flat_beam() {
+    let (base, queries) = workload(260, 3);
+    let flat = NsgParams {
+        r: R,
+        c: C,
+        seed: SEED,
+    };
+    for_each_coding!(base, |coding, provider| {
+        let nsg = Nsg::build(provider(), flat);
+        check_flat(
+            &format!("nsg:{coding}"),
+            nsg.provider(),
+            nsg.graph(),
+            &queries,
+        );
+        let taumg = TauMg::build(provider(), TauMgParams { flat, tau: 0.1 });
+        check_flat(
+            &format!("taumg:{coding}"),
+            taumg.provider(),
+            taumg.graph(),
+            &queries,
+        );
+        let vamana = Vamana::build(
+            provider(),
+            VamanaParams {
+                r: R,
+                c: C,
+                alpha: 1.2,
+                seed: SEED,
+            },
+        );
+        check_flat(
+            &format!("vamana:{coding}"),
+            vamana.provider(),
+            vamana.graph(),
+            &queries,
+        );
+        let hcnng = Hcnng::build(
+            provider(),
+            HcnngParams {
+                trees: 10,
+                leaf_size: 48,
+                mst_degree: 3,
+                seed: SEED,
+            },
+        );
+        check_flat(
+            &format!("hcnng:{coding}"),
+            hcnng.provider(),
+            hcnng.graph(),
+            &queries,
+        );
+    });
+}
+
+/// `GraphIndex::new(hnsw)` answers plain, filtered and reranked requests
+/// like the live index it was made from, for every coding.
+#[test]
+fn graph_index_answers_like_the_live_hnsw() {
+    let (base, queries) = workload(260, 4);
+    let n = base.len();
+    let params = HnswParams {
+        c: C,
+        r: R,
+        seed: SEED,
+    };
+    for_each_coding!(base, |coding, provider| {
+        let hnsw = Hnsw::build(provider(), params);
+        let pool_k = K * RERANK;
+        let live: Vec<[Vec<Hit>; 4]> = (0..queries.len())
+            .map(|qi| {
+                let q = queries.get(qi);
+                [
+                    hnsw.search(q, K, EF),
+                    hnsw.search_filtered(q, K, EF, &accept_thirds),
+                    hnsw.search_rerank(q, K, EF, RERANK),
+                    rerank_exact(
+                        hnsw.provider().base(),
+                        q,
+                        hnsw.search(q, pool_k, EF),
+                        K,
+                    ),
+                ]
+            })
+            .collect();
+        let exact_filtered: Vec<Vec<Hit>> = (0..queries.len())
+            .map(|qi| brute(hnsw.provider(), queries.get(qi), K, accept_thirds))
+            .collect();
+
+        let leaf = GraphIndex::new(hnsw);
+        for qi in 0..queries.len() {
+            let q = queries.get(qi);
+            let tag = format!("hnsw:{coding} query {qi}");
+            let plain = SearchRequest::new(q, K).ef(EF);
+            let filtered = || plain.clone().filter(|id| id % 3 == 0);
+            let [live_plain, live_filtered, live_rerank, composed_rerank] = &live[qi];
+            assert_same(live_plain, &leaf.search(&plain).hits, &tag);
+            assert_same(
+                live_filtered,
+                &leaf.search(&filtered()).hits,
+                &format!("{tag} filtered"),
+            );
+            let reranked = leaf.search(&plain.clone().rerank(RERANK)).hits;
+            assert_same(live_rerank, &reranked, &format!("{tag} reranked"));
+            assert_same(composed_rerank, &reranked, &format!("{tag} composed"));
+            assert_same(
+                &exact_filtered[qi],
+                &leaf.search(&filtered().ef(n)).hits,
+                &format!("{tag} filtered (exhaustive)"),
+            );
+        }
+    });
+}
