@@ -1,7 +1,7 @@
 //! End-to-end construction benchmarks: one small build per method, so
 //! `cargo bench` tracks the headline indexing-time comparison over time.
 
-use bench::{AnyIndex, Method, Scale};
+use bench::{Method, Scale};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use vecstore::{generate, DatasetProfile};
@@ -25,8 +25,8 @@ fn bench_builds(c: &mut Criterion) {
             &method,
             |bench, &method| {
                 bench.iter(|| {
-                    let (index, _) = AnyIndex::build(method, base.clone(), scale);
-                    black_box(index.index_bytes())
+                    let (index, _) = method.build(base.clone(), scale);
+                    black_box(index.memory_bytes())
                 })
             },
         );
@@ -47,16 +47,16 @@ fn bench_search(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(4));
     for method in [Method::Hnsw, Method::HnswFlash] {
-        let (index, _) = AnyIndex::build(method, base.clone(), scale);
+        let (index, _) = method.build(base.clone(), scale);
         group.bench_with_input(
             BenchmarkId::from_parameter(method.name()),
             &(),
             |bench, _| {
                 let mut qi = 0usize;
                 bench.iter(|| {
-                    let hits = index.search(queries.get(qi % 16), 10, 64);
+                    let hits = index.search(&method.request(queries.get(qi % 16), 10, 64));
                     qi += 1;
-                    black_box(hits.len())
+                    black_box(hits.hits.len())
                 })
             },
         );

@@ -5,7 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flash::{FlashParams, FlashProvider};
 use graphs::providers::FullPrecision;
-use graphs::{Hcnng, HcnngParams, Hnsw, HnswParams, Vamana, VamanaParams};
+use graphs::{
+    search_layers, search_layers_filtered, Hcnng, HcnngParams, Hnsw, HnswParams, Vamana,
+    VamanaParams,
+};
 use maintenance::{LsmConfig, LsmVectorIndex};
 use quantizers::{OptimizedProductQuantizer, ProductQuantizer};
 use std::hint::black_box;
@@ -115,7 +118,9 @@ fn bench_filtered_search(c: &mut Criterion) {
             r: 12,
             seed: 3,
         },
-    );
+    )
+    .into_frozen();
+    let (provider, layers) = (index.provider(), index.layers());
     let mut group = c.benchmark_group("ext_filtered_search");
     group
         .sample_size(30)
@@ -124,7 +129,7 @@ fn bench_filtered_search(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0;
             for qi in 0..queries.len() {
-                n += index.search(queries.get(qi), 10, 64).len();
+                n += search_layers(provider, layers, queries.get(qi), 10, 64).len();
             }
             black_box(n)
         })
@@ -138,9 +143,15 @@ fn bench_filtered_search(c: &mut Criterion) {
                 b.iter(|| {
                     let mut n = 0;
                     for qi in 0..queries.len() {
-                        n += index
-                            .search_filtered(queries.get(qi), 10, 64, &accept)
-                            .len();
+                        n += search_layers_filtered(
+                            provider,
+                            layers,
+                            queries.get(qi),
+                            10,
+                            64,
+                            &accept,
+                        )
+                        .len();
                     }
                     black_box(n)
                 })

@@ -7,10 +7,9 @@
 //! effect of compact codes applies — a useful boundary case for the claim
 //! that Flash's wins come from the CA/NS access pattern.
 
-use bench::{workload, Scale};
-use flash::{build_flash_hcnng, build_flash_vamana, FlashParams};
-use graphs::providers::FullPrecision;
-use graphs::{Hcnng, HcnngParams, Vamana, VamanaParams};
+use bench::{search_ids, workload, Scale};
+use engine::{Coding, GraphKind, IndexBuilder, SearchRequest};
+use flash::FlashParams;
 use metrics::measure_qps;
 use std::time::Instant;
 use vecstore::{ground_truth, DatasetProfile};
@@ -20,20 +19,17 @@ fn main() {
     let k = 10;
     let (base, queries) = workload(DatasetProfile::LaionLike, scale);
     let gt = ground_truth(&base, &queries, k);
-    let vparams = VamanaParams {
-        r: scale.r,
-        c: scale.c,
-        alpha: 1.2,
-        seed: 0xE1,
-    };
-    let hparams = HcnngParams {
-        trees: 10,
-        leaf_size: (scale.n / 64).clamp(24, 96),
-        mst_degree: 3,
-        seed: 0xE2,
-    };
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = (scale.n / 2).clamp(256, 10_000);
+    let builder = |graph: GraphKind, coding: Coding| {
+        IndexBuilder::new(graph, coding)
+            .c(scale.c)
+            .r(scale.r)
+            .seed(0xE1)
+            .alpha(1.2)
+            .hcnng(10, (scale.n / 64).clamp(24, 96), 3)
+            .flash_params(fp)
+    };
 
     println!(
         "# Ext 1: Vamana and HCNNG with/without Flash (n = {})\n",
@@ -54,48 +50,20 @@ fn main() {
         }
     };
 
-    {
+    // Flash variants rerank a pool of 8·k on the original vectors.
+    for (name, graph, coding, rerank) in [
+        ("Vamana", GraphKind::Vamana, Coding::Full, 1),
+        ("Vamana-Flash", GraphKind::Vamana, Coding::Flash, 8),
+        ("HCNNG", GraphKind::Hcnng, Coding::Full, 1),
+        ("HCNNG-Flash", GraphKind::Hcnng, Coding::Flash, 8),
+    ] {
+        let builder = builder(graph, coding);
         let t0 = Instant::now();
-        let v = Vamana::build(FullPrecision::new(base.clone()), vparams);
+        let index = builder.build(base.clone());
         let secs = t0.elapsed().as_secs_f64();
-        report("Vamana", secs, &mut |qi, ef| {
-            v.search(queries.get(qi), k, ef)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let v = build_flash_vamana(base.clone(), fp, vparams);
-        let secs = t0.elapsed().as_secs_f64();
-        report("Vamana-Flash", secs, &mut |qi, ef| {
-            v.search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let h = Hcnng::build(FullPrecision::new(base.clone()), hparams);
-        let secs = t0.elapsed().as_secs_f64();
-        report("HCNNG", secs, &mut |qi, ef| {
-            h.search(queries.get(qi), k, ef)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let h = build_flash_hcnng(base.clone(), fp, hparams);
-        let secs = t0.elapsed().as_secs_f64();
-        report("HCNNG-Flash", secs, &mut |qi, ef| {
-            h.search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
+        report(name, secs, &mut |qi, ef| {
+            let request = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank);
+            search_ids(index.as_ref(), &request)
         });
     }
     println!("\nexpected: Vamana speedup mirrors NSG/τ-MG (CA+NS family); HCNNG speedup is smaller (cheap distances only, no layout effect).");

@@ -11,13 +11,14 @@
 //!   with label count — with and without Flash, showing the amplified cost
 //!   is exactly where construction speedup matters most.
 
-use bench::{workload, Scale};
+use bench::{search_ids, workload, Method, Scale};
 use flash::{FlashParams, FlashProvider};
 use graphs::providers::FullPrecision;
-use graphs::{Hnsw, LabeledHnsw, LabeledParams};
+use graphs::{LabeledHnsw, LabeledParams};
 use metrics::measure_qps;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 use vecstore::DatasetProfile;
 
@@ -39,16 +40,17 @@ fn main() {
 
     // --- Shape 1: shared graph, filtered search -------------------------
     println!("## Shared graph + query-time filter (one standard build)\n");
-    let t0 = Instant::now();
-    let shared = Hnsw::build(FullPrecision::new(base.clone()), params);
-    let shared_build = t0.elapsed().as_secs_f64();
+    let (shared, took) = Method::Hnsw.build(base.clone(), scale);
+    let shared_build = took.as_secs_f64();
     println!("single build: {shared_build:.2} s\n");
     println!("| labels | selectivity | filtered recall@{k} | QPS |");
     println!("|---:|---:|---:|---:|");
     for labels in [4usize, 16, 64] {
-        let assignment: Vec<u32> = (0..base.len())
-            .map(|_| rng.gen_range(0..labels as u32))
-            .collect();
+        let assignment: Arc<Vec<u32>> = Arc::new(
+            (0..base.len())
+                .map(|_| rng.gen_range(0..labels as u32))
+                .collect(),
+        );
         // Filtered ground truth per query for label 0.
         let accept_label = 0u32;
         let gt: Vec<Vec<u32>> = (0..queries.len())
@@ -62,17 +64,13 @@ fn main() {
                 all.into_iter().take(k).map(|(_, i)| i).collect()
             })
             .collect();
-        let assignment_ref = &assignment;
-        let accept = move |id: u32| assignment_ref[id as usize] == accept_label;
         let mut found: Vec<Vec<u32>> = Vec::with_capacity(queries.len());
         let qps = measure_qps(queries.len(), |qi| {
-            found.push(
-                shared
-                    .search_filtered(queries.get(qi), k, 128, &accept)
-                    .iter()
-                    .map(|r| r.id as u32)
-                    .collect(),
-            )
+            let labels = Arc::clone(&assignment);
+            let request = Method::Hnsw
+                .request(queries.get(qi), k, 128)
+                .filter(move |id| labels[id as usize] == accept_label);
+            found.push(search_ids(shared.as_ref(), &request))
         });
         let mut hit = 0usize;
         let mut total = 0usize;

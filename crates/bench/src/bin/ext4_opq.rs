@@ -7,10 +7,8 @@
 //! exactly such overhead. The run reports training + encoding + build time
 //! and the resulting search quality, next to HNSW-PQ and HNSW-Flash.
 
-use bench::{workload, Scale};
-use flash::{BuildFlash, FlashHnsw, FlashParams};
-use graphs::providers::{OpqProvider, PqProvider};
-use graphs::Hnsw;
+use bench::{search_ids, workload, Scale};
+use engine::{Coding, GraphKind, IndexBuilder, SearchRequest};
 use metrics::measure_qps;
 use std::time::Instant;
 use vecstore::{ground_truth, DatasetProfile};
@@ -21,9 +19,18 @@ fn main() {
     let (base, queries) = workload(DatasetProfile::SsnppLike, scale);
     let gt = ground_truth(&base, &queries, k);
     let params = scale.hnsw();
-    let dim = base.dim();
-    let m = (dim / 32).clamp(4, 64);
+    let m = (base.dim() / 32).clamp(4, 64);
     let train = (scale.n / 2).clamp(256, 4_000);
+    // Same pipeline for all three: rerank 8 on the original vectors.
+    let builder = |coding: Coding| {
+        IndexBuilder::new(GraphKind::Hnsw, coding)
+            .c(params.c)
+            .r(params.r)
+            .seed(params.seed)
+            .pq_m(m)
+            .opq_iters(4)
+            .train_sample(train)
+    };
 
     println!(
         "# Ext 4: HNSW-OPQ vs HNSW-PQ vs HNSW-Flash (SSNPP-like, n = {})\n",
@@ -44,42 +51,18 @@ fn main() {
         }
     };
 
-    {
+    for (name, coding) in [
+        ("HNSW-PQ", Coding::Pq),
+        ("HNSW-OPQ", Coding::Opq),
+        ("HNSW-Flash", Coding::Flash),
+    ] {
+        let builder = builder(coding);
         let t0 = Instant::now();
-        let index = Hnsw::build(PqProvider::new(base.clone(), m, 8, train, 0xA1), params);
+        let index = builder.build(base.clone());
         let secs = t0.elapsed().as_secs_f64();
-        report("HNSW-PQ", secs, &mut |qi, ef| {
-            index
-                .search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let index = Hnsw::build(OpqProvider::new(base.clone(), m, 8, 4, train, 0xA2), params);
-        let secs = t0.elapsed().as_secs_f64();
-        report("HNSW-OPQ", secs, &mut |qi, ef| {
-            index
-                .search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let mut fp = FlashParams::auto(dim);
-        fp.train_sample = train;
-        let t0 = Instant::now();
-        let index = FlashHnsw::build_flash(base.clone(), fp, params);
-        let secs = t0.elapsed().as_secs_f64();
-        report("HNSW-Flash", secs, &mut |qi, ef| {
-            index
-                .search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
+        report(name, secs, &mut |qi, ef| {
+            let request = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(8);
+            search_ids(index.as_ref(), &request)
         });
     }
     println!("\nexpected: OPQ's rotation buys some recall over PQ at the same code size but pays a visible training overhead; Flash dominates on indexing time (paper Remark 1).");

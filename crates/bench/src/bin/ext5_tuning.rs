@@ -3,8 +3,8 @@
 //! configuration that preserves comparisons, and verify the choice by
 //! building real indexes at the chosen vs. default parameters.
 
-use bench::{workload, Scale};
-use flash::{tune_flash_params, BuildFlash, FlashHnsw, FlashParams, TuneOptions};
+use bench::{search_ids, workload, Method, Scale};
+use flash::{tune_flash_params, FlashParams, TuneOptions};
 use std::time::Instant;
 use vecstore::{ground_truth, DatasetProfile};
 
@@ -62,16 +62,14 @@ fn main() {
     println!("| config | d_F | M_F | build (s) | recall@{k} (ef=128) |");
     println!("|---|---:|---:|---:|---:|");
     for (name, params) in [("default", base_params), ("tuned", outcome.params)] {
+        let builder = Method::HnswFlash.builder(scale).flash_params(params);
         let t0 = Instant::now();
-        let index = FlashHnsw::build_flash(base.clone(), params, scale.hnsw());
+        let index = builder.build(base.clone());
         let secs = t0.elapsed().as_secs_f64();
         let found: Vec<Vec<u32>> = (0..queries.len())
             .map(|qi| {
-                index
-                    .search_rerank(queries.get(qi), k, 128, 8)
-                    .iter()
-                    .map(|r| r.id as u32)
-                    .collect()
+                let request = Method::HnswFlash.request(queries.get(qi), k, 128);
+                search_ids(index.as_ref(), &request)
             })
             .collect();
         let recall = metrics::recall_at_k(&found, &gt, k).recall();

@@ -5,8 +5,7 @@
 //! `L_PQ` (bigger codebooks), is U-shaped in `M_PQ`, and recall improves
 //! with both.
 
-use bench::{secs, workload, Scale};
-use graphs::{providers::PqProvider, Hnsw};
+use bench::{search_ids, secs, workload, Method, Scale};
 use std::time::Instant;
 use vecstore::{ground_truth, DatasetProfile};
 
@@ -18,19 +17,18 @@ fn main() {
     let train = (scale.n / 2).clamp(256, 5_000);
 
     let run = |m: usize, bits: u8| {
+        let builder = Method::HnswPq
+            .builder(scale)
+            .pq_m(m)
+            .pq_bits(bits)
+            .train_sample(train);
         let t0 = Instant::now();
-        let index = Hnsw::build(
-            PqProvider::new(base.clone(), m, bits, train, 3),
-            scale.hnsw(),
-        );
+        let index = builder.build(base.clone());
         let took = t0.elapsed();
         let found: Vec<Vec<u32>> = (0..queries.len())
             .map(|qi| {
-                index
-                    .search_rerank(queries.get(qi), k, 64, 8)
-                    .iter()
-                    .map(|r| r.id as u32)
-                    .collect()
+                let request = Method::HnswPq.request(queries.get(qi), k, 64);
+                search_ids(index.as_ref(), &request)
             })
             .collect();
         let recall = metrics::recall_at_k(&found, &gt, k).recall();

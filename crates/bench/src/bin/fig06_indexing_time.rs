@@ -1,7 +1,7 @@
 //! Figure 6: indexing time of the five methods on all eight datasets, with
 //! speedup ratios over baseline HNSW (the red annotations in the paper).
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{workload, Method, Scale};
 use vecstore::DatasetProfile;
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         let (base, _) = workload(profile, scale);
         let mut times = Vec::new();
         for method in Method::ALL {
-            let (_, took) = AnyIndex::build(method, base.clone(), scale);
+            let (_, took) = method.build(base.clone(), scale);
             times.push(took.as_secs_f64());
         }
         let speedup = times[4] / times[0];

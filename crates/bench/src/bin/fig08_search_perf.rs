@@ -4,7 +4,7 @@
 //! setting. By default three representative datasets are run; set
 //! `FLASH_ALL=1` for all eight.
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{search_ids, workload, Method, Scale};
 use metrics::measure_qps;
 use vecstore::{ground_truth, DatasetProfile};
 
@@ -29,17 +29,14 @@ fn main() {
         println!("| method | ef | recall@{k} | QPS |");
         println!("|---|---:|---:|---:|");
         for method in Method::ALL {
-            let (index, _) = AnyIndex::build(method, base.clone(), scale);
+            let (index, _) = method.build(base.clone(), scale);
             for ef in [16usize, 32, 64, 128, 256] {
                 let mut found: Vec<Vec<u32>> = Vec::with_capacity(queries.len());
                 let qps = measure_qps(queries.len(), |qi| {
-                    found.push(
-                        index
-                            .search(queries.get(qi), k, ef)
-                            .iter()
-                            .map(|r| r.id as u32)
-                            .collect(),
-                    );
+                    found.push(search_ids(
+                        index.as_ref(),
+                        &method.request(queries.get(qi), k, ef),
+                    ));
                 });
                 let recall = metrics::recall_at_k(&found, &gt, k).recall();
                 println!(

@@ -1,7 +1,7 @@
 //! Figure 9: QPS–ADR curves (average distance ratio instead of recall) on
 //! the two datasets the paper shows (LAION-like, SSNPP-like).
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{workload, Method, Scale};
 use metrics::{average_distance_ratio, measure_qps};
 use simdops::l2_sq;
 use vecstore::{ground_truth, DatasetProfile};
@@ -17,7 +17,7 @@ fn main() {
         println!("| method | ef | ADR | QPS |");
         println!("|---|---:|---:|---:|");
         for method in Method::ALL {
-            let (index, _) = AnyIndex::build(method, base.clone(), scale);
+            let (index, _) = method.build(base.clone(), scale);
             for ef in [16usize, 64, 256] {
                 let mut dists: Vec<Vec<f32>> = Vec::with_capacity(queries.len());
                 let qps = measure_qps(queries.len(), |qi| {
@@ -26,7 +26,8 @@ fn main() {
                     let q = queries.get(qi);
                     dists.push(
                         index
-                            .search(q, k, ef)
+                            .search(&method.request(q, k, ef))
+                            .hits
                             .iter()
                             .map(|r| l2_sq(q, base.get(r.id as usize)))
                             .collect(),

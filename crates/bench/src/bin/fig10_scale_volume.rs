@@ -1,7 +1,7 @@
 //! Figure 10: scalability over data volume — indexing time of HNSW vs
 //! HNSW-Flash as the single-segment dataset grows (speedup annotated).
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{workload, Method, Scale};
 use vecstore::DatasetProfile;
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
                 ..base_scale
             };
             let (base, _) = workload(profile, scale);
-            let (_, t_full) = AnyIndex::build(Method::Hnsw, base.clone(), scale);
-            let (_, t_flash) = AnyIndex::build(Method::HnswFlash, base, scale);
+            let (_, t_full) = Method::Hnsw.build(base.clone(), scale);
+            let (_, t_flash) = Method::HnswFlash.build(base, scale);
             println!(
                 "| {} | {:.2} | {:.2} | {:.1}x |",
                 scale.n,

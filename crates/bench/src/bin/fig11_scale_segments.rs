@@ -2,7 +2,7 @@
 //! when the collection is sharded into segments of constant size (the
 //! LSM-style deployment of Section 2.1.4).
 
-use bench::{AnyIndex, Method, Scale};
+use bench::{Method, Scale};
 use vecstore::{generate, split_into_segments, DatasetProfile};
 
 fn main() {
@@ -21,9 +21,9 @@ fn main() {
             let mut t_full = 0.0;
             let mut t_flash = 0.0;
             for seg in &segments {
-                let (_, t) = AnyIndex::build(Method::Hnsw, seg.clone(), scale);
+                let (_, t) = Method::Hnsw.build(seg.clone(), scale);
                 t_full += t.as_secs_f64();
-                let (_, t) = AnyIndex::build(Method::HnswFlash, seg.clone(), scale);
+                let (_, t) = Method::HnswFlash.build(seg.clone(), scale);
                 t_flash += t.as_secs_f64();
             }
             println!(

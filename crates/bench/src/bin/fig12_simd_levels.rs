@@ -4,7 +4,7 @@
 //! The dispatch tier is capped process-wide via `simdops::set_level_override`;
 //! tiers not supported by the host CPU are skipped.
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{workload, Method, Scale};
 use simdops::{set_level_override, supported_levels};
 use vecstore::DatasetProfile;
 
@@ -21,7 +21,7 @@ fn main() {
         for level in supported_levels() {
             set_level_override(Some(level));
             let (base, _) = workload(profile, scale);
-            let (_, took) = AnyIndex::build(Method::HnswFlash, base, scale);
+            let (_, took) = Method::HnswFlash.build(base, scale);
             println!(
                 "| {} | {} | {:.2} |",
                 level.name(),

@@ -5,7 +5,7 @@
 //! Flash-built topology. We report QPS–recall with and without Flash for
 //! both variants on LAION-like data.
 
-use bench::{workload, AnyIndex, Method, Scale};
+use bench::{workload, Method, Scale};
 use graphs::adsampling::AdSampler;
 use graphs::providers::FullPrecision;
 use graphs::vbase::search_vbase;
@@ -20,16 +20,10 @@ fn main() {
     let gt = ground_truth(&base, &queries, k);
 
     // Two graphs over the same data: baseline-built and Flash-built.
-    let (full_index, t_full) = AnyIndex::build(Method::Hnsw, base.clone(), scale);
-    let (flash_index, t_flash) = AnyIndex::build(Method::HnswFlash, base.clone(), scale);
-    let g_full = match &full_index {
-        AnyIndex::Full(i) => i.freeze(),
-        _ => unreachable!(),
-    };
-    let g_flash = match &flash_index {
-        AnyIndex::Flash(i) => i.freeze(),
-        _ => unreachable!(),
-    };
+    let (full_index, t_full) = Method::Hnsw.build(base.clone(), scale);
+    let (flash_index, t_flash) = Method::HnswFlash.build(base.clone(), scale);
+    let g_full = full_index.export_graph().expect("graph-backed");
+    let g_flash = flash_index.export_graph().expect("graph-backed");
     println!(
         "# Figure 13: ADSampling / VBase on baseline vs Flash graphs (build: {:.2}s vs {:.2}s)\n",
         t_full.as_secs_f64(),

@@ -1,10 +1,9 @@
 //! Figure 14: generality across graph algorithms — NSG and τ-MG built with
 //! and without Flash: indexing time plus QPS-recall.
 
-use bench::{workload, Scale};
-use flash::{build_flash_nsg, build_flash_taumg, FlashParams};
-use graphs::providers::FullPrecision;
-use graphs::{Nsg, NsgParams, TauMg, TauMgParams};
+use bench::{search_ids, workload, Scale};
+use engine::{Coding, GraphKind, IndexBuilder, SearchRequest};
+use flash::FlashParams;
 use metrics::measure_qps;
 use std::time::Instant;
 use vecstore::{ground_truth, DatasetProfile};
@@ -14,13 +13,16 @@ fn main() {
     let k = 10;
     let (base, queries) = workload(DatasetProfile::LaionLike, scale);
     let gt = ground_truth(&base, &queries, k);
-    let flat = NsgParams {
-        r: scale.r,
-        c: scale.c,
-        seed: 0xF14,
-    };
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = (scale.n / 2).clamp(256, 10_000);
+    let builder = |graph: GraphKind, coding: Coding| {
+        IndexBuilder::new(graph, coding)
+            .c(scale.c)
+            .r(scale.r)
+            .seed(0xF14)
+            .tau(0.5)
+            .flash_params(fp)
+    };
 
     println!(
         "# Figure 14: NSG and τ-MG with/without Flash (n = {})\n",
@@ -41,61 +43,20 @@ fn main() {
         }
     };
 
-    {
+    // Flash variants rerank a pool of 8·k on the original vectors.
+    for (name, graph, coding, rerank) in [
+        ("NSG", GraphKind::Nsg, Coding::Full, 1),
+        ("NSG-Flash", GraphKind::Nsg, Coding::Flash, 8),
+        ("tau-MG", GraphKind::TauMg, Coding::Full, 1),
+        ("tau-MG-Flash", GraphKind::TauMg, Coding::Flash, 8),
+    ] {
+        let builder = builder(graph, coding);
         let t0 = Instant::now();
-        let nsg = Nsg::build(FullPrecision::new(base.clone()), flat);
+        let index = builder.build(base.clone());
         let secs = t0.elapsed().as_secs_f64();
-        report("NSG", secs, &mut |qi, ef| {
-            nsg.search(queries.get(qi), k, ef)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let nsg = build_flash_nsg(base.clone(), fp, flat);
-        let secs = t0.elapsed().as_secs_f64();
-        report("NSG-Flash", secs, &mut |qi, ef| {
-            nsg.search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let tmg = TauMg::build(
-            FullPrecision::new(base.clone()),
-            TauMgParams { flat, tau: 0.5 },
-        );
-        let secs = t0.elapsed().as_secs_f64();
-        report("tau-MG", secs, &mut |qi, ef| {
-            tmg.search(queries.get(qi), k, ef)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        });
-    }
-    {
-        let t0 = Instant::now();
-        let tmg = build_flash_taumg(base.clone(), fp, TauMgParams { flat, tau: 0.5 });
-        let secs = t0.elapsed().as_secs_f64();
-        report("tau-MG-Flash", secs, &mut |qi, ef| {
-            // τ-MG has no rerank helper; rerank here with exact distances.
-            let pool = tmg.search(queries.get(qi), k * 8, ef);
-            let mut exact: Vec<(f32, u32)> = pool
-                .iter()
-                .map(|r| {
-                    (
-                        simdops::l2_sq(queries.get(qi), base.get(r.id as usize)),
-                        r.id as u32,
-                    )
-                })
-                .collect();
-            exact.sort_by(|a, b| a.0.total_cmp(&b.0));
-            exact.truncate(k);
-            exact.into_iter().map(|(_, id)| id).collect()
+        report(name, secs, &mut |qi, ef| {
+            let request = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank);
+            search_ids(index.as_ref(), &request)
         });
     }
     println!("\npaper: Flash accelerates both builders ~11–12x with comparable QPS-recall.");

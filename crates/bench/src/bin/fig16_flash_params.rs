@@ -1,8 +1,8 @@
 //! Figure 16: Flash parameter sensitivity — d_F at fixed M_F (a), M_F at
 //! fixed d_F (b); indexing time plus recall at a fixed search setting.
 
-use bench::{workload, Scale};
-use flash::{BuildFlash, FlashHnsw, FlashParams};
+use bench::{search_ids, workload, Method, Scale};
+use flash::FlashParams;
 use vecstore::{ground_truth, DatasetProfile};
 
 fn main() {
@@ -21,16 +21,14 @@ fn main() {
             seed: 0xF1A5,
             grid_quantile: 0.5,
         };
+        let builder = Method::HnswFlash.builder(scale).flash_params(fp);
         let t0 = std::time::Instant::now();
-        let index = FlashHnsw::build_flash(base.clone(), fp, scale.hnsw());
+        let index = builder.build(base.clone());
         let took = t0.elapsed().as_secs_f64();
         let found: Vec<Vec<u32>> = (0..queries.len())
             .map(|qi| {
-                index
-                    .search_rerank(queries.get(qi), k, 64, 8)
-                    .iter()
-                    .map(|r| r.id as u32)
-                    .collect()
+                let request = Method::HnswFlash.request(queries.get(qi), k, 64);
+                search_ids(index.as_ref(), &request)
             })
             .collect();
         (took, metrics::recall_at_k(&found, &gt, k).recall())

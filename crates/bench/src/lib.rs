@@ -15,9 +15,8 @@
 //! Output is GitHub-flavored markdown, one row per configuration, matching
 //! the rows/series of the corresponding paper figure.
 
-use flash::{BuildFlash, FlashHnsw, FlashParams};
-use graphs::providers::{FullPrecision, PcaProvider, PqProvider, SqProvider};
-use graphs::{Hit, Hnsw, HnswParams};
+use engine::{AnnIndex, Coding, GraphKind, IndexBuilder, SearchRequest};
+use graphs::HnswParams;
 use std::time::{Duration, Instant};
 use vecstore::{generate, DatasetProfile, VectorSet};
 
@@ -96,74 +95,52 @@ impl Method {
             Method::HnswFlash => "HNSW-Flash",
         }
     }
-}
 
-/// A built index of any method, searchable uniformly.
-pub enum AnyIndex {
-    /// Baseline.
-    Full(Hnsw<FullPrecision>),
-    /// HNSW-PQ.
-    Pq(Hnsw<PqProvider>),
-    /// HNSW-SQ.
-    Sq(Hnsw<SqProvider>),
-    /// HNSW-PCA.
-    Pca(Hnsw<PcaProvider>),
-    /// HNSW-Flash.
-    Flash(FlashHnsw),
-}
-
-impl AnyIndex {
-    /// Builds `method` over `base`, returning the index and the wall-clock
-    /// indexing time (including coding preprocessing, as the paper does).
-    pub fn build(method: Method, base: VectorSet, scale: Scale) -> (AnyIndex, Duration) {
-        let dim = base.dim();
-        let params = scale.hnsw();
-        let train = (base.len() / 2).clamp(256, 10_000);
-        let t0 = Instant::now();
-        let index = match method {
-            Method::Hnsw => AnyIndex::Full(Hnsw::build(FullPrecision::new(base), params)),
-            Method::HnswPq => {
-                // M_PQ via the paper's convention: 1 subspace per ~48 dims,
-                // L_PQ = 8 (their tuned setting).
-                let m = (dim / 48).clamp(4, 64);
-                AnyIndex::Pq(Hnsw::build(PqProvider::new(base, m, 8, train, 0xA), params))
-            }
-            Method::HnswSq => AnyIndex::Sq(Hnsw::build(SqProvider::new(base, 8), params)),
-            Method::HnswPca => AnyIndex::Pca(Hnsw::build(
-                PcaProvider::with_variance(base, 0.9, train),
-                params,
-            )),
-            Method::HnswFlash => {
-                let mut fp = FlashParams::auto(dim);
-                fp.train_sample = train;
-                AnyIndex::Flash(FlashHnsw::build_flash(base, fp, params))
-            }
+    /// The engine builder for this method at `scale`: HNSW over the
+    /// method's coding with the workspace-default codec parameters (PQ:
+    /// one subspace per ~48 dims at 8 bits; SQ: 8 bits; PCA: 0.9 variance;
+    /// Flash: `FlashParams::auto`).
+    pub fn builder(self, scale: Scale) -> IndexBuilder {
+        let coding = match self {
+            Method::Hnsw => Coding::Full,
+            Method::HnswPq => Coding::Pq,
+            Method::HnswSq => Coding::Sq,
+            Method::HnswPca => Coding::Pca,
+            Method::HnswFlash => Coding::Flash,
         };
+        let params = scale.hnsw();
+        IndexBuilder::new(GraphKind::Hnsw, coding)
+            .c(params.c)
+            .r(params.r)
+            .seed(params.seed)
+    }
+
+    /// Builds the method over `base`, returning the index and the
+    /// wall-clock indexing time (including coding preprocessing, as the
+    /// paper does).
+    pub fn build(self, base: VectorSet, scale: Scale) -> (Box<dyn AnnIndex>, Duration) {
+        let builder = self.builder(scale);
+        let t0 = Instant::now();
+        let index = builder.build(base);
         (index, t0.elapsed())
     }
 
-    /// k-NN search with the method's standard pipeline (compressed methods
-    /// rerank on the original vectors, as the paper's Flash search does).
-    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        match self {
-            AnyIndex::Full(i) => i.search(query, k, ef),
-            AnyIndex::Pq(i) => i.search_rerank(query, k, ef, 8),
-            AnyIndex::Sq(i) => i.search_rerank(query, k, ef, 4),
-            AnyIndex::Pca(i) => i.search_rerank(query, k, ef, 4),
-            AnyIndex::Flash(i) => i.search_rerank(query, k, ef, 8),
-        }
+    /// A request with the method's standard pipeline: compressed methods
+    /// rerank on the original vectors, as the paper's Flash search does.
+    pub fn request(self, query: &[f32], k: usize, ef: usize) -> SearchRequest {
+        let rerank = match self {
+            Method::Hnsw => 1,
+            Method::HnswSq | Method::HnswPca => 4,
+            Method::HnswPq | Method::HnswFlash => 8,
+        };
+        SearchRequest::new(query, k).ef(ef).rerank(rerank)
     }
+}
 
-    /// Index size in bytes (adjacency + codes/vectors + payloads).
-    pub fn index_bytes(&self) -> usize {
-        match self {
-            AnyIndex::Full(i) => i.index_bytes(),
-            AnyIndex::Pq(i) => i.index_bytes(),
-            AnyIndex::Sq(i) => i.index_bytes(),
-            AnyIndex::Pca(i) => i.index_bytes(),
-            AnyIndex::Flash(i) => i.index_bytes(),
-        }
-    }
+/// Ids of the hits `index` returns for `request`.
+pub fn search_ids(index: &dyn AnnIndex, request: &SearchRequest) -> Vec<u32> {
+    let hits = index.search(request).hits;
+    hits.iter().map(|h| h.id as u32).collect()
 }
 
 /// Generates the workload for one paper dataset at the harness scale.
@@ -174,26 +151,6 @@ pub fn workload(profile: DatasetProfile, scale: Scale) -> (VectorSet, VectorSet)
 /// Formats a duration as seconds with 2 decimals.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// Computes recall@k of `index` on the given queries/ground truth.
-pub fn index_recall(
-    index: &AnyIndex,
-    queries: &VectorSet,
-    gt: &[Vec<vecstore::Neighbor>],
-    k: usize,
-    ef: usize,
-) -> f64 {
-    let found: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            index
-                .search(queries.get(qi), k, ef)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
-    metrics::recall_at_k(&found, gt, k).recall()
 }
 
 #[cfg(test)]
@@ -216,11 +173,11 @@ mod tests {
         };
         let (base, queries) = workload(DatasetProfile::SsnppLike, scale);
         for method in Method::ALL {
-            let (index, took) = AnyIndex::build(method, base.clone(), scale);
+            let (index, took) = method.build(base.clone(), scale);
             assert!(took.as_nanos() > 0);
-            let hits = index.search(queries.get(0), 3, 32);
+            let hits = index.search(&method.request(queries.get(0), 3, 32)).hits;
             assert_eq!(hits.len(), 3, "{}", method.name());
-            assert!(index.index_bytes() > 0);
+            assert!(index.memory_bytes() > 0);
         }
     }
 }

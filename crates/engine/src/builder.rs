@@ -1,14 +1,14 @@
 //! One constructor for the whole graph × coding matrix.
 
-use crate::indexes::{FlatVariant, FrozenIndex, GraphIndex};
+use crate::indexes::GraphIndex;
 use crate::kinds::{Coding, GraphKind};
 use crate::AnnIndex;
 use flash::{FlashCodec, FlashParams, FlashProvider};
 use graphs::flat_build::FlatParams;
 use graphs::providers::{FullPrecision, OpqProvider, PcaProvider, PqProvider, SqProvider};
 use graphs::{
-    GraphLayers, Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, Nsg, TauMg,
-    TauMgParams, Vamana, VamanaParams,
+    DistanceProvider, FrozenGraph, GraphLayers, Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw,
+    LabeledParams, Nsg, TauMg, TauMgParams, Vamana, VamanaParams,
 };
 use quantizers::sq::SqRange;
 use quantizers::{OptimizedProductQuantizer, PcaCodec, ProductQuantizer, ScalarQuantizer};
@@ -58,13 +58,15 @@ impl std::fmt::Debug for TrainedCodec {
 }
 
 /// Builds any [`GraphKind`] × [`Coding`] combination into a
-/// `Box<dyn AnnIndex>`, subsuming the per-type constructors
-/// (`Hnsw::build`, `build_flash_nsg`, …) behind one fluent surface.
+/// `Box<dyn AnnIndex>`: one fluent surface over the per-type constructors
+/// (`Hnsw::build`, `Nsg::build`, …). Construction runs to the end and the
+/// result is frozen — every index this returns is a
+/// [`GraphIndex`] over a provider and a [`GraphLayers`] topology.
 ///
-/// Unset knobs fall back to the same defaults the legacy constructors
-/// used, so a builder configured with only `(graph, coding, c, r, seed)`
-/// produces an index identical to the corresponding legacy call — the
-/// property `tests/engine_api.rs` locks in for all 30 combinations.
+/// Unset knobs fall back to the concrete types' defaults, so a builder
+/// configured with only `(graph, coding, c, r, seed)` produces an index
+/// identical to the corresponding concrete build — the property
+/// `tests/engine_api.rs` locks in for all 30 combinations.
 #[derive(Debug, Clone)]
 pub struct IndexBuilder {
     graph: GraphKind,
@@ -238,39 +240,14 @@ impl IndexBuilder {
     /// Trains the configured coding over `base` and builds the configured
     /// graph through it.
     pub fn build(&self, base: VectorSet) -> Box<dyn AnnIndex> {
-        let (dim, n) = (base.dim(), base.len());
-        let ts = self.training_sample_for(n);
-        match self.coding {
-            Coding::Full => self.finish(FullPrecision::new(base)),
-            Coding::Sq => self.finish(SqProvider::new(base, self.sq_bits)),
-            Coding::Pca => self.finish(PcaProvider::with_variance(base, self.pca_variance, ts)),
-            Coding::Pq => {
-                let m = self.derived_pq_m(dim);
-                self.finish(PqProvider::new(base, m, self.pq_bits, ts, self.seed))
-            }
-            Coding::Opq => {
-                let m = self.derived_pq_m(dim);
-                self.finish(OpqProvider::new(
-                    base,
-                    m,
-                    self.pq_bits,
-                    self.opq_iters,
-                    ts,
-                    self.seed,
-                ))
-            }
-            Coding::Flash => {
-                let fp = self.derived_flash(dim, n);
-                self.finish(FlashProvider::new(base, fp))
-            }
-        }
+        let codec = self.train_codec(&base);
+        self.build_with_codec(base, &codec)
     }
 
     /// Trains this builder's coding once over `base`, for sharing across
     /// every shard/replica subsequently built with
-    /// [`Self::build_with_codec`]. Training uses the same sample-size and
-    /// seed rules as [`Self::build`], so a single-partition
-    /// `build_with_codec(base, &train_codec(&base))` equals `build(base)`.
+    /// [`Self::build_with_codec`]; [`Self::build`] is the single-partition
+    /// case `build_with_codec(base, &train_codec(&base))`.
     pub fn train_codec(&self, base: &VectorSet) -> TrainedCodec {
         let (dim, n) = (base.dim(), base.len());
         let ts = self.training_sample_for(n);
@@ -321,52 +298,13 @@ impl IndexBuilder {
             codec.coding(),
             self.coding
         );
-        match &*codec.kind {
-            CodecKind::Full => self.finish(FullPrecision::new(base)),
-            CodecKind::Sq(sq) => self.finish(SqProvider::from_quantizer(base, sq.clone())),
-            CodecKind::Pca(pca) => self.finish(PcaProvider::from_codec(base, pca.clone())),
-            CodecKind::Pq(pq) => self.finish(PqProvider::from_quantizer(base, pq.clone())),
-            CodecKind::Opq(opq) => self.finish(OpqProvider::from_quantizer(base, opq.clone())),
-            CodecKind::Flash(fc) => self.finish(FlashProvider::from_codec(base, fc.clone())),
-        }
-    }
-
-    fn finish<P: DistanceProviderExt>(&self, provider: P) -> Box<dyn AnnIndex> {
-        match self.graph {
-            GraphKind::Hnsw => Box::new(GraphIndex::new(Hnsw::build(provider, self.hnsw_params()))),
-            GraphKind::Nsg => Box::new(FlatVariant::new(Nsg::build(provider, self.flat_params()))),
-            GraphKind::TauMg => Box::new(FlatVariant::new(TauMg::build(
-                provider,
-                TauMgParams {
-                    flat: self.flat_params(),
-                    tau: self.tau,
-                },
-            ))),
-            GraphKind::Vamana => Box::new(FlatVariant::new(Vamana::build(
-                provider,
-                VamanaParams {
-                    r: self.r,
-                    c: self.c,
-                    alpha: self.alpha,
-                    seed: self.seed,
-                },
-            ))),
-            GraphKind::Hcnng => Box::new(FlatVariant::new(Hcnng::build(
-                provider,
-                HcnngParams {
-                    trees: self.trees,
-                    leaf_size: self.leaf_size,
-                    mst_degree: self.mst_degree,
-                    seed: self.seed,
-                },
-            ))),
-        }
+        self.assemble(base, codec, None)
     }
 
     /// Serves a persisted topology: re-derives the provider over `base`
-    /// (deterministic for a given seed) and pairs it with `graph` in a
-    /// [`FrozenIndex`]. Works for any graph kind — flat topologies are
-    /// single-layer [`GraphLayers`].
+    /// (deterministic for a given seed) and pairs it with `graph`. Works
+    /// for any graph kind — flat topologies are single-layer
+    /// [`GraphLayers`].
     pub fn serve(&self, base: VectorSet, graph: GraphLayers) -> Result<Box<dyn AnnIndex>, String> {
         if base.len() != graph.len() {
             return Err(format!(
@@ -375,34 +313,84 @@ impl IndexBuilder {
                 base.len()
             ));
         }
-        let (dim, n) = (base.dim(), base.len());
-        let ts = self.training_sample_for(n);
-        Ok(match self.coding {
-            Coding::Full => Box::new(FrozenIndex::new(FullPrecision::new(base), graph)),
-            Coding::Sq => Box::new(FrozenIndex::new(SqProvider::new(base, self.sq_bits), graph)),
-            Coding::Pca => Box::new(FrozenIndex::new(
-                PcaProvider::with_variance(base, self.pca_variance, ts),
-                graph,
-            )),
-            Coding::Pq => {
-                let m = self.derived_pq_m(dim);
-                Box::new(FrozenIndex::new(
-                    PqProvider::new(base, m, self.pq_bits, ts, self.seed),
-                    graph,
-                ))
+        let codec = self.train_codec(&base);
+        Ok(self.assemble(base, &codec, Some(graph)))
+    }
+
+    /// Encodes `base` through `codec` into that coding's provider, then
+    /// pairs it with `topology` or, without one, builds the configured
+    /// graph through it.
+    fn assemble(
+        &self,
+        base: VectorSet,
+        codec: &TrainedCodec,
+        topology: Option<GraphLayers>,
+    ) -> Box<dyn AnnIndex> {
+        match &*codec.kind {
+            CodecKind::Full => self.finish(FullPrecision::new(base), topology),
+            CodecKind::Sq(sq) => {
+                self.finish(SqProvider::from_quantizer(base, sq.clone()), topology)
             }
-            Coding::Opq => {
-                let m = self.derived_pq_m(dim);
-                Box::new(FrozenIndex::new(
-                    OpqProvider::new(base, m, self.pq_bits, self.opq_iters, ts, self.seed),
-                    graph,
-                ))
+            CodecKind::Pca(pca) => {
+                self.finish(PcaProvider::from_codec(base, pca.clone()), topology)
             }
-            Coding::Flash => {
-                let fp = self.derived_flash(dim, n);
-                Box::new(FrozenIndex::new(FlashProvider::new(base, fp), graph))
+            CodecKind::Pq(pq) => {
+                self.finish(PqProvider::from_quantizer(base, pq.clone()), topology)
             }
-        })
+            CodecKind::Opq(opq) => {
+                self.finish(OpqProvider::from_quantizer(base, opq.clone()), topology)
+            }
+            CodecKind::Flash(fc) => {
+                self.finish(FlashProvider::from_codec(base, fc.clone()), topology)
+            }
+        }
+    }
+
+    fn finish<P: DistanceProvider + 'static>(
+        &self,
+        provider: P,
+        topology: Option<GraphLayers>,
+    ) -> Box<dyn AnnIndex> {
+        let Some(layers) = topology else {
+            return Box::new(GraphIndex::from(self.construct(provider)));
+        };
+        Box::new(GraphIndex::from_parts(provider, layers))
+    }
+
+    /// Runs the configured graph's construction through `provider`.
+    fn construct<P: DistanceProvider>(&self, provider: P) -> FrozenGraph<P> {
+        match self.graph {
+            GraphKind::Hnsw => Hnsw::build(provider, self.hnsw_params()).into_frozen(),
+            GraphKind::Nsg => Nsg::build(provider, self.flat_params()).into_frozen(),
+            GraphKind::TauMg => TauMg::build(
+                provider,
+                TauMgParams {
+                    flat: self.flat_params(),
+                    tau: self.tau,
+                },
+            )
+            .into_frozen(),
+            GraphKind::Vamana => Vamana::build(
+                provider,
+                VamanaParams {
+                    r: self.r,
+                    c: self.c,
+                    alpha: self.alpha,
+                    seed: self.seed,
+                },
+            )
+            .into_frozen(),
+            GraphKind::Hcnng => Hcnng::build(
+                provider,
+                HcnngParams {
+                    trees: self.trees,
+                    leaf_size: self.leaf_size,
+                    mst_degree: self.mst_degree,
+                    seed: self.seed,
+                },
+            )
+            .into_frozen(),
+        }
     }
 
     /// Builds one specialized sub-index per label value (HNSW only — the
@@ -470,7 +458,3 @@ impl IndexBuilder {
         })
     }
 }
-
-/// `DistanceProvider + 'static`, nameable as one bound.
-trait DistanceProviderExt: graphs::DistanceProvider + 'static {}
-impl<T: graphs::DistanceProvider + 'static> DistanceProviderExt for T {}

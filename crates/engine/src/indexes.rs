@@ -4,14 +4,13 @@
 use crate::request::{AdSamplingOptions, SearchRequest, SearchResponse, SearchStats};
 use crate::AnnIndex;
 use graphs::adsampling::AdSampler;
-use graphs::flat_build::{search_flat, search_flat_filtered};
 use graphs::vbase::search_vbase;
 use graphs::{
-    search_layers, search_layers_filtered, search_layers_rerank, DistanceProvider, FlatGraph,
-    GraphLayers, Hcnng, Hit, Hnsw, LabeledHnsw, Nsg, TauMg, Vamana,
+    search_layers, search_layers_filtered, search_layers_rerank, DistanceProvider, FrozenGraph,
+    GraphLayers, Hit, Hnsw, LabeledHnsw,
 };
 use maintenance::LsmVectorIndex;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use vecstore::VectorSet;
 
 // ---------------------------------------------------------------------
@@ -85,9 +84,9 @@ impl SamplerCache {
     }
 }
 
-/// The unified serving pipeline over a frozen topology: dispatches to
-/// ADSampling, VBase, filtered, reranked, or plain beam search according
-/// to the request.
+/// The serving pipeline of every graph index: dispatches to ADSampling,
+/// VBase, or the one frozen-topology beam (filtered, reranked or plain)
+/// according to the request.
 fn serve_layers<P: DistanceProvider>(
     provider: &P,
     layers: &GraphLayers,
@@ -130,95 +129,69 @@ fn serve_layers<P: DistanceProvider>(
 }
 
 // ---------------------------------------------------------------------
-// HNSW-backed indexes
+// Graph-backed indexes
 // ---------------------------------------------------------------------
 
-/// [`Hnsw`] behind the engine API: plain/filtered/reranked requests serve
-/// straight from the live index (bit-identical to the legacy inherent
-/// methods); VBase and ADSampling requests serve from a lazily frozen
-/// topology snapshot.
+/// Any graph index behind the engine API, frozen: a distance provider and
+/// the [`GraphLayers`] built through it. Construction ends when one of
+/// these is made — [`GraphIndex::new`] freezes an [`Hnsw`] once and drops
+/// its builder state, flat graphs (NSG, τ-MG, Vamana, HCNNG) arrive as
+/// one-layer topologies, and a persisted topology is paired with a
+/// re-derived provider by [`GraphIndex::from_parts`]. Every request option
+/// is then served by the one frozen-layer pipeline.
 pub struct GraphIndex<P: DistanceProvider> {
-    inner: Hnsw<P>,
-    frozen: RwLock<Option<Arc<GraphLayers>>>,
+    inner: FrozenGraph<P>,
     samplers: SamplerCache,
 }
 
 impl<P: DistanceProvider> GraphIndex<P> {
-    /// Wraps a built index.
-    pub fn new(inner: Hnsw<P>) -> Self {
-        Self {
-            inner,
-            frozen: RwLock::new(None),
-            samplers: SamplerCache::default(),
-        }
+    /// Freezes a built index for serving. To keep ingesting, keep the
+    /// [`Hnsw`] (its own `search` sees every insert) and freeze when the
+    /// batch is done.
+    pub fn new(hnsw: Hnsw<P>) -> Self {
+        hnsw.into_frozen().into()
     }
 
-    /// The wrapped index (construction-time APIs: `insert`, `freeze`, …).
+    /// Pairs a provider with a topology over the same vectors (the reload
+    /// path of `flash_cli search` and the `persisted_serving` example).
     ///
-    /// Streaming inserts through this handle are visible to plain /
-    /// filtered / reranked searches immediately, but VBase, ADSampling,
-    /// and [`AnnIndex::export_graph`] read the frozen topology snapshot —
-    /// call [`Self::refresh_topology`] after an ingest batch to refresh
-    /// those paths.
-    pub fn inner(&self) -> &Hnsw<P> {
+    /// # Panics
+    /// Panics if the provider and topology disagree on the vector count.
+    pub fn from_parts(provider: P, layers: GraphLayers) -> Self {
+        FrozenGraph::new(provider, layers).into()
+    }
+
+    /// The served provider and topology.
+    pub fn inner(&self) -> &FrozenGraph<P> {
         &self.inner
     }
 
-    /// Drops the cached topology snapshot (and any ADSampling rotations
-    /// derived from it) so the next frozen-path search re-freezes the
-    /// current graph.
-    pub fn refresh_topology(&self) {
-        *self.frozen.write().unwrap() = None;
-        self.samplers.entries.write().unwrap().clear();
+    /// The distance provider.
+    pub fn provider(&self) -> &P {
+        self.inner.provider()
     }
+}
 
-    fn frozen(&self) -> Arc<GraphLayers> {
-        if let Some(g) = self.frozen.read().unwrap().as_ref() {
-            return Arc::clone(g);
+impl<P: DistanceProvider> From<FrozenGraph<P>> for GraphIndex<P> {
+    fn from(inner: FrozenGraph<P>) -> Self {
+        Self {
+            inner,
+            samplers: SamplerCache::default(),
         }
-        let mut slot = self.frozen.write().unwrap();
-        if let Some(g) = slot.as_ref() {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(self.inner.freeze());
-        *slot = Some(Arc::clone(&g));
-        g
     }
 }
 
 impl<P: DistanceProvider + 'static> AnnIndex for GraphIndex<P> {
     fn len(&self) -> usize {
-        self.inner.len()
+        self.provider().len()
     }
 
     fn dim(&self) -> usize {
-        self.inner.provider().base().dim()
+        self.provider().base().dim()
     }
 
     fn search(&self, req: &SearchRequest) -> SearchResponse {
-        profiled(|| {
-            if req.adsampling.is_some() || req.vbase_window.is_some() {
-                return serve_layers(self.inner.provider(), &self.frozen(), &self.samplers, req);
-            }
-            let q = &req.query[..];
-            let (k, ef) = (req.k, req.ef);
-            if let Some(f) = &req.filter {
-                // finish_pool applies the rerank step to the filtered pool.
-                let f = Arc::clone(f);
-                let accept = move |id: u32| f(u64::from(id));
-                let pool = self.inner.search_filtered(q, req.pool_k(), ef, &accept);
-                SearchResponse::from_hits(finish_pool(
-                    self.inner.provider().base(),
-                    req,
-                    pool,
-                    true,
-                ))
-            } else if req.wants_rerank() {
-                SearchResponse::from_hits(self.inner.search_rerank(q, k, ef, req.rerank))
-            } else {
-                SearchResponse::from_hits(self.inner.search(q, k, ef))
-            }
-        })
+        profiled(|| serve_layers(self.provider(), self.inner.layers(), &self.samplers, req))
     }
 
     fn memory_bytes(&self) -> usize {
@@ -226,185 +199,7 @@ impl<P: DistanceProvider + 'static> AnnIndex for GraphIndex<P> {
     }
 
     fn export_graph(&self) -> Option<GraphLayers> {
-        Some((*self.frozen()).clone())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Flat-graph (single-layer) indexes: NSG, τ-MG, Vamana, HCNNG
-// ---------------------------------------------------------------------
-
-/// Uniform access to the four flat-graph index families.
-pub trait FlatAnn: Send + Sync {
-    /// The distance provider type.
-    type P: DistanceProvider;
-    /// The provider.
-    fn provider(&self) -> &Self::P;
-    /// The navigating graph.
-    fn graph(&self) -> &FlatGraph;
-    /// Index size in bytes.
-    fn index_bytes(&self) -> usize;
-}
-
-macro_rules! flat_ann {
-    ($($ty:ident),*) => {$(
-        impl<P: DistanceProvider> FlatAnn for $ty<P> {
-            type P = P;
-            fn provider(&self) -> &P {
-                $ty::provider(self)
-            }
-            fn graph(&self) -> &FlatGraph {
-                $ty::graph(self)
-            }
-            fn index_bytes(&self) -> usize {
-                $ty::index_bytes(self)
-            }
-        }
-    )*};
-}
-
-flat_ann!(Nsg, TauMg, Vamana, Hcnng);
-
-/// A flat-graph index behind the engine API. Plain/filtered/reranked
-/// requests run the same `search_flat` the legacy inherent methods use;
-/// VBase/ADSampling requests view the flat graph as a single-layer
-/// topology (built lazily, once).
-pub struct FlatVariant<I: FlatAnn> {
-    inner: I,
-    layers: OnceLock<GraphLayers>,
-    samplers: SamplerCache,
-}
-
-impl<I: FlatAnn> FlatVariant<I> {
-    /// Wraps a built flat-graph index.
-    pub fn new(inner: I) -> Self {
-        Self {
-            inner,
-            layers: OnceLock::new(),
-            samplers: SamplerCache::default(),
-        }
-    }
-
-    /// The wrapped index.
-    pub fn inner(&self) -> &I {
-        &self.inner
-    }
-
-    fn layers(&self) -> &GraphLayers {
-        self.layers
-            .get_or_init(|| GraphLayers::from_flat(self.inner.graph()))
-    }
-}
-
-impl<I: FlatAnn + 'static> AnnIndex for FlatVariant<I> {
-    fn len(&self) -> usize {
-        self.inner.provider().len()
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.provider().base().dim()
-    }
-
-    fn search(&self, req: &SearchRequest) -> SearchResponse {
-        profiled(|| {
-            if req.adsampling.is_some() || req.vbase_window.is_some() {
-                return serve_layers(self.inner.provider(), self.layers(), &self.samplers, req);
-            }
-            let (provider, graph) = (self.inner.provider(), self.inner.graph());
-            let q = &req.query[..];
-            let ef = req.ef;
-            if let Some(f) = &req.filter {
-                let f = Arc::clone(f);
-                let accept = move |id: u32| f(u64::from(id));
-                let pool = search_flat_filtered(provider, graph, q, req.pool_k(), ef, &accept);
-                return SearchResponse::from_hits(finish_pool(provider.base(), req, pool, true));
-            }
-            if req.wants_rerank() {
-                let pool = search_flat(provider, graph, q, req.pool_k(), ef);
-                return SearchResponse::from_hits(graphs::rerank_exact(
-                    provider.base(),
-                    q,
-                    pool,
-                    req.k,
-                ));
-            }
-            SearchResponse::from_hits(search_flat(provider, graph, q, req.k, ef))
-        })
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.index_bytes()
-    }
-
-    fn export_graph(&self) -> Option<GraphLayers> {
-        Some(self.layers().clone())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Frozen (reloaded-topology) serving
-// ---------------------------------------------------------------------
-
-/// Serves a persisted topology through a deterministically re-derived
-/// provider — the reload path of `flash_cli search` and the
-/// `persisted_serving` example. Handles every request option through the
-/// unified frozen-layer pipeline.
-pub struct FrozenIndex<P: DistanceProvider> {
-    provider: P,
-    graph: GraphLayers,
-    samplers: SamplerCache,
-}
-
-impl<P: DistanceProvider> FrozenIndex<P> {
-    /// Pairs a provider with a loaded topology.
-    ///
-    /// # Panics
-    /// Panics if the provider and topology disagree on the vector count.
-    pub fn new(provider: P, graph: GraphLayers) -> Self {
-        assert_eq!(
-            provider.len(),
-            graph.len(),
-            "provider covers {} vectors, topology {}",
-            provider.len(),
-            graph.len()
-        );
-        Self {
-            provider,
-            graph,
-            samplers: SamplerCache::default(),
-        }
-    }
-
-    /// The provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
-    /// The served topology.
-    pub fn graph(&self) -> &GraphLayers {
-        &self.graph
-    }
-}
-
-impl<P: DistanceProvider + 'static> AnnIndex for FrozenIndex<P> {
-    fn len(&self) -> usize {
-        self.provider.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.provider.base().dim()
-    }
-
-    fn search(&self, req: &SearchRequest) -> SearchResponse {
-        profiled(|| serve_layers(&self.provider, &self.graph, &self.samplers, req))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.graph.adjacency_bytes() + self.provider.aux_bytes()
-    }
-
-    fn export_graph(&self) -> Option<GraphLayers> {
-        Some(self.graph.clone())
+        Some(self.inner.layers().clone())
     }
 }
 

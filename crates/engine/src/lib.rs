@@ -14,8 +14,16 @@
 //!   unifying `k`, `ef`, rerank depth, label and predicate filters, VBase
 //!   early termination, and ADSampling options;
 //! * [`IndexBuilder`] — one constructor mapping
-//!   [`GraphKind`] × [`Coding`] to a ready `Box<dyn AnnIndex>`,
-//!   subsuming the per-type `build_flash_*` free functions.
+//!   [`GraphKind`] × [`Coding`] to a ready `Box<dyn AnnIndex>`.
+//!
+//! Serving is **freeze-then-serve**. Construction ends by freezing the
+//! adjacency into [`graphs::GraphLayers`] and dropping the builder's
+//! per-node state, so every graph-backed index — HNSW or flat, freshly
+//! built or reloaded from disk — is one type, [`GraphIndex`]: a distance
+//! provider paired with a frozen topology, answering plain, filtered and
+//! reranked requests through the one scratch-pooled beam
+//! ([`graphs::search_layers_filtered`]) and VBase/ADSampling requests
+//! through their own traversals over the same topology.
 //!
 //! ```
 //! use engine::{Coding, GraphKind, IndexBuilder, SearchRequest};
@@ -33,10 +41,11 @@
 //! ```
 //!
 //! Every search path returns [`Hit`]s sorted ascending by `(dist, id)`.
-//! The concrete index types remain available for construction-time needs
-//! (streaming inserts, freezing, provider access); this trait is the
-//! *serving* surface that sharding, async request routing, and caching
-//! layers build on.
+//! The concrete builder types remain available for construction-time
+//! needs — an [`graphs::Hnsw`] that is still ingesting answers through its
+//! own `search`, and [`GraphIndex::new`] freezes it when the batch is
+//! done; this trait is the *serving* surface that sharding, async request
+//! routing, and caching layers build on.
 
 mod builder;
 mod indexes;
@@ -46,7 +55,7 @@ pub mod wire;
 
 pub use builder::{IndexBuilder, TrainedCodec};
 pub use graphs::Hit;
-pub use indexes::{FlatIndex, FlatVariant, FrozenIndex, GraphIndex};
+pub use indexes::{FlatIndex, GraphIndex};
 pub use kinds::{parse_method, Coding, GraphKind};
 pub use request::{AdSamplingOptions, SearchRequest, SearchResponse, SearchStats};
 pub use wire::WireError;

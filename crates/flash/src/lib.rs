@@ -14,12 +14,13 @@
 //! The crate plugs into the generic graph builders of the `graphs` crate via
 //! [`FlashProvider`], which overrides the batched neighbor-distance hook
 //! with the `pshufb` lookup kernel and maintains the per-node codeword
-//! blocks through the payload-sync hook. [`FlashHnsw`], [`FlashNsg`] and
-//! [`FlashTauMg`] are ready-made index types.
+//! blocks through the payload-sync hook. [`FlashHnsw`] is the ready-made
+//! HNSW type; the other graphs take a [`FlashProvider`] like any other
+//! provider (`Nsg::build(FlashProvider::new(base, params), …)`).
 //!
 //! ```
 //! use flash::{BuildFlash, FlashHnsw, FlashParams};
-//! use graphs::HnswParams;
+//! use graphs::{search_layers_rerank, HnswParams};
 //! use vecstore::{generate, DatasetProfile};
 //!
 //! let (base, queries) = generate(&DatasetProfile::SsnppLike.spec(), 500, 4, 42);
@@ -27,8 +28,9 @@
 //!     base,
 //!     FlashParams::auto(256),
 //!     HnswParams { c: 64, r: 8, seed: 1 },
-//! );
-//! let hits = index.search_rerank(queries.get(0), 3, 32, 4);
+//! )
+//! .into_frozen();
+//! let hits = search_layers_rerank(index.provider(), index.layers(), queries.get(0), 3, 32, 4);
 //! assert_eq!(hits.len(), 3);
 //! ```
 
@@ -40,27 +42,11 @@ pub use codec::{FlashCodec, FlashParams};
 pub use provider::{FlashBlocks, FlashCtx, FlashProvider};
 pub use tune::{tune_flash_params, TuneOptions, TuneOutcome};
 
-use graphs::{
-    Hcnng, HcnngParams, Hnsw, HnswParams, Nsg, NsgParams, TauMg, TauMgParams, Vamana, VamanaParams,
-};
+use graphs::{Hnsw, HnswParams};
 use vecstore::VectorSet;
 
 /// HNSW built and searched through Flash codes (the paper's HNSW-Flash).
 pub type FlashHnsw = Hnsw<FlashProvider>;
-
-/// NSG on Flash codes (Figure 14 generality experiment).
-pub type FlashNsg = Nsg<FlashProvider>;
-
-/// τ-MG on Flash codes (Figure 14 generality experiment).
-pub type FlashTauMg = TauMg<FlashProvider>;
-
-/// Vamana (DiskANN) on Flash codes — generality beyond the paper's
-/// Figure 14, exercising the α-RNG pruning rule.
-pub type FlashVamana = Vamana<FlashProvider>;
-
-/// HCNNG on Flash codes — the MST construction family; only the
-/// cheap-distance effect applies (no candidate pools to batch).
-pub type FlashHcnng = Hcnng<FlashProvider>;
 
 /// Builds an HNSW-Flash index over `base`.
 pub trait BuildFlash: Sized {
@@ -75,38 +61,13 @@ impl BuildFlash for FlashHnsw {
     }
 }
 
-/// Builds an NSG-Flash index over `base`.
-pub fn build_flash_nsg(base: VectorSet, flash: FlashParams, params: NsgParams) -> FlashNsg {
-    let provider = FlashProvider::new(base, flash);
-    Nsg::build(provider, params)
-}
-
-/// Builds a τ-MG-Flash index over `base`.
-pub fn build_flash_taumg(base: VectorSet, flash: FlashParams, params: TauMgParams) -> FlashTauMg {
-    let provider = FlashProvider::new(base, flash);
-    TauMg::build(provider, params)
-}
-
-/// Builds a Vamana-Flash index over `base`.
-pub fn build_flash_vamana(
-    base: VectorSet,
-    flash: FlashParams,
-    params: VamanaParams,
-) -> FlashVamana {
-    let provider = FlashProvider::new(base, flash);
-    Vamana::build(provider, params)
-}
-
-/// Builds an HCNNG-Flash index over `base`.
-pub fn build_flash_hcnng(base: VectorSet, flash: FlashParams, params: HcnngParams) -> FlashHcnng {
-    let provider = FlashProvider::new(base, flash);
-    Hcnng::build(provider, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::DistanceProvider;
+    use graphs::{
+        search_layers, search_layers_rerank, DistanceProvider, Hcnng, HcnngParams, Nsg, NsgParams,
+        TauMg, TauMgParams, Vamana, VamanaParams,
+    };
 
     #[test]
     fn end_to_end_hnsw_flash() {
@@ -121,10 +82,12 @@ mod tests {
                 r: 8,
                 seed: 2,
             },
-        );
+        )
+        .into_frozen();
         let mut hits = 0;
         for (qi, truth) in gt.iter().enumerate() {
-            let found = index.search_rerank(queries.get(qi), 1, 64, 8);
+            let found =
+                search_layers_rerank(index.provider(), index.layers(), queries.get(qi), 1, 64, 8);
             if found.first().map(|h| h.id) == Some(u64::from(truth[0].id)) {
                 hits += 1;
             }
@@ -152,16 +115,16 @@ mod tests {
     fn nsg_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 7);
-        let nsg = build_flash_nsg(
-            base,
-            FlashParams::auto(256),
+        let nsg = Nsg::build(
+            FlashProvider::new(base, FlashParams::auto(256)),
             NsgParams {
                 r: 8,
                 c: 48,
                 seed: 3,
             },
-        );
-        let hits = nsg.search_rerank(queries.get(0), 3, 48, 4);
+        )
+        .into_frozen();
+        let hits = search_layers_rerank(nsg.provider(), nsg.layers(), queries.get(0), 3, 48, 4);
         assert_eq!(hits.len(), 3);
     }
 
@@ -187,19 +150,20 @@ mod tests {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 21);
         let gt = vecstore::ground_truth(&base, &queries, 1);
-        let index = build_flash_vamana(
-            base,
-            FlashParams::auto(256),
+        let index = Vamana::build(
+            FlashProvider::new(base, FlashParams::auto(256)),
             VamanaParams {
                 r: 10,
                 c: 48,
                 alpha: 1.2,
                 seed: 5,
             },
-        );
+        )
+        .into_frozen();
         let mut hits = 0;
         for (qi, truth) in gt.iter().enumerate() {
-            let found = index.search_rerank(queries.get(qi), 1, 48, 8);
+            let found =
+                search_layers_rerank(index.provider(), index.layers(), queries.get(qi), 1, 48, 8);
             if found.first().map(|h| h.id) == Some(u64::from(truth[0].id)) {
                 hits += 1;
             }
@@ -211,9 +175,8 @@ mod tests {
     fn hcnng_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 23);
-        let index = build_flash_hcnng(
-            base,
-            FlashParams::auto(256),
+        let index = Hcnng::build(
+            FlashProvider::new(base, FlashParams::auto(256)),
             HcnngParams {
                 trees: 6,
                 leaf_size: 32,
@@ -221,17 +184,22 @@ mod tests {
                 seed: 5,
             },
         );
-        let hits = index.search_rerank(queries.get(0), 3, 48, 4);
-        assert_eq!(hits.len(), 3);
         assert_eq!(index.graph().reachable_from_entry(), 400);
+        let index = index.into_frozen();
+        let hits = search_layers_rerank(index.provider(), index.layers(), queries.get(0), 3, 48, 4);
+        assert_eq!(hits.len(), 3);
     }
 
     #[test]
     fn taumg_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 300, 4, 9);
-        let index = build_flash_taumg(base, FlashParams::auto(256), TauMgParams::default());
-        let hits = index.search(queries.get(1), 2, 32);
+        let index = TauMg::build(
+            FlashProvider::new(base, FlashParams::auto(256)),
+            TauMgParams::default(),
+        )
+        .into_frozen();
+        let hits = search_layers(index.provider(), index.layers(), queries.get(1), 2, 32);
         assert_eq!(hits.len(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! accuracy for speed fails here before it reaches the benchmark.
 
 use flash::{BuildFlash, FlashHnsw, FlashParams};
-use graphs::HnswParams;
+use graphs::{search_layers_rerank, HnswParams};
 use vecstore::{generate, ground_truth, DatasetSpec};
 
 /// recall@10 at `ef = 48` with the paper's exact rerank over a pool of 4·k
@@ -31,10 +31,12 @@ fn hnsw_flash_recall_holds_at_matched_ef() {
             r: 8,
             seed: 7,
         },
-    );
+    )
+    .into_frozen();
     let mut found = 0usize;
     for (qi, exact) in truth.iter().enumerate() {
-        let hits = index.search_rerank(queries.get(qi), k, ef, 4);
+        let hits =
+            search_layers_rerank(index.provider(), index.layers(), queries.get(qi), k, ef, 4);
         found += exact
             .iter()
             .filter(|t| hits.iter().any(|h| h.id == u64::from(t.id)))

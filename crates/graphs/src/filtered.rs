@@ -8,7 +8,7 @@
 //!
 //! 1. **Shared graph, filtered search**: one index over all vectors;
 //!    queries carry a predicate and only matching vertices enter the
-//!    result set ([`crate::Hnsw::search_filtered`]). Construction cost is
+//!    result set ([`crate::search_layers_filtered`]). Construction cost is
 //!    that of a single index, but low-selectivity predicates degrade both
 //!    recall and QPS because the beam wades through rejected vertices.
 //! 2. **Specialized per-label indexes** ([`LabeledHnsw`]): one sub-index
@@ -21,6 +21,7 @@
 //!    same way it accelerates a standard one.
 
 use crate::hnsw::{Hnsw, HnswParams};
+use crate::layers_search::{search_layers, FrozenGraph};
 use crate::provider::DistanceProvider;
 use crate::Hit;
 use vecstore::VectorSet;
@@ -55,7 +56,7 @@ struct Partition<P: DistanceProvider> {
 }
 
 enum PartitionIndex<P: DistanceProvider> {
-    Graph(Hnsw<P>),
+    Graph(FrozenGraph<P>),
     /// Tiny partitions keep raw vectors and scan them.
     Flat(VectorSet),
 }
@@ -90,7 +91,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
                 subset.push(base.get(i as usize));
             }
             let index = if ids.len() >= params.min_graph_size {
-                PartitionIndex::Graph(Hnsw::build(factory(subset), params.hnsw))
+                PartitionIndex::Graph(Hnsw::build(factory(subset), params.hnsw).into_frozen())
             } else {
                 PartitionIndex::Flat(subset)
             };
@@ -107,7 +108,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
     /// Vector dimensionality (0 when the index covers no vectors).
     pub fn dim(&self) -> usize {
         self.partitions.first().map_or(0, |p| match &p.index {
-            PartitionIndex::Graph(h) => h.provider().base().dim(),
+            PartitionIndex::Graph(g) => g.provider().base().dim(),
             PartitionIndex::Flat(v) => v.dim(),
         })
     }
@@ -142,8 +143,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
             return Vec::new();
         };
         match &part.index {
-            PartitionIndex::Graph(hnsw) => hnsw
-                .search(query, k, ef)
+            PartitionIndex::Graph(g) => search_layers(g.provider(), g.layers(), query, k, ef)
                 .into_iter()
                 .map(|r| Hit {
                     id: u64::from(part.ids[r.id as usize]),
@@ -177,7 +177,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
         self.partitions
             .iter()
             .map(|p| match &p.index {
-                PartitionIndex::Graph(h) => h.index_bytes(),
+                PartitionIndex::Graph(g) => g.index_bytes(),
                 PartitionIndex::Flat(v) => v.payload_bytes(),
             } + p.ids.len() * std::mem::size_of::<u32>())
             .sum()
@@ -188,6 +188,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
 mod tests {
     use super::*;
     use crate::providers::FullPrecision;
+    use crate::search_layers_filtered;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -317,11 +318,12 @@ mod tests {
                 r: 8,
                 seed: 6,
             },
-        );
+        )
+        .into_frozen();
         let labels_ref = &labels;
         let accept = move |id: u32| labels_ref[id as usize] == 1;
         let q = vec![0.0; 4]; // near cluster 0 — the filter must push results to cluster 1
-        let hits = shared.search_filtered(&q, 5, 64, &accept);
+        let hits = search_layers_filtered(shared.provider(), shared.layers(), &q, 5, 64, &accept);
         assert!(!hits.is_empty());
         for hit in &hits {
             assert_eq!(
@@ -342,11 +344,12 @@ mod tests {
                 r: 8,
                 seed: 8,
             },
-        );
+        )
+        .into_frozen();
         let labels_ref = &labels;
         let accept = move |id: u32| labels_ref[id as usize] == 0;
         let q: Vec<f32> = vec![0.5; 4];
-        let hits = shared.search_filtered(&q, 3, 96, &accept);
+        let hits = search_layers_filtered(shared.provider(), shared.layers(), &q, 3, 96, &accept);
         // Exact filtered ground truth by linear scan.
         let mut exact: Vec<(f32, u32)> = (0..base.len())
             .filter(|&i| labels[i] == 0)

@@ -18,11 +18,8 @@
 use crate::graph::FlatGraph;
 use crate::hnsw::{Hnsw, HnswParams};
 use crate::provider::DistanceProvider;
-use crate::scratch::with_scratch;
 use crate::Hit;
-use crate::OrdF32;
 use rayon::prelude::*;
-use std::cmp::Reverse;
 
 /// Shared parameters of the flat builders.
 #[derive(Debug, Clone, Copy)]
@@ -225,122 +222,6 @@ pub(crate) fn reachable_mask(adj: &[Vec<u32>], entry: u32) -> Vec<bool> {
         }
     }
     seen
-}
-
-/// Beam search over a flat graph (shared by NSG and τ-MG search).
-pub fn search_flat<P: DistanceProvider>(
-    provider: &P,
-    graph: &FlatGraph,
-    query: &[f32],
-    k: usize,
-    ef: usize,
-) -> Vec<Hit> {
-    // With an accept-all predicate every admitted vertex enters the result
-    // set, so the filtered beam *is* the plain beam.
-    search_flat_filtered(provider, graph, query, k, ef, &|_| true)
-}
-
-/// [`search_flat`] restricted to vectors accepted by `accept`: the beam
-/// traverses every vertex, only accepted ones enter the result set (same
-/// contract as [`crate::Hnsw::search_filtered`]).
-///
-/// Per-query state comes from the pooled [`crate::scratch::SearchScratch`]
-/// and each expansion's unvisited neighbors are scored as one
-/// [`DistanceProvider::dist_to_neighbors`] block — bit-identical to the
-/// per-neighbor loop (see [`crate::search_layers_filtered`]).
-pub fn search_flat_filtered<P: DistanceProvider>(
-    provider: &P,
-    graph: &FlatGraph,
-    query: &[f32],
-    k: usize,
-    ef: usize,
-    accept: &(dyn Fn(u32) -> bool + Sync),
-) -> Vec<Hit> {
-    if graph.is_empty() {
-        return Vec::new();
-    }
-    let ef = ef.max(k);
-    let ctx = provider.prepare_query(query);
-    let cf = provider.coded() as u64;
-
-    with_scratch::<P::NodePayload, _>(|scratch| {
-        let entry = graph.entry;
-        let d0 = provider.dist_to(&ctx, entry);
-        scratch.visited.begin(graph.len());
-        scratch.visited.check_and_mark(entry);
-        scratch.profile.dist_coded += cf;
-        scratch.profile.dist_exact += 1 - cf;
-        scratch.profile.visited_inserts += 1;
-
-        let mut results = scratch.take_results();
-        let mut frontier = scratch.take_frontier();
-        if accept(entry) {
-            results.push((OrdF32(d0), entry));
-        }
-        frontier.push((Reverse(OrdF32(d0)), entry));
-
-        while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-            let worst = results
-                .peek()
-                .map(|&(OrdF32(w), _)| w)
-                .unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
-                break;
-            }
-            scratch.ids.clear();
-            for &nb in graph.neighbors(u) {
-                if !scratch.visited.check_and_mark(nb) {
-                    scratch.ids.push(nb);
-                }
-            }
-            scratch.profile.hops_base += 1;
-            scratch.profile.visited_inserts += scratch.ids.len() as u64;
-            if scratch.ids.is_empty() {
-                continue;
-            }
-            if let Some(&(Reverse(_), next)) = frontier.peek() {
-                provider.prefetch(next);
-                simdops::prefetch_slice(graph.neighbors(next));
-            }
-            provider.sync_payload(&mut scratch.payload, &scratch.ids);
-            provider.dist_to_neighbors(&ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
-            let n = scratch.ids.len() as u64;
-            scratch.profile.rows_scored += 1;
-            scratch.profile.dist_coded += n * cf;
-            scratch.profile.dist_exact += n * (1 - cf);
-            scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
-            for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                let worst = results
-                    .peek()
-                    .map(|&(OrdF32(w), _)| w)
-                    .unwrap_or(f32::INFINITY);
-                // `<=`: quantized providers tie heavily (see hnsw::search_layer).
-                if results.len() < ef || nd <= worst {
-                    if accept(nb) {
-                        results.push((OrdF32(nd), nb));
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                    frontier.push((Reverse(OrdF32(nd)), nb));
-                }
-            }
-        }
-
-        let mut out: Vec<Hit> = results
-            .drain()
-            .map(|(OrdF32(dist), id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        out.truncate(k);
-        frontier.clear();
-        scratch.put_results(results);
-        scratch.put_frontier(frontier);
-        out
-    })
 }
 
 #[cfg(test)]

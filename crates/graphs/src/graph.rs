@@ -161,11 +161,11 @@ impl GraphLayers {
         }
     }
 
-    /// Views a flat graph as a single-layer topology (the VBase/ADSampling
-    /// serving path for NSG-family indexes).
-    pub fn from_flat(flat: &FlatGraph) -> Self {
+    /// Turns a flat graph into a single-layer topology (how NSG-family
+    /// indexes are served); the CSR slab moves, nothing is copied.
+    pub fn from_flat(flat: FlatGraph) -> Self {
         Self {
-            layers: vec![flat.csr.clone()],
+            layers: vec![flat.csr],
             entry: flat.entry,
             max_layer: 0,
         }

@@ -15,10 +15,9 @@
 //! layout-level optimizations (neighbor-codeword batches) do not apply and
 //! only the cheap-distance effect remains.
 
-use crate::flat_build::search_flat;
-use crate::graph::FlatGraph;
+use crate::graph::{FlatGraph, GraphLayers};
+use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
-use crate::Hit;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -141,26 +140,15 @@ impl<P: DistanceProvider> Hcnng<P> {
         &self.params
     }
 
-    /// k-NN search from the medoid entry point.
-    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        search_flat(&self.provider, &self.graph, query, k, ef)
-    }
-
-    /// Search with exact reranking on the original vectors.
-    pub fn search_rerank(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> Vec<Hit> {
-        let pool = self.search(query, (k * rerank_factor.max(1)).max(k), ef);
-        crate::rerank_exact(self.provider.base(), query, pool, k)
-    }
-
     /// Index size: adjacency + provider auxiliary bytes.
     pub fn index_bytes(&self) -> usize {
         self.graph.adjacency_bytes() + self.provider.aux_bytes()
+    }
+
+    /// Ends construction: the provider paired with the graph as a
+    /// one-layer topology, the form every serving path holds.
+    pub fn into_frozen(self) -> FrozenGraph<P> {
+        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
     }
 }
 
@@ -295,6 +283,7 @@ fn attach_unreachable(adj: &mut [Vec<u32>], entry: u32) {
 mod tests {
     use super::*;
     use crate::providers::FullPrecision;
+    use crate::search_layers;
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -321,8 +310,8 @@ mod tests {
 
     #[test]
     fn finds_nearest_on_grid() {
-        let index = build_grid(10);
-        let hits = index.search(&[7.1, 2.2], 1, 32);
+        let index = build_grid(10).into_frozen();
+        let hits = search_layers(index.provider(), index.layers(), &[7.1, 2.2], 1, 32);
         assert_eq!(hits[0].id, 72, "expected grid point (7,2)");
     }
 
@@ -407,10 +396,11 @@ mod tests {
                 seed: 9,
             },
         );
+        let index = index.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {
-            let found = index.search(base.get(qi), 3, 64);
+            let found = search_layers(index.provider(), index.layers(), base.get(qi), 3, 64);
             let ids: Vec<u64> = found.iter().map(|r| r.id).collect();
             hit += truth
                 .iter()
@@ -426,13 +416,17 @@ mod tests {
         let empty = Hcnng::build(
             FullPrecision::new(VectorSet::new(3)),
             HcnngParams::default(),
-        );
-        assert!(empty.search(&[0.0; 3], 2, 8).is_empty());
+        )
+        .into_frozen();
+        assert!(search_layers(empty.provider(), empty.layers(), &[0.0; 3], 2, 8).is_empty());
 
         let mut one = VectorSet::new(2);
         one.push(&[1.0, 2.0]);
-        let index = Hcnng::build(FullPrecision::new(one), HcnngParams::default());
-        assert_eq!(index.search(&[0.0, 0.0], 1, 4)[0].id, 0);
+        let index = Hcnng::build(FullPrecision::new(one), HcnngParams::default()).into_frozen();
+        assert_eq!(
+            search_layers(index.provider(), index.layers(), &[0.0, 0.0], 1, 4)[0].id,
+            0
+        );
     }
 
     #[test]

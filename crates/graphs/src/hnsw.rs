@@ -17,6 +17,7 @@
 //! blocks) are kept in sync under the same lock.
 
 use crate::graph::GraphLayers;
+use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
 use crate::visited::{VisitedList, VisitedPool};
 use crate::{Hit, OrdF32};
@@ -125,75 +126,6 @@ impl<P: DistanceProvider> Hnsw<P> {
                 initialized: false,
             }),
             visited: VisitedPool::new(n),
-        }
-    }
-
-    /// Restores an index from a frozen topology (the persisted form) and a
-    /// deterministically re-derived provider — the serve-after-reload path.
-    ///
-    /// Node payloads are rebuilt from the adjacency via
-    /// [`DistanceProvider::sync_payload`], so batched-lookup providers
-    /// (Flash) serve at full speed. A node's level is recovered as the
-    /// highest layer where it has neighbors; nodes isolated above the base
-    /// layer lose those empty upper levels, which affects neither search
-    /// nor subsequent inserts (an empty layer list routes nothing).
-    ///
-    /// # Panics
-    /// Panics if the provider and graph disagree on the vector count.
-    pub fn from_frozen(provider: P, params: HnswParams, graph: &GraphLayers) -> Self {
-        let n = provider.len();
-        assert_eq!(
-            n,
-            graph.len(),
-            "provider covers {n} vectors, graph {}",
-            graph.len()
-        );
-        let mut levels = vec![0u8; n];
-        for l in 1..graph.num_layers() {
-            for (i, nbrs) in graph.layer(l).rows().enumerate() {
-                if !nbrs.is_empty() {
-                    levels[i] = levels[i].max(l as u8);
-                }
-            }
-        }
-        if n > 0 {
-            levels[graph.entry as usize] = levels[graph.entry as usize].max(graph.max_layer as u8);
-        }
-        let nodes: Vec<Mutex<NodeData<P::NodePayload>>> = levels
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| {
-                let layers = usize::from(l) + 1;
-                let mut neighbors = Vec::with_capacity(layers);
-                let mut payloads = Vec::with_capacity(layers);
-                for layer in 0..layers {
-                    let nbrs = if layer < graph.num_layers() {
-                        graph.layer(layer).neighbors(i).to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    let mut payload = P::NodePayload::default();
-                    provider.sync_payload(&mut payload, &nbrs);
-                    neighbors.push(nbrs);
-                    payloads.push(payload);
-                }
-                Mutex::new(NodeData {
-                    neighbors,
-                    payloads,
-                })
-            })
-            .collect();
-        Self {
-            params,
-            levels,
-            nodes,
-            entry: RwLock::new(EntryPoint {
-                node: graph.entry,
-                level: graph.max_layer,
-                initialized: n > 0,
-            }),
-            visited: VisitedPool::new(n),
-            provider,
         }
     }
 
@@ -484,8 +416,12 @@ impl<P: DistanceProvider> Hnsw<P> {
             .sync_payload(&mut payloads[layer], &neighbors[layer]);
     }
 
-    /// k-NN search (the paper's search procedure: greedy descent, then a
-    /// base-layer beam search with `ef`, reporting provider distances).
+    /// k-NN search over the live graph (the paper's search procedure:
+    /// greedy descent, then a base-layer beam search with `ef`, reporting
+    /// provider distances) — the same `search_layer` loop `insert`
+    /// uses, so it works while the index is still ingesting and supplies
+    /// the flat builders' candidate pools. Serving goes through
+    /// [`Self::into_frozen`] and [`crate::search_layers`] instead.
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
         let ep = self.entry.read();
         if !ep.initialized {
@@ -513,126 +449,8 @@ impl<P: DistanceProvider> Hnsw<P> {
             .collect()
     }
 
-    /// k-NN search restricted to vectors accepted by `accept` (hybrid /
-    /// attribute-constrained ANNS). The beam *traverses* every vertex —
-    /// rejected vertices still route the search, as in hnswlib's filtering
-    /// mode — but only accepted vertices enter the result set, so recall is
-    /// measured against the filtered ground truth.
-    pub fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        accept: &(dyn Fn(u32) -> bool + Sync),
-    ) -> Vec<Hit> {
-        let ep = self.entry.read();
-        if !ep.initialized {
-            return Vec::new();
-        }
-        let (mut cur, ep_level) = (ep.node, ep.level);
-        drop(ep);
-
-        let ctx = self.provider.prepare_query(query);
-        let mut profile = QueryProfile::new();
-        for layer in (1..=ep_level).rev() {
-            cur = self.greedy_closest(&ctx, cur, layer, &mut profile);
-        }
-
-        let cf = self.provider.coded() as u64;
-        let ef = ef.max(k);
-        let mut visited = self.visited.take();
-        let d0 = self.provider.dist_to(&ctx, cur);
-        profile.dist_coded += cf;
-        profile.dist_exact += 1 - cf;
-        visited.check_and_mark(cur);
-        profile.visited_inserts += 1;
-
-        // `results` holds only accepted vertices; `frontier` expands all.
-        let mut results: BinaryHeap<(OrdF32, u32)> = BinaryHeap::with_capacity(ef + 1);
-        let mut frontier: BinaryHeap<(Reverse<OrdF32>, u32)> = BinaryHeap::new();
-        if accept(cur) {
-            results.push((OrdF32(d0), cur));
-        }
-        frontier.push((Reverse(OrdF32(d0)), cur));
-
-        let mut ids = Vec::new();
-        let mut dists = Vec::new();
-        while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-            let worst = results
-                .peek()
-                .map(|&(OrdF32(w), _)| w)
-                .unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
-                break;
-            }
-            self.neighbor_dists(&ctx, u, 0, &mut ids, &mut dists, &mut profile);
-            profile.hops_base += 1;
-            for (&id, &nd) in ids.iter().zip(dists.iter()) {
-                if visited.check_and_mark(id) {
-                    continue;
-                }
-                profile.visited_inserts += 1;
-                let worst = results
-                    .peek()
-                    .map(|&(OrdF32(w), _)| w)
-                    .unwrap_or(f32::INFINITY);
-                if results.len() < ef || nd <= worst {
-                    if accept(id) {
-                        results.push((OrdF32(nd), id));
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                    frontier.push((Reverse(OrdF32(nd)), id));
-                }
-            }
-        }
-        self.visited.put(visited);
-        crate::scratch::profile_record(profile);
-
-        let mut out: Vec<Hit> = results
-            .into_iter()
-            .map(|(OrdF32(dist), id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        out.truncate(k);
-        out
-    }
-
-    /// Parallel k-NN over a batch of queries (one rayon task per query;
-    /// searches are read-only and share the visited-list pool).
-    pub fn search_batch(
-        &self,
-        queries: &vecstore::VectorSet,
-        k: usize,
-        ef: usize,
-    ) -> Vec<Vec<Hit>> {
-        (0..queries.len())
-            .into_par_iter()
-            .map(|qi| self.search(queries.get(qi), k, ef))
-            .collect()
-    }
-
-    /// Search followed by exact reranking on the original vectors: the
-    /// candidate pool of size `max(ef, k·rerank_factor)` is re-scored with
-    /// full-precision distances (the paper applies this step to Flash).
-    pub fn search_rerank(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> Vec<Hit> {
-        let pool = self.search(query, (k * rerank_factor.max(1)).max(k), ef);
-        crate::rerank_exact(self.provider.base(), query, pool, k)
-    }
-
-    /// Freezes the adjacency into a read-only [`GraphLayers`] (used by the
-    /// ADSampling / VBase search variants and the graph-quality stats).
-    /// The builder's nested per-node lists are packed into the cache-line
+    /// Freezes the adjacency into a read-only [`GraphLayers`]: the
+    /// builder's nested per-node lists are packed into the cache-line
     /// aligned CSR layout in one pass.
     pub fn freeze(&self) -> GraphLayers {
         let ep = self.entry.read();
@@ -648,6 +466,14 @@ impl<P: DistanceProvider> Hnsw<P> {
             }
         }
         GraphLayers::from_nested(layers, ep.node, max_layer)
+    }
+
+    /// Ends construction: freezes the adjacency, keeps the provider, and
+    /// drops the per-node lock records and payload blocks — the form every
+    /// serving path holds.
+    pub fn into_frozen(self) -> FrozenGraph<P> {
+        let layers = self.freeze();
+        FrozenGraph::new(self.provider, layers)
     }
 
     /// Total index size in bytes: adjacency ids + provider auxiliary state +
@@ -803,75 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn rerank_orders_by_exact_distance() {
-        let index = build_grid(8);
-        let hits = index.search_rerank(&[2.2, 2.2], 4, 32, 3);
-        for w in hits.windows(2) {
-            assert!(w[0].dist <= w[1].dist);
-        }
-        assert_eq!(hits[0].id, 8 * 2 + 2);
-    }
-
-    #[test]
     fn index_bytes_positive_and_scales() {
         let small = build_grid(6);
         let big = build_grid(12);
         assert!(small.index_bytes() > 0);
         assert!(big.index_bytes() > small.index_bytes());
-    }
-
-    #[test]
-    fn from_frozen_round_trips_search() {
-        let base = grid_2d(12);
-        let built = Hnsw::build(
-            FullPrecision::new(base.clone()),
-            HnswParams {
-                c: 48,
-                r: 8,
-                seed: 21,
-            },
-        );
-        let frozen = built.freeze();
-        let restored = Hnsw::from_frozen(FullPrecision::new(base), *built.params(), &frozen);
-        for q in [[3.3f32, 8.8], [0.0, 0.0], [11.5, 2.2]] {
-            let a: Vec<u64> = built.search(&q, 5, 48).iter().map(|r| r.id).collect();
-            let b: Vec<u64> = restored.search(&q, 5, 48).iter().map(|r| r.id).collect();
-            assert_eq!(a, b, "query {q:?}");
-        }
-        // The restored index stays insertable: freeze/restore/insert must
-        // keep the graph searchable (smoke-level guarantee).
-        assert_eq!(restored.len(), 144);
-    }
-
-    #[test]
-    fn from_frozen_empty_graph() {
-        let g = GraphLayers::from_nested(vec![vec![]], 0, 0);
-        let restored = Hnsw::from_frozen(
-            FullPrecision::new(VectorSet::new(2)),
-            HnswParams::default(),
-            &g,
-        );
-        assert!(restored.search(&[0.0, 0.0], 1, 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "provider covers")]
-    fn from_frozen_rejects_length_mismatch() {
-        let base = grid_2d(4);
-        let built = Hnsw::build(
-            FullPrecision::new(base),
-            HnswParams {
-                c: 16,
-                r: 4,
-                seed: 2,
-            },
-        );
-        let frozen = built.freeze();
-        let _ = Hnsw::from_frozen(
-            FullPrecision::new(grid_2d(3)),
-            HnswParams::default(),
-            &frozen,
-        );
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Standard HNSW beam search over a frozen [`GraphLayers`] topology.
+//! The serving beam: standard HNSW search over a frozen [`GraphLayers`]
+//! topology.
 //!
 //! [`crate::Hnsw::search`] traverses the index's internal locked node
-//! records; this module provides the same search over the *persisted*
-//! representation ([`GraphLayers`], the format `persist` writes), so a
-//! topology built overnight can be reloaded and served without carrying
-//! the builder's data structures — the deployment the paper's maintenance
-//! scenario implies. Any [`DistanceProvider`] works: rebuild the provider
+//! records and exists for an index that is still ingesting. Once
+//! construction ends every graph index — HNSW or flat — is a
+//! [`FrozenGraph`], and [`search_layers_filtered`] is the one beam that
+//! answers plain, filtered and reranked queries over it. The topology is
+//! also the *persisted* representation (the format `persist` writes), so
+//! a graph built overnight is reloaded and served without the builder's
+//! data structures — the deployment the paper's maintenance scenario
+//! implies. Any [`DistanceProvider`] works: rebuild the provider
 //! deterministically from the dataset (codecs re-train/encode from the
 //! same seed) and pair it with the loaded graph.
 //!
@@ -25,6 +29,49 @@ use crate::Hit;
 use crate::OrdF32;
 use metrics::QueryProfile;
 use std::cmp::Reverse;
+
+/// What every graph index is once construction ends: a distance provider
+/// paired with the frozen topology built through it. The engine's graph
+/// index, the LSM segments and the per-label partitions all hold one and
+/// answer queries with [`search_layers_filtered`] over its two halves.
+pub struct FrozenGraph<P> {
+    provider: P,
+    layers: GraphLayers,
+}
+
+impl<P: DistanceProvider> FrozenGraph<P> {
+    /// Pairs a provider with a topology over the same vectors.
+    ///
+    /// # Panics
+    /// Panics if the provider and topology disagree on the vector count.
+    pub fn new(provider: P, layers: GraphLayers) -> Self {
+        assert_eq!(
+            provider.len(),
+            layers.len(),
+            "provider covers {} vectors, topology {}",
+            provider.len(),
+            layers.len()
+        );
+        Self { provider, layers }
+    }
+
+    /// The distance provider.
+    pub fn provider(&self) -> &P {
+        &self.provider
+    }
+
+    /// The frozen topology.
+    pub fn layers(&self) -> &GraphLayers {
+        &self.layers
+    }
+
+    /// Served index size in bytes: adjacency ids + provider auxiliary
+    /// state. The construction-time neighbor payload blocks
+    /// ([`crate::Hnsw::index_bytes`] counts them) are gone by now.
+    pub fn index_bytes(&self) -> usize {
+        self.layers.adjacency_bytes() + self.provider.aux_bytes()
+    }
+}
 
 /// Splits `n` distance evaluations coded-vs-exact with the provider's
 /// hoisted `coded()` flag (`cf ∈ {0, 1}`) — a multiply instead of a
@@ -93,10 +140,10 @@ pub(crate) fn descend<P: DistanceProvider>(
 }
 
 /// k-NN beam search over a frozen topology restricted to vectors accepted
-/// by `accept` (the frozen-graph counterpart of
-/// [`crate::Hnsw::search_filtered`]): the beam *traverses* every vertex —
-/// rejected vertices still route the search — but only accepted vertices
-/// enter the result set.
+/// by `accept` (hybrid / attribute-constrained ANNS): the beam *traverses*
+/// every vertex — rejected vertices still route the search, as in
+/// hnswlib's filtering mode — but only accepted vertices enter the result
+/// set, so recall is measured against the filtered ground truth.
 pub fn search_layers_filtered<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,

@@ -45,7 +45,8 @@ pub use hcnng::{Hcnng, HcnngParams};
 pub use hnsw::{Hnsw, HnswParams};
 pub use kgraph::{KGraph, KGraphParams};
 pub use layers_search::{
-    search_layers, search_layers_cached, search_layers_filtered, search_layers_rerank, NodePayloads,
+    search_layers, search_layers_cached, search_layers_filtered, search_layers_rerank, FrozenGraph,
+    NodePayloads,
 };
 pub use metrics::QueryProfile;
 pub use nsg::{Nsg, NsgParams};
@@ -61,8 +62,7 @@ pub use vamana::{Vamana, VamanaParams};
 ///
 /// This is the **single result type of the whole workspace**: every graph
 /// search in this crate, the LSM maintenance layer, and the `engine`
-/// serving API return it (it used to be split into `graphs::SearchResult`
-/// with `u32` ids and `maintenance::Hit` with `u64` ids). Ids are `u64` so
+/// serving API return it. Ids are `u64` so
 /// externally-stable LSM ids and in-graph positional ids share one type;
 /// in-graph ids always fit, since graphs address vertices with `u32`.
 ///
@@ -77,17 +77,11 @@ pub struct Hit {
     pub dist: f32,
 }
 
-/// Deprecated alias for [`Hit`], kept so pre-engine call sites and the
-/// paper-figure binaries keep compiling. New code should name [`Hit`]
-/// (also re-exported as `engine::Hit`).
-#[deprecated(note = "renamed to `Hit` (re-exported as `engine::Hit`)")]
-pub type SearchResult = Hit;
-
 /// Exact rerank shared by every search path in the workspace: rescore
 /// `pool` with full-precision squared-L2 distances against `base`, sort
 /// ascending by `(dist, id)`, and keep the best `k`. Centralized here so
-/// the legacy inherent `search_rerank` methods, the frozen-topology
-/// serving path, and the `engine` crate all share one formula.
+/// the frozen-topology serving path, the `engine` crate and callers
+/// reranking a live [`Hnsw::search`] pool all share one formula.
 pub fn rerank_exact(
     base: &vecstore::VectorSet,
     query: &[f32],

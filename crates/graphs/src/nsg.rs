@@ -6,10 +6,10 @@
 //! NS stages route through the same [`DistanceProvider`] as HNSW, so the
 //! Flash provider accelerates NSG construction unchanged.
 
-use crate::flat_build::{build_flat, search_flat, FlatParams, MrngRule};
-use crate::graph::FlatGraph;
+use crate::flat_build::{build_flat, FlatParams, MrngRule};
+use crate::graph::{FlatGraph, GraphLayers};
+use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
-use crate::Hit;
 
 /// NSG construction parameters.
 pub type NsgParams = FlatParams;
@@ -47,26 +47,15 @@ impl<P: DistanceProvider> Nsg<P> {
         &self.params
     }
 
-    /// k-NN search from the medoid.
-    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        search_flat(&self.provider, &self.graph, query, k, ef)
-    }
-
-    /// Search with exact rerank on the original vectors.
-    pub fn search_rerank(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> Vec<Hit> {
-        let pool = self.search(query, (k * rerank_factor.max(1)).max(k), ef);
-        crate::rerank_exact(self.provider.base(), query, pool, k)
-    }
-
     /// Index size: adjacency + provider auxiliary bytes.
     pub fn index_bytes(&self) -> usize {
         self.graph.adjacency_bytes() + self.provider.aux_bytes()
+    }
+
+    /// Ends construction: the provider paired with the graph as a
+    /// one-layer topology, the form every serving path holds.
+    pub fn into_frozen(self) -> FrozenGraph<P> {
+        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
     }
 }
 
@@ -74,6 +63,7 @@ impl<P: DistanceProvider> Nsg<P> {
 mod tests {
     use super::*;
     use crate::providers::FullPrecision;
+    use crate::search_layers;
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -96,7 +86,8 @@ mod tests {
                 seed: 3,
             },
         );
-        let hits = nsg.search(&[4.1, 6.2], 1, 32);
+        let nsg = nsg.into_frozen();
+        let hits = search_layers(nsg.provider(), nsg.layers(), &[4.1, 6.2], 1, 32);
         assert_eq!(hits[0].id, 46);
     }
 
@@ -142,10 +133,11 @@ mod tests {
                 seed: 9,
             },
         );
+        let nsg = nsg.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {
-            let found = nsg.search(base.get(qi), 3, 48);
+            let found = search_layers(nsg.provider(), nsg.layers(), base.get(qi), 3, 48);
             let ids: Vec<u64> = found.iter().map(|r| r.id).collect();
             hit += truth
                 .iter()

@@ -164,12 +164,20 @@ mod tests {
                 r: 8,
                 seed: 7,
             },
-        );
+        )
+        .into_frozen();
         // Rerank fixes residual quantization error; top-1 should mostly hit.
         let mut hits = 0;
         let gt = vecstore::ground_truth(&base, &base.slice(0, 10), 1);
         for (qi, truth) in gt.iter().enumerate() {
-            let found = index.search_rerank(base.get(qi), 1, 48, 8);
+            let found = crate::search_layers_rerank(
+                index.provider(),
+                index.layers(),
+                base.get(qi),
+                1,
+                48,
+                8,
+            );
             if found.first().map(|h| h.id) == Some(u64::from(truth[0].id)) {
                 hits += 1;
             }

@@ -8,10 +8,10 @@
 //! Like NSG, the whole pipeline runs on [`DistanceProvider`] distances, so
 //! Flash plugs in unchanged.
 
-use crate::flat_build::{build_flat, search_flat, FlatParams, TauRule};
-use crate::graph::FlatGraph;
+use crate::flat_build::{build_flat, FlatParams, TauRule};
+use crate::graph::{FlatGraph, GraphLayers};
+use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
-use crate::Hit;
 
 /// τ-MG construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -65,14 +65,15 @@ impl<P: DistanceProvider> TauMg<P> {
         &self.params
     }
 
-    /// k-NN search from the medoid.
-    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        search_flat(&self.provider, &self.graph, query, k, ef)
-    }
-
     /// Index size: adjacency + provider auxiliary bytes.
     pub fn index_bytes(&self) -> usize {
         self.graph.adjacency_bytes() + self.provider.aux_bytes()
+    }
+
+    /// Ends construction: the provider paired with the graph as a
+    /// one-layer topology, the form every serving path holds.
+    pub fn into_frozen(self) -> FrozenGraph<P> {
+        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
     }
 }
 
@@ -106,7 +107,8 @@ mod tests {
                 tau: 0.2,
             },
         );
-        let hits = index.search(&[7.2, 2.9], 1, 32);
+        let index = index.into_frozen();
+        let hits = crate::search_layers(index.provider(), index.layers(), &[7.2, 2.9], 1, 32);
         assert_eq!(hits[0].id, 73);
     }
 

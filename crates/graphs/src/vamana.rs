@@ -19,10 +19,10 @@
 //!    reverse edges are inserted with overflow re-pruning — this is the
 //!    pass that creates the long-range "highway" edges DiskANN relies on.
 
-use crate::flat_build::{build_flat_nested, search_flat, AlphaRule, FlatParams, PruneRule};
-use crate::graph::FlatGraph;
+use crate::flat_build::{build_flat_nested, AlphaRule, FlatParams, PruneRule};
+use crate::graph::{FlatGraph, GraphLayers};
+use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
-use crate::Hit;
 use rayon::prelude::*;
 
 /// Vamana construction parameters.
@@ -95,26 +95,15 @@ impl<P: DistanceProvider> Vamana<P> {
         &self.params
     }
 
-    /// k-NN search from the medoid entry point.
-    pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        search_flat(&self.provider, &self.graph, query, k, ef)
-    }
-
-    /// Search with exact reranking on the original vectors.
-    pub fn search_rerank(
-        &self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> Vec<Hit> {
-        let pool = self.search(query, (k * rerank_factor.max(1)).max(k), ef);
-        crate::rerank_exact(self.provider.base(), query, pool, k)
-    }
-
     /// Index size: adjacency + provider auxiliary bytes.
     pub fn index_bytes(&self) -> usize {
         self.graph.adjacency_bytes() + self.provider.aux_bytes()
+    }
+
+    /// Ends construction: the provider paired with the graph as a
+    /// one-layer topology, the form every serving path holds.
+    pub fn into_frozen(self) -> FrozenGraph<P> {
+        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
     }
 }
 
@@ -215,6 +204,7 @@ fn repair_connectivity(adj: &mut [Vec<u32>], entry: u32) {
 mod tests {
     use super::*;
     use crate::providers::FullPrecision;
+    use crate::{search_layers, search_layers_rerank};
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -241,8 +231,8 @@ mod tests {
 
     #[test]
     fn finds_nearest_on_grid() {
-        let index = build_grid(10, 1.2);
-        let hits = index.search(&[6.2, 3.1], 1, 32);
+        let index = build_grid(10, 1.2).into_frozen();
+        let hits = search_layers(index.provider(), index.layers(), &[6.2, 3.1], 1, 32);
         assert_eq!(hits[0].id, 63, "expected grid point (6,3)");
     }
 
@@ -292,10 +282,11 @@ mod tests {
                 seed: 3,
             },
         );
+        let index = index.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {
-            let found = index.search(base.get(qi), 3, 48);
+            let found = search_layers(index.provider(), index.layers(), base.get(qi), 3, 48);
             let ids: Vec<u64> = found.iter().map(|r| r.id).collect();
             hit += truth
                 .iter()
@@ -311,13 +302,14 @@ mod tests {
         let empty = Vamana::build(
             FullPrecision::new(VectorSet::new(2)),
             VamanaParams::default(),
-        );
-        assert!(empty.search(&[0.0, 0.0], 1, 8).is_empty());
+        )
+        .into_frozen();
+        assert!(search_layers(empty.provider(), empty.layers(), &[0.0, 0.0], 1, 8).is_empty());
 
         let mut one = VectorSet::new(2);
         one.push(&[5.0, 5.0]);
-        let index = Vamana::build(FullPrecision::new(one), VamanaParams::default());
-        let hits = index.search(&[0.0, 0.0], 1, 8);
+        let index = Vamana::build(FullPrecision::new(one), VamanaParams::default()).into_frozen();
+        let hits = search_layers(index.provider(), index.layers(), &[0.0, 0.0], 1, 8);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 0);
     }
@@ -330,8 +322,8 @@ mod tests {
 
     #[test]
     fn search_rerank_sorted_exact() {
-        let index = build_grid(8, 1.2);
-        let hits = index.search_rerank(&[3.3, 3.3], 4, 32, 3);
+        let index = build_grid(8, 1.2).into_frozen();
+        let hits = search_layers_rerank(index.provider(), index.layers(), &[3.3, 3.3], 4, 32, 3);
         for w in hits.windows(2) {
             assert!(w[0].dist <= w[1].dist);
         }

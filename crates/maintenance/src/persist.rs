@@ -14,10 +14,11 @@
 //! ```
 //!
 //! Flash codes are *not* stored: the codec retrains deterministically from
-//! the persisted vectors and seed, and [`graphs::Hnsw::from_frozen`]
-//! rebuilds the per-node codeword payloads from the topology — so the
-//! reloaded segment serves through the exact same batched-lookup path as
-//! the original.
+//! the persisted vectors and seed. A sealed segment already serves from
+//! its frozen topology ([`graphs::FrozenGraph`]), so reloading pairs the
+//! retrained provider with the stored graph and nothing else is rebuilt —
+//! the reloaded segment runs the same [`graphs::search_layers_filtered`]
+//! beam over the same bytes as the original.
 
 use crate::lsm::{LsmConfig, LsmVectorIndex};
 use crate::memtable::MemTable;
@@ -125,7 +126,7 @@ impl Segment {
 
     /// Reloads a segment from `dir`: vectors from fvecs, topology from the
     /// graph file, codec retrained deterministically from the stored
-    /// parameters, payloads rebuilt from the adjacency.
+    /// parameters.
     ///
     /// # Errors
     /// Returns an error on I/O failure or a malformed/corrupt directory.

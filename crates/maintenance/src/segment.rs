@@ -1,11 +1,13 @@
 //! An immutable, Flash-indexed data segment with tombstone deletes.
 
 use crate::Hit;
-use flash::{FlashHnsw, FlashParams, FlashProvider};
-use graphs::{DistanceProvider, Hnsw, HnswParams};
+use flash::{FlashParams, FlashProvider};
+use graphs::{
+    search_layers_filtered, DistanceProvider, FrozenGraph, GraphLayers, Hnsw, HnswParams,
+};
 use vecstore::VectorSet;
 
-/// A sealed segment: an HNSW-Flash graph over one batch of vectors.
+/// A sealed segment: a frozen HNSW-Flash graph over one batch of vectors.
 ///
 /// Segments are never modified structurally after sealing — deletes only
 /// flip tombstones. The graph still *routes* through tombstoned vertices
@@ -13,7 +15,7 @@ use vecstore::VectorSet;
 /// so a segment's search quality decays as its dead fraction grows; the
 /// decay is what [`crate::LsmVectorIndex::rebuild`] repairs.
 pub struct Segment {
-    index: FlashHnsw,
+    index: FrozenGraph<FlashProvider>,
     /// External ids, indexed by the segment-local vector id.
     ids: Vec<u64>,
     dead: Vec<bool>,
@@ -33,7 +35,7 @@ impl Segment {
         assert!(!ids.is_empty(), "segments must be non-empty");
         let n = ids.len();
         let provider = FlashProvider::new(vectors, flash);
-        let index = Hnsw::build(provider, hnsw);
+        let index = Hnsw::build(provider, hnsw).into_frozen();
         Self {
             index,
             ids,
@@ -45,15 +47,15 @@ impl Segment {
     }
 
     /// Reassembles a segment from persisted parts: the codec retrains
-    /// deterministically from `flash` (same sample, same seed), and the
-    /// graph payloads are rebuilt from the topology — used by
+    /// deterministically from `flash` (same sample, same seed) and is
+    /// paired with the stored topology as is — used by
     /// [`Segment::load`](crate::Segment::load).
     ///
     /// # Panics
     /// Panics if the parts disagree on the vector count.
     pub fn restore(
         vectors: VectorSet,
-        topology: graphs::GraphLayers,
+        topology: GraphLayers,
         ids: Vec<u64>,
         dead: Vec<bool>,
         flash: FlashParams,
@@ -61,8 +63,7 @@ impl Segment {
     ) -> Self {
         assert_eq!(vectors.len(), ids.len(), "one external id per vector");
         assert_eq!(ids.len(), dead.len(), "one tombstone slot per vector");
-        let provider = FlashProvider::new(vectors, flash);
-        let index = Hnsw::from_frozen(provider, hnsw, &topology);
+        let index = FrozenGraph::new(FlashProvider::new(vectors, flash), topology);
         let live = dead.iter().filter(|&&d| !d).count();
         Self {
             index,
@@ -79,9 +80,9 @@ impl Segment {
         self.index.provider().base()
     }
 
-    /// Freezes the graph topology (persisted via `graphs::persist`).
-    pub fn topology(&self) -> graphs::GraphLayers {
-        self.index.freeze()
+    /// The graph topology (persisted via `graphs::persist`).
+    pub fn topology(&self) -> &GraphLayers {
+        self.index.layers()
     }
 
     /// External ids by local id.
@@ -161,8 +162,9 @@ impl Segment {
         let dead = &self.dead;
         let accept = move |lid: u32| !dead[lid as usize];
         let pool = ef.max(k.max(1) * 2);
-        let found = self.index.search_filtered(query, pool, ef, &accept);
-        let base = self.index.provider().base();
+        let (provider, layers) = (self.index.provider(), self.index.layers());
+        let found = search_layers_filtered(provider, layers, query, pool, ef, &accept);
+        let base = provider.base();
         let mut hits: Vec<Hit> = found
             .into_iter()
             .map(|r| Hit {

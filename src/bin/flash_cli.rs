@@ -1577,12 +1577,13 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The retired per-neighbor beam search, kept here verbatim as the
-/// measurement baseline for `hotpath`: greedy descent and an `ef`-wide
-/// base beam with a fresh `vec![false; n]` visited map, fresh
-/// `BinaryHeap`s, and one `dist_to` call per neighbor — exactly the
-/// allocation and memory-access pattern the CSR + pooled-scratch +
-/// block-scored kernel replaced. Must stay bit-identical to
+/// The naive per-neighbor beam search, kept here verbatim as the
+/// reference `hotpath` measures and checks the serving kernel against:
+/// greedy descent and an `ef`-wide base beam with a fresh
+/// `vec![false; n]` visited map, fresh `BinaryHeap`s, and one `dist_to`
+/// call per neighbor — exactly the allocation and memory-access pattern
+/// the CSR + pooled-scratch + block-scored kernel replaced. Must stay
+/// bit-identical to
 /// `graphs::search_layers` (distances have no side effects, and both
 /// loops re-read the current worst before every admission).
 fn reference_search_layers(
@@ -1667,8 +1668,9 @@ fn reference_search_layers(
 }
 
 /// Benchmarks the flash-path search hot path: the naive per-neighbor
-/// reference kernel vs the CSR + pooled-scratch + block-scored production
-/// kernel, single-threaded over identical queries, with a bit-exactness
+/// reference kernel vs the CSR + pooled-scratch + block-scored kernel that
+/// serves every graph index (`graphs::search_layers`), single-threaded
+/// over identical queries, with a bit-exactness
 /// check and a zero-allocation check on the steady-state loop. Emits
 /// `BENCH_hotpath.json` through the standard report schema (QPS and wall
 /// clock under timing keys, everything else structural).
@@ -1699,28 +1701,18 @@ fn cmd_hotpath(opts: &Opts) -> Result<(), String> {
     let mut fp = FlashParams::auto(dim);
     fp.seed = seed;
     fp.train_sample = (n / 2).clamp(256, 10_000);
-    let index = FlashHnsw::build_flash(base, fp, HnswParams { c, r, seed });
-    let graph = index.freeze();
-    let provider = index.provider();
-    // The serving-side access-aware layout: every node's neighbor
-    // codeword block built once, so expansions read instead of rebuild.
-    let payloads = graphs::NodePayloads::build(provider, &graph);
+    let index = FlashHnsw::build_flash(base, fp, HnswParams { c, r, seed }).into_frozen();
+    let (provider, graph) = (index.provider(), index.layers());
 
     // Parity: both kernels must return the same (dist, id) lists on every
     // query before any timing is trusted.
     eprintln!("hotpath: checking reference/hotpath parity over {nq} queries...");
     for qi in 0..nq {
         let q = queries.get(qi);
-        let naive = reference_search_layers(provider, &graph, q, k, ef);
-        let fast = graphs::search_layers_cached(provider, &graph, &payloads, q, k, ef);
-        let plain = graphs::search_layers(provider, &graph, q, k, ef);
+        let naive = reference_search_layers(provider, graph, q, k, ef);
+        let fast = graphs::search_layers(provider, graph, q, k, ef);
         if naive.len() != fast.len()
             || naive
-                .iter()
-                .zip(&fast)
-                .any(|(a, b)| a.id != b.id || a.dist != b.dist)
-            || plain.len() != fast.len()
-            || plain
                 .iter()
                 .zip(&fast)
                 .any(|(a, b)| a.id != b.id || a.dist != b.dist)
@@ -1748,7 +1740,7 @@ fn cmd_hotpath(opts: &Opts) -> Result<(), String> {
     for _ in 0..passes {
         let t0 = Instant::now();
         for qi in 0..nq {
-            let hits = reference_search_layers(provider, &graph, queries.get(qi), k, ef);
+            let hits = reference_search_layers(provider, graph, queries.get(qi), k, ef);
             std::hint::black_box(&hits);
         }
         let pass_wall = t0.elapsed().as_secs_f64();
@@ -1758,8 +1750,7 @@ fn cmd_hotpath(opts: &Opts) -> Result<(), String> {
         let t0 = Instant::now();
         for qi in 0..nq {
             let tq = Instant::now();
-            let hits =
-                graphs::search_layers_cached(provider, &graph, &payloads, queries.get(qi), k, ef);
+            let hits = graphs::search_layers(provider, graph, queries.get(qi), k, ef);
             lat_ms.push(tq.elapsed().as_secs_f64() * 1e3);
             std::hint::black_box(&hits);
         }
@@ -1792,7 +1783,7 @@ fn cmd_hotpath(opts: &Opts) -> Result<(), String> {
     graphs::profile_reset();
     let found: Vec<Vec<u32>> = (0..nq)
         .map(|qi| {
-            graphs::search_layers_cached(provider, &graph, &payloads, queries.get(qi), k, ef)
+            graphs::search_layers(provider, graph, queries.get(qi), k, ef)
                 .iter()
                 .map(|h| h.id as u32)
                 .collect()

@@ -26,7 +26,12 @@
 //! ## Quickstart
 //!
 //! Pick a graph algorithm and a coding method, build, and search — every
-//! combination serves through the same [`engine::AnnIndex`] trait object:
+//! combination serves through the same [`engine::AnnIndex`] trait object.
+//! The model is **freeze-then-serve**: `build` runs construction to the
+//! end, freezes the adjacency into cache-line-aligned CSR
+//! ([`graphs::GraphLayers`]) and drops the builder's per-node state, so
+//! what answers queries is always a provider + frozen topology pair
+//! behind one beam ([`graphs::search_layers_filtered`]):
 //!
 //! ```
 //! use hnsw_flash::prelude::*;
@@ -46,6 +51,11 @@
 //! let response = index.search(&SearchRequest::new(queries.get(0), 5).ef(64).rerank(8));
 //! assert_eq!(response.hits.len(), 5);
 //! ```
+//!
+//! An index that is still ingesting stays a [`graphs::Hnsw`]: `insert`
+//! adds vertices, `Hnsw::search` answers from the live graph, and
+//! [`engine::GraphIndex::new`] freezes it once the batch is done (see
+//! `examples/streaming_add.rs`).
 //!
 //! ## Sharded serving
 //!
@@ -479,8 +489,9 @@
 //!
 //! 1. **CSR adjacency.** Builders ([`graphs::Hnsw`], [`graphs::Nsg`],
 //!    [`graphs::TauMg`], [`graphs::Vamana`], [`graphs::Hcnng`]) grow
-//!    nested `Vec<Vec<u32>>` lists under per-node locks, then `freeze()`
-//!    once into [`graphs::CsrLayer`]: a flat pool of 64-byte-aligned
+//!    nested `Vec<Vec<u32>>` lists under per-node locks, then
+//!    `into_frozen()` once into [`graphs::CsrLayer`]: a flat pool of
+//!    64-byte-aligned
 //!    cache lines ([`graphs::LINE_U32S`] = 16 neighbor ids per line) plus
 //!    per-node start/length tables. Every neighbor list begins on a line
 //!    boundary, so expanding a node touches `ceil(degree/16)` lines and
@@ -507,52 +518,44 @@
 //!    block is scored they issue [`graphs::DistanceProvider::prefetch`]
 //!    for the next frontier candidate's codes plus a software prefetch of
 //!    its neighbor line — the lines are in flight before the beam
-//!    arrives. For frozen-topology *serving*, [`graphs::NodePayloads`]
-//!    prebuilds every node's codeword block once (the serving half of the
-//!    paper's access-aware layout) and
-//!    [`graphs::search_layers_cached`] reads it instead of rebuilding a
-//!    block per expansion. All of this is bit-exact: the same
-//!    `(dist, id)` results as the naive loop, enforced by the parity
-//!    suites.
+//!    arrives. All of this is bit-exact: the same `(dist, id)` results as
+//!    the naive loop, enforced by the parity suites.
+//!    ([`graphs::NodePayloads`] + [`graphs::search_layers_cached`], which
+//!    prebuild every node's codeword block instead of gathering one per
+//!    expansion, are measured by the benchmark's traced run but serve no
+//!    index: they are no faster than the gathering kernel on three of
+//!    the four benchmark corpora.)
 //!
 //! `flash_cli hotpath` measures the payoff: it runs the same queries
-//! through a naive per-neighbor reference kernel and the production
-//! hot path, asserts the results are identical, and emits
+//! through a naive per-neighbor reference kernel and the serving
+//! kernel ([`graphs::search_layers`]), asserts the results are identical,
+//! and emits
 //! `BENCH_hotpath.json` through the usual metrics schema. Read it as
 //! `config.reference.qps` vs `config.hotpath.qps` (plus the
 //! `speedup` ratio); [`metrics::strip_timings`] removes the QPS numbers
 //! so the structural remainder is byte-stable for CI diffing.
 //!
-//! ## Migrating from the per-type APIs
+//! ## Construction types and the engine
 //!
-//! The concrete index types still exist (construction-time features like
-//! streaming inserts and freezing live there), but serving code should use
-//! the engine. Old entry points map as follows:
+//! The concrete builder types ([`graphs::Hnsw`], [`graphs::Nsg`], …)
+//! cover construction: `build`, streaming `insert`, `into_frozen`. They
+//! no longer carry per-type search wrappers — every query goes through a
+//! [`engine::SearchRequest`]:
 //!
-//! | Pre-engine call | Engine call |
+//! | Need | Call |
 //! |---|---|
-//! | `FlashHnsw::build_flash(base, fp, hp)` | `IndexBuilder::new(GraphKind::Hnsw, Coding::Flash).flash_params(fp).c(hp.c).r(hp.r).seed(hp.seed).build(base)` |
-//! | `Hnsw::build(FullPrecision::new(base), hp)` | `IndexBuilder::new(GraphKind::Hnsw, Coding::Full)…build(base)` |
-//! | `Hnsw::build(PqProvider::new(…), hp)` (likewise SQ/PCA/OPQ) | `IndexBuilder::new(GraphKind::Hnsw, Coding::Pq)…build(base)` |
-//! | `build_flash_nsg` / `build_flash_taumg` / `build_flash_vamana` / `build_flash_hcnng` | `IndexBuilder::new(GraphKind::Nsg \| TauMg \| Vamana \| Hcnng, Coding::Flash)…build(base)` |
-//! | `index.search(q, k, ef)` | `index.search(&SearchRequest::new(q, k).ef(ef))` |
-//! | `index.search_rerank(q, k, ef, f)` | `…SearchRequest::new(q, k).ef(ef).rerank(f)` |
-//! | `index.search_filtered(q, k, ef, &accept)` | `…SearchRequest::new(q, k).ef(ef).filter(accept)` |
-//! | `search_vbase(provider, &graph, q, k, w)` | `…SearchRequest::new(q, k).vbase(w)` |
-//! | `AdSampler::new(…).search(…)` | `…SearchRequest::new(q, k).adsampling(AdSamplingOptions::default())` |
-//! | `LabeledHnsw::build(…)` + `search(q, label, k, ef)` | `IndexBuilder…build_labeled(…)` + `…SearchRequest::new(q, k).label(label)` |
-//! | `search_layers(provider, &loaded, …)` (serve a persisted topology) | `IndexBuilder…serve(base, loaded)` |
-//! | `graphs::SearchResult` / `maintenance::Hit` | the single [`engine::Hit`] (`id: u64`) |
+//! | build any graph × coding | `IndexBuilder::new(GraphKind::…, Coding::…)…build(base)` |
+//! | plain / reranked / filtered search | `SearchRequest::new(q, k).ef(ef)` + `.rerank(f)` / `.filter(accept)` |
+//! | VBase / ADSampling traversal | `SearchRequest::new(q, k).vbase(w)` / `.adsampling(AdSamplingOptions::default())` |
+//! | per-label specialization | `IndexBuilder…build_labeled(…)` + `SearchRequest::new(q, k).label(label)` |
+//! | serve a persisted topology | `IndexBuilder…serve(base, loaded)` |
+//! | serve an index built by hand | `GraphIndex::new(hnsw)` / `GraphIndex::from_parts(provider, layers)` |
+//! | the kernel itself, no engine | `graphs::search_layers(frozen.provider(), frozen.layers(), q, k, ef)` |
 //!
-//! The legacy free functions and inherent methods delegate to the same
-//! internals the engine uses, so mixed codebases stay consistent during a
-//! migration. One layout-driven exception: the deprecated
-//! `graphs::SearchResult` alias survives, but code that built
-//! [`graphs::GraphLayers`] / [`graphs::FlatGraph`] values by filling
-//! their fields must switch to `from_nested` / `from_flat` and the
-//! `neighbors()` accessors — the nested `Vec<Vec<u32>>` fields were
-//! replaced by the private CSR layout described under
-//! [Memory layout](#memory-layout).
+//! [`graphs::GraphLayers`] / [`graphs::FlatGraph`] values are made with
+//! `from_nested` / `from_flat` and read through the `neighbors()`
+//! accessors; the CSR layout described under
+//! [Memory layout](#memory-layout) is private.
 
 pub use cachesim;
 pub use engine;
@@ -574,13 +577,10 @@ pub mod prelude {
         SearchRequest, SearchResponse, TrainedCodec,
     };
     pub use flash::{
-        build_flash_hcnng, build_flash_nsg, build_flash_taumg, build_flash_vamana,
-        tune_flash_params, BuildFlash, FlashCodec, FlashHcnng, FlashHnsw, FlashNsg, FlashParams,
-        FlashProvider, FlashTauMg, FlashVamana, TuneOptions, TuneOutcome,
+        tune_flash_params, BuildFlash, FlashCodec, FlashHnsw, FlashParams, FlashProvider,
+        TuneOptions, TuneOutcome,
     };
     pub use graphs::providers::{FullPrecision, OpqProvider, PcaProvider, PqProvider, SqProvider};
-    #[allow(deprecated)] // kept for pre-engine call sites; prefer `Hit`
-    pub use graphs::SearchResult;
     pub use graphs::{
         DistanceProvider, Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, Nsg,
         NsgParams, TauMg, TauMgParams, Vamana, VamanaParams,

@@ -189,7 +189,7 @@ fn cached_flash_search_is_bit_identical_to_plain() {
 fn frozen_graph_from_flat_matches_flat_view() {
     let adj = vec![vec![1, 2], vec![0], vec![0, 1]];
     let flat = FlatGraph::from_nested(&adj, 2);
-    let layered = GraphLayers::from_flat(&flat);
+    let layered = GraphLayers::from_flat(flat.clone());
     assert_eq!(layered.len(), flat.len());
     assert_eq!(layered.entry, flat.entry);
     assert_eq!(layered.max_layer, 0);

@@ -1,14 +1,18 @@
 //! Engine-parity tests: every `GraphKind` × `Coding` combination built via
-//! `IndexBuilder` must return *identical* results to the legacy
-//! concrete-type path on the same seed, and every `SearchRequest` option
-//! must round-trip through `Box<dyn AnnIndex>`.
+//! `IndexBuilder` must return *identical* results to the concrete builder
+//! type on the same seed searched with `graphs::search_layers` directly
+//! (and, for HNSW, to the live `Hnsw::search`, an independent loop), and
+//! every `SearchRequest` option must round-trip through
+//! `Box<dyn AnnIndex>`.
 //!
 //! Exact equality (ids *and* float distances) is intentional: the engine
-//! wrappers delegate to the same search kernels the legacy inherent
-//! methods use, construction is fully deterministic per seed (no hash
-//! containers, seeded RNGs, sequential insertion), so any divergence is a
-//! wiring bug, not noise.
+//! serves through the same frozen-topology kernel, construction is fully
+//! deterministic per seed (no hash containers, seeded RNGs, sequential
+//! insertion), so any divergence is a wiring bug, not noise.
 
+use hnsw_flash::graphs::{
+    scratch_stats, search_layers, search_layers_filtered, search_layers_rerank, FrozenGraph,
+};
 use hnsw_flash::prelude::*;
 use proptest::prelude::*;
 
@@ -36,7 +40,7 @@ fn flash_fp() -> FlashParams {
     }
 }
 
-/// The engine builder configured exactly like the legacy paths below.
+/// The engine builder configured exactly like the concrete builds below.
 fn builder(kind: GraphKind, coding: Coding) -> IndexBuilder {
     IndexBuilder::new(kind, coding)
         .c(C)
@@ -48,18 +52,22 @@ fn builder(kind: GraphKind, coding: Coding) -> IndexBuilder {
         .flash_params(flash_fp())
 }
 
-/// Legacy concrete-type search closure for one combination: builds the
-/// pre-engine way (`Hnsw::build`, `Nsg::build`, …) over the matching
-/// provider and searches with the inherent method.
-fn legacy_search_fn(
-    kind: GraphKind,
-    coding: Coding,
-    base: VectorSet,
-) -> Box<dyn Fn(&[f32], usize, usize) -> Vec<hnsw_flash::engine::Hit>> {
-    fn with_kind<P: DistanceProvider + 'static>(
-        kind: GraphKind,
-        provider: P,
-    ) -> Box<dyn Fn(&[f32], usize, usize) -> Vec<hnsw_flash::engine::Hit>> {
+type SearchFn = Box<dyn Fn(&[f32], usize, usize) -> Vec<Hit>>;
+
+/// Reference search closure for one combination: builds the concrete type
+/// (`Hnsw::build`, `Nsg::build`, …) over the matching provider and runs
+/// `graphs::search_layers` over its frozen form. For HNSW the live
+/// `Hnsw::search` must agree before the answer counts.
+fn reference_search_fn(kind: GraphKind, coding: Coding, base: VectorSet) -> SearchFn {
+    fn frozen<P: DistanceProvider + 'static>(index: FrozenGraph<P>) -> SearchFn {
+        Box::new(move |q, k, ef| search_layers(index.provider(), index.layers(), q, k, ef))
+    }
+    fn with_kind<P: DistanceProvider + 'static>(kind: GraphKind, provider: P) -> SearchFn {
+        let flat = NsgParams {
+            r: R,
+            c: C,
+            seed: SEED,
+        };
         match kind {
             GraphKind::Hnsw => {
                 let idx = Hnsw::build(
@@ -70,35 +78,19 @@ fn legacy_search_fn(
                         seed: SEED,
                     },
                 );
-                Box::new(move |q, k, ef| idx.search(q, k, ef))
+                let layers = idx.freeze();
+                Box::new(move |q, k, ef| {
+                    let hits = search_layers(idx.provider(), &layers, q, k, ef);
+                    assert_eq!(idx.search(q, k, ef), hits, "live and frozen HNSW disagree");
+                    hits
+                })
             }
-            GraphKind::Nsg => {
-                let idx = Nsg::build(
-                    provider,
-                    NsgParams {
-                        r: R,
-                        c: C,
-                        seed: SEED,
-                    },
-                );
-                Box::new(move |q, k, ef| idx.search(q, k, ef))
-            }
+            GraphKind::Nsg => frozen(Nsg::build(provider, flat).into_frozen()),
             GraphKind::TauMg => {
-                let idx = TauMg::build(
-                    provider,
-                    TauMgParams {
-                        flat: NsgParams {
-                            r: R,
-                            c: C,
-                            seed: SEED,
-                        },
-                        tau: 0.1,
-                    },
-                );
-                Box::new(move |q, k, ef| idx.search(q, k, ef))
+                frozen(TauMg::build(provider, TauMgParams { flat, tau: 0.1 }).into_frozen())
             }
-            GraphKind::Vamana => {
-                let idx = Vamana::build(
+            GraphKind::Vamana => frozen(
+                Vamana::build(
                     provider,
                     VamanaParams {
                         r: R,
@@ -106,11 +98,11 @@ fn legacy_search_fn(
                         alpha: 1.2,
                         seed: SEED,
                     },
-                );
-                Box::new(move |q, k, ef| idx.search(q, k, ef))
-            }
-            GraphKind::Hcnng => {
-                let idx = Hcnng::build(
+                )
+                .into_frozen(),
+            ),
+            GraphKind::Hcnng => frozen(
+                Hcnng::build(
                     provider,
                     HcnngParams {
                         trees: 10,
@@ -118,9 +110,9 @@ fn legacy_search_fn(
                         mst_degree: 3,
                         seed: SEED,
                     },
-                );
-                Box::new(move |q, k, ef| idx.search(q, k, ef))
-            }
+                )
+                .into_frozen(),
+            ),
         }
     }
 
@@ -139,20 +131,20 @@ fn legacy_search_fn(
 
 /// The acceptance matrix: all 30 graph × coding combinations are
 /// constructible via `IndexBuilder`, searchable through
-/// `Box<dyn AnnIndex>`, and bit-identical to the legacy path.
+/// `Box<dyn AnnIndex>`, and bit-identical to the concrete-type path.
 #[test]
-fn every_combination_matches_legacy_path() {
+fn every_combination_matches_concrete_path() {
     let (base, queries) = workload(260, 4);
     for kind in GraphKind::ALL {
         for coding in Coding::ALL {
-            let legacy = legacy_search_fn(kind, coding, base.clone());
+            let reference = reference_search_fn(kind, coding, base.clone());
             let index: Box<dyn AnnIndex> = builder(kind, coding).build(base.clone());
             assert_eq!(index.len(), base.len(), "{kind}:{coding} len");
             assert_eq!(index.dim(), base.dim(), "{kind}:{coding} dim");
             assert!(index.memory_bytes() > 0, "{kind}:{coding} memory_bytes");
             for qi in 0..queries.len() {
                 let q = queries.get(qi);
-                let expected = legacy(q, K, EF);
+                let expected = reference(q, K, EF);
                 let got = index.search(&SearchRequest::new(q, K).ef(EF)).hits;
                 assert_eq!(expected, got, "{kind}:{coding} query {qi}");
                 for w in got.windows(2) {
@@ -166,16 +158,15 @@ fn every_combination_matches_legacy_path() {
     }
 }
 
-/// Reranked requests match the legacy `search_rerank` on every graph kind
-/// that exposes one (τ-MG never had a rerank helper; the engine gives it
-/// one with the shared formula).
+/// Reranked requests match `search_layers_rerank` over the concrete
+/// build, on HNSW and on a flat graph.
 #[test]
-fn rerank_matches_legacy_helpers() {
+fn rerank_matches_direct_kernel_call() {
     let (base, queries) = workload(260, 3);
     let q = queries.get(0);
 
     let flash_index = builder(GraphKind::Hnsw, Coding::Flash).build(base.clone());
-    let legacy = FlashHnsw::build_flash(
+    let concrete = FlashHnsw::build_flash(
         base.clone(),
         flash_fp(),
         HnswParams {
@@ -183,42 +174,46 @@ fn rerank_matches_legacy_helpers() {
             r: R,
             seed: SEED,
         },
-    );
+    )
+    .into_frozen();
     let got = flash_index
         .search(&SearchRequest::new(q, K).ef(EF).rerank(6))
         .hits;
-    assert_eq!(legacy.search_rerank(q, K, EF, 6), got);
+    let direct = search_layers_rerank(concrete.provider(), concrete.layers(), q, K, EF, 6);
+    assert_eq!(direct, got);
 
     let nsg_index = builder(GraphKind::Nsg, Coding::Flash).build(base.clone());
-    let legacy = build_flash_nsg(
-        base,
-        flash_fp(),
+    let concrete = Nsg::build(
+        FlashProvider::new(base, flash_fp()),
         NsgParams {
             r: R,
             c: C,
             seed: SEED,
         },
-    );
+    )
+    .into_frozen();
     let got = nsg_index
         .search(&SearchRequest::new(q, K).ef(EF).rerank(6))
         .hits;
-    assert_eq!(legacy.search_rerank(q, K, EF, 6), got);
+    let direct = search_layers_rerank(concrete.provider(), concrete.layers(), q, K, EF, 6);
+    assert_eq!(direct, got);
 }
 
 /// Filter options round-trip through the trait object and agree with the
-/// legacy filtered search.
+/// filtered kernel called directly.
 #[test]
 fn filters_round_trip_through_box_dyn() {
     let (base, queries) = workload(260, 3);
     let index: Box<dyn AnnIndex> = builder(GraphKind::Hnsw, Coding::Full).build(base.clone());
-    let legacy = Hnsw::build(
+    let concrete = Hnsw::build(
         FullPrecision::new(base.clone()),
         HnswParams {
             c: C,
             r: R,
             seed: SEED,
         },
-    );
+    )
+    .into_frozen();
     for qi in 0..queries.len() {
         let q = queries.get(qi);
         let req = SearchRequest::new(q, K).ef(EF).filter(|id| id % 3 == 0);
@@ -226,7 +221,9 @@ fn filters_round_trip_through_box_dyn() {
         assert!(!got.is_empty());
         assert!(got.iter().all(|h| h.id % 3 == 0), "predicate violated");
         let accept = |id: u32| u64::from(id) % 3 == 0;
-        assert_eq!(legacy.search_filtered(q, K, EF, &accept), got, "query {qi}");
+        let direct =
+            search_layers_filtered(concrete.provider(), concrete.layers(), q, K, EF, &accept);
+        assert_eq!(direct, got, "query {qi}");
     }
     // Filtered search works on flat graphs through the same request.
     let nsg: Box<dyn AnnIndex> = builder(GraphKind::Nsg, Coding::Full).build(base);
@@ -237,6 +234,99 @@ fn filters_round_trip_through_box_dyn() {
     );
     assert!(!got.hits.is_empty());
     assert!(got.hits.iter().all(|h| h.id % 2 == 0));
+}
+
+/// `k = 0` and `ef = 0` are clamped, never a panic: every graph kind
+/// returns nothing for `k = 0` and a full answer for `ef = 0`, filtered
+/// or not (the retired flat-graph beam clamped `ef` to `k` only; the one
+/// remaining beam clamps to `max(k, 1)`).
+#[test]
+fn degenerate_k_and_ef_are_clamped_on_every_graph_kind() {
+    let (base, queries) = workload(200, 1);
+    let q = queries.get(0);
+    for kind in GraphKind::ALL {
+        for coding in [Coding::Full, Coding::Flash] {
+            let index = builder(kind, coding).build(base.clone());
+            for filtered in [false, true] {
+                let shape = |req: SearchRequest| {
+                    if filtered {
+                        req.filter(|id| id % 2 == 0)
+                    } else {
+                        req
+                    }
+                };
+                let tag = format!("{kind}:{coding} filtered={filtered}");
+                let none = index.search(&shape(SearchRequest::new(q, 0).ef(0)));
+                assert!(none.hits.is_empty(), "{tag}: k = 0 returns nothing");
+                let narrow = index.search(&shape(SearchRequest::new(q, K).ef(0))).hits;
+                let at_k = index.search(&shape(SearchRequest::new(q, K).ef(K))).hits;
+                assert_eq!(narrow.len(), K, "{tag}: ef = 0 still fills k");
+                assert_eq!(at_k, narrow, "{tag}: ef = 0 means ef = k");
+            }
+        }
+    }
+}
+
+/// Counter honesty: one leaf search is exactly one pooled-scratch
+/// checkout on every graph × coding combination, and an LSM search is one
+/// per sealed segment.
+#[test]
+fn one_leaf_search_is_one_scratch_checkout() {
+    let (base, queries) = workload(200, 1);
+    let req = SearchRequest::new(queries.get(0), K).ef(EF);
+    for kind in GraphKind::ALL {
+        for coding in Coding::ALL {
+            let index = builder(kind, coding).build(base.clone());
+            for req in [
+                req.clone(),
+                req.clone().rerank(4),
+                req.clone().filter(|_| true),
+            ] {
+                let profile = index.search(&req).profile;
+                assert_eq!(profile.scratch_checkouts, 1, "{kind}:{coding}");
+            }
+        }
+    }
+
+    let mut config = LsmConfig::for_dim(32);
+    config.memtable_cap = 64;
+    config.hnsw = HnswParams {
+        c: C,
+        r: R,
+        seed: SEED,
+    };
+    let mut lsm = LsmVectorIndex::new(config);
+    for v in base.iter() {
+        lsm.insert(v);
+    }
+    let sealed = lsm.stats().segments as u64;
+    assert_eq!(sealed, 3, "200 inserts at cap 64 seal three segments");
+    let profile = AnnIndex::search(&lsm, &req).profile;
+    assert_eq!(profile.scratch_checkouts, sealed);
+}
+
+/// Warm serving allocates no search state: 200 queries after a warm-up
+/// create no new scratch on this thread.
+#[test]
+fn warm_queries_create_no_scratch() {
+    let (base, queries) = workload(300, 8);
+    let index = builder(GraphKind::Hnsw, Coding::Flash).build(base);
+    let requests: Vec<SearchRequest> = (0..queries.len())
+        .map(|qi| SearchRequest::new(queries.get(qi), K).ef(EF).rerank(4))
+        .collect();
+    for req in &requests {
+        index.search(req);
+    }
+    let warm = scratch_stats();
+    for i in 0..200 {
+        index.search(&requests[i % requests.len()]);
+    }
+    let after = scratch_stats();
+    assert_eq!(
+        after.created, warm.created,
+        "steady state creates no scratch"
+    );
+    assert_eq!(after.checkouts - warm.checkouts, 200);
 }
 
 /// VBase and ADSampling options match their direct function-call forms.

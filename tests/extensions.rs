@@ -1,9 +1,10 @@
 //! Cross-crate integration tests for the extension systems: Vamana, HCNNG,
 //! OPQ, filtered search, and the LSM maintenance pipeline.
 
-use flash::{build_flash_hcnng, build_flash_vamana, BuildFlash, FlashParams, FlashProvider};
+use flash::{BuildFlash, FlashParams, FlashProvider};
 use graphs::providers::{FullPrecision, OpqProvider};
 use graphs::{
+    search_layers, search_layers_filtered, search_layers_rerank, DistanceProvider, FrozenGraph,
     Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, Vamana, VamanaParams,
 };
 use maintenance::{LsmConfig, LsmVectorIndex};
@@ -19,6 +20,29 @@ fn recall_of(found: &[Vec<u32>], gt: &[Vec<vecstore::Neighbor>], k: usize) -> f6
     metrics::recall_at_k(found, gt, k).recall()
 }
 
+/// Ids of the serving kernel's answers over a frozen index; `rerank > 1`
+/// adds the exact rerank on the original vectors.
+fn found_ids<P: DistanceProvider>(
+    index: &FrozenGraph<P>,
+    queries: &VectorSet,
+    k: usize,
+    ef: usize,
+    rerank: usize,
+) -> Vec<Vec<u32>> {
+    let (provider, layers) = (index.provider(), index.layers());
+    (0..queries.len())
+        .map(|qi| {
+            let q = queries.get(qi);
+            let hits = if rerank > 1 {
+                search_layers_rerank(provider, layers, q, k, ef, rerank)
+            } else {
+                search_layers(provider, layers, q, k, ef)
+            };
+            hits.iter().map(|r| r.id as u32).collect()
+        })
+        .collect()
+}
+
 #[test]
 fn vamana_flash_matches_full_precision_recall() {
     let k = 5;
@@ -31,28 +55,13 @@ fn vamana_flash_matches_full_precision_recall() {
         seed: 0x77,
     };
 
-    let full = Vamana::build(FullPrecision::new(base.clone()), params);
+    let full = Vamana::build(FullPrecision::new(base.clone()), params).into_frozen();
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = 750;
-    let flash = build_flash_vamana(base, fp, params);
+    let flash = Vamana::build(FlashProvider::new(base, fp), params).into_frozen();
 
-    let found_full: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            full.search(queries.get(qi), k, 96)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
-    let found_flash: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            flash
-                .search_rerank(queries.get(qi), k, 96, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let found_full = found_ids(&full, &queries, k, 96, 1);
+    let found_flash = found_ids(&flash, &queries, k, 96, 8);
 
     let r_full = recall_of(&found_full, &gt, k);
     let r_flash = recall_of(&found_flash, &gt, k);
@@ -75,28 +84,13 @@ fn hcnng_flash_reaches_reasonable_recall() {
         seed: 0x88,
     };
 
-    let full = Hcnng::build(FullPrecision::new(base.clone()), params);
+    let full = Hcnng::build(FullPrecision::new(base.clone()), params).into_frozen();
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = 600;
-    let flash = build_flash_hcnng(base, fp, params);
+    let flash = Hcnng::build(FlashProvider::new(base, fp), params).into_frozen();
 
-    let found_full: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            full.search(queries.get(qi), k, 128)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
-    let found_flash: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            flash
-                .search_rerank(queries.get(qi), k, 128, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let found_full = found_ids(&full, &queries, k, 128, 1);
+    let found_flash = found_ids(&flash, &queries, k, 128, 8);
 
     let r_full = recall_of(&found_full, &gt, k);
     let r_flash = recall_of(&found_flash, &gt, k);
@@ -119,16 +113,9 @@ fn opq_provider_plugs_into_hnsw_with_recall() {
             r: 12,
             seed: 0x9A,
         },
-    );
-    let found: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            index
-                .search_rerank(queries.get(qi), k, 96, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    )
+    .into_frozen();
+    let found = found_ids(&index, &queries, k, 96, 8);
     let recall = recall_of(&found, &gt, k);
     assert!(recall >= 0.80, "HNSW-OPQ recall {recall}");
 }
@@ -147,11 +134,13 @@ fn filtered_search_works_on_flash_built_graph() {
             r: 12,
             seed: 0xF1,
         },
-    );
+    )
+    .into_frozen();
     let labels_ref = &labels;
     let accept = move |id: u32| labels_ref[id as usize] == 2;
     for qi in 0..queries.len() {
-        let hits = index.search_filtered(queries.get(qi), 5, 96, &accept);
+        let q = queries.get(qi);
+        let hits = search_layers_filtered(index.provider(), index.layers(), q, 5, 96, &accept);
         assert!(
             !hits.is_empty(),
             "query {qi} found nothing with a 25% filter"
@@ -322,7 +311,8 @@ fn cosine_workload_via_normalization() {
             r: 12,
             seed: 0xC0,
         },
-    );
+    )
+    .into_frozen();
     let mut hit = 0;
     for qi in 0..raw_queries.len() {
         // Most-similar-by-cosine from a linear scan over raw vectors.
@@ -332,7 +322,8 @@ fn cosine_workload_via_normalization() {
                     .total_cmp(&cos(raw_queries.get(qi), raw.get(b)))
             })
             .unwrap() as u64;
-        let found = index.search_rerank(queries.get(qi), 1, 96, 8);
+        let found =
+            search_layers_rerank(index.provider(), index.layers(), queries.get(qi), 1, 96, 8);
         if found.first().map(|h| h.id) == Some(best) {
             hit += 1;
         }
@@ -350,24 +341,6 @@ fn normalize_invariants() {
         assert!((norm - 1.0).abs() < 1e-4, "norm² = {norm}");
     }
     assert!(set.get(50).iter().all(|&x| x == 0.0));
-}
-
-#[test]
-fn batch_search_matches_sequential() {
-    let (base, queries) = workload(600, 8);
-    let index = Hnsw::build(
-        FullPrecision::new(base),
-        HnswParams {
-            c: 64,
-            r: 8,
-            seed: 0xBA,
-        },
-    );
-    let batch = index.search_batch(&queries, 5, 64);
-    for qi in 0..queries.len() {
-        let seq = index.search(queries.get(qi), 5, 64);
-        assert_eq!(batch[qi], seq, "query {qi}");
-    }
 }
 
 #[test]
@@ -391,16 +364,9 @@ fn tuned_flash_params_build_working_index() {
             r: 12,
             seed: 0x7D,
         },
-    );
-    let found: Vec<Vec<u32>> = (0..queries.len())
-        .map(|qi| {
-            index
-                .search_rerank(queries.get(qi), 5, 96, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    )
+    .into_frozen();
+    let found = found_ids(&index, &queries, 5, 96, 8);
     let recall = metrics::recall_at_k(&found, &gt, 5).recall();
     assert!(recall >= 0.8, "tuned-params recall {recall}");
 }

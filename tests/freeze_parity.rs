@@ -1,18 +1,17 @@
 //! Freeze-then-serve parity: the one frozen-topology beam
-//! (`graphs::search_layers_filtered`) must answer exactly like every search
-//! path it replaces — ids *and* `f32` distance bits — before any of them is
-//! deleted.
+//! (`graphs::search_layers_filtered`) answers for every graph index, so it
+//! is pinned — ids *and* `f32` distance bits — to the two references that
+//! do not share its loop: the live `Hnsw::search` (the insert-time
+//! `search_layer` beam) and a provider-distance brute force, which a beam
+//! of exhaustive width must reproduce.
 //!
-//! Each check has two halves. One compares against the path being retired
-//! (`search_flat_filtered`, the live `Hnsw::{search_filtered,
-//! search_rerank}`); the other against a reference that outlives it: the
-//! live `Hnsw::search` (the insert-time `search_layer` loop, an independent
-//! beam) and a provider-distance brute force, which a beam of exhaustive
-//! width must reproduce.
+//! The commit that introduced this file also compared against the paths
+//! the beam replaced (the flat-graph beam copy and the live index's
+//! filtered and reranked searches) and passed both before and after the
+//! engine switched over; those halves went with the paths.
 
 use hnsw_flash::engine::GraphIndex;
-use hnsw_flash::graphs::flat_build::search_flat_filtered;
-use hnsw_flash::graphs::{rerank_exact, search_layers_filtered, FlatGraph, GraphLayers};
+use hnsw_flash::graphs::{rerank_exact, search_layers_filtered, FrozenGraph};
 use hnsw_flash::prelude::*;
 
 const K: usize = 5;
@@ -76,7 +75,7 @@ macro_rules! for_each_coding {
 }
 
 fn accept_thirds(id: u32) -> bool {
-    id % 3 == 0
+    id.is_multiple_of(3)
 }
 
 fn accept_all(_: u32) -> bool {
@@ -110,39 +109,34 @@ fn brute<P: DistanceProvider>(
     all
 }
 
-fn check_flat<P: DistanceProvider>(
-    what: &str,
-    provider: &P,
-    graph: &FlatGraph,
-    queries: &VectorSet,
-) {
-    let layers = GraphLayers::from_flat(graph);
-    let n = provider.len();
+fn check_flat<P: DistanceProvider>(what: &str, index: FrozenGraph<P>, queries: &VectorSet) {
+    let (provider, layers) = (index.provider(), index.layers());
+    assert_eq!(
+        layers.max_layer, 0,
+        "{what}: flat graphs freeze to one layer"
+    );
+    // A beam as wide as the graph visits every reachable vertex.
+    let ef = provider.len();
     for (mode, accept) in [
         ("plain", accept_all as fn(u32) -> bool),
         ("filtered", accept_thirds),
     ] {
         for qi in 0..queries.len() {
             let q = queries.get(qi);
-            let tag = format!("{what} {mode} query {qi}");
-            let old = search_flat_filtered(provider, graph, q, K, EF, &accept);
-            let new = search_layers_filtered(provider, &layers, q, K, EF, &accept);
-            assert_same(&old, &new, &tag);
-            // A beam as wide as the graph visits every reachable vertex.
-            let exhaustive = search_layers_filtered(provider, &layers, q, K, n, &accept);
             assert_same(
                 &brute(provider, q, K, accept),
-                &exhaustive,
-                &format!("{tag} (exhaustive)"),
+                &search_layers_filtered(provider, layers, q, K, ef, &accept),
+                &format!("{what} {mode} query {qi}"),
             );
         }
     }
 }
 
 /// Nsg / TauMg / Vamana / Hcnng × six codings × plain and filtered: a flat
-/// graph viewed as a one-layer topology answers like the flat-graph beam.
+/// graph served as a one-layer topology finds the exact provider-distance
+/// top-k once the beam is as wide as the graph.
 #[test]
-fn one_layer_topology_answers_like_the_flat_beam() {
+fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
     let (base, queries) = workload(260, 3);
     let flat = NsgParams {
         r: R,
@@ -151,19 +145,9 @@ fn one_layer_topology_answers_like_the_flat_beam() {
     };
     for_each_coding!(base, |coding, provider| {
         let nsg = Nsg::build(provider(), flat);
-        check_flat(
-            &format!("nsg:{coding}"),
-            nsg.provider(),
-            nsg.graph(),
-            &queries,
-        );
+        check_flat(&format!("nsg:{coding}"), nsg.into_frozen(), &queries);
         let taumg = TauMg::build(provider(), TauMgParams { flat, tau: 0.1 });
-        check_flat(
-            &format!("taumg:{coding}"),
-            taumg.provider(),
-            taumg.graph(),
-            &queries,
-        );
+        check_flat(&format!("taumg:{coding}"), taumg.into_frozen(), &queries);
         let vamana = Vamana::build(
             provider(),
             VamanaParams {
@@ -173,12 +157,7 @@ fn one_layer_topology_answers_like_the_flat_beam() {
                 seed: SEED,
             },
         );
-        check_flat(
-            &format!("vamana:{coding}"),
-            vamana.provider(),
-            vamana.graph(),
-            &queries,
-        );
+        check_flat(&format!("vamana:{coding}"), vamana.into_frozen(), &queries);
         let hcnng = Hcnng::build(
             provider(),
             HcnngParams {
@@ -188,17 +167,14 @@ fn one_layer_topology_answers_like_the_flat_beam() {
                 seed: SEED,
             },
         );
-        check_flat(
-            &format!("hcnng:{coding}"),
-            hcnng.provider(),
-            hcnng.graph(),
-            &queries,
-        );
+        check_flat(&format!("hcnng:{coding}"), hcnng.into_frozen(), &queries);
     });
 }
 
-/// `GraphIndex::new(hnsw)` answers plain, filtered and reranked requests
-/// like the live index it was made from, for every coding.
+/// `GraphIndex::new(hnsw)` answers like the live index it was made from,
+/// for every coding: plain requests equal `Hnsw::search`, reranked ones
+/// equal an exact rerank of its pool, filtered ones the filtered brute
+/// force at exhaustive `ef`.
 #[test]
 fn graph_index_answers_like_the_live_hnsw() {
     let (base, queries) = workload(260, 4);
@@ -210,46 +186,32 @@ fn graph_index_answers_like_the_live_hnsw() {
     };
     for_each_coding!(base, |coding, provider| {
         let hnsw = Hnsw::build(provider(), params);
-        let pool_k = K * RERANK;
-        let live: Vec<[Vec<Hit>; 4]> = (0..queries.len())
+        let live: Vec<[Vec<Hit>; 3]> = (0..queries.len())
             .map(|qi| {
                 let q = queries.get(qi);
+                let pool = hnsw.search(q, K * RERANK, EF);
                 [
                     hnsw.search(q, K, EF),
-                    hnsw.search_filtered(q, K, EF, &accept_thirds),
-                    hnsw.search_rerank(q, K, EF, RERANK),
-                    rerank_exact(
-                        hnsw.provider().base(),
-                        q,
-                        hnsw.search(q, pool_k, EF),
-                        K,
-                    ),
+                    rerank_exact(hnsw.provider().base(), q, pool, K),
+                    brute(hnsw.provider(), q, K, accept_thirds),
                 ]
             })
-            .collect();
-        let exact_filtered: Vec<Vec<Hit>> = (0..queries.len())
-            .map(|qi| brute(hnsw.provider(), queries.get(qi), K, accept_thirds))
             .collect();
 
         let leaf = GraphIndex::new(hnsw);
         for qi in 0..queries.len() {
-            let q = queries.get(qi);
             let tag = format!("hnsw:{coding} query {qi}");
-            let plain = SearchRequest::new(q, K).ef(EF);
-            let filtered = || plain.clone().filter(|id| id % 3 == 0);
-            let [live_plain, live_filtered, live_rerank, composed_rerank] = &live[qi];
+            let plain = SearchRequest::new(queries.get(qi), K).ef(EF);
+            let [live_plain, live_reranked, exact_filtered] = &live[qi];
             assert_same(live_plain, &leaf.search(&plain).hits, &tag);
             assert_same(
-                live_filtered,
-                &leaf.search(&filtered()).hits,
-                &format!("{tag} filtered"),
+                live_reranked,
+                &leaf.search(&plain.clone().rerank(RERANK)).hits,
+                &format!("{tag} reranked"),
             );
-            let reranked = leaf.search(&plain.clone().rerank(RERANK)).hits;
-            assert_same(live_rerank, &reranked, &format!("{tag} reranked"));
-            assert_same(composed_rerank, &reranked, &format!("{tag} composed"));
             assert_same(
-                &exact_filtered[qi],
-                &leaf.search(&filtered().ef(n)).hits,
+                exact_filtered,
+                &leaf.search(&plain.filter(|id| id % 3 == 0).ef(n)).hits,
                 &format!("{tag} filtered (exhaustive)"),
             );
         }

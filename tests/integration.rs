@@ -5,6 +5,7 @@
 //! Dataset dimensionality is kept small (64-d) so the suite stays fast in
 //! debug builds; the benchmark harness covers paper-scale dimensions.
 
+use hnsw_flash::graphs::{search_layers, search_layers_rerank, FrozenGraph};
 use hnsw_flash::prelude::*;
 use vecstore::split_into_segments;
 
@@ -16,6 +17,25 @@ fn workload(n: usize, n_queries: usize) -> (VectorSet, VectorSet) {
 
 fn recall_of(found: &[Vec<u32>], gt: &[Vec<vecstore::Neighbor>], k: usize) -> f64 {
     recall_at_k(found, gt, k).recall()
+}
+
+/// Ids of the serving kernel's reranked answers over a built index.
+fn reranked_ids<P: DistanceProvider>(
+    index: &FrozenGraph<P>,
+    queries: &VectorSet,
+    k: usize,
+    ef: usize,
+    rerank: usize,
+) -> Vec<Vec<u32>> {
+    (0..queries.len())
+        .map(|qi| {
+            let q = queries.get(qi);
+            search_layers_rerank(index.provider(), index.layers(), q, k, ef, rerank)
+                .iter()
+                .map(|r| r.id as u32)
+                .collect()
+        })
+        .collect()
 }
 
 #[test]
@@ -43,37 +63,16 @@ fn all_five_methods_reach_high_recall() {
         .collect();
     results.push(("HNSW", recall_of(&found, &gt, k)));
 
-    let pq = Hnsw::build(PqProvider::new(base.clone(), 8, 8, 800, 5), params);
-    let found: Vec<Vec<u32>> = (0..40)
-        .map(|qi| {
-            pq.search_rerank(queries.get(qi), k, ef, 6)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let pq = Hnsw::build(PqProvider::new(base.clone(), 8, 8, 800, 5), params).into_frozen();
+    let found = reranked_ids(&pq, &queries, k, ef, 6);
     results.push(("HNSW-PQ", recall_of(&found, &gt, k)));
 
-    let sq = Hnsw::build(SqProvider::new(base.clone(), 8), params);
-    let found: Vec<Vec<u32>> = (0..40)
-        .map(|qi| {
-            sq.search_rerank(queries.get(qi), k, ef, 4)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let sq = Hnsw::build(SqProvider::new(base.clone(), 8), params).into_frozen();
+    let found = reranked_ids(&sq, &queries, k, ef, 4);
     results.push(("HNSW-SQ", recall_of(&found, &gt, k)));
 
-    let pca = Hnsw::build(PcaProvider::new(base.clone(), 32, 800), params);
-    let found: Vec<Vec<u32>> = (0..40)
-        .map(|qi| {
-            pca.search_rerank(queries.get(qi), k, ef, 4)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let pca = Hnsw::build(PcaProvider::new(base.clone(), 32, 800), params).into_frozen();
+    let found = reranked_ids(&pca, &queries, k, ef, 4);
     results.push(("HNSW-PCA", recall_of(&found, &gt, k)));
 
     let flash_params = FlashParams {
@@ -84,15 +83,8 @@ fn all_five_methods_reach_high_recall() {
         seed: 7,
         grid_quantile: 0.5,
     };
-    let fl = FlashHnsw::build_flash(base, flash_params, params);
-    let found: Vec<Vec<u32>> = (0..40)
-        .map(|qi| {
-            fl.search_rerank(queries.get(qi), k, ef, 8)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    let fl = FlashHnsw::build_flash(base, flash_params, params).into_frozen();
+    let found = reranked_ids(&fl, &queries, k, ef, 8);
     results.push(("HNSW-Flash", recall_of(&found, &gt, k)));
 
     for (name, recall) in &results {
@@ -144,31 +136,23 @@ fn flash_generalizes_to_nsg_and_taumg() {
         grid_quantile: 0.5,
     };
 
-    let nsg = build_flash_nsg(
-        base.clone(),
-        flash_params,
+    let nsg = Nsg::build(
+        FlashProvider::new(base.clone(), flash_params),
         NsgParams {
             r: 12,
             c: 96,
             seed: 6,
         },
-    );
-    let found: Vec<Vec<u32>> = (0..20)
-        .map(|qi| {
-            nsg.search_rerank(queries.get(qi), k, 96, 16)
-                .iter()
-                .map(|r| r.id as u32)
-                .collect()
-        })
-        .collect();
+    )
+    .into_frozen();
+    let found = reranked_ids(&nsg, &queries, k, 96, 16);
     let nsg_recall = recall_of(&found, &gt, k);
     // The paper's Figure 14 shows NSG-Flash trades a little recall for its
     // construction speedup; 0.75 at this tiny scale matches that shape.
     assert!(nsg_recall >= 0.75, "NSG-Flash recall {nsg_recall}");
 
-    let taumg = build_flash_taumg(
-        base,
-        flash_params,
+    let taumg = TauMg::build(
+        FlashProvider::new(base, flash_params),
         TauMgParams {
             flat: NsgParams {
                 r: 8,
@@ -177,18 +161,18 @@ fn flash_generalizes_to_nsg_and_taumg() {
             },
             tau: 0.2,
         },
-    );
-    // τ-MG search uses quantized distances; rerank manually via ids.
+    )
+    .into_frozen();
+    // τ-MG search uses quantized distances: take an unreranked pool of 8·k.
     let found: Vec<Vec<u32>> = (0..20)
         .map(|qi| {
-            taumg
-                .search(queries.get(qi), k * 8, 64)
+            search_layers(taumg.provider(), taumg.layers(), queries.get(qi), k * 8, 64)
                 .iter()
                 .map(|r| r.id as u32)
                 .collect::<Vec<u32>>()
         })
         .collect();
-    // Just containment of true top-1 in the pool (τ-MG has no rerank API).
+    // Just containment of true top-1 in the pool.
     let mut hit = 0;
     for (qi, pool) in found.iter().enumerate() {
         if pool.contains(&gt[qi][0].id) {
@@ -265,7 +249,7 @@ fn segmented_rebuild_preserves_recall() {
         })
         .collect();
 
-    let indexes: Vec<FlashHnsw> = segments
+    let indexes: Vec<FrozenGraph<FlashProvider>> = segments
         .iter()
         .map(|seg| {
             FlashHnsw::build_flash(
@@ -284,6 +268,7 @@ fn segmented_rebuild_preserves_recall() {
                     seed: 2,
                 },
             )
+            .into_frozen()
         })
         .collect();
 
@@ -294,7 +279,7 @@ fn segmented_rebuild_preserves_recall() {
             .enumerate()
             .flat_map(|(s, idx)| {
                 let off = offsets[s];
-                idx.search_rerank(queries.get(qi), k, 48, 8)
+                search_layers_rerank(idx.provider(), idx.layers(), queries.get(qi), k, 48, 8)
                     .into_iter()
                     .map(move |r| Hit {
                         id: r.id + u64::from(off),

@@ -4,7 +4,7 @@
 
 use graphs::flat_build::{AlphaRule, MrngRule, PruneRule};
 use graphs::providers::FullPrecision;
-use graphs::{Hnsw, HnswParams, Vamana, VamanaParams};
+use graphs::{search_layers_filtered, Hnsw, HnswParams, Vamana, VamanaParams};
 use maintenance::MemTable;
 use proptest::prelude::*;
 use quantizers::OptimizedProductQuantizer;
@@ -156,11 +156,13 @@ proptest! {
         let index = Hnsw::build(
             FullPrecision::new(base),
             HnswParams { c: 32, r: 8, seed },
-        );
+        )
+        .into_frozen();
         let labels_ref = &labels;
         let accept = move |id: u32| labels_ref[id as usize] == 0;
         for qi in 0..queries.len() {
-            for hit in index.search_filtered(queries.get(qi), 4, 48, &accept) {
+            let q = queries.get(qi);
+            for hit in search_layers_filtered(index.provider(), index.layers(), q, 4, 48, &accept) {
                 prop_assert_eq!(labels[hit.id as usize], 0u32);
             }
         }
