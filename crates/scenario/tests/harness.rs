@@ -4,9 +4,13 @@
 
 use metrics::{strip_timings, BenchReport, Json, MetricsRegistry};
 use scenario::{by_name, ScenarioRunner, TopologySpec};
-use serving::distributed::{NodeAddr, NodeHandler, NodeServer};
+use serving::distributed::{EventServer, NodeAddr, NodeHandler};
 use serving::{ShardPolicy, ShardedIndex};
 use std::sync::Arc;
+
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+use support::bind_node;
 
 fn parsed(report: &BenchReport) -> Json {
     let text = report.to_pretty_string();
@@ -249,16 +253,15 @@ fn coordinator_profile_reconciles_with_node_ledgers() {
     let (base, _, _) = spec.materialize();
     let builder = spec.builder();
     let parts = ShardedIndex::partition(&base, 2, ShardPolicy::RoundRobin);
-    let mut servers: Vec<NodeServer> = parts
+    let mut servers: Vec<EventServer> = parts
         .into_iter()
         .map(|(set, _ids)| {
             let index: Arc<dyn engine::AnnIndex> = Arc::from(builder.build(set));
-            NodeServer::bind(
+            bind_node(
                 &"tcp:127.0.0.1:0".parse::<NodeAddr>().unwrap(),
                 NodeHandler::new(index),
                 2,
             )
-            .expect("bind node")
         })
         .collect();
     let nodes: Vec<NodeAddr> = servers.iter().map(|s| s.addr().clone()).collect();
@@ -310,16 +313,15 @@ fn remote_topology_drives_in_process_nodes() {
     let (base, _, _) = spec.materialize();
     let builder = spec.builder();
     let parts = ShardedIndex::partition(&base, 2, ShardPolicy::RoundRobin);
-    let mut servers: Vec<NodeServer> = parts
+    let mut servers: Vec<EventServer> = parts
         .into_iter()
         .map(|(set, _ids)| {
             let index: Arc<dyn engine::AnnIndex> = Arc::from(builder.build(set));
-            NodeServer::bind(
+            bind_node(
                 &"tcp:127.0.0.1:0".parse::<NodeAddr>().unwrap(),
                 NodeHandler::new(index),
                 2,
             )
-            .expect("bind node")
         })
         .collect();
     let nodes: Vec<NodeAddr> = servers.iter().map(|s| s.addr().clone()).collect();

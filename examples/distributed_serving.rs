@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Spins up real node processes' worth of machinery inside one demo
-//! process: per-shard indexes hosted by [`NodeServer`]s behind TCP
+//! process: per-shard indexes hosted by [`EventServer`]s behind TCP
 //! sockets, a coordinator composing [`RemoteIndex`] clients under the
 //! unchanged `ShardedIndex`/`ReplicaGroup` stack, and a mid-run node
 //! kill that the replica health model routes around with bit-identical
@@ -13,9 +13,13 @@
 //! errors) next to the failover counters.
 
 use hnsw_flash::prelude::*;
-use serving::distributed::{NodeAddr, NodeHandler, NodeServer, RemoteIndex, SocketTransport};
+use serving::distributed::{EventServer, NodeAddr, NodeHandler, RemoteIndex, SocketTransport};
 use std::sync::Arc;
 use std::time::Instant;
+
+#[path = "../tests/support/mod.rs"]
+mod support;
+use support::bind_node;
 
 fn main() {
     let n = 4_000;
@@ -43,19 +47,18 @@ fn main() {
     let t0 = Instant::now();
     let codec = builder.train_codec(&base);
     let parts = ShardedIndex::partition(&base, shards, ShardPolicy::RoundRobin);
-    let mut servers: Vec<Vec<NodeServer>> = Vec::new();
+    let mut servers: Vec<Vec<EventServer>> = Vec::new();
     let mut id_maps: Vec<Vec<u64>> = Vec::new();
     for (set, ids) in parts {
-        let replicas: Vec<NodeServer> = (0..2)
+        let replicas: Vec<EventServer> = (0..2)
             .map(|_| {
                 let index: Arc<dyn AnnIndex> =
                     Arc::from(builder.build_with_codec(set.clone(), &codec));
-                NodeServer::bind(
+                bind_node(
                     &NodeAddr::Tcp("127.0.0.1:0".into()),
                     NodeHandler::new(index),
                     2,
                 )
-                .expect("bind an ephemeral port")
             })
             .collect();
         id_maps.push(ids);

@@ -27,6 +27,9 @@ use serving::FaultKind;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod support;
+use support::bind_node;
+
 /// Exactness setup, identical to `tests/replication.rs`: `EF ≥ N` makes
 /// every connected graph search exhaustive and `K · RERANK ≥ N` reranks
 /// every candidate with full-precision distances, so every index in play
@@ -75,16 +78,15 @@ fn build_parts(
         .collect()
 }
 
-fn tcp_server(index: Arc<dyn AnnIndex>) -> NodeServer {
-    NodeServer::bind(
+fn tcp_server(index: Arc<dyn AnnIndex>) -> EventServer {
+    bind_node(
         &NodeAddr::Tcp("127.0.0.1:0".into()),
         NodeHandler::new(index),
         2,
     )
-    .expect("bind an ephemeral TCP port")
 }
 
-fn remote_over_socket(server: &NodeServer) -> RemoteIndex {
+fn remote_over_socket(server: &EventServer) -> RemoteIndex {
     let transport = SocketTransport::connect(server.addr().clone()).expect("dial the node");
     RemoteIndex::connect(Arc::new(transport)).expect("info handshake")
 }
@@ -182,12 +184,11 @@ fn unix_socket_transport_serves_identically() {
     let index: Arc<dyn AnnIndex> = Arc::from(builder.build(base.clone()));
     let path = std::env::temp_dir().join(format!("hfw-test-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut server = NodeServer::bind(
+    let mut server = bind_node(
         &NodeAddr::Unix(path.clone()),
         NodeHandler::new(Arc::clone(&index)),
         1,
-    )
-    .expect("bind the unix socket");
+    );
     let remote = remote_over_socket(&server);
     assert_eq!(FallibleIndex::len(&remote), n);
     for qi in 0..queries.len() {
@@ -219,7 +220,7 @@ fn node_death_mid_run_fails_over_with_identical_results() {
     // Two identical deterministic builds per shard = two replica nodes.
     let parts_a = build_parts(&base, &builder, shards);
     let parts_b = build_parts(&base, &builder, shards);
-    let mut servers: Vec<Vec<NodeServer>> = Vec::new();
+    let mut servers: Vec<Vec<EventServer>> = Vec::new();
     let mut groups: Vec<Arc<ReplicaGroup>> = Vec::new();
     let fleet_parts: Vec<(Box<dyn AnnIndex>, Vec<u64>)> = parts_a
         .into_iter()
@@ -354,8 +355,7 @@ fn reconnect_accounting_matches_the_scripted_fault_sequence() {
     let path = std::env::temp_dir().join(format!("hfw-reconnect-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let addr = NodeAddr::Unix(path.clone());
-    let mut server =
-        NodeServer::bind(&addr, NodeHandler::new(Arc::clone(&index)), 1).expect("bind the node");
+    let mut server = bind_node(&addr, NodeHandler::new(Arc::clone(&index)), 1);
     let transport = SocketTransport::connect(addr.clone()).expect("dial the node");
     let search = |qi: usize| Message::Search(SearchRequest::new(queries.get(qi).to_vec(), K));
 
@@ -386,7 +386,7 @@ fn reconnect_accounting_matches_the_scripted_fault_sequence() {
     assert_eq!(s.frames_sent, 5, "nothing landed while the node was down");
     assert_eq!(s.frames_received, 5);
 
-    let mut revived = NodeServer::bind(&addr, NodeHandler::new(index), 1).expect("rebind the node");
+    let mut revived = bind_node(&addr, NodeHandler::new(index), 1);
     for qi in 5..8 {
         assert!(
             matches!(transport.exchange(&search(qi)), Ok(Message::SearchOk(_))),
@@ -542,41 +542,32 @@ fn unsettable_deadline_on_a_live_connection_never_goes_silent() {
     server.shutdown();
 }
 
-/// The event-driven front-end is a drop-in for the blocking server: the
-/// same exhaustive queries over the same index return bit-identical hits
-/// through both, and through the brute-force baseline.
+/// The socket server under its **default** admission config returns hits
+/// bit-identical to in-process search of the same index (and to the
+/// brute-force baseline), and healthy load never sheds.
 #[test]
-fn event_server_matches_blocking_server_and_flat() {
+fn event_server_matches_in_process_search() {
     let (base, queries) = dataset(N);
     let flat = FlatIndex::new(base.clone());
     let builder = builder_for(GraphKind::Hnsw, Coding::Sq);
     let index: Arc<dyn AnnIndex> = Arc::from(builder.build(base));
 
-    let mut blocking = tcp_server(Arc::clone(&index));
     let mut event = EventServer::bind(
         &NodeAddr::Tcp("127.0.0.1:0".into()),
         NodeHandler::new(Arc::clone(&index)),
         EventConfig::default(),
     )
     .expect("bind the event server");
-
-    let over_blocking = remote_over_socket(&blocking);
-    let event_transport =
-        SocketTransport::connect(event.addr().clone()).expect("dial the event server");
-    let over_event = RemoteIndex::connect(Arc::new(event_transport)).expect("info handshake");
+    let over_event = remote_over_socket(&event);
 
     for qi in 0..queries.len() {
         let req = exhaustive(queries.get(qi));
-        let want = flat.search(&req).hits;
-        assert_eq!(
-            AnnIndex::search(&over_blocking, &req).hits,
-            want,
-            "q{qi}: blocking != flat"
-        );
+        let want = index.search(&req).hits;
+        assert_eq!(want, flat.search(&req).hits, "q{qi}: in-process != flat");
         assert_eq!(
             AnnIndex::search(&over_event, &req).hits,
             want,
-            "q{qi}: event-driven != flat"
+            "q{qi}: socket-served != in-process"
         );
     }
     let admission = event.admission_stats();
@@ -586,7 +577,6 @@ fn event_server_matches_blocking_server_and_flat() {
     );
     assert!(admission.admitted >= queries.len() as u64);
     event.shutdown();
-    blocking.shutdown();
 }
 
 /// Pipelining correctness: N frames written back-to-back on one
