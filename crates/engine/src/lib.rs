@@ -95,13 +95,18 @@ pub trait AnnIndex: Send + Sync {
     /// Serves one request.
     fn search(&self, request: &SearchRequest) -> SearchResponse;
 
-    /// Serves a batch of requests (default: sequential [`Self::search`]).
+    /// Serves a batch of requests: [`Self::search_batch_timed`] with the
+    /// durations dropped. Provided, not overridden — a layer with its own
+    /// batch path implements the timed method, and this one follows.
     fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        requests.iter().map(|r| self.search(r)).collect()
+        self.search_batch_timed(requests)
+            .into_iter()
+            .map(|(response, _)| response)
+            .collect()
     }
 
-    /// Serves a batch like [`Self::search_batch`], additionally reporting
-    /// each query's **individually measured** execution time.
+    /// Serves a batch of requests, reporting each query's **individually
+    /// measured** execution time.
     ///
     /// This is what latency percentiles must be built from: attributing a
     /// batch's wall-clock divided by its size to every member collapses
@@ -148,10 +153,6 @@ impl<T: AnnIndex + ?Sized> AnnIndex for Arc<T> {
 
     fn search(&self, request: &SearchRequest) -> SearchResponse {
         (**self).search(request)
-    }
-
-    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        (**self).search_batch(requests)
     }
 
     fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {

@@ -6,11 +6,11 @@
 //! [`GraphLayers`] and [`FlatGraph`] a compact little-endian on-disk format
 //! (magic + version + adjacency), dependency-free.
 //!
-//! Two format versions exist. `HFGRAPH1` (legacy) stored nested adjacency
-//! as per-list `len, ids...` records; `HFGRAPH2` mirrors the in-memory CSR
-//! layout — node count, the degree array, then all targets concatenated —
-//! so a load is two bulk reads per layer instead of `n` length-prefixed
-//! ones. Writers emit v2; readers accept both.
+//! The format (`HFGRAPH2`) mirrors the in-memory CSR layout — node count,
+//! the degree array, then all targets concatenated — so a load is two bulk
+//! reads per layer. The pre-CSR nested format (`HFGRAPH1`) is no longer
+//! read: nothing has written it since the CSR refactor, and such a file
+//! fails `load` with an "unsupported graph format version" error.
 //!
 //! Length words come straight from the (possibly corrupt or hostile) file,
 //! so no allocation trusts them: preallocation is capped at
@@ -28,9 +28,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Legacy nested format (read-only since the CSR refactor).
-const MAGIC_V1: &[u8; 8] = b"HFGRAPH1";
-/// Current CSR format.
+/// Magic of the CSR format: the `HFGRAPH` tag plus the version digit.
 const MAGIC_V2: &[u8; 8] = b"HFGRAPH2";
 
 /// Ceiling on elements preallocated from an untrusted length word.
@@ -67,7 +65,7 @@ fn write_csr_adjacency(w: &mut impl Write, rows: &crate::graph::CsrLayer) -> io:
     Ok(())
 }
 
-/// Reads one v2 (CSR-shaped) layer back into nested lists (frozen to CSR
+/// Reads one CSR-shaped layer back into nested lists (frozen to CSR
 /// by the caller). Every edge target is validated against `max_id`.
 fn read_csr_adjacency(r: &mut impl Read, max_id: u32) -> io::Result<Vec<Vec<u32>>> {
     let n = read_u32(r)? as usize;
@@ -94,49 +92,20 @@ fn read_csr_adjacency(r: &mut impl Read, max_id: u32) -> io::Result<Vec<Vec<u32>
     Ok(adj)
 }
 
-/// Reads one legacy v1 (nested) layer: per-list `len, ids...` records.
-fn read_nested_adjacency(r: &mut impl Read, max_id: u32) -> io::Result<Vec<Vec<u32>>> {
-    let n = read_u32(r)? as usize;
-    let mut adj = bounded_vec(n);
-    for _ in 0..n {
-        let len = read_u32(r)? as usize;
-        if len > max_id as usize {
-            return Err(bad("neighbor list longer than the graph"));
-        }
-        let mut list = bounded_vec(len);
-        for _ in 0..len {
-            let id = read_u32(r)?;
-            if id >= max_id {
-                return Err(bad("edge target out of range"));
-            }
-            list.push(id);
-        }
-        adj.push(list);
-    }
-    Ok(adj)
-}
-
-/// On-disk format version, decided by the magic bytes.
-#[derive(Clone, Copy, PartialEq)]
-enum Version {
-    V1,
-    V2,
-}
-
-fn read_magic(r: &mut impl Read) -> io::Result<Version> {
+/// Checks the magic: the `HFGRAPH` tag, then the one supported version.
+fn read_magic(r: &mut impl Read) -> io::Result<()> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    match &magic {
-        m if m == MAGIC_V1 => Ok(Version::V1),
-        m if m == MAGIC_V2 => Ok(Version::V2),
-        _ => Err(bad("not a graph file (bad magic)")),
-    }
-}
-
-fn read_layer(r: &mut impl Read, version: Version, max_id: u32) -> io::Result<Vec<Vec<u32>>> {
-    match version {
-        Version::V1 => read_nested_adjacency(r, max_id),
-        Version::V2 => read_csr_adjacency(r, max_id),
+    if &magic == MAGIC_V2 {
+        Ok(())
+    } else if magic[..7] == MAGIC_V2[..7] {
+        Err(bad(&format!(
+            "unsupported graph format version `{}` (this build reads version 2; \
+             rebuild the index to rewrite the file)",
+            char::from(magic[7])
+        )))
+    } else {
+        Err(bad("not a graph file (bad magic)"))
     }
 }
 
@@ -162,14 +131,14 @@ impl GraphLayers {
         w.flush()
     }
 
-    /// Loads a multi-layer graph from `path` (either format version),
-    /// validating the header and all edge targets.
+    /// Loads a multi-layer graph from `path`, validating the header and
+    /// all edge targets.
     ///
     /// # Errors
     /// Returns an error on I/O failure or a malformed/corrupt file.
     pub fn load(path: &Path) -> io::Result<GraphLayers> {
         let mut r = BufReader::new(File::open(path)?);
-        let version = read_magic(&mut r)?;
+        read_magic(&mut r)?;
         let mut kind = [0u8; 2];
         r.read_exact(&mut kind)?;
         if &kind != b"ML" {
@@ -184,7 +153,7 @@ impl GraphLayers {
         let mut layers = bounded_vec(n_layers);
         let mut n_nodes = u32::MAX;
         for _ in 0..n_layers {
-            let layer = read_layer(&mut r, version, n_nodes)?;
+            let layer = read_csr_adjacency(&mut r, n_nodes)?;
             if n_nodes == u32::MAX {
                 n_nodes = layer.len() as u32; // base layer defines the node count
                 if entry >= n_nodes {
@@ -219,20 +188,20 @@ impl FlatGraph {
         w.flush()
     }
 
-    /// Loads a flat graph from `path` (either format version).
+    /// Loads a flat graph from `path`.
     ///
     /// # Errors
     /// Returns an error on I/O failure or a malformed/corrupt file.
     pub fn load(path: &Path) -> io::Result<FlatGraph> {
         let mut r = BufReader::new(File::open(path)?);
-        let version = read_magic(&mut r)?;
+        read_magic(&mut r)?;
         let mut kind = [0u8; 2];
         r.read_exact(&mut kind)?;
         if &kind != b"FL" {
             return Err(bad("not a flat graph file"));
         }
         let entry = read_u32(&mut r)?;
-        let adj = read_layer(&mut r, version, u32::MAX)?;
+        let adj = read_csr_adjacency(&mut r, u32::MAX)?;
         let n = adj.len() as u32;
         if entry >= n {
             return Err(bad("entry point out of range"));
@@ -267,18 +236,19 @@ mod tests {
         )
     }
 
-    /// Writes `adj` in the retired v1 nested format (the pre-CSR writer).
-    fn v1_flat_bytes(entry: u32, adj: &[Vec<u32>]) -> Vec<u8> {
+    /// A flat-graph file in the current format, written by hand so tests
+    /// can forge any field.
+    fn flat_bytes(entry: u32, adj: &[Vec<u32>]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
+        bytes.extend_from_slice(MAGIC_V2);
         bytes.extend_from_slice(b"FL");
         bytes.extend_from_slice(&entry.to_le_bytes());
         bytes.extend_from_slice(&(adj.len() as u32).to_le_bytes());
         for list in adj {
             bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for &id in list {
-                bytes.extend_from_slice(&id.to_le_bytes());
-            }
+        }
+        for &id in adj.iter().flatten() {
+            bytes.extend_from_slice(&id.to_le_bytes());
         }
         bytes
     }
@@ -306,47 +276,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
-        let path = tmp("v1.graph");
+    fn hand_written_bytes_match_the_writer() {
+        let path = tmp("bytes.graph");
         let adj = vec![vec![1u32, 2], vec![0], vec![]];
-        std::fs::write(&path, v1_flat_bytes(2, &adj)).unwrap();
-        let back = FlatGraph::load(&path).unwrap();
-        assert_eq!(back, FlatGraph::from_nested(&adj, 2));
+        FlatGraph::from_nested(&adj, 2).save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), flat_bytes(2, &adj));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn legacy_v1_layers_roundtrip_through_v2() {
-        // v1 bytes → CSR in memory → v2 bytes → identical graph.
-        let path_v1 = tmp("v1ml.graph");
-        let layers = vec![
-            vec![vec![1u32], vec![0], vec![0, 1]],
-            vec![vec![], vec![2], vec![]],
-        ];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(b"ML");
-        bytes.extend_from_slice(&2u32.to_le_bytes()); // entry
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // max_layer
-        bytes.extend_from_slice(&(layers.len() as u32).to_le_bytes());
-        for layer in &layers {
-            bytes.extend_from_slice(&(layer.len() as u32).to_le_bytes());
-            for list in layer {
-                bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                for &id in list {
-                    bytes.extend_from_slice(&id.to_le_bytes());
-                }
+    fn retired_v1_files_fail_with_an_unsupported_version_error() {
+        let path = tmp("v1.graph");
+        for kind in [b"FL", b"ML"] {
+            // A well-formed pre-CSR file: only the version digit differs
+            // from what `load` accepts, and the error must say so.
+            let mut bytes = b"HFGRAPH1".to_vec();
+            bytes.extend_from_slice(kind);
+            bytes.extend_from_slice(&[0u8; 16]);
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                FlatGraph::load(&path).map(|_| ()).unwrap_err(),
+                GraphLayers::load(&path).map(|_| ()).unwrap_err(),
+            ];
+            for err in errors {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(
+                    err.to_string()
+                        .contains("unsupported graph format version `1`"),
+                    "{err}"
+                );
             }
         }
-        std::fs::write(&path_v1, &bytes).unwrap();
-        let g = GraphLayers::load(&path_v1).unwrap();
-        assert_eq!(g, GraphLayers::from_nested(layers, 2, 1));
-
-        let path_v2 = tmp("v1ml_rewritten.graph");
-        g.save(&path_v2).unwrap();
-        assert_eq!(GraphLayers::load(&path_v2).unwrap(), g);
-        std::fs::remove_file(&path_v1).ok();
-        std::fs::remove_file(&path_v2).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -372,9 +333,8 @@ mod tests {
     #[test]
     fn rejects_out_of_range_edges() {
         let path = tmp("e.graph");
-        // Hand-craft a legacy flat file with an edge to node 9 in a 2-node
-        // graph; the v1 read path must still validate targets.
-        let bytes = v1_flat_bytes(0, &[vec![9], vec![]]);
+        // Hand-craft a flat file with an edge to node 9 in a 2-node graph.
+        let bytes = flat_bytes(0, &[vec![9], vec![]]);
         std::fs::write(&path, &bytes).unwrap();
         assert!(FlatGraph::load(&path).is_err());
         std::fs::remove_file(&path).ok();
@@ -394,26 +354,24 @@ mod tests {
     fn forged_huge_node_count_fails_without_oom() {
         // A 22-byte file claiming u32::MAX nodes: the reader must hit EOF
         // with a clean error instead of preallocating gigabytes.
-        for magic in [MAGIC_V1, MAGIC_V2] {
-            let path = tmp("g.graph");
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(magic);
-            bytes.extend_from_slice(b"FL");
-            bytes.extend_from_slice(&0u32.to_le_bytes()); // entry
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged n
-            bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged len
-            std::fs::write(&path, &bytes).unwrap();
-            let err = FlatGraph::load(&path).unwrap_err();
-            assert!(
-                matches!(
-                    err.kind(),
-                    io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
-                ),
-                "unexpected error kind {:?}",
-                err.kind()
-            );
-            std::fs::remove_file(&path).ok();
-        }
+        let path = tmp("g.graph");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC_V2);
+        bytes.extend_from_slice(b"FL");
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // entry
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged n
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged len
+        std::fs::write(&path, &bytes).unwrap();
+        let err = FlatGraph::load(&path).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::InvalidData
+            ),
+            "unexpected error kind {:?}",
+            err.kind()
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

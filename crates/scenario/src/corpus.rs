@@ -181,13 +181,6 @@ impl AnnIndex for ScenarioCorpus {
         self.search_merged(req)
     }
 
-    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        if self.pristine() {
-            return self.core.search_batch(requests);
-        }
-        requests.iter().map(|r| self.search_merged(r)).collect()
-    }
-
     fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
         if self.pristine() {
             // Pass the whole batch through so a sharded core keeps its

@@ -2,23 +2,14 @@
 //!
 //! [`BatchExecutor`] queues [`SearchRequest`]s, coalesces them into
 //! fixed-size batches, hands each batch to the index's
-//! [`AnnIndex::search_batch`] (which a `ShardedIndex` fans out across its
-//! worker pool), and reports per-query latency plus aggregate QPS through
-//! the `metrics` crate.
-//!
-//! [`AdaptiveBatcher`] generalizes the close condition for online
-//! serving: a batch executes when it reaches `batch_max` requests **or**
-//! when its oldest request has waited `deadline` — whichever comes first
-//! — so bursty traffic gets throughput-sized batches while a trickle is
-//! never parked waiting for company. The event-driven front-end
-//! ([`crate::distributed::EventServer`]) applies the same size-or-deadline
-//! policy to wire requests.
+//! [`AnnIndex::search_batch_timed`] (which a `ShardedIndex` fans out
+//! across its worker pool), and reports per-query latency plus aggregate
+//! QPS through the `metrics` crate.
 
 use engine::{AnnIndex, SearchRequest, SearchResponse};
 use metrics::{latency_summary, LatencySummary, QpsReport};
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default batch size when the caller does not choose one.
 pub const DEFAULT_BATCH_SIZE: usize = 32;
@@ -138,135 +129,6 @@ impl BatchExecutor {
             seconds: t0.elapsed().as_secs_f64(),
         };
         report
-    }
-}
-
-/// Default wait bound before a partial batch executes anyway.
-pub const DEFAULT_BATCH_DEADLINE: Duration = Duration::from_micros(500);
-
-/// A [`BatchExecutor`] whose batches close on size **or** deadline.
-///
-/// Submissions queue with their arrival time; [`Self::tick`] executes the
-/// oldest `batch_max` requests once the queue is full enough or the
-/// oldest has waited past `deadline`, and [`Self::finish`] drains the
-/// rest and returns the same accounting as [`BatchExecutor::run`]
-/// (responses in submission order, per-query latencies, aggregate QPS
-/// measured from the first submission).
-///
-/// ```no_run
-/// # use std::sync::Arc;
-/// # use std::time::Duration;
-/// # use engine::{AnnIndex, SearchRequest};
-/// # use serving::AdaptiveBatcher;
-/// # fn demo(index: Arc<dyn AnnIndex>, incoming: Vec<SearchRequest>) {
-/// let mut batcher = AdaptiveBatcher::new(index)
-///     .batch_max(64)
-///     .deadline(Duration::from_millis(2));
-/// for request in incoming {
-///     batcher.submit(request);
-///     batcher.tick(); // executes only when size or deadline closes a batch
-/// }
-/// let report = batcher.finish();
-/// # }
-/// ```
-pub struct AdaptiveBatcher {
-    index: Arc<dyn AnnIndex>,
-    batch_max: usize,
-    deadline: Duration,
-    queue: VecDeque<(SearchRequest, Instant)>,
-    responses: Vec<SearchResponse>,
-    latencies_ms: Vec<f64>,
-    batches: usize,
-    started: Option<Instant>,
-}
-
-impl AdaptiveBatcher {
-    /// A batcher over `index` with the default size
-    /// ([`DEFAULT_BATCH_SIZE`]) and deadline ([`DEFAULT_BATCH_DEADLINE`]).
-    pub fn new(index: Arc<dyn AnnIndex>) -> Self {
-        Self {
-            index,
-            batch_max: DEFAULT_BATCH_SIZE,
-            deadline: DEFAULT_BATCH_DEADLINE,
-            queue: VecDeque::new(),
-            responses: Vec::new(),
-            latencies_ms: Vec::new(),
-            batches: 0,
-            started: None,
-        }
-    }
-
-    /// Sets the size that closes a batch (clamped to at least 1).
-    pub fn batch_max(mut self, size: usize) -> Self {
-        self.batch_max = size.max(1);
-        self
-    }
-
-    /// Sets the wait bound that closes a partial batch.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Requests waiting for a batch to close.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queues one request, stamping its arrival.
-    pub fn submit(&mut self, request: SearchRequest) {
-        self.started.get_or_insert_with(Instant::now);
-        self.queue.push_back((request, Instant::now()));
-    }
-
-    /// Whether a batch would close right now: the queue holds `batch_max`
-    /// requests, or its oldest has waited at least `deadline`.
-    pub fn ready(&self) -> bool {
-        self.queue.len() >= self.batch_max
-            || self
-                .queue
-                .front()
-                .is_some_and(|(_, arrived)| arrived.elapsed() >= self.deadline)
-    }
-
-    /// Executes one batch if [`Self::ready`]; returns whether it did.
-    /// Call this from the serving loop after each submission (and on
-    /// idle passes, to enforce the deadline).
-    pub fn tick(&mut self) -> bool {
-        if !self.ready() || self.queue.is_empty() {
-            return false;
-        }
-        let take = self.queue.len().min(self.batch_max);
-        self.execute(take);
-        true
-    }
-
-    /// Drains everything still queued (deadline notwithstanding) and
-    /// returns the accumulated accounting.
-    pub fn finish(mut self) -> BatchReport {
-        while !self.queue.is_empty() {
-            let take = self.queue.len().min(self.batch_max);
-            self.execute(take);
-        }
-        let seconds = self.started.map_or(0.0, |t0| t0.elapsed().as_secs_f64());
-        BatchReport {
-            qps: QpsReport {
-                queries: self.responses.len(),
-                seconds,
-            },
-            responses: self.responses,
-            latencies_ms: self.latencies_ms,
-            batches: self.batches,
-        }
-    }
-
-    fn execute(&mut self, take: usize) {
-        let batch: Vec<SearchRequest> = self.queue.drain(..take).map(|(req, _)| req).collect();
-        for (response, took) in self.index.search_batch_timed(&batch) {
-            self.responses.push(response);
-            self.latencies_ms.push(took.as_secs_f64() * 1000.0);
-        }
-        self.batches += 1;
     }
 }
 
@@ -397,75 +259,6 @@ mod tests {
         let sparse = report.latency_of([1, 99]);
         assert_eq!(sparse.samples, 1);
         assert_eq!(report.latency_of([]), LatencySummary::default());
-    }
-
-    #[test]
-    fn adaptive_batcher_closes_on_size() {
-        let (index, base) = flat(40, 4);
-        // A one-hour deadline: only size can close these batches.
-        let mut batcher = AdaptiveBatcher::new(index)
-            .batch_max(4)
-            .deadline(Duration::from_secs(3600));
-        let mut ticks = 0;
-        for qi in 0..10 {
-            batcher.submit(SearchRequest::new(base.get(qi).to_vec(), 3));
-            ticks += usize::from(batcher.tick());
-        }
-        // Two full batches closed inline; two requests still wait.
-        assert_eq!(ticks, 2);
-        assert_eq!(batcher.pending(), 2);
-        assert!(!batcher.ready());
-        let report = batcher.finish();
-        assert_eq!(report.batches, 3); // 4 + 4 + the drained 2
-        assert_eq!(report.responses.len(), 10);
-        for (qi, r) in report.responses.iter().enumerate() {
-            assert_eq!(r.hits[0].id, qi as u64, "submission order preserved");
-        }
-    }
-
-    #[test]
-    fn adaptive_batcher_closes_on_deadline() {
-        let (index, base) = flat(40, 4);
-        // A huge size cap: only the deadline can close this batch.
-        let mut batcher = AdaptiveBatcher::new(index)
-            .batch_max(1_000)
-            .deadline(Duration::from_millis(5));
-        batcher.submit(SearchRequest::new(base.get(0).to_vec(), 3));
-        assert!(!batcher.ready(), "one fresh request must not close");
-        assert!(!batcher.tick());
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(batcher.ready(), "the oldest waited past the deadline");
-        assert!(batcher.tick());
-        assert_eq!(batcher.pending(), 0);
-        let report = batcher.finish();
-        assert_eq!(report.batches, 1);
-        assert_eq!(report.responses.len(), 1);
-    }
-
-    #[test]
-    fn adaptive_batcher_finish_drains_and_accounts() {
-        let (index, base) = flat(40, 4);
-        let mut batcher = AdaptiveBatcher::new(index).batch_max(8);
-        batcher.submit_many(&base, 6);
-        let report = batcher.finish();
-        assert_eq!(report.responses.len(), 6);
-        assert_eq!(report.latencies_ms.len(), 6);
-        assert_eq!(report.qps.queries, 6);
-        assert!(report.qps.seconds > 0.0);
-        // An untouched batcher reports all zeroes.
-        let (index, _) = flat(10, 4);
-        let empty = AdaptiveBatcher::new(index).finish();
-        assert!(empty.responses.is_empty());
-        assert_eq!(empty.batches, 0);
-        assert_eq!(empty.qps.qps(), 0.0);
-    }
-
-    impl AdaptiveBatcher {
-        fn submit_many(&mut self, base: &VectorSet, n: usize) {
-            for qi in 0..n {
-                self.submit(SearchRequest::new(base.get(qi).to_vec(), 3));
-            }
-        }
     }
 
     #[test]

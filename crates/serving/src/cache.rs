@@ -315,14 +315,63 @@ impl CachedIndex {
     pub fn invalidate(&self) {
         self.cache.invalidate_all();
     }
+}
 
-    /// The shared batch path: cache lookups first, then one inner
-    /// `search_batch_timed` call over the deduplicated misses. Each
-    /// query's reported duration is what *it* actually cost — the LRU
+impl AnnIndex for CachedIndex {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn search(&self, req: &SearchRequest) -> SearchResponse {
+        let t0 = Instant::now();
+        let Some(key) = QueryCache::key_of(req) else {
+            self.cache.note_uncacheable();
+            return self.inner.search(req);
+        };
+        if let Some(cached) = self.cache.get(key, req) {
+            if let Some(ctx) = &req.trace {
+                ctx.record_timed(
+                    SpanKind::CacheLookup { hit: true },
+                    t0.elapsed().as_nanos() as u64,
+                );
+            }
+            // A hit does no search work: report an all-zero profile rather
+            // than re-reporting the work the original miss paid.
+            let mut response = (*cached).clone();
+            response.profile = metrics::QueryProfile::new();
+            return response;
+        }
+        if let Some(ctx) = &req.trace {
+            ctx.record_timed(
+                SpanKind::CacheLookup { hit: false },
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        let computed_at = self.cache.generation();
+        let response = self.inner.search(req);
+        self.cache
+            .insert(key, req, computed_at, Arc::new(response.clone()));
+        response
+    }
+
+    /// Batch lookups hit the cache first; the misses (and every
+    /// uncacheable request) are forwarded to the inner index in **one**
+    /// `search_batch_timed` call — preserving a sharded backend's
+    /// cross-request fan-out instead of degrading to per-request scatter
+    /// barriers — with duplicate cacheable misses searched once and fanned
+    /// back out.
+    ///
+    /// Per-query latency through a cache is bimodal by design, and each
+    /// query's reported duration is what *it* actually cost: the LRU
     /// lookup for hits, the lookup plus the inner index's own per-query
     /// measurement for misses (duplicates share the one inner search and
-    /// its measured time).
-    fn run_batch(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
+    /// its measured time) — never both populations averaged into one
+    /// number.
+    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
         let keys: Vec<Option<u64>> = requests.iter().map(QueryCache::key_of).collect();
         let computed_at = self.cache.generation();
         let mut responses: Vec<Option<SearchResponse>> = Vec::with_capacity(requests.len());
@@ -401,69 +450,6 @@ impl CachedIndex {
             .zip(lookups)
             .map(|(r, took)| (r.expect("every request answered"), took))
             .collect()
-    }
-}
-
-impl AnnIndex for CachedIndex {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn search(&self, req: &SearchRequest) -> SearchResponse {
-        let t0 = Instant::now();
-        let Some(key) = QueryCache::key_of(req) else {
-            self.cache.note_uncacheable();
-            return self.inner.search(req);
-        };
-        if let Some(cached) = self.cache.get(key, req) {
-            if let Some(ctx) = &req.trace {
-                ctx.record_timed(
-                    SpanKind::CacheLookup { hit: true },
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
-            // A hit does no search work: report an all-zero profile rather
-            // than re-reporting the work the original miss paid.
-            let mut response = (*cached).clone();
-            response.profile = metrics::QueryProfile::new();
-            return response;
-        }
-        if let Some(ctx) = &req.trace {
-            ctx.record_timed(
-                SpanKind::CacheLookup { hit: false },
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        let computed_at = self.cache.generation();
-        let response = self.inner.search(req);
-        self.cache
-            .insert(key, req, computed_at, Arc::new(response.clone()));
-        response
-    }
-
-    /// Batch lookups hit the cache first; the misses (and every
-    /// uncacheable request) are forwarded to the inner index in **one**
-    /// `search_batch` call — preserving a sharded backend's cross-request
-    /// fan-out instead of degrading to per-request scatter barriers — with
-    /// duplicate cacheable misses searched once and fanned back out.
-    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        self.run_batch(requests)
-            .into_iter()
-            .map(|(response, _)| response)
-            .collect()
-    }
-
-    /// Per-query latency through a cache is bimodal by design: hits cost
-    /// one LRU lookup, misses cost the inner search. The timed batch
-    /// reports exactly that — the lookup time for hits, the inner index's
-    /// own per-query measurement (plus the lookup) for misses — instead of
-    /// averaging both populations into one number.
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
-        self.run_batch(requests)
     }
 
     fn memory_bytes(&self) -> usize {

@@ -1,15 +1,16 @@
-//! The event-driven serving front-end: one readiness loop per thread
-//! multiplexing many client connections, with admission control.
+//! The socket server: one readiness loop per thread multiplexing many
+//! client connections, with admission control.
 //!
-//! [`EventServer`] serves the same [`NodeHandler`] behind the same wire
-//! protocol as the thread-per-connection [`super::NodeServer`], but its
-//! capacity does not stop at `threads` concurrent clients: each loop
+//! [`EventServer`] puts a [`NodeHandler`] behind a listener. Each loop
 //! thread owns a set of **non-blocking** sockets and polls them for
 //! readiness (hand-rolled over `std::net`, in the spirit of the
-//! hand-rolled `WorkerPool` — no mio/tokio), so hundreds of connections
-//! share a handful of threads, and frames **pipeline**: a client may
-//! write N request frames back to back and read N replies, in order,
-//! without waiting for each round trip.
+//! hand-rolled `WorkerPool` — no mio/tokio), so its capacity does not stop
+//! at `threads` concurrent clients: hundreds of connections share a
+//! handful of threads, and frames **pipeline** — a client may write N
+//! request frames back to back and read N replies, in order, without
+//! waiting for each round trip. A strict request/response client (a
+//! coordinator's [`super::SocketTransport`]) is simply a pipeline of
+//! depth 1.
 //!
 //! On top of the loop sit the production-traffic controls
 //! ([`EventConfig`]):
@@ -39,9 +40,7 @@
 
 use super::node::NodeHandler;
 use super::transport::WireStream;
-use super::wire::{
-    ErrorCode, Message, WireFault, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN, WIRE_MAGIC, WIRE_VERSION,
-};
+use super::wire::{frame_bounds, ErrorCode, Message, WireFault};
 use super::{NodeAddr, TransportError};
 use engine::WireError;
 use metrics::{Counter, Gauge, Log2Histogram, MetricsRegistry, SpanKind, TransportCounters};
@@ -255,7 +254,7 @@ impl Conn {
     }
 
     /// Queues one best-effort `BadRequest` answer for an undecodable
-    /// frame and schedules the hang-up, mirroring the blocking path.
+    /// frame and schedules the hang-up.
     fn reject(&mut self, shared: &Shared, error: &WireError) {
         shared.counters.record_error();
         let reply = Message::Error(WireFault {
@@ -379,49 +378,16 @@ impl Conn {
     }
 }
 
-/// Locates one whole frame at the front of `buf`.
+/// Hosts any [`engine::AnnIndex`] (through its [`NodeHandler`]) behind a
+/// socket listener: `threads` readiness loops multiplex all client
+/// connections, pipeline frames per connection, batch adaptively, and
+/// shed overload (see the module docs).
 ///
-/// `Ok(Some(len))` — a full frame of `len` bytes is buffered;
-/// `Ok(None)` — the frame (or its header) is still partial;
-/// `Err` — the bytes can never frame (bad magic/version, oversized
-/// payload), so the connection's framing state is unrecoverable.
-fn frame_bounds(buf: &[u8]) -> Result<Option<usize>, WireError> {
-    if buf.len() >= 2 {
-        let magic = u16::from_le_bytes([buf[0], buf[1]]);
-        if magic != WIRE_MAGIC {
-            return Err(WireError::Malformed(format!(
-                "bad frame magic {magic:#06x} (expected {WIRE_MAGIC:#06x})"
-            )));
-        }
-    }
-    if buf.len() >= 4 {
-        let version = u16::from_le_bytes([buf[2], buf[3]]);
-        if version != WIRE_VERSION {
-            return Err(WireError::Malformed(format!(
-                "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
-            )));
-        }
-    }
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let payload_len = u32::from_le_bytes(buf[13..17].try_into().unwrap()) as usize;
-    if payload_len > MAX_PAYLOAD {
-        return Err(WireError::Malformed(format!(
-            "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-        )));
-    }
-    let total = HEADER_LEN + payload_len + TRAILER_LEN;
-    Ok((buf.len() >= total).then_some(total))
-}
-
-/// Hosts any [`engine::AnnIndex`] behind the same [`NodeHandler`] and
-/// wire protocol as [`super::NodeServer`], but event-driven: `threads`
-/// readiness loops multiplex all client connections, pipeline frames per
-/// connection, batch adaptively, and shed overload (see the module
-/// docs). [`Self::shutdown`] (also run on drop) severs live connections
-/// and joins every loop thread; it never needs a wake-up dial, because
-/// no loop thread ever blocks.
+/// [`Self::shutdown`] (also run on drop) severs live connections — clients
+/// see an I/O error, exactly like a crashed process — and joins every loop
+/// thread; tests and demos use it to kill a node mid-run and watch the
+/// replica layer route around the corpse. No loop thread ever blocks, so
+/// shutdown is bounded by one idle-poll interval on any bind interface.
 pub struct EventServer {
     addr: NodeAddr,
     shutdown: Arc<AtomicBool>,
@@ -436,6 +402,10 @@ pub struct EventServer {
 impl EventServer {
     /// Binds `addr` and starts `config.threads` readiness loops serving
     /// `handler`.
+    ///
+    /// Fails (with the address in the message) if the socket cannot be
+    /// bound — a TCP port in use, or a Unix socket path that already
+    /// exists from a previous run.
     pub fn bind(
         addr: &NodeAddr,
         handler: NodeHandler,
@@ -465,9 +435,18 @@ impl EventServer {
                 )
             }
         };
+        // A Unix bind created the socket file: a failure from here on
+        // must remove it, or every later bind at that path is refused
+        // with "address in use".
+        let fail = |what: &str, e: std::io::Error| {
+            if let Some(path) = &unix_path {
+                let _ = std::fs::remove_file(path);
+            }
+            TransportError::Io(format!("{what} {addr}: {e}"))
+        };
         listener
             .set_nonblocking()
-            .map_err(|e| TransportError::Io(format!("set_nonblocking {addr}: {e}")))?;
+            .map_err(|e| fail("set_nonblocking", e))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::clone(handler.counters());
         let admitted = Arc::new(AtomicU64::new(0));
@@ -493,7 +472,7 @@ impl EventServer {
             listeners.push(
                 listener
                     .try_clone()
-                    .map_err(|e| TransportError::Io(format!("clone listener: {e}")))?,
+                    .map_err(|e| fail("clone listener", e))?,
             );
         }
         listeners.insert(0, listener);
@@ -503,7 +482,7 @@ impl EventServer {
             let handle = std::thread::Builder::new()
                 .name(format!("node-event-{t}"))
                 .spawn(move || event_loop(listener, &shared))
-                .expect("failed to spawn event-loop thread");
+                .expect("failed to spawn node-event thread");
             handles.push(handle);
         }
         Ok(Self {
@@ -550,9 +529,8 @@ impl EventServer {
     }
 
     /// Stops the server: loop threads sever their connections and exit
-    /// within one idle-poll interval, and are joined. No wake-up dial is
-    /// needed (nothing ever blocks), so shutdown is robust on any bind
-    /// interface. Idempotent.
+    /// within one idle-poll interval, and are joined; a Unix socket file
+    /// is removed. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -644,28 +622,6 @@ fn event_loop(listener: EventListener, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_bounds_finds_whole_frames_and_rejects_garbage() {
-        let frame = Message::InfoRequest.encode().unwrap();
-        assert_eq!(frame_bounds(&frame), Ok(Some(frame.len())));
-        // Two frames back to back: the first's bounds are reported.
-        let mut two = frame.clone();
-        two.extend_from_slice(&frame);
-        assert_eq!(frame_bounds(&two), Ok(Some(frame.len())));
-        // Every strict prefix is "need more", never an error.
-        for cut in 0..frame.len() {
-            assert_eq!(frame_bounds(&frame[..cut]), Ok(None), "cut at {cut}");
-        }
-        // Garbage magic fails immediately — two bytes are enough.
-        assert!(frame_bounds(&[0xFF, 0xFF]).is_err());
-        let mut bad_version = frame.clone();
-        bad_version[2] = 0x7F;
-        assert!(frame_bounds(&bad_version).is_err());
-        let mut oversized = frame;
-        oversized[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(frame_bounds(&oversized).is_err());
-    }
 
     #[test]
     fn default_config_is_sane() {

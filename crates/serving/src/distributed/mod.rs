@@ -9,23 +9,24 @@
 //! * [`wire`] — a versioned, checksummed, length-prefixed frame codec
 //!   over the `engine::wire` payload encoding ([`Message`]): search
 //!   requests/responses, node info, and structured error frames, all
-//!   explicit little-endian;
+//!   explicit little-endian; [`wire::frame_bounds`] is the one reader of
+//!   the frame header, shared by the decoder, the blocking client read
+//!   and the server's readiness loop;
 //! * [`Transport`] — one blocking `exchange(request) -> response` trait
 //!   with two offline-capable implementations: [`LoopbackTransport`]
 //!   (in-memory, deterministic, fault-injectable via [`crate::fault`] —
 //!   every call still round-trips the codec both ways) and
 //!   [`SocketTransport`] (`UnixStream` or `TcpStream`, persistent
 //!   connection with reconnect-on-failure and optional deadlines);
-//! * [`NodeServer`] — hosts any [`engine::AnnIndex`] behind a listener:
-//!   an accept loop feeding a fixed worker-thread pool, one connection
-//!   per coordinator client, clean shutdown (used to kill nodes mid-run
-//!   in tests and demos);
-//! * [`EventServer`] — the event-driven alternative to [`NodeServer`]:
-//!   a hand-rolled readiness loop over non-blocking sockets multiplexes
-//!   many connections per thread, pipelines frames per connection, and
-//!   layers admission control on top ([`EventConfig`]: adaptive
-//!   batching, per-client quotas with backpressure, and deadline-aware
-//!   load shedding answered as [`ErrorCode::Overloaded`]);
+//! * [`EventServer`] — the socket server: hosts any [`engine::AnnIndex`]
+//!   (through a [`NodeHandler`]) behind a listener. A hand-rolled
+//!   readiness loop over non-blocking sockets multiplexes many connections
+//!   per thread, pipelines frames per connection (a strict
+//!   request/response client is a pipeline of depth 1), and layers
+//!   admission control on top ([`EventConfig`]: adaptive batching,
+//!   per-client quotas with backpressure, and deadline-aware load shedding
+//!   answered as [`ErrorCode::Overloaded`]); clean shutdown severs live
+//!   connections (used to kill nodes mid-run in tests and demos);
 //! * [`RemoteIndex`] — the coordinator-side client. It implements
 //!   **both** [`engine::AnnIndex`] and [`crate::FallibleIndex`], so a
 //!   remote node slots into the existing serving stack unchanged: put
@@ -70,7 +71,7 @@ mod transport;
 pub mod wire;
 
 pub use event::{AdmissionStats, EventConfig, EventServer};
-pub use node::{NodeHandler, NodeServer};
+pub use node::NodeHandler;
 pub use remote::RemoteIndex;
 pub use scrape::ScrapeServer;
 pub use transport::{LoopbackTransport, SocketTransport, Transport};

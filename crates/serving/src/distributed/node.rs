@@ -1,26 +1,18 @@
-//! The node side: request handling and the socket server.
+//! The node side: request handling.
 //!
 //! A node is deliberately dumb — it owns one index and answers one
-//! request at a time per connection. Placement, retries, health, and
-//! caching are coordinator concerns; keeping the node stateless is what
-//! lets the coordinator treat remote and in-process shards identically.
+//! message at a time. Placement, retries, health, and caching are
+//! coordinator concerns; keeping the node stateless is what lets the
+//! coordinator treat remote and in-process shards identically. Whatever
+//! carries the frames ([`super::EventServer`] over sockets,
+//! [`super::LoopbackTransport`] in process) calls [`NodeHandler::handle`].
 
-use super::transport::WireStream;
-use super::wire::{
-    read_message, write_message, ErrorCode, Message, NodeInfo, NodeStats, WireFault,
-};
-use super::{NodeAddr, TransportError};
+use super::wire::{ErrorCode, Message, NodeInfo, NodeStats, WireFault};
 use crate::fault::{FallibleIndex, FaultPlan, FaultyIndex};
-use crate::pool::WorkerPool;
 use engine::AnnIndex;
-use metrics::{SpanRing, TransportCounters, TransportStats};
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use metrics::{SpanRing, TransportCounters};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Spans a node retains for [`Message::StatsRequest`] scrapes before the
 /// oldest are overwritten.
@@ -35,7 +27,7 @@ const NODE_SPAN_RING_CAPACITY: usize = 4096;
 /// and retry on the coordinator.
 ///
 /// The handler also owns the node's observability state — the transport
-/// counters every serving surface ([`NodeServer`],
+/// counters every serving surface ([`super::EventServer`],
 /// [`super::LoopbackTransport`]) records into, the request counter, the
 /// data generation, and the span ring — so a [`Message::StatsRequest`]
 /// snapshot is answered from one coherent place and matches what the
@@ -117,7 +109,7 @@ impl NodeHandler {
 
     /// Answers one message. Never panics outward: an index panic becomes
     /// an `Internal` error frame, so one byzantine request cannot take a
-    /// server worker down.
+    /// server thread down.
     pub fn handle(&self, message: Message) -> Message {
         match message {
             Message::Search(request) => {
@@ -147,291 +139,4 @@ impl NodeHandler {
             }),
         }
     }
-}
-
-/// Either listener family.
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<WireStream> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                // Framed RPC: Nagle + delayed ACK would hold small reply
-                // frames for up to 40ms.
-                s.set_nodelay(true).ok();
-                WireStream::Tcp(s)
-            }),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| WireStream::Unix(s)),
-        }
-    }
-}
-
-/// Hosts any [`AnnIndex`] behind a socket listener: an accept loop hands
-/// each client connection to a fixed pool of worker threads, each worker
-/// serving its connection's frames until the client hangs up.
-///
-/// `threads` bounds the **concurrent client connections** (a
-/// coordinator's [`super::SocketTransport`] holds one persistent
-/// connection each); extra connections queue until a worker frees up.
-///
-/// [`Self::shutdown`] (also run on drop) severs live connections and
-/// stops the accept loop — tests and demos use it to kill a node mid-run
-/// and watch the replica layer route around the corpse.
-pub struct NodeServer {
-    addr: NodeAddr,
-    handler: Arc<NodeHandler>,
-    shutdown: Arc<AtomicBool>,
-    /// Live connections by id; entries are pruned when their serve loop
-    /// exits, and drained (severed) by [`Self::shutdown`]. The lock also
-    /// orders accept-side registration against shutdown: the flag flips
-    /// under it, so a connection is either registered (and gets severed)
-    /// or observes the flag and is discarded — never silently kept.
-    conns: Arc<Mutex<Vec<(u64, WireStream)>>>,
-    accept: Option<JoinHandle<()>>,
-    counters: Arc<TransportCounters>,
-    unix_path: Option<PathBuf>,
-}
-
-impl NodeServer {
-    /// Binds `addr` and starts serving `handler` on `threads` connection
-    /// workers.
-    ///
-    /// Fails (with the address in the message) if the socket cannot be
-    /// bound — a TCP port in use, or a Unix socket path that already
-    /// exists from a previous run.
-    pub fn bind(
-        addr: &NodeAddr,
-        handler: NodeHandler,
-        threads: usize,
-    ) -> Result<Self, TransportError> {
-        let (listener, bound_addr, unix_path) = match addr {
-            NodeAddr::Tcp(a) => {
-                let listener = TcpListener::bind(a.as_str())
-                    .map_err(|e| TransportError::Io(format!("bind {addr}: {e}")))?;
-                // Port 0 resolves to a real port at bind time; report it.
-                let local = listener
-                    .local_addr()
-                    .map_err(|e| TransportError::Io(format!("local_addr {addr}: {e}")))?;
-                (
-                    Listener::Tcp(listener),
-                    NodeAddr::Tcp(local.to_string()),
-                    None,
-                )
-            }
-            #[cfg(unix)]
-            NodeAddr::Unix(path) => {
-                let listener = UnixListener::bind(path)
-                    .map_err(|e| TransportError::Io(format!("bind {addr}: {e}")))?;
-                (Listener::Unix(listener), addr.clone(), Some(path.clone()))
-            }
-        };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<(u64, WireStream)>>> = Arc::new(Mutex::new(Vec::new()));
-        // The server counts frames into the handler's own counters, so a
-        // StatsRequest scrape and Self::stats() answer from one ledger.
-        let counters = Arc::clone(handler.counters());
-        let handler = Arc::new(handler);
-        let handler_handle = Arc::clone(&handler);
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let counters = Arc::clone(&counters);
-            std::thread::Builder::new()
-                .name("node-accept".into())
-                .spawn(move || {
-                    // The pool lives (and joins) inside the accept thread:
-                    // when the loop exits, dropping it waits for every
-                    // connection worker, whose streams shutdown() severed.
-                    let pool = WorkerPool::new(threads);
-                    let mut next_id: u64 = 0;
-                    loop {
-                        let stream = match listener.accept() {
-                            Ok(stream) => stream,
-                            Err(_) => {
-                                if shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                // A persistent accept error (fd
-                                // exhaustion) must not busy-spin a core.
-                                std::thread::sleep(std::time::Duration::from_millis(10));
-                                continue;
-                            }
-                        };
-                        // Register under the lock, re-checking the flag
-                        // there: shutdown() flips it under the same lock,
-                        // so this connection is either in the registry
-                        // (and will be severed) or discarded here.
-                        {
-                            let mut registry = conns.lock().unwrap();
-                            if shutdown.load(Ordering::Acquire) {
-                                stream.shutdown();
-                                break; // the wake-up dial, or a late client
-                            }
-                            match stream.try_clone() {
-                                Ok(clone) => registry.push((next_id, clone)),
-                                Err(_) => {
-                                    // An unregistered connection could
-                                    // never be severed by shutdown();
-                                    // refuse it rather than serve it.
-                                    stream.shutdown();
-                                    continue;
-                                }
-                            }
-                        }
-                        let id = next_id;
-                        next_id += 1;
-                        let handler = Arc::clone(&handler);
-                        let counters = Arc::clone(&counters);
-                        let conns = Arc::clone(&conns);
-                        pool.execute(move || {
-                            serve_connection(stream, &handler, &counters);
-                            // Prune the registry entry so long-lived nodes
-                            // don't leak one fd per past connection.
-                            conns.lock().unwrap().retain(|(i, _)| *i != id);
-                        });
-                    }
-                })
-                .expect("failed to spawn node accept thread")
-        };
-        Ok(Self {
-            addr: bound_addr,
-            handler: handler_handle,
-            shutdown,
-            conns,
-            accept: Some(accept),
-            counters,
-            unix_path,
-        })
-    }
-
-    /// The hosted handler (what a [`super::ScrapeServer`] answers `/varz`
-    /// from).
-    pub fn handler(&self) -> &Arc<NodeHandler> {
-        &self.handler
-    }
-
-    /// The bound address (with TCP port 0 resolved to the real port) —
-    /// what clients dial.
-    pub fn addr(&self) -> &NodeAddr {
-        &self.addr
-    }
-
-    /// Server-side frame/byte counters.
-    pub fn stats(&self) -> TransportStats {
-        self.counters.snapshot()
-    }
-
-    /// Stops the node: no new connections are accepted, live connections
-    /// are severed mid-stream (clients see an I/O error, exactly like a
-    /// crashed process), and every server thread is joined. Idempotent.
-    pub fn shutdown(&mut self) {
-        {
-            // Flip the flag and sever under the registry lock, so a
-            // connection the accept thread is registering concurrently is
-            // either drained here or discarded there (see `conns`).
-            let mut registry = self.conns.lock().unwrap();
-            if self.shutdown.swap(true, Ordering::AcqRel) {
-                return;
-            }
-            for (_, conn) in registry.drain(..) {
-                conn.shutdown();
-            }
-        }
-        // Unblock the accept loop with one throwaway connection.
-        let wake = match &self.addr {
-            NodeAddr::Tcp(a) => {
-                // An any-interface bind is not dialable as written.
-                let dialable = a.replace("0.0.0.0", "127.0.0.1").replace("[::]", "[::1]");
-                NodeAddr::Tcp(dialable)
-            }
-            #[cfg(unix)]
-            NodeAddr::Unix(path) => NodeAddr::Unix(path.clone()),
-        };
-        let woke = WireStream::connect(&wake).is_ok();
-        if let Some(accept) = self.accept.take() {
-            if woke {
-                let _ = accept.join();
-            }
-            // If the wake-up dial failed (a non-dialable bind interface,
-            // or the listener fd already torn down), the accept thread is
-            // parked in accept() with no frame ever reaching it — joining
-            // would hang forever. The flag is set and every registered
-            // connection is severed, so the thread exits on its next
-            // accept return; detaching it is safe and shutdown stays
-            // bounded.
-        }
-        if let Some(path) = self.unix_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Drop for NodeServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One connection's serve loop: frames in, frames out, until the client
-/// hangs up or the stream errors (shutdown severs it).
-fn serve_connection(mut stream: WireStream, handler: &NodeHandler, counters: &TransportCounters) {
-    loop {
-        let (message, trace_id, received) = match read_message(&mut stream) {
-            Ok(Some((message, trace_id, received))) => {
-                counters.record_received(received as u64);
-                (message, trace_id, received)
-            }
-            Ok(None) => break, // client hung up cleanly
-            Err(e) => {
-                // An undecodable frame gets one best-effort error answer;
-                // framing state is unrecoverable either way, so hang up.
-                if let TransportError::Wire(wire) = e {
-                    counters.record_error();
-                    let reply = Message::Error(WireFault {
-                        code: ErrorCode::BadRequest,
-                        message: wire.to_string(),
-                    });
-                    // An undecodable frame has no recoverable trace id;
-                    // answer untraced. The reply that lands is a frame on
-                    // the wire like any other: count it, or the node's
-                    // ledger stops reconciling with the coordinator's.
-                    if let Ok(sent) = write_message(&mut stream, &reply, 0) {
-                        counters.record_sent(sent as u64);
-                    }
-                } else {
-                    counters.record_error();
-                }
-                break;
-            }
-        };
-        let reply = handler.handle(message);
-        // The reply echoes the request's trace id, stitching this
-        // exchange to the coordinator's trace.
-        match write_message(&mut stream, &reply, trace_id) {
-            Ok(sent) => {
-                counters.record_sent(sent as u64);
-                if trace_id != 0 {
-                    handler.ring().record(
-                        trace_id,
-                        None,
-                        metrics::SpanKind::WireExchange {
-                            bytes_out: sent as u64,
-                            bytes_in: received as u64,
-                        },
-                        0,
-                    );
-                }
-            }
-            Err(_) => {
-                counters.record_error();
-                break;
-            }
-        }
-    }
-    stream.shutdown();
 }

@@ -1,8 +1,10 @@
 //! The observability scrape plane: a minimal HTTP responder next to the
-//! wire-protocol servers.
+//! wire-protocol server.
 //!
-//! [`ScrapeServer`] binds its own TCP listener and answers exactly three
-//! GET paths:
+//! [`ScrapeServer`] binds its own TCP listener — it shares no logic with
+//! frame serving, and folding an HTTP state machine into
+//! [`super::EventServer`]'s readiness loop would make the hot loop branch
+//! on protocol — and answers exactly three GET paths:
 //!
 //! * `/metrics` — the global [`MetricsRegistry`] rendered as OpenMetrics
 //!   text exposition (counters, gauges, log₂ histograms as cumulative
@@ -16,8 +18,8 @@
 //! The responder is hand-rolled over `std::net` in the same
 //! readiness-loop style as [`super::EventServer`]: one thread, a
 //! non-blocking listener, and short read timeouts on accepted
-//! connections, so shutdown never needs a wake-up dial and a stalled
-//! scraper cannot wedge the server. Anything that is not a well-formed
+//! connections, so shutdown never waits on a blocked `accept` and a
+//! stalled scraper cannot wedge the server. Anything that is not a well-formed
 //! `GET` of a known path gets a plain `404`/`405` and the connection is
 //! closed — this is a scrape endpoint, not a web framework.
 

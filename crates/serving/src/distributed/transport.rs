@@ -165,7 +165,7 @@ impl WireStream {
     }
 
     /// Switches the stream between blocking and readiness-loop mode (the
-    /// event-driven front-end polls with `WouldBlock`).
+    /// socket server polls with `WouldBlock`).
     pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
             WireStream::Tcp(s) => s.set_nonblocking(nonblocking),
@@ -174,16 +174,7 @@ impl WireStream {
         }
     }
 
-    /// A second handle to the same connection (for out-of-band shutdown).
-    pub(crate) fn try_clone(&self) -> std::io::Result<Self> {
-        match self {
-            WireStream::Tcp(s) => s.try_clone().map(WireStream::Tcp),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.try_clone().map(WireStream::Unix),
-        }
-    }
-
-    /// Severs both directions; blocked reads on any clone return.
+    /// Severs both directions.
     pub(crate) fn shutdown(&self) {
         let _ = match self {
             WireStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),

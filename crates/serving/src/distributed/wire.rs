@@ -319,35 +319,22 @@ impl Message {
     /// message, its header trace id, and the bytes consumed (a stream
     /// may hold several frames).
     pub fn decode_traced(bytes: &[u8]) -> Result<(Message, u64, usize), WireError> {
-        let mut r = WireReader::new(bytes);
-        let magic = r.get_u16()?;
-        if magic != WIRE_MAGIC {
-            return Err(WireError::Malformed(format!(
-                "bad frame magic {magic:#06x} (expected {WIRE_MAGIC:#06x})"
-            )));
-        }
-        let version = r.get_u16()?;
-        if version != WIRE_VERSION {
-            return Err(WireError::Malformed(format!(
-                "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
-            )));
-        }
-        let kind = r.get_u8()?;
-        let trace_id = r.get_u64()?;
-        let payload_len = r.get_u32()? as usize;
-        if payload_len > MAX_PAYLOAD {
-            return Err(WireError::Malformed(format!(
-                "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-            )));
-        }
-        let payload = r.get_bytes(payload_len)?;
-        let checksum = r.get_u64()?;
+        let consumed = frame_bounds(bytes)?.ok_or(WireError::Truncated {
+            needed: HEADER_LEN.max(bytes.len() + 1),
+            have: bytes.len(),
+        })?;
+        // `frame_bounds` vouched for magic, version and length; what is
+        // left of the header is the kind byte and the trace id.
+        let kind = bytes[4];
+        let trace_id = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
+        let (payload, trailer) =
+            bytes[HEADER_LEN..consumed].split_at(consumed - HEADER_LEN - TRAILER_LEN);
+        let checksum = u64::from_le_bytes(trailer.try_into().expect("TRAILER_LEN bytes"));
         if checksum != fnv1a_64(payload) {
             return Err(WireError::Malformed(
                 "frame checksum mismatch (corrupt payload)".into(),
             ));
         }
-        let consumed = r.consumed();
         let mut p = WireReader::new(payload);
         let message = match kind {
             0 => Message::Search(decode_request(&mut p)?),
@@ -412,6 +399,50 @@ impl Message {
     }
 }
 
+/// The total length the frame at the front of `buf` declares, once its
+/// whole header is buffered (`Ok(None)` before that) — the one place that
+/// reads magic, version and payload length. Magic and version are checked
+/// as soon as their bytes are present, so garbage fails on its first two
+/// bytes instead of waiting for a header that will never complete.
+fn declared_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    if buf.len() >= 2 {
+        let magic = u16::from_le_bytes([buf[0], buf[1]]);
+        if magic != WIRE_MAGIC {
+            return Err(WireError::Malformed(format!(
+                "bad frame magic {magic:#06x} (expected {WIRE_MAGIC:#06x})"
+            )));
+        }
+    }
+    if buf.len() >= 4 {
+        let version = u16::from_le_bytes([buf[2], buf[3]]);
+        if version != WIRE_VERSION {
+            return Err(WireError::Malformed(format!(
+                "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
+            )));
+        }
+    }
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let payload_len = u32::from_le_bytes(buf[13..17].try_into().expect("4 bytes")) as usize;
+    if payload_len > MAX_PAYLOAD {
+        return Err(WireError::Malformed(format!(
+            "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
+        )));
+    }
+    Ok(Some(HEADER_LEN + payload_len + TRAILER_LEN))
+}
+
+/// Locates one whole frame at the front of `buf`.
+///
+/// `Ok(Some(len))` — a full frame of `len` bytes is buffered;
+/// `Ok(None)` — the frame (or its header) is still partial;
+/// `Err` — the bytes can never frame (bad magic/version, oversized
+/// payload), so the stream's framing state is unrecoverable.
+pub fn frame_bounds(buf: &[u8]) -> Result<Option<usize>, WireError> {
+    Ok(declared_frame_len(buf)?.filter(|&total| buf.len() >= total))
+}
+
 /// Writes one message as a frame carrying `trace_id` (`0` = untraced),
 /// returning the bytes put on the wire.
 pub fn write_message(
@@ -447,16 +478,11 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<(Message, u64, usize)>, 
         }
         filled += n;
     }
-    // The declared payload length drives the rest of the read.
-    let payload_len = u32::from_le_bytes(header[13..17].try_into().unwrap()) as usize;
-    if payload_len > MAX_PAYLOAD {
-        return Err(TransportError::Wire(WireError::Malformed(format!(
-            "payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-        ))));
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload_len + TRAILER_LEN);
+    // The declared length drives the rest of the read.
+    let total = declared_frame_len(&header)?.expect("a whole header declares its frame length");
+    let mut frame = Vec::with_capacity(total);
     frame.extend_from_slice(&header);
-    frame.resize(HEADER_LEN + payload_len + TRAILER_LEN, 0);
+    frame.resize(total, 0);
     r.read_exact(&mut frame[HEADER_LEN..])
         .map_err(|e| TransportError::from_io("read frame body", &e))?;
     let (message, trace_id, consumed) = Message::decode_traced(&frame)?;
@@ -480,6 +506,7 @@ pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use graphs::Hit;
+    use proptest::prelude::*;
 
     fn roundtrip(message: &Message) -> Message {
         let bytes = message.encode().unwrap();
@@ -687,5 +714,101 @@ mod tests {
         };
         assert_eq!(fault.code, ErrorCode::Overloaded);
         assert_eq!(fault.message, "shed after 12ms in queue");
+    }
+
+    #[test]
+    fn frame_bounds_finds_whole_frames_and_rejects_garbage() {
+        let frame = Message::InfoRequest.encode().unwrap();
+        assert_eq!(frame_bounds(&frame), Ok(Some(frame.len())));
+        // Two frames back to back: the first's bounds are reported.
+        let mut two = frame.clone();
+        two.extend_from_slice(&frame);
+        assert_eq!(frame_bounds(&two), Ok(Some(frame.len())));
+        // Every strict prefix is "need more", never an error.
+        for cut in 0..frame.len() {
+            assert_eq!(frame_bounds(&frame[..cut]), Ok(None), "cut at {cut}");
+        }
+        // Garbage magic fails immediately — two bytes are enough.
+        assert!(frame_bounds(&[0xFF, 0xFF]).is_err());
+        let mut bad_version = frame.clone();
+        bad_version[2] = 0x7F;
+        assert!(frame_bounds(&bad_version).is_err());
+        let mut oversized = frame;
+        oversized[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(frame_bounds(&oversized).is_err());
+    }
+
+    /// The three readers of a frame header — the readiness loop's
+    /// `frame_bounds`, the buffer decoder and the blocking stream read —
+    /// must reject `bytes` with one and the same error.
+    fn rejected_alike(bytes: &[u8]) -> Result<WireError, TestCaseError> {
+        let framing = frame_bounds(bytes).expect_err("frame_bounds must reject");
+        let decoding = Message::decode_traced(bytes).expect_err("decode_traced must reject");
+        let reading = match read_message(&mut std::io::Cursor::new(bytes)) {
+            Err(TransportError::Wire(e)) => e,
+            other => {
+                return Err(TestCaseError::fail(format!(
+                    "read_message must reject with a wire error, got {other:?}"
+                )))
+            }
+        };
+        prop_assert_eq!(framing.to_string(), decoding.to_string());
+        prop_assert_eq!(framing.to_string(), reading.to_string());
+        Ok(framing)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One framing truth: for arbitrary messages and trace ids, every
+        /// strict prefix is "need more", the whole frame's bounds equal
+        /// what `decode_traced` consumes and `read_message` reads, and a
+        /// bad magic, version or length is rejected identically by all
+        /// three header readers.
+        #[test]
+        fn framing_agrees_across_every_header_reader(
+            query_bits in proptest::collection::vec(any::<u32>(), 0..12),
+            ids in proptest::collection::vec(any::<u64>(), 0..10),
+            text_len in 0usize..40,
+            trace_id in any::<u64>(),
+            flip in 1u16..=u16::MAX,
+            excess in 1u32..1024,
+        ) {
+            let query: Vec<f32> = query_bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let hits = ids.iter().map(|&id| Hit { id, dist: id as f32 }).collect();
+            for message in [
+                Message::Search(SearchRequest::new(query, 5).ef(64)),
+                Message::SearchOk(SearchResponse::from_hits(hits)),
+                Message::Error(WireFault {
+                    code: ErrorCode::Overloaded,
+                    message: "x".repeat(text_len),
+                }),
+                Message::InfoRequest,
+                Message::InfoResponse(sample_info()),
+                Message::StatsRequest,
+            ] {
+                let frame = message.encode_traced(trace_id).unwrap();
+                for cut in 0..frame.len() {
+                    prop_assert_eq!(frame_bounds(&frame[..cut]), Ok(None), "cut at {}", cut);
+                }
+                prop_assert_eq!(frame_bounds(&frame), Ok(Some(frame.len())));
+                let (_, decoded_trace, consumed) = Message::decode_traced(&frame).unwrap();
+                prop_assert_eq!((decoded_trace, consumed), (trace_id, frame.len()));
+                let (_, read_trace, read) = read_message(&mut std::io::Cursor::new(&frame))
+                    .unwrap()
+                    .unwrap();
+                prop_assert_eq!((read_trace, read), (trace_id, frame.len()));
+
+                let mut bad_magic = frame.clone();
+                bad_magic[..2].copy_from_slice(&(WIRE_MAGIC ^ flip).to_le_bytes());
+                prop_assert!(rejected_alike(&bad_magic)?.to_string().contains("magic"));
+                let mut bad_version = frame.clone();
+                bad_version[2..4].copy_from_slice(&(WIRE_VERSION ^ flip).to_le_bytes());
+                prop_assert!(rejected_alike(&bad_version)?.to_string().contains("version"));
+                let mut oversized = frame;
+                oversized[13..17].copy_from_slice(&(MAX_PAYLOAD as u32 + excess).to_le_bytes());
+                prop_assert!(rejected_alike(&oversized)?.to_string().contains("cap"));
+            }
+        }
     }
 }

@@ -12,10 +12,10 @@
 //!   globally-ordered `(dist, id)` top-k with local→global id remapping.
 //!   `ShardedIndex` implements `AnnIndex` itself, so it nests under the
 //!   other two layers;
-//! * [`BatchExecutor`] / [`AdaptiveBatcher`] — queue requests, coalesce
-//!   them into batches (fixed-size, or closed on size-**or**-deadline for
-//!   online traffic), and report per-query latency percentiles plus
-//!   aggregate QPS via `metrics`;
+//! * [`BatchExecutor`] — queue requests, coalesce them into fixed-size
+//!   batches, and report per-query latency percentiles plus aggregate QPS
+//!   via `metrics` (the size-**or**-deadline batch close for online
+//!   traffic lives on the wire, in [`EventServer`]);
 //! * [`QueryCache`] / [`CachedIndex`] — an LRU (the generic
 //!   `cachesim::Lru`) over canonical request hashes, with lazy
 //!   generation-based invalidation driven by mutating indexes
@@ -33,10 +33,10 @@
 //!   failover path;
 //! * [`distributed`] — shards and replicas in **other processes**: a
 //!   versioned length-prefixed wire protocol, an in-memory loopback and a
-//!   Unix/TCP socket [`distributed::Transport`], a [`NodeServer`] hosting
-//!   any `AnnIndex` behind a listener thread pool (or an [`EventServer`]
-//!   multiplexing many pipelined connections per thread with admission
-//!   control), and a [`RemoteIndex`] client implementing both `AnnIndex`
+//!   Unix/TCP socket [`distributed::Transport`], one socket server
+//!   ([`EventServer`]: readiness loops multiplexing many pipelined
+//!   connections per thread, with admission control) hosting any
+//!   `AnnIndex`, and a [`RemoteIndex`] client implementing both `AnnIndex`
 //!   *and* [`FallibleIndex`] — so remote nodes compose under the
 //!   sharded/replicated/cached stack unchanged, mark-down and probed
 //!   recovery included.
@@ -71,13 +71,11 @@ mod pool;
 mod replica;
 mod shard;
 
-pub use batch::{
-    AdaptiveBatcher, BatchExecutor, BatchReport, DEFAULT_BATCH_DEADLINE, DEFAULT_BATCH_SIZE,
-};
+pub use batch::{BatchExecutor, BatchReport, DEFAULT_BATCH_SIZE};
 pub use cache::{CachedIndex, QueryCache, QueryCacheStats};
 pub use distributed::{
     AdmissionStats, EventConfig, EventServer, LoopbackTransport, NodeAddr, NodeHandler, NodeInfo,
-    NodeServer, NodeStats, RemoteIndex, SocketTransport, Transport, TransportError,
+    NodeStats, RemoteIndex, SocketTransport, Transport, TransportError,
 };
 pub use fault::{FallibleIndex, FaultAction, FaultError, FaultKind, FaultPlan, FaultyIndex};
 pub use pool::WorkerPool;

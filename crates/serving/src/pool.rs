@@ -64,11 +64,11 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Enqueues one fire-and-forget job.
+    /// Enqueues one fire-and-forget job ([`Self::run`] is the surface).
     ///
     /// # Panics
     /// Panics if every worker has died (only possible after a job panic).
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
             .as_ref()
             .expect("pool is live until dropped")

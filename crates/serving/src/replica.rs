@@ -693,10 +693,6 @@ impl AnnIndex for ReplicatedIndex {
         self.sharded.search(request)
     }
 
-    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        self.sharded.search_batch(requests)
-    }
-
     fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
         self.sharded.search_batch_timed(requests)
     }

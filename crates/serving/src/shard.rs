@@ -375,38 +375,7 @@ impl AnnIndex for ShardedIndex {
 
     /// Batch execution scatters the full `(request × shard)` grid at once —
     /// one flat job list keeps every worker busy across request boundaries
-    /// (no per-request barrier) while the gather stays per-request.
-    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        let n_shards = self.shards.len();
-        let jobs: Vec<_> = requests
-            .iter()
-            .flat_map(|req| {
-                if let Some(ctx) = &req.trace {
-                    ctx.record(SpanKind::ShardFanout {
-                        shards: n_shards as u64,
-                    });
-                }
-                (0..n_shards).map(move |s| {
-                    let index = Arc::clone(&self.shards[s].index);
-                    let shard_req = self.shard_request(s, req);
-                    move || index.search(&shard_req)
-                })
-            })
-            .collect();
-        let mut flat = self.pool.run(jobs).into_iter();
-        requests
-            .iter()
-            .map(|req| {
-                let per_shard: Vec<SearchResponse> = (&mut flat).take(n_shards).collect();
-                let t0 = Instant::now();
-                let merged = self.gather(per_shard, req.k).unwrap_or_else(|e| e.abort());
-                self.record_gather(req, &merged, t0.elapsed());
-                merged
-            })
-            .collect()
-    }
-
-    /// The timed batch keeps the flat `(request × shard)` grid; each
+    /// (no per-request barrier) while the gather stays per-request. Each
     /// query's latency is its own critical path — the slowest of its
     /// per-shard searches (they run concurrently) plus its gather — not a
     /// share of the batch wall-clock.

@@ -23,8 +23,8 @@
 use hnsw_flash::prelude::*;
 use hnsw_flash::serving::distributed::wire::{read_message, write_message};
 use hnsw_flash::serving::distributed::{
-    ErrorCode, EventConfig, EventServer, Message, NodeAddr, NodeHandler, NodeServer, RemoteIndex,
-    ScrapeServer, SocketTransport, Transport,
+    ErrorCode, EventConfig, EventServer, Message, NodeAddr, NodeHandler, RemoteIndex, ScrapeServer,
+    SocketTransport, Transport,
 };
 use metrics::{
     collect_traces, latency_summary, trace_id_for, transport_summary, BurnConfig, Objective,
@@ -103,7 +103,7 @@ USAGE:
   flash_cli hotpath  [--n <N>] [--queries <N>] [--k <K>] [--ef <EF>]
                      [--c <C>] [--r <R>] [--passes <N>] [--seed <u64>]
                      [--smoke] [--out <BENCH_hotpath.json>]
-  flash_cli serve-node --base <in.fvecs> --listen <addr> [--event-loop]
+  flash_cli serve-node --base <in.fvecs> --listen <addr>
                      [--method ...same as build...] [--c <C>] [--r <R>]
                      [--shards <N> --shard <I>] [--threads <N>] [--seed <u64>]
                      [--metrics-addr <host:port>]
@@ -138,16 +138,16 @@ DISTRIBUTED:
           --nodes addr,addr,...` then scatter-gathers across those
           processes, one node per shard in partition order (--shards /
           --replicas / --graph do not combine with --nodes; remote
-          replica placement is not wired up yet). --event-loop swaps the
-          thread-per-connection server for the event-driven front-end:
-          --threads readiness loops multiplex all connections, pipeline
-          frames, batch adaptively, and shed past-deadline requests with
-          Overloaded errors (which clients retry on a sibling).
-          `bench-serve` builds a synthetic index and drills both servers
-          on ephemeral ports — blocking (sequential RPC) vs event-driven
-          (pipelined) QPS/p99 with a response-parity check — then floods
-          the event server past its admission deadline and verifies every
-          request is answered (Ok or Overloaded; none hang)
+          replica placement is not wired up yet). The node serves from
+          --threads readiness loops that multiplex all connections,
+          pipeline frames, batch adaptively, and shed past-deadline
+          requests with Overloaded errors (which clients retry on a
+          sibling).
+          `bench-serve` builds a synthetic index and drills the server on
+          an ephemeral port — pipelined QPS/p99 with a response-parity
+          check against in-process search — then floods it past its
+          admission deadline and verifies every request is answered (Ok
+          or Overloaded; none hang)
 
 TRACING:  --trace-out PATH writes one JSON line per query with that
           request's span tree (cache_lookup, route, replica_attempt,
@@ -178,8 +178,8 @@ OBSERVABILITY:
           serve-node --metrics-addr HOST:PORT opens an HTTP scrape plane
           next to the wire listener: GET /metrics renders the process
           metrics registry as OpenMetrics text, /healthz answers 200 ok
-          until an SLO burn-rate guard latches a breach (event-loop
-          nodes watch their shed fraction; 503 degraded while burning),
+          until an SLO burn-rate guard latches a breach (the node
+          watches its shed fraction; 503 degraded while burning),
           and /varz dumps the node's stats snapshot as JSON. `stats
           --node ADDR --openmetrics` renders a remote node's stats scrape
           in the same exposition format for piping into a collector.
@@ -193,8 +193,14 @@ PROFILES: argilla-like anton-like laion-like imagenet-like cohere-like
           datacomp-like bigcode-like ssnpp-like";
 
 /// Options that are bare boolean flags — present/absent, no value.
-/// Everything else is `--key value`.
-const FLAG_OPTIONS: &[&str] = &["smoke", "event-loop", "openmetrics"];
+const FLAG_OPTIONS: &[&str] = &["smoke", "openmetrics"];
+
+/// Every `--key value` option some command reads, space-separated. A name
+/// in neither list is rejected at parse time rather than silently eating
+/// the next token.
+const VALUE_OPTIONS: &str = "base batch c cache-capacity clients df ef flood graph gt k listen \
+    method metrics-addr mf n name new node nodes nq old out passes pipeline profile queries r \
+    replicas routing seed shard shards threads timeout-ms timing-ratio trace-out";
 
 /// Parsed `--key value` options.
 struct Opts {
@@ -211,10 +217,12 @@ impl Opts {
             };
             let value = if FLAG_OPTIONS.contains(&name) {
                 "true".to_string()
-            } else {
+            } else if VALUE_OPTIONS.split(' ').any(|option| option == name) {
                 it.next()
                     .ok_or_else(|| format!("--{name} requires a value"))?
                     .clone()
+            } else {
+                return Err(format!("unknown option --{name}"));
             };
             if map.insert(name.to_string(), value).is_some() {
                 return Err(format!("--{name} given twice"));
@@ -444,51 +452,18 @@ fn cmd_serve_node(opts: &Opts) -> Result<(), String> {
         "built method={} ({served}); binding {listen}...",
         spec.method_name()
     );
-    let metrics_addr = opts.str("metrics-addr").map(str::to_string);
-    if opts.flag("event-loop") {
-        let config = EventConfig {
-            threads,
-            ..EventConfig::default()
-        };
-        let server = EventServer::bind(&listen, NodeHandler::new(index), config)
-            .map_err(|e| format!("cannot serve node: {e}"))?;
-        let _scrape = metrics_addr
-            .as_deref()
-            .map(|addr| {
-                // Event-loop nodes guard their shed fraction: /healthz
-                // degrades while the admission layer is burning budget.
-                let (admitted, shed) = server.admission_counters();
-                let sampler = Box::new(move || {
-                    (
-                        admitted.load(std::sync::atomic::Ordering::Relaxed),
-                        shed.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                }) as metrics::slo::Sampler;
-                let guard = Arc::new(SloGuard::new(
-                    BurnConfig::default(),
-                    Duration::from_secs(1),
-                    vec![(Objective::new("shed_fraction", 0.05), sampler)],
-                ));
-                bind_scrape(addr, Arc::clone(server.handler()), Some(guard))
-            })
-            .transpose()?;
-        eprintln!(
-            "node listening on {} — method={} ({served}), {threads} event loops; Ctrl-C to stop",
-            server.addr(),
-            spec.method_name()
-        );
-        loop {
-            std::thread::park();
-        }
-    }
-    let server = NodeServer::bind(&listen, NodeHandler::new(index), threads)
+    let config = EventConfig {
+        threads,
+        ..EventConfig::default()
+    };
+    let server = EventServer::bind(&listen, NodeHandler::new(index), config)
         .map_err(|e| format!("cannot serve node: {e}"))?;
-    let _scrape = metrics_addr
-        .as_deref()
-        .map(|addr| bind_scrape(addr, Arc::clone(server.handler()), None))
+    let _scrape = opts
+        .str("metrics-addr")
+        .map(|addr| bind_scrape(addr, &server))
         .transpose()?;
     eprintln!(
-        "node listening on {} — method={} ({served}), {threads} connection workers; Ctrl-C to stop",
+        "node listening on {} — method={} ({served}), {threads} event loops; Ctrl-C to stop",
         server.addr(),
         spec.method_name()
     );
@@ -497,14 +472,27 @@ fn cmd_serve_node(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Opens the HTTP scrape plane and announces its endpoints, publishing
-/// the node's live counters into the process registry so `/metrics` has
-/// the same ledger a `StatsRequest` answers from.
-fn bind_scrape(
-    addr: &str,
-    handler: Arc<NodeHandler>,
-    guard: Option<Arc<SloGuard>>,
-) -> Result<ScrapeServer, String> {
+/// The SLO guard every scraped node carries: `/healthz` degrades while
+/// the server's admission layer sheds more than 5 % of what it admits.
+fn shed_fraction_guard(server: &EventServer, burn: BurnConfig, tick: Duration) -> Arc<SloGuard> {
+    use std::sync::atomic::Ordering::Relaxed;
+    let (admitted, shed) = server.admission_counters();
+    let sampler =
+        Box::new(move || (admitted.load(Relaxed), shed.load(Relaxed))) as metrics::slo::Sampler;
+    Arc::new(SloGuard::new(
+        burn,
+        tick,
+        vec![(Objective::new("shed_fraction", 0.05), sampler)],
+    ))
+}
+
+/// Opens the HTTP scrape plane over `server`'s node and announces its
+/// endpoints, publishing the node's live counters into the process
+/// registry so `/metrics` has the same ledger a `StatsRequest` answers
+/// from.
+fn bind_scrape(addr: &str, server: &EventServer) -> Result<ScrapeServer, String> {
+    let handler = Arc::clone(server.handler());
+    let guard = shed_fraction_guard(server, BurnConfig::default(), Duration::from_secs(1));
     let registry = metrics::MetricsRegistry::global();
     graphs::register_scratch_metrics();
     {
@@ -515,7 +503,7 @@ fn bind_scrape(
         let h = Arc::clone(&handler);
         registry.register_source("node.profile", move || h.stats().profile.to_json());
     }
-    let scrape = ScrapeServer::bind(addr, handler, guard)
+    let scrape = ScrapeServer::bind(addr, handler, Some(guard))
         .map_err(|e| format!("cannot bind metrics endpoint: {e}"))?;
     eprintln!(
         "metrics on http://{0}/metrics (also /healthz, /varz)",
@@ -632,7 +620,7 @@ fn drill_server(
     })
 }
 
-/// Floods an event-driven listener with `total` requests blasted all at
+/// Floods a node listener with `total` requests blasted all at
 /// once (every client writes its full share before reading anything) and
 /// tallies how each was answered: `(ok, overloaded)`.
 fn flood_server(
@@ -693,13 +681,11 @@ fn flood_server(
         .fold((0, 0), |(a, b), (ok, ov)| (a + ok, b + ov)))
 }
 
-/// Builds a synthetic index and drills the blocking and event-driven node
-/// servers side by side on ephemeral ports: strict request/response
-/// against `NodeServer`, pipelined frames against `EventServer`, with a
-/// response-parity check against in-process search. A deliberately
-/// under-provisioned `EventServer` is then flooded past its admission
-/// deadline to verify every request is answered — `SearchOk` or
-/// `Overloaded`, never silence.
+/// Builds a synthetic index and drills an `EventServer` on an ephemeral
+/// port with pipelined frames, checking every response against in-process
+/// search. A deliberately under-provisioned `EventServer` is then flooded
+/// past its admission deadline to verify every request is answered —
+/// `SearchOk` or `Overloaded`, never silence.
 fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     let spec = BuildSpec::from_opts(opts)?;
     let n: usize = opts.num("n", 2_000)?;
@@ -725,8 +711,8 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     let rerank = spec.coding.default_rerank();
     let index: Arc<dyn AnnIndex> = Arc::from(spec.builder(dim, n).build(base));
 
-    // Parity baseline: the same requests answered in-process. Both
-    // servers must reproduce these ids bit-for-bit under healthy load.
+    // Parity baseline: the same requests answered in-process. The
+    // server must reproduce these ids bit-for-bit under healthy load.
     let expected: Vec<Vec<u64>> = (0..nq)
         .map(|qi| {
             index
@@ -737,26 +723,8 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
 
     let bind: NodeAddr = "tcp:127.0.0.1:0".parse()?;
     eprintln!(
-        "bench-serve: drilling blocking server ({clients} clients, strict RPC, \
-         {threads} workers)..."
-    );
-    let mut blocking = NodeServer::bind(&bind, NodeHandler::new(Arc::clone(&index)), threads)
-        .map_err(|e| format!("bind blocking server: {e}"))?;
-    let b = drill_server(
-        blocking.addr(),
-        &queries,
-        k,
-        ef,
-        rerank,
-        clients,
-        1,
-        &expected,
-    )?;
-    blocking.shutdown();
-
-    eprintln!(
-        "bench-serve: drilling event-driven server ({clients} clients, \
-         {pipeline}-deep pipelines, {threads} loops)..."
+        "bench-serve: drilling the server ({clients} clients, {pipeline}-deep pipelines, \
+         {threads} loops)..."
     );
     let mut event = EventServer::bind(
         &bind,
@@ -766,8 +734,8 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
             ..EventConfig::default()
         },
     )
-    .map_err(|e| format!("bind event server: {e}"))?;
-    let e = drill_server(
+    .map_err(|e| format!("bind server: {e}"))?;
+    let drill = drill_server(
         event.addr(),
         &queries,
         k,
@@ -780,16 +748,15 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     event.shutdown();
 
     println!(
-        "bench-serve: blocking_qps={:.0} event_qps={:.0} blocking_p99={:.3}ms \
-         event_p99={:.3}ms parity=ok",
-        b.qps, e.qps, b.p99_ms, e.p99_ms
+        "bench-serve: qps={:.0} p99={:.3}ms parity=ok",
+        drill.qps, drill.p99_ms
     );
 
     // Overload drill: a tight queue deadline and a blast of `flood`
     // requests force deadline shedding; admission control must still
     // answer every frame. A zero deadline would shed *everything* — keep
     // it small but nonzero so early arrivals are admitted.
-    eprintln!("bench-serve: flooding event server with {flood} requests...");
+    eprintln!("bench-serve: flooding the server with {flood} requests...");
     let mut over = EventServer::bind(
         &bind,
         NodeHandler::new(Arc::clone(&index)),
@@ -808,14 +775,8 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     // degrade once the shed fraction burns its budget. Single-bucket
     // windows make the verdict a pure function of the cumulative
     // counters at scrape time.
-    let (admitted_ctr, shed_ctr) = over.admission_counters();
-    let sampler = Box::new(move || {
-        (
-            admitted_ctr.load(std::sync::atomic::Ordering::Relaxed),
-            shed_ctr.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }) as metrics::slo::Sampler;
-    let guard = Arc::new(SloGuard::new(
+    let guard = shed_fraction_guard(
+        &over,
         BurnConfig {
             fast_window: 1,
             slow_window: 1,
@@ -823,8 +784,7 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
             slow_burn: 1.0,
         },
         Duration::from_millis(1),
-        vec![(Objective::new("shed_fraction", 0.05), sampler)],
-    ));
+    );
     let scrape = ScrapeServer::bind("127.0.0.1:0", Arc::clone(over.handler()), Some(guard))
         .map_err(|e| format!("bind scrape endpoint: {e}"))?;
     let scrape_addr = scrape.addr().to_string();
@@ -1910,6 +1870,10 @@ mod tests {
     fn rejects_malformed_args() {
         assert!(Opts::parse(&["n".into()]).is_err(), "missing --");
         assert!(Opts::parse(&["--n".into()]).is_err(), "missing value");
+        let Err(unknown) = Opts::parse(&["--bogus".into(), "--n".into(), "1".into()]) else {
+            panic!("an option no command reads must be rejected");
+        };
+        assert_eq!(unknown, "unknown option --bogus");
         assert!(
             Opts::parse(&["--n".into(), "1".into(), "--n".into(), "2".into()]).is_err(),
             "duplicate option"

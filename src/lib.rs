@@ -137,7 +137,7 @@
 //!
 //! Shards and replicas can live in **other processes**
 //! ([`serving::distributed`]): a node hosts any `AnnIndex` behind a
-//! socket ([`serving::NodeServer`], or `flash_cli serve-node`), and the
+//! socket ([`serving::EventServer`], or `flash_cli serve-node`), and the
 //! coordinator's [`serving::RemoteIndex`] client implements both
 //! `AnnIndex` *and* [`serving::FallibleIndex`] — so remote nodes compose
 //! under the existing `ShardedIndex` / `ReplicaGroup` / `CachedIndex`
@@ -152,16 +152,16 @@
 //!
 //! ```no_run
 //! use hnsw_flash::prelude::*;
-//! use hnsw_flash::serving::distributed::{NodeAddr, NodeHandler, NodeServer};
+//! use hnsw_flash::serving::distributed::{EventConfig, EventServer, NodeAddr, NodeHandler};
 //! use std::sync::Arc;
 //!
 //! # let (base, _) = generate(&DatasetProfile::SsnppLike.spec(), 1_000, 1, 7);
 //! let index: Arc<dyn AnnIndex> =
 //!     Arc::from(IndexBuilder::new(GraphKind::Hnsw, Coding::Flash).seed(1).build(base));
-//! let server = NodeServer::bind(
+//! let server = EventServer::bind(
 //!     &"tcp:0.0.0.0:4810".parse::<NodeAddr>().unwrap(),
 //!     NodeHandler::new(index),
-//!     4, // concurrent coordinator connections
+//!     EventConfig::default(), // 2 readiness loops, any number of connections
 //! ).expect("bind");
 //! println!("serving on {}", server.addr());
 //! ```
@@ -216,21 +216,18 @@
 //!
 //! ## Serving under load
 //!
-//! [`serving::NodeServer`] dedicates a pooled worker to each connection —
-//! simple, but a fleet of slow clients parks the whole pool.
-//! [`serving::EventServer`] is the event-driven front-end behind the same
-//! [`serving::NodeHandler`] and wire protocol (`flash_cli serve-node
-//! --event-loop`): each of [`serving::EventConfig::threads`] readiness
-//! loops multiplexes *all* of its connections over non-blocking sockets,
-//! so one loop serves any number of clients and a connection can keep
-//! many frames in flight (pipelining) — replies always return in that
-//! connection's request order.
+//! [`serving::EventServer`] is the one socket server, behind
+//! `flash_cli serve-node` and every test and demo: each of
+//! [`serving::EventConfig::threads`] readiness loops multiplexes *all* of
+//! its connections over non-blocking sockets, so one loop serves any
+//! number of clients — a fleet of slow clients parks no thread — and a
+//! connection can keep many frames in flight (pipelining); replies always
+//! return in that connection's request order. A strict request/response
+//! coordinator ([`serving::SocketTransport`]) is a pipeline of depth 1.
 //!
 //! Parsed requests enter a per-loop admission queue that executes as an
 //! adaptive batch — closing on size (`batch_max`) **or** age
-//! (`batch_deadline`), whichever comes first, the same policy
-//! [`serving::AdaptiveBatcher`] exposes for in-process use. Two knobs
-//! bound the queue:
+//! (`batch_deadline`), whichever comes first. Two knobs bound the queue:
 //!
 //! * `client_quota` — per-connection in-flight cap; past it the loop
 //!   simply stops reading that socket, and TCP backpressure slows the
@@ -248,7 +245,7 @@
 //! counts admitted/shed, the registry exports
 //! `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns}`, a
 //! traced request that queued records a `queue_wait` span, and
-//! `flash_cli bench-serve` drills blocking vs event-driven servers and
+//! `flash_cli bench-serve` drills the server with pipelined clients and
 //! an overload flood from the command line. The `overload` scenario
 //! replays the same policy in virtual time, so its
 //! admitted/shed/retried counters are byte-reproducible across runs.
@@ -475,7 +472,7 @@
 //! on virtual ticks in scenarios, [`metrics::SloGuard`] on wall time in
 //! serving): an objective breaches when both its fast- and slow-window
 //! error-budget burn exceed their thresholds, which flips `/healthz` to
-//! degraded (event-loop nodes watch their shed fraction) and lands in
+//! degraded (a node watches its shed fraction) and lands in
 //! `BenchReport.slo`. `flash_cli bench-diff --old A.json --new B.json`
 //! then gates CI: structural fields exact, timing fields within a ratio
 //! band, nonzero exit on regression.
@@ -600,11 +597,11 @@ pub mod prelude {
         TopologySpec, WorkloadSpec,
     };
     pub use serving::{
-        AdaptiveBatcher, AdmissionStats, BatchExecutor, BatchReport, CachedIndex, EventConfig,
-        EventServer, FallibleIndex, FaultError, FaultKind, FaultPlan, FaultyIndex, HealthConfig,
-        LoopbackTransport, NodeAddr, NodeHandler, NodeInfo, NodeServer, NodeStats, QueryCache,
-        RemoteIndex, ReplicaGroup, ReplicatedIndex, Router, RoutingPolicy, ShardPolicy,
-        ShardedIndex, SocketTransport, Transport, WorkerPool,
+        AdmissionStats, BatchExecutor, BatchReport, CachedIndex, EventConfig, EventServer,
+        FallibleIndex, FaultError, FaultKind, FaultPlan, FaultyIndex, HealthConfig,
+        LoopbackTransport, NodeAddr, NodeHandler, NodeInfo, NodeStats, QueryCache, RemoteIndex,
+        ReplicaGroup, ReplicatedIndex, Router, RoutingPolicy, ShardPolicy, ShardedIndex,
+        SocketTransport, Transport, WorkerPool,
     };
     pub use simdops::{set_level_override, SimdLevel};
     pub use vecstore::{generate, ground_truth, DatasetProfile, DatasetSpec, VectorSet};

@@ -1,8 +1,8 @@
 //! Property tests for the CSR adjacency layout and the pooled search
 //! scratch: freezing arbitrary nested adjacency must be lossless (order,
-//! empty rows, max-degree rows), persisted graphs must round-trip from the
-//! legacy nested format through CSR into the current format, and the
-//! steady-state search loop must not allocate per-query scratch.
+//! empty rows, max-degree rows), persisted graphs must round-trip through
+//! the on-disk format, and the steady-state search loop must not allocate
+//! per-query scratch.
 
 use graphs::providers::FullPrecision;
 use graphs::{
@@ -29,22 +29,6 @@ fn normalize(raw: &[Vec<u32>]) -> Vec<Vec<u32>> {
     raw.iter()
         .map(|row| row.iter().map(|&t| t % n).collect())
         .collect()
-}
-
-/// Writes `adj` in the retired v1 nested flat-graph format.
-fn v1_flat_bytes(entry: u32, adj: &[Vec<u32>]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"HFGRAPH1");
-    bytes.extend_from_slice(b"FL");
-    bytes.extend_from_slice(&entry.to_le_bytes());
-    bytes.extend_from_slice(&(adj.len() as u32).to_le_bytes());
-    for list in adj {
-        bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        for &id in list {
-            bytes.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-    bytes
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -80,26 +64,21 @@ proptest! {
         }
     }
 
-    /// Legacy v1 bytes → CSR in memory → current format → identical graph.
+    /// Arbitrary nested adjacency → CSR in memory → disk → identical graph.
     #[test]
-    fn persist_round_trips_v1_through_v2(
+    fn persist_round_trips_arbitrary_flat_graphs(
         raw in raw_adjacency(),
         entry_seed in 0usize..24,
     ) {
         let adj = normalize(&raw);
         let entry = (entry_seed % adj.len()) as u32;
-        let path_v1 = tmp(&format!("v1_{entry_seed}_{}", adj.len()));
-        std::fs::write(&path_v1, v1_flat_bytes(entry, &adj)).unwrap();
-        let loaded = FlatGraph::load(&path_v1).unwrap();
-        prop_assert_eq!(&loaded, &FlatGraph::from_nested(&adj, entry));
-
-        let path_v2 = tmp(&format!("v2_{entry_seed}_{}", adj.len()));
-        loaded.save(&path_v2).unwrap();
-        let reloaded = FlatGraph::load(&path_v2).unwrap();
-        prop_assert_eq!(&reloaded, &loaded);
+        let graph = FlatGraph::from_nested(&adj, entry);
+        let path = tmp(&format!("flat_{entry_seed}_{}", adj.len()));
+        graph.save(&path).unwrap();
+        let reloaded = FlatGraph::load(&path).unwrap();
+        prop_assert_eq!(&reloaded, &graph);
         prop_assert_eq!(reloaded.to_nested(), adj);
-        std::fs::remove_file(&path_v1).ok();
-        std::fs::remove_file(&path_v2).ok();
+        std::fs::remove_file(&path).ok();
     }
 }
 

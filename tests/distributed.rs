@@ -11,6 +11,10 @@
 //!   `ReplicaGroup`, killing a node's process surface (its socket
 //!   server) mid-workload changes *nothing* about the results, and the
 //!   failover counters record the mark-down/retry path;
+//! * **One socket server** — every socket in this suite is an
+//!   `EventServer`: strict request/response clients (more of them than
+//!   loop threads), pipelined clients, Unix and TCP, shutdown with idle
+//!   connections;
 //! * **Codec robustness** — every frame kind round-trips canonically
 //!   (property-tested over arbitrary bit patterns, error frames
 //!   included), truncated frames are rejected at every cut point, and
@@ -20,7 +24,7 @@ use hnsw_flash::prelude::*;
 use proptest::prelude::*;
 use serving::distributed::wire::{read_message, write_message, ErrorCode, Message, WireFault};
 use serving::distributed::{
-    EventConfig, EventServer, LoopbackTransport, NodeAddr, NodeHandler, NodeServer, RemoteIndex,
+    EventConfig, EventServer, LoopbackTransport, NodeAddr, NodeHandler, RemoteIndex,
     SocketTransport, Transport,
 };
 use serving::FaultKind;
@@ -427,30 +431,94 @@ fn node_side_faults_reach_the_client_health_model() {
     assert!(remote.try_search(&req).is_ok()); // node call 2
 }
 
-/// Regression: `shutdown()` must stay bounded even when its wake-up dial
-/// cannot reach the accept loop — here the unix socket path is removed
-/// out from under the server, so the dial fails at connect. The old code
-/// joined the accept thread unconditionally and hung forever.
+/// More concurrent strict request/response clients than loop threads: the
+/// one loop multiplexes all eight connections, and every client's answers
+/// are bit-identical to in-process search.
+#[test]
+fn more_strict_rpc_clients_than_loop_threads_are_all_served() {
+    const CLIENTS: usize = 8;
+    let (base, queries) = dataset(N);
+    let builder = builder_for(GraphKind::Hnsw, Coding::Sq);
+    let index: Arc<dyn AnnIndex> = Arc::from(builder.build(base));
+    let mut server = bind_node(
+        &NodeAddr::Tcp("127.0.0.1:0".into()),
+        NodeHandler::new(Arc::clone(&index)),
+        1,
+    );
+    // Every client is connected before any of them sends a search, so all
+    // eight connections are live on the single loop at once.
+    let connected = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let (server, index, queries, connected) = (&server, &index, &queries, &connected);
+            s.spawn(move || {
+                let remote = remote_over_socket(server);
+                connected.wait();
+                for qi in 0..queries.len() {
+                    let req = exhaustive(queries.get(qi));
+                    assert_eq!(
+                        AnnIndex::search(&remote, &req).ids(),
+                        index.search(&req).ids(),
+                        "client {c} q{qi}: socket-served != in-process"
+                    );
+                }
+                assert_eq!(remote.transport_stats().errors, 0, "client {c}");
+            });
+        }
+    });
+    let served = (CLIENTS * (queries.len() + 1)) as u64; // + one handshake each
+    assert_eq!(server.stats().frames_received, served);
+    assert_eq!(server.admission_stats().shed, 0);
+    server.shutdown();
+}
+
+/// `shutdown()` with idle live connections is bounded (no loop thread
+/// blocks in a read), severs them — the client's next exchange is an I/O
+/// error, not a hang — and removes the Unix socket file.
 #[cfg(unix)]
 #[test]
-fn shutdown_stays_bounded_when_the_wake_dial_fails() {
-    let (base, _) = dataset(48);
+fn shutdown_with_idle_connections_is_bounded_and_severs_them() {
+    let (base, queries) = dataset(48);
     let index: Arc<dyn AnnIndex> = Arc::new(FlatIndex::new(base));
-    let path = std::env::temp_dir().join(format!("hfw-wake-{}.sock", std::process::id()));
+    let path = std::env::temp_dir().join(format!("hfw-idle-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut server = NodeServer::bind(&NodeAddr::Unix(path.clone()), NodeHandler::new(index), 1)
-        .expect("bind the unix socket");
-    // Sever the dial path: shutdown's wake-up connection must now fail.
-    std::fs::remove_file(&path).expect("remove the live socket path");
+    let addr = NodeAddr::Unix(path.clone());
+    let mut server = bind_node(&addr, NodeHandler::new(index), 2);
+
+    // Three connections that have each completed an exchange and now idle.
+    let probe = Message::Search(SearchRequest::new(queries.get(0).to_vec(), K));
+    let idle: Vec<SocketTransport> = (0..3)
+        .map(|_| {
+            let transport = SocketTransport::connect(addr.clone())
+                .expect("dial the node")
+                .with_timeout(Duration::from_secs(10));
+            assert!(matches!(
+                transport.exchange(&probe),
+                Ok(Message::SearchOk(_))
+            ));
+            transport
+        })
+        .collect();
 
     let (tx, rx) = std::sync::mpsc::channel();
-    let watchdog = std::thread::spawn(move || {
+    let stopper = std::thread::spawn(move || {
         server.shutdown();
         tx.send(()).ok();
     });
     rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must detach the unwakeable accept thread, not join it");
-    watchdog.join().unwrap();
+        .expect("shutdown must not wait on idle connections");
+    stopper.join().unwrap();
+    assert!(!path.exists(), "shutdown removes the socket file");
+
+    for transport in &idle {
+        let err = transport
+            .exchange(&probe)
+            .expect_err("a severed connection must fail the call");
+        assert!(
+            matches!(err, serving::distributed::TransportError::Io(_)),
+            "expected an I/O error (not a timeout or a hang), got {err}"
+        );
+    }
 }
 
 /// Regression: the best-effort `BadRequest` reply to an undecodable frame
