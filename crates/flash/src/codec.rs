@@ -100,7 +100,11 @@ pub struct FlashCodec {
     /// Per-centroid mean squared residual, `M_F * K` floats (the correction
     /// term making ADT and SDT unbiased estimates of true distances).
     residuals: Vec<f32>,
-    /// Quantized SDT: `M_F * K * K` bytes; entry `s*256 + a*16 + b`.
+    /// Quantized SDT: `M_F * K * K` bytes, stored second-code-major:
+    /// `SDT_s[a][b]` — first code `a`, second code `b` — is entry
+    /// `s*256 + b*16 + a`, so the 16 distances *to* a fixed `b` are one
+    /// contiguous run (see [`FlashCodec::sdt_to`]). The table is not
+    /// symmetric: `dists[b] + residual[a] + residual[b]` rounds per order.
     sdt: Vec<u8>,
 }
 
@@ -245,8 +249,12 @@ impl FlashCodec {
             sdt: Vec::new(),
         };
         // Pre-quantized SDT, shared by every insertion (paper: resides in
-        // cache, eliminating NS-stage vector fetches).
-        codec.sdt = centroid_dists.iter().map(|&d| codec.quantize(d)).collect();
+        // cache, eliminating NS-stage vector fetches). `centroid_dists` is
+        // first-code-major; the stored table is its per-subspace transpose.
+        codec.sdt = vec![0u8; centroid_dists.len()];
+        for (i, &d) in centroid_dists.iter().enumerate() {
+            codec.sdt[sdt_at(i / (K * K), i / K % K, i % K)] = codec.quantize(d);
+        }
         codec
     }
 
@@ -266,9 +274,39 @@ impl FlashCodec {
         self.pca.dim()
     }
 
-    /// The quantized symmetric distance table (`M_F * 256` bytes).
+    /// The quantized symmetric distance table (`M_F * 256` bytes): the
+    /// entry for first code `a` and second code `b` in subspace `s` is at
+    /// `s*256 + b*16 + a`.
     pub fn sdt(&self) -> &[u8] {
         &self.sdt
+    }
+
+    /// Overwrites the SDT with `f(s, a, b)` for first code `a` and second
+    /// code `b` — lets a test plant a visibly asymmetric table.
+    #[cfg(test)]
+    pub(crate) fn set_sdt_with(&mut self, f: impl Fn(usize, usize, usize) -> u8) {
+        for s in 0..self.subspaces() {
+            for a in 0..K {
+                for b in 0..K {
+                    self.sdt[sdt_at(s, a, b)] = f(s, a, b);
+                }
+            }
+        }
+    }
+
+    /// Fills `table` (`M_F * 16` bytes, subspace-major) with the SDT
+    /// distances *to* the code sequence `b`: `table[s*16 + a]` is
+    /// `SDT_s[a][b[s]]`. That is the shape of an ADT, so
+    /// [`simdops::lut16_batch`] over a block of first codes yields 16
+    /// [`Self::sdc_quantized`]`(·, b)` sums at once — Neighbor Selection
+    /// as a register-resident lookup (paper Section 3.3.5).
+    #[inline]
+    pub fn sdt_to(&self, b: &[u8], table: &mut [u8]) {
+        debug_assert_eq!(b.len(), self.subspaces());
+        for (s, (&cb, row)) in b.iter().zip(table.chunks_exact_mut(K)).enumerate() {
+            let at = sdt_at(s, 0, usize::from(cb));
+            row.copy_from_slice(&self.sdt[at..at + K]);
+        }
     }
 
     /// Squared distances from subspace `s` of a projected vector to that
@@ -388,7 +426,7 @@ impl FlashCodec {
         debug_assert_eq!(b.len(), self.subspaces());
         let mut acc = 0u16;
         for (s, (&ca, &cb)) in a.iter().zip(b.iter()).enumerate() {
-            acc += u16::from(self.sdt[s * K * K + usize::from(ca) * K + usize::from(cb)]);
+            acc += u16::from(self.sdt[sdt_at(s, usize::from(ca), usize::from(cb))]);
         }
         acc
     }
@@ -418,6 +456,13 @@ impl FlashCodec {
         let basis_bytes = self.input_dim() * self.d_f() * 4;
         self.codebooks.len() * 4 + self.sdt.len() + basis_bytes
     }
+}
+
+/// Where `SDT_s[a][b]` (first code `a`, second code `b`) lives in
+/// [`FlashCodec::sdt`] — the one place that knows the storage order.
+#[inline]
+fn sdt_at(s: usize, a: usize, b: usize) -> usize {
+    s * K * K + b * K + a
 }
 
 /// Index of the first minimum of one subspace's centroid distances.
@@ -602,7 +647,7 @@ mod tests {
             let shift = (c.residuals[s * K + own] * c.inv_delta).round() as i16;
             for t in 0..K {
                 let via_adt = i16::from(adt2[s * K + t]);
-                let via_sdt = i16::from(c.sdt()[s * K * K + own * K + t]);
+                let via_sdt = i16::from(c.sdt()[sdt_at(s, own, t)]);
                 // SDT saturates at 255; skip clamped entries.
                 if via_sdt == 255 || via_adt == 255 {
                     continue;

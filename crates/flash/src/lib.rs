@@ -13,8 +13,11 @@
 //!
 //! The crate plugs into the generic graph builders of the `graphs` crate via
 //! [`FlashProvider`], which overrides the batched neighbor-distance hook
-//! with the `pshufb` lookup kernel and maintains the per-node codeword
-//! blocks through the payload-sync hook. [`FlashHnsw`] is the ready-made
+//! with the `pshufb` lookup kernel, answers Neighbor Selection's
+//! "is a selected vertex closer?" with the same kernel over the SDT (one
+//! lookup pass per 16 selected vertices — the SDT is stored so the
+//! distances *to* a code are contiguous), and maintains the per-node
+//! codeword blocks one appended lane at a time. [`FlashHnsw`] is the ready-made
 //! HNSW type; the other graphs take a [`FlashProvider`] like any other
 //! provider (`Nsg::build(FlashProvider::new(base, params), …)`).
 //!

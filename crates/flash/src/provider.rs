@@ -1,6 +1,10 @@
-//! The Flash [`DistanceProvider`]: register-resident ADT distances in the
-//! CA stage, cached SDT lookups in the NS stage, and the access-aware
-//! neighbor-codeword layout (paper Sections 3.3.4 and 3.3.5).
+//! The Flash [`DistanceProvider`]: register-resident table lookups in
+//! both construction stages over the access-aware neighbor-codeword layout
+//! (paper Sections 3.3.4 and 3.3.5). Candidate Acquisition shuffles a
+//! visited vertex's block through the inserted vector's ADT; Neighbor
+//! Selection shuffles the block of already-selected vertices through the
+//! SDT distances to the candidate ([`FlashCodec::sdt_to`]) — the same
+//! [`lut16_batch`] kernel, 16 distances per call, in both.
 
 use crate::codec::{FlashCodec, FlashParams, K};
 use graphs::provider::DistanceProvider;
@@ -21,7 +25,9 @@ pub struct FlashCtx {
 /// Layout for a neighbor list of length `L` with `M_F` subspaces:
 /// `ceil(L / 16)` blocks, each `M_F * 16` bytes; within block `b`, byte
 /// `s*16 + j` is the codeword of neighbor `16b + j` in subspace `s`
-/// (zero-padded past the end of the list).
+/// (zero-padded past the end of the list). A payload holds exactly
+/// `ceil(L / 16)` blocks — what `sync_payload` builds and what
+/// `append_payload` maintains one lane at a time.
 #[derive(Default)]
 pub struct FlashBlocks {
     bytes: Vec<u8>,
@@ -33,6 +39,10 @@ impl FlashBlocks {
         &self.bytes
     }
 }
+
+/// Most subspaces the on-stack Neighbor Selection table covers (1 KiB);
+/// a codec with more takes the scalar SDT loop.
+const NS_TABLE_SUBSPACES: usize = 64;
 
 /// Distance provider implementing the paper's Flash strategy.
 pub struct FlashProvider {
@@ -97,6 +107,13 @@ impl FlashProvider {
     /// Nanoseconds spent in codec training + dataset encoding.
     pub fn coding_ns(&self) -> u64 {
         self.coding_ns
+    }
+
+    /// Scalar Neighbor Selection: one [`FlashCodec::sdc_quantized`] per
+    /// selected vertex — the oracle [`DistanceProvider::dominated`]'s
+    /// batched path must equal.
+    fn dominated_scalar(&self, v: u32, d: f32, selected: &[u32]) -> bool {
+        selected.iter().any(|&u| self.dist_between(u, v) < d)
     }
 
     /// Codewords of vector `id` (`M_F` bytes).
@@ -188,20 +205,48 @@ impl DistanceProvider for FlashProvider {
     }
 
     fn sync_payload(&self, payload: &mut FlashBlocks, ids: &[u32]) {
-        let m = self.codec.subspaces();
-        let block_bytes = m * LUT_BATCH;
-        let blocks = ids.len().div_ceil(LUT_BATCH);
         payload.bytes.clear();
-        payload.bytes.resize(blocks * block_bytes, 0);
-        for (j, &id) in ids.iter().enumerate() {
-            let block = j / LUT_BATCH;
-            let lane = j % LUT_BATCH;
-            let codes = self.codes_of(id);
-            let dst = &mut payload.bytes[block * block_bytes..(block + 1) * block_bytes];
-            for (s, &c) in codes.iter().enumerate() {
-                dst[s * LUT_BATCH + lane] = c;
-            }
+        for (lane, &id) in ids.iter().enumerate() {
+            self.append_payload(payload, lane, id);
         }
+    }
+
+    fn append_payload(&self, payload: &mut FlashBlocks, lane: usize, id: u32) {
+        let block_bytes = self.codec.subspaces() * LUT_BATCH;
+        let (block, slot) = (lane / LUT_BATCH, lane % LUT_BATCH);
+        if slot == 0 {
+            // A new block, zero-padded; at lane 0, a new list.
+            payload.bytes.truncate(block * block_bytes);
+            payload.bytes.resize((block + 1) * block_bytes, 0);
+        }
+        let dst = &mut payload.bytes[block * block_bytes..(block + 1) * block_bytes];
+        for (s, &c) in self.codes_of(id).iter().enumerate() {
+            dst[s * LUT_BATCH + slot] = c;
+        }
+    }
+
+    fn dominated(&self, v: u32, d: f32, selected: &[u32], payload: &FlashBlocks) -> bool {
+        let m = self.codec.subspaces();
+        if !self.use_simd || m > NS_TABLE_SUBSPACES {
+            return self.dominated_scalar(v, d, selected);
+        }
+        // With `v` fixed the SDT has the ADT's shape, so 16 selected
+        // vertices cost one shuffle pass over their block.
+        let mut table = [0u8; NS_TABLE_SUBSPACES * LUT_BATCH];
+        let table = &mut table[..m * LUT_BATCH];
+        self.codec.sdt_to(self.codes_of(v), table);
+        let mut batch = [0u16; LUT_BATCH];
+        debug_assert!(
+            payload.bytes.len() >= selected.len().div_ceil(LUT_BATCH) * m * LUT_BATCH,
+            "payload holds fewer blocks than the selected list needs"
+        );
+        selected
+            .chunks(LUT_BATCH)
+            .zip(payload.bytes.chunks_exact(m * LUT_BATCH))
+            .any(|(lanes, block)| {
+                lut16_batch(table, block, m, &mut batch);
+                batch[..lanes.len()].iter().any(|&sum| f32::from(sum) < d)
+            })
     }
 
     fn coded(&self) -> bool {
@@ -243,12 +288,17 @@ mod tests {
     use super::*;
 
     fn provider(n: usize) -> FlashProvider {
+        provider_m(n, 8)
+    }
+
+    /// A provider with `m_f` subspaces.
+    fn provider_m(n: usize, m_f: usize) -> FlashProvider {
         let (base, _) = vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), n, 1, 21);
         FlashProvider::new(
             base,
             FlashParams {
                 d_f: 32,
-                m_f: 8,
+                m_f,
                 train_sample: n.min(400),
                 kmeans_iters: 8,
                 seed: 4,
@@ -304,6 +354,92 @@ mod tests {
         assert!(blocks_consistent(&p, &payload, &ids));
         // Two blocks for 18 ids with M_F = 8: 2 * 8 * 16 bytes.
         assert_eq!(payload.as_bytes().len(), 2 * 8 * 16);
+    }
+
+    /// The block Neighbor Selection would have built for `selected`.
+    fn appended(p: &FlashProvider, selected: &[u32]) -> FlashBlocks {
+        // Stale bytes from a longer list: lane 0 must discard them.
+        let mut payload = FlashBlocks::default();
+        p.sync_payload(&mut payload, &(0..40).collect::<Vec<u32>>());
+        for (lane, &id) in selected.iter().enumerate() {
+            p.append_payload(&mut payload, lane, id);
+        }
+        payload
+    }
+
+    #[test]
+    fn appended_lanes_equal_a_full_sync() {
+        let p = provider(120);
+        for len in [1usize, 15, 16, 17, 32, 33] {
+            let ids: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % 120).collect();
+            let mut synced = FlashBlocks::default();
+            p.sync_payload(&mut synced, &ids);
+            assert_eq!(
+                appended(&p, &ids).as_bytes(),
+                synced.as_bytes(),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_dominated_equals_the_scalar_loop() {
+        // Even and odd M_F (the kernel's pair/quad tails), every block
+        // boundary of the selected list, thresholds on both sides of each
+        // selected vertex's distance; `with_simd(false)` must agree too.
+        for m_f in [8usize, 7, 5, 1] {
+            let p = provider_m(160, m_f);
+            let scalar = provider_m(160, m_f).with_simd(false);
+            for len in [0usize, 1, 15, 16, 17, 32] {
+                let selected: Vec<u32> = (0..len as u32).map(|i| (i * 11 + 5) % 160).collect();
+                let payload = appended(&p, &selected);
+                for v in [0u32, 77, 159] {
+                    let mut thresholds = vec![0.0f32, f32::INFINITY, -1.0];
+                    for &u in &selected {
+                        let d = p.dist_between(u, v);
+                        thresholds.extend([d, d + 1.0]);
+                    }
+                    for d in thresholds {
+                        let expect = p.dominated_scalar(v, d, &selected);
+                        assert_eq!(
+                            p.dominated(v, d, &selected, &payload),
+                            expect,
+                            "m_f {m_f} len {len} v {v} d {d}"
+                        );
+                        assert_eq!(scalar.dominated(v, d, &selected, &payload), expect);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dominated_reads_the_sdt_column_of_the_candidate() {
+        // Plant SDT_s[a][b] = 13a + b: the distance from selected `u`
+        // (first code) to candidate `v` (second code) is Σ 13·c_u + c_v,
+        // and reading the table the other way round gives Σ 13·c_v + c_u.
+        let mut p = provider(200);
+        p.codec.set_sdt_with(|_, a, b| (13 * a + b) as u8);
+        let sum = |first: u32, second: u32| -> u16 {
+            p.codes_of(first)
+                .iter()
+                .zip(p.codes_of(second))
+                .map(|(&a, &b)| 13 * u16::from(a) + u16::from(b))
+                .sum()
+        };
+        let mut checked = 0;
+        for (u, v) in [(3u32, 150u32), (42, 7), (99, 100), (180, 12)] {
+            let (column, row) = (sum(u, v), sum(v, u));
+            if column == row {
+                continue;
+            }
+            checked += 1;
+            assert_eq!(p.codec.sdc_quantized(p.codes_of(u), p.codes_of(v)), column);
+            let payload = appended(&p, &[u]);
+            assert!(!p.dominated(v, f32::from(column), &[u], &payload));
+            assert!(p.dominated(v, f32::from(column) + 1.0, &[u], &payload));
+        }
+        assert!(checked > 0, "every pair happened to be symmetric");
     }
 
     #[test]

@@ -16,9 +16,7 @@
 use crate::graph::GraphLayers;
 use crate::scratch::with_scratch;
 use crate::Hit;
-use crate::OrdF32;
 use linalg::random_orthogonal;
-use std::cmp::Reverse;
 use vecstore::VectorSet;
 
 /// A searcher holding block-rotated vectors and the abandon test settings.
@@ -106,7 +104,9 @@ impl AdSampler {
         if graph.is_empty() {
             return (Vec::new(), stats);
         }
-        let ef = ef.max(k);
+        // The entry is admitted unconditionally, so the result set never
+        // holds fewer than one vertex.
+        let ef = ef.max(k).max(1);
         let q_rot = self.rotate_query(query);
 
         // Greedy descent through upper layers with full distances (cheap:
@@ -144,17 +144,15 @@ impl AdSampler {
             scratch.visited.begin(graph.len());
             scratch.visited.check_and_mark(cur);
             scratch.profile.visited_inserts += 1;
-            let mut top = scratch.take_results();
-            let mut frontier = scratch.take_frontier();
-            top.push((OrdF32(cur_d), cur));
-            frontier.push((Reverse(OrdF32(cur_d)), cur));
+            scratch.beam.reset();
+            scratch.beam.push_result(cur_d, cur, ef);
+            scratch.beam.push_frontier(cur_d, cur);
 
-            while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-                let worst = top.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY);
-                if d > worst && top.len() >= ef {
+            while let Some((d, u)) = scratch.beam.pop_frontier() {
+                if d > scratch.beam.worst() && scratch.beam.len() >= ef {
                     break;
                 }
-                if let Some(&(Reverse(_), next)) = frontier.peek() {
+                if let Some(next) = scratch.beam.peek_frontier() {
                     simdops::prefetch_slice(self.rotated.get(next as usize));
                 }
                 scratch.profile.hops_base += 1;
@@ -164,40 +162,26 @@ impl AdSampler {
                     }
                     scratch.profile.visited_inserts += 1;
                     scratch.profile.dist_exact += 1;
-                    let threshold = if top.len() >= ef {
-                        top.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY)
+                    let threshold = if scratch.beam.len() >= ef {
+                        scratch.beam.worst()
                     } else {
                         f32::INFINITY
                     };
                     stats.evals += 1;
                     match self.dist_or_abandon(&q_rot, nb, threshold) {
+                        // Strict `<`: a distance the abandon test would
+                        // have cut off at the threshold is not admitted.
                         Some(nd) => {
-                            if top.len() < ef || nd < threshold {
-                                top.push((OrdF32(nd), nb));
-                                if top.len() > ef {
-                                    top.pop();
-                                }
-                                frontier.push((Reverse(OrdF32(nd)), nb));
+                            if scratch.beam.len() < ef || nd < threshold {
+                                scratch.beam.push_result(nd, nb, ef);
+                                scratch.beam.push_frontier(nd, nb);
                             }
                         }
                         None => stats.abandoned += 1,
                     }
                 }
             }
-
-            let mut out: Vec<Hit> = top
-                .drain()
-                .map(|(OrdF32(dist), id)| Hit {
-                    id: u64::from(id),
-                    dist,
-                })
-                .collect();
-            out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            out.truncate(k);
-            frontier.clear();
-            scratch.put_results(top);
-            scratch.put_frontier(frontier);
-            (out, stats)
+            (scratch.beam.drain_hits(k), stats)
         })
     }
 }

@@ -13,21 +13,30 @@
 //! layer (**Candidate Acquisition**), then the heuristic pruning rule keeps
 //! at most `R` diverse neighbors (**Neighbor Selection**) and adds reverse
 //! edges, pruning overflow with the same rule. Per-node mutexes protect
-//! neighbor lists; the provider's node payloads (e.g. Flash codeword
-//! blocks) are kept in sync under the same lock.
+//! neighbor lists and, under the same lock, the provider's node payloads
+//! (e.g. Flash codeword blocks).
+//!
+//! The builder never re-derives a payload it already has. Neighbor
+//! Selection appends each kept vertex to a scratch block as it goes — the
+//! block the provider answers [`DistanceProvider::dominated`] from — and
+//! that block *is* the payload of the list it selected: it is swapped into
+//! the node record. A reverse edge that fits appends one lane
+//! ([`DistanceProvider::append_payload`]). Everything an insert needs —
+//! visited set, [`crate::scratch`]'s beam, candidate / selected / prune
+//! lists, the scratch block — comes from one pooled per-thread
+//! [`SearchScratch`], so steady-state construction allocates only the ADT
+//! of the inserted vector and the node rows it grows.
 
 use crate::graph::GraphLayers;
 use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
-use crate::visited::{VisitedList, VisitedPool};
-use crate::{Hit, OrdF32};
+use crate::scratch::{with_pooled, SearchScratch};
+use crate::Hit;
 use metrics::QueryProfile;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Construction hyper-parameters (paper Section 2.2).
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +96,6 @@ pub struct Hnsw<P: DistanceProvider> {
     levels: Vec<u8>,
     nodes: Vec<Mutex<NodeData<P::NodePayload>>>,
     entry: RwLock<EntryPoint>,
-    visited: VisitedPool,
 }
 
 impl<P: DistanceProvider> Hnsw<P> {
@@ -125,7 +133,6 @@ impl<P: DistanceProvider> Hnsw<P> {
                 level: 0,
                 initialized: false,
             }),
-            visited: VisitedPool::new(n),
         }
     }
 
@@ -177,6 +184,13 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// Inserts database vector `id` into the graph (paper Algorithm 1,
     /// lines 2–8). Thread-safe; every vector should be inserted exactly
     /// once.
+    ///
+    /// Known deviation from Algorithm 1, recorded rather than fixed: one
+    /// visited epoch spans all of a vertex's layers (`begin` runs once per
+    /// insert), so a vertex reached at layer `l + 1` is invisible to the
+    /// layer-`l` beam of the same insert, where the paper searches each
+    /// layer afresh. Beginning an epoch per layer changes every graph and
+    /// every committed baseline, so it waits for a PR of its own (ROADMAP).
     pub fn insert(&self, id: u32) {
         let level = usize::from(self.levels[id as usize]);
         // First insertion initializes the entry point.
@@ -196,42 +210,53 @@ impl<P: DistanceProvider> Hnsw<P> {
             (ep.node, ep.level)
         };
 
-        // Greedy descent through layers above this vertex's level.
-        // Construction cost is not query cost: the profile is discarded.
+        // Construction cost is not query cost: the profile is discarded,
+        // and the scratch checkout is the uncounted one.
         let mut discard = QueryProfile::new();
-        let mut layer = ep_level;
-        while layer > level {
-            cur = self.greedy_closest(&ctx, cur, layer, &mut discard);
-            layer -= 1;
-        }
+        with_pooled::<P::NodePayload, _>(|scratch| {
+            // Greedy descent through layers above this vertex's level.
+            let mut layer = ep_level;
+            while layer > level {
+                cur = self.greedy_closest(&ctx, cur, layer, scratch, &mut discard);
+                layer -= 1;
+            }
 
-        // CA + NS per layer, top-down.
-        let mut visited = self.visited.take();
-        for l in (0..=level.min(ep_level)).rev() {
-            let candidates =
-                self.search_layer(&ctx, cur, self.params.c, l, &mut visited, &mut discard);
-            if candidates.is_empty() {
-                continue;
-            }
-            cur = candidates[0].1;
-            let selected = self.select_neighbors(&candidates, self.params.cap(l));
+            // CA + NS per layer, top-down.
+            scratch.visited.begin(self.nodes.len());
+            for l in (0..=level.min(ep_level)).rev() {
+                self.search_layer(&ctx, cur, self.params.c, l, scratch, &mut discard);
+                let SearchScratch {
+                    candidates,
+                    selected,
+                    prune,
+                    payload,
+                    ..
+                } = &mut *scratch;
+                let Some(&(_, nearest)) = candidates.first() else {
+                    continue;
+                };
+                cur = nearest;
+                self.select_neighbors(candidates, self.params.cap(l), selected, payload);
 
-            // Install this vertex's neighbor list.
-            {
-                let mut node = self.nodes[id as usize].lock();
-                node.neighbors[l] = selected.clone();
-                let NodeData {
-                    neighbors,
-                    payloads,
-                } = &mut *node;
-                self.provider.sync_payload(&mut payloads[l], &neighbors[l]);
+                // Install this vertex's neighbor list; the block NS built
+                // while selecting is its payload.
+                {
+                    let mut node = self.nodes[id as usize].lock();
+                    node.neighbors[l].clear();
+                    node.neighbors[l].extend_from_slice(selected);
+                    std::mem::swap(&mut node.payloads[l], payload);
+                }
+                // Reverse edges (line 7 of Algorithm 1). `selected` is a
+                // subsequence of `candidates`, so one forward walk pairs
+                // each kept vertex with its distance.
+                let mut kept = selected.iter().peekable();
+                for &(d, y) in candidates.iter() {
+                    if kept.next_if_eq(&&y).is_some() {
+                        self.link(y, id, d, l, prune, payload);
+                    }
+                }
             }
-            // Reverse edges (line 7 of Algorithm 1).
-            for &(d, y) in candidates.iter().filter(|&&(_, y)| selected.contains(&y)) {
-                self.link(y, id, d, l);
-            }
-        }
-        self.visited.put(visited);
+        });
 
         // Promote the entry point if this vertex tops the hierarchy.
         if level > ep_level {
@@ -250,6 +275,7 @@ impl<P: DistanceProvider> Hnsw<P> {
         ctx: &P::QueryCtx,
         start: u32,
         layer: usize,
+        scratch: &mut SearchScratch<P::NodePayload>,
         profile: &mut QueryProfile,
     ) -> u32 {
         let cf = self.provider.coded() as u64;
@@ -257,10 +283,9 @@ impl<P: DistanceProvider> Hnsw<P> {
         let mut cur_d = self.provider.dist_to(ctx, cur);
         profile.dist_coded += cf;
         profile.dist_exact += 1 - cf;
-        let mut ids = Vec::new();
-        let mut dists = Vec::new();
+        let SearchScratch { ids, dists, .. } = scratch;
         loop {
-            self.neighbor_dists(ctx, cur, layer, &mut ids, &mut dists, profile);
+            self.neighbor_dists(ctx, cur, layer, ids, dists, profile);
             profile.hops_upper += 1;
             let mut improved = false;
             for (&id, &d) in ids.iter().zip(dists.iter()) {
@@ -306,17 +331,29 @@ impl<P: DistanceProvider> Hnsw<P> {
         profile.codeword_bytes += self.provider.payload_bytes(ids.len()) as u64;
     }
 
-    /// Beam search at one layer (the Candidate Acquisition stage): returns
-    /// up to `ef` nearest vertices, ascending by distance.
+    /// Beam search at one layer (the Candidate Acquisition stage): leaves
+    /// up to `ef` nearest vertices in `scratch.candidates`, ascending by
+    /// `(distance, id)`. The caller owns the visited epoch.
     fn search_layer(
         &self,
         ctx: &P::QueryCtx,
         entry: u32,
         ef: usize,
         layer: usize,
-        visited: &mut VisitedList,
+        scratch: &mut SearchScratch<P::NodePayload>,
         profile: &mut QueryProfile,
-    ) -> Vec<(f32, u32)> {
+    ) {
+        let SearchScratch {
+            visited,
+            beam,
+            ids,
+            dists,
+            candidates,
+            ..
+        } = scratch;
+        // The entry is admitted unconditionally, so the result set never
+        // holds fewer than one vertex.
+        let ef = ef.max(1);
         let cf = self.provider.coded() as u64;
         let d0 = self.provider.dist_to(ctx, entry);
         profile.dist_coded += cf;
@@ -324,96 +361,97 @@ impl<P: DistanceProvider> Hnsw<P> {
         visited.check_and_mark(entry);
         profile.visited_inserts += 1;
 
-        // `top` is a max-heap of the best `ef` (farthest on top);
-        // `frontier` a min-heap of vertices to expand.
-        let mut top: BinaryHeap<(OrdF32, u32)> = BinaryHeap::with_capacity(ef + 1);
-        let mut frontier: BinaryHeap<(Reverse<OrdF32>, u32)> = BinaryHeap::new();
-        top.push((OrdF32(d0), entry));
-        frontier.push((Reverse(OrdF32(d0)), entry));
-
-        let mut ids = Vec::new();
-        let mut dists = Vec::new();
-        while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-            let worst = top.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY);
-            if d > worst && top.len() >= ef {
+        beam.reset();
+        beam.push_result(d0, entry, ef);
+        beam.push_frontier(d0, entry);
+        while let Some((d, u)) = beam.pop_frontier() {
+            if d > beam.worst() && beam.len() >= ef {
                 break;
             }
-            self.neighbor_dists(ctx, u, layer, &mut ids, &mut dists, profile);
+            self.neighbor_dists(ctx, u, layer, ids, dists, profile);
             profile.hops_base += 1;
             for (&id, &nd) in ids.iter().zip(dists.iter()) {
                 if visited.check_and_mark(id) {
                     continue;
                 }
                 profile.visited_inserts += 1;
-                let worst = top.peek().map(|&(OrdF32(w), _)| w).unwrap_or(f32::INFINITY);
-                // `<=` rather than `<`: quantized providers produce integer
-                // distances with heavy ties, and rejecting boundary ties
-                // strands true neighbors outside the beam.
-                if top.len() < ef || nd <= worst {
-                    top.push((OrdF32(nd), id));
-                    if top.len() > ef {
-                        top.pop();
-                    }
-                    frontier.push((Reverse(OrdF32(nd)), id));
-                }
+                beam.offer(nd, id, ef, || true);
             }
         }
-
-        let mut out: Vec<(f32, u32)> = top.into_iter().map(|(OrdF32(d), id)| (d, id)).collect();
-        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
+        candidates.clear();
+        candidates.extend(beam.drain_sorted());
     }
 
     /// The heuristic Neighbor Selection rule: walk candidates in ascending
     /// distance; keep `v` unless some already-selected `u` is closer to `v`
     /// than `v` is to the inserted vector (paper Section 2.2's MRNG-style
-    /// rule).
-    fn select_neighbors(&self, candidates: &[(f32, u32)], r: usize) -> Vec<u32> {
-        let mut selected: Vec<(f32, u32)> = Vec::with_capacity(r);
+    /// rule). Leaves at most `cap` kept ids in `selected`, in candidate
+    /// order, and `block` as their payload, lane for lane — the block the
+    /// provider answers [`DistanceProvider::dominated`] from as it grows.
+    fn select_neighbors(
+        &self,
+        candidates: &[(f32, u32)],
+        cap: usize,
+        selected: &mut Vec<u32>,
+        block: &mut P::NodePayload,
+    ) {
+        // The first candidate is always kept, and its append at lane 0 is
+        // what discards the block's previous contents.
+        debug_assert!(!candidates.is_empty() && cap >= 1);
+        selected.clear();
         for &(d, v) in candidates {
-            if selected.len() >= r {
+            if selected.len() >= cap {
                 break;
             }
-            let dominated = selected
-                .iter()
-                .any(|&(_, u)| self.provider.dist_between(u, v) < d);
-            if !dominated {
-                selected.push((d, v));
+            if !self.provider.dominated(v, d, selected, block) {
+                self.provider.append_payload(block, selected.len(), v);
+                selected.push(v);
             }
         }
-        selected.into_iter().map(|(_, v)| v).collect()
     }
 
     /// Adds the reverse edge `y → x`, pruning with the same heuristic if
-    /// `y`'s list overflows its capacity.
-    fn link(&self, y: u32, x: u32, d_xy: f32, layer: usize) {
-        let cap = self.params.cap(layer);
+    /// `y`'s list overflows its capacity. `prune` and `block` are scratch
+    /// for that re-selection.
+    fn link(
+        &self,
+        y: u32,
+        x: u32,
+        d_xy: f32,
+        layer: usize,
+        prune: &mut Vec<(f32, u32)>,
+        block: &mut P::NodePayload,
+    ) {
         let mut node = self.nodes[y as usize].lock();
         if layer >= node.neighbors.len() {
             return; // y does not exist at this layer (stale candidate)
-        }
-        if node.neighbors[layer].contains(&x) {
-            return;
-        }
-        if node.neighbors[layer].len() < cap {
-            node.neighbors[layer].push(x);
-        } else {
-            // Re-run the selection heuristic over current neighbors + x,
-            // with distances measured from y.
-            let mut cands: Vec<(f32, u32)> = node.neighbors[layer]
-                .iter()
-                .map(|&nb| (self.provider.dist_between(y, nb), nb))
-                .collect();
-            cands.push((d_xy, x));
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            node.neighbors[layer] = self.select_neighbors(&cands, cap);
         }
         let NodeData {
             neighbors,
             payloads,
         } = &mut *node;
-        self.provider
-            .sync_payload(&mut payloads[layer], &neighbors[layer]);
+        let (row, payload) = (&mut neighbors[layer], &mut payloads[layer]);
+        if row.contains(&x) {
+            return;
+        }
+        let cap = self.params.cap(layer);
+        if row.len() < cap {
+            // One more lane; the rest of the block is already right.
+            self.provider.append_payload(payload, row.len(), x);
+            row.push(x);
+            return;
+        }
+        // Re-run the selection heuristic over current neighbors + x, with
+        // distances measured from y; the block it builds replaces y's.
+        prune.clear();
+        prune.extend(
+            row.iter()
+                .map(|&nb| (self.provider.dist_between(y, nb), nb)),
+        );
+        prune.push((d_xy, x));
+        prune.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.select_neighbors(prune, cap, row, block);
+        std::mem::swap(payload, block);
     }
 
     /// k-NN search over the live graph (the paper's search procedure:
@@ -432,21 +470,24 @@ impl<P: DistanceProvider> Hnsw<P> {
 
         let ctx = self.provider.prepare_query(query);
         let mut profile = QueryProfile::new();
-        for layer in (1..=ep_level).rev() {
-            cur = self.greedy_closest(&ctx, cur, layer, &mut profile);
-        }
-        let mut visited = self.visited.take();
-        let found = self.search_layer(&ctx, cur, ef.max(k), 0, &mut visited, &mut profile);
-        self.visited.put(visited);
+        let hits = with_pooled::<P::NodePayload, _>(|scratch| {
+            for layer in (1..=ep_level).rev() {
+                cur = self.greedy_closest(&ctx, cur, layer, scratch, &mut profile);
+            }
+            scratch.visited.begin(self.nodes.len());
+            self.search_layer(&ctx, cur, ef.max(k), 0, scratch, &mut profile);
+            scratch
+                .candidates
+                .iter()
+                .take(k)
+                .map(|&(dist, id)| Hit {
+                    id: u64::from(id),
+                    dist,
+                })
+                .collect()
+        });
         crate::scratch::profile_record(profile);
-        found
-            .into_iter()
-            .take(k)
-            .map(|(dist, id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect()
+        hits
     }
 
     /// Freezes the adjacency into a read-only [`GraphLayers`]: the
@@ -476,22 +517,29 @@ impl<P: DistanceProvider> Hnsw<P> {
         FrozenGraph::new(self.provider, layers)
     }
 
-    /// Total index size in bytes: adjacency ids + provider auxiliary state +
-    /// node payloads (Figure 7's metric; the baseline additionally counts
-    /// its full-precision vectors via the provider's `aux_bytes`).
+    /// Size of the index under construction in bytes (Figure 7's metric):
+    /// the provider's auxiliary state (codes and tables; the baseline's
+    /// full-precision vectors), plus per row the neighbor ids it holds and
+    /// the payload blocks covering them — `⌈len / 16⌉` blocks for Flash,
+    /// nothing for an empty row.
     pub fn index_bytes(&self) -> usize {
         let mut total = self.provider.aux_bytes();
-        for node in &self.nodes {
+        self.for_each_row(|_, _, ids, _| {
+            total += std::mem::size_of_val(ids) + self.provider.payload_bytes(ids.len());
+        });
+        total
+    }
+
+    /// Visits every `(node, layer)` row with its neighbor ids and payload,
+    /// each under its node lock — for the payload-invariant tests.
+    #[doc(hidden)]
+    pub fn for_each_row(&self, mut f: impl FnMut(u32, usize, &[u32], &P::NodePayload)) {
+        for (i, node) in self.nodes.iter().enumerate() {
             let guard = node.lock();
-            for (l, nbrs) in guard.neighbors.iter().enumerate() {
-                total += nbrs.len() * std::mem::size_of::<u32>();
-                let _ = l;
-            }
-            for (l, _) in guard.payloads.iter().enumerate() {
-                total += self.provider.payload_bytes(self.params.cap(l));
+            for (l, (ids, payload)) in guard.neighbors.iter().zip(&guard.payloads).enumerate() {
+                f(i as u32, l, ids, payload);
             }
         }
-        total
     }
 
     /// Consumes the index, returning the provider.

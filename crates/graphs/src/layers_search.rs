@@ -26,9 +26,7 @@ use crate::graph::GraphLayers;
 use crate::provider::DistanceProvider;
 use crate::scratch::{with_scratch, SearchScratch};
 use crate::Hit;
-use crate::OrdF32;
 use metrics::QueryProfile;
-use std::cmp::Reverse;
 
 /// What every graph index is once construction ends: a distance provider
 /// paired with the frozen topology built through it. The engine's graph
@@ -165,20 +163,16 @@ pub fn search_layers_filtered<P: DistanceProvider>(
         scratch.visited.begin(graph.len());
         scratch.visited.check_and_mark(cur);
         scratch.profile.visited_inserts += 1;
-        // `results` holds only accepted vertices; `frontier` expands all.
-        let mut results = scratch.take_results();
-        let mut frontier = scratch.take_frontier();
+        // The result set holds only accepted vertices; the frontier
+        // expands all.
+        scratch.beam.reset();
         if accept(cur) {
-            results.push((OrdF32(cur_d), cur));
+            scratch.beam.push_result(cur_d, cur, ef);
         }
-        frontier.push((Reverse(OrdF32(cur_d)), cur));
+        scratch.beam.push_frontier(cur_d, cur);
 
-        while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-            let worst = results
-                .peek()
-                .map(|&(OrdF32(w), _)| w)
-                .unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
+        while let Some((d, u)) = scratch.beam.pop_frontier() {
+            if d > scratch.beam.worst() && scratch.beam.len() >= ef {
                 break;
             }
             // Gather the unvisited neighbors, then score them as one block.
@@ -194,7 +188,7 @@ pub fn search_layers_filtered<P: DistanceProvider>(
                 continue;
             }
             // Overlap the next candidate's misses with this block's scoring.
-            if let Some(&(Reverse(_), next)) = frontier.peek() {
+            if let Some(next) = scratch.beam.peek_frontier() {
                 provider.prefetch(next);
                 simdops::prefetch_slice(graph.neighbors(0, next));
             }
@@ -204,35 +198,10 @@ pub fn search_layers_filtered<P: DistanceProvider>(
             scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
             add_evals(&mut scratch.profile, scratch.ids.len() as u64, cf);
             for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                let worst = results
-                    .peek()
-                    .map(|&(OrdF32(w), _)| w)
-                    .unwrap_or(f32::INFINITY);
-                if results.len() < ef || nd <= worst {
-                    if accept(nb) {
-                        results.push((OrdF32(nd), nb));
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                    frontier.push((Reverse(OrdF32(nd)), nb));
-                }
+                scratch.beam.offer(nd, nb, ef, || accept(nb));
             }
         }
-
-        let mut out: Vec<Hit> = results
-            .drain()
-            .map(|(OrdF32(dist), id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        out.truncate(k);
-        frontier.clear();
-        scratch.put_results(results);
-        scratch.put_frontier(frontier);
-        out
+        scratch.beam.drain_hits(k)
     })
 }
 
@@ -306,24 +275,19 @@ pub fn search_layers_cached<P: DistanceProvider>(
         scratch.visited.begin(graph.len());
         scratch.visited.check_and_mark(cur);
         scratch.profile.visited_inserts += 1;
-        let mut results = scratch.take_results();
-        let mut frontier = scratch.take_frontier();
-        results.push((OrdF32(cur_d), cur));
-        frontier.push((Reverse(OrdF32(cur_d)), cur));
+        scratch.beam.reset();
+        scratch.beam.push_result(cur_d, cur, ef);
+        scratch.beam.push_frontier(cur_d, cur);
 
-        while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-            let worst = results
-                .peek()
-                .map(|&(OrdF32(w), _)| w)
-                .unwrap_or(f32::INFINITY);
-            if d > worst && results.len() >= ef {
+        while let Some((d, u)) = scratch.beam.pop_frontier() {
+            if d > scratch.beam.worst() && scratch.beam.len() >= ef {
                 break;
             }
             let row = graph.neighbors(0, u);
             if row.is_empty() {
                 continue;
             }
-            if let Some(&(Reverse(_), next)) = frontier.peek() {
+            if let Some(next) = scratch.beam.peek_frontier() {
                 provider.prefetch(next);
                 simdops::prefetch_slice(graph.neighbors(0, next));
             }
@@ -339,33 +303,10 @@ pub fn search_layers_cached<P: DistanceProvider>(
                     continue;
                 }
                 scratch.profile.visited_inserts += 1;
-                let worst = results
-                    .peek()
-                    .map(|&(OrdF32(w), _)| w)
-                    .unwrap_or(f32::INFINITY);
-                if results.len() < ef || nd <= worst {
-                    results.push((OrdF32(nd), nb));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                    frontier.push((Reverse(OrdF32(nd)), nb));
-                }
+                scratch.beam.offer(nd, nb, ef, || true);
             }
         }
-
-        let mut out: Vec<Hit> = results
-            .drain()
-            .map(|(OrdF32(dist), id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        out.truncate(k);
-        frontier.clear();
-        scratch.put_results(results);
-        scratch.put_frontier(frontier);
-        out
+        scratch.beam.drain_hits(k)
     })
 }
 

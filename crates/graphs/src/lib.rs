@@ -13,8 +13,10 @@
 //! * [`providers::SqProvider`] — HNSW-SQ (integer codes);
 //! * [`providers::PcaProvider`] — HNSW-PCA (projected vectors);
 //! * `flash::FlashProvider` (in the `flash` crate) — the paper's method,
-//!   which additionally overrides the *batched* neighbor-distance hook and
-//!   maintains per-node codeword blocks through [`DistanceProvider::sync_payload`].
+//!   which additionally overrides the *batched* CA and NS distance hooks
+//!   ([`DistanceProvider::dist_to_neighbors`], [`DistanceProvider::dominated`])
+//!   and maintains per-node codeword blocks through
+//!   [`DistanceProvider::append_payload`].
 //!
 //! Search-side optimizations evaluated in the paper's Figure 13 live in
 //! [`adsampling`] and [`vbase`]; both operate on an already-built

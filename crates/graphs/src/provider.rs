@@ -2,9 +2,18 @@
 
 use vecstore::VectorSet;
 
-/// Supplies every distance the CA and NS stages need, plus two hooks that
+/// Supplies every distance the CA and NS stages need, plus the hooks that
 /// let a codec co-locate per-node data with the adjacency lists (the heart
 /// of Flash's access-aware layout, Section 3.3.4 of the paper).
+///
+/// **The lane invariant.** A payload mirrors one neighbor list: lane `j`
+/// holds whatever the provider keeps for `ids[j]`, and nothing else in the
+/// payload depends on the list. Three functions write payloads and all
+/// keep it: [`Self::sync_payload`] rebuilds every lane from a list,
+/// [`Self::append_payload`] writes one lane at the list's end, and a
+/// whole payload may be moved from one owner to another with its list.
+/// The HNSW builder uses only the last two — it never re-derives a lane
+/// it already has.
 ///
 /// Implementations must be cheap to call concurrently: construction inserts
 /// vertices from many threads, each holding its own [`Self::QueryCtx`].
@@ -47,7 +56,7 @@ pub trait DistanceProvider: Sync + Send {
 
     /// Batched CA-stage distances from the prepared vector to all of `ids`
     /// (a visited vertex's neighbor list). `payload` is the visited vertex's
-    /// node payload, whose layout mirrors `ids` (see [`Self::sync_payload`]).
+    /// node payload, whose layout mirrors `ids` (the lane invariant).
     ///
     /// The default implementation loops over [`Self::dist_to`] — one random
     /// memory access per neighbor, exactly the baseline behaviour the paper
@@ -63,10 +72,29 @@ pub trait DistanceProvider: Sync + Send {
         out.extend(ids.iter().map(|&id| self.dist_to(ctx, id)));
     }
 
-    /// Called (under the owning node's lock) whenever a node's neighbor list
-    /// changes, so payload-carrying providers can rebuild the co-located
-    /// codeword blocks for the new `ids`.
+    /// Rebuilds `payload` from scratch for the list `ids` — every lane
+    /// gathered from the provider's global state. This is the serving-side
+    /// gather (a frozen topology stores adjacency only, so each expansion
+    /// builds the block of the ids it is about to score) and what
+    /// [`crate::NodePayloads::build`] runs once per node.
     fn sync_payload(&self, _payload: &mut Self::NodePayload, _ids: &[u32]) {}
+
+    /// Writes `id` into lane `lane` of `payload`, where `lane` is the
+    /// length of the list before `id` joins it. Lane 0 starts a new list:
+    /// whatever the payload held before is discarded. Construction calls
+    /// this under the owning node's lock for a reverse edge, and on its
+    /// scratch block as Neighbor Selection keeps each vertex.
+    fn append_payload(&self, _payload: &mut Self::NodePayload, _lane: usize, _id: u32) {}
+
+    /// The one question Neighbor Selection asks: is some vertex of
+    /// `selected` closer to `v` than `d`? `payload` holds `selected` lane
+    /// for lane (built by [`Self::append_payload`]), so a provider whose
+    /// NS distance is a table lookup can answer from the block in batches
+    /// (Flash: one SIMD lookup per 16 selected vertices). Must equal the
+    /// default, which ignores the payload.
+    fn dominated(&self, v: u32, d: f32, selected: &[u32], _payload: &Self::NodePayload) -> bool {
+        selected.iter().any(|&u| self.dist_between(u, v) < d)
+    }
 
     /// Hint that the distance data of `id` (codes, or the raw vector) will
     /// be needed shortly. Search kernels call this for the *next* frontier

@@ -203,6 +203,19 @@ impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
         Self::time(&self.sync_ns, || self.inner.sync_payload(payload, ids))
     }
 
+    fn append_payload(&self, payload: &mut Self::NodePayload, lane: usize, id: u32) {
+        Self::time(&self.sync_ns, || {
+            self.inner.append_payload(payload, lane, id)
+        })
+    }
+
+    fn dominated(&self, v: u32, d: f32, selected: &[u32], payload: &Self::NodePayload) -> bool {
+        self.dist_calls.fetch_add(1, Ordering::Relaxed);
+        Self::time(&self.dist_ns, || {
+            self.inner.dominated(v, d, selected, payload)
+        })
+    }
+
     fn prefetch(&self, id: u32) {
         // Untimed: a prefetch hint is fire-and-forget, timing it would cost
         // more than the hint itself.

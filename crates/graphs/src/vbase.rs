@@ -12,8 +12,6 @@ use crate::graph::GraphLayers;
 use crate::provider::DistanceProvider;
 use crate::scratch::with_scratch;
 use crate::Hit;
-use crate::OrdF32;
-use std::cmp::Reverse;
 
 /// Search with relaxed-monotonicity termination.
 ///
@@ -38,6 +36,9 @@ pub fn search_vbase<P: DistanceProvider>(
         return Vec::new();
     }
     let window = window.max(1);
+    // The entry is admitted unconditionally, so the top-k never holds
+    // fewer than one vertex.
+    let cap = k.max(1);
     let ctx = provider.prepare_query(query);
     let cf = provider.coded() as u64;
 
@@ -48,13 +49,12 @@ pub fn search_vbase<P: DistanceProvider>(
         scratch.visited.begin(graph.len());
         scratch.visited.check_and_mark(cur);
         scratch.profile.visited_inserts += 1;
-        let mut topk = scratch.take_results();
-        let mut frontier = scratch.take_frontier();
-        topk.push((OrdF32(cur_d), cur));
-        frontier.push((Reverse(OrdF32(cur_d)), cur));
+        scratch.beam.reset();
+        scratch.beam.push_result(cur_d, cur, cap);
+        scratch.beam.push_frontier(cur_d, cur);
 
         let mut since_improvement = 0usize;
-        while let Some((Reverse(OrdF32(_)), u)) = frontier.pop() {
+        while let Some((_, u)) = scratch.beam.pop_frontier() {
             if since_improvement >= window {
                 break;
             }
@@ -68,7 +68,7 @@ pub fn search_vbase<P: DistanceProvider>(
             scratch.profile.visited_inserts += scratch.ids.len() as u64;
             let mut improved = false;
             if !scratch.ids.is_empty() {
-                if let Some(&(Reverse(_), next)) = frontier.peek() {
+                if let Some(next) = scratch.beam.peek_frontier() {
                     provider.prefetch(next);
                     simdops::prefetch_slice(graph.neighbors(0, next));
                 }
@@ -85,20 +85,15 @@ pub fn search_vbase<P: DistanceProvider>(
                 scratch.profile.dist_exact += n * (1 - cf);
                 scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
                 for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                    let kth = topk
-                        .peek()
-                        .map(|&(OrdF32(w), _)| w)
-                        .unwrap_or(f32::INFINITY);
-                    if topk.len() < k || nd < kth {
-                        topk.push((OrdF32(nd), nb));
-                        if topk.len() > k {
-                            topk.pop();
-                        }
+                    // Strict `<`: only a real improvement of the k-th best
+                    // resets the window.
+                    if scratch.beam.len() < k || nd < scratch.beam.worst() {
+                        scratch.beam.push_result(nd, nb, cap);
                         improved = true;
                     }
                     // Frontier admission stays generous so the walk can cross
                     // plateaus; the window handles termination.
-                    frontier.push((Reverse(OrdF32(nd)), nb));
+                    scratch.beam.push_frontier(nd, nb);
                 }
             }
             if improved {
@@ -108,18 +103,7 @@ pub fn search_vbase<P: DistanceProvider>(
             }
         }
 
-        let mut out: Vec<Hit> = topk
-            .drain()
-            .map(|(OrdF32(dist), id)| Hit {
-                id: u64::from(id),
-                dist,
-            })
-            .collect();
-        out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        frontier.clear();
-        scratch.put_results(topk);
-        scratch.put_frontier(frontier);
-        out
+        scratch.beam.drain_hits(usize::MAX)
     })
 }
 

@@ -1,11 +1,10 @@
 //! Reusable epoch-stamped visited sets.
 //!
 //! Every CA search needs a "have I seen this vertex" set. Allocating a
-//! bitmap per insert would dominate small-graph builds, so we pool
-//! epoch-stamped arrays: marking writes the current epoch, and a new
-//! traversal just bumps the epoch instead of clearing.
-
-use parking_lot::Mutex;
+//! bitmap per insert would dominate small-graph builds, so the pooled
+//! [`crate::scratch::SearchScratch`] carries an epoch-stamped array:
+//! marking writes the current epoch, and a new traversal just bumps the
+//! epoch instead of clearing.
 
 /// One epoch-stamped visited array.
 pub struct VisitedList {
@@ -51,47 +50,14 @@ impl VisitedList {
     }
 }
 
-/// Pool of [`VisitedList`]s shared across builder threads.
-pub struct VisitedPool {
-    n: usize,
-    free: Mutex<Vec<VisitedList>>,
-}
-
-impl VisitedPool {
-    /// Creates a pool for graphs of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Borrows a list (allocating if the pool is dry). Return it with
-    /// [`VisitedPool::put`].
-    pub fn take(&self) -> VisitedList {
-        let mut list = self
-            .free
-            .lock()
-            .pop()
-            .unwrap_or_else(|| VisitedList::new(self.n));
-        list.begin(self.n);
-        list
-    }
-
-    /// Returns a list to the pool.
-    pub fn put(&self, list: VisitedList) {
-        self.free.lock().push(list);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn marks_and_checks() {
-        let pool = VisitedPool::new(10);
-        let mut v = pool.take();
+        let mut v = VisitedList::new(10);
+        v.begin(10);
         assert!(!v.check_and_mark(3));
         assert!(v.check_and_mark(3));
         assert!(v.is_visited(3));
@@ -100,12 +66,11 @@ mod tests {
 
     #[test]
     fn reuse_resets_marks() {
-        let pool = VisitedPool::new(4);
-        let mut v = pool.take();
+        let mut v = VisitedList::new(4);
+        v.begin(4);
         v.check_and_mark(1);
-        pool.put(v);
-        let v2 = pool.take();
-        assert!(!v2.is_visited(1), "recycled list must start clean");
+        v.begin(4);
+        assert!(!v.is_visited(1), "a new traversal must start clean");
     }
 
     #[test]

@@ -498,15 +498,21 @@
 //!    `neighbors(layer, node)` — the adjacency fields themselves are
 //!    private, so the layout can keep evolving without breaking callers.
 //!
-//! 2. **Pooled, allocation-free search state.** Each query checks a
-//!    `SearchScratch` out of a thread-local pool instead of allocating a
-//!    fresh `vec![false; n]` visited map and new `BinaryHeap`s: the
-//!    visited set is epoch-stamped (clearing is a counter bump, not a
-//!    memset), and the frontier/result heaps and block-score buffers are
-//!    reused across queries. [`graphs::scratch_stats`] exposes
-//!    `created`/`checkouts` counters; in steady state `created` stays
-//!    flat while `checkouts` climbs — the zero-allocation property the
-//!    test suite asserts directly.
+//! 2. **Pooled, allocation-free traversal state.** Each query — and each
+//!    `Hnsw::insert` — checks a `SearchScratch` out of a thread-local
+//!    pool instead of allocating a visited map, heaps and work lists per
+//!    call: the visited set is epoch-stamped (clearing is a counter bump,
+//!    not a memset), one `Beam` holds the result set and the frontier as
+//!    two heaps of packed `u64` keys (distance image in the high half,
+//!    id in the low, so a heap step is one integer compare and the
+//!    `(dist, id)` tie order is exactly that of the tuple heaps it
+//!    replaced), and the block-score buffers — for an insert also its
+//!    candidate, selected and prune lists and the block Neighbor
+//!    Selection builds — are reused across calls.
+//!    [`graphs::scratch_stats`] exposes `created`/`checkouts` counters
+//!    for queries (construction is not counted); in steady state
+//!    `created` stays flat while `checkouts` climbs — the zero-allocation
+//!    property the test suite asserts directly.
 //!
 //! 3. **Block-scored expansion with prefetch.** Kernels score a whole
 //!    neighbor line through [`graphs::DistanceProvider::dist_to_neighbors`]

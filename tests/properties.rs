@@ -174,6 +174,94 @@ proptest! {
         provider.sync_payload(&mut payload, &pick);
         prop_assert!(flash::provider::blocks_consistent(&provider, &payload, &pick));
     }
+
+    /// Flash's batched Neighbor Selection answer equals the trait's default
+    /// scalar loop at every dispatch tier, for an odd subspace count (the
+    /// kernels' tail paths) and selections crossing the 16-lane blocks.
+    #[test]
+    fn flash_dominated_matches_default_loop_at_every_level(
+        v in 0u32..200,
+        selected in proptest::collection::vec(0u32..200, 0..34),
+        slack in -2i32..3,
+        anchor in 0usize..34,
+    ) {
+        use graphs::DistanceProvider as _;
+        static PROVIDER: std::sync::OnceLock<FlashProvider> = std::sync::OnceLock::new();
+        let provider = PROVIDER.get_or_init(|| {
+            let (base, _) = generate(&DatasetSpec::new(32, 20, 0.95, 0.4, 5), 200, 1, 9);
+            FlashProvider::new(
+                base,
+                FlashParams {
+                    d_f: 21,
+                    m_f: 7,
+                    train_sample: 150,
+                    kmeans_iters: 5,
+                    seed: 3,
+                    grid_quantile: 0.5,
+                },
+            )
+        });
+        let mut payload = flash::FlashBlocks::default();
+        for (lane, &id) in selected.iter().enumerate() {
+            provider.append_payload(&mut payload, lane, id);
+        }
+        // A threshold at, just under or just over one selected distance.
+        let d = selected
+            .get(anchor)
+            .map_or(40.0, |&u| provider.dist_between(u, v) + slack as f32);
+        let expect = selected.iter().any(|&u| provider.dist_between(u, v) < d);
+        for level in simdops::level::supported_levels() {
+            let got = simdops::level::with_level(level, || {
+                provider.dominated(v, d, &selected, &payload)
+            });
+            prop_assert_eq!(got, expect, "level {:?}", level);
+        }
+    }
+}
+
+/// After construction every node's payload at every layer mirrors its
+/// neighbor list, lane for lane and block for block — the builder only ever
+/// appends lanes and installs whole blocks, never re-gathers.
+#[test]
+fn flash_build_leaves_every_payload_consistent() {
+    use graphs::DistanceProvider as _;
+    let (base, _) = generate(&DatasetSpec::new(32, 20, 0.95, 0.4, 5), 600, 1, 11);
+    let provider = FlashProvider::new(
+        base,
+        FlashParams {
+            d_f: 16,
+            m_f: 4,
+            train_sample: 300,
+            kmeans_iters: 5,
+            seed: 3,
+            grid_quantile: 0.5,
+        },
+    );
+    // R = 4 so base rows overflow and upper rows fill: both `link` paths run.
+    let index = Hnsw::build(
+        provider,
+        HnswParams {
+            c: 32,
+            r: 4,
+            seed: 2,
+        },
+    );
+    let mut rows = 0;
+    let mut pruned_to_cap = 0;
+    index.for_each_row(|node, layer, ids, payload| {
+        rows += 1;
+        pruned_to_cap += usize::from(ids.len() == index.params().cap(layer));
+        assert!(
+            flash::provider::blocks_consistent(index.provider(), payload, ids),
+            "node {node} layer {layer}"
+        );
+        assert_eq!(
+            payload.as_bytes().len(),
+            index.provider().payload_bytes(ids.len()),
+            "node {node} layer {layer}: blocks held vs list length"
+        );
+    });
+    assert!(rows > 600 && pruned_to_cap > 0);
 }
 
 /// Non-proptest exhaustive check: FlashCodec's scalar quantizer η is
