@@ -2,9 +2,9 @@
 //! client connections, with admission control.
 //!
 //! [`EventServer`] puts a [`NodeHandler`] behind a listener. Each loop
-//! thread owns a set of **non-blocking** sockets and polls them for
-//! readiness (hand-rolled over `std::net`, in the spirit of the
-//! hand-rolled `WorkerPool` — no mio/tokio), so its capacity does not stop
+//! thread works its **non-blocking** sockets until a pass makes no progress,
+//! then blocks in `poll(2)` — no timer sits between a request and its reply
+//! (`readiness.rs`; hand-rolled, no mio/tokio) — so capacity does not stop
 //! at `threads` concurrent clients: hundreds of connections share a
 //! handful of threads, and frames **pipeline** — a client may write N
 //! request frames back to back and read N replies, in order, without
@@ -33,12 +33,14 @@
 //! Observability: every admission decision updates the global metrics
 //! registry (`serving.frontend.queue_depth` gauge,
 //! `serving.frontend.admitted` / `serving.frontend.shed` counters, and
-//! the `serving.frontend.admission_wait_ns` histogram), and traced
+//! the `serving.frontend.admission_wait_ns` histogram; wake-ups ÷ admitted,
+//! from `serving.frontend.wakeups`, is the loop's figure of merit), and traced
 //! requests get a `queue_wait` span (depth at enqueue, waited
 //! nanoseconds) recorded into the handler's ring next to the usual
 //! `wire_exchange` span.
 
 use super::node::NodeHandler;
+use super::readiness::{self, PollFd, Waker, ACCEPT_RETRY, POLLIN, POLLOUT};
 use super::transport::WireStream;
 use super::wire::{frame_bounds, ErrorCode, Message, WireFault};
 use super::{NodeAddr, TransportError};
@@ -54,10 +56,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a loop thread sleeps when a poll pass made no progress —
-/// the shutdown-latency and idle-wakeup bound.
-const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// Bytes read from one connection per poll pass, and the cap on buffered
 /// unparsed input per connection — past it, reading stops and the
@@ -104,17 +102,20 @@ pub struct AdmissionStats {
     pub shed: u64,
 }
 
-/// Everything the loop threads share.
+/// Everything the loop threads and the [`EventServer`] handle share.
 struct Shared {
     handler: Arc<NodeHandler>,
     counters: Arc<TransportCounters>,
     config: EventConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
+    waker: Waker,
     admitted: Arc<AtomicU64>,
     shed: Arc<AtomicU64>,
-    // Global-registry mirrors of the same decisions.
+    wakeups: AtomicU64,
+    // Global-registry mirrors of the same counts.
     admitted_total: Counter,
     shed_total: Counter,
+    wakeups_total: Counter,
     queue_depth: Gauge,
     admission_wait: Arc<Log2Histogram>,
 }
@@ -140,6 +141,14 @@ impl EventListener {
             EventListener::Tcp(l) => l.try_clone().map(EventListener::Tcp),
             #[cfg(unix)]
             EventListener::Unix(l) => l.try_clone().map(EventListener::Unix),
+        }
+    }
+
+    fn pollfd(&self) -> PollFd {
+        match self {
+            EventListener::Tcp(l) => PollFd::new(l, POLLIN),
+            #[cfg(unix)]
+            EventListener::Unix(l) => PollFd::new(l, POLLIN),
         }
     }
 
@@ -196,21 +205,31 @@ impl Conn {
         }
     }
 
-    /// Pulls available bytes (up to the backpressure caps) off the
-    /// socket. Returns whether any arrived.
-    fn fill(&mut self, shared: &Shared) -> bool {
-        if self.eof || self.dead || self.close_after_flush {
-            return false;
-        }
+    /// Whether [`Self::fill`] reads. Quota backpressure: a connection at
+    /// its in-flight cap (or with a large unparsed backlog) is not read
+    /// from — the socket buffer fills and the client blocks, instead of
+    /// this node queuing without bound.
+    fn wants_input(&self, shared: &Shared) -> bool {
+        !(self.eof || self.dead || self.close_after_flush)
+            && self.pending.len() < shared.config.client_quota
+            && self.read_buf.len() < READ_BUF_CAP
+    }
+
+    /// What the idle wait asks of this socket: what the next pass acts on.
+    /// Input it would not read (at quota) or writability with nothing staged
+    /// would spin; with nothing to ask, so would a hang-up: left out.
+    fn interest(&self, shared: &Shared) -> Option<PollFd> {
+        let (read, staged) = (self.wants_input(shared), !self.write_buf.is_empty());
+        let events = if read { POLLIN } else { 0 } | if staged { POLLOUT } else { 0 };
+        (events != 0).then(|| self.stream.pollfd(events))
+    }
+
+    /// Pulls available bytes (up to the backpressure caps) off the socket
+    /// through the loop's `chunk`. Returns whether any arrived.
+    fn fill(&mut self, shared: &Shared, chunk: &mut [u8]) -> bool {
         let mut progressed = false;
-        let mut chunk = [0u8; READ_CHUNK];
-        // Quota backpressure: a connection at its in-flight cap (or with
-        // a large unparsed backlog) is simply not read from — the socket
-        // buffer fills and the client blocks, instead of this node
-        // queuing without bound.
-        while self.pending.len() < shared.config.client_quota && self.read_buf.len() < READ_BUF_CAP
-        {
-            match self.stream.read(&mut chunk) {
+        while self.wants_input(shared) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.eof = true;
                     break;
@@ -386,16 +405,12 @@ impl Conn {
 /// [`Self::shutdown`] (also run on drop) severs live connections — clients
 /// see an I/O error, exactly like a crashed process — and joins every loop
 /// thread; tests and demos use it to kill a node mid-run and watch the
-/// replica layer route around the corpse. No loop thread ever blocks, so
-/// shutdown is bounded by one idle-poll interval on any bind interface.
+/// replica layer route around the corpse. Shutdown wakes every loop out of
+/// its readiness wait, so it is bounded by one pass on any bind interface.
 pub struct EventServer {
     addr: NodeAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     loops: Vec<JoinHandle<()>>,
-    counters: Arc<TransportCounters>,
-    handler: Arc<NodeHandler>,
-    admitted: Arc<AtomicU64>,
-    shed: Arc<AtomicU64>,
     unix_path: Option<PathBuf>,
 }
 
@@ -447,21 +462,19 @@ impl EventServer {
         listener
             .set_nonblocking()
             .map_err(|e| fail("set_nonblocking", e))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::clone(handler.counters());
-        let admitted = Arc::new(AtomicU64::new(0));
-        let shed = Arc::new(AtomicU64::new(0));
         let registry = MetricsRegistry::global();
-        let handler = Arc::new(handler);
         let shared = Arc::new(Shared {
-            handler: Arc::clone(&handler),
-            counters: Arc::clone(&counters),
+            counters: Arc::clone(handler.counters()),
+            handler: Arc::new(handler),
             config: config.clone(),
-            shutdown: Arc::clone(&shutdown),
-            admitted: Arc::clone(&admitted),
-            shed: Arc::clone(&shed),
+            shutdown: AtomicBool::new(false),
+            waker: Waker::new().map_err(|e| fail("open the shutdown waker", e))?,
+            admitted: Arc::default(),
+            shed: Arc::default(),
+            wakeups: AtomicU64::new(0),
             admitted_total: registry.counter("serving.frontend.admitted"),
             shed_total: registry.counter("serving.frontend.shed"),
+            wakeups_total: registry.counter("serving.frontend.wakeups"),
             queue_depth: registry.gauge("serving.frontend.queue_depth"),
             admission_wait: registry.histogram("serving.frontend.admission_wait_ns"),
         });
@@ -487,12 +500,8 @@ impl EventServer {
         }
         Ok(Self {
             addr: bound_addr,
-            shutdown,
+            shared,
             loops: handles,
-            counters,
-            handler,
-            admitted,
-            shed,
             unix_path,
         })
     }
@@ -500,13 +509,20 @@ impl EventServer {
     /// The hosted handler (what a [`super::ScrapeServer`] answers `/varz`
     /// from).
     pub fn handler(&self) -> &Arc<NodeHandler> {
-        &self.handler
+        &self.shared.handler
     }
 
     /// Shared handles to the live `(admitted, shed)` counters — the
     /// cumulative samples an SLO shed-fraction guard reads.
     pub fn admission_counters(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (Arc::clone(&self.admitted), Arc::clone(&self.shed))
+        let shared = &self.shared;
+        (Arc::clone(&shared.admitted), Arc::clone(&shared.shed))
+    }
+
+    /// This server's share of `serving.frontend.wakeups`, over all its loops.
+    #[doc(hidden)]
+    pub fn wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
     }
 
     /// The bound address (with TCP port 0 resolved) — what clients dial.
@@ -517,24 +533,24 @@ impl EventServer {
     /// Server-side frame/byte counters (the handler's ledger, same as a
     /// `StatsRequest` scrape).
     pub fn stats(&self) -> metrics::TransportStats {
-        self.counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// Admission-control outcomes so far.
     pub fn admission_stats(&self) -> AdmissionStats {
         AdmissionStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            admitted: self.shared.admitted.load(Ordering::Relaxed),
+            shed: self.shared.shed.load(Ordering::Relaxed),
         }
     }
 
-    /// Stops the server: loop threads sever their connections and exit
-    /// within one idle-poll interval, and are joined; a Unix socket file
-    /// is removed. Idempotent.
+    /// Stops the server: loop threads are woken, sever their connections,
+    /// exit and are joined; a Unix socket file is removed. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
+        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
+        self.shared.waker.wake();
         for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
@@ -551,9 +567,11 @@ impl Drop for EventServer {
 }
 
 /// One readiness loop: accept, read, frame, batch, execute, flush —
-/// sleeping only when a full pass made no progress.
+/// blocking in the readiness wait only when a full pass made no progress.
 fn event_loop(listener: EventListener, shared: &Shared) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             for conn in &conns {
@@ -564,8 +582,10 @@ fn event_loop(listener: EventListener, shared: &Shared) {
         }
         let mut progressed = false;
         // Accept everything waiting (the kernel spreads accepts across
-        // the cloned handles).
-        loop {
+        // the cloned handles). A failure other than `WouldBlock` is
+        // transient (fd pressure): retry after the idle wait below, which
+        // then leaves the still-readable listener out.
+        let accept_failed = loop {
             match listener.accept() {
                 Ok(stream) => {
                     if stream.set_nonblocking(true).is_err() {
@@ -575,15 +595,12 @@ fn event_loop(listener: EventListener, shared: &Shared) {
                     conns.push(Conn::new(stream));
                     progressed = true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                // A transient accept failure (fd pressure): retry next
-                // pass; the idle sleep below prevents a busy spin.
-                Err(_) => break,
+                Err(e) => break e.kind() != ErrorKind::WouldBlock,
             }
-        }
+        };
         // Read + frame.
         for conn in conns.iter_mut() {
-            progressed |= conn.fill(shared);
+            progressed |= conn.fill(shared, &mut chunk);
             conn.parse(shared);
         }
         // Adaptive batch close: size, deadline, or quiescent input.
@@ -614,7 +631,24 @@ fn event_loop(listener: EventListener, shared: &Shared) {
             !conn.dead
         });
         if !progressed {
-            std::thread::sleep(IDLE_POLL);
+            // Until a socket is ready, shutdown, or the oldest request held
+            // behind input that is not quiescent reaches its batch deadline.
+            fds.clear();
+            fds.push(shared.waker.pollfd());
+            if !accept_failed {
+                fds.push(listener.pollfd());
+            }
+            fds.extend(conns.iter().filter_map(|c| c.interest(shared)));
+            let now = Instant::now();
+            let timeout = conns
+                .iter()
+                .filter_map(|c| c.pending.front())
+                .map(|p| (p.enqueued + shared.config.batch_deadline).saturating_duration_since(now))
+                .chain(accept_failed.then_some(ACCEPT_RETRY))
+                .min();
+            readiness::wait(&mut fds, timeout);
+            shared.wakeups.fetch_add(1, Ordering::Relaxed);
+            shared.wakeups_total.inc();
         }
     }
 }

@@ -65,6 +65,7 @@
 
 mod event;
 mod node;
+mod readiness;
 mod remote;
 mod scrape;
 mod transport;

@@ -17,13 +17,15 @@
 //!
 //! The responder is hand-rolled over `std::net` in the same
 //! readiness-loop style as [`super::EventServer`]: one thread, a
-//! non-blocking listener, and short read timeouts on accepted
-//! connections, so shutdown never waits on a blocked `accept` and a
-//! stalled scraper cannot wedge the server. Anything that is not a well-formed
+//! non-blocking listener waited on through `readiness::wait` (idle costs
+//! no wake-ups; shutdown wakes it, never waiting on a blocked `accept`),
+//! and short read timeouts on accepted connections, so a stalled scraper
+//! cannot wedge the server. Anything that is not a well-formed
 //! `GET` of a known path gets a plain `404`/`405` and the connection is
 //! closed — this is a scrape endpoint, not a web framework.
 
 use super::node::NodeHandler;
+use super::readiness::{self, PollFd, Waker, ACCEPT_RETRY, POLLIN};
 use super::TransportError;
 use metrics::{MetricsRegistry, SloGuard};
 use std::io::{ErrorKind, Read, Write};
@@ -32,9 +34,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Idle sleep between poll passes (the shutdown-latency bound).
-const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// A scraper gets this long to deliver its request head before the
 /// connection is dropped.
@@ -47,7 +46,7 @@ const MAX_REQUEST_HEAD: usize = 8 * 1024;
 /// The HTTP scrape endpoint of one serving process.
 pub struct ScrapeServer {
     addr: String,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<(AtomicBool, Waker)>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -75,7 +74,9 @@ impl ScrapeServer {
         listener
             .set_nonblocking(true)
             .map_err(|e| TransportError::Io(format!("set_nonblocking metrics {addr}: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let waker = Waker::new()
+            .map_err(|e| TransportError::Io(format!("open the shutdown waker {addr}: {e}")))?;
+        let shutdown = Arc::new((AtomicBool::new(false), waker));
         let state = ScrapeState { handler, guard };
         let handle = {
             let shutdown = Arc::clone(&shutdown);
@@ -98,9 +99,10 @@ impl ScrapeServer {
 
     /// Stops the responder and joins its thread. Idempotent.
     pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
+        if self.shutdown.0.swap(true, Ordering::AcqRel) {
             return;
         }
+        self.shutdown.1.wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -115,20 +117,23 @@ impl Drop for ScrapeServer {
 
 /// The accept loop: non-blocking accepts, one request served per
 /// connection, then close (scrapes are rare; keeping it sequential keeps
-/// it simple and bounded).
-fn scrape_loop(listener: TcpListener, state: &ScrapeState, shutdown: &AtomicBool) {
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
+/// it simple and bounded), blocking between them in the readiness wait.
+fn scrape_loop(listener: TcpListener, state: &ScrapeState, shutdown: &(AtomicBool, Waker)) {
+    while !shutdown.0.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Served synchronously under a short timeout: a stalled
                 // scraper costs at most READ_TIMEOUT, never a thread.
                 let _ = serve_one(stream, state);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(IDLE_POLL),
-            Err(_) => std::thread::sleep(IDLE_POLL),
+            // Idle: wait for a scraper or shutdown. A failing listener (fd
+            // pressure) stays readable: that wait is bounded and leaves it out.
+            Err(e) => {
+                let idle = e.kind() == ErrorKind::WouldBlock;
+                let mut fds = [shutdown.1.pollfd(), PollFd::new(&listener, POLLIN)];
+                let timeout = (!idle).then_some(ACCEPT_RETRY);
+                readiness::wait(&mut fds[..if idle { 2 } else { 1 }], timeout);
+            }
         }
     }
 }
@@ -282,6 +287,24 @@ mod tests {
 
         let (status, _) = http_get(server.addr(), "/nope");
         assert_eq!(status, 404);
+    }
+
+    /// The accept loop neither spins nor hangs: after an idle gap (spent
+    /// blocked in the readiness wait) a scrape is answered, and shutdown
+    /// wakes the blocked loop instead of waiting for a scraper.
+    #[test]
+    fn answers_after_an_idle_gap_and_shuts_down_promptly() {
+        let mut server = ScrapeServer::bind("127.0.0.1:0", tiny_handler(), None).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(http_get(server.addr(), "/healthz"), (200, "ok\n".into()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            tx.send(()).ok();
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("shutdown must wake the idle accept loop");
+        stopper.join().unwrap();
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   re-dialed after any failure; optional per-call deadline.
 
 use super::node::NodeHandler;
+use super::readiness::PollFd;
 use super::wire::{read_message, write_message, Message};
 use super::{NodeAddr, TransportError};
 use metrics::{SpanKind, TraceContext, TransportCounters, TransportStats};
@@ -171,6 +172,14 @@ impl WireStream {
             WireStream::Tcp(s) => s.set_nonblocking(nonblocking),
             #[cfg(unix)]
             WireStream::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    pub(crate) fn pollfd(&self, events: i16) -> PollFd {
+        match self {
+            WireStream::Tcp(s) => PollFd::new(s, events),
+            #[cfg(unix)]
+            WireStream::Unix(s) => PollFd::new(s, events),
         }
     }
 

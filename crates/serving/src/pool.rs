@@ -2,9 +2,10 @@
 //!
 //! The workspace's `rayon` stand-in is sequential (no crates.io access),
 //! so the serving layer brings its own parallelism: N OS threads pull
-//! boxed jobs from one shared channel. Results are returned **in job
-//! order** regardless of which worker finishes first, so every caller is
-//! deterministic by construction.
+//! boxed jobs from one shared channel, and the thread calling
+//! [`WorkerPool::run`] runs the last job itself instead of parking. Results
+//! are returned **in job order** regardless of who finishes first, so every
+//! caller is deterministic by construction.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,9 +77,9 @@ impl WorkerPool {
             .expect("worker pool has shut down");
     }
 
-    /// Runs every job on the pool and returns their results **in job
-    /// order** — scheduling order never leaks into the output, which is
-    /// what makes scatter-gather search deterministic.
+    /// Runs every job (the last on the calling thread, which would otherwise
+    /// only wait) and returns their results **in job order** — scheduling
+    /// order never leaks into the output: scatter-gather is deterministic.
     ///
     /// Re-entrant: when called *from one of this pool's own workers* (a
     /// nested `ShardedIndex` sharing the pool, or a job that fans out
@@ -98,7 +99,9 @@ impl WorkerPool {
         }
         let n = jobs.len();
         let (tx, rx) = channel::<(usize, std::thread::Result<T>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
+        let mut jobs = jobs.into_iter().enumerate();
+        let inline = jobs.next_back();
+        for (i, job) in jobs {
             let tx = tx.clone();
             self.execute(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -109,7 +112,10 @@ impl WorkerPool {
         }
         drop(tx);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
+        if let Some((i, job)) = inline {
+            slots[i] = Some(job()); // a panic here unwinds the caller directly
+        }
+        for _ in 1..n {
             let (i, result) = rx.recv().expect("a worker died without reporting");
             match result {
                 Ok(v) => slots[i] = Some(v),
@@ -221,6 +227,37 @@ mod tests {
             .collect();
         let results = pool.run(jobs);
         assert_eq!(results, vec![3, 33, 63, 93]);
+    }
+
+    #[test]
+    fn the_caller_runs_the_last_job_and_order_holds_over_fewer_workers() {
+        let pool = WorkerPool::new(2);
+        let here = std::thread::current().id();
+        // A single job never leaves the calling thread.
+        assert_eq!(pool.run(vec![|| std::thread::current().id()]), vec![here]);
+        // Seven jobs over two workers: job order, and only the last inline.
+        let jobs: Vec<_> = (0..7)
+            .map(|i| move || (i, std::thread::current().id()))
+            .collect();
+        let results = pool.run(jobs);
+        assert_eq!(
+            results.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..7).collect::<Vec<_>>()
+        );
+        for (i, ran_on) in results {
+            assert_eq!(ran_on == here, i == 6, "job {i}");
+        }
+    }
+
+    #[test]
+    fn inline_job_panic_propagates_and_the_pool_serves_the_next_run() {
+        let pool = WorkerPool::new(2);
+        // The last job is the one the caller runs itself.
+        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> =
+            vec![Box::new(|| 1), Box::new(|| 2), Box::new(|| panic!("boom"))];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(jobs)));
+        assert!(caught.is_err());
+        assert_eq!(pool.run(vec![|| 5, || 6]), vec![5, 6]);
     }
 
     #[test]

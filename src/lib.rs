@@ -219,11 +219,13 @@
 //! [`serving::EventServer`] is the one socket server, behind
 //! `flash_cli serve-node` and every test and demo: each of
 //! [`serving::EventConfig::threads`] readiness loops multiplexes *all* of
-//! its connections over non-blocking sockets, so one loop serves any
-//! number of clients — a fleet of slow clients parks no thread — and a
-//! connection can keep many frames in flight (pipelining); replies always
-//! return in that connection's request order. A strict request/response
-//! coordinator ([`serving::SocketTransport`]) is a pipeline of depth 1.
+//! its connections over non-blocking sockets and blocks in `poll(2)` when
+//! none is ready (no timer between a request and its reply), so one loop
+//! serves any number of clients — slow clients park no thread — and a
+//! connection can keep many frames in flight (pipelining), answered in
+//! request order. A strict request/response coordinator
+//! ([`serving::SocketTransport`]) is a pipeline of depth 1; the thread that
+//! fans out over [`serving::WorkerPool`] runs one shard's exchange itself.
 //!
 //! Parsed requests enter a per-loop admission queue that executes as an
 //! adaptive batch — closing on size (`batch_max`) **or** age
@@ -243,7 +245,7 @@
 //! answered — results or `Overloaded`, never silence. Admission is
 //! observable end to end: [`serving::EventServer::admission_stats`]
 //! counts admitted/shed, the registry exports
-//! `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns}`, a
+//! `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns,wakeups}`, a
 //! traced request that queued records a `queue_wait` span, and
 //! `flash_cli bench-serve` drills the server with pipelined clients and
 //! an overload flood from the command line. The `overload` scenario
@@ -463,7 +465,7 @@
 //! | `graphs.scratch.{created,checkouts}` | pooled-scratch lifetime counters ([`graphs::scratch_stats`]) |
 //! | `node.profile.*` | the node's cumulative [`metrics::QueryProfile`] ledger |
 //! | `node.transport.*` | node-side frame/byte counters (reconcile against `StatsRequest`) |
-//! | `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns}` | [`serving::EventServer`] admission control |
+//! | `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns,wakeups}` | [`serving::EventServer`] admission control; returns from its readiness wait |
 //! | `serving.cache.query_cache` / `serving.replica.failover` | scenario-run stack sources |
 //! | `scenario.trace.dropped` | spans lost to ring wrap (alert when nonzero) |
 //! | `scenario.slo` | the last run's [`metrics::SloSummary`] verdict |

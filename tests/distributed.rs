@@ -800,3 +800,150 @@ proptest! {
         }
     }
 }
+
+/// The loop does not spin: with idle connections open it blocks in the
+/// readiness wait with no timeout, so its wake-up count stands still —
+/// and it does not hang: the first request after the gap is answered.
+#[test]
+fn idle_connections_cost_no_wakeups_and_are_served_after_the_gap() {
+    let (base, queries) = dataset(48);
+    let index: Arc<dyn AnnIndex> = Arc::new(FlatIndex::new(base));
+    let mut server = tcp_server(Arc::clone(&index));
+    let idle: Vec<RemoteIndex> = (0..8).map(|_| remote_over_socket(&server)).collect();
+
+    // Let the pass after the last handshake reply reach its wait.
+    std::thread::sleep(Duration::from_millis(20));
+    let settled = server.wakeups();
+    assert!(settled > 0, "accepts and handshakes woke the loops");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        server.wakeups(),
+        settled,
+        "an idle loop must sit in its wait, not wake on a timer"
+    );
+
+    let req = exhaustive(queries.get(0));
+    for remote in &idle {
+        assert_eq!(AnnIndex::search(remote, &req).hits, index.search(&req).hits);
+    }
+    assert!(server.wakeups() > settled);
+    server.shutdown();
+}
+
+/// Interest mirrors the pass. A client pipelines three quotas' worth of
+/// requests whose replies overflow the socket buffers, and reads nothing:
+/// first the connection sits at its quota with more input readable while
+/// the batch deadline runs (asking for `POLLIN` there would spin), then
+/// with output staged on a socket that is not writable (`POLLOUT` must
+/// block, and must not be asked for once the buffer drains). Throughout,
+/// wake-ups stay a small constant; afterwards every reply arrives, in order.
+#[cfg(unix)]
+#[test]
+fn a_stalled_pipeline_at_quota_neither_spins_nor_loses_replies() {
+    const QUOTA: usize = 4;
+    const BIG_N: usize = 3000;
+    let (base, queries) = dataset(BIG_N);
+    let index: Arc<dyn AnnIndex> = Arc::new(FlatIndex::new(base));
+    let path = std::env::temp_dir().join(format!("hfw-stall-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut server = EventServer::bind(
+        &NodeAddr::Unix(path.clone()),
+        NodeHandler::new(Arc::clone(&index)),
+        EventConfig {
+            threads: 1,
+            client_quota: QUOTA,
+            batch_max: 1000,
+            batch_deadline: Duration::from_millis(20),
+            queue_deadline: Duration::from_secs(60),
+        },
+    )
+    .expect("bind the event server");
+    let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("dial raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+
+    // ~36 KB per reply, 12 replies: more than a Unix socket pair buffers.
+    let requests: Vec<SearchRequest> = (0..3 * QUOTA)
+        .map(|qi| SearchRequest::new(queries.get(qi).to_vec(), BIG_N))
+        .collect();
+    let before = server.wakeups();
+    for (qi, req) in requests.iter().enumerate() {
+        if qi == QUOTA + 1 {
+            // The connection is at its quota with a fifth frame buffered,
+            // so the batch deadline is running: the rest arrive meanwhile
+            // and stay in the kernel, readable but not wanted.
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        write_message(&mut stream, &Message::Search(req.clone()), qi as u64 + 1)
+            .expect("pipelined send");
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let mid_stall = server.wakeups();
+    std::thread::sleep(Duration::from_millis(100));
+    let stalled = server.wakeups();
+    assert!(
+        stalled - before <= 32,
+        "{} wake-ups while the client stalled: the loop spun",
+        stalled - before
+    );
+    assert!(
+        stalled - mid_stall <= 4,
+        "{} wake-ups with output blocked and nothing arriving",
+        stalled - mid_stall
+    );
+
+    for (qi, req) in requests.iter().enumerate() {
+        let (got, trace_id, _) = read_message(&mut stream)
+            .expect("pipelined reply decodes")
+            .expect("every pipelined frame is answered");
+        assert_eq!(trace_id, qi as u64 + 1, "replies keep request order");
+        let Message::SearchOk(got) = got else {
+            panic!("q{qi}: expected SearchOk");
+        };
+        assert_eq!(got.hits, index.search(req).hits, "q{qi}");
+    }
+    assert_eq!(server.admission_stats().shed, 0);
+    server.shutdown();
+}
+
+/// The batch deadline is the wait's timeout: a whole frame followed by
+/// half a frame leaves the input not quiescent, and the first reply must
+/// still arrive — before the second half is ever sent.
+#[test]
+fn a_trailing_partial_frame_does_not_hold_the_reply_before_it() {
+    use std::io::Write;
+    let (base, queries) = dataset(48);
+    let index: Arc<dyn AnnIndex> = Arc::new(FlatIndex::new(base));
+    let mut server = tcp_server(Arc::clone(&index));
+    let NodeAddr::Tcp(host) = server.addr().clone() else {
+        panic!("the server binds TCP");
+    };
+    let mut stream = std::net::TcpStream::connect(host.as_str()).expect("dial raw");
+    stream.set_nodelay(true).ok();
+    // A reply the loop never sends must fail the test, not hang it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set the read timeout");
+
+    let first = exhaustive(queries.get(0));
+    let second = exhaustive(queries.get(1));
+    let mut bytes = Message::Search(first.clone()).encode_traced(1).unwrap();
+    let tail = Message::Search(second.clone()).encode_traced(2).unwrap();
+    let (head, rest) = tail.split_at(tail.len() / 2);
+    bytes.extend_from_slice(head);
+    stream.write_all(&bytes).expect("send a frame and a half");
+
+    for (trace, req, unsent) in [(1, &first, rest), (2, &second, &[][..])] {
+        let (got, trace_id, _) = read_message(&mut stream)
+            .expect("the reply decodes")
+            .expect("the reply arrives");
+        assert_eq!(trace_id, trace);
+        let Message::SearchOk(got) = got else {
+            panic!("expected SearchOk for frame {trace}");
+        };
+        assert_eq!(got.hits, index.search(req).hits);
+        stream.write_all(unsent).expect("send the second half");
+    }
+    server.shutdown();
+}
