@@ -2,7 +2,7 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper's evaluation (Section 4) at a scale controlled by environment
-//! variables, so the same code runs as a quick smoke test on CI and as a
+//! variables, so the same code runs in seconds at the defaults and as a
 //! long-form reproduction on a large machine:
 //!
 //! | Variable | Meaning | Default |
@@ -12,8 +12,15 @@
 //! | `FLASH_C` | HNSW `C` (efConstruction) | `128` |
 //! | `FLASH_R` | HNSW `R` (max neighbors) | `16` |
 //!
+//! A variable that is set must be a positive integer; anything else ends
+//! the run naming the variable, never a silent fall-back to the default.
+//!
 //! Output is GitHub-flavored markdown, one row per configuration, matching
-//! the rows/series of the corresponding paper figure.
+//! the rows/series of the corresponding paper figure. The binaries are the
+//! crate's only targets: kernel, encode, build and query *timings* with a
+//! protocol (warm-up, repeats, medians, gates) are `benchmark/`'s
+//! (`simdops.lut16_batch_ns`, `simdops.l2_sq_ns_*`,
+//! `flash.encode_ns_per_vector`, `build_s`, `query_p50_us`).
 
 use engine::{AnnIndex, Coding, GraphKind, IndexBuilder, SearchRequest};
 use graphs::HnswParams;
@@ -34,13 +41,17 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads `FLASH_N` / `FLASH_QUERIES` / `FLASH_C` / `FLASH_R`.
+    /// Reads `FLASH_N` / `FLASH_QUERIES` / `FLASH_C` / `FLASH_R`. A
+    /// variable that is set but is not a positive integer ends the process
+    /// with a message naming it — a table headed with a scale the user did
+    /// not ask for is worse than no table.
     pub fn from_env() -> Self {
         let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
+            let raw = std::env::var_os(k).map(|v| v.to_string_lossy().into_owned());
+            scale_value(k, raw.as_deref(), d).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            })
         };
         Self {
             n: get("FLASH_N", 4000),
@@ -57,6 +68,18 @@ impl Scale {
             r: self.r,
             seed: 0xBEEF,
         }
+    }
+}
+
+/// One scale variable: `default` when unset, its value when it parses to a
+/// positive integer, otherwise an error naming the variable and the value.
+fn scale_value(name: &str, raw: Option<&str>, default: usize) -> Result<usize, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => match v.parse::<usize>() {
+            Ok(parsed) if parsed > 0 => Ok(parsed),
+            _ => Err(format!("{name}={v:?} is not a positive integer")),
+        },
     }
 }
 
@@ -161,6 +184,16 @@ mod tests {
     fn scale_defaults() {
         let s = Scale::from_env();
         assert!(s.n > 0 && s.queries > 0 && s.c >= s.r);
+    }
+
+    #[test]
+    fn scale_value_keeps_the_default_only_when_unset() {
+        assert_eq!(scale_value("FLASH_N", None, 4000), Ok(4000));
+        assert_eq!(scale_value("FLASH_N", Some("8000"), 4000), Ok(8000));
+        for bad in ["8k", "0", "", "-5", "1e4"] {
+            let err = scale_value("FLASH_N", Some(bad), 4000).unwrap_err();
+            assert!(err.contains("FLASH_N") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod flat_build;
 pub mod graph;
 pub mod hcnng;
 pub mod hnsw;
-pub mod kgraph;
 pub mod layers_search;
 pub mod nsg;
 pub mod persist;
@@ -45,7 +44,6 @@ pub use filtered::{LabeledHnsw, LabeledParams};
 pub use graph::{CsrLayer, FlatGraph, GraphLayers, LINE_U32S};
 pub use hcnng::{Hcnng, HcnngParams};
 pub use hnsw::{Hnsw, HnswParams};
-pub use kgraph::{KGraph, KGraphParams};
 pub use layers_search::{
     search_layers, search_layers_cached, search_layers_filtered, search_layers_rerank, FrozenGraph,
     NodePayloads,

@@ -45,7 +45,7 @@ pub use recall::{recall_at_k, RecallReport};
 pub use registry::{Counter, Gauge, Log2Histogram, MetricsRegistry};
 pub use report::{
     strip_timings, AdmissionSummary, BenchReport, CacheSummary, Json, MutationSummary,
-    TenantSummary, TraceSummary, TIMING_KEYS,
+    TenantSummary, TraceSummary,
 };
 pub use slo::{BurnConfig, Objective, ObjectiveSummary, SloGuard, SloSummary, SloTracker};
 pub use timer::PhaseTimer;

@@ -538,7 +538,9 @@ impl Parser<'_> {
 /// from the determinism comparison. `stage_ms` (the trace summary's
 /// per-stage latency breakdown) and `elapsed_ns` (per-span durations in
 /// exported traces) are measurements too; the span *counts* stay.
-pub const TIMING_KEYS: [&str; 5] = [
+/// [`strip_timings`] is the only reader: nothing compares the values under
+/// these keys (timings are `benchmark/`'s to measure).
+const TIMING_KEYS: [&str; 5] = [
     "qps",
     "wall_seconds",
     "latency_ms",
@@ -546,10 +548,11 @@ pub const TIMING_KEYS: [&str; 5] = [
     "elapsed_ns",
 ];
 
-/// Returns a copy of `json` with every timing-valued key (see
-/// [`TIMING_KEYS`]) removed, recursively. Comparing two stripped reports
-/// checks exactly the fields that must reproduce for a fixed seed and
-/// topology: counts, recall, cache/failover/transport counters.
+/// Returns a copy of `json` with every timing-valued key (`qps`,
+/// `wall_seconds`, `latency_ms`, `stage_ms`, `elapsed_ns`) removed,
+/// recursively. Comparing two stripped reports checks exactly the fields
+/// that must reproduce for a fixed seed and topology: counts, recall,
+/// cache/failover/transport counters.
 pub fn strip_timings(json: &Json) -> Json {
     match json {
         Json::Obj(pairs) => Json::Obj(

@@ -27,10 +27,10 @@ use metrics::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serving::distributed::{NodeAddr, RemoteIndex, SocketTransport, Transport};
+use serving::distributed::{connect_round_robin_shards, NodeAddr, SocketTransport, Transport};
 use serving::{
-    BatchExecutor, BatchReport, CachedIndex, FallibleIndex, HealthConfig, ReplicatedIndex,
-    ShardPolicy, ShardedIndex, WorkerPool,
+    BatchExecutor, BatchReport, CachedIndex, HealthConfig, ReplicatedIndex, ShardPolicy,
+    ShardedIndex,
 };
 use std::sync::Arc;
 
@@ -203,44 +203,15 @@ impl ScenarioRunner {
                 r
             }
             TopologySpec::Remote { nodes, timeout_ms } => {
-                let n = base.len();
-                let dim = base.dim();
-                let id_maps =
-                    (0..nodes.len()).map(|s| ((s as u64)..n as u64).step_by(nodes.len()).collect());
-                let parts: Vec<(Box<dyn AnnIndex>, Vec<u64>)> = nodes
-                    .iter()
-                    .zip(id_maps)
-                    .map(|(addr, ids): (_, Vec<u64>)| {
-                        let transport = Arc::new(
-                            SocketTransport::connect(addr.clone())
-                                .map_err(|e| format!("{addr}: {e}"))?
-                                .with_timeout(std::time::Duration::from_millis(
-                                    (*timeout_ms).max(1),
-                                )),
-                        );
-                        let remote =
-                            RemoteIndex::connect(Arc::clone(&transport) as Arc<dyn Transport>)
-                                .map_err(|e| format!("{addr}: {e}"))?;
-                        if FallibleIndex::len(&remote) != ids.len()
-                            || FallibleIndex::dim(&remote) != dim
-                        {
-                            return Err(format!(
-                                "{addr} serves {}x{}, expected shard of {}x{dim} — the node \
-                                 must serve this scenario's generated base",
-                                FallibleIndex::len(&remote),
-                                FallibleIndex::dim(&remote),
-                                ids.len()
-                            ));
-                        }
-                        transports.push(transport);
-                        Ok((Box::new(remote) as Box<dyn AnnIndex>, ids))
-                    })
-                    .collect::<Result<_, String>>()?;
-                Arc::new(ShardedIndex::from_parts(
-                    parts,
-                    ShardPolicy::RoundRobin,
-                    Arc::new(WorkerPool::new(threads)),
-                ))
+                let (sharded, connected) = connect_round_robin_shards(
+                    nodes,
+                    base.len(),
+                    base.dim(),
+                    std::time::Duration::from_millis((*timeout_ms).max(1)),
+                    threads,
+                )?;
+                transports = connected;
+                Arc::new(sharded)
             }
         };
         let corpus = Arc::new(ScenarioCorpus::new(core));

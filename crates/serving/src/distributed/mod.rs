@@ -73,7 +73,7 @@ pub mod wire;
 
 pub use event::{AdmissionStats, EventConfig, EventServer};
 pub use node::NodeHandler;
-pub use remote::RemoteIndex;
+pub use remote::{connect_round_robin_shards, RemoteIndex};
 pub use scrape::ScrapeServer;
 pub use transport::{LoopbackTransport, SocketTransport, Transport};
 pub use wire::{ErrorCode, Message, NodeInfo, NodeStats, WireFault};

@@ -1,13 +1,15 @@
 //! The coordinator-side client: a remote node as an [`AnnIndex`].
 
-use super::transport::Transport;
+use super::transport::{SocketTransport, Transport};
 use super::wire::{Message, NodeInfo, WireFault};
-use super::TransportError;
+use super::{NodeAddr, TransportError};
 use crate::fault::{FallibleIndex, FaultError, FaultKind};
+use crate::{ShardPolicy, ShardedIndex, WorkerPool};
 use engine::{AnnIndex, SearchRequest, SearchResponse};
 use metrics::TransportStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A node in another process (or an in-process loopback), serving as an
 /// index.
@@ -118,6 +120,56 @@ impl RemoteIndex {
         };
         FaultError { call, kind }
     }
+}
+
+/// The coordinator side of a remote deployment whose nodes each serve one
+/// shard of the same [`ShardPolicy::RoundRobin`] split of an `n × dim`
+/// corpus, `nodes[s]` hosting shard `s`: dials every address (every call
+/// under `timeout`), checks each node's handshake against the shape of its
+/// shard, and scatter-gathers across them from a fresh `threads`-worker
+/// pool. Shard `s` holds exactly the ids `s, s + shards, …`, so the
+/// local→global id maps are recomputed here and no vector data is copied.
+/// The transports come back beside the index for the caller's frame
+/// ledger. `Err` names the address that is unreachable or serves another
+/// shape (or says that no address was given).
+pub fn connect_round_robin_shards(
+    nodes: &[NodeAddr],
+    n: usize,
+    dim: usize,
+    timeout: Duration,
+    threads: usize,
+) -> Result<(ShardedIndex, Vec<Arc<SocketTransport>>), String> {
+    if nodes.is_empty() {
+        return Err("need at least one node address".into());
+    }
+    let mut transports = Vec::with_capacity(nodes.len());
+    let mut parts: Vec<(Box<dyn AnnIndex>, Vec<u64>)> = Vec::with_capacity(nodes.len());
+    for (shard, addr) in nodes.iter().enumerate() {
+        let ids: Vec<u64> = (shard as u64..n as u64).step_by(nodes.len()).collect();
+        let transport = Arc::new(
+            SocketTransport::connect(addr.clone())
+                .map_err(|e| format!("{addr}: {e}"))?
+                .with_timeout(timeout),
+        );
+        let remote = RemoteIndex::connect(Arc::clone(&transport) as Arc<dyn Transport>)
+            .map_err(|e| format!("{addr}: {e}"))?;
+        let info = remote.info();
+        if info.len as usize != ids.len() || info.dim as usize != dim {
+            return Err(format!(
+                "{addr} serves {} vectors x {} dims, but shard {shard}/{} of this base has \
+                 {} x {dim} — every node must serve the same base and round-robin split",
+                info.len,
+                info.dim,
+                nodes.len(),
+                ids.len()
+            ));
+        }
+        transports.push(transport);
+        parts.push((Box::new(remote), ids));
+    }
+    let pool = Arc::new(WorkerPool::new(threads));
+    let index = ShardedIndex::from_parts(parts, ShardPolicy::RoundRobin, pool);
+    Ok((index, transports))
 }
 
 impl FallibleIndex for RemoteIndex {

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # The BENCH regression sentinel (CI job `bench-diff`), runnable locally:
-# reproduces the three committed structural baselines with a fresh
-# flash_cli build, diffs each against its committed file, then proves the
-# differ still fires by injecting drift into one fresh report.
+# reproduces every committed structural baseline with a fresh flash_cli
+# build at the seed recorded in the file, diffs each against its committed
+# file, then proves the differ fires on injected structural drift and stays
+# silent on a report that differs only in timing leaves.
+#
+# `bench-diff` is exact: timing fields are stripped, never compared —
+# benchmark/ is the only stopwatch.
 #
 # Fresh reports go to the directory given as $1 (default target/bench-diff,
 # which .gitignore already covers). The committed baselines were generated
@@ -15,25 +19,40 @@ mkdir -p "$out"
 cargo build --release --bin flash_cli
 cli=./target/release/flash_cli
 
-"$cli" scenario --name steady_zipf --seed 335533 --out "$out/BENCH_fresh_steady_zipf.json"
-"$cli" scenario --name fault_storm --seed 1024279 --out "$out/BENCH_fresh_fault_storm.json"
-"$cli" hotpath --smoke --out "$out/BENCH_fresh_hotpath.json"
-
-for name in steady_zipf fault_storm hotpath; do
+for name in steady_zipf fault_storm churn_lsm diurnal_burst; do
+  seed=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["seed"])' "BENCH_$name.json")
+  "$cli" scenario --name "$name" --seed "$seed" --out "$out/BENCH_fresh_$name.json"
   "$cli" bench-diff --old "BENCH_$name.json" --new "$out/BENCH_fresh_$name.json"
 done
 
-# Canary: the sentinel must flag an injected structural regression.
+# Canaries: one report mutated in two structural counters, one mutated in
+# every kind of timing leaf only.
 python3 - "$out" <<'PY'
 import json, sys
 out = sys.argv[1]
-report = json.load(open(f"{out}/BENCH_fresh_steady_zipf.json"))
+fresh = f"{out}/BENCH_fresh_steady_zipf.json"
+
+report = json.load(open(fresh))
 report["profile"]["hops_base"] += 1
 report["queries"] += 1
 json.dump(report, open(f"{out}/BENCH_mutated.json", "w"))
+
+report = json.load(open(fresh))
+report["qps"] *= 1000
+report["wall_seconds"] += 3600
+report["latency_ms"]["max"] *= 1000
+for tenant in report["tenants"]:
+    tenant["latency_ms"]["p50"] += 50
+stages = report["trace"]["stage_ms"]
+for stage in stages:
+    stages[stage] += 1000
+json.dump(report, open(f"{out}/BENCH_retimed.json", "w"))
 PY
-if "$cli" bench-diff --old BENCH_steady_zipf.json --new "$out/BENCH_mutated.json"; then
+if "$cli" bench-diff --old BENCH_steady_zipf.json --new "$out/BENCH_mutated.json" 2> "$out/canary.txt"; then
   echo "bench-diff failed to flag an injected structural regression" >&2
   exit 1
 fi
-echo "bench-diff: three baselines reproduced, canary fired"
+grep -qF '$.profile.hops_base' "$out/canary.txt"
+grep -qF '$.queries' "$out/canary.txt"
+"$cli" bench-diff --old BENCH_steady_zipf.json --new "$out/BENCH_retimed.json"
+echo "bench-diff: four baselines reproduced, structural canary fired, timing-only canary passed"

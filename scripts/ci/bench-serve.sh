@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # The serving front-end gate (CI job `bench-serve-smoke`), runnable locally:
-# drills the socket server with pipelined clients (parity against in-process
-# search) and an overload flood that must shed without dropping a request,
-# checks that the retired server-selection flag is rejected by name, then
-# runs the overload scenario twice on one seed and requires the admission
-# counters to reproduce.
+# floods an under-provisioned socket server past its admission deadline — it
+# must shed without dropping a request while /metrics is scraped and
+# /healthz degrades — checks that the retired flags are rejected by name,
+# then runs the overload scenario twice on one seed and requires the
+# admission counters to reproduce.
 #
 # Outputs go to the directory given as $1 (default target/bench-serve, which
-# .gitignore already covers). The drill's qps is printed, never gated:
-# `serve_zipf_stack` in benchmark/ is the ruler for serving speed.
+# .gitignore already covers). Nothing here is timed: `serve_zipf_stack` in
+# benchmark/ is the ruler for serving speed, and wire parity with in-process
+# search is tests/distributed.rs.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/../.."
 out="${1:-target/bench-serve}"
@@ -21,11 +22,6 @@ cli=./target/release/flash_cli
 python3 - "$out" <<'PY'
 import re, sys
 text = open(f"{sys.argv[1]}/bench_serve.txt").read()
-bench = re.search(
-    r"bench-serve: qps=(\d+) p99=([\d.]+)ms parity=ok", text)
-assert bench, f"no parseable bench-serve line in: {text!r}"
-qps = int(bench.group(1))
-assert qps > 0, qps
 over = re.search(
     r"overload: submitted=(\d+) answered=(\d+) ok=(\d+) "
     r"overloaded=(\d+) admitted=(\d+) shed=(\d+)", text)
@@ -33,15 +29,18 @@ assert over, f"no parseable overload line in: {text!r}"
 submitted, answered, ok, overloaded = map(int, over.groups()[:4])
 assert answered == submitted, "every request answered or shed, never dropped"
 assert overloaded > 0, "the flood must shed"
-print(f"bench-serve OK: {qps} qps, {overloaded}/{submitted} shed under flood")
+print(f"bench-serve OK: {overloaded}/{submitted} shed under flood")
 PY
 
-# The retired server-selection flag is rejected by name.
-if "$cli" serve-node --event-loop 2> "$out/retired_flag.txt"; then
-  echo "serve-node accepted a flag that no longer exists" >&2
-  exit 1
-fi
-grep -q "unknown option --event-loop" "$out/retired_flag.txt"
+# Retired flags are rejected by name (options are parsed before the command
+# runs, so any command will do).
+for flag in event-loop pipeline passes; do
+  if "$cli" serve-node "--$flag" 1 2> "$out/retired_flag.txt"; then
+    echo "flash_cli accepted --$flag, a flag that no longer exists" >&2
+    exit 1
+  fi
+  grep -q "unknown option --$flag" "$out/retired_flag.txt"
+done
 
 "$cli" scenario --name overload --smoke --out "$out/BENCH_overload_a.json"
 "$cli" scenario --name overload --smoke --out "$out/BENCH_overload_b.json"
@@ -58,4 +57,4 @@ assert adm["admitted"] + adm["shed"] == adm["submitted"], "every request resolve
 assert a["queries"] == adm["admitted"], "only admitted requests execute"
 print("overload admission OK:", adm)
 PY
-echo "bench-serve: drill parity ok, flood shed, admission counters reproduced"
+echo "bench-serve: flood shed and answered in full, scrape plane live, admission counters reproduced"

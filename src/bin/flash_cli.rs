@@ -23,12 +23,12 @@
 use hnsw_flash::prelude::*;
 use hnsw_flash::serving::distributed::wire::{read_message, write_message};
 use hnsw_flash::serving::distributed::{
-    ErrorCode, EventConfig, EventServer, Message, NodeAddr, NodeHandler, RemoteIndex, ScrapeServer,
-    SocketTransport, Transport,
+    connect_round_robin_shards, ErrorCode, EventConfig, EventServer, Message, NodeAddr,
+    NodeHandler, ScrapeServer, SocketTransport, Transport,
 };
 use metrics::{
-    collect_traces, latency_summary, trace_id_for, transport_summary, BurnConfig, Objective,
-    SloGuard, SpanRing, TraceContext,
+    collect_traces, trace_id_for, transport_summary, BurnConfig, Objective, SloGuard, SpanRing,
+    TraceContext,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         "build" => cmd_build(&opts),
         "search" => cmd_search(&opts),
         "scenario" => cmd_scenario(&opts),
-        "hotpath" => cmd_hotpath(&opts),
         "serve-node" => cmd_serve_node(&opts),
         "bench-serve" => cmd_bench_serve(&opts),
         "stats" => cmd_stats(&opts),
@@ -100,19 +99,16 @@ USAGE:
                      [--nodes <addr,addr,...>] [--timeout-ms <N>]
                      [--cache-capacity <N>] [--threads <N>]
                      [--trace-out <out.jsonl>]
-  flash_cli hotpath  [--n <N>] [--queries <N>] [--k <K>] [--ef <EF>]
-                     [--c <C>] [--r <R>] [--passes <N>] [--seed <u64>]
-                     [--smoke] [--out <BENCH_hotpath.json>]
   flash_cli serve-node --base <in.fvecs> --listen <addr>
                      [--method ...same as build...] [--c <C>] [--r <R>]
                      [--shards <N> --shard <I>] [--threads <N>] [--seed <u64>]
                      [--metrics-addr <host:port>]
   flash_cli bench-serve [--n <N>] [--queries <N>] [--k <K>] [--ef <EF>]
-                     [--clients <N>] [--pipeline <N>] [--flood <N>]
+                     [--clients <N>] [--flood <N>]
                      [--threads <N>] [--profile <name>]
                      [--method ...same as build...] [--seed <u64>]
   flash_cli stats    --node <addr> [--timeout-ms <N>] [--openmetrics]
-  flash_cli bench-diff --old <a.json> --new <b.json> [--timing-ratio <F>]
+  flash_cli bench-diff --old <a.json> --new <b.json>
   flash_cli info     --graph <in.hfg>
 
 METHODS:  legacy HNSW shorthands: flash hnsw full pq sq pca opq
@@ -143,11 +139,12 @@ DISTRIBUTED:
           pipeline frames, batch adaptively, and shed past-deadline
           requests with Overloaded errors (which clients retry on a
           sibling).
-          `bench-serve` builds a synthetic index and drills the server on
-          an ephemeral port — pipelined QPS/p99 with a response-parity
-          check against in-process search — then floods it past its
-          admission deadline and verifies every request is answered (Ok
-          or Overloaded; none hang)
+          `bench-serve` builds a synthetic index, binds an
+          under-provisioned server on an ephemeral port and floods it
+          past its admission deadline: every request must be answered
+          (Ok or Overloaded; none hang), /metrics must stay valid while
+          it sheds, and /healthz must degrade once the shed fraction
+          burns its budget
 
 TRACING:  --trace-out PATH writes one JSON line per query with that
           request's span tree (cache_lookup, route, replica_attempt,
@@ -164,16 +161,6 @@ SCENARIO: `scenario` replays a named deterministic workload (Zipf-skewed
           non-timing field byte-for-byte; --smoke runs the CI-sized
           variant of the same shape
 
-HOTPATH:  `hotpath` builds a Flash HNSW index over a synthetic corpus and
-          runs the same queries single-threaded through a naive
-          per-neighbor reference kernel and the production CSR +
-          pooled-scratch + block-scored kernel, asserting the two return
-          bit-identical (dist, id) results and that the steady-state loop
-          creates no new scratch. It writes BENCH_hotpath.json with
-          reference/hotpath QPS under timing keys, so strip_timings
-          leaves a byte-stable structural report for CI diffing; --smoke
-          shrinks the corpus to CI size
-
 OBSERVABILITY:
           serve-node --metrics-addr HOST:PORT opens an HTTP scrape plane
           next to the wire listener: GET /metrics renders the process
@@ -183,11 +170,11 @@ OBSERVABILITY:
           and /varz dumps the node's stats snapshot as JSON. `stats
           --node ADDR --openmetrics` renders a remote node's stats scrape
           in the same exposition format for piping into a collector.
-          `bench-diff --old A.json --new B.json` diffs two BENCH reports:
-          structural (non-timing) fields must match exactly and timing
-          fields must agree within --timing-ratio (default 10x), exiting
-          nonzero on any regression — the CI sentinel over committed
-          baselines
+          `bench-diff --old A.json --new B.json` diffs two BENCH reports
+          with their timing fields (qps, wall_seconds, latency_ms,
+          stage_ms, elapsed_ns) stripped: everything else must match
+          exactly, and any difference exits nonzero listing each
+          divergent $.path — the CI sentinel over committed baselines
 
 PROFILES: argilla-like anton-like laion-like imagenet-like cohere-like
           datacomp-like bigcode-like ssnpp-like";
@@ -199,8 +186,8 @@ const FLAG_OPTIONS: &[&str] = &["smoke", "openmetrics"];
 /// in neither list is rejected at parse time rather than silently eating
 /// the next token.
 const VALUE_OPTIONS: &str = "base batch c cache-capacity clients df ef flood graph gt k listen \
-    method metrics-addr mf n name new node nodes nq old out passes pipeline profile queries r \
-    replicas routing seed shard shards threads timeout-ms timing-ratio trace-out";
+    method metrics-addr mf n name new node nodes nq old out profile queries r replicas routing \
+    seed shard shards threads timeout-ms trace-out";
 
 /// Parsed `--key value` options.
 struct Opts {
@@ -512,114 +499,6 @@ fn bind_scrape(addr: &str, server: &EventServer) -> Result<ScrapeServer, String>
     Ok(scrape)
 }
 
-/// What one server drill measured: throughput over the whole query set
-/// and the tail of per-request round-trip latencies.
-struct DrillOutcome {
-    qps: f64,
-    p99_ms: f64,
-}
-
-/// Drills `clients` concurrent connections against a TCP node listener,
-/// each sending its round-robin share of the queries with a sliding
-/// window of `window` in-flight frames (1 = strict request/response),
-/// and checks every answer against the in-process baseline.
-#[allow(clippy::too_many_arguments)]
-fn drill_server(
-    addr: &NodeAddr,
-    queries: &VectorSet,
-    k: usize,
-    ef: usize,
-    rerank: usize,
-    clients: usize,
-    window: usize,
-    expected: &[Vec<u64>],
-) -> Result<DrillOutcome, String> {
-    let NodeAddr::Tcp(host) = addr else {
-        return Err("bench-serve drills TCP listeners only".into());
-    };
-    let nq = expected.len();
-    let t0 = Instant::now();
-    // Per client: (query index, returned ids) pairs plus per-query latencies.
-    type ClientDrill = (Vec<(usize, Vec<u64>)>, Vec<f64>);
-    let per_client: Vec<ClientDrill> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                s.spawn(move || -> Result<_, String> {
-                    let mine: Vec<usize> = (c..nq).step_by(clients).collect();
-                    let mut stream = std::net::TcpStream::connect(host.as_str())
-                        .map_err(|e| format!("connect {host}: {e}"))?;
-                    stream.set_nodelay(true).ok();
-                    let mut answers: Vec<(usize, Vec<u64>)> = Vec::with_capacity(mine.len());
-                    let mut lat_ms = Vec::with_capacity(mine.len());
-                    let mut sent_at: Vec<Instant> = Vec::with_capacity(mine.len());
-                    // Sliding window: keep `window` frames in flight so
-                    // the pipe never drains mid-drill (window 1 degrades
-                    // to strict request/response).
-                    let window = window.max(1);
-                    let read_reply =
-                        |stream: &mut std::net::TcpStream, qi: usize| -> Result<_, String> {
-                            let (msg, _, _) = read_message(stream)
-                                .map_err(|e| format!("recv: {e}"))?
-                                .ok_or("server closed mid-drill")?;
-                            match msg {
-                                Message::SearchOk(resp) => Ok((qi, resp.ids())),
-                                Message::Error(fault) => {
-                                    Err(format!("healthy-load request failed: {}", fault.message))
-                                }
-                                other => Err(format!("unexpected {} frame", other.kind_name())),
-                            }
-                        };
-                    for (i, &qi) in mine.iter().enumerate() {
-                        if i >= window {
-                            let prev = mine[i - window];
-                            answers.push(read_reply(&mut stream, prev)?);
-                            lat_ms.push(sent_at[i - window].elapsed().as_secs_f64() * 1e3);
-                        }
-                        let req = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank);
-                        sent_at.push(Instant::now());
-                        write_message(&mut stream, &Message::Search(req), 0)
-                            .map_err(|e| format!("send: {e}"))?;
-                    }
-                    for i in mine.len().saturating_sub(window)..mine.len() {
-                        answers.push(read_reply(&mut stream, mine[i])?);
-                        lat_ms.push(sent_at[i].elapsed().as_secs_f64() * 1e3);
-                    }
-                    Ok((answers, lat_ms))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "drill client panicked".to_string())?)
-            .collect::<Result<_, String>>()
-    })?;
-    let wall = t0.elapsed();
-
-    let mut got: Vec<Option<Vec<u64>>> = vec![None; nq];
-    let mut lat = Vec::with_capacity(nq);
-    for (answers, lat_ms) in per_client {
-        for (qi, ids) in answers {
-            got[qi] = Some(ids);
-        }
-        lat.extend(lat_ms);
-    }
-    for (qi, ids) in got.iter().enumerate() {
-        let ids = ids
-            .as_ref()
-            .ok_or_else(|| format!("query {qi} was never answered"))?;
-        if ids != &expected[qi] {
-            return Err(format!(
-                "parity violation on query {qi}: wire {ids:?} vs local {:?}",
-                expected[qi]
-            ));
-        }
-    }
-    Ok(DrillOutcome {
-        qps: nq as f64 / wall.as_secs_f64().max(1e-9),
-        p99_ms: latency_summary(&lat).p99_ms,
-    })
-}
-
 /// Floods a node listener with `total` requests blasted all at
 /// once (every client writes its full share before reading anything) and
 /// tallies how each was answered: `(ok, overloaded)`.
@@ -633,7 +512,7 @@ fn flood_server(
     total: usize,
 ) -> Result<(usize, usize), String> {
     let NodeAddr::Tcp(host) = addr else {
-        return Err("bench-serve drills TCP listeners only".into());
+        return Err("bench-serve floods TCP listeners only".into());
     };
     let nq = queries.len();
     let counts: Vec<(usize, usize)> = std::thread::scope(|s| {
@@ -681,11 +560,14 @@ fn flood_server(
         .fold((0, 0), |(a, b), (ok, ov)| (a + ok, b + ov)))
 }
 
-/// Builds a synthetic index and drills an `EventServer` on an ephemeral
-/// port with pipelined frames, checking every response against in-process
-/// search. A deliberately under-provisioned `EventServer` is then flooded
-/// past its admission deadline to verify every request is answered —
-/// `SearchOk` or `Overloaded`, never silence.
+/// Builds a synthetic index behind a deliberately under-provisioned
+/// `EventServer` on an ephemeral port and floods it past its admission
+/// deadline: every request must be answered — `SearchOk` or `Overloaded`,
+/// never silence — while a concurrent scraper reads `/metrics`, and
+/// `/healthz` must degrade once the shed fraction burns its budget.
+/// Serving speed is not measured here (`serve_zipf_stack` in `benchmark/`
+/// is that ruler); wire parity with in-process search is `cargo test`'s
+/// (`tests/distributed.rs`).
 fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     let spec = BuildSpec::from_opts(opts)?;
     let n: usize = opts.num("n", 2_000)?;
@@ -693,7 +575,6 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     let k: usize = opts.num("k", 10)?;
     let ef: usize = opts.num("ef", 64)?;
     let clients: usize = opts.num("clients", 8)?;
-    let pipeline: usize = opts.num("pipeline", 8)?;
     let flood: usize = opts.num("flood", 1_024)?;
     let threads: usize = opts.num("threads", 2)?;
     let profile = profile_by_name(opts.str("profile").unwrap_or("ssnpp-like"))?;
@@ -711,55 +592,14 @@ fn cmd_bench_serve(opts: &Opts) -> Result<(), String> {
     let rerank = spec.coding.default_rerank();
     let index: Arc<dyn AnnIndex> = Arc::from(spec.builder(dim, n).build(base));
 
-    // Parity baseline: the same requests answered in-process. The
-    // server must reproduce these ids bit-for-bit under healthy load.
-    let expected: Vec<Vec<u64>> = (0..nq)
-        .map(|qi| {
-            index
-                .search(&SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank))
-                .ids()
-        })
-        .collect();
-
-    let bind: NodeAddr = "tcp:127.0.0.1:0".parse()?;
-    eprintln!(
-        "bench-serve: drilling the server ({clients} clients, {pipeline}-deep pipelines, \
-         {threads} loops)..."
-    );
-    let mut event = EventServer::bind(
-        &bind,
-        NodeHandler::new(Arc::clone(&index)),
-        EventConfig {
-            threads,
-            ..EventConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind server: {e}"))?;
-    let drill = drill_server(
-        event.addr(),
-        &queries,
-        k,
-        ef,
-        rerank,
-        clients,
-        pipeline,
-        &expected,
-    )?;
-    event.shutdown();
-
-    println!(
-        "bench-serve: qps={:.0} p99={:.3}ms parity=ok",
-        drill.qps, drill.p99_ms
-    );
-
     // Overload drill: a tight queue deadline and a blast of `flood`
     // requests force deadline shedding; admission control must still
     // answer every frame. A zero deadline would shed *everything* — keep
     // it small but nonzero so early arrivals are admitted.
     eprintln!("bench-serve: flooding the server with {flood} requests...");
     let mut over = EventServer::bind(
-        &bind,
-        NodeHandler::new(Arc::clone(&index)),
+        &"tcp:127.0.0.1:0".parse()?,
+        NodeHandler::new(index),
         EventConfig {
             threads,
             batch_max: 16,
@@ -966,40 +806,15 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             addrs.len()
         );
         let timeout_ms: u64 = opts.num("timeout-ms", 5_000)?;
-        // Only the local→global id maps are needed — under the
-        // round-robin placement shard `s` holds exactly the ids
-        // `s, s + shards, ...`, so no vector data is copied.
-        let id_maps =
-            (0..addrs.len()).map(|s| ((s as u64)..n as u64).step_by(addrs.len()).collect());
-        let remote_parts: Vec<(Box<dyn AnnIndex>, Vec<u64>)> = addrs
-            .iter()
-            .zip(id_maps)
-            .map(|(addr, ids): (_, Vec<u64>)| {
-                let transport = SocketTransport::connect(addr.clone())
-                    .map_err(|e| e.to_string())?
-                    .with_timeout(std::time::Duration::from_millis(timeout_ms.max(1)));
-                let transport = Arc::new(transport);
-                let remote = RemoteIndex::connect(Arc::clone(&transport) as Arc<dyn Transport>)
-                    .map_err(|e| format!("{addr}: {e}"))?;
-                if FallibleIndex::len(&remote) != ids.len() || FallibleIndex::dim(&remote) != dim {
-                    return Err(format!(
-                        "{addr} serves {} vectors x {} dims, but shard {} of this base \
-                         has {} x {dim} — check the node's --base/--shards/--shard",
-                        FallibleIndex::len(&remote),
-                        FallibleIndex::dim(&remote),
-                        transports.len(),
-                        ids.len()
-                    ));
-                }
-                transports.push(transport);
-                Ok((Box::new(remote) as Box<dyn AnnIndex>, ids))
-            })
-            .collect::<Result<_, String>>()?;
-        Arc::new(ShardedIndex::from_parts(
-            remote_parts,
-            ShardPolicy::RoundRobin,
-            Arc::new(WorkerPool::new(threads)),
-        ))
+        let (sharded, connected) = connect_round_robin_shards(
+            addrs,
+            n,
+            dim,
+            Duration::from_millis(timeout_ms.max(1)),
+            threads,
+        )?;
+        transports = connected;
+        Arc::new(sharded)
     } else if replicas > 1 {
         // Replicas are deterministic rebuilds too (and every shard×replica
         // shares one globally-trained codec), so --graph is not read.
@@ -1224,17 +1039,13 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Diffs two `BENCH_*.json` reports as the CI regression sentinel:
-/// structural (non-timing) fields must match byte-for-byte after
-/// `strip_timings`, timing fields must agree within a ratio band, and any
-/// difference exits nonzero with every divergent path listed.
+/// Diffs two `BENCH_*.json` reports as the CI regression sentinel: after
+/// `strip_timings` the two must be equal, and any difference exits nonzero
+/// with every divergent path listed. Timings are not compared at all —
+/// `benchmark/` is the only stopwatch.
 fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
     let old_path = opts.path("old")?;
     let new_path = opts.path("new")?;
-    let ratio: f64 = opts.num("timing-ratio", 10.0)?;
-    if ratio < 1.0 || ratio.is_nan() {
-        return Err("--timing-ratio must be a number >= 1".into());
-    }
     let load = |path: &Path| -> Result<metrics::Json, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -1246,17 +1057,10 @@ fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
     };
     let old = load(&old_path)?;
     let new = load(&new_path)?;
-    let mut diffs: Vec<String> = Vec::new();
-    diff_structural(
-        &metrics::strip_timings(&old),
-        &metrics::strip_timings(&new),
-        "$",
-        &mut diffs,
-    );
-    diff_timings(&old, &new, "$", ratio, &mut diffs);
+    let diffs = bench_diffs(&old, &new);
     if diffs.is_empty() {
         println!(
-            "bench-diff: {} and {} agree (structural exact, timings within {ratio}x)",
+            "bench-diff: {} and {} agree on every non-timing field",
             old_path.display(),
             new_path.display()
         );
@@ -1271,6 +1075,19 @@ fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
         old_path.display(),
         new_path.display()
     ))
+}
+
+/// Every `$.path` at which two reports differ once their timing fields are
+/// stripped; empty when they agree.
+fn bench_diffs(old: &metrics::Json, new: &metrics::Json) -> Vec<String> {
+    let mut diffs = Vec::new();
+    diff_structural(
+        &metrics::strip_timings(old),
+        &metrics::strip_timings(new),
+        "$",
+        &mut diffs,
+    );
+    diffs
 }
 
 /// Recursive exact comparison of two timing-stripped reports, recording
@@ -1312,88 +1129,6 @@ fn diff_structural(old: &metrics::Json, new: &metrics::Json, path: &str, diffs: 
             }
         }
     }
-}
-
-/// Walks both reports in parallel and, under every [`metrics::TIMING_KEYS`]
-/// subtree, checks each pair of numeric leaves stays within `ratio`.
-/// Shape mismatches are the structural pass's job, not this one's.
-fn diff_timings(
-    old: &metrics::Json,
-    new: &metrics::Json,
-    path: &str,
-    ratio: f64,
-    diffs: &mut Vec<String>,
-) {
-    use metrics::Json;
-    match (old, new) {
-        (Json::Obj(po), Json::Obj(_)) => {
-            for (key, vo) in po {
-                let Some(vn) = new.get(key) else { continue };
-                let sub = format!("{path}.{key}");
-                if metrics::TIMING_KEYS.contains(&key.as_str()) {
-                    compare_timing(vo, vn, &sub, ratio, diffs);
-                } else {
-                    diff_timings(vo, vn, &sub, ratio, diffs);
-                }
-            }
-        }
-        (Json::Arr(ao), Json::Arr(an)) => {
-            for (i, (vo, vn)) in ao.iter().zip(an).enumerate() {
-                diff_timings(vo, vn, &format!("{path}[{i}]"), ratio, diffs);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Numeric tolerance inside a timing subtree: each leaf pair must be
-/// within a factor of `ratio` (values under 10µs-scale noise compare
-/// equal; latency vectors are compared by aggregate, not element).
-fn compare_timing(
-    old: &metrics::Json,
-    new: &metrics::Json,
-    path: &str,
-    ratio: f64,
-    diffs: &mut Vec<String>,
-) {
-    use metrics::Json;
-    match (old, new) {
-        (Json::Obj(po), Json::Obj(_)) => {
-            for (key, vo) in po {
-                if let Some(vn) = new.get(key) {
-                    compare_timing(vo, vn, &format!("{path}.{key}"), ratio, diffs);
-                }
-            }
-        }
-        // Per-query latency vectors differ in every element run to run;
-        // their aggregate (the latency summary object) is what the band
-        // applies to, so element lists only have to agree in magnitude.
-        (Json::Arr(ao), Json::Arr(an)) => {
-            let mean = |items: &[Json]| {
-                let xs: Vec<f64> = items.iter().filter_map(Json::as_f64).collect();
-                xs.iter().sum::<f64>() / xs.len().max(1) as f64
-            };
-            check_timing_pair(mean(ao), mean(an), &format!("{path}[mean]"), ratio, diffs);
-        }
-        (a, b) => {
-            if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
-                check_timing_pair(x, y, path, ratio, diffs);
-            }
-        }
-    }
-}
-
-/// One timing leaf: both below noise floor passes, otherwise the larger
-/// magnitude must be within `ratio` times the smaller.
-fn check_timing_pair(old: f64, new: f64, path: &str, ratio: f64, diffs: &mut Vec<String>) {
-    const NOISE_FLOOR: f64 = 0.01;
-    let (lo, hi) = (old.abs().min(new.abs()), old.abs().max(new.abs()));
-    if hi < NOISE_FLOOR || hi <= lo.max(NOISE_FLOOR / ratio) * ratio {
-        return;
-    }
-    diffs.push(format!(
-        "{path}: timing drifted beyond {ratio}x: {old} -> {new}"
-    ));
 }
 
 /// Replays a named scenario workload and writes its `BENCH_*.json`,
@@ -1537,291 +1272,6 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The naive per-neighbor beam search, kept here verbatim as the
-/// reference `hotpath` measures and checks the serving kernel against:
-/// greedy descent and an `ef`-wide base beam with a fresh
-/// `vec![false; n]` visited map, fresh `BinaryHeap`s, and one `dist_to`
-/// call per neighbor — exactly the allocation and memory-access pattern
-/// the CSR + pooled-scratch + block-scored kernel replaced. Must stay
-/// bit-identical to
-/// `graphs::search_layers` (distances have no side effects, and both
-/// loops re-read the current worst before every admission).
-fn reference_search_layers(
-    provider: &FlashProvider,
-    graph: &graphs::GraphLayers,
-    query: &[f32],
-    k: usize,
-    ef: usize,
-) -> Vec<graphs::Hit> {
-    use graphs::OrdF32;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if graph.is_empty() {
-        return Vec::new();
-    }
-    let ef = ef.max(k).max(1);
-    let ctx = provider.prepare_query(query);
-
-    let mut cur = graph.entry;
-    let mut cur_d = provider.dist_to(&ctx, cur);
-    for layer in (1..=graph.max_layer).rev() {
-        loop {
-            let mut improved = false;
-            for &nb in graph.neighbors(layer, cur) {
-                let d = provider.dist_to(&ctx, nb);
-                if d < cur_d {
-                    cur = nb;
-                    cur_d = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-
-    let mut visited = vec![false; graph.len()];
-    visited[cur as usize] = true;
-    let mut results: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-    let mut frontier: BinaryHeap<(Reverse<OrdF32>, u32)> = BinaryHeap::new();
-    results.push((OrdF32(cur_d), cur));
-    frontier.push((Reverse(OrdF32(cur_d)), cur));
-    while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
-        let worst = results
-            .peek()
-            .map(|&(OrdF32(w), _)| w)
-            .unwrap_or(f32::INFINITY);
-        if d > worst && results.len() >= ef {
-            break;
-        }
-        for &nb in graph.neighbors(0, u) {
-            if visited[nb as usize] {
-                continue;
-            }
-            visited[nb as usize] = true;
-            let nd = provider.dist_to(&ctx, nb);
-            let worst = results
-                .peek()
-                .map(|&(OrdF32(w), _)| w)
-                .unwrap_or(f32::INFINITY);
-            if results.len() < ef || nd <= worst {
-                results.push((OrdF32(nd), nb));
-                if results.len() > ef {
-                    results.pop();
-                }
-                frontier.push((Reverse(OrdF32(nd)), nb));
-            }
-        }
-    }
-    let mut out: Vec<graphs::Hit> = results
-        .into_iter()
-        .map(|(OrdF32(dist), id)| graphs::Hit {
-            id: u64::from(id),
-            dist,
-        })
-        .collect();
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    out.truncate(k);
-    out
-}
-
-/// Benchmarks the flash-path search hot path: the naive per-neighbor
-/// reference kernel vs the CSR + pooled-scratch + block-scored kernel that
-/// serves every graph index (`graphs::search_layers`), single-threaded
-/// over identical queries, with a bit-exactness
-/// check and a zero-allocation check on the steady-state loop. Emits
-/// `BENCH_hotpath.json` through the standard report schema (QPS and wall
-/// clock under timing keys, everything else structural).
-fn cmd_hotpath(opts: &Opts) -> Result<(), String> {
-    let smoke = opts.flag("smoke");
-    let n: usize = opts.num("n", if smoke { 1_500 } else { 6_000 })?;
-    let nq: usize = opts.num("queries", if smoke { 96 } else { 256 })?;
-    let k: usize = opts.num("k", 10)?;
-    let ef: usize = opts.num("ef", if smoke { 64 } else { 96 })?;
-    let c: usize = opts.num("c", if smoke { 48 } else { 96 })?;
-    let r: usize = opts.num("r", if smoke { 8 } else { 12 })?;
-    // Enough passes that each kernel's timed window is hundreds of
-    // milliseconds — single-pass windows are a few ms and pure noise.
-    let passes: usize = opts.num("passes", if smoke { 40 } else { 60 })?;
-    let seed: u64 = opts.num("seed", 0x5EEDu64)?;
-    if n == 0 || nq == 0 || k == 0 || passes == 0 {
-        return Err("--n/--queries/--k/--passes must be positive".into());
-    }
-    let out = PathBuf::from(opts.str("out").unwrap_or("BENCH_hotpath.json"));
-
-    let profile = DatasetProfile::SsnppLike;
-    eprintln!(
-        "hotpath: building flash HNSW over {n} synthetic vectors ({}, C={c}, R={r})...",
-        profile.name()
-    );
-    let (base, queries) = generate(&profile.spec(), n, nq, seed);
-    let dim = base.dim();
-    let mut fp = FlashParams::auto(dim);
-    fp.seed = seed;
-    fp.train_sample = (n / 2).clamp(256, 10_000);
-    let index = FlashHnsw::build_flash(base, fp, HnswParams { c, r, seed }).into_frozen();
-    let (provider, graph) = (index.provider(), index.layers());
-
-    // Parity: both kernels must return the same (dist, id) lists on every
-    // query before any timing is trusted.
-    eprintln!("hotpath: checking reference/hotpath parity over {nq} queries...");
-    for qi in 0..nq {
-        let q = queries.get(qi);
-        let naive = reference_search_layers(provider, graph, q, k, ef);
-        let fast = graphs::search_layers(provider, graph, q, k, ef);
-        if naive.len() != fast.len()
-            || naive
-                .iter()
-                .zip(&fast)
-                .any(|(a, b)| a.id != b.id || a.dist != b.dist)
-        {
-            return Err(format!(
-                "parity violation on query {qi}: reference {naive:?} vs hotpath {fast:?}"
-            ));
-        }
-    }
-
-    // Timed passes, single thread, identical query stream. The kernels
-    // alternate pass-by-pass and each is scored by its *best* pass, so
-    // clock-frequency drift hits both equally instead of whichever ran
-    // second. The parity loop above doubles as the warm-up, so the scratch
-    // pool is already primed: any `created` growth during the timed loop
-    // is an allocation bug.
-    let total = nq * passes;
-    eprintln!("hotpath: timing {passes} interleaved passes x {nq} queries per kernel...");
-    let scratch_before = graphs::scratch_stats();
-    let mut lat_ms = Vec::with_capacity(total);
-    let mut reference_wall = 0.0f64;
-    let mut hotpath_wall = 0.0f64;
-    let mut reference_best = f64::INFINITY;
-    let mut hotpath_best = f64::INFINITY;
-    for _ in 0..passes {
-        let t0 = Instant::now();
-        for qi in 0..nq {
-            let hits = reference_search_layers(provider, graph, queries.get(qi), k, ef);
-            std::hint::black_box(&hits);
-        }
-        let pass_wall = t0.elapsed().as_secs_f64();
-        reference_wall += pass_wall;
-        reference_best = reference_best.min(pass_wall);
-
-        let t0 = Instant::now();
-        for qi in 0..nq {
-            let tq = Instant::now();
-            let hits = graphs::search_layers(provider, graph, queries.get(qi), k, ef);
-            lat_ms.push(tq.elapsed().as_secs_f64() * 1e3);
-            std::hint::black_box(&hits);
-        }
-        let pass_wall = t0.elapsed().as_secs_f64();
-        hotpath_wall += pass_wall;
-        hotpath_best = hotpath_best.min(pass_wall);
-    }
-    let scratch_after = graphs::scratch_stats();
-    let zero_alloc = scratch_after.created == scratch_before.created;
-    if !zero_alloc {
-        return Err(format!(
-            "steady-state searches created {} new scratch states (expected 0)",
-            scratch_after.created - scratch_before.created
-        ));
-    }
-    if scratch_after.checkouts - scratch_before.checkouts != total as u64 {
-        return Err("scratch checkouts do not match the query count".into());
-    }
-
-    // Best-pass QPS: the least-interfered-with window for each kernel.
-    let reference_qps = nq as f64 / reference_best.max(1e-9);
-    let hotpath_qps = nq as f64 / hotpath_best.max(1e-9);
-    let speedup = hotpath_qps / reference_qps.max(1e-9);
-
-    // Recall against the exact oracle is structural: same seed, same
-    // binary, same number — it pins search quality across refactors. The
-    // same pass yields the kernel's structural cost profile (hops,
-    // distance evaluations, bytes), deterministic per seed.
-    let truth = ground_truth(provider.base(), &queries, k);
-    graphs::profile_reset();
-    let found: Vec<Vec<u32>> = (0..nq)
-        .map(|qi| {
-            graphs::search_layers(provider, graph, queries.get(qi), k, ef)
-                .iter()
-                .map(|h| h.id as u32)
-                .collect()
-        })
-        .collect();
-    let cost = graphs::profile_take();
-    let recall = recall_at_k(&found, &truth, k).recall();
-
-    use metrics::Json;
-    let report = BenchReport {
-        scenario: "hotpath".into(),
-        seed,
-        topology: "single-thread".into(),
-        config: vec![
-            ("base_n".into(), Json::uint(n as u64)),
-            ("dim".into(), Json::uint(dim as u64)),
-            ("ef".into(), Json::uint(ef as u64)),
-            ("c".into(), Json::uint(c as u64)),
-            ("r".into(), Json::uint(r as u64)),
-            ("passes".into(), Json::uint(passes as u64)),
-            ("parity".into(), Json::Bool(true)),
-            ("zero_alloc_steady_state".into(), Json::Bool(zero_alloc)),
-            // Per-kernel throughput nests under keys `strip_timings`
-            // removes, so the structural remainder stays byte-stable.
-            (
-                "reference".into(),
-                Json::Obj(vec![
-                    ("qps".into(), Json::num(reference_qps)),
-                    ("wall_seconds".into(), Json::num(reference_wall)),
-                ]),
-            ),
-            (
-                "hotpath".into(),
-                Json::Obj(vec![
-                    ("qps".into(), Json::num(hotpath_qps)),
-                    ("wall_seconds".into(), Json::num(hotpath_wall)),
-                ]),
-            ),
-            (
-                "speedup".into(),
-                Json::Obj(vec![("qps".into(), Json::num(speedup))]),
-            ),
-        ],
-        queries: total as u64,
-        wall_seconds: hotpath_wall,
-        qps: hotpath_qps,
-        latency: latency_summary(&lat_ms),
-        k,
-        recall_samples: nq as u64,
-        recall_at_k: recall,
-        cache: None,
-        failover: None,
-        transport: None,
-        admission: None,
-        profile: cost,
-        slo: None,
-        trace: None,
-        mutations: metrics::MutationSummary::default(),
-        tenants: Vec::new(),
-    };
-    let text = report.to_pretty_string();
-    std::fs::write(&out, &text).map_err(io_err("write report"))?;
-
-    // Self-check the artifact the same way `scenario` does.
-    let reread = std::fs::read_to_string(&out).map_err(io_err("re-read report"))?;
-    let json =
-        metrics::Json::parse(&reread).map_err(|e| format!("emitted report does not parse: {e}"))?;
-    metrics::BenchReport::validate(&json)
-        .map_err(|e| format!("emitted report fails schema validation: {e}"))?;
-
-    println!(
-        "hotpath: queries={total} reference_qps={reference_qps:.0} hotpath_qps={hotpath_qps:.0} \
-         speedup={speedup:.2}x parity=ok zero_alloc=ok recall@{k}={recall:.4}"
-    );
-    eprintln!("wrote {}", out.display());
-    Ok(())
-}
-
 fn cmd_info(opts: &Opts) -> Result<(), String> {
     let path = opts.path("graph")?;
     let graph = graphs::GraphLayers::load(&path).map_err(io_err("read graph"))?;
@@ -1874,6 +1324,13 @@ mod tests {
             panic!("an option no command reads must be rejected");
         };
         assert_eq!(unknown, "unknown option --bogus");
+        // Options whose commands are gone are unknown like any other name.
+        for retired in ["passes", "pipeline"] {
+            let Err(e) = Opts::parse(&[format!("--{retired}"), "2".into()]) else {
+                panic!("--{retired} must be rejected");
+            };
+            assert_eq!(e, format!("unknown option --{retired}"));
+        }
         assert!(
             Opts::parse(&["--n".into(), "1".into(), "--n".into(), "2".into()]).is_err(),
             "duplicate option"
@@ -1925,6 +1382,78 @@ mod tests {
         );
         let o = opts(&[("method", "nsg:bogus")]);
         assert!(BuildSpec::from_opts(&o).is_err());
+    }
+
+    /// A report-shaped document with every timing key `strip_timings`
+    /// knows at some depth, and structural fields beside each.
+    const REPORT: &str = r#"{
+        "queries": 10, "qps": 100.5, "wall_seconds": 0.25,
+        "latency_ms": {"p50": 1.0, "max": 2.0},
+        "profile": {"hops_base": 7, "dist_coded": 90},
+        "trace": {"spans": {"route": 3}, "stage_ms": {"route": 0.5}},
+        "tenants": [{"tenant": 0, "queries": 10, "latency_ms": {"p50": 1.0}}],
+        "spans": [{"kind": "route", "elapsed_ns": 5}]
+    }"#;
+
+    /// `bench_diffs` between [`REPORT`] and a copy with `from` replaced by
+    /// `to`.
+    fn diffs_after(from: &str, to: &str) -> Vec<String> {
+        assert!(REPORT.contains(from), "{from}");
+        let old = metrics::Json::parse(REPORT).unwrap();
+        let new = metrics::Json::parse(&REPORT.replace(from, to)).unwrap();
+        bench_diffs(&old, &new)
+    }
+
+    #[test]
+    fn bench_diff_is_exact_on_structure_and_names_the_path() {
+        assert!(diffs_after("10", "10").is_empty(), "equal reports agree");
+        for (from, to, path) in [
+            // A changed counter.
+            (
+                r#""hops_base": 7"#,
+                r#""hops_base": 8"#,
+                "$.profile.hops_base:",
+            ),
+            // A missing key, an extra key.
+            (r#", "dist_coded": 90"#, "", "$.profile.dist_coded: missing"),
+            (
+                r#""route": 3"#,
+                r#""route": 3, "gather": 1"#,
+                "$.trace.spans.gather: only in",
+            ),
+            // An array that grew: reported once, at the array.
+            (
+                r#""elapsed_ns": 5}"#,
+                r#""elapsed_ns": 5}, {"kind": "gather"}"#,
+                "$.spans: array length 1 -> 2",
+            ),
+            // A structural field inside an array element.
+            (r#""tenant": 0"#, r#""tenant": 1"#, "$.tenants[0].tenant:"),
+        ] {
+            let diffs = diffs_after(from, to);
+            assert_eq!(diffs.len(), 1, "{from} -> {to}: {diffs:?}");
+            assert!(diffs[0].starts_with(path), "{} !~ {path}", diffs[0]);
+        }
+    }
+
+    #[test]
+    fn bench_diff_ignores_every_timing_leaf() {
+        for (from, to) in [
+            (r#""qps": 100.5"#, r#""qps": 1.0"#),
+            (r#""wall_seconds": 0.25"#, r#""wall_seconds": 900.0"#),
+            (r#""max": 2.0"#, r#""max": 20000.0"#),
+            (
+                r#""stage_ms": {"route": 0.5}"#,
+                r#""stage_ms": {"route": 77.0, "rerank": 1.0}"#,
+            ),
+            (r#""elapsed_ns": 5"#, r#""elapsed_ns": 5000000"#),
+            (
+                r#""latency_ms": {"p50": 1.0}}"#,
+                r#""latency_ms": {"p50": 99.0}}"#,
+            ),
+        ] {
+            assert_eq!(diffs_after(from, to), Vec::<String>::new(), "{from}");
+        }
     }
 
     #[test]

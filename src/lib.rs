@@ -247,8 +247,11 @@
 //! counts admitted/shed, the registry exports
 //! `serving.frontend.{admitted,shed,queue_depth,admission_wait_ns,wakeups}`, a
 //! traced request that queued records a `queue_wait` span, and
-//! `flash_cli bench-serve` drills the server with pipelined clients and
-//! an overload flood from the command line. The `overload` scenario
+//! `flash_cli bench-serve` floods an under-provisioned server from the
+//! command line (every request answered or shed, `/metrics` scrapeable
+//! meanwhile, `/healthz` degraded after) — it times nothing: serving speed
+//! is `serve_zipf_stack` in `benchmark/`, pipelined wire parity is
+//! `tests/distributed.rs`. The `overload` scenario
 //! replays the same policy in virtual time, so its
 //! admitted/shed/retried counters are byte-reproducible across runs.
 //!
@@ -286,8 +289,11 @@
 //! (submitted/admitted/shed/retried/max_depth), `mutations`, and
 //! per-tenant latency summaries. Identical seed + topology reproduces
 //! every **non-timing** field byte-for-byte — `metrics::strip_timings`
-//! removes exactly the timing keys (`qps`, `wall_seconds`, `latency_ms`)
-//! so trajectories can be diffed across commits:
+//! removes exactly the timing keys (`qps`, `wall_seconds`, `latency_ms`,
+//! `stage_ms`, `elapsed_ns`) — and `flash_cli bench-diff` is that
+//! comparison and nothing more: `strip_timings(old) == strip_timings(new)`
+//! with every divergent `$.path` listed. The values under the timing keys
+//! are never compared; a speed statement comes from `benchmark/`.
 //!
 //! ```
 //! use hnsw_flash::prelude::*;
@@ -531,14 +537,12 @@
 //!    index: they are no faster than the gathering kernel on three of
 //!    the four benchmark corpora.)
 //!
-//! `flash_cli hotpath` measures the payoff: it runs the same queries
-//! through a naive per-neighbor reference kernel and the serving
-//! kernel ([`graphs::search_layers`]), asserts the results are identical,
-//! and emits
-//! `BENCH_hotpath.json` through the usual metrics schema. Read it as
-//! `config.reference.qps` vs `config.hotpath.qps` (plus the
-//! `speedup` ratio); [`metrics::strip_timings`] removes the QPS numbers
-//! so the structural remainder is byte-stable for CI diffing.
+//! Each of those claims has one home. Results identical to a naive
+//! per-neighbor kernel (fresh visited map, fresh heaps, one `dist_to` per
+//! neighbor) for all six codings: `tests/freeze_parity.rs`. The
+//! zero-allocation steady state: `tests/engine_api.rs` and
+//! `tests/csr_properties.rs`. What the kernel costs:
+//! `graphs.search_layers_us` on `benchmark/`'s per-layer ladder.
 //!
 //! ## Construction types and the engine
 //!

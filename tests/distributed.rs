@@ -649,18 +649,15 @@ fn event_server_matches_in_process_search() {
 
 /// Pipelining correctness: N frames written back-to-back on one
 /// connection (none of their replies read until all are sent) come back
-/// in request order, bit-identical to N strict sequential exchanges.
+/// in request order, bit-identical to N strict sequential exchanges —
+/// for one client, and for several pipelining at once over fewer loop
+/// threads than connections.
 #[test]
 fn pipelined_frames_match_sequential_exchanges() {
     let (base, queries) = dataset(N);
     let builder = builder_for(GraphKind::Hnsw, Coding::Sq);
     let index: Arc<dyn AnnIndex> = Arc::from(builder.build(base));
-    let mut event = EventServer::bind(
-        &NodeAddr::Tcp("127.0.0.1:0".into()),
-        NodeHandler::new(index),
-        EventConfig::default(),
-    )
-    .expect("bind the event server");
+    let mut event = tcp_server(index);
     let NodeAddr::Tcp(host) = event.addr().clone() else {
         panic!("event server binds TCP");
     };
@@ -675,32 +672,52 @@ fn pipelined_frames_match_sequential_exchanges() {
         })
         .collect();
 
-    // Pipelined: every frame in flight at once, each with a distinct
-    // trace id so the reply order is checkable end to end.
-    let mut stream = std::net::TcpStream::connect(host.as_str()).expect("dial raw");
-    stream.set_nodelay(true).ok();
-    for qi in 0..queries.len() {
-        write_message(
-            &mut stream,
-            &Message::Search(exhaustive(queries.get(qi))),
-            qi as u64 + 1,
-        )
-        .expect("pipelined send");
+    for clients in [1usize, 8] {
+        // Every client is connected before any of them sends, so all the
+        // pipelines are in flight on the two loops at once.
+        let connected = std::sync::Barrier::new(clients);
+        std::thread::scope(|s| {
+            for c in 0..clients {
+                let (host, queries, sequential, connected) =
+                    (&host, &queries, &sequential, &connected);
+                s.spawn(move || {
+                    let mut stream = std::net::TcpStream::connect(host.as_str()).expect("dial raw");
+                    stream.set_nodelay(true).ok();
+                    connected.wait();
+                    // Pipelined: every frame in flight at once, each with a
+                    // distinct trace id so the reply order is checkable end
+                    // to end.
+                    let trace_of = |qi: usize| (c * queries.len() + qi) as u64 + 1;
+                    for qi in 0..queries.len() {
+                        write_message(
+                            &mut stream,
+                            &Message::Search(exhaustive(queries.get(qi))),
+                            trace_of(qi),
+                        )
+                        .expect("pipelined send");
+                    }
+                    for (qi, want) in sequential.iter().enumerate() {
+                        let (got, trace_id, _) = read_message(&mut stream)
+                            .expect("pipelined reply decodes")
+                            .expect("server answers every pipelined frame");
+                        assert_eq!(
+                            trace_id,
+                            trace_of(qi),
+                            "client {c}: replies come back in request order"
+                        );
+                        let (Message::SearchOk(got), Message::SearchOk(want)) = (&got, want) else {
+                            panic!("client {c} q{qi}: expected SearchOk through both paths");
+                        };
+                        assert_eq!(
+                            got.hits, want.hits,
+                            "client {c} q{qi}: pipelined != sequential"
+                        );
+                    }
+                });
+            }
+        });
     }
-    for (qi, want) in sequential.iter().enumerate() {
-        let (got, trace_id, _) = read_message(&mut stream)
-            .expect("pipelined reply decodes")
-            .expect("server answers every pipelined frame");
-        assert_eq!(
-            trace_id,
-            qi as u64 + 1,
-            "replies come back in request order"
-        );
-        let (Message::SearchOk(got), Message::SearchOk(want)) = (&got, want) else {
-            panic!("q{qi}: expected SearchOk through both paths");
-        };
-        assert_eq!(got.hits, want.hits, "q{qi}: pipelined != sequential");
-    }
+    assert_eq!(event.admission_stats().shed, 0);
     event.shutdown();
 }
 

@@ -1,9 +1,10 @@
 //! Freeze-then-serve parity: the one frozen-topology beam
 //! (`graphs::search_layers_filtered`) answers for every graph index, so it
-//! is pinned — ids *and* `f32` distance bits — to the two references that
+//! is pinned — ids *and* `f32` distance bits — to the three references that
 //! do not share its loop: the live `Hnsw::search` (the insert-time
-//! `search_layer` beam) and a provider-distance brute force, which a beam
-//! of exhaustive width must reproduce.
+//! `search_layer` beam), a provider-distance brute force, which a beam
+//! of exhaustive width must reproduce, and a naive per-neighbour beam
+//! ([`naive_search_layers`]) that it must equal at the serving `ef`.
 //!
 //! The commit that introduced this file also compared against the paths
 //! the beam replaced (the flat-graph beam copy and the live index's
@@ -11,8 +12,12 @@
 //! engine switched over; those halves went with the paths.
 
 use hnsw_flash::engine::GraphIndex;
-use hnsw_flash::graphs::{rerank_exact, search_layers_filtered, FrozenGraph};
+use hnsw_flash::graphs::{
+    rerank_exact, search_layers, search_layers_filtered, FrozenGraph, GraphLayers, OrdF32,
+};
 use hnsw_flash::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 const K: usize = 5;
 const EF: usize = 48;
@@ -107,6 +112,84 @@ fn brute<P: DistanceProvider>(
     all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
     all.truncate(k);
     all
+}
+
+/// The beam search as a textbook would write it: greedy descent through
+/// the upper layers, then an `ef`-wide base beam over a fresh
+/// `vec![false; n]` visited map and fresh `BinaryHeap`s, with one `dist_to`
+/// call per neighbour — none of the serving kernel's pooled scratch,
+/// packed-key beam or batched `dist_to_neighbors` scoring. Distances have
+/// no side effects and both loops re-read the current worst before every
+/// admission, so the two must agree bit for bit.
+fn naive_search_layers<P: DistanceProvider>(
+    provider: &P,
+    graph: &GraphLayers,
+    query: &[f32],
+    k: usize,
+    ef: usize,
+) -> Vec<Hit> {
+    if graph.is_empty() {
+        return Vec::new();
+    }
+    let ef = ef.max(k).max(1);
+    let ctx = provider.prepare_query(query);
+
+    let mut cur = graph.entry;
+    let mut cur_d = provider.dist_to(&ctx, cur);
+    for layer in (1..=graph.max_layer).rev() {
+        loop {
+            let mut improved = false;
+            for &nb in graph.neighbors(layer, cur) {
+                let d = provider.dist_to(&ctx, nb);
+                if d < cur_d {
+                    cur = nb;
+                    cur_d = d;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    let mut visited = vec![false; graph.len()];
+    visited[cur as usize] = true;
+    let mut results: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+    let mut frontier: BinaryHeap<(Reverse<OrdF32>, u32)> = BinaryHeap::new();
+    results.push((OrdF32(cur_d), cur));
+    frontier.push((Reverse(OrdF32(cur_d)), cur));
+    let worst_of = |results: &BinaryHeap<(OrdF32, u32)>| {
+        results.peek().map_or(f32::INFINITY, |&(OrdF32(w), _)| w)
+    };
+    while let Some((Reverse(OrdF32(d)), u)) = frontier.pop() {
+        if d > worst_of(&results) && results.len() >= ef {
+            break;
+        }
+        for &nb in graph.neighbors(0, u) {
+            if std::mem::replace(&mut visited[nb as usize], true) {
+                continue;
+            }
+            let nd = provider.dist_to(&ctx, nb);
+            if results.len() < ef || nd <= worst_of(&results) {
+                results.push((OrdF32(nd), nb));
+                if results.len() > ef {
+                    results.pop();
+                }
+                frontier.push((Reverse(OrdF32(nd)), nb));
+            }
+        }
+    }
+    let mut out: Vec<Hit> = results
+        .into_iter()
+        .map(|(OrdF32(dist), id)| Hit {
+            id: u64::from(id),
+            dist,
+        })
+        .collect();
+    out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+    out.truncate(k);
+    out
 }
 
 fn check_flat<P: DistanceProvider>(what: &str, index: FrozenGraph<P>, queries: &VectorSet) {
@@ -213,6 +296,32 @@ fn graph_index_answers_like_the_live_hnsw() {
                 exact_filtered,
                 &leaf.search(&plain.filter(|id| id % 3 == 0).ef(n)).hits,
                 &format!("{tag} filtered (exhaustive)"),
+            );
+        }
+    });
+}
+
+/// The serving kernel equals the naive per-neighbour beam at the serving
+/// `ef` — where the beam is narrower than the graph, so admission order,
+/// tie handling and the early-exit bound all matter — for every coding.
+#[test]
+fn search_layers_matches_the_naive_beam_at_serving_ef() {
+    let (base, queries) = workload(400, 8);
+    let params = HnswParams {
+        c: C,
+        r: R,
+        seed: SEED,
+    };
+    for_each_coding!(base, |coding, provider| {
+        let index = Hnsw::build(provider(), params).into_frozen();
+        let (provider, layers) = (index.provider(), index.layers());
+        assert!(layers.max_layer > 0, "the descent must be exercised");
+        for qi in 0..queries.len() {
+            let q = queries.get(qi);
+            assert_same(
+                &naive_search_layers(provider, layers, q, K, EF),
+                &search_layers(provider, layers, q, K, EF),
+                &format!("hnsw:{coding} query {qi}"),
             );
         }
     });
