@@ -10,7 +10,8 @@
 //! dynamically, and the caller reassembles the results in index order —
 //! `collect` keeps the sequential order, and `reduce` / `sum` fold on the
 //! caller in index order, the sequential fold bit for bit. A call made
-//! inside a job runs inline, so nesting neither deadlocks nor adds threads.
+//! inside a job runs inline, so nesting neither deadlocks nor adds threads;
+//! only a call that runs on one thread anyway leaves its jobs free to spread.
 
 use std::cell::Cell;
 use std::convert::Infallible;
@@ -62,12 +63,14 @@ pub fn current_num_threads() -> usize {
 }
 
 /// The state a job of this thread's pool runs in, and how many threads a
-/// call with `jobs` independent jobs uses: one inside a job.
+/// call with `jobs` independent jobs uses: one inside a job. The lone job of
+/// a call that uses one thread runs as its caller would, so a call inside
+/// it may still spread.
 fn job_state(jobs: usize) -> (State, usize) {
     let width = current_num_threads();
     let in_job = STATE.with(Cell::get).1;
     let threads = if in_job { 1 } else { width.min(jobs).max(1) };
-    ((Some(width), true), threads)
+    ((Some(width), in_job || threads > 1), threads)
 }
 
 /// Work left, at the caller's pace so far, below which a call finishes on
@@ -485,6 +488,36 @@ mod tests {
         let payload = caught.expect_err("the helper's panic must reach the caller");
         let message = payload.downcast_ref::<String>().expect("formatted payload");
         assert!(message.starts_with("helper job "), "{message}");
+    }
+
+    #[test]
+    fn a_call_inside_the_lone_job_of_a_call_still_spreads() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let caller = thread::current().id();
+        let helped = AtomicBool::new(false);
+        // Inline, the nested call would wait out the deadline on the caller.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        pool.install(|| {
+            (0..1usize).into_par_iter().for_each(|_| {
+                (0..100usize).into_par_iter().for_each(|i| {
+                    if thread::current().id() != caller {
+                        helped.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    thread::sleep(super::HELPER_WORTH);
+                    while i >= super::piece_len(100)
+                        && !helped.load(Ordering::SeqCst)
+                        && std::time::Instant::now() < deadline
+                    {
+                        thread::yield_now();
+                    }
+                })
+            })
+        });
+        assert!(
+            helped.load(Ordering::SeqCst),
+            "no helper joined the nested call"
+        );
     }
 
     #[test]

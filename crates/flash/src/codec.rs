@@ -1,8 +1,8 @@
 //! The Flash codec: PCA → subspace codebooks → shared-grid quantized
 //! distance tables (paper Sections 3.3.2 and 3.3.3).
 
-use quantizers::{kmeans, PcaCodec};
-use simdops::{dist16, LUT_BATCH};
+use quantizers::{train_subspaces, PcaCodec, Span};
+use simdops::{dist16, dist16_rows, LUT_BATCH};
 use std::cell::RefCell;
 use vecstore::VectorSet;
 
@@ -72,13 +72,6 @@ impl FlashParams {
     }
 }
 
-/// Subspace extent over the principal-component vector.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    len: usize,
-}
-
 /// A trained Flash codec.
 ///
 /// Holds the PCA basis, the `M_F` codebooks of `K = 16` centroids, the
@@ -89,10 +82,9 @@ pub struct FlashCodec {
     pca: PcaCodec,
     spans: Vec<Span>,
     /// Concatenated codebooks, each stored dimension-major for
-    /// [`simdops::dist16`]: subspace `s` holds `spans[s].len * K` floats at
-    /// `codebook_offsets[s]`, coordinate `t` of centroid `c` at `t * K + c`.
+    /// [`simdops::dist16`]: subspace `s` holds `spans[s].len * K` floats from
+    /// `spans[s].start * K`, coordinate `t` of centroid `c` at `t * K + c`.
     codebooks: Vec<f32>,
-    codebook_offsets: Vec<usize>,
     /// Quantization grid shared by ADT and SDT (paper: same `Δ` and `H` for
     /// both so CA- and NS-stage values are comparable).
     dist_min: f32,
@@ -148,21 +140,13 @@ impl FlashCodec {
         let mut projected = vec![0.0f32; n * params.d_f];
         pca.project_batch(sample.as_flat(), &mut projected);
 
-        // Subspace partition (front-loads the remainder like PQ).
-        let base_len = params.d_f / params.m_f;
-        let extra = params.d_f % params.m_f;
-        let mut spans = Vec::with_capacity(params.m_f);
-        let mut start = 0;
-        for s in 0..params.m_f {
-            let len = base_len + usize::from(s < extra);
-            spans.push(Span { start, len });
-            start += len;
-        }
-
-        // Per subspace: train one 16-centroid codebook, then take every
-        // sample→centroid distance in one `dist16` pass. That pass yields
-        // each centroid's mean squared residual, and — corrected by those
-        // residuals — the ADT-like values the grid is calibrated on.
+        // The codebooks train concurrently, one 16-centroid k-means per span
+        // of the projection, span `s` seeded `seed.wrapping_add(s)`
+        // (`quantizers::train_subspaces`, PQ's trainer too). What crosses
+        // subspaces runs here, in subspace order: one `dist16_rows` pass over
+        // the sample yields each centroid's mean squared residual, and —
+        // corrected by those residuals — the ADT-like values the grid is
+        // calibrated on.
         //
         // Table entries are *corrected* by the residual energies
         // (E[δ²(x,y)] ≈ δ²(c_x,c_y) + r_x + r_y for independent cell
@@ -174,42 +158,33 @@ impl FlashCodec {
         // Shared quantization grid: dist_max = Σ_s (the `grid_quantile` of
         // subspace s over both the sample→centroid (ADT-like) and
         // centroid→centroid (SDT) values); dist_min = min over subspaces.
+        let subspaces = train_subspaces(
+            &projected,
+            params.d_f,
+            params.m_f,
+            K,
+            params.kmeans_iters,
+            params.seed,
+        );
+        drop(projected);
         let q = params.grid_quantile.clamp(0.0, 1.0);
-        let mut codebooks = Vec::with_capacity(params.d_f * K);
-        let mut codebook_offsets = Vec::with_capacity(params.m_f);
+        let mut codebooks = vec![0.0f32; params.d_f * K];
         let mut residuals = vec![0.0f32; params.m_f * K];
         let mut centroid_dists = vec![0.0f32; params.m_f * K * K];
         let mut dist_max_sum = 0.0f32;
         let mut dist_min_all = f32::INFINITY;
-        let mut sub = Vec::with_capacity(n * (base_len + 1));
         let mut partials = vec![0.0f32; n * K + K * K];
-        for (s, span) in spans.iter().enumerate() {
-            sub.clear();
-            for v in projected.chunks_exact(params.d_f) {
-                sub.extend_from_slice(&v[span.start..span.start + span.len]);
-            }
-            let result = kmeans(
-                &sub,
-                span.len,
-                K,
-                params.kmeans_iters,
-                params.seed + s as u64,
-            );
-            let off = codebooks.len();
-            codebook_offsets.push(off);
-            codebooks.resize(off + span.len * K, 0.0);
-            simdops::dist16_block(&result.centroids, span.len, &mut codebooks[off..]);
-            let codebook = &codebooks[off..];
+        for (s, sub) in subspaces.iter().enumerate() {
+            let (span, result) = (sub.span, &sub.kmeans);
+            let codebook = &mut codebooks[span.start * K..(span.start + span.len) * K];
+            simdops::dist16_block(&result.centroids, span.len, codebook);
+            let codebook = &*codebook;
 
             let (to_centroids, between) = partials.split_at_mut(n * K);
+            dist16_rows(&sub.points, codebook, to_centroids);
             let mut sums = [0.0f64; K];
             let mut counts = [0usize; K];
-            for ((point, dists), &a) in sub
-                .chunks_exact(span.len)
-                .zip(to_centroids.chunks_exact_mut(K))
-                .zip(result.assignments.iter())
-            {
-                dists.copy_from_slice(&dist16(point, codebook));
+            for (dists, &a) in to_centroids.chunks_exact(K).zip(&result.assignments) {
                 sums[a as usize] += f64::from(dists[a as usize]);
                 counts[a as usize] += 1;
             }
@@ -224,10 +199,10 @@ impl FlashCodec {
                     *d += r;
                 }
             }
-            for (a, row) in between.chunks_exact_mut(K).enumerate() {
-                let dists = dist16(result.centroid(a, span.len), codebook);
-                for (b, slot) in row.iter_mut().enumerate() {
-                    *slot = dists[b] + residual[a] + residual[b];
+            dist16_rows(&result.centroids, codebook, between);
+            for (row, &ra) in between.chunks_exact_mut(K).zip(residual.iter()) {
+                for (slot, &rb) in row.iter_mut().zip(residual.iter()) {
+                    *slot = *slot + ra + rb;
                 }
             }
             centroid_dists[s * K * K..(s + 1) * K * K].copy_from_slice(between);
@@ -240,9 +215,8 @@ impl FlashCodec {
 
         let mut codec = Self {
             pca,
-            spans,
+            spans: subspaces.iter().map(|sub| sub.span).collect(),
             codebooks,
-            codebook_offsets,
             dist_min: dist_min_all,
             inv_delta: ((1u32 << H_BITS) - 1) as f32 / delta,
             residuals,
@@ -315,10 +289,9 @@ impl FlashCodec {
     #[inline]
     fn centroid_dists(&self, s: usize, projected: &[f32]) -> [f32; K] {
         let span = self.spans[s];
-        let off = self.codebook_offsets[s];
         dist16(
             &projected[span.start..span.start + span.len],
-            &self.codebooks[off..off + span.len * K],
+            &self.codebooks[span.start * K..(span.start + span.len) * K],
         )
     }
 
@@ -435,17 +408,9 @@ impl FlashCodec {
     /// concatenation), for the Theorem-1 error analysis.
     pub fn reconstruct_projected(&self, codes: &[u8]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.d_f()];
-        for ((span, &off), &c) in self
-            .spans
-            .iter()
-            .zip(self.codebook_offsets.iter())
-            .zip(codes.iter())
-        {
-            for (t, x) in out[span.start..span.start + span.len]
-                .iter_mut()
-                .enumerate()
-            {
-                *x = self.codebooks[off + t * K + usize::from(c)];
+        for (span, &c) in self.spans.iter().zip(codes.iter()) {
+            for (t, x) in (span.start..).zip(&mut out[span.start..span.start + span.len]) {
+                *x = self.codebooks[t * K + usize::from(c)];
             }
         }
         out
@@ -676,6 +641,35 @@ mod tests {
         // d_F = 16 of 64 dims takes the top-k eigen solver; 32 took Jacobi.
         for i in 0..data.len() {
             assert_eq!(a.encode(data.get(i)), b.encode(data.get(i)));
+        }
+    }
+
+    #[test]
+    fn subspace_seeds_wrap_past_u64_max() {
+        // Subspace `s` trains with seed `seed + s`, which must wrap: it
+        // overflowed in a debug build when that sum was a plain `+`.
+        let data = dataset(300, 32, 5);
+        let params = FlashParams {
+            d_f: 16,
+            m_f: 4,
+            train_sample: 300,
+            kmeans_iters: 5,
+            seed: u64::MAX,
+            grid_quantile: 0.5,
+        };
+        let c = FlashCodec::train(&data, params);
+        let projected: Vec<f32> = data.iter().flat_map(|v| c.project(v)).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (s, span) in c.spans.iter().enumerate() {
+            let sub: Vec<f32> = (projected.chunks_exact(16))
+                .flat_map(|p| p[span.start..span.start + span.len].to_vec())
+                .collect();
+            let seed = u64::MAX.wrapping_add(s as u64);
+            let want = quantizers::kmeans(&sub, span.len, K, 5, seed);
+            let mut block = vec![0.0f32; span.len * K];
+            simdops::dist16_block(&want.centroids, span.len, &mut block);
+            let got = &c.codebooks[span.start * K..(span.start + span.len) * K];
+            assert_eq!(bits(got), bits(&block), "subspace {s}");
         }
     }
 

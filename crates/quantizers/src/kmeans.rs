@@ -1,17 +1,37 @@
-//! Lloyd's k-means with k-means++ seeding.
+//! Lloyd's k-means with k-means++ seeding, and the per-subspace trainer
+//! behind PQ and Flash.
 //!
-//! Shared by PQ (one codebook per subspace) and Flash (16-centroid
-//! codebooks). Training sets here are small samples (the paper samples a
-//! subset "following PQ and its variants"), so a straightforward Lloyd
-//! iteration is plenty. The k-means++ distance update, the assignment step,
-//! the empty-cluster search and the inertia run on the rayon pool; every
-//! item is computed on its own and the reduce and sum fold in index order,
-//! so the result is the same bits at any thread count.
+//! Training sets here are small samples (the paper samples a subset
+//! "following PQ and its variants"), so a straightforward Lloyd iteration is
+//! plenty. Its distance passes run through batched `simdops` kernels over
+//! pieces of points — the k-means++ update through `l2_sq_min_rows`, the
+//! assignment through `nearest16` — each giving the bits of the per-point
+//! `l2_sq` / `dist16` scan it replaces.
+//!
+//! The parallelism lives at two levels of the rayon pool.
+//! [`train_subspaces`] trains its spans concurrently, and a k-means inside a
+//! span job runs inline. A k-means on its own — called directly, or as the
+//! one span of a one-subspace PQ/OPQ — spreads its passes, the empty-cluster
+//! search and the inertia over point pieces instead. Every item is computed
+//! on its own and the reduce and sum fold in index order, so the result is
+//! the same bits at any thread count.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use simdops::{dist16, dist16_block, l2_sq, LUT_BATCH};
+use simdops::{dist16_block, l2_sq, l2_sq_min_rows, nearest16, LUT_BATCH};
+
+/// Points per piece of a batched pass: a piece's rows stay in L1 while every
+/// centroid block is scanned against them.
+const PIECE: usize = 256;
+
+/// Runs `f(first, piece)` on `out` cut into pieces of [`PIECE`] items, the
+/// pieces spread over the pool; `first` is the index of the piece's first
+/// item.
+fn for_each_piece<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
+    let mut pieces: Vec<_> = out.chunks_mut(PIECE).enumerate().collect();
+    pieces.par_iter_mut().for_each(|(p, d)| f(*p * PIECE, d));
+}
 
 /// Output of [`kmeans`].
 #[derive(Debug, Clone)]
@@ -78,16 +98,15 @@ pub fn kmeans(points: &[f32], dim: usize, k: usize, max_iters: usize, seed: u64)
         };
         centroids[c * dim..(c + 1) * dim].copy_from_slice(point(chosen));
         // Update nearest-centroid distances.
-        let new_c = centroids[c * dim..(c + 1) * dim].to_vec();
-        min_d2
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, d)| *d = d.min(l2_sq(point(i), &new_c)));
+        let new_c = &centroids[c * dim..(c + 1) * dim];
+        for_each_piece(&mut min_d2, |first, d| {
+            l2_sq_min_rows(&points[first * dim..(first + d.len()) * dim], new_c, d);
+        });
     }
 
     // --- Lloyd iterations --------------------------------------------------
     // The assignment step scans the centroids sixteen at a time through
-    // `dist16`, from dimension-major blocks refreshed each iteration.
+    // `nearest16`, from dimension-major blocks refreshed each iteration.
     let block_len = dim * LUT_BATCH;
     let mut blocks = vec![0.0f32; k.div_ceil(LUT_BATCH) * block_len];
     let mut assignments = vec![u32::MAX; n];
@@ -101,35 +120,26 @@ pub fn kmeans(points: &[f32], dim: usize, k: usize, max_iters: usize, seed: u64)
             dist16_block(group, dim, block);
         }
         // Assignment step: the first centroid at the minimum distance.
-        let new_assignments: Vec<u32> = (0..n)
-            .into_par_iter()
-            .map(|i| {
-                let p = point(i);
-                let mut best = 0u32;
-                let mut best_d = f32::INFINITY;
-                for (b, block) in blocks.chunks_exact(block_len).enumerate() {
-                    let first = b * LUT_BATCH;
-                    let dists = dist16(p, block);
-                    for (lane, &d) in dists.iter().enumerate().take(k - first) {
-                        if d < best_d {
-                            best_d = d;
-                            best = (first + lane) as u32;
-                        }
-                    }
-                }
-                best
-            })
-            .collect();
+        let mut new_assignments = vec![0u32; n];
+        for_each_piece(&mut new_assignments, |first, best| {
+            let rows = &points[first * dim..(first + best.len()) * dim];
+            let mut dist = vec![f32::INFINITY; best.len()];
+            for (b, block) in blocks.chunks_exact(block_len).enumerate() {
+                let first = b * LUT_BATCH;
+                let lanes = (k - first).min(LUT_BATCH);
+                nearest16(rows, block, lanes, first as u32, best, &mut dist);
+            }
+        });
         let changed = new_assignments != assignments;
         assignments = new_assignments;
 
         // Update step (f64 accumulation).
         let mut sums = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
-        for (i, &a) in assignments.iter().enumerate() {
+        for (p, &a) in points.chunks_exact(dim).zip(&assignments) {
             let c = a as usize;
             counts[c] += 1;
-            for (s, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(point(i).iter()) {
+            for (s, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
                 *s += f64::from(x);
             }
         }
@@ -179,6 +189,66 @@ pub fn kmeans(points: &[f32], dim: usize, k: usize, max_iters: usize, seed: u64)
         inertia,
         iterations,
     }
+}
+
+/// One subspace of a product codebook: `len` dimensions from `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// First dimension.
+    pub start: usize,
+    /// Number of dimensions.
+    pub len: usize,
+}
+
+/// One subspace trained by [`train_subspaces`].
+#[derive(Debug, Clone)]
+pub struct Subspace {
+    /// The dimensions it covers.
+    pub span: Span,
+    /// The training rows cut to `span`, row-major.
+    pub points: Vec<f32>,
+    /// Its codebook, trained on `points`.
+    pub kmeans: KMeansResult,
+}
+
+/// The per-subspace trainer behind PQ and Flash: splits `dim` dimensions
+/// into `m` spans, the first `dim % m` one dimension longer, and runs
+/// [`kmeans`] with `k` centroids on each span's columns of `rows`
+/// (row-major, `dim` floats each), span `s` seeded `seed.wrapping_add(s)`.
+/// The spans train concurrently on the pool; results come back in span
+/// order.
+///
+/// # Panics
+/// Panics if `m == 0`, `m > dim`, or `rows` holds no whole row.
+pub fn train_subspaces(
+    rows: &[f32],
+    dim: usize,
+    m: usize,
+    k: usize,
+    max_iters: usize,
+    seed: u64,
+) -> Vec<Subspace> {
+    assert!(m > 0 && m <= dim, "m must be in 1..=dim");
+    let (base, extra) = (dim / m, dim % m);
+    (0..m)
+        .into_par_iter()
+        .map(|s| {
+            let span = Span {
+                start: s * base + s.min(extra),
+                len: base + usize::from(s < extra),
+            };
+            let mut points = Vec::with_capacity(rows.len() / dim * span.len);
+            for row in rows.chunks_exact(dim) {
+                points.extend_from_slice(&row[span.start..span.start + span.len]);
+            }
+            let kmeans = kmeans(&points, span.len, k, max_iters, seed.wrapping_add(s as u64));
+            Subspace {
+                span,
+                points,
+                kmeans,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ pub mod pq;
 pub mod reliability;
 pub mod sq;
 
-pub use kmeans::{kmeans, KMeansResult};
+pub use kmeans::{kmeans, train_subspaces, KMeansResult, Span, Subspace};
 pub use opq::OptimizedProductQuantizer;
 pub use pca::PcaCodec;
 pub use pq::ProductQuantizer;

@@ -8,16 +8,9 @@
 //! via a precomputed table) — HNSW-PQ uses ADC in the Candidate Acquisition
 //! stage and SDC in Neighbor Selection, exactly as the paper describes.
 
-use crate::kmeans::kmeans;
+use crate::kmeans::{train_subspaces, Span};
 use crate::Codec;
 use vecstore::VectorSet;
-
-/// Per-subspace slice of the original dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SubspaceSpan {
-    start: usize,
-    len: usize,
-}
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -26,11 +19,10 @@ pub struct ProductQuantizer {
     m: usize,
     k: usize,
     bits: u8,
-    spans: Vec<SubspaceSpan>,
+    spans: Vec<Span>,
     /// Concatenated codebooks; subspace `s` holds `k * spans[s].len` floats
-    /// starting at `codebook_offsets[s]`.
+    /// starting at `k * spans[s].start`.
     codebooks: Vec<f32>,
-    codebook_offsets: Vec<usize>,
 }
 
 impl ProductQuantizer {
@@ -53,39 +45,17 @@ impl ProductQuantizer {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         let k = 1usize << bits;
 
-        // Partition dimensions.
-        let base = dim / m;
-        let extra = dim % m;
-        let mut spans = Vec::with_capacity(m);
-        let mut start = 0;
-        for s in 0..m {
-            let len = base + usize::from(s < extra);
-            spans.push(SubspaceSpan { start, len });
-            start += len;
-        }
-
-        // Train one codebook per subspace.
-        let mut codebooks = Vec::new();
-        let mut codebook_offsets = Vec::with_capacity(m);
-        for (s, span) in spans.iter().enumerate() {
-            // Gather the subvectors contiguously for k-means.
-            let mut sub = Vec::with_capacity(data.len() * span.len);
-            for v in data.iter() {
-                sub.extend_from_slice(&v[span.start..span.start + span.len]);
-            }
-            let result = kmeans(&sub, span.len, k, train_iters, seed.wrapping_add(s as u64));
-            codebook_offsets.push(codebooks.len());
-            codebooks.extend_from_slice(&result.centroids);
-        }
-
+        let subspaces = train_subspaces(data.as_flat(), dim, m, k, train_iters, seed);
         Self {
             dim,
             m,
             k,
             bits,
-            spans,
-            codebooks,
-            codebook_offsets,
+            spans: subspaces.iter().map(|sub| sub.span).collect(),
+            codebooks: subspaces
+                .into_iter()
+                .flat_map(|sub| sub.kmeans.centroids)
+                .collect(),
         }
     }
 
@@ -107,7 +77,7 @@ impl ProductQuantizer {
     #[inline]
     fn centroid(&self, s: usize, c: usize) -> &[f32] {
         let len = self.spans[s].len;
-        let off = self.codebook_offsets[s] + c * len;
+        let off = self.k * self.spans[s].start + c * len;
         &self.codebooks[off..off + len]
     }
 
@@ -309,10 +279,9 @@ mod tests {
         let v = data.get(5);
         let codes = pq.encode(v);
         // For each subspace, no other centroid is strictly closer.
-        for s in 0..2 {
-            let span_start = s * 2;
-            let sub = &v[span_start..span_start + 2];
-            let chosen = pq.centroid(s, usize::from(codes[s]));
+        for (s, &code) in codes.iter().enumerate() {
+            let sub = &v[s * 2..s * 2 + 2];
+            let chosen = pq.centroid(s, usize::from(code));
             let chosen_d = simdops::l2_sq(sub, chosen);
             for c in 0..pq.centroids_per_subspace() {
                 assert!(chosen_d <= simdops::l2_sq(sub, pq.centroid(s, c)) + 1e-6);

@@ -68,6 +68,42 @@ pub fn norm_sq(a: &[f32]) -> f32 {
     inner_product(a, a)
 }
 
+/// The k-means++ seeding update over the `c.len()`-float rows of `rows`:
+/// `min_d2[i] = min_d2[i].min(l2_sq(row i, c))`, each distance with
+/// [`l2_sq`]'s bits; one dispatch for the batch.
+///
+/// # Panics
+/// Panics if `c` is empty or `rows` does not hold `min_d2.len()` rows.
+pub fn l2_sq_min_rows(rows: &[f32], c: &[f32], min_d2: &mut [f32]) {
+    assert_eq!(
+        rows.len(),
+        c.len() * min_d2.len(),
+        "not one row per distance"
+    );
+    let level = current_level();
+    let l2: unsafe fn(&[f32], &[f32]) -> f32 = match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse => l2_sq_sse,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => l2_sq_avx2,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => l2_sq_avx512,
+        _ => l2_sq_scalar,
+    };
+    // Shorter than one register, a tier's `l2_sq` is its scalar tail alone:
+    // the squares summed front to back, which inlines here.
+    let narrow = c.len() * 32 < level.register_bits();
+    for (row, d) in rows.chunks_exact(c.len()).zip(min_d2) {
+        // SAFETY: `current_level` never exceeds what the CPU supports.
+        let l2 = if narrow {
+            l2_sq_scalar(row, c)
+        } else {
+            unsafe { l2(row, c) }
+        };
+        *d = d.min(l2);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations.
 // ---------------------------------------------------------------------------
@@ -97,6 +133,28 @@ fn ip_scalar(a: &[f32], b: &[f32]) -> f32 {
 // detection confirms the corresponding feature set (see `level`).
 // ---------------------------------------------------------------------------
 
+/// The sum of the four lanes of `v` as `(v0 + v2) + (v1 + v3)`: the one
+/// horizontal sum of every 128- and 256-bit kernel in this crate.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) unsafe fn hsum128(v: std::arch::x86_64::__m128) -> f32 {
+    use std::arch::x86_64::*;
+    let pair = _mm_add_ps(v, _mm_movehl_ps(v, v));
+    _mm_cvtss_f32(_mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01)))
+}
+
+/// [`hsum128`] of the lane-wise sum of the two halves of `v`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+pub(crate) unsafe fn hsum256(v: std::arch::x86_64::__m256) -> f32 {
+    use std::arch::x86_64::*;
+    hsum128(_mm_add_ps(
+        _mm256_castps256_ps128(v),
+        _mm256_extractf128_ps(v, 1),
+    ))
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
@@ -110,12 +168,7 @@ unsafe fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
         let d = _mm_sub_ps(va, vb);
         acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
     }
-    // Horizontal sum of 4 lanes.
-    let shuf = _mm_movehl_ps(acc, acc);
-    let sums = _mm_add_ps(acc, shuf);
-    let shuf2 = _mm_shuffle_ps(sums, sums, 0b01);
-    let total = _mm_add_ss(sums, shuf2);
-    let mut out = _mm_cvtss_f32(total);
+    let mut out = hsum128(acc);
     for i in chunks * 4..n {
         let d = a[i] - b[i];
         out += d * d;
@@ -135,11 +188,7 @@ unsafe fn ip_sse(a: &[f32], b: &[f32]) -> f32 {
         let vb = _mm_loadu_ps(b.as_ptr().add(i * 4));
         acc = _mm_add_ps(acc, _mm_mul_ps(va, vb));
     }
-    let shuf = _mm_movehl_ps(acc, acc);
-    let sums = _mm_add_ps(acc, shuf);
-    let shuf2 = _mm_shuffle_ps(sums, sums, 0b01);
-    let total = _mm_add_ss(sums, shuf2);
-    let mut out = _mm_cvtss_f32(total);
+    let mut out = hsum128(acc);
     for i in chunks * 4..n {
         out += a[i] * b[i];
     }
@@ -159,14 +208,7 @@ unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
         let d = _mm256_sub_ps(va, vb);
         acc = _mm256_fmadd_ps(d, d, acc);
     }
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let sum128 = _mm_add_ps(lo, hi);
-    let shuf = _mm_movehl_ps(sum128, sum128);
-    let sums = _mm_add_ps(sum128, shuf);
-    let shuf2 = _mm_shuffle_ps(sums, sums, 0b01);
-    let total = _mm_add_ss(sums, shuf2);
-    let mut out = _mm_cvtss_f32(total);
+    let mut out = hsum256(acc);
     for i in chunks * 8..n {
         let d = a[i] - b[i];
         out += d * d;
@@ -186,14 +228,7 @@ unsafe fn ip_avx2(a: &[f32], b: &[f32]) -> f32 {
         let vb = _mm256_loadu_ps(b.as_ptr().add(i * 8));
         acc = _mm256_fmadd_ps(va, vb, acc);
     }
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let sum128 = _mm_add_ps(lo, hi);
-    let shuf = _mm_movehl_ps(sum128, sum128);
-    let sums = _mm_add_ps(sum128, shuf);
-    let shuf2 = _mm_shuffle_ps(sums, sums, 0b01);
-    let total = _mm_add_ss(sums, shuf2);
-    let mut out = _mm_cvtss_f32(total);
+    let mut out = hsum256(acc);
     for i in chunks * 8..n {
         out += a[i] * b[i];
     }
@@ -293,6 +328,34 @@ mod tests {
                     (got - reference).abs() < tol,
                     "level {level:?} n={n}: {got} vs {reference}"
                 );
+            }
+        }
+    }
+
+    /// `l2_sq_min_rows` at every level is the per-row `d.min(l2_sq(row, c))`
+    /// at that level, bit for bit, from `min_d2` seeded above, below and at
+    /// NaN; rows start at an offset that breaks any alignment.
+    #[test]
+    fn l2_sq_min_rows_is_the_per_row_update_at_every_level() {
+        let _serial = crate::level::serialize_level_tests();
+        let seeds = [f32::INFINITY, f32::NAN, 0.0, 1e-3, 0.5, 1e30];
+        for len in (1..=9usize).chain([16, 17, 96]) {
+            for n in [0usize, 1, 15, 16, 17, 100] {
+                let (rows, c) = vecs(1 + n * len + len);
+                let rows = &rows[1..1 + n * len];
+                let c = &c[..len];
+                for level in supported_levels() {
+                    let mut got: Vec<f32> = (0..n).map(|i| seeds[i % 6]).collect();
+                    let want: Vec<u32> = with_level(level, || {
+                        let want = (got.iter().zip(rows.chunks_exact(len)))
+                            .map(|(d, row)| d.min(l2_sq(row, c)).to_bits())
+                            .collect();
+                        l2_sq_min_rows(rows, c, &mut got);
+                        want
+                    });
+                    let got: Vec<u32> = got.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want, "{level:?} len={len} n={n}");
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Dense `f32` kernels under Flash's coding layer: a register-tiled
-//! `A·Bᵀ` and the one-to-sixteen centroid distance.
+//! `A·Bᵀ`, the one-to-sixteen centroid distance, and the nearest centroid.
 //!
 //! The paper keeps preprocessing (PCA fit, codebooks, encoding) at 3–16 % of
 //! indexing time (Table 4) by running it on a tuned linear-algebra library.
-//! Everything that stage does reduces to two shapes:
+//! Everything that stage does reduces to three shapes:
 //!
 //! * [`gemm_nt`] — `C = A·Bᵀ` for row-major `A: r×d` and `B: k×d`. With
 //!   `r = 1` it is the matrix–vector product that projects one vector onto a
@@ -12,17 +12,28 @@
 //!   power-iteration vectors.
 //! * [`dist16`] — squared distances from one sub-vector to the 16 centroids
 //!   of a subspace codebook stored dimension-major, so the 16 results fill
-//!   one register: the shared computation behind k-means assignment,
-//!   codeword selection and ADT generation (paper Remark (2)).
+//!   one register: the shared computation behind codeword selection and ADT
+//!   generation (paper Remark (2)); [`dist16_rows`] runs it over a batch.
+//! * [`nearest16`] — the k-means assignment step, distance and argmin fused
+//!   over a batch of points and one 16-centroid block. At AVX-512 it holds
+//!   sixteen points per register, gathering each coordinate once and
+//!   broadcasting every centroid coordinate against it (the shape of
+//!   Faiss's exhaustive-search kernels); the narrower tiers scan each
+//!   point's [`dist16`].
 //!
-//! Both dispatch on [`current_level`]. The SSE tier runs the scalar code,
-//! which is the only slow path.
+//! All dispatch on [`current_level`], once per call. The SSE tier runs the
+//! scalar code, which is the only slow path.
 //!
 //! **Determinism.** Every element of `gemm_nt`'s output is one dot product
 //! accumulated in an order that depends only on `d` and the dispatch level —
 //! never on `r`, `k`, or where the element falls in a tile. Projecting a
-//! vector alone or as a row of a batch therefore yields the same bits.
+//! vector alone or as a row of a batch therefore yields the same bits. The
+//! batched forms are bit-exact in the same way: every point–centroid
+//! distance [`dist16_rows`] or [`nearest16`] computes takes exactly the
+//! operations [`dist16`] applies to that lane at that level, so a batch
+//! changes only the speed, never a codebook, an assignment or a code.
 
+use crate::f32dist::hsum256;
 use crate::level::{current_level, SimdLevel};
 use crate::lut::LUT_BATCH;
 
@@ -92,6 +103,71 @@ unsafe fn dist16_at(level: SimdLevel, x: &[f32], codebook: &[f32]) -> [f32; LUT_
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => dist16_avx2(x, codebook),
         _ => dist16_scalar(x, codebook),
+    }
+}
+
+/// [`dist16`] of every row of `rows` (`len = codebook.len() / 16` floats
+/// each) into `out`, 16 floats per row, at one dispatch for the batch.
+///
+/// # Panics
+/// Panics unless `codebook` is `len x 16` with `len > 0` and `rows` holds
+/// one row for every 16 floats of `out`.
+pub fn dist16_rows(rows: &[f32], codebook: &[f32], out: &mut [f32]) {
+    let len = codebook.len() / LUT_BATCH;
+    assert!(
+        len > 0 && codebook.len() == len * LUT_BATCH && rows.len() == out.len() / LUT_BATCH * len,
+        "expected a {len} x 16 codebook and 16 outputs per row of {len}"
+    );
+    let level = current_level();
+    for (x, dists) in rows.chunks_exact(len).zip(out.chunks_exact_mut(LUT_BATCH)) {
+        // SAFETY: `current_level` never exceeds what the CPU supports.
+        dists.copy_from_slice(&unsafe { dist16_at(level, x, codebook) });
+    }
+}
+
+/// The argmin step of k-means assignment: for each of the `best.len()`
+/// points of `points` (`len = block.len() / 16` floats each), scans the
+/// first `lanes` centroids of a [`dist16`] block in order and, where one is
+/// strictly nearer than `best_d[i]`, stores its distance there and
+/// `base + lane` in `best[i]`. Each distance has the bits [`dist16`] gives
+/// its lane, so scanning blocks in order scans the whole codebook.
+///
+/// # Panics
+/// Panics if `block` is not whole rows of 16, `lanes > 16`, or `points` and
+/// `best_d` do not hold `best.len()` points.
+pub fn nearest16(
+    points: &[f32],
+    block: &[f32],
+    lanes: usize,
+    base: u32,
+    best: &mut [u32],
+    best_d: &mut [f32],
+) {
+    let len = block.len() / LUT_BATCH;
+    assert!(
+        block.len() == len * LUT_BATCH
+            && lanes <= LUT_BATCH
+            && points.len() == best.len() * len
+            && best_d.len() == best.len(),
+        "expected a {len} x 16 block, at most 16 lanes and {} points",
+        best.len()
+    );
+    let level = current_level();
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx512 {
+        // SAFETY: `current_level` never exceeds what the CPU supports.
+        return unsafe { nearest16_avx512(points, block, lanes, base, best, best_d) };
+    }
+    // The reference, and the path of the narrower tiers: each point's
+    // `dist16` scanned in lane order.
+    for (i, (b, bd)) in best.iter_mut().zip(best_d).enumerate() {
+        // SAFETY: as above.
+        let dists = unsafe { dist16_at(level, &points[i * len..(i + 1) * len], block) };
+        for (id, &d) in (base..).zip(&dists[..lanes]) {
+            if d < *bd {
+                (*b, *bd) = (id, d);
+            }
+        }
     }
 }
 
@@ -307,6 +383,52 @@ unsafe fn dist16_avx512(x: &[f32], codebook: &[f32]) -> [f32; LUT_BATCH] {
     out
 }
 
+/// Sixteen points per register: each coordinate is gathered once and every
+/// centroid's broadcast against it, then the lanes are compared in order.
+///
+/// # Safety
+/// The CPU must support avx512f; arguments as checked by [`nearest16`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn nearest16_avx512(
+    points: &[f32],
+    block: &[f32],
+    lanes: usize,
+    base: u32,
+    best: &mut [u32],
+    best_d: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (n, len, zero) = (best.len(), block.len() / LUT_BATCH, _mm512_setzero_ps());
+    // Point `j` of a tile starts `j * len` floats after its first.
+    let offsets: [i32; 16] = std::array::from_fn(|j| (j * len) as i32);
+    let offsets = _mm512_loadu_epi32(offsets.as_ptr());
+    for i0 in (0..n).step_by(16) {
+        let live: __mmask16 = u16::MAX >> (16 - (n - i0).min(16));
+        let tile = points.as_ptr().add(i0 * len);
+        let mut acc = [zero; LUT_BATCH];
+        for (t, row) in block.chunks_exact(LUT_BATCH).enumerate() {
+            // SAFETY: live lanes read coordinate `t` of points `i0..n`, and
+            // masked-off lanes of a masked gather are not accessed.
+            let x = _mm512_mask_i32gather_ps::<4>(zero, live, offsets, tile.add(t).cast());
+            for (a, &c) in acc.iter_mut().zip(row) {
+                let diff = _mm512_sub_ps(x, _mm512_set1_ps(c));
+                *a = _mm512_fmadd_ps(diff, diff, *a);
+            }
+        }
+        // SAFETY: as above, for points `i0..n` of `best` and `best_d`.
+        let mut bd = _mm512_maskz_loadu_ps(live, best_d.as_ptr().add(i0));
+        let mut bi = _mm512_maskz_loadu_epi32(live, best.as_ptr().add(i0).cast());
+        for (id, &a) in (base..).zip(&acc[..lanes]) {
+            let nearer = _mm512_mask_cmp_ps_mask::<_CMP_LT_OQ>(live, a, bd);
+            bd = _mm512_mask_mov_ps(bd, nearer, a);
+            bi = _mm512_mask_mov_epi32(bi, nearer, _mm512_set1_epi32(id as i32));
+        }
+        _mm512_mask_storeu_ps(best_d.as_mut_ptr().add(i0), live, bd);
+        _mm512_mask_storeu_epi32(best.as_mut_ptr().add(i0).cast(), live, bi);
+    }
+}
+
 /// # Safety
 /// The CPU must support avx2 and fma; `a`, `b`, `out` as checked by
 /// [`gemm_nt`].
@@ -385,13 +507,7 @@ unsafe fn tile_avx2<const MR: usize, const NR: usize>(
             }
         }
     }
-    acc.map(|row| {
-        row.map(|v| {
-            let quad = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-            let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-            _mm_cvtss_f32(_mm_add_ss(pair, _mm_shuffle_ps(pair, pair, 0b01)))
-        })
-    })
+    acc.map(|row| row.map(|v| hsum256(v)))
 }
 
 /// # Safety
@@ -422,7 +538,7 @@ unsafe fn dist16_avx2(x: &[f32], codebook: &[f32]) -> [f32; LUT_BATCH] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::level::supported_levels;
+    use crate::level::{serialize_level_tests, supported_levels, with_level};
 
     /// Deterministic values in `[-0.5, 0.5)`.
     fn values(n: usize, seed: u64) -> Vec<f32> {
@@ -558,6 +674,105 @@ mod tests {
         // Padding lanes hold the zero centroid.
         let norm: f32 = x.iter().map(|v| v * v).sum();
         assert!((got[5] - norm).abs() <= 1e-6 * (1.0 + norm));
+    }
+
+    /// A `len x 16` block with the awkward lanes planted: lanes 4, 9 and 15
+    /// tie lanes 1, 2 and 14 exactly, lane 3 is the origin in alternating
+    /// `±0.0`, lanes 6 and 13 hold `+∞` and `−∞`, lane 11 a NaN.
+    fn awkward_block(len: usize, seed: u64) -> Vec<f32> {
+        let mut block = values(len * LUT_BATCH, seed);
+        for (t, row) in block.chunks_exact_mut(LUT_BATCH).enumerate() {
+            (row[4], row[9], row[15]) = (row[1], row[2], row[14]);
+            row[3] = if t % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        block[6] = f32::INFINITY;
+        block[(len - 1) * LUT_BATCH + 13] = f32::NEG_INFINITY;
+        block[11] = f32::NAN;
+        block
+    }
+
+    /// `n` points for [`awkward_block`]: point 2 sits on lane 1 (a zero
+    /// distance tied with lane 4), point 3 on the `±0.0` origin, and points
+    /// 5 and 8 carry `+∞` and NaN coordinates.
+    fn awkward_points(n: usize, len: usize, block: &[f32], seed: u64) -> Vec<f32> {
+        let mut points = values(n * len, seed);
+        for (i, p) in points.chunks_exact_mut(len).enumerate() {
+            for (t, x) in p.iter_mut().enumerate() {
+                match i {
+                    2 => *x = block[t * LUT_BATCH + 1],
+                    3 => *x = if t % 2 == 0 { -0.0 } else { 0.0 },
+                    5 if t == 0 => *x = f32::INFINITY,
+                    8 if t == len - 1 => *x = f32::NAN,
+                    _ => {}
+                }
+            }
+        }
+        points
+    }
+
+    /// `nearest16` at every level equals scanning each point's `dist16` at
+    /// that level with a strict `<`, bit for bit: ties keep the first lane,
+    /// NaN never wins, and a pre-seeded `best_d` below every lane keeps its
+    /// point. Operands start at offsets that break any alignment.
+    #[test]
+    fn nearest16_is_the_dist16_scan_at_every_level() {
+        let _serial = serialize_level_tests();
+        let seeds = [f32::INFINITY, f32::NAN, 0.0, -0.0, 1e-3, 0.3, 1e30, -1.0];
+        for level in supported_levels() {
+            for len in (1..=9usize).chain([16, 17, 96]) {
+                let off = 1 + len % 3;
+                let block_buf = [vec![0.0; off], awkward_block(len, len as u64)].concat();
+                let block = &block_buf[off..];
+                for n in [0usize, 1, 15, 16, 17, 1000] {
+                    let points = awkward_points(n, len, block, (n * len) as u64);
+                    let points_buf = [vec![0.0; off + 1], points].concat();
+                    let points = &points_buf[off + 1..];
+                    for lanes in [1usize, 5, 15, 16] {
+                        let mut best: Vec<u32> = (0..n as u32 + 1).map(|i| 1_000 + i).collect();
+                        let mut best_d: Vec<f32> = (0..n + 1).map(|i| seeds[i % 8]).collect();
+                        let (mut want, mut want_d) = (best.clone(), best_d.clone());
+                        for i in 0..n {
+                            // SAFETY: `supported_levels` lists detected tiers only.
+                            let d = unsafe { dist16_at(level, &points[i * len..][..len], block) };
+                            for (lane, &d) in d.iter().enumerate().take(lanes) {
+                                if d < want_d[i + 1] {
+                                    (want[i + 1], want_d[i + 1]) = (64 + lane as u32, d);
+                                }
+                            }
+                        }
+                        with_level(level, || {
+                            nearest16(points, block, lanes, 64, &mut best[1..], &mut best_d[1..]);
+                        });
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let case = format!("{level:?} len={len} n={n} lanes={lanes}");
+                        assert_eq!(best, want, "{case}");
+                        assert_eq!(bits(&best_d), bits(&want_d), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `dist16_rows` at every level is `dist16` of each row, bit for bit.
+    #[test]
+    fn dist16_rows_is_dist16_of_each_row_at_every_level() {
+        let _serial = serialize_level_tests();
+        for level in supported_levels() {
+            for len in (1..=9usize).chain([16, 17, 96]) {
+                let block = awkward_block(len, len as u64);
+                let rows = awkward_points(40, len, &block, 7 + len as u64);
+                let rows_buf = [vec![0.0; 1 + len % 3], rows].concat();
+                let rows = &rows_buf[1 + len % 3..];
+                let mut got = vec![0.0f32; 40 * LUT_BATCH];
+                with_level(level, || dist16_rows(rows, &block, &mut got));
+                for (x, got) in rows.chunks_exact(len).zip(got.chunks_exact(LUT_BATCH)) {
+                    // SAFETY: `supported_levels` lists detected tiers only.
+                    let want = unsafe { dist16_at(level, x, &block) };
+                    let got: Vec<u32> = got.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want.map(f32::to_bits), "{level:?} len={len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub mod lut;
 pub mod prefetch;
 pub mod u8dist;
 
-pub use f32dist::{inner_product, l2_sq, norm_sq};
-pub use gemm::{dist16, dist16_block, gemm_nt};
+pub use f32dist::{inner_product, l2_sq, l2_sq_min_rows, norm_sq};
+pub use gemm::{dist16, dist16_block, dist16_rows, gemm_nt, nearest16};
 pub use level::{current_level, detect_level, set_level_override, supported_levels, SimdLevel};
 pub use lut::{lut16_batch, lut16_single, LUT_BATCH};
 pub use prefetch::{prefetch_read, prefetch_slice};

@@ -223,8 +223,8 @@ mod tests {
         }
         let mut out = [0u16; LUT_BATCH];
         lut16_batch(&tables, &codes, 1, &mut out);
-        for j in 0..16 {
-            assert_eq!(out[j], ((15 - j) * 3) as u16);
+        for (j, &d) in out.iter().enumerate() {
+            assert_eq!(d, ((15 - j) * 3) as u16);
         }
     }
 
