@@ -25,9 +25,8 @@ use simdops::{dist16_block, l2_sq, l2_sq_min_rows, nearest16, LUT_BATCH};
 /// centroid block is scanned against them.
 const PIECE: usize = 256;
 
-/// Runs `f(first, piece)` on `out` cut into pieces of [`PIECE`] items, the
-/// pieces spread over the pool; `first` is the index of the piece's first
-/// item.
+/// Runs `f(first, piece)` on `out` cut into pieces of [`PIECE`] items spread
+/// over the pool; `first` is the index of the piece's first item.
 fn for_each_piece<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
     let mut pieces: Vec<_> = out.chunks_mut(PIECE).enumerate().collect();
     pieces.par_iter_mut().for_each(|(p, d)| f(*p * PIECE, d));
@@ -125,9 +124,9 @@ pub fn kmeans(points: &[f32], dim: usize, k: usize, max_iters: usize, seed: u64)
             let rows = &points[first * dim..(first + best.len()) * dim];
             let mut dist = vec![f32::INFINITY; best.len()];
             for (b, block) in blocks.chunks_exact(block_len).enumerate() {
-                let first = b * LUT_BATCH;
-                let lanes = (k - first).min(LUT_BATCH);
-                nearest16(rows, block, lanes, first as u32, best, &mut dist);
+                let base = b * LUT_BATCH;
+                let lanes = (k - base).min(LUT_BATCH);
+                nearest16(rows, block, lanes, base as u32, best, &mut dist);
             }
         });
         let changed = new_assignments != assignments;
@@ -337,6 +336,27 @@ mod tests {
         assert_eq!(one.assignments, three.assignments);
         assert_eq!(one.inertia.to_bits(), three.inertia.to_bits());
         assert_eq!(one.iterations, three.iterations);
+    }
+
+    #[test]
+    fn train_subspaces_front_loads_spans_and_wraps_seeds() {
+        // dim = 7, m = 3: spans (0, 3), (3, 2), (5, 2); span `s` is k-means
+        // on its columns seeded `seed + s`, which wraps past `u64::MAX`.
+        let mut rng = SmallRng::seed_from_u64(3);
+        let rows: Vec<f32> = (0..60 * 7).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let seed = u64::MAX - 1;
+        let subs = train_subspaces(&rows, 7, 3, 4, 6, seed);
+        let spans: Vec<(usize, usize)> = subs.iter().map(|s| (s.span.start, s.span.len)).collect();
+        assert_eq!(spans, [(0, 3), (3, 2), (5, 2)]);
+        for (s, sub) in subs.iter().enumerate() {
+            let cols: Vec<f32> = (rows.chunks_exact(7))
+                .flat_map(|r| r[sub.span.start..sub.span.start + sub.span.len].to_vec())
+                .collect();
+            assert_eq!(sub.points, cols, "span {s}");
+            let want = kmeans(&cols, sub.span.len, 4, 6, seed.wrapping_add(s as u64));
+            assert_eq!(sub.kmeans.centroids, want.centroids, "span {s}");
+            assert_eq!(sub.kmeans.assignments, want.assignments, "span {s}");
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! operations [`dist16`] applies to that lane at that level, so a batch
 //! changes only the speed, never a codebook, an assignment or a code.
 
+#[cfg(target_arch = "x86_64")]
 use crate::f32dist::hsum256;
 use crate::level::{current_level, SimdLevel};
 use crate::lut::LUT_BATCH;
