@@ -1,31 +1,28 @@
-//! Shared harness for the per-figure/per-table experiment binaries.
+//! The paper's evaluation (Section 4) as one registry of experiments.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (Section 4) at a scale controlled by environment
-//! variables, so the same code runs in seconds at the defaults and as a
-//! long-form reproduction on a large machine:
+//! `repro [ID …]` runs the named [`EXPERIMENTS`] — all 22 without
+//! arguments — and prints each one's markdown tables, then one `| id |
+//! paper | ours | holds |` table: every statement the paper (or, for the
+//! extensions, our expectation) makes, our value from the measured rows,
+//! and whether its direction of effect holds here. A claim that does not
+//! hold is a reported verdict, not an error.
 //!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `FLASH_N` | database vectors per dataset | `4000` |
-//! | `FLASH_QUERIES` | query count | `100` |
-//! | `FLASH_C` | HNSW `C` (efConstruction) | `128` |
-//! | `FLASH_R` | HNSW `R` (max neighbors) | `16` |
-//!
-//! A variable that is set must be a positive integer; anything else ends
-//! the run naming the variable, never a silent fall-back to the default.
-//!
-//! Output is GitHub-flavored markdown, one row per configuration, matching
-//! the rows/series of the corresponding paper figure. The binaries are the
-//! crate's only targets: kernel, encode, build and query *timings* with a
-//! protocol (warm-up, repeats, medians, gates) are `benchmark/`'s
-//! (`simdops.lut16_batch_ns`, `simdops.l2_sq_ns_*`,
-//! `flash.encode_ns_per_vector`, `build_s`, `query_p50_us`).
+//! The scale is `FLASH_N` vectors per dataset (default 4000),
+//! `FLASH_QUERIES` queries (100) and HNSW's `FLASH_C` / `FLASH_R` (128 /
+//! 16); a variable that is set must be a positive integer. Every timing
+//! here is one run, enough for a table's shape; timings with a protocol
+//! (warm-up, repeats, medians, gates) are `benchmark/`'s.
+
+mod build;
+mod ext;
+mod search;
 
 use engine::{AnnIndex, Coding, GraphKind, IndexBuilder, SearchRequest};
 use graphs::HnswParams;
-use std::time::{Duration, Instant};
-use vecstore::{generate, DatasetProfile, VectorSet};
+use metrics::{average_distance_ratio, measure_qps, recall_at_k};
+use std::fmt::Write as _;
+use std::time::Instant;
+use vecstore::{generate, ground_truth, DatasetProfile, Neighbor, VectorSet};
 
 /// Experiment scale, read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -62,12 +59,16 @@ impl Scale {
     }
 
     /// The HNSW parameters for this scale.
-    pub fn hnsw(&self) -> HnswParams {
-        HnswParams {
-            c: self.c,
-            r: self.r,
-            seed: 0xBEEF,
-        }
+    pub(crate) fn hnsw(&self) -> HnswParams {
+        let (c, r) = (self.c, self.r);
+        HnswParams { c, r, seed: 0xBEEF }
+    }
+
+    /// The engine builder for `graph` over `coding` at this scale, every
+    /// codec parameter at the builder's default.
+    pub(crate) fn builder(&self, graph: GraphKind, coding: Coding) -> IndexBuilder {
+        let p = self.hnsw();
+        IndexBuilder::new(graph, coding).c(p.c).r(p.r).seed(p.seed)
     }
 }
 
@@ -83,108 +84,402 @@ fn scale_value(name: &str, raw: Option<&str>, default: usize) -> Result<usize, S
     }
 }
 
-/// The five construction methods of the paper's main comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Baseline full-precision HNSW.
-    Hnsw,
-    /// HNSW-PQ (ADC/SDC).
-    HnswPq,
-    /// HNSW-SQ (8-bit integer codes).
-    HnswSq,
-    /// HNSW-PCA (0.9-variance projection).
-    HnswPca,
-    /// HNSW-Flash (the paper's method).
-    HnswFlash,
+/// One statement of the paper, our value beside it, and whether its
+/// direction of effect holds in the measured rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// The paper's statement and value.
+    pub paper: &'static str,
+    /// Our value, taken from the measured rows.
+    pub ours: String,
+    /// Whether the statement's direction of effect holds here.
+    pub holds: bool,
 }
 
-impl Method {
-    /// All methods, Flash first (paper figure order: A..E).
-    pub const ALL: [Method; 5] = [
-        Method::HnswFlash,
-        Method::HnswPca,
-        Method::HnswSq,
-        Method::HnswPq,
-        Method::Hnsw,
-    ];
+/// Labeled rows of numbers: one table's body.
+pub(crate) type Rows = Vec<(String, Vec<f64>)>;
 
-    /// Figure label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Method::Hnsw => "HNSW",
-            Method::HnswPq => "HNSW-PQ",
-            Method::HnswSq => "HNSW-SQ",
-            Method::HnswPca => "HNSW-PCA",
-            Method::HnswFlash => "HNSW-Flash",
+/// What one experiment run produced: markdown tables, and `(ours, holds)`
+/// for each statement of its [`Experiment::paper`], in order.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    tables: String,
+    verdicts: Vec<(String, bool)>,
+}
+
+impl Outcome {
+    /// Appends a table; `head` names its `|`-separated columns.
+    fn table(mut self, title: &str, head: &str, rows: &Rows) -> Self {
+        let align = "|---:".repeat(head.split(" | ").count() - 1);
+        let _ = write!(self.tables, "### {title}\n\n| {head} |\n|---{align}|\n");
+        for (label, values) in rows {
+            let cells: Vec<String> = values.iter().map(|&v| num(v)).collect();
+            let _ = writeln!(self.tables, "| {label} | {} |", cells.join(" | "));
         }
+        self.tables.push('\n');
+        self
     }
 
-    /// The engine builder for this method at `scale`: HNSW over the
-    /// method's coding with the workspace-default codec parameters (PQ:
-    /// one subspace per ~48 dims at 8 bits; SQ: 8 bits; PCA: 0.9 variance;
-    /// Flash: `FlashParams::auto`).
-    pub fn builder(self, scale: Scale) -> IndexBuilder {
-        let coding = match self {
-            Method::Hnsw => Coding::Full,
-            Method::HnswPq => Coding::Pq,
-            Method::HnswSq => Coding::Sq,
-            Method::HnswPca => Coding::Pca,
-            Method::HnswFlash => Coding::Flash,
-        };
-        let params = scale.hnsw();
-        IndexBuilder::new(GraphKind::Hnsw, coding)
-            .c(params.c)
-            .r(params.r)
-            .seed(params.seed)
+    /// Records our value and verdict for the next statement.
+    fn verdict(mut self, ours: String, holds: bool) -> Self {
+        self.verdicts.push((ours, holds));
+        self
     }
+}
 
-    /// Builds the method over `base`, returning the index and the
-    /// wall-clock indexing time (including coding preprocessing, as the
-    /// paper does).
-    pub fn build(self, base: VectorSet, scale: Scale) -> (Box<dyn AnnIndex>, Duration) {
-        let builder = self.builder(scale);
-        let t0 = Instant::now();
-        let index = builder.build(base);
-        (index, t0.elapsed())
+/// `v` to five significant digits, trailing zeros dropped.
+fn num(v: f64) -> String {
+    let digits = (4.0 - v.abs().log10().floor()).clamp(0.0, 9.0) as usize;
+    let s = format!("{v:.digits$}");
+    match s.contains('.') {
+        true => s.trim_end_matches('0').trim_end_matches('.').to_string(),
+        false => s,
     }
+}
 
-    /// A request with the method's standard pipeline: compressed methods
-    /// rerank on the original vectors, as the paper's Flash search does.
-    pub fn request(self, query: &[f32], k: usize, ef: usize) -> SearchRequest {
-        let rerank = match self {
-            Method::Hnsw => 1,
-            Method::HnswSq | Method::HnswPca => 4,
-            Method::HnswPq | Method::HnswFlash => 8,
-        };
-        SearchRequest::new(query, k).ef(ef).rerank(rerank)
+/// One figure or table of the paper's evaluation.
+pub struct Experiment {
+    /// The figure or table it reproduces (`fig06`, `tab02`, …).
+    pub id: &'static str,
+    /// What it measures.
+    pub title: &'static str,
+    /// The statements it checks, each with the paper's value.
+    pub paper: &'static [&'static str],
+    /// Runs the experiment at a scale.
+    pub run: fn(Scale) -> Outcome,
+}
+
+impl Experiment {
+    /// Runs the experiment: its tables, and its claims with our verdicts.
+    pub fn execute(&self, scale: Scale) -> (String, Vec<Claim>) {
+        let outcome = (self.run)(scale);
+        assert_eq!(outcome.verdicts.len(), self.paper.len(), "{}", self.id);
+        let claims = self.paper.iter().zip(outcome.verdicts);
+        let claims = claims.map(|(&paper, (ours, holds))| Claim { paper, ours, holds });
+        (outcome.tables, claims.collect())
     }
+}
+
+/// Every experiment: the paper's figures and tables, then the extensions.
+pub static EXPERIMENTS: [Experiment; 22] = [
+    Experiment {
+        id: "fig01",
+        title: "Profile of baseline HNSW indexing time",
+        paper: &["distance computation takes 90.8–90.9 % of HNSW indexing time"],
+        run: build::fig01,
+    },
+    Experiment {
+        id: "fig03",
+        title: "Effect of PQ parameters on HNSW-PQ",
+        paper: &["PQ build time rises with L_PQ, is U-shaped in M_PQ; recall rises with both"],
+        run: search::fig03,
+    },
+    Experiment {
+        id: "fig04",
+        title: "Parameter effects on HNSW-SQ and HNSW-PCA",
+        paper: &["SQ build time is least at 8 bits; PCA time grows with d_PCA, recall too"],
+        run: search::fig04,
+    },
+    Experiment {
+        id: "fig06",
+        title: "Indexing time of the five methods on all eight datasets",
+        paper: &["Flash builds 10.4x–22.9x faster than HNSW across the eight datasets"],
+        run: build::fig06,
+    },
+    Experiment {
+        id: "fig07",
+        title: "Index sizes of the five methods",
+        paper: &[
+            "PQ compresses most (~10–13x)",
+            "Flash compresses ~4–5x (codes stored globally and beside neighbor ids)",
+        ],
+        run: build::fig07,
+    },
+    Experiment {
+        id: "fig08",
+        title: "QPS–recall of the five methods on all eight datasets",
+        paper: &["Flash matches or beats baseline HNSW search; PQ trails (index quality)"],
+        run: search::fig08,
+    },
+    Experiment {
+        id: "fig09",
+        title: "QPS–ADR of the five methods",
+        paper: &["Flash attains the lowest ADR at a given QPS (answers closest to truth)"],
+        run: search::fig09,
+    },
+    Experiment {
+        id: "fig10",
+        title: "Scalability over data volume",
+        paper: &["Flash's speedup stays in the 15–20x band across volumes"],
+        run: build::fig10,
+    },
+    Experiment {
+        id: "fig11",
+        title: "Scalability over segment count",
+        paper: &["the per-segment speedup accumulates linearly with segment count"],
+        run: build::fig11,
+    },
+    Experiment {
+        id: "fig12",
+        title: "Flash indexing time per SIMD tier",
+        paper: &["wider registers build faster, sub-linearly (memory, instruction latency)"],
+        run: build::fig12,
+    },
+    Experiment {
+        id: "fig13",
+        title: "ADSampling and VBase on baseline vs Flash-built graphs",
+        paper: &["Flash graphs serve ADSampling, VBase as well at ~1/15 the build cost"],
+        run: search::fig13,
+    },
+    Experiment {
+        id: "fig14",
+        title: "NSG and τ-MG with and without Flash",
+        paper: &["Flash speeds up NSG and τ-MG builds ~11–12x at comparable QPS-recall"],
+        run: search::fig14,
+    },
+    Experiment {
+        id: "fig15",
+        title: "Profile of HNSW-Flash graph construction",
+        paper: &["distance computation is ~12 % of Flash's graph construction (was >90 %)"],
+        run: build::fig15,
+    },
+    Experiment {
+        id: "fig16",
+        title: "Flash parameter sensitivity",
+        paper: &["recall peaks at a moderate d_F; build time grows with M_F"],
+        run: search::fig16,
+    },
+    Experiment {
+        id: "tab02",
+        title: "Simulated L1 miss rate before vs after the Flash layout",
+        paper: &["L1 miss rate 19.1–26.0 % without vs 4.9–7.9 % with the Flash layout"],
+        run: build::tab02,
+    },
+    Experiment {
+        id: "tab03",
+        title: "Flash build time without vs with SIMD",
+        paper: &["SIMD lookups cut indexing time by up to 45 % (coding time unaffected)"],
+        run: build::tab03,
+    },
+    Experiment {
+        id: "tab04",
+        title: "Coding time vs total indexing time of HNSW-Flash",
+        paper: &["coding is ~3–16 % of total indexing time across the datasets"],
+        run: build::tab04,
+    },
+    Experiment {
+        id: "ext1",
+        title: "Vamana and HCNNG with and without Flash",
+        paper: &["expected: Flash speeds up Vamana (CA+NS) more than HCNNG (no layout)"],
+        run: ext::ext1,
+    },
+    Experiment {
+        id: "ext2",
+        title: "Update cycles: recall decay without rebuild vs periodic Flash rebuild",
+        paper: &["expected: recall decays without rebuild; rebuilds restore it; Flash's is fast"],
+        run: ext::ext2,
+    },
+    Experiment {
+        id: "ext3",
+        title: "Attribute-constrained ANNS: one filtered graph vs per-label graphs",
+        paper: &["expected: filters cost recall and QPS; per-label builds cost more, Flash less"],
+        run: ext::ext3,
+    },
+    Experiment {
+        id: "ext4",
+        title: "HNSW-OPQ vs HNSW-PQ vs HNSW-Flash",
+        paper: &["expected: OPQ trades training time for recall over PQ; Flash builds fastest"],
+        run: ext::ext4,
+    },
+    Experiment {
+        id: "ext5",
+        title: "Theorem-1 parameter tuning, validated by real builds",
+        paper: &["expected: tuning picks fewer subspaces at the default's recall and cost"],
+        run: ext::ext5,
+    },
+];
+
+/// The experiment named `id`.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// The codings of the paper's main comparison in its figure order (A..E).
+pub(crate) const METHODS: [Coding; 5] = {
+    use Coding::*;
+    [Flash, Pca, Sq, Pq, Full]
+};
+
+/// `f`'s result and its wall-clock seconds.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// Builds through `builder`, timed from codec training on, as the paper
+/// times indexing.
+pub(crate) fn build(builder: IndexBuilder, base: VectorSet) -> (Box<dyn AnnIndex>, f64) {
+    timed(|| builder.build(base))
 }
 
 /// Ids of the hits `index` returns for `request`.
-pub fn search_ids(index: &dyn AnnIndex, request: &SearchRequest) -> Vec<u32> {
+pub(crate) fn ids(index: &dyn AnnIndex, request: &SearchRequest) -> Vec<u32> {
     let hits = index.search(request).hits;
     hits.iter().map(|h| h.id as u32).collect()
 }
 
-/// Generates the workload for one paper dataset at the harness scale.
-pub fn workload(profile: DatasetProfile, scale: Scale) -> (VectorSet, VectorSet) {
+/// The base beam a search with `ef` runs: a reranked search gathers a
+/// pool of `k · rerank` and never beams narrower than its pool.
+pub(crate) fn effective_beam(ef: usize, k: usize, rerank: usize) -> usize {
+    ef.max(k * rerank.max(1))
+}
+
+/// The corpus and queries of one paper dataset at the harness scale.
+pub(crate) fn dataset(profile: DatasetProfile, scale: Scale) -> (VectorSet, VectorSet) {
     generate(&profile.spec(), scale.n, scale.queries, 0xDA7A)
 }
 
-/// Formats a duration as seconds with 2 decimals.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
+/// One row per dataset of `sets`: its name and `row(profile)`.
+pub(crate) fn per_dataset(
+    sets: &[DatasetProfile],
+    row: impl FnMut(DatasetProfile) -> Vec<f64>,
+) -> Rows {
+    let names = sets.iter().map(|p| p.name().to_string());
+    names.zip(sets.iter().copied().map(row)).collect()
+}
+
+/// Column `i` of `rows`.
+pub(crate) fn col(rows: &Rows, i: usize) -> Vec<f64> {
+    rows.iter().map(|(_, values)| values[i]).collect()
+}
+
+/// One point of a QPS–recall curve: the effective base beam, recall@k,
+/// the answers' average distance ratio (1.0 is exact), one-thread QPS.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Point {
+    pub(crate) beam: usize,
+    pub(crate) recall: f64,
+    pub(crate) adr: f64,
+    pub(crate) qps: f64,
+}
+
+/// The first point — the smallest beam — whose recall reaches `target`.
+pub(crate) fn at_recall(points: &[Point], target: f64) -> Option<Point> {
+    points.iter().copied().find(|p| p.recall >= target)
+}
+
+/// Answers one query at a beam width.
+pub(crate) type Search<'a> = &'a dyn Fn(&[f32], usize) -> Vec<u32>;
+
+/// A corpus, its queries, and their exact top-`k` answers.
+#[derive(Clone)]
+pub(crate) struct Workload {
+    pub(crate) base: VectorSet,
+    pub(crate) queries: VectorSet,
+    pub(crate) truth: Vec<Vec<Neighbor>>,
+    pub(crate) k: usize,
+}
+
+impl Workload {
+    /// `profile`'s dataset at `scale` with its exact top-`k` answers.
+    pub(crate) fn new(profile: DatasetProfile, scale: Scale, k: usize) -> Self {
+        let (base, queries) = dataset(profile, scale);
+        let truth = ground_truth(&base, &queries, k);
+        Self {
+            base,
+            queries,
+            truth,
+            k,
+        }
+    }
+
+    /// `index`'s curve over `efs` through `coding`'s standard pipeline:
+    /// compressed codings rerank on the original vectors.
+    pub(crate) fn curve(&self, index: &dyn AnnIndex, coding: Coding, efs: &[usize]) -> Vec<Point> {
+        let rerank = coding.default_rerank();
+        let request = |q: &[f32], ef| SearchRequest::new(q, self.k).ef(ef).rerank(rerank);
+        self.sweep(efs, rerank, &|q, ef| ids(index, &request(q, ef)))
+    }
+
+    /// One point per distinct effective beam of `efs` (ascending) under
+    /// `rerank`; `search(query, beam)` answers one query.
+    pub(crate) fn sweep(&self, efs: &[usize], rerank: usize, search: Search) -> Vec<Point> {
+        let mut points: Vec<Point> = Vec::new();
+        for beam in efs.iter().map(|&ef| effective_beam(ef, self.k, rerank)) {
+            if points.last().is_none_or(|p| p.beam != beam) {
+                points.push(self.point(beam, search));
+            }
+        }
+        points
+    }
+
+    fn point(&self, beam: usize, search: Search) -> Point {
+        let (queries, k) = (&self.queries, self.k);
+        let mut found = Vec::new();
+        let run = |qi| found.push(search(queries.get(qi), beam));
+        let qps = measure_qps(queries.len(), run).qps();
+        // ADR is defined on the true geometry, not a coding's estimate.
+        let mut dists = Vec::new();
+        for (q, ids) in queries.iter().zip(&found) {
+            let exact = |&id: &u32| simdops::l2_sq(q, self.base.get(id as usize));
+            let mut d: Vec<f32> = ids.iter().map(exact).collect();
+            d.sort_by(f32::total_cmp);
+            dists.push(d);
+        }
+        let recall = recall_at_k(&found, &self.truth, k).recall();
+        let adr = average_distance_ratio(&dists, &self.truth, k);
+        Point {
+            beam,
+            recall,
+            adr,
+            qps,
+        }
+    }
+}
+
+/// `lo–hi` of `values` at `prec` decimals.
+pub(crate) fn span(values: impl IntoIterator<Item = f64>, prec: usize) -> String {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values {
+        (lo, hi) = (lo.min(v), hi.max(v));
+    }
+    format!("{lo:.prec$}–{hi:.prec$}")
+}
+
+/// Whether the last value exceeds the first.
+pub(crate) fn rises(values: &[f64]) -> bool {
+    values.len() > 1 && values[values.len() - 1] > values[0]
+}
+
+/// Whether there are ratios and every one exceeds 1.
+pub(crate) fn above_one(ratios: &[f64]) -> bool {
+    !ratios.is_empty() && ratios.iter().all(|&s| s > 1.0)
+}
+
+/// Whether every value lies in `lo..hi`.
+pub(crate) fn within(values: &[f64], lo: f64, hi: f64) -> bool {
+    values.iter().all(|v| (lo..hi).contains(v))
+}
+
+/// Whether the largest value lies strictly inside the sequence.
+pub(crate) fn peaks_inside(values: &[f64]) -> bool {
+    let best = (0..values.len()).max_by(|&a, &b| values[a].total_cmp(&values[b]));
+    best.is_some_and(|i| i > 0 && i + 1 < values.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
-    #[test]
-    fn scale_defaults() {
-        let s = Scale::from_env();
-        assert!(s.n > 0 && s.queries > 0 && s.c >= s.r);
-    }
+    /// The smallest scale every experiment runs at.
+    pub(crate) const SMOKE: Scale = Scale {
+        n: 300,
+        queries: 5,
+        c: 32,
+        r: 8,
+    };
 
     #[test]
     fn scale_value_keeps_the_default_only_when_unset() {
@@ -197,20 +492,61 @@ mod tests {
     }
 
     #[test]
+    fn registry_has_22_unique_ids_each_with_a_claim() {
+        let ids: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), 22);
+        for e in &EXPERIMENTS {
+            assert!(!e.paper.is_empty(), "{} checks no claim", e.id);
+            assert!(std::ptr::eq(find(e.id).unwrap(), e));
+        }
+        assert!(find("fig02").is_none());
+    }
+
+    #[test]
+    fn numbers_keep_five_significant_digits() {
+        let cells = [0.975, 1.0, 1.00031, 29644.3, 0.0712345, 80.0, 0.0];
+        let want = ["0.975", "1", "1.0003", "29644", "0.071235", "80", "0"];
+        assert_eq!(cells.map(num), want);
+    }
+
+    #[test]
     fn all_methods_build_and_search_tiny() {
-        let scale = Scale {
-            n: 300,
-            queries: 5,
-            c: 32,
-            r: 8,
-        };
-        let (base, queries) = workload(DatasetProfile::SsnppLike, scale);
-        for method in Method::ALL {
-            let (index, took) = method.build(base.clone(), scale);
-            assert!(took.as_nanos() > 0);
-            let hits = index.search(&method.request(queries.get(0), 3, 32)).hits;
-            assert_eq!(hits.len(), 3, "{}", method.name());
+        let w = Workload::new(DatasetProfile::SsnppLike, SMOKE, 3);
+        for coding in METHODS {
+            let (index, took) = build(SMOKE.builder(GraphKind::Hnsw, coding), w.base.clone());
+            assert!(took > 0.0);
+            let points = w.curve(index.as_ref(), coding, &[32]);
+            assert!(points[0].recall > 0.0, "{coding}");
             assert!(index.memory_bytes() > 0);
         }
+    }
+
+    #[test]
+    fn curves_run_each_effective_beam_once() {
+        let w = Workload::new(DatasetProfile::SsnppLike, SMOKE, 10);
+        let (index, _) = build(
+            SMOKE.builder(GraphKind::Hnsw, Coding::Flash),
+            w.base.clone(),
+        );
+        // Flash reranks 8 · k = 80: ef 16, 32 and 64 all run a beam of 80.
+        let points = w.curve(index.as_ref(), Coding::Flash, &[16, 32, 64, 128]);
+        let beams: Vec<usize> = points.iter().map(|p| p.beam).collect();
+        assert_eq!(beams, [80, 128]);
+        assert_eq!(effective_beam(16, 10, 4), 40);
+        assert_eq!(effective_beam(64, 10, 1), 64);
+        assert_eq!(at_recall(&points, 0.0).unwrap().beam, 80);
+        assert!(at_recall(&points, 1.1).is_none());
+    }
+
+    #[test]
+    fn shape_predicates() {
+        assert!(rises(&[1.0, 0.5, 2.0]) && !rises(&[2.0, 3.0, 1.0]) && !rises(&[1.0]));
+        assert!(peaks_inside(&[0.5, 0.9, 0.7]) && !peaks_inside(&[0.5, 0.7, 0.9]));
+        assert!(above_one(&[1.5, 11.0]) && !above_one(&[1.5, 0.9]) && !above_one(&[]));
+        // Figure 1 (distance ≥ 50 %), Figure 15 (< 50 %), Table 4 (< 20 %).
+        assert!(within(&[90.8, 60.0], 50.0, 100.0) && !within(&[90.8, 40.0], 50.0, 100.0));
+        assert!(within(&[12.0, 30.0], 0.0, 50.0) && !within(&[12.0, 91.0], 0.0, 50.0));
+        assert!(within(&[3.0, 16.0], 0.0, 20.0) && !within(&[3.0, 38.0], 0.0, 20.0));
+        assert_eq!(span([2.0, 1.26, 3.5], 1), "1.3–3.5");
     }
 }

@@ -57,6 +57,34 @@ impl std::fmt::Debug for TrainedCodec {
     }
 }
 
+/// A computation over whichever concrete provider an [`IndexBuilder`]
+/// encodes (see [`IndexBuilder::with_provider`]): a trait rather than a
+/// closure because the provider type differs per coding.
+pub trait ProviderJob {
+    /// What the job returns.
+    type Output;
+    /// Runs the job on the encoded provider.
+    fn run<P: DistanceProvider + 'static>(self, provider: P) -> Self::Output;
+}
+
+/// The job behind [`IndexBuilder::build_with_codec`] and
+/// [`IndexBuilder::serve`]: construct the configured graph, or pair the
+/// provider with a persisted topology.
+struct Finish<'a> {
+    builder: &'a IndexBuilder,
+    topology: Option<GraphLayers>,
+}
+
+impl ProviderJob for Finish<'_> {
+    type Output = Box<dyn AnnIndex>;
+    fn run<P: DistanceProvider + 'static>(self, provider: P) -> Box<dyn AnnIndex> {
+        match self.topology {
+            Some(layers) => Box::new(GraphIndex::from_parts(provider, layers)),
+            None => Box::new(GraphIndex::from(self.builder.construct(provider))),
+        }
+    }
+}
+
 /// Builds any [`GraphKind`] × [`Coding`] combination into a
 /// `Box<dyn AnnIndex>`: one fluent surface over the per-type constructors
 /// (`Hnsw::build`, `Nsg::build`, …). Construction runs to the end and the
@@ -188,7 +216,7 @@ impl IndexBuilder {
         self
     }
 
-    /// Codec training-sample size (default: `(n / 2).clamp(256, 10_000)`).
+    /// Codec training-sample size (default: [`Self::default_train_sample`]).
     pub fn train_sample(mut self, n: usize) -> Self {
         self.train_sample = Some(n);
         self
@@ -220,8 +248,15 @@ impl IndexBuilder {
         }
     }
 
+    /// The codec training-sample size for an `n`-vector corpus when none
+    /// is set: half the corpus, within `256..=10_000`.
+    pub fn default_train_sample(n: usize) -> usize {
+        (n / 2).clamp(256, 10_000)
+    }
+
     fn training_sample_for(&self, n: usize) -> usize {
-        self.train_sample.unwrap_or((n / 2).clamp(256, 10_000))
+        self.train_sample
+            .unwrap_or_else(|| Self::default_train_sample(n))
     }
 
     fn derived_flash(&self, dim: usize, n: usize) -> FlashParams {
@@ -291,13 +326,6 @@ impl IndexBuilder {
     /// Panics if `codec` was trained for a different coding than this
     /// builder is configured with.
     pub fn build_with_codec(&self, base: VectorSet, codec: &TrainedCodec) -> Box<dyn AnnIndex> {
-        assert_eq!(
-            codec.coding(),
-            self.coding,
-            "codec was trained for `{}` but the builder is configured for `{}`",
-            codec.coding(),
-            self.coding
-        );
         self.assemble(base, codec, None)
     }
 
@@ -326,35 +354,39 @@ impl IndexBuilder {
         codec: &TrainedCodec,
         topology: Option<GraphLayers>,
     ) -> Box<dyn AnnIndex> {
-        match &*codec.kind {
-            CodecKind::Full => self.finish(FullPrecision::new(base), topology),
-            CodecKind::Sq(sq) => {
-                self.finish(SqProvider::from_quantizer(base, sq.clone()), topology)
-            }
-            CodecKind::Pca(pca) => {
-                self.finish(PcaProvider::from_codec(base, pca.clone()), topology)
-            }
-            CodecKind::Pq(pq) => {
-                self.finish(PqProvider::from_quantizer(base, pq.clone()), topology)
-            }
-            CodecKind::Opq(opq) => {
-                self.finish(OpqProvider::from_quantizer(base, opq.clone()), topology)
-            }
-            CodecKind::Flash(fc) => {
-                self.finish(FlashProvider::from_codec(base, fc.clone()), topology)
-            }
-        }
+        let builder = self;
+        self.with_provider(base, codec, Finish { builder, topology })
     }
 
-    fn finish<P: DistanceProvider + 'static>(
+    /// Encodes `base` through `codec` into that coding's concrete provider
+    /// and hands it to `job` — the step [`Self::build_with_codec`] runs
+    /// before construction, for callers that need the provider itself
+    /// (construction-time sizes, instrumented builds).
+    ///
+    /// # Panics
+    /// Panics if `codec` was trained for a different coding than this
+    /// builder is configured with.
+    pub fn with_provider<J: ProviderJob>(
         &self,
-        provider: P,
-        topology: Option<GraphLayers>,
-    ) -> Box<dyn AnnIndex> {
-        let Some(layers) = topology else {
-            return Box::new(GraphIndex::from(self.construct(provider)));
-        };
-        Box::new(GraphIndex::from_parts(provider, layers))
+        base: VectorSet,
+        codec: &TrainedCodec,
+        job: J,
+    ) -> J::Output {
+        assert_eq!(
+            codec.coding(),
+            self.coding,
+            "codec was trained for `{}` but the builder is configured for `{}`",
+            codec.coding(),
+            self.coding
+        );
+        match &*codec.kind {
+            CodecKind::Full => job.run(FullPrecision::new(base)),
+            CodecKind::Sq(sq) => job.run(SqProvider::from_quantizer(base, sq.clone())),
+            CodecKind::Pca(pca) => job.run(PcaProvider::from_codec(base, pca.clone())),
+            CodecKind::Pq(pq) => job.run(PqProvider::from_quantizer(base, pq.clone())),
+            CodecKind::Opq(opq) => job.run(OpqProvider::from_quantizer(base, opq.clone())),
+            CodecKind::Flash(fc) => job.run(FlashProvider::from_codec(base, fc.clone())),
+        }
     }
 
     /// Runs the configured graph's construction through `provider`.

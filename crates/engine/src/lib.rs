@@ -53,7 +53,7 @@ mod kinds;
 mod request;
 pub mod wire;
 
-pub use builder::{IndexBuilder, TrainedCodec};
+pub use builder::{IndexBuilder, ProviderJob, TrainedCodec};
 pub use graphs::Hit;
 pub use indexes::{FlatIndex, GraphIndex};
 pub use kinds::{parse_method, Coding, GraphKind};

@@ -499,6 +499,7 @@ mod tests {
 
     #[test]
     fn own_code_is_argmin_centroid() {
+        let _serial = crate::tests::serialize_level_tests();
         // Per subspace, the emitted codeword must be the centroid
         // minimizing the raw projected distance. (The ADT entry at the own
         // codeword is *not* necessarily the row minimum: table entries
@@ -597,6 +598,7 @@ mod tests {
 
     #[test]
     fn adt_and_sdt_share_a_grid() {
+        let _serial = crate::tests::serialize_level_tests();
         // For a vector that coincides with its centroid, the ADT entry for
         // centroid t is η(δ²(c_code, c_t) + r_t) while the SDT entry
         // (code, t) is η(δ²(c_code, c_t) + r_code + r_t): on a shared grid
@@ -627,6 +629,7 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_to_the_byte() {
+        let _serial = crate::tests::serialize_level_tests();
         // Same input, same codec: basis, codebooks, grid, residuals and SDT.
         let (a, data) = codec(64, 16, 8);
         let (b, _) = codec(64, 16, 8);
@@ -646,6 +649,7 @@ mod tests {
 
     #[test]
     fn subspace_seeds_wrap_past_u64_max() {
+        let _serial = crate::tests::serialize_level_tests();
         // Subspace `s` trains with seed `seed + s`, which must wrap: it
         // overflowed in a debug build when that sum was a plain `+`.
         let data = dataset(300, 32, 5);
@@ -675,6 +679,7 @@ mod tests {
 
     #[test]
     fn adt_and_batch_codes_equal_what_encode_returns() {
+        let _serial = crate::tests::serialize_level_tests();
         let (c, data) = codec(64, 32, 8);
         let codes = c.encode_batch(&data);
         for (i, row) in codes.chunks_exact(c.subspaces()).enumerate() {

@@ -72,6 +72,15 @@ mod tests {
         TauMg, TauMgParams, Vamana, VamanaParams,
     };
 
+    /// Held by every test that caps the process-wide `simdops` dispatch
+    /// level, and by every test that compares two float computations which
+    /// must run at one level: the harness runs tests on parallel threads.
+    pub(crate) fn serialize_level_tests() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn end_to_end_hnsw_flash() {
         let (base, queries) =
@@ -133,6 +142,7 @@ mod tests {
 
     #[test]
     fn from_codec_matches_fresh_training() {
+        let _serial = crate::tests::serialize_level_tests();
         let (base, _) = vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 500, 1, 31);
         let params = FlashParams::auto(256);
         let fresh = FlashProvider::new(base.clone(), params);

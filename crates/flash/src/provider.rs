@@ -55,9 +55,6 @@ pub struct FlashProvider {
     /// Wall-clock nanoseconds spent training the codec and encoding the
     /// dataset (the paper's "coding time", Table 4).
     coding_ns: u64,
-    /// When false, the scalar LUT path is forced (Table 3's SIMD ablation)
-    /// regardless of the global `simdops` dispatch level.
-    use_simd: bool,
 }
 
 impl FlashProvider {
@@ -89,14 +86,7 @@ impl FlashProvider {
             codec,
             codes,
             coding_ns,
-            use_simd: true,
         }
-    }
-
-    /// Forces the scalar lookup path (the paper's Table 3 "w/o SIMD" row).
-    pub fn with_simd(mut self, enabled: bool) -> Self {
-        self.use_simd = enabled;
-        self
     }
 
     /// The trained codec.
@@ -185,11 +175,7 @@ impl DistanceProvider for FlashProvider {
             let take = (ids.len() - produced).min(LUT_BATCH);
             if b < blocks_available {
                 let block = &payload.bytes[b * block_bytes..(b + 1) * block_bytes];
-                if self.use_simd {
-                    lut16_batch(&ctx.adt, block, m, &mut batch);
-                } else {
-                    simdops::lut::lut16_batch_scalar(&ctx.adt, block, m, &mut batch);
-                }
+                lut16_batch(&ctx.adt, block, m, &mut batch);
                 out.extend(batch[..take].iter().map(|&d| f32::from(d)));
             } else {
                 // A payload shorter than its id list (a caller that never
@@ -227,7 +213,7 @@ impl DistanceProvider for FlashProvider {
 
     fn dominated(&self, v: u32, d: f32, selected: &[u32], payload: &FlashBlocks) -> bool {
         let m = self.codec.subspaces();
-        if !self.use_simd || m > NS_TABLE_SUBSPACES {
+        if m > NS_TABLE_SUBSPACES {
             return self.dominated_scalar(v, d, selected);
         }
         // With `v` fixed the SDT has the ADT's shape, so 16 selected
@@ -286,6 +272,7 @@ pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simdops::level::with_level;
 
     fn provider(n: usize) -> FlashProvider {
         provider_m(n, 8)
@@ -323,24 +310,28 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_simd_paths_agree() {
-        let p_simd = provider(200);
-        let ctx = p_simd.prepare_insert(5);
+    fn dist_to_neighbors_equals_the_scalar_kernel_at_every_level() {
+        let _serial = crate::tests::serialize_level_tests();
+        let p = provider(200);
+        let ctx = p.prepare_insert(5);
         let ids: Vec<u32> = (10..58).collect();
         let mut payload = FlashBlocks::default();
-        p_simd.sync_payload(&mut payload, &ids);
-
-        let mut simd_out = Vec::new();
-        p_simd.dist_to_neighbors(&ctx, &ids, &payload, &mut simd_out);
-
-        let p_scalar = provider(200).with_simd(false);
-        let ctx2 = p_scalar.prepare_insert(5);
-        let mut payload2 = FlashBlocks::default();
-        p_scalar.sync_payload(&mut payload2, &ids);
-        let mut scalar_out = Vec::new();
-        p_scalar.dist_to_neighbors(&ctx2, &ids, &payload2, &mut scalar_out);
-
-        assert_eq!(simd_out, scalar_out);
+        p.sync_payload(&mut payload, &ids);
+        let m = p.codec().subspaces();
+        let mut want = Vec::new();
+        for block in payload.as_bytes().chunks_exact(m * LUT_BATCH) {
+            let mut batch = [0u16; LUT_BATCH];
+            simdops::lut::lut16_batch_scalar(&ctx.adt, block, m, &mut batch);
+            want.extend(batch.iter().map(|&d| f32::from(d)));
+        }
+        want.truncate(ids.len());
+        for level in simdops::supported_levels() {
+            let mut got = Vec::new();
+            with_level(level, || {
+                p.dist_to_neighbors(&ctx, &ids, &payload, &mut got)
+            });
+            assert_eq!(got, want, "{level:?}");
+        }
     }
 
     #[test]
@@ -386,10 +377,10 @@ mod tests {
     fn batched_dominated_equals_the_scalar_loop() {
         // Even and odd M_F (the kernel's pair/quad tails), every block
         // boundary of the selected list, thresholds on both sides of each
-        // selected vertex's distance; `with_simd(false)` must agree too.
+        // selected vertex's distance, at every dispatch level.
+        let _serial = crate::tests::serialize_level_tests();
         for m_f in [8usize, 7, 5, 1] {
             let p = provider_m(160, m_f);
-            let scalar = provider_m(160, m_f).with_simd(false);
             for len in [0usize, 1, 15, 16, 17, 32] {
                 let selected: Vec<u32> = (0..len as u32).map(|i| (i * 11 + 5) % 160).collect();
                 let payload = appended(&p, &selected);
@@ -401,12 +392,13 @@ mod tests {
                     }
                     for d in thresholds {
                         let expect = p.dominated_scalar(v, d, &selected);
-                        assert_eq!(
-                            p.dominated(v, d, &selected, &payload),
-                            expect,
-                            "m_f {m_f} len {len} v {v} d {d}"
-                        );
-                        assert_eq!(scalar.dominated(v, d, &selected, &payload), expect);
+                        for level in simdops::supported_levels() {
+                            assert_eq!(
+                                with_level(level, || p.dominated(v, d, &selected, &payload)),
+                                expect,
+                                "m_f {m_f} len {len} v {v} d {d} {level:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -500,6 +492,7 @@ mod tests {
 
     #[test]
     fn new_is_train_then_from_codec() {
+        let _serial = crate::tests::serialize_level_tests();
         let (base, _) = vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 300, 1, 21);
         let params = FlashParams {
             d_f: 32,
@@ -519,6 +512,7 @@ mod tests {
 
     #[test]
     fn insert_context_is_the_adt_encode_returns() {
+        let _serial = crate::tests::serialize_level_tests();
         let p = provider(120);
         for id in [0u32, 7, 119] {
             let (codes, adt) = p.codec().encode(p.base().get(id as usize));

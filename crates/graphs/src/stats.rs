@@ -89,21 +89,11 @@ pub struct ProviderTimings {
     pub sync_ns: u64,
 }
 
-impl ProviderTimings {
-    /// Fraction of `total_ns` spent in distance computation.
-    pub fn dist_fraction(&self, total_ns: u64) -> f64 {
-        if total_ns == 0 {
-            0.0
-        } else {
-            self.dist_ns as f64 / total_ns as f64
-        }
-    }
-}
-
 /// Decorator measuring where a provider's time goes. Timing overhead is two
 /// `Instant` reads per call (~40 ns), small against the D-dimensional float
 /// kernels being profiled and amortized across a 16-wide batch on the Flash
-/// path.
+/// path. The counters sum over every thread that calls the provider, so
+/// they are shares of wall-clock time only for a build on one thread.
 pub struct Instrumented<P> {
     inner: P,
     dist_ns: AtomicU64,

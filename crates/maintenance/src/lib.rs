@@ -19,8 +19,8 @@
 //!   fan out across memtable + segments and merge; [`LsmVectorIndex::rebuild`]
 //!   compacts every live vector into one fresh segment (the overnight
 //!   rebuild whose cost Flash attacks).
-//! * [`cycles`] — the update-cycle simulator behind the
-//!   `ext2_update_cycles` experiment binary.
+//! * [`cycles`] — the update-cycle simulator behind the `ext2` experiment
+//!   of `crates/bench` (`repro ext2`).
 //!
 //! ```
 //! use maintenance::{LsmConfig, LsmVectorIndex};

@@ -19,8 +19,7 @@
 //! * [`profile`] — per-query structural cost counters ([`QueryProfile`]):
 //!   hops, coded/exact distance evals, rows scored, codeword bytes;
 //! * [`slo`] — windowed error-budget objectives with fast/slow
-//!   multi-window burn-rate breach detection;
-//! * [`PhaseTimer`] — named wall-clock phases for indexing-time breakdowns.
+//!   multi-window burn-rate breach detection.
 
 pub mod adr;
 pub mod failover;
@@ -32,7 +31,6 @@ pub mod recall;
 pub mod registry;
 pub mod report;
 pub mod slo;
-mod timer;
 pub mod trace;
 pub mod transport;
 
@@ -48,7 +46,6 @@ pub use report::{
     TenantSummary, TraceSummary,
 };
 pub use slo::{BurnConfig, Objective, ObjectiveSummary, SloGuard, SloSummary, SloTracker};
-pub use timer::PhaseTimer;
 pub use trace::{
     collect_traces, trace_id_for, trace_to_json, SpanKind, SpanOutcome, SpanRecord, SpanRing,
     TraceContext,

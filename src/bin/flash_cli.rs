@@ -353,7 +353,7 @@ impl BuildSpec {
             fp.d_f = self.d_f.unwrap_or(fp.d_f);
             fp.m_f = self.m_f.unwrap_or(fp.m_f);
             fp.seed = self.seed;
-            fp.train_sample = (n / 2).clamp(256, 10_000);
+            fp.train_sample = IndexBuilder::default_train_sample(n);
             builder = builder.flash_params(fp);
         }
         builder

@@ -19,7 +19,7 @@
 //! | [`maintenance`] | LSM lifecycle: memtable, Flash segments, tombstones, rebuild |
 //! | [`vecstore`] | datasets, generators, `fvecs` I/O, ground truth |
 //! | [`simdops`] | runtime-dispatched SIMD kernels (SSE/AVX2/AVX-512) |
-//! | [`metrics`] | recall, ADR, QPS, phase timers; request tracing (`TraceContext`/`SpanRing`) and the named metrics registry |
+//! | [`metrics`] | recall, ADR, QPS; request tracing (`TraceContext`/`SpanRing`) and the named metrics registry |
 //! | [`cachesim`] | the software cache model used for the memory ablations |
 //! | [`linalg`] | dense matrices, covariance, Jacobi eigendecomposition |
 //!
@@ -598,8 +598,7 @@ pub mod prelude {
     pub use maintenance::{CycleWorkload, LsmConfig, LsmVectorIndex};
     pub use metrics::{
         average_distance_ratio, collect_traces, measure_qps, recall_at_k, strip_timings,
-        trace_id_for, BenchReport, MetricsRegistry, PhaseTimer, SpanKind, SpanRecord, SpanRing,
-        TraceContext,
+        trace_id_for, BenchReport, MetricsRegistry, SpanKind, SpanRecord, SpanRing, TraceContext,
     };
     pub use quantizers::{
         comparison_reliability, OptimizedProductQuantizer, PcaCodec, ProductQuantizer,
