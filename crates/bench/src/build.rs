@@ -56,15 +56,17 @@ fn profiles(scale: Scale, coding: Coding) -> (Outcome, Vec<f64>) {
 }
 
 pub(crate) fn fig01(scale: Scale) -> Outcome {
+    let paper = "distance computation takes 90.8–90.9 % of HNSW indexing time";
     let (out, shares) = profiles(scale, Coding::Full);
     let holds = within(&shares, 50.0, 100.0);
-    out.verdict(format!("{} %", span(shares, 1)), holds)
+    out.verdict(paper, format!("{} %", span(shares, 1)), holds)
 }
 
 pub(crate) fn fig15(scale: Scale) -> Outcome {
+    let paper = "distance computation is ~12 % of Flash's graph construction (was >90 %)";
     let (out, shares) = profiles(scale, Coding::Flash);
     let holds = within(&shares, 0.0, 50.0);
-    out.verdict(format!("{} %", span(shares, 1)), holds)
+    out.verdict(paper, format!("{} %", span(shares, 1)), holds)
 }
 
 /// Per dataset, `value(scale, coding, corpus)` of the five methods in
@@ -96,20 +98,23 @@ pub(crate) fn pq_smallest(sizes: &Rows) -> bool {
 }
 
 pub(crate) fn fig06(scale: Scale) -> Outcome {
+    let paper = "Flash builds 10.4x–22.9x faster than HNSW across the eight datasets";
     let secs = |scale: Scale, c, base| build(scale.builder(GraphKind::Hnsw, c), base).1;
     let (out, times) = per_method(scale, "Indexing time (s)", secs);
     let ours = format!("{}x faster than HNSW", span(col(&times, 5), 1));
-    out.verdict(ours, flash_fastest(&times))
+    out.verdict(paper, ours, flash_fastest(&times))
 }
 
 pub(crate) fn fig07(scale: Scale) -> Outcome {
+    let paper0 = "PQ compresses most (~10–13x)";
+    let paper1 = "Flash compresses ~4–5x (codes stored globally and beside neighbor ids)";
     let mb = |scale, c, base| construct(scale, c, base)[3];
     let (out, sizes) = per_method(scale, "Construction-time index size (MB)", mb);
     let pq: Vec<f64> = sizes.iter().map(|(_, s)| s[4] / s[3]).collect();
-    let out = out.verdict(format!("PQ {}x", span(pq, 1)), pq_smallest(&sizes));
+    let out = out.verdict(paper0, format!("PQ {}x", span(pq, 1)), pq_smallest(&sizes));
     let flash = col(&sizes, 5);
     let holds = above_one(&flash);
-    out.verdict(format!("Flash {}x", span(flash, 1)), holds)
+    out.verdict(paper1, format!("Flash {}x", span(flash, 1)), holds)
 }
 
 /// Times the encoding since the instant it holds, then the graph insert;
@@ -182,20 +187,22 @@ pub(crate) fn savings_accumulate(series: &[Rows]) -> bool {
 }
 
 pub(crate) fn fig10(scale: Scale) -> Outcome {
+    let paper = "Flash's speedup stays in the 15–20x band across volumes";
     let ns: Vec<usize> = (1..=5).map(|m| scale.n * m).collect();
     let one = |p, n| vec![dataset(p, Scale { n, ..scale }).0];
     let (out, series) = versus(scale, &ns, "n", one);
     let ours = span(series.iter().flat_map(|rows| col(rows, 2)), 1);
-    out.verdict(format!("{ours}x"), speedup_holds(&series))
+    out.verdict(paper, format!("{ours}x"), speedup_holds(&series))
 }
 
 pub(crate) fn fig11(scale: Scale) -> Outcome {
+    let paper = "the per-segment speedup accumulates linearly with segment count";
     let corpus = |p: DatasetProfile, s| generate(&p.spec(), scale.n * s, 1, 0xDA7A).0;
     let split = |p, s| split_into_segments(&corpus(p, s), s);
     let (out, series) = versus(scale, &[2, 4, 6, 8], "segments", split);
     let saved = |i: usize| span(series.iter().map(|rows| rows[i].1[0] - rows[i].1[1]), 2);
     let ours = format!("saves {} s at 2 segments, {} s at 8", saved(0), saved(3));
-    out.verdict(ours, savings_accumulate(&series))
+    out.verdict(paper, ours, savings_accumulate(&series))
 }
 
 /// Flash build seconds over `base` with the dispatch tier capped at each of
@@ -219,6 +226,7 @@ pub(crate) fn wider_is_faster_sublinearly(rows: &Rows, width_ratio: f64) -> bool
 }
 
 pub(crate) fn fig12(scale: Scale) -> Outcome {
+    let paper = "wider registers build faster, sub-linearly (memory, instruction latency)";
     let levels = supported_levels();
     let rows = per_dataset(&[LaionLike, SsnppLike], |p| {
         level_secs(scale, &dataset(p, scale).0, &levels)
@@ -230,10 +238,12 @@ pub(crate) fn fig12(scale: Scale) -> Outcome {
     let bits = |l: Option<&SimdLevel>| l.map_or(1.0, |l| l.register_bits() as f64);
     let width_ratio = bits(levels.last()) / bits(levels.first());
     let holds = wider_is_faster_sublinearly(&rows, width_ratio);
-    out.verdict(format!("widest tier {ours}x faster than scalar"), holds)
+    let ours = format!("widest tier {ours}x faster than scalar");
+    out.verdict(paper, ours, holds)
 }
 
 pub(crate) fn tab03(scale: Scale) -> Outcome {
+    let paper = "SIMD lookups cut indexing time by up to 45 % (coding time unaffected)";
     let levels = [SimdLevel::Scalar, simdops::detect_level()];
     let rows = per_dataset(&ALL, |p| {
         let secs = level_secs(scale, &dataset(p, scale).0, &levels);
@@ -243,7 +253,7 @@ pub(crate) fn tab03(scale: Scale) -> Outcome {
     let out = Outcome::default().table("Build time after codec training", head, &rows);
     let cut = col(&rows, 2);
     let holds = within(&cut, 0.0, 100.0);
-    out.verdict(format!("{} % shorter", span(cut, 0)), holds)
+    out.verdict(paper, format!("{} % shorter", span(cut, 0)), holds)
 }
 
 /// Simulated L1 miss rates in percent, `[baseline, Flash layout]`, of
@@ -314,16 +324,18 @@ fn miss_rates(scale: Scale, profile: DatasetProfile) -> Vec<f64> {
 }
 
 pub(crate) fn tab02(scale: Scale) -> Outcome {
+    let paper = "L1 miss rate 19.1–26.0 % without vs 4.9–7.9 % with the Flash layout";
     let rows = per_dataset(&ALL, |p| miss_rates(scale, p));
     let head = "dataset | w/o Flash layout | w. Flash layout";
     let out = Outcome::default().table("Simulated L1 miss rate (%)", head, &rows);
     let (without, with) = (col(&rows, 0), col(&rows, 1));
     let fewer: Vec<f64> = without.iter().zip(&with).map(|(b, f)| b / f).collect();
     let ours = format!("{} % without vs {} % with", span(without, 1), span(with, 1));
-    out.verdict(ours, above_one(&fewer))
+    out.verdict(paper, ours, above_one(&fewer))
 }
 
 pub(crate) fn tab04(scale: Scale) -> Outcome {
+    let paper = "coding is ~3–16 % of total indexing time across the datasets";
     let rows = per_dataset(&ALL, |p| {
         let [train, encode, insert, _] = construct(scale, Coding::Flash, dataset(p, scale).0);
         let (ct, tit) = (train + encode, train + encode + insert);
@@ -333,7 +345,7 @@ pub(crate) fn tab04(scale: Scale) -> Outcome {
     let title = "Coding time (CT) vs total indexing time (TIT)";
     let (shares, out) = (col(&rows, 5), Outcome::default().table(title, head, &rows));
     let holds = within(&shares, 0.0, 20.0);
-    out.verdict(format!("{} %", span(shares, 1)), holds)
+    out.verdict(paper, format!("{} %", span(shares, 1)), holds)
 }
 
 #[cfg(test)]
@@ -342,29 +354,28 @@ mod tests {
     use crate::tests::SMOKE;
 
     #[test]
-    fn profile_shares_lie_in_range_and_sum_to_100() {
+    fn profile_shares_lie_in_range() {
         let base = dataset(SsnppLike, SMOKE).0;
         for coding in [Coding::Full, Coding::Flash] {
+            // `other %` is the remainder, so the shares sum to 100 by
+            // construction; kernel time summed over threads would push the
+            // distance share past 100 and `other %` below 0.
             let shares = &profile(SMOKE, coding, base.clone())[1..];
-            assert!(
-                shares.iter().all(|x| (0.0..=100.0).contains(x)),
-                "{coding}: {shares:?}"
-            );
-            assert!(
-                (shares.iter().sum::<f64>() - 100.0).abs() < 0.1,
-                "{coding}: {shares:?}"
-            );
+            let in_range = shares.iter().all(|x| (0.0..=100.0).contains(x));
+            assert!(in_range, "{coding}: {shares:?}");
         }
     }
 
     #[test]
     fn fig07_and_tab02_verdicts_at_smoke_scale() {
         let (_, claims) = crate::find("fig07").unwrap().execute(SMOKE);
+        assert_eq!(claims.len(), 2, "{claims:?}");
         assert!(
             claims[1].holds,
             "Flash index not smaller than HNSW: {claims:?}"
         );
         let (tables, claims) = crate::find("tab02").unwrap().execute(SMOKE);
+        assert_eq!(claims.len(), 1, "{claims:?}");
         assert!(claims[0].holds, "Flash layout misses more: {claims:?}");
         assert_eq!(tables.matches("-like |").count(), 8);
     }
@@ -390,7 +401,6 @@ mod tests {
         assert!(!speedup_holds(&[rows(&[&[1.0, 2.0, 0.5]])]));
         assert!(savings_accumulate(&[rows(&[&[2.0, 1.0], &[4.0, 2.0]])]));
         assert!(!savings_accumulate(&[rows(&[&[2.0, 1.0], &[4.0, 3.5]])]));
-        // Scalar, SSE, AVX, AVX-512 seconds: 16x the width allows < 16x.
         // Scalar, SSE, AVX, AVX-512 seconds: 16x the width allows < 16x.
         let tiers = |secs: &[f64]| rows(&[secs]);
         assert!(wider_is_faster_sublinearly(

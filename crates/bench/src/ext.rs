@@ -5,7 +5,7 @@
 
 use crate::search::{generality, runs};
 use crate::{above_one, build, ids, timed, Outcome, Rows, Scale, Workload};
-use engine::{Coding, GraphKind, SearchRequest};
+use engine::{Coding, GraphKind, IndexBuilder, SearchRequest};
 use flash::{tune_flash_params, FlashParams, TuneOptions};
 use maintenance::cycles::gaussian_generator;
 use maintenance::{simulate_cycles, CycleWorkload, LsmConfig};
@@ -15,10 +15,12 @@ use std::sync::Arc;
 use vecstore::{ground_truth, DatasetProfile, DatasetSpec, VectorSet};
 
 pub(crate) fn ext1(scale: Scale) -> Outcome {
+    let paper = "expected: Flash speeds up Vamana (CA+NS) more than HCNNG (no layout)";
     let (out, [vamana, hcnng]) = generality(scale, [GraphKind::Vamana, GraphKind::Hcnng]);
     // Vamana builds faster with Flash, and gains more than HCNNG does.
     let holds = above_one(&[vamana, vamana / hcnng]);
-    out.verdict(format!("Vamana {vamana:.1}x, HCNNG {hcnng:.1}x"), holds)
+    let ours = format!("Vamana {vamana:.1}x, HCNNG {hcnng:.1}x");
+    out.verdict(paper, ours, holds)
 }
 
 /// Whether recall without rebuilds (`[first, last]`) ends below where it
@@ -31,6 +33,7 @@ pub(crate) fn rebuild_repairs(never: [f64; 2], rebuilt: f64, full_s: f64, flash_
 /// never rebuilt and rebuilt every 5 cycles; then the compaction itself,
 /// HNSW vs HNSW-Flash over one corpus.
 pub(crate) fn ext2(scale: Scale) -> Outcome {
+    let paper = "expected: recall decays without rebuild; rebuilds restore it; Flash's is fast";
     let (dim, n) = (64, scale.n.max(1000));
     let mut config = LsmConfig::for_dim(dim);
     config.memtable_cap = (n / 8).max(256);
@@ -65,16 +68,22 @@ pub(crate) fn ext2(scale: Scale) -> Outcome {
     let out = Outcome::default().table(&format!("n = {n}, dim = {dim}"), head, &rows);
     let spec = DatasetSpec::new(dim, 8, 0.98, 0.25, 0xB11D);
     let base = vecstore::generate(&spec, n, 1, 7).0;
-    let (c, r) = (config.hnsw.c, config.hnsw.r);
-    let lsm = Scale { c, r, ..scale };
-    let rebuild = |coding| build(lsm.builder(GraphKind::Hnsw, coding), base.clone()).1;
+    let p = config.hnsw;
+    let lsm = |coding| {
+        IndexBuilder::new(GraphKind::Hnsw, coding)
+            .c(p.c)
+            .r(p.r)
+            .seed(p.seed)
+    };
+    let rebuild = |coding| build(lsm(coding), base.clone()).1;
     let (full_s, flash_s) = (rebuild(Coding::Full), rebuild(Coding::Flash));
     let never = [never[0].recall, never[never.len() - 1].recall];
     let rebuilt = every5[every5.len() - 1].recall;
     let [first, last] = never;
     let ours = format!("recall {first:.4} → {last:.4}, rebuilt {rebuilt:.4}; rebuild");
     let ours = format!("{ours} {full_s:.2} s vs Flash {flash_s:.2} s");
-    out.verdict(ours, rebuild_repairs(never, rebuilt, full_s, flash_s))
+    let holds = rebuild_repairs(never, rebuilt, full_s, flash_s);
+    out.verdict(paper, ours, holds)
 }
 
 /// `w` with the exact top-k among only the vectors `keep` lists.
@@ -102,6 +111,7 @@ pub(crate) fn filtering_costs(filtered: &Rows, specialized: &Rows) -> bool {
 }
 
 pub(crate) fn ext3(scale: Scale) -> Outcome {
+    let paper = "expected: filters cost recall and QPS; per-label builds cost more, Flash less";
     let w = Workload::new(DatasetProfile::LaionLike, scale, 10);
     let mut rng = SmallRng::seed_from_u64(0xF117);
     let mut assign = |count: u32| -> Vec<u32> {
@@ -140,10 +150,11 @@ pub(crate) fn ext3(scale: Scale) -> Outcome {
         specialized.push((count.to_string(), vec![full, flash, full / shared_s]));
     }
     let head = "labels | hnsw (s) | hnsw-flash (s) | hnsw ÷ one graph";
-    let out = out.table("One graph per label", head, &specialized);
+    let title = "One graph per label (Flash's one codec training included)";
+    let out = out.table(title, head, &specialized);
     let (r4, r64, amp) = (filter[0].1[1], filter[2].1[1], specialized[1].1[2]);
     let ours = format!("recall {r4:.4} → {r64:.4} from 4 to 64 labels; 16 graphs cost {amp:.1}x");
-    out.verdict(ours, filtering_costs(&filter, &specialized))
+    out.verdict(paper, ours, filtering_costs(&filter, &specialized))
 }
 
 /// Whether OPQ (second) recalls at least as well as PQ (first) at the
@@ -154,17 +165,19 @@ pub(crate) fn opq_trade(build_s: [f64; 3], recall: [f64; 3]) -> bool {
 }
 
 pub(crate) fn ext4(scale: Scale) -> Outcome {
+    let paper = "expected: OPQ trades training time for recall over PQ; Flash builds fastest";
     let w = Workload::new(DatasetProfile::SsnppLike, scale, 10);
     // One subspace per 32 dims: OPQ needs a divisor of the dimension.
     let pq_m = w.base.dim() / 32;
     let codings = [Coding::Pq, Coding::Opq, Coding::Flash];
-    let builders = codings.map(|c| scale.builder(GraphKind::Hnsw, c).pq_m(pq_m));
+    let builder = |c| scale.builder(GraphKind::Hnsw, c).pq_m(pq_m).opq_iters(4);
+    let builders = codings.map(builder);
     let (out, runs) = runs(Outcome::default(), &w, &builders, "SSNPP-like");
     let build_s = [0, 1, 2].map(|i| runs[i].0);
     let recall = [0, 1, 2].map(|i| runs[i].1.last().map_or(0.0, |p| p.recall));
     let ([r0, r1, r2], [b0, b1, b2]) = (recall, build_s);
     let ours = format!("recall {r0:.4} / {r1:.4} / {r2:.4}, build {b0:.2} / {b1:.2} / {b2:.2} s");
-    out.verdict(ours, opq_trade(build_s, recall))
+    out.verdict(paper, ours, opq_trade(build_s, recall))
 }
 
 /// Whether the tuned `[M_F, build seconds, recall@10]` codes in no more
@@ -174,6 +187,7 @@ pub(crate) fn tuned_matches(default: &[f64], tuned: &[f64]) -> bool {
 }
 
 pub(crate) fn ext5(scale: Scale) -> Outcome {
+    let paper = "expected: tuning picks fewer subspaces at the default's recall and cost";
     let w = Workload::new(DatasetProfile::LaionLike, scale, 10);
     let auto = FlashParams::auto(w.base.dim());
     let (tuned, tune_s) = timed(|| tune_flash_params(&w.base, auto, &TuneOptions::default()));
@@ -202,7 +216,7 @@ pub(crate) fn ext5(scale: Scale) -> Outcome {
     let out = out.table("Validation builds", head, &rows);
     let (d, t) = (&rows[0].1, &rows[1].1);
     let ours = format!("M_F {} → {}, recall {:.4} → {:.4}", d[0], t[0], d[2], t[2]);
-    out.verdict(ours, tuned_matches(d, t))
+    out.verdict(paper, ours, tuned_matches(d, t))
 }
 
 #[cfg(test)]

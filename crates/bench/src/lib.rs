@@ -99,12 +99,11 @@ pub struct Claim {
 /// Labeled rows of numbers: one table's body.
 pub(crate) type Rows = Vec<(String, Vec<f64>)>;
 
-/// What one experiment run produced: markdown tables, and `(ours, holds)`
-/// for each statement of its [`Experiment::paper`], in order.
+/// What one experiment run produced: markdown tables and its claims.
 #[derive(Debug, Default)]
 pub struct Outcome {
     tables: String,
-    verdicts: Vec<(String, bool)>,
+    claims: Vec<Claim>,
 }
 
 impl Outcome {
@@ -120,9 +119,9 @@ impl Outcome {
         self
     }
 
-    /// Records our value and verdict for the next statement.
-    fn verdict(mut self, ours: String, holds: bool) -> Self {
-        self.verdicts.push((ours, holds));
+    /// Records the `paper` statement with our value and verdict.
+    fn verdict(mut self, paper: &'static str, ours: String, holds: bool) -> Self {
+        self.claims.push(Claim { paper, ours, holds });
         self
     }
 }
@@ -143,20 +142,16 @@ pub struct Experiment {
     pub id: &'static str,
     /// What it measures.
     pub title: &'static str,
-    /// The statements it checks, each with the paper's value.
-    pub paper: &'static [&'static str],
-    /// Runs the experiment at a scale.
+    /// Runs the experiment at a scale; its outcome checks at least one claim.
     pub run: fn(Scale) -> Outcome,
 }
 
 impl Experiment {
     /// Runs the experiment: its tables, and its claims with our verdicts.
     pub fn execute(&self, scale: Scale) -> (String, Vec<Claim>) {
-        let outcome = (self.run)(scale);
-        assert_eq!(outcome.verdicts.len(), self.paper.len(), "{}", self.id);
-        let claims = self.paper.iter().zip(outcome.verdicts);
-        let claims = claims.map(|(&paper, (ours, holds))| Claim { paper, ours, holds });
-        (outcome.tables, claims.collect())
+        let Outcome { tables, claims } = (self.run)(scale);
+        assert!(!claims.is_empty(), "{} checks no claim", self.id);
+        (tables, claims)
     }
 }
 
@@ -165,136 +160,111 @@ pub static EXPERIMENTS: [Experiment; 22] = [
     Experiment {
         id: "fig01",
         title: "Profile of baseline HNSW indexing time",
-        paper: &["distance computation takes 90.8–90.9 % of HNSW indexing time"],
         run: build::fig01,
     },
     Experiment {
         id: "fig03",
         title: "Effect of PQ parameters on HNSW-PQ",
-        paper: &["PQ build time rises with L_PQ, is U-shaped in M_PQ; recall rises with both"],
         run: search::fig03,
     },
     Experiment {
         id: "fig04",
         title: "Parameter effects on HNSW-SQ and HNSW-PCA",
-        paper: &["SQ build time is least at 8 bits; PCA time grows with d_PCA, recall too"],
         run: search::fig04,
     },
     Experiment {
         id: "fig06",
         title: "Indexing time of the five methods on all eight datasets",
-        paper: &["Flash builds 10.4x–22.9x faster than HNSW across the eight datasets"],
         run: build::fig06,
     },
     Experiment {
         id: "fig07",
         title: "Index sizes of the five methods",
-        paper: &[
-            "PQ compresses most (~10–13x)",
-            "Flash compresses ~4–5x (codes stored globally and beside neighbor ids)",
-        ],
         run: build::fig07,
     },
     Experiment {
         id: "fig08",
         title: "QPS–recall of the five methods on all eight datasets",
-        paper: &["Flash matches or beats baseline HNSW search; PQ trails (index quality)"],
         run: search::fig08,
     },
     Experiment {
         id: "fig09",
         title: "QPS–ADR of the five methods",
-        paper: &["Flash attains the lowest ADR at a given QPS (answers closest to truth)"],
         run: search::fig09,
     },
     Experiment {
         id: "fig10",
         title: "Scalability over data volume",
-        paper: &["Flash's speedup stays in the 15–20x band across volumes"],
         run: build::fig10,
     },
     Experiment {
         id: "fig11",
         title: "Scalability over segment count",
-        paper: &["the per-segment speedup accumulates linearly with segment count"],
         run: build::fig11,
     },
     Experiment {
         id: "fig12",
         title: "Flash indexing time per SIMD tier",
-        paper: &["wider registers build faster, sub-linearly (memory, instruction latency)"],
         run: build::fig12,
     },
     Experiment {
         id: "fig13",
         title: "ADSampling and VBase on baseline vs Flash-built graphs",
-        paper: &["Flash graphs serve ADSampling, VBase as well at ~1/15 the build cost"],
         run: search::fig13,
     },
     Experiment {
         id: "fig14",
         title: "NSG and τ-MG with and without Flash",
-        paper: &["Flash speeds up NSG and τ-MG builds ~11–12x at comparable QPS-recall"],
         run: search::fig14,
     },
     Experiment {
         id: "fig15",
         title: "Profile of HNSW-Flash graph construction",
-        paper: &["distance computation is ~12 % of Flash's graph construction (was >90 %)"],
         run: build::fig15,
     },
     Experiment {
         id: "fig16",
         title: "Flash parameter sensitivity",
-        paper: &["recall peaks at a moderate d_F; build time grows with M_F"],
         run: search::fig16,
     },
     Experiment {
         id: "tab02",
         title: "Simulated L1 miss rate before vs after the Flash layout",
-        paper: &["L1 miss rate 19.1–26.0 % without vs 4.9–7.9 % with the Flash layout"],
         run: build::tab02,
     },
     Experiment {
         id: "tab03",
         title: "Flash build time without vs with SIMD",
-        paper: &["SIMD lookups cut indexing time by up to 45 % (coding time unaffected)"],
         run: build::tab03,
     },
     Experiment {
         id: "tab04",
         title: "Coding time vs total indexing time of HNSW-Flash",
-        paper: &["coding is ~3–16 % of total indexing time across the datasets"],
         run: build::tab04,
     },
     Experiment {
         id: "ext1",
         title: "Vamana and HCNNG with and without Flash",
-        paper: &["expected: Flash speeds up Vamana (CA+NS) more than HCNNG (no layout)"],
         run: ext::ext1,
     },
     Experiment {
         id: "ext2",
         title: "Update cycles: recall decay without rebuild vs periodic Flash rebuild",
-        paper: &["expected: recall decays without rebuild; rebuilds restore it; Flash's is fast"],
         run: ext::ext2,
     },
     Experiment {
         id: "ext3",
         title: "Attribute-constrained ANNS: one filtered graph vs per-label graphs",
-        paper: &["expected: filters cost recall and QPS; per-label builds cost more, Flash less"],
         run: ext::ext3,
     },
     Experiment {
         id: "ext4",
         title: "HNSW-OPQ vs HNSW-PQ vs HNSW-Flash",
-        paper: &["expected: OPQ trades training time for recall over PQ; Flash builds fastest"],
         run: ext::ext4,
     },
     Experiment {
         id: "ext5",
         title: "Theorem-1 parameter tuning, validated by real builds",
-        paper: &["expected: tuning picks fewer subspaces at the default's recall and cost"],
         run: ext::ext5,
     },
 ];
@@ -492,11 +462,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_22_unique_ids_each_with_a_claim() {
+    fn scale_defaults() {
+        let s = Scale::from_env();
+        assert!(s.n > 0 && s.queries > 0 && s.c >= s.r);
+    }
+
+    #[test]
+    fn registry_has_22_unique_ids() {
         let ids: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), 22);
         for e in &EXPERIMENTS {
-            assert!(!e.paper.is_empty(), "{} checks no claim", e.id);
             assert!(std::ptr::eq(find(e.id).unwrap(), e));
         }
         assert!(find("fig02").is_none());
@@ -515,6 +490,9 @@ mod tests {
         for coding in METHODS {
             let (index, took) = build(SMOKE.builder(GraphKind::Hnsw, coding), w.base.clone());
             assert!(took > 0.0);
+            let request = SearchRequest::new(w.queries.get(0), 3).ef(32);
+            let hits = index.search(&request.rerank(coding.default_rerank())).hits;
+            assert_eq!(hits.len(), 3, "{coding}");
             let points = w.curve(index.as_ref(), coding, &[32]);
             assert!(points[0].recall > 0.0, "{coding}");
             assert!(index.memory_bytes() > 0);
