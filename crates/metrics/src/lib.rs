@@ -42,8 +42,7 @@ pub use qps::{measure_qps, QpsReport};
 pub use recall::{recall_at_k, RecallReport};
 pub use registry::{Counter, Gauge, Log2Histogram, MetricsRegistry};
 pub use report::{
-    strip_timings, AdmissionSummary, BenchReport, CacheSummary, Json, MutationSummary,
-    TenantSummary, TraceSummary,
+    AdmissionSummary, BenchReport, CacheSummary, Json, MutationSummary, TenantSummary, TraceSummary,
 };
 pub use slo::{BurnConfig, Objective, ObjectiveSummary, SloGuard, SloSummary, SloTracker};
 pub use trace::{

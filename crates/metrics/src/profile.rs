@@ -5,8 +5,8 @@
 //! than how long it took. Every field is a pure function of
 //! `(index, query, parameters)`: no clocks, no sampling, no allocation.
 //! That makes profiles the structural currency of the whole perf plane:
-//! they survive `report::strip_timings`, reproduce byte-for-byte across
-//! identically-seeded runs, and aggregate losslessly — a coordinator's
+//! they reproduce byte-for-byte across identically-seeded runs, and
+//! aggregate losslessly — a coordinator's
 //! per-query profile is exactly the sum of the per-shard profiles it
 //! gathered, and a node's cumulative profile is exactly the sum of the
 //! per-query profiles it served.
@@ -129,7 +129,7 @@ impl QueryProfile {
     }
 
     /// This profile as a JSON object with fields in canonical order
-    /// (every value is structural — `strip_timings` keeps all of them).
+    /// (every value is structural).
     pub fn to_json(&self) -> Json {
         Json::Obj(
             PROFILE_FIELDS

@@ -11,15 +11,14 @@
 //! 1. **No `NaN`/`inf` ever reaches the file.** JSON has no spelling for
 //!    them, and a single `NaN` silently poisons every downstream consumer.
 //!    [`Json::num`] demotes non-finite floats to `null`, and
-//!    [`BenchReport::validate`] rejects reports whose recall/latency
-//!    fields are not finite numbers.
+//!    [`BenchReport::validate`] rejects reports whose recall is not a
+//!    finite number.
 //! 2. **Byte-stable output.** Keys are written in insertion order and
 //!    floats through Rust's shortest-round-trip formatter, so two runs
-//!    that produce equal values produce equal bytes — which is what lets
-//!    the determinism tests compare reports textually after
-//!    [`strip_timings`] removes the wall-clock fields.
+//!    that produce equal values produce equal bytes. A report records no
+//!    wall-clock measurement, so two runs of one seed and topology write
+//!    the same file.
 
-use crate::latency::LatencySummary;
 use crate::profile::QueryProfile;
 use crate::slo::SloSummary;
 use crate::ReplicaStats;
@@ -33,19 +32,19 @@ use std::fmt::Write as _;
 /// added the required `profile` key (structural per-query cost counters
 /// summed over the run — see [`crate::profile::QueryProfile`]) and the
 /// required `slo` key (burn-rate objective summary, `null` for runs
-/// with no objectives).
-pub const SCHEMA_VERSION: u64 = 4;
+/// with no objectives); version 5 dropped the wall-clock leaves (`qps`,
+/// `wall_seconds`, `latency_ms`, `trace.stage_ms`), so a report holds
+/// only what a fixed seed and topology reproduce.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Top-level keys every `BENCH_*.json` must carry.
-pub const REQUIRED_KEYS: [&str; 16] = [
+pub const REQUIRED_KEYS: [&str; 14] = [
     "schema_version",
     "scenario",
     "seed",
     "topology",
     "config",
     "queries",
-    "qps",
-    "latency_ms",
     "recall",
     "cache",
     "admission",
@@ -163,7 +162,7 @@ impl Json {
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -173,55 +172,14 @@ impl Json {
     /// newline; the caller appends it).
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(v) => {
-                if v.is_finite() {
-                    if *v == v.trunc() && v.abs() < 1e15 {
-                        let _ = write!(out, "{v:.1}");
-                    } else {
-                        let _ = write!(out, "{v}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
+    /// The one serializer: `indent` is `Some(depth)` for the pretty form
+    /// (one member per line, two spaces per level, `": "` after keys) and
+    /// `None` for the compact form (no whitespace at all).
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -243,42 +201,11 @@ impl Json {
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
+                write_members(out, indent, ['[', ']'], items.iter().map(|v| (None, v)));
             }
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_members(out, indent, ['{', '}'], members);
             }
         }
     }
@@ -300,10 +227,40 @@ impl Json {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// The members of an array (`key` = `None`) or object between `open` and
+/// `close`, in [`Json::write`]'s two forms. An empty container is written
+/// `[]` / `{}` in both.
+fn write_members<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    [open, close]: [char; 2],
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", depth));
+    };
+    let inner = indent.map(|depth| depth + 1);
+    out.push(open);
+    let mut empty = true;
+    for (key, value) in members {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(depth) = inner {
+            newline(out, depth);
+        }
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
     }
+    if let (Some(depth), false) = (indent, empty) {
+        newline(out, depth);
+    }
+    out.push(close);
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -534,39 +491,6 @@ impl Parser<'_> {
     }
 }
 
-/// Keys whose values are wall-clock measurements and therefore excluded
-/// from the determinism comparison. `stage_ms` (the trace summary's
-/// per-stage latency breakdown) and `elapsed_ns` (per-span durations in
-/// exported traces) are measurements too; the span *counts* stay.
-/// [`strip_timings`] is the only reader: nothing compares the values under
-/// these keys (timings are `benchmark/`'s to measure).
-const TIMING_KEYS: [&str; 5] = [
-    "qps",
-    "wall_seconds",
-    "latency_ms",
-    "stage_ms",
-    "elapsed_ns",
-];
-
-/// Returns a copy of `json` with every timing-valued key (`qps`,
-/// `wall_seconds`, `latency_ms`, `stage_ms`, `elapsed_ns`) removed,
-/// recursively. Comparing two stripped reports checks exactly the fields
-/// that must reproduce for a fixed seed and topology: counts, recall,
-/// cache/failover/transport counters.
-pub fn strip_timings(json: &Json) -> Json {
-    match json {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .filter(|(k, _)| !TIMING_KEYS.contains(&k.as_str()))
-                .map(|(k, v)| (k.clone(), strip_timings(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_timings).collect()),
-        other => other.clone(),
-    }
-}
-
 /// Query-cache counters in report form (mirror of the serving layer's
 /// cache stats; `metrics` cannot depend on `serving`, so the runner copies
 /// the three counts across).
@@ -641,16 +565,10 @@ pub struct TenantSummary {
     pub tenant: u32,
     /// Queries issued by this tenant.
     pub queries: u64,
-    /// Latency distribution over this tenant's queries.
-    pub latency: LatencySummary,
 }
 
-/// Aggregated trace-plane accounting for a scenario run.
-///
-/// The span *counts* are structural — a fixed seed and topology must
-/// reproduce them exactly — while `stage_ms` holds wall-clock per-stage
-/// totals and is stripped by [`strip_timings`] alongside the other
-/// timing fields.
+/// Aggregated trace-plane accounting for a scenario run: span *counts*,
+/// which a fixed seed and topology reproduce exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
     /// Query events that carried a trace context.
@@ -661,9 +579,6 @@ pub struct TraceSummary {
     /// Span counts by taxonomy name (`cache_lookup`, `route`, ...), in
     /// span-code order. Names with zero spans are omitted.
     pub span_counts: Vec<(String, u64)>,
-    /// Total in-span milliseconds by taxonomy name, same order as
-    /// `span_counts` (timing; stripped for determinism checks).
-    pub stage_ms: Vec<(String, f64)>,
 }
 
 /// Everything a scenario run reports; serialized as `BENCH_<scenario>.json`.
@@ -671,7 +586,7 @@ pub struct TraceSummary {
 pub struct BenchReport {
     /// Scenario name (`steady_zipf`, `fault_storm`, ...).
     pub scenario: String,
-    /// Workload seed; same seed + topology ⇒ same non-timing fields.
+    /// Workload seed; same seed + topology ⇒ the same report.
     pub seed: u64,
     /// Topology label, e.g. `sharded:4+cache:256`.
     pub topology: String,
@@ -679,13 +594,6 @@ pub struct BenchReport {
     pub config: Vec<(String, Json)>,
     /// Total query events executed.
     pub queries: u64,
-    /// Wall-clock seconds over the query phase (timing; stripped for
-    /// determinism checks).
-    pub wall_seconds: f64,
-    /// Queries per second (timing).
-    pub qps: f64,
-    /// Latency distribution over all queries (timing).
-    pub latency: LatencySummary,
     /// `k` used for recall measurement.
     pub k: usize,
     /// Queries on which recall was measured against the brute-force oracle.
@@ -705,8 +613,8 @@ pub struct BenchReport {
     /// Trace-plane aggregates, when the run recorded spans.
     pub trace: Option<TraceSummary>,
     /// Structural cost counters summed over every executed query.
-    /// Deterministic per (seed, topology): [`strip_timings`] keeps the
-    /// whole section and the harness asserts byte-identity on it.
+    /// Deterministic per (seed, topology): the harness asserts
+    /// byte-identity on the section.
     pub profile: QueryProfile,
     /// Burn-rate objective summary, when the run tracked SLOs.
     pub slo: Option<SloSummary>,
@@ -714,18 +622,6 @@ pub struct BenchReport {
     pub mutations: MutationSummary,
     /// Per-tenant accounting, ordered by tenant id.
     pub tenants: Vec<TenantSummary>,
-}
-
-fn latency_json(l: &LatencySummary) -> Json {
-    Json::Obj(vec![
-        ("samples".into(), Json::uint(l.samples as u64)),
-        ("mean".into(), Json::num(l.mean_ms)),
-        ("p50".into(), Json::num(l.p50_ms)),
-        ("p95".into(), Json::num(l.p95_ms)),
-        ("p99".into(), Json::num(l.p99_ms)),
-        ("p999".into(), Json::num(l.p999_ms)),
-        ("max".into(), Json::num(l.max_ms)),
-    ])
 }
 
 impl BenchReport {
@@ -765,15 +661,6 @@ impl BenchReport {
                             .collect(),
                     ),
                 ),
-                (
-                    "stage_ms".into(),
-                    Json::Obj(
-                        t.stage_ms
-                            .iter()
-                            .map(|(name, ms)| (name.clone(), Json::num(*ms)))
-                            .collect(),
-                    ),
-                ),
             ]),
             None => Json::Null,
         };
@@ -784,7 +671,6 @@ impl BenchReport {
                 Json::Obj(vec![
                     ("tenant".into(), Json::uint(u64::from(t.tenant))),
                     ("queries".into(), Json::uint(t.queries)),
-                    ("latency_ms".into(), latency_json(&t.latency)),
                 ])
             })
             .collect();
@@ -795,9 +681,6 @@ impl BenchReport {
             ("topology".into(), Json::str(&self.topology)),
             ("config".into(), Json::Obj(self.config.clone())),
             ("queries".into(), Json::uint(self.queries)),
-            ("wall_seconds".into(), Json::num(self.wall_seconds)),
-            ("qps".into(), Json::num(self.qps)),
-            ("latency_ms".into(), latency_json(&self.latency)),
             (
                 "recall".into(),
                 Json::Obj(vec![
@@ -835,8 +718,8 @@ impl BenchReport {
     }
 
     /// Checks that a parsed report carries every required key and that its
-    /// recall/latency fields are finite numbers (never `null`, `NaN`, or a
-    /// string). Used by the CLI's post-write self-check and by CI.
+    /// recall is a finite number (never `null`, `NaN`, or a string). Used
+    /// by the CLI's post-write self-check and by CI.
     pub fn validate(json: &Json) -> Result<(), String> {
         if !matches!(json, Json::Obj(_)) {
             return Err("report is not a JSON object".into());
@@ -854,11 +737,6 @@ impl BenchReport {
         };
         let recall = json.get("recall").unwrap();
         finite(recall.get("recall_at_k"), "recall.recall_at_k")?;
-        let latency = json.get("latency_ms").unwrap();
-        for p in ["mean", "p50", "p95", "p99", "p999", "max"] {
-            finite(latency.get(p), &format!("latency_ms.{p}"))?;
-        }
-        finite(json.get("qps"), "qps")?;
         if json.get("schema_version").and_then(Json::as_u64) != Some(SCHEMA_VERSION) {
             return Err(format!("schema_version is not {SCHEMA_VERSION}"));
         }
@@ -886,9 +764,6 @@ mod tests {
                 ("zipf_exponent".into(), Json::num(1.1)),
             ],
             queries: 3000,
-            wall_seconds: 1.25,
-            qps: 2400.0,
-            latency: crate::latency_summary(&[0.4, 0.6, 0.9, 1.4]),
             k: 10,
             recall_samples: 128,
             recall_at_k: 0.971,
@@ -910,7 +785,6 @@ mod tests {
                 traces: 3000,
                 dropped: 0,
                 span_counts: vec![("cache_lookup".into(), 3000), ("gather".into(), 3000)],
-                stage_ms: vec![("cache_lookup".into(), 1.5), ("gather".into(), 40.25)],
             }),
             profile: QueryProfile {
                 hops_upper: 9000,
@@ -936,7 +810,6 @@ mod tests {
             tenants: vec![TenantSummary {
                 tenant: 0,
                 queries: 3000,
-                latency: crate::latency_summary(&[0.4, 0.6]),
             }],
         }
     }
@@ -963,8 +836,9 @@ mod tests {
         assert_eq!(Json::num(f64::INFINITY), Json::Null);
         assert_eq!(Json::num(f64::NEG_INFINITY), Json::Null);
         let mut report = sample_report();
-        report.qps = f64::NAN;
         report.recall_at_k = f64::INFINITY;
+        // A non-finite float built around `Json::num` is demoted on write.
+        report.config.push(("raw".into(), Json::Num(f64::NAN)));
         let text = report.to_pretty_string();
         assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
         // ... and validation refuses the resulting nulls.
@@ -1000,45 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_timings_removes_exactly_the_wall_clock_fields() {
-        let json = sample_report().to_json();
-        let stripped = strip_timings(&json);
-        assert!(stripped.get("qps").is_none());
-        assert!(stripped.get("wall_seconds").is_none());
-        assert!(stripped.get("latency_ms").is_none());
-        // Tenant latency goes too, but counts stay.
-        let tenant = &stripped.get("tenants").unwrap().as_arr().unwrap()[0];
-        assert!(tenant.get("latency_ms").is_none());
-        assert_eq!(tenant.get("queries").unwrap().as_u64(), Some(3000));
-        assert_eq!(stripped.get("queries").unwrap().as_u64(), Some(3000));
-        assert!(stripped.get("recall").is_some());
-        assert!(stripped.get("cache").is_some());
-        // Admission counters are structural: all five survive the strip.
-        let admission = stripped.get("admission").unwrap();
-        assert_eq!(admission.get("shed").unwrap().as_u64(), Some(100));
-        assert_eq!(admission.get("retried").unwrap().as_u64(), Some(40));
-        // The trace summary keeps its structural span counts but loses
-        // the per-stage wall-clock breakdown.
-        let trace = stripped.get("trace").unwrap();
-        assert!(trace.get("stage_ms").is_none());
-        assert_eq!(
-            trace.get("spans").unwrap().get("gather").unwrap().as_u64(),
-            Some(3000)
-        );
-        assert_eq!(trace.get("traces").unwrap().as_u64(), Some(3000));
-        // The whole profile section is structural and survives intact.
-        let profile = stripped.get("profile").unwrap();
-        assert_eq!(
-            QueryProfile::from_json(profile),
-            Some(sample_report().profile)
-        );
-        // SLO counts and burn state are structural too.
-        let slo = stripped.get("slo").unwrap();
-        assert_eq!(slo.get("ticks").unwrap().as_u64(), Some(1));
-        assert!(slo.get("healthy").is_some());
-    }
-
-    #[test]
     fn compact_form_is_one_line_and_round_trips() {
         let json = sample_report().to_json();
         let compact = json.to_compact_string();
@@ -1046,6 +881,28 @@ mod tests {
         assert!(!compact.contains(": "), "no space after separators");
         let back = Json::parse(&compact).unwrap();
         assert_eq!(back, json);
+        // Both forms byte for byte: an integral float keeps its ".0",
+        // strings are escaped, empty containers close on the same line.
+        let nested = Json::Obj(vec![
+            (
+                "a".into(),
+                Json::Arr(vec![
+                    Json::Num(2.0),
+                    Json::str("q\"\n"),
+                    Json::Arr(vec![]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+            ("b".into(), Json::Obj(vec![("c".into(), Json::Int(-3))])),
+        ]);
+        assert_eq!(
+            nested.to_compact_string(),
+            r#"{"a":[2.0,"q\"\n",[],{}],"b":{"c":-3}}"#
+        );
+        assert_eq!(
+            nested.to_pretty_string(),
+            "{\n  \"a\": [\n    2.0,\n    \"q\\\"\\n\",\n    [],\n    {}\n  ],\n  \"b\": {\n    \"c\": -3\n  }\n}\n"
+        );
     }
 
     #[test]

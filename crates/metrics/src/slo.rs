@@ -258,7 +258,7 @@ pub struct SloSummary {
 impl SloSummary {
     /// Serializes with stable key order (counts and config only — every
     /// field is deterministic for a seeded run, so the whole section is
-    /// structural and survives `strip_timings`).
+    /// structural).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             (

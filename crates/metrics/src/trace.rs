@@ -6,8 +6,8 @@
 //! shared [`SpanRing`]. Trace ids are derived from `(seed, sequence)`
 //! with [`trace_id_for`] — never from wall-clock — so two runs with the
 //! same workload produce the same ids and the same span *structure*;
-//! only [`SpanRecord::elapsed_ns`] varies between runs, and the JSON
-//! forms emit it under a key that `report::strip_timings` removes.
+//! only [`SpanRecord::elapsed_ns`] varies between runs (the JSON forms
+//! emit it under the `elapsed_ns` key).
 //!
 //! Ordering model: spans are recorded concurrently (shard fan-out runs
 //! on worker threads), so the ring's global claim order is not
@@ -221,8 +221,7 @@ impl SpanRecord {
         (raw != LANE_NONE).then_some(raw)
     }
 
-    /// This span as a JSON object (`elapsed_ns` is a timing key that
-    /// `report::strip_timings` removes).
+    /// This span as a JSON object (`elapsed_ns` is its one timing key).
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> =
             vec![("kind".into(), Json::Str(self.kind.name().into()))];

@@ -24,10 +24,8 @@
 //! 4. [`named`] — the five-scenario catalog ([`SCENARIO_NAMES`]) with
 //!    CI-sized smoke variants.
 //!
-//! Everything in the report except wall-clock timings (`qps`,
-//! `wall_seconds`, `latency_ms`) is a pure function of
-//! `(spec, topology)`; `metrics::strip_timings` removes exactly those
-//! keys so two runs can be compared byte-for-byte.
+//! The report holds no wall-clock timing: all of it is a pure function
+//! of `(spec, topology)`, so two runs can be compared byte-for-byte.
 //!
 //! ```no_run
 //! use scenario::by_name;

@@ -7,8 +7,8 @@
 //! |-----------------|--------------------------------------------|-----------------------|
 //! | `steady_zipf`   | sharded fan-out + `QueryCache` under a     | cache hit rate        |
 //! |                 | Zipf-skewed popularity curve               |                       |
-//! | `diurnal_burst` | batching/QPS through a raised-cosine day   | p99 / p999 latency    |
-//! |                 | curve with trough-to-peak swings           |                       |
+//! | `diurnal_burst` | batching through a raised-cosine day       | span + profile counts |
+//! |                 | curve with trough-to-peak swings           | under diurnal arrivals|
 //! | `churn_lsm`     | LSM overlay merge + cache generation       | recall\@k under churn |
 //! |                 | invalidation under insert/delete bursts    |                       |
 //! | `fault_storm`   | replica failover: markdown, probing,       | recall parity +       |
@@ -114,8 +114,8 @@ fn diurnal_burst(smoke: bool) -> Scenario {
     }
     Scenario {
         name: "diurnal_burst",
-        stresses: "batch executor + QPS through trough-to-peak diurnal swings",
-        key_metric: "p99/p999 latency",
+        stresses: "batch executor through trough-to-peak diurnal swings",
+        key_metric: "span and profile counts under diurnal arrivals",
         spec,
         default_topology: TopologySpec::Sharded { shards: 4 },
         default_cache: 0,

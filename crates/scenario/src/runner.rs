@@ -8,9 +8,9 @@
 //! subset of queries is checked against a brute-force oracle over the
 //! *live* vector set at that point in the stream.
 //!
-//! Everything the runner reports besides wall-clock timings — counts,
-//! recall, cache/failover/transport counters — is a deterministic
-//! function of `(spec, topology)`. Two deliberate choices keep it so:
+//! Everything the runner reports — counts, recall, cache/failover/
+//! transport counters — is a deterministic function of `(spec, topology)`;
+//! it takes no wall-clock measurement. Two deliberate choices keep it so:
 //! fault-storm scenarios run with `batch = 1` (health transitions are
 //! then totally ordered against query placement), and predicate-filtered
 //! queries are demoted to plain on remote topologies (predicates cannot
@@ -29,8 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serving::distributed::{connect_round_robin_shards, NodeAddr, SocketTransport, Transport};
 use serving::{
-    BatchExecutor, BatchReport, CachedIndex, HealthConfig, ReplicatedIndex, ShardPolicy,
-    ShardedIndex,
+    BatchExecutor, CachedIndex, HealthConfig, ReplicatedIndex, ShardPolicy, ShardedIndex,
 };
 use std::sync::Arc;
 
@@ -107,9 +106,9 @@ pub struct ScenarioRunner {
 
 /// Accumulated run state shared by the segment flushes.
 struct RunState {
-    all_latencies: Vec<f64>,
-    tenant_indices: Vec<Vec<usize>>,
-    wall_seconds: f64,
+    /// Executed queries, in total and per tenant id.
+    queries: u64,
+    tenant_queries: Vec<u64>,
     recall_sum: f64,
     recall_samples: u64,
     /// Sum of every executed query's structural cost profile.
@@ -325,9 +324,8 @@ impl ScenarioRunner {
         // Pending segment: requests plus their event + sampled oracle ids.
         let mut pending: Vec<(SearchRequest, QueryEvent, Option<Vec<u64>>)> = Vec::new();
         let mut state = RunState {
-            all_latencies: Vec::new(),
-            tenant_indices: vec![Vec::new(); spec.tenants.max(1) as usize],
-            wall_seconds: 0.0,
+            queries: 0,
+            tenant_queries: vec![0; spec.tenants.max(1) as usize],
             recall_sum: 0.0,
             recall_samples: 0,
             profile: QueryProfile::new(),
@@ -355,9 +353,8 @@ impl ScenarioRunner {
                     let ctx = TraceContext::new(Arc::clone(&ring), trace_id);
                     let outcome = admission.as_ref().map(|(o, _)| o[query_counter]);
                     if let Some(o) = outcome {
-                        // Virtual queue time, one tick ≈ 1 ms (the span's
-                        // duration is timing and stripped; its depth and
-                        // presence are structural).
+                        // Virtual queue time, one tick ≈ 1 ms (its depth
+                        // and presence are structural).
                         ctx.record_timed(
                             SpanKind::QueueWait { depth: o.depth },
                             o.wait_ticks * 1_000_000,
@@ -424,12 +421,10 @@ impl ScenarioRunner {
         // --- fold the trace plane -------------------------------------
         let spans = ring.snapshot();
         let mut counts = [0u64; 9];
-        let mut total_ns = [0u64; 9];
         let mut names = [""; 9];
         for s in &spans {
             let c = s.kind.code() as usize;
             counts[c] += 1;
-            total_ns[c] += s.elapsed_ns;
             names[c] = s.kind.name();
         }
         let trace_summary = TraceSummary {
@@ -438,10 +433,6 @@ impl ScenarioRunner {
             span_counts: (1..9)
                 .filter(|&c| counts[c] > 0)
                 .map(|c| (names[c].to_string(), counts[c]))
-                .collect(),
-            stage_ms: (1..9)
-                .filter(|&c| counts[c] > 0)
-                .map(|c| (names[c].to_string(), total_ns[c] as f64 / 1e6))
                 .collect(),
         };
         let traces: Vec<Json> = collect_traces(&ring, &trace_ids);
@@ -499,16 +490,10 @@ impl ScenarioRunner {
         }
 
         // --- report ----------------------------------------------------
-        let queries = state.all_latencies.len() as u64;
-        let synthetic = BatchReport {
-            latencies_ms: state.all_latencies.clone(),
-            ..BatchReport::default()
-        };
         let tenants = (0..spec.tenants.max(1))
             .map(|t| TenantSummary {
                 tenant: t,
-                queries: state.tenant_indices[t as usize].len() as u64,
-                latency: synthetic.latency_of(state.tenant_indices[t as usize].iter().copied()),
+                queries: state.tenant_queries[t as usize],
             })
             .collect();
         let mut config = spec.config_pairs();
@@ -518,14 +503,7 @@ impl ScenarioRunner {
             seed: spec.seed,
             topology: self.topology.label(spec, self.cache_capacity),
             config,
-            queries,
-            wall_seconds: state.wall_seconds,
-            qps: if state.wall_seconds > 0.0 {
-                queries as f64 / state.wall_seconds
-            } else {
-                0.0
-            },
-            latency: synthetic.latency(),
+            queries: state.queries,
             k: spec.k,
             recall_samples: state.recall_samples,
             recall_at_k: if state.recall_samples == 0 {
@@ -560,7 +538,7 @@ impl ScenarioRunner {
     }
 
     /// Runs the pending segment through a `BatchExecutor` and folds its
-    /// latencies, per-tenant indices, and oracle checks into `state`.
+    /// query counts, cost profiles and oracle checks into `state`.
     #[allow(clippy::type_complexity)]
     fn flush(
         &self,
@@ -579,7 +557,6 @@ impl ScenarioRunner {
             c.cache().set_generation(corpus.generation() + fleet);
         }
         let segment = std::mem::take(pending);
-        let offset = state.all_latencies.len();
         let mut executor =
             BatchExecutor::new(Arc::clone(serving)).batch_size(self.spec.batch.max(1));
         executor.submit_all(segment.iter().map(|(req, _, _)| req.clone()));
@@ -595,9 +572,9 @@ impl ScenarioRunner {
                 }
             }
         }
-        state.wall_seconds += report.qps.seconds;
+        state.queries += segment.len() as u64;
         for (i, (_, q, oracle)) in segment.iter().enumerate() {
-            state.tenant_indices[q.tenant as usize].push(offset + i);
+            state.tenant_queries[q.tenant as usize] += 1;
             state.profile.add(&report.responses[i].profile);
             if let Some(oracle_ids) = oracle {
                 let got = report.responses[i].ids();
@@ -608,7 +585,6 @@ impl ScenarioRunner {
                 state.recall_obs.push((q.tick, hit, denom - hit));
             }
         }
-        state.all_latencies.extend(report.latencies_ms);
     }
 }
 
@@ -812,11 +788,8 @@ mod tests {
             .find(|(name, _)| name == "queue_wait")
             .map(|(_, n)| *n);
         assert_eq!(queue_waits, Some(sa.submitted));
-        // Full strip_timings stability, not just the admission block.
-        assert_eq!(
-            metrics::strip_timings(&a.to_json()),
-            metrics::strip_timings(&b.to_json())
-        );
+        // The whole report reproduces, not just the admission block.
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl FaultStorm {
 /// therefore applies the *same policy in virtual time*: ticks are the
 /// clock, `capacity_per_tick` is the node's service rate, and the
 /// admitted/shed/retried counters become pure functions of the spec —
-/// `strip_timings`-stable across identically-seeded runs.
+/// identical across identically-seeded runs.
 ///
 /// Per tick: arrivals join a FIFO queue (overflow past `max_queue` is
 /// shed on arrival), `capacity_per_tick` requests are served from the

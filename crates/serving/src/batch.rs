@@ -39,21 +39,6 @@ impl BatchReport {
     pub fn latency(&self) -> LatencySummary {
         latency_summary(&self.latencies_ms)
     }
-
-    /// Percentile summary over a subset of queries, addressed by their
-    /// submission indices. This is the per-tenant accounting hook: a
-    /// runner that interleaves several tenants' requests in one drain can
-    /// split the shared latency samples back out per tenant.
-    ///
-    /// Out-of-range indices are ignored rather than panicking, so a
-    /// caller's index list may be built before the drain completes.
-    pub fn latency_of(&self, indices: impl IntoIterator<Item = usize>) -> LatencySummary {
-        let samples: Vec<f64> = indices
-            .into_iter()
-            .filter_map(|i| self.latencies_ms.get(i).copied())
-            .collect();
-        latency_summary(&samples)
-    }
 }
 
 /// Coalesces queued requests into batches against one [`AnnIndex`].
@@ -243,22 +228,6 @@ mod tests {
             "p50 {:.3} ms must not inherit the straggler's cost",
             summary.p50_ms
         );
-    }
-
-    #[test]
-    fn latency_of_splits_samples_by_submission_index() {
-        let (index, base) = flat(30, 4);
-        let mut ex = BatchExecutor::new(index).batch_size(4);
-        ex.submit_all((0..10).map(|qi| SearchRequest::new(base.get(qi).to_vec(), 2)));
-        let report = ex.run();
-        let evens = report.latency_of((0..10).step_by(2));
-        assert_eq!(evens.samples, 5);
-        let expected: Vec<f64> = (0..10).step_by(2).map(|i| report.latencies_ms[i]).collect();
-        assert_eq!(evens, latency_summary(&expected));
-        // Out-of-range indices are skipped, not fatal.
-        let sparse = report.latency_of([1, 99]);
-        assert_eq!(sparse.samples, 1);
-        assert_eq!(report.latency_of([]), LatencySummary::default());
     }
 
     #[test]

@@ -157,9 +157,9 @@ SCENARIO: `scenario` replays a named deterministic workload (Zipf-skewed
           queries, diurnal/bursty arrivals, LSM churn, scripted fault
           storms) against its default topology — or against --shards /
           --replicas / --nodes overrides — and writes a schema-stable
-          BENCH_<name>.json. Identical seed + topology reproduces every
-          non-timing field byte-for-byte; --smoke runs the CI-sized
-          variant of the same shape
+          BENCH_<name>.json. Identical seed + topology reproduces the
+          file byte-for-byte; --smoke runs the CI-sized variant of the
+          same shape
 
 OBSERVABILITY:
           serve-node --metrics-addr HOST:PORT opens an HTTP scrape plane
@@ -171,10 +171,8 @@ OBSERVABILITY:
           --node ADDR --openmetrics` renders a remote node's stats scrape
           in the same exposition format for piping into a collector.
           `bench-diff --old A.json --new B.json` diffs two BENCH reports
-          with their timing fields (qps, wall_seconds, latency_ms,
-          stage_ms, elapsed_ns) stripped: everything else must match
-          exactly, and any difference exits nonzero listing each
-          divergent $.path — the CI sentinel over committed baselines
+          exactly: any difference exits nonzero listing each divergent
+          $.path — the CI sentinel over committed baselines
 
 PROFILES: argilla-like anton-like laion-like imagenet-like cohere-like
           datacomp-like bigcode-like ssnpp-like";
@@ -1039,10 +1037,10 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Diffs two `BENCH_*.json` reports as the CI regression sentinel: after
-/// `strip_timings` the two must be equal, and any difference exits nonzero
-/// with every divergent path listed. Timings are not compared at all —
-/// `benchmark/` is the only stopwatch.
+/// Diffs two `BENCH_*.json` reports as the CI regression sentinel: the two
+/// must be equal, and any difference exits nonzero with every divergent
+/// path listed. A report holds no timing — `benchmark/` is the only
+/// stopwatch.
 fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
     let old_path = opts.path("old")?;
     let new_path = opts.path("new")?;
@@ -1057,10 +1055,11 @@ fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
     };
     let old = load(&old_path)?;
     let new = load(&new_path)?;
-    let diffs = bench_diffs(&old, &new);
+    let mut diffs = Vec::new();
+    diff_structural(&old, &new, "$", &mut diffs);
     if diffs.is_empty() {
         println!(
-            "bench-diff: {} and {} agree on every non-timing field",
+            "bench-diff: {} and {} agree exactly",
             old_path.display(),
             new_path.display()
         );
@@ -1077,21 +1076,8 @@ fn cmd_bench_diff(opts: &Opts) -> Result<(), String> {
     ))
 }
 
-/// Every `$.path` at which two reports differ once their timing fields are
-/// stripped; empty when they agree.
-fn bench_diffs(old: &metrics::Json, new: &metrics::Json) -> Vec<String> {
-    let mut diffs = Vec::new();
-    diff_structural(
-        &metrics::strip_timings(old),
-        &metrics::strip_timings(new),
-        "$",
-        &mut diffs,
-    );
-    diffs
-}
-
-/// Recursive exact comparison of two timing-stripped reports, recording
-/// every divergent JSON path.
+/// Recursive exact comparison of two reports, recording every divergent
+/// JSON path.
 fn diff_structural(old: &metrics::Json, new: &metrics::Json, path: &str, diffs: &mut Vec<String>) {
     use metrics::Json;
     match (old, new) {
@@ -1211,62 +1197,8 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
         .map_err(|e| format!("emitted report fails schema validation: {e}"))?;
 
     println!(
-        "scenario={} topology={} queries={} qps={:.0} p50={:.3}ms p99={:.3}ms p999={:.3}ms recall@{}={:.4}",
-        report.scenario,
-        report.topology,
-        report.queries,
-        report.qps,
-        report.latency.p50_ms,
-        report.latency.p99_ms,
-        report.latency.p999_ms,
-        report.k,
-        report.recall_at_k,
-    );
-    if let Some(c) = &report.cache {
-        println!(
-            "cache: hits={} misses={} uncacheable={} hit_rate={:.1}%",
-            c.hits,
-            c.misses,
-            c.uncacheable,
-            c.hit_rate() * 100.0
-        );
-    }
-    if let Some(f) = &report.failover {
-        println!(
-            "failover: retries={} markdowns={} probes={} recoveries={}",
-            f.retries, f.markdowns, f.probes, f.recoveries
-        );
-    }
-    if let Some(t) = &report.transport {
-        println!(
-            "transport: frames={} bytes={} timeouts={}",
-            t.frames_sent + t.frames_received,
-            t.bytes_sent + t.bytes_received,
-            t.timeouts
-        );
-    }
-    if let Some(a) = &report.admission {
-        println!(
-            "admission: submitted={} admitted={} shed={} retried={} max_depth={}",
-            a.submitted, a.admitted, a.shed, a.retried, a.max_depth
-        );
-    }
-    if let Some(t) = &report.trace {
-        let spans: Vec<String> = t
-            .span_counts
-            .iter()
-            .map(|(name, n)| format!("{name}={n}"))
-            .collect();
-        println!(
-            "trace: traces={} dropped={} {}",
-            t.traces,
-            t.dropped,
-            spans.join(" ")
-        );
-    }
-    println!(
-        "mutations: inserts={} deletes={} generation={}",
-        report.mutations.inserts, report.mutations.deletes, report.mutations.generation
+        "scenario={} topology={} queries={} recall@{}={:.4}",
+        report.scenario, report.topology, report.queries, report.k, report.recall_at_k,
     );
     eprintln!("wrote {}", out.display());
     Ok(())
@@ -1384,24 +1316,23 @@ mod tests {
         assert!(BuildSpec::from_opts(&o).is_err());
     }
 
-    /// A report-shaped document with every timing key `strip_timings`
-    /// knows at some depth, and structural fields beside each.
+    /// A report-shaped document with structural fields at every depth.
     const REPORT: &str = r#"{
-        "queries": 10, "qps": 100.5, "wall_seconds": 0.25,
-        "latency_ms": {"p50": 1.0, "max": 2.0},
+        "queries": 10,
         "profile": {"hops_base": 7, "dist_coded": 90},
-        "trace": {"spans": {"route": 3}, "stage_ms": {"route": 0.5}},
-        "tenants": [{"tenant": 0, "queries": 10, "latency_ms": {"p50": 1.0}}],
-        "spans": [{"kind": "route", "elapsed_ns": 5}]
+        "trace": {"spans": {"route": 3}},
+        "tenants": [{"tenant": 0, "queries": 10}]
     }"#;
 
-    /// `bench_diffs` between [`REPORT`] and a copy with `from` replaced by
-    /// `to`.
+    /// `diff_structural` between [`REPORT`] and a copy with `from` replaced
+    /// by `to`.
     fn diffs_after(from: &str, to: &str) -> Vec<String> {
         assert!(REPORT.contains(from), "{from}");
         let old = metrics::Json::parse(REPORT).unwrap();
         let new = metrics::Json::parse(&REPORT.replace(from, to)).unwrap();
-        bench_diffs(&old, &new)
+        let mut diffs = Vec::new();
+        diff_structural(&old, &new, "$", &mut diffs);
+        diffs
     }
 
     #[test]
@@ -1421,11 +1352,17 @@ mod tests {
                 r#""route": 3, "gather": 1"#,
                 "$.trace.spans.gather: only in",
             ),
+            // A timing leaf is a key like any other: reported, not skipped.
+            (
+                r#""queries": 10,"#,
+                r#""queries": 10, "qps": 100.5,"#,
+                "$.qps: only in the new report",
+            ),
             // An array that grew: reported once, at the array.
             (
-                r#""elapsed_ns": 5}"#,
-                r#""elapsed_ns": 5}, {"kind": "gather"}"#,
-                "$.spans: array length 1 -> 2",
+                r#""queries": 10}]"#,
+                r#""queries": 10}, {"tenant": 1, "queries": 0}]"#,
+                "$.tenants: array length 1 -> 2",
             ),
             // A structural field inside an array element.
             (r#""tenant": 0"#, r#""tenant": 1"#, "$.tenants[0].tenant:"),
@@ -1433,26 +1370,6 @@ mod tests {
             let diffs = diffs_after(from, to);
             assert_eq!(diffs.len(), 1, "{from} -> {to}: {diffs:?}");
             assert!(diffs[0].starts_with(path), "{} !~ {path}", diffs[0]);
-        }
-    }
-
-    #[test]
-    fn bench_diff_ignores_every_timing_leaf() {
-        for (from, to) in [
-            (r#""qps": 100.5"#, r#""qps": 1.0"#),
-            (r#""wall_seconds": 0.25"#, r#""wall_seconds": 900.0"#),
-            (r#""max": 2.0"#, r#""max": 20000.0"#),
-            (
-                r#""stage_ms": {"route": 0.5}"#,
-                r#""stage_ms": {"route": 77.0, "rerank": 1.0}"#,
-            ),
-            (r#""elapsed_ns": 5"#, r#""elapsed_ns": 5000000"#),
-            (
-                r#""latency_ms": {"p50": 1.0}}"#,
-                r#""latency_ms": {"p50": 99.0}}"#,
-            ),
-        ] {
-            assert_eq!(diffs_after(from, to), Vec::<String>::new(), "{from}");
         }
     }
 

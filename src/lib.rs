@@ -275,25 +275,23 @@
 //! | Scenario | Stresses | Key metric |
 //! |---|---|---|
 //! | `steady_zipf` | sharded fan-out + `QueryCache` under Zipf-skewed popularity | cache hit rate |
-//! | `diurnal_burst` | batch executor + QPS through trough-to-peak diurnal swings | p99 / p999 latency |
+//! | `diurnal_burst` | batch executor through trough-to-peak diurnal swings | span + profile counts under diurnal arrivals |
 //! | `churn_lsm` | LSM overlay merge + cache generation invalidation under churn | recall\@k under churn |
 //! | `fault_storm` | replica markdown, probing, recovery (replica 0 survives) | recall parity + failover counters |
 //! | `overload` | admission control: bursty queueing, deadline shedding, `Overloaded` retries | admitted/shed/retried counters |
 //!
 //! Each run writes `BENCH_<scenario>.json` with a stable schema:
 //! `schema_version`, `scenario`, `seed`, `topology`, `config` (the spec
-//! echo), `queries`, `qps`, `latency_ms` (`mean`/`p50`/`p95`/`p99`/
-//! `p999`/`max`), `recall` (`k`/`samples`/`recall_at_k`), `cache`
+//! echo), `queries`, `recall` (`k`/`samples`/`recall_at_k`), `cache`
 //! (hits/misses/uncacheable), `failover` (retries/markdowns/probes/
 //! recoveries), `transport` (frames/bytes/timeouts), `admission`
-//! (submitted/admitted/shed/retried/max_depth), `mutations`, and
-//! per-tenant latency summaries. Identical seed + topology reproduces
-//! every **non-timing** field byte-for-byte — `metrics::strip_timings`
-//! removes exactly the timing keys (`qps`, `wall_seconds`, `latency_ms`,
-//! `stage_ms`, `elapsed_ns`) — and `flash_cli bench-diff` is that
-//! comparison and nothing more: `strip_timings(old) == strip_timings(new)`
-//! with every divergent `$.path` listed. The values under the timing keys
-//! are never compared; a speed statement comes from `benchmark/`.
+//! (submitted/admitted/shed/retried/max_depth), `trace` (span counts),
+//! `profile` (structural cost counters), `slo`, `mutations`, and
+//! per-tenant query counts. The report records no wall-clock
+//! measurement, so identical seed + topology reproduces the whole file
+//! byte-for-byte, and `flash_cli bench-diff` compares two reports exactly,
+//! listing every divergent `$.path`. A speed statement comes from
+//! `benchmark/`.
 //!
 //! ```
 //! use hnsw_flash::prelude::*;
@@ -313,7 +311,7 @@
 //! let json = metrics::Json::parse(&report.to_pretty_string()).unwrap();
 //! metrics::BenchReport::validate(&json).unwrap();
 //! assert!(report.queries > 0);
-//! assert_eq!(strip_timings(&json), strip_timings(&json));
+//! assert_eq!(json, report.to_json());
 //! ```
 //!
 //! ## Observability
@@ -324,8 +322,7 @@
 //! lock-free [`metrics::SpanRing`] — trace ids derive from
 //! `(seed, sequence)` via [`metrics::trace_id_for`], never from the
 //! clock, so two identically-seeded runs produce byte-identical span
-//! structure (only `elapsed_ns` differs, and
-//! [`metrics::strip_timings`] removes it).
+//! structure (only `elapsed_ns` differs).
 //!
 //! The span taxonomy, one layer per row:
 //!
@@ -597,8 +594,8 @@ pub mod prelude {
     };
     pub use maintenance::{CycleWorkload, LsmConfig, LsmVectorIndex};
     pub use metrics::{
-        average_distance_ratio, collect_traces, measure_qps, recall_at_k, strip_timings,
-        trace_id_for, BenchReport, MetricsRegistry, SpanKind, SpanRecord, SpanRing, TraceContext,
+        average_distance_ratio, collect_traces, measure_qps, recall_at_k, trace_id_for,
+        BenchReport, MetricsRegistry, SpanKind, SpanRecord, SpanRing, TraceContext,
     };
     pub use quantizers::{
         comparison_reliability, OptimizedProductQuantizer, PcaCodec, ProductQuantizer,
