@@ -1327,9 +1327,14 @@ mod tests {
     /// `diff_structural` between [`REPORT`] and a copy with `from` replaced
     /// by `to`.
     fn diffs_after(from: &str, to: &str) -> Vec<String> {
-        assert!(REPORT.contains(from), "{from}");
-        let old = metrics::Json::parse(REPORT).unwrap();
-        let new = metrics::Json::parse(&REPORT.replace(from, to)).unwrap();
+        diffs_in(REPORT, from, to)
+    }
+
+    /// `diff_structural` between `doc` and a copy with `from` replaced by `to`.
+    fn diffs_in(doc: &str, from: &str, to: &str) -> Vec<String> {
+        assert!(doc.contains(from), "{from}");
+        let old = metrics::Json::parse(doc).unwrap();
+        let new = metrics::Json::parse(&doc.replace(from, to)).unwrap();
         let mut diffs = Vec::new();
         diff_structural(&old, &new, "$", &mut diffs);
         diffs
@@ -1368,6 +1373,41 @@ mod tests {
             (r#""tenant": 0"#, r#""tenant": 1"#, "$.tenants[0].tenant:"),
         ] {
             let diffs = diffs_after(from, to);
+            assert_eq!(diffs.len(), 1, "{from} -> {to}: {diffs:?}");
+            assert!(diffs[0].starts_with(path), "{} !~ {path}", diffs[0]);
+        }
+    }
+
+    /// Every wall-clock leaf a report carried before schema v5: should one
+    /// come back, a changed value is a divergence like any other.
+    #[test]
+    fn bench_diff_compares_former_timing_leaves_exactly() {
+        const TIMED: &str = r#"{
+            "qps": 100.5,
+            "wall_seconds": 0.25,
+            "latency_ms": {"p50": 1.0},
+            "trace": {"stage_ms": {"route": 0.5}, "lines": [{"elapsed_ns": 5}]}
+        }"#;
+        for (from, to, path) in [
+            (r#""qps": 100.5"#, r#""qps": 1.0"#, "$.qps:"),
+            (
+                r#""wall_seconds": 0.25"#,
+                r#""wall_seconds": 900.0"#,
+                "$.wall_seconds:",
+            ),
+            (r#""p50": 1.0"#, r#""p50": 99.0"#, "$.latency_ms.p50:"),
+            (
+                r#""route": 0.5"#,
+                r#""route": 77.0"#,
+                "$.trace.stage_ms.route:",
+            ),
+            (
+                r#""elapsed_ns": 5"#,
+                r#""elapsed_ns": 5000000"#,
+                "$.trace.lines[0].elapsed_ns:",
+            ),
+        ] {
+            let diffs = diffs_in(TIMED, from, to);
             assert_eq!(diffs.len(), 1, "{from} -> {to}: {diffs:?}");
             assert!(diffs[0].starts_with(path), "{} !~ {path}", diffs[0]);
         }
