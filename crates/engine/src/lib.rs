@@ -62,7 +62,6 @@ pub use wire::WireError;
 
 use graphs::GraphLayers;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One approximate-nearest-neighbor index, ready to serve.
 ///
@@ -95,36 +94,13 @@ pub trait AnnIndex: Send + Sync {
     /// Serves one request.
     fn search(&self, request: &SearchRequest) -> SearchResponse;
 
-    /// Serves a batch of requests: [`Self::search_batch_timed`] with the
-    /// durations dropped. Provided, not overridden — a layer with its own
-    /// batch path implements the timed method, and this one follows.
+    /// Serves a batch of requests, one response per request in order. The
+    /// default runs [`Self::search`] on each; a layer with its own batch
+    /// path (a sharded index fanning the whole request × shard grid out at
+    /// once, a caching index forwarding its misses as one inner batch)
+    /// overrides it.
     fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
-        self.search_batch_timed(requests)
-            .into_iter()
-            .map(|(response, _)| response)
-            .collect()
-    }
-
-    /// Serves a batch of requests, reporting each query's **individually
-    /// measured** execution time.
-    ///
-    /// This is what latency percentiles must be built from: attributing a
-    /// batch's wall-clock divided by its size to every member collapses
-    /// p50/p95/p99 to the batch mean and hides slow queries. The default
-    /// times each sequential [`Self::search`] call; concurrent
-    /// implementations override it to time each query's own critical path
-    /// (a sharded index times the slowest shard fan-out plus its gather; a
-    /// caching index reports the lookup time for hits and the inner time
-    /// for misses).
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
-        requests
-            .iter()
-            .map(|r| {
-                let t0 = Instant::now();
-                let response = self.search(r);
-                (response, t0.elapsed())
-            })
-            .collect()
+        requests.iter().map(|r| self.search(r)).collect()
     }
 
     /// Resident bytes of the index (adjacency + codes + payloads).
@@ -155,8 +131,8 @@ impl<T: AnnIndex + ?Sized> AnnIndex for Arc<T> {
         (**self).search(request)
     }
 
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
-        (**self).search_batch_timed(requests)
+    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
+        (**self).search_batch(requests)
     }
 
     fn memory_bytes(&self) -> usize {

@@ -113,12 +113,6 @@ impl SearchRequest {
         self
     }
 
-    /// Shares an existing filter.
-    pub fn filter_arc(mut self, f: IdFilter) -> Self {
-        self.filter = Some(f);
-        self
-    }
-
     /// Enables VBase early termination with `window`.
     pub fn vbase(mut self, window: usize) -> Self {
         self.vbase_window = Some(window);

@@ -53,12 +53,6 @@ impl FlashParams {
         }
     }
 
-    /// Overrides the grid quantile.
-    pub fn with_grid_quantile(mut self, q: f64) -> Self {
-        self.grid_quantile = q;
-        self
-    }
-
     /// Overrides `d_F`.
     pub fn with_d_f(mut self, d_f: usize) -> Self {
         self.d_f = d_f;

@@ -3,7 +3,6 @@
 //! * [`recall`] — `Recall = |G ∩ S| / k` against exact ground truth;
 //! * [`adr`] — the average distance ratio of retrieved vs. true neighbors;
 //! * [`qps`] — queries-per-second / latency measurement;
-//! * [`latency`] — percentile summaries (p50/p95/p99) for serving reports;
 //! * [`failover`] — per-replica retry/mark-down/probe counters for the
 //!   replicated serving layer;
 //! * [`transport`] — per-node frame/byte/timeout counters for the
@@ -23,7 +22,6 @@
 
 pub mod adr;
 pub mod failover;
-pub mod latency;
 pub mod openmetrics;
 pub mod profile;
 pub mod qps;
@@ -36,7 +34,6 @@ pub mod transport;
 
 pub use adr::average_distance_ratio;
 pub use failover::{failover_summary, ReplicaCounters, ReplicaStats};
-pub use latency::{latency_summary, LatencySummary};
 pub use profile::QueryProfile;
 pub use qps::{measure_qps, QpsReport};
 pub use recall::{recall_at_k, RecallReport};

@@ -19,7 +19,7 @@
 //! degraded on a live server.
 
 use crate::report::Json;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// An error-budget objective: at most `budget` fraction of events bad.
@@ -352,25 +352,18 @@ impl SloGuard {
     /// health. At most `slow_window` ticks are replayed per call, so a
     /// long-idle guard cannot stall a scrape.
     pub fn healthy(&self) -> bool {
-        self.advance();
-        self.state
-            .lock()
-            .expect("slo guard poisoned")
-            .tracker
-            .healthy()
+        self.advanced_to(Instant::now()).tracker.healthy()
     }
 
     /// Current summary (also advances elapsed ticks).
     pub fn summary(&self) -> SloSummary {
-        self.advance();
-        self.state
-            .lock()
-            .expect("slo guard poisoned")
-            .tracker
-            .summary()
+        self.advanced_to(Instant::now()).tracker.summary()
     }
 
-    fn advance(&self) {
+    /// Feeds the samplers' deltas into the tracker, replays the ticks
+    /// elapsed by `now` (at most `slow_window`), and hands back the locked
+    /// state.
+    fn advanced_to(&self, now: Instant) -> MutexGuard<'_, GuardState> {
         let mut state = self.state.lock().expect("slo guard poisoned");
         for (idx, sampler) in self.samplers.iter().enumerate() {
             let (good, bad) = sampler();
@@ -382,7 +375,7 @@ impl SloGuard {
                 bad.saturating_sub(last_bad),
             );
         }
-        let mut elapsed = state.last_tick.elapsed();
+        let mut elapsed = now.saturating_duration_since(state.last_tick);
         let cap = state.tracker.config.slow_window as u32;
         let mut ticks = 0u32;
         while elapsed >= self.tick_interval && ticks < cap {
@@ -391,8 +384,9 @@ impl SloGuard {
             ticks += 1;
         }
         if ticks > 0 {
-            state.last_tick = Instant::now() - elapsed.min(self.tick_interval);
+            state.last_tick = now - elapsed.min(self.tick_interval);
         }
+        state
     }
 }
 
@@ -505,15 +499,22 @@ mod tests {
             )],
         );
         assert!(guard.healthy());
-        // Burn hard across enough wall ticks for both windows.
+        // Burn hard across enough ticks for both windows, on a clock the
+        // test drives: two 1 ms ticks per round, whatever the scheduler
+        // does to this thread.
+        let mut now = guard.state.lock().unwrap().last_tick;
         for _ in 0..12 {
             good.fetch_add(10, Ordering::Relaxed);
             bad.fetch_add(90, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(2));
-            guard.healthy();
+            now += Duration::from_millis(2);
+            drop(guard.advanced_to(now));
         }
-        assert!(!guard.healthy(), "sustained shedding must degrade health");
-        let summary = guard.summary();
+        let state = guard.advanced_to(now);
+        assert!(
+            !state.tracker.healthy(),
+            "sustained shedding must degrade health"
+        );
+        let summary = state.tracker.summary();
         assert!(summary.objectives[0].bad >= 90 * 12);
         assert!(!summary.healthy);
     }

@@ -20,7 +20,7 @@
 
 use crate::report::Json;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Wire encoding of "no lane" (the coordinator strand).
@@ -363,7 +363,8 @@ impl SpanRing {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Spans lost to wrap-around.
+    /// Spans lost to wrap-around: overwritten, or skipped because their
+    /// slot was mid-write by another writer.
     pub fn dropped(&self) -> u64 {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
@@ -375,11 +376,33 @@ impl SpanRing {
         let (a, b) = kind.payload();
         let lane_raw = lane.unwrap_or(LANE_NONE);
         // Seqlock write: odd version in, fields, even version out. The
-        // version commits to this claim (`seq`), so a racing wrap-around
-        // writer leaves a *different* even version behind and a reader
-        // pairing our "before" with their "after" still rejects the slot.
-        slot.version
-            .store(seq.wrapping_mul(2) | 1, Ordering::Release);
+        // version commits to this claim (`seq`), so a reader pairing one
+        // write's "before" with another's "after" still rejects the slot.
+        // The writer takes the slot exclusively, with one CAS from a
+        // stable version of an older claim to its own odd version; a slot
+        // mid-write, or already holding a newer claim (this writer was
+        // preempted across a whole wrap), is skipped, and the span is
+        // lost like an overwritten one.
+        let odd = seq.wrapping_mul(2) | 1;
+        let mut current = slot.version.load(Ordering::Relaxed);
+        loop {
+            if current & 1 == 1 || current > odd {
+                return;
+            }
+            match slot.version.compare_exchange_weak(
+                current,
+                odd,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
+            }
+        }
+        // Pairs with the reader's acquire fence: a reader that sees any
+        // of the field stores below also sees this odd version (or later)
+        // on its re-check.
+        fence(Ordering::Release);
         slot.trace_id.store(trace_id, Ordering::Relaxed);
         slot.seq.store(seq, Ordering::Relaxed);
         slot.kind_lane.store(
@@ -408,7 +431,10 @@ impl SpanRing {
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
             let elapsed_ns = slot.elapsed_ns.load(Ordering::Relaxed);
-            if slot.version.load(Ordering::Acquire) != before {
+            // Pairs with the writer's release fence, so the re-check sees
+            // the odd version of any write whose fields were read above.
+            fence(Ordering::Acquire);
+            if slot.version.load(Ordering::Relaxed) != before {
                 continue; // overwritten while reading
             }
             let kind = match SpanKind::from_raw((kind_lane & 0xFF) as u8, a, b) {

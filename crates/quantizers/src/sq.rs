@@ -96,11 +96,6 @@ impl ScalarQuantizer {
         self.bits
     }
 
-    /// The configured range mode.
-    pub fn range_mode(&self) -> SqRange {
-        self.range
-    }
-
     #[inline]
     fn min_of(&self, i: usize) -> f32 {
         match self.range {

@@ -17,7 +17,7 @@
 //!   `QueryCache` layered above must sync after every mutation burst.
 //!
 //! When nothing has mutated yet, search batches pass straight through to
-//! the core (`search_batch_timed` fan-out included), so immutable
+//! the core (`search_batch` fan-out included), so immutable
 //! scenarios measure the underlying topology, not the wrapper.
 
 use engine::{AnnIndex, Hit, SearchRequest, SearchResponse};
@@ -25,7 +25,6 @@ use maintenance::{LsmConfig, LsmVectorIndex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 /// The static core plus its mutation overlay. See module docs.
 pub struct ScenarioCorpus {
@@ -105,17 +104,6 @@ impl ScenarioCorpus {
         self.overlay.read().unwrap().generation() + self.core_deletes.load(Ordering::Acquire)
     }
 
-    /// `(inserted, live_overlay, core_tombstones)` counters for reports.
-    pub fn mutation_counts(&self) -> (u64, u64, u64) {
-        let overlay = self.overlay.read().unwrap();
-        let stats = overlay.stats();
-        (
-            overlay.next_id(),
-            stats.live as u64,
-            self.core_deletes.load(Ordering::Acquire),
-        )
-    }
-
     /// Whether any mutation has ever been applied (fast-path gate: a
     /// flushed-then-empty overlay still forces the merge path, which is
     /// fine — the gate only needs to be monotone).
@@ -181,20 +169,13 @@ impl AnnIndex for ScenarioCorpus {
         self.search_merged(req)
     }
 
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
+    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
         if self.pristine() {
             // Pass the whole batch through so a sharded core keeps its
-            // concurrent fan-out and per-query critical-path timing.
-            return self.core.search_batch_timed(requests);
+            // concurrent fan-out.
+            return self.core.search_batch(requests);
         }
-        requests
-            .iter()
-            .map(|r| {
-                let t0 = std::time::Instant::now();
-                let response = self.search_merged(r);
-                (response, t0.elapsed())
-            })
-            .collect()
+        requests.iter().map(|r| self.search_merged(r)).collect()
     }
 
     fn memory_bytes(&self) -> usize {

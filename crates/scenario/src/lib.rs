@@ -17,10 +17,11 @@
 //! 2. [`corpus`] — [`ScenarioCorpus`] overlays the immutable serving
 //!    topology with an LSM write path (inserts) and a tombstone set
 //!    (deletes), keeping a generation counter for cache invalidation.
-//! 3. [`runner`] — [`ScenarioRunner`] assembles topology → corpus →
-//!    optional cache, replays the stream through `BatchExecutor`, checks
-//!    sampled queries against a brute-force oracle, and folds counters
-//!    into a `metrics::BenchReport`.
+//! 3. [`runner`] — [`TopologySpec::assemble`] builds the serving stack;
+//!    [`ScenarioRunner`] layers corpus → optional cache over it, replays
+//!    the stream in `search_batch` chunks, checks sampled queries against
+//!    a brute-force oracle, and folds counters into a
+//!    `metrics::BenchReport`.
 //! 4. [`named`] — the five-scenario catalog ([`SCENARIO_NAMES`]) with
 //!    CI-sized smoke variants.
 //!
@@ -42,5 +43,5 @@ pub mod spec;
 
 pub use corpus::ScenarioCorpus;
 pub use named::{all, by_name, Scenario, SCENARIO_NAMES};
-pub use runner::{ScenarioRunner, TopologySpec};
+pub use runner::{ScenarioRunner, Stack, TopologySpec};
 pub use spec::{AdmissionSpec, ArrivalShape, Event, FaultStorm, QueryEvent, WorkloadSpec};

@@ -114,7 +114,7 @@ fn diurnal_burst(smoke: bool) -> Scenario {
     }
     Scenario {
         name: "diurnal_burst",
-        stresses: "batch executor through trough-to-peak diurnal swings",
+        stresses: "batched search through trough-to-peak diurnal swings",
         key_metric: "span and profile counts under diurnal arrivals",
         spec,
         default_topology: TopologySpec::Sharded { shards: 4 },

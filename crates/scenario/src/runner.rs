@@ -2,7 +2,7 @@
 //!
 //! [`ScenarioRunner`] assembles the stack — topology core →
 //! [`ScenarioCorpus`] overlay → optional `QueryCache` — then replays the
-//! spec's events in order: query stretches run through [`BatchExecutor`]
+//! spec's events in order: query stretches run in `search_batch` chunks
 //! (preserving the topology's concurrent fan-out), mutation bursts apply
 //! between stretches and re-sync the cache generation, and a sampled
 //! subset of queries is checked against a brute-force oracle over the
@@ -19,7 +19,7 @@
 
 use crate::corpus::ScenarioCorpus;
 use crate::spec::{AdmissionSpec, Event, QueryEvent, WorkloadSpec};
-use engine::{AnnIndex, SearchRequest};
+use engine::{AnnIndex, IndexBuilder, SearchRequest, SearchResponse};
 use metrics::{
     collect_traces, trace_id_for, transport_summary, AdmissionSummary, BenchReport, BurnConfig,
     CacheSummary, Json, MetricsRegistry, MutationSummary, Objective, QueryProfile, SloTracker,
@@ -29,9 +29,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serving::distributed::{connect_round_robin_shards, NodeAddr, SocketTransport, Transport};
 use serving::{
-    BatchExecutor, CachedIndex, HealthConfig, ReplicatedIndex, ShardPolicy, ShardedIndex,
+    CachedIndex, FaultPlan, HealthConfig, ReplicatedIndex, RoutingPolicy, ShardPolicy, ShardedIndex,
 };
 use std::sync::Arc;
+use vecstore::VectorSet;
 
 /// The serving topology a scenario runs against.
 #[derive(Debug, Clone)]
@@ -68,13 +69,14 @@ impl TopologySpec {
         !matches!(self, TopologySpec::Remote { .. })
     }
 
-    /// Report label, with the cache layer appended when present.
-    pub fn label(&self, spec: &WorkloadSpec, cache_capacity: usize) -> String {
+    /// Report label (`routing` names a replicated topology's policy),
+    /// with the cache layer appended when present.
+    pub fn label(&self, routing: RoutingPolicy, cache_capacity: usize) -> String {
         let base = match self {
             TopologySpec::Flat => "flat".to_string(),
             TopologySpec::Sharded { shards } => format!("sharded:{shards}"),
             TopologySpec::Replicated { shards, replicas } => {
-                format!("replicated:{shards}x{replicas}:{}", spec.routing)
+                format!("replicated:{shards}x{replicas}:{routing}")
             }
             TopologySpec::Remote { nodes, .. } => format!("nodes:{}", nodes.len()),
         };
@@ -85,7 +87,10 @@ impl TopologySpec {
         }
     }
 
-    fn default_threads(&self) -> usize {
+    /// Worker-pool size when the caller picks none: one worker per shard
+    /// (or node), and on a replicated topology enough to also build the
+    /// replica copies concurrently, capped at 8.
+    pub fn default_threads(&self) -> usize {
         match self {
             TopologySpec::Flat => 1,
             TopologySpec::Sharded { shards } => (*shards).max(1),
@@ -93,6 +98,82 @@ impl TopologySpec {
             TopologySpec::Remote { nodes, .. } => nodes.len().max(1),
         }
     }
+
+    /// Builds this topology over `base`: one `builder` index (flat),
+    /// round-robin shards on a pool of `threads` workers (sharded),
+    /// `shards × replicas` behind `routing` failover, where `fault_for(shard,
+    /// replica)` may script a replica's faults (replicated), or a
+    /// scatter-gather coordinator over nodes that host the round-robin
+    /// partitions of this same `base` (remote). The codec is trained once
+    /// on all of `base` and shared by every shard and replica. Errors only
+    /// when a remote node cannot be reached.
+    pub fn assemble(
+        &self,
+        base: VectorSet,
+        builder: &IndexBuilder,
+        threads: usize,
+        routing: RoutingPolicy,
+        fault_for: impl Fn(usize, usize) -> Option<FaultPlan>,
+    ) -> Result<Stack, String> {
+        let stack = |index| Stack {
+            index,
+            replicated: None,
+            transports: Vec::new(),
+        };
+        Ok(match self {
+            TopologySpec::Flat => stack(Arc::from(builder.build(base))),
+            TopologySpec::Sharded { shards } => stack(Arc::new(ShardedIndex::build(
+                base,
+                builder,
+                *shards,
+                ShardPolicy::RoundRobin,
+                threads,
+            ))),
+            TopologySpec::Replicated { shards, replicas } => {
+                let replicated = Arc::new(ReplicatedIndex::build_with_faults(
+                    base,
+                    builder,
+                    *shards,
+                    *replicas,
+                    ShardPolicy::RoundRobin,
+                    routing,
+                    HealthConfig::default(),
+                    threads,
+                    fault_for,
+                ));
+                Stack {
+                    index: Arc::clone(&replicated) as Arc<dyn AnnIndex>,
+                    replicated: Some(replicated),
+                    transports: Vec::new(),
+                }
+            }
+            TopologySpec::Remote { nodes, timeout_ms } => {
+                let (sharded, transports) = connect_round_robin_shards(
+                    nodes,
+                    base.len(),
+                    base.dim(),
+                    std::time::Duration::from_millis((*timeout_ms).max(1)),
+                    threads,
+                )?;
+                Stack {
+                    index: Arc::new(sharded),
+                    replicated: None,
+                    transports,
+                }
+            }
+        })
+    }
+}
+
+/// A serving stack [`TopologySpec::assemble`] built: the index to query,
+/// plus the layers whose counters a caller reads after the run.
+pub struct Stack {
+    /// The assembled index.
+    pub index: Arc<dyn AnnIndex>,
+    /// The replicated index, on a replicated topology.
+    pub replicated: Option<Arc<ReplicatedIndex>>,
+    /// One transport per node, on a remote topology.
+    pub transports: Vec<Arc<SocketTransport>>,
 }
 
 /// A named workload bound to a topology, ready to run.
@@ -174,45 +255,16 @@ impl ScenarioRunner {
         let mut mirror: Vec<Option<Vec<f32>>> = base.iter().map(|v| Some(v.to_vec())).collect();
 
         // --- assemble the stack ---------------------------------------
-        let mut replicated: Option<Arc<ReplicatedIndex>> = None;
-        let mut transports: Vec<Arc<SocketTransport>> = Vec::new();
-        let core: Arc<dyn AnnIndex> = match &self.topology {
-            TopologySpec::Flat => Arc::from(builder.build(base)),
-            TopologySpec::Sharded { shards } => Arc::new(ShardedIndex::build(
-                base,
-                &builder,
-                *shards,
-                ShardPolicy::RoundRobin,
-                threads,
-            )),
-            TopologySpec::Replicated { shards, replicas } => {
-                let storm = spec.fault_storm;
-                let r = Arc::new(ReplicatedIndex::build_with_faults(
-                    base,
-                    &builder,
-                    *shards,
-                    *replicas,
-                    ShardPolicy::RoundRobin,
-                    spec.routing,
-                    HealthConfig::default(),
-                    threads,
-                    |shard, replica| storm.and_then(|s| s.plan_for(shard, replica)),
-                ));
-                replicated = Some(Arc::clone(&r));
-                r
-            }
-            TopologySpec::Remote { nodes, timeout_ms } => {
-                let (sharded, connected) = connect_round_robin_shards(
-                    nodes,
-                    base.len(),
-                    base.dim(),
-                    std::time::Duration::from_millis((*timeout_ms).max(1)),
-                    threads,
-                )?;
-                transports = connected;
-                Arc::new(sharded)
-            }
-        };
+        let storm = spec.fault_storm;
+        let Stack {
+            index: core,
+            replicated,
+            transports,
+        } = self
+            .topology
+            .assemble(base, &builder, threads, spec.routing, |shard, replica| {
+                storm.and_then(|s| s.plan_for(shard, replica))
+            })?;
         let corpus = Arc::new(ScenarioCorpus::new(core));
         let cached = (self.cache_capacity > 0).then(|| {
             Arc::new(CachedIndex::new(
@@ -501,7 +553,7 @@ impl ScenarioRunner {
         let report = BenchReport {
             scenario: self.name.clone(),
             seed: spec.seed,
-            topology: self.topology.label(spec, self.cache_capacity),
+            topology: self.topology.label(spec.routing, self.cache_capacity),
             config,
             queries: state.queries,
             k: spec.k,
@@ -537,8 +589,9 @@ impl ScenarioRunner {
         Ok((report, traces))
     }
 
-    /// Runs the pending segment through a `BatchExecutor` and folds its
-    /// query counts, cost profiles and oracle checks into `state`.
+    /// Runs the pending segment in `spec.batch`-sized `search_batch` calls
+    /// and folds its query counts, cost profiles and oracle checks into
+    /// `state`.
     #[allow(clippy::type_complexity)]
     fn flush(
         &self,
@@ -557,10 +610,11 @@ impl ScenarioRunner {
             c.cache().set_generation(corpus.generation() + fleet);
         }
         let segment = std::mem::take(pending);
-        let mut executor =
-            BatchExecutor::new(Arc::clone(serving)).batch_size(self.spec.batch.max(1));
-        executor.submit_all(segment.iter().map(|(req, _, _)| req.clone()));
-        let report = executor.run();
+        let requests: Vec<SearchRequest> = segment.iter().map(|(req, _, _)| req.clone()).collect();
+        let responses: Vec<SearchResponse> = requests
+            .chunks(self.spec.batch.max(1))
+            .flat_map(|batch| serving.search_batch(batch))
+            .collect();
         // The exact rerank pass runs inside the index internals; the
         // runner stamps its span (candidate-pool size) per traced query.
         if self.spec.rerank > 1 {
@@ -575,9 +629,9 @@ impl ScenarioRunner {
         state.queries += segment.len() as u64;
         for (i, (_, q, oracle)) in segment.iter().enumerate() {
             state.tenant_queries[q.tenant as usize] += 1;
-            state.profile.add(&report.responses[i].profile);
+            state.profile.add(&responses[i].profile);
             if let Some(oracle_ids) = oracle {
-                let got = report.responses[i].ids();
+                let got = responses[i].ids();
                 let hit = oracle_ids.iter().filter(|id| got.contains(id)).count() as u64;
                 let denom = oracle_ids.len().max(1) as u64;
                 state.recall_sum += hit as f64 / denom as f64;
@@ -795,9 +849,9 @@ mod tests {
     #[test]
     fn topology_labels_are_stable() {
         let spec = WorkloadSpec::base(1);
-        assert_eq!(TopologySpec::Flat.label(&spec, 0), "flat");
+        assert_eq!(TopologySpec::Flat.label(spec.routing, 0), "flat");
         assert_eq!(
-            TopologySpec::Sharded { shards: 4 }.label(&spec, 256),
+            TopologySpec::Sharded { shards: 4 }.label(spec.routing, 256),
             "sharded:4+cache:256"
         );
         assert_eq!(
@@ -805,7 +859,7 @@ mod tests {
                 shards: 2,
                 replicas: 2
             }
-            .label(&spec, 0),
+            .label(spec.routing, 0),
             "replicated:2x2:round-robin"
         );
         assert!(TopologySpec::Flat.supports_predicates());

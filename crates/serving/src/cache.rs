@@ -16,7 +16,7 @@ use engine::{AnnIndex, SearchRequest, SearchResponse};
 use metrics::SpanKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Hit/miss counters of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -360,22 +360,13 @@ impl AnnIndex for CachedIndex {
 
     /// Batch lookups hit the cache first; the misses (and every
     /// uncacheable request) are forwarded to the inner index in **one**
-    /// `search_batch_timed` call — preserving a sharded backend's
-    /// cross-request fan-out instead of degrading to per-request scatter
-    /// barriers — with duplicate cacheable misses searched once and fanned
-    /// back out.
-    ///
-    /// Per-query latency through a cache is bimodal by design, and each
-    /// query's reported duration is what *it* actually cost: the LRU
-    /// lookup for hits, the lookup plus the inner index's own per-query
-    /// measurement for misses (duplicates share the one inner search and
-    /// its measured time) — never both populations averaged into one
-    /// number.
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
+    /// `search_batch` call — preserving a sharded backend's cross-request
+    /// fan-out instead of degrading to per-request scatter barriers — with
+    /// duplicate cacheable misses searched once and fanned back out.
+    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
         let keys: Vec<Option<u64>> = requests.iter().map(QueryCache::key_of).collect();
         let computed_at = self.cache.generation();
         let mut responses: Vec<Option<SearchResponse>> = Vec::with_capacity(requests.len());
-        let mut lookups: Vec<Duration> = Vec::with_capacity(requests.len());
         // For each missing request: its slot in the deduplicated miss list.
         let mut miss_slot: Vec<Option<usize>> = vec![None; requests.len()];
         let mut miss_requests: Vec<SearchRequest> = Vec::new();
@@ -392,7 +383,7 @@ impl AnnIndex for CachedIndex {
                     None
                 }
             };
-            lookups.push(t0.elapsed());
+            let lookup = t0.elapsed();
             // A hit does no search work: its cost profile is all-zero, not
             // the profile the original miss paid (so coordinator-side
             // profile sums reconcile exactly with the work nodes performed).
@@ -406,7 +397,7 @@ impl AnnIndex for CachedIndex {
                     SpanKind::CacheLookup {
                         hit: responses[i].is_some(),
                     },
-                    lookups[i].as_nanos() as u64,
+                    lookup.as_nanos() as u64,
                 );
             }
             if responses[i].is_none() {
@@ -427,28 +418,26 @@ impl AnnIndex for CachedIndex {
         if !miss_requests.is_empty() {
             // One shared Arc per fresh response: the cache insert clones
             // the Arc, not the hits, and only the returned copy is deep.
-            let fresh: Vec<(Arc<SearchResponse>, Duration)> = self
+            let fresh: Vec<Arc<SearchResponse>> = self
                 .inner
-                .search_batch_timed(&miss_requests)
+                .search_batch(&miss_requests)
                 .into_iter()
-                .map(|(response, took)| (Arc::new(response), took))
+                .map(Arc::new)
                 .collect();
             for (i, slot) in miss_slot.iter().enumerate() {
                 if let Some(slot) = slot {
-                    let (response, took) = &fresh[*slot];
+                    let response = &fresh[*slot];
                     if let Some(key) = keys[i] {
                         self.cache
                             .insert(key, &requests[i], computed_at, Arc::clone(response));
                     }
                     responses[i] = Some((**response).clone());
-                    lookups[i] += *took;
                 }
             }
         }
         responses
             .into_iter()
-            .zip(lookups)
-            .map(|(r, took)| (r.expect("every request answered"), took))
+            .map(|r| r.expect("every request answered"))
             .collect()
     }
 

@@ -69,12 +69,6 @@ impl NodeHandler {
         Self::fallible(Box::new(FaultyIndex::new(index, plan)))
     }
 
-    /// Stamps the node's data generation (reported in [`NodeInfo`]).
-    pub fn with_generation(self, generation: u64) -> Self {
-        self.generation.store(generation, Ordering::Relaxed);
-        self
-    }
-
     /// The node-side transport counters (shared with whichever serving
     /// surface carries this handler's frames).
     pub fn counters(&self) -> &Arc<TransportCounters> {

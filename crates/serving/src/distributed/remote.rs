@@ -22,7 +22,7 @@ use std::time::Duration;
 ///   [`crate::ReplicaGroup`] and inherit mark-down, probed recovery,
 ///   retry, and generation-based cache invalidation unchanged;
 /// * [`AnnIndex`] — composes under [`crate::ShardedIndex`] /
-///   `BatchExecutor` / `CachedIndex` like any local index. On this
+///   `CachedIndex` like any local index. On this
 ///   infallible surface a transport failure panics (there is no error
 ///   channel and nothing to serve) — deployments that must survive node
 ///   loss put replicas behind a group, exactly as with local indexes.

@@ -12,11 +12,9 @@
 //!   and scatter-gather merge per-shard hits into one
 //!   globally-ordered `(dist, id)` top-k with local→global id remapping.
 //!   `ShardedIndex` implements `AnnIndex` itself, so it nests under the
-//!   other two layers;
-//! * [`BatchExecutor`] — queue requests, coalesce them into fixed-size
-//!   batches, and report per-query latency percentiles plus aggregate QPS
-//!   via `metrics` (the size-**or**-deadline batch close for online
-//!   traffic lives on the wire, in [`EventServer`]);
+//!   other layers, and its `search_batch` fans a whole batch's
+//!   `(request × shard)` grid out at once (the size-**or**-deadline batch
+//!   close for online traffic lives on the wire, in [`EventServer`]);
 //! * [`QueryCache`] / [`CachedIndex`] — an LRU (the generic
 //!   `cachesim::Lru`) over canonical request hashes, with lazy
 //!   generation-based invalidation driven by mutating indexes
@@ -44,7 +42,7 @@
 //!
 //! ```
 //! use engine::{AnnIndex, Coding, GraphKind, IndexBuilder, SearchRequest};
-//! use serving::{BatchExecutor, CachedIndex, ShardPolicy, ShardedIndex};
+//! use serving::{CachedIndex, ShardPolicy, ShardedIndex};
 //! use std::sync::Arc;
 //! use vecstore::{generate, DatasetProfile};
 //!
@@ -55,16 +53,17 @@
 //! let sharded = ShardedIndex::build(base, &builder, 4, ShardPolicy::RoundRobin, 4);
 //! let index = Arc::new(CachedIndex::new(Arc::new(sharded), 256));
 //!
-//! let mut executor = BatchExecutor::new(index.clone()).batch_size(4);
-//! executor.submit_all((0..queries.len()).map(|qi| {
-//!     SearchRequest::new(queries.get(qi), 5).ef(64).rerank(8)
-//! }));
-//! let report = executor.run();
-//! assert_eq!(report.responses.len(), queries.len());
-//! assert!(report.qps.qps() > 0.0);
+//! let requests: Vec<SearchRequest> = (0..queries.len())
+//!     .map(|qi| SearchRequest::new(queries.get(qi), 5).ef(64).rerank(8))
+//!     .collect();
+//! let responses: Vec<_> = requests
+//!     .chunks(4)
+//!     .flat_map(|batch| index.search_batch(batch))
+//!     .collect();
+//! assert_eq!(responses.len(), queries.len());
+//! assert!(responses.iter().all(|r| r.hits.len() == 5));
 //! ```
 
-mod batch;
 mod cache;
 pub mod distributed;
 pub mod fault;
@@ -72,7 +71,6 @@ mod pool;
 mod replica;
 mod shard;
 
-pub use batch::{BatchExecutor, BatchReport, DEFAULT_BATCH_SIZE};
 pub use cache::{CachedIndex, QueryCache, QueryCacheStats};
 pub use distributed::{
     AdmissionStats, EventConfig, EventServer, LoopbackTransport, NodeAddr, NodeHandler, NodeInfo,

@@ -23,8 +23,7 @@
 //!   searched scatter-gather on the shared worker pool.
 //!
 //! `ReplicaGroup` and `ReplicatedIndex` implement [`AnnIndex`], so they
-//! nest under `BatchExecutor`, `CachedIndex`, and each other like any
-//! other index. Failures come from the [`crate::fault`] module's
+//! nest under `CachedIndex` and each other like any other index. Failures come from the [`crate::fault`] module's
 //! deterministic `FaultPlan` scripts (production replicas simply never
 //! fail).
 
@@ -35,7 +34,7 @@ use engine::{AnnIndex, IndexBuilder, SearchRequest, SearchResponse};
 use metrics::{failover_summary, ReplicaCounters, ReplicaStats, SpanKind, SpanOutcome};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vecstore::VectorSet;
 
 /// How a [`Router`] picks the replica that serves a request.
@@ -226,8 +225,8 @@ impl Replica {
 /// R replicas of one logical index behind failover routing.
 ///
 /// Implements [`AnnIndex`]; nest it under a [`ShardedIndex`] (one group
-/// per shard — see [`ReplicatedIndex`]), a `CachedIndex`, or a
-/// `BatchExecutor` like any other index.
+/// per shard — see [`ReplicatedIndex`]), or a `CachedIndex` like any
+/// other index.
 ///
 /// # Panics
 /// [`AnnIndex::search`] panics if **every** replica fails the request —
@@ -279,31 +278,6 @@ impl ReplicaGroup {
         }
     }
 
-    /// Builds `replicas` identical copies of `builder`'s index over
-    /// `base`, training the coding codec **once** and sharing it across
-    /// the copies. Deterministic construction makes the copies
-    /// bit-identical, which is what lets failover preserve exact results.
-    pub fn build(
-        base: VectorSet,
-        builder: &IndexBuilder,
-        replicas: usize,
-        routing: RoutingPolicy,
-        health: HealthConfig,
-    ) -> Self {
-        let codec = builder.train_codec(&base);
-        let replicas = replicas.max(1);
-        let mut members: Vec<Box<dyn FallibleIndex>> = Vec::with_capacity(replicas);
-        for _ in 1..replicas {
-            let index: Arc<dyn AnnIndex> =
-                Arc::from(builder.build_with_codec(base.clone(), &codec));
-            members.push(Box::new(index));
-        }
-        // The last copy consumes `base` instead of cloning it once more.
-        let index: Arc<dyn AnnIndex> = Arc::from(builder.build_with_codec(base, &codec));
-        members.push(Box::new(index));
-        Self::from_replicas(members, routing, health)
-    }
-
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.replicas.len()
@@ -312,11 +286,6 @@ impl ReplicaGroup {
     /// The routing policy.
     pub fn routing(&self) -> RoutingPolicy {
         self.router.policy()
-    }
-
-    /// The health-model configuration.
-    pub fn health_config(&self) -> HealthConfig {
-        self.health
     }
 
     /// Bumped on every replica mark-down and recovery. Sync it into a
@@ -693,8 +662,8 @@ impl AnnIndex for ReplicatedIndex {
         self.sharded.search(request)
     }
 
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
-        self.sharded.search_batch_timed(requests)
+    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
+        self.sharded.search_batch(requests)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -1009,38 +978,6 @@ mod tests {
             ReplicaGroup::from_replicas(members, RoutingPolicy::Primary, HealthConfig::default())
         }));
         assert!(result.is_err(), "length mismatch must be rejected");
-    }
-
-    #[test]
-    fn replica_group_build_makes_identical_copies() {
-        let base = corpus(80, 8);
-        let builder = IndexBuilder::new(engine::GraphKind::Hnsw, engine::Coding::Sq)
-            .c(32)
-            .r(8)
-            .seed(5);
-        let group = ReplicaGroup::build(
-            base.clone(),
-            &builder,
-            3,
-            RoutingPolicy::RoundRobin,
-            HealthConfig::default(),
-        );
-        assert_eq!(group.replica_count(), 3);
-        assert_eq!(group.len(), 80);
-        assert_eq!(group.dim(), 8);
-        let single = builder.build(base.clone());
-        // Exhaustive settings: every replica (round-robin picks a
-        // different one per call) equals the monolithic build exactly.
-        for qi in [0usize, 13, 41] {
-            let req = SearchRequest::new(base.get(qi).to_vec(), 5)
-                .ef(128)
-                .rerank(16);
-            let want = single.search(&req).hits;
-            for _ in 0..3 {
-                assert_eq!(group.search(&req).hits, want, "query {qi}");
-            }
-        }
-        assert_eq!(group.failover_stats().errors, 0);
     }
 
     #[test]

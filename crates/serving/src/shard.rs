@@ -5,8 +5,8 @@
 //! merges the per-shard hits into one globally-ordered `(dist, id)` top-k,
 //! remapping shard-local ids back to global dataset ids. It implements
 //! [`AnnIndex`] itself, so shards compose with every `GraphKind × Coding`
-//! combination and can be nested under `serving`'s result cache or batch
-//! executor like any other index.
+//! combination and can be nested under `serving`'s result cache like any
+//! other index; its `search_batch` scatters a whole batch at once.
 
 use crate::fault::{FaultError, FaultKind};
 use crate::pool::WorkerPool;
@@ -90,43 +90,6 @@ impl ShardedIndex {
         parts
     }
 
-    /// Builds every shard through `build_shard` (in parallel on `pool`) and
-    /// assembles the sharded index. This is the generic entry point; use
-    /// [`Self::build`] for the common `IndexBuilder` case.
-    ///
-    /// # Panics
-    /// Panics if `base` is empty.
-    pub fn build_with(
-        base: VectorSet,
-        shards: usize,
-        policy: ShardPolicy,
-        pool: Arc<WorkerPool>,
-        build_shard: impl Fn(VectorSet) -> Box<dyn AnnIndex> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(!base.is_empty(), "cannot shard an empty dataset");
-        let dim = base.dim();
-        let parts = Self::partition(&base, shards, policy);
-        drop(base);
-        let build_shard = Arc::new(build_shard);
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .map(|(set, global_ids)| {
-                let build_shard = Arc::clone(&build_shard);
-                move || Shard {
-                    index: Arc::from(build_shard(set)),
-                    global_ids: Arc::new(global_ids),
-                }
-            })
-            .collect();
-        let shards = pool.run(jobs);
-        Self {
-            shards,
-            pool,
-            policy,
-            dim,
-        }
-    }
-
     /// Builds every shard with `builder` (the same `GraphKind × Coding`
     /// configuration on each shard's slice of the data), constructing
     /// shards concurrently on a fresh pool of `threads` workers that the
@@ -138,6 +101,9 @@ impl ShardedIndex {
     /// this keeps every shard's distance grid identical — per-shard value
     /// ranges cannot skew the quantizers — so results are stable across
     /// shard counts.
+    ///
+    /// # Panics
+    /// Panics if `base` is empty.
     pub fn build(
         base: VectorSet,
         builder: &IndexBuilder,
@@ -145,15 +111,29 @@ impl ShardedIndex {
         policy: ShardPolicy,
         threads: usize,
     ) -> Self {
-        let codec = builder.train_codec(&base);
-        let builder = builder.clone();
-        Self::build_with(
-            base,
+        assert!(!base.is_empty(), "cannot shard an empty dataset");
+        let dim = base.dim();
+        let codec = Arc::new(builder.train_codec(&base));
+        let parts = Self::partition(&base, shards, policy);
+        drop(base);
+        let jobs: Vec<_> = parts
+            .into_iter()
+            .map(|(set, global_ids)| {
+                let (builder, codec) = (builder.clone(), Arc::clone(&codec));
+                move || Shard {
+                    index: Arc::from(builder.build_with_codec(set, &codec)),
+                    global_ids: Arc::new(global_ids),
+                }
+            })
+            .collect();
+        let pool = Arc::new(WorkerPool::new(threads));
+        let shards = pool.run(jobs);
+        Self {
             shards,
+            pool,
             policy,
-            Arc::new(WorkerPool::new(threads)),
-            move |set| builder.build_with_codec(set, &codec),
-        )
+            dim,
+        }
     }
 
     /// Assembles a sharded index from pre-built shards and their
@@ -375,11 +355,8 @@ impl AnnIndex for ShardedIndex {
 
     /// Batch execution scatters the full `(request × shard)` grid at once —
     /// one flat job list keeps every worker busy across request boundaries
-    /// (no per-request barrier) while the gather stays per-request. Each
-    /// query's latency is its own critical path — the slowest of its
-    /// per-shard searches (they run concurrently) plus its gather — not a
-    /// share of the batch wall-clock.
-    fn search_batch_timed(&self, requests: &[SearchRequest]) -> Vec<(SearchResponse, Duration)> {
+    /// (no per-request barrier) while the gather stays per-request.
+    fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
         let n_shards = self.shards.len();
         let jobs: Vec<_> = requests
             .iter()
@@ -392,11 +369,7 @@ impl AnnIndex for ShardedIndex {
                 (0..n_shards).map(move |s| {
                     let index = Arc::clone(&self.shards[s].index);
                     let shard_req = self.shard_request(s, req);
-                    move || {
-                        let t0 = Instant::now();
-                        let response = index.search(&shard_req);
-                        (response, t0.elapsed())
-                    }
+                    move || index.search(&shard_req)
                 })
             })
             .collect();
@@ -404,18 +377,11 @@ impl AnnIndex for ShardedIndex {
         requests
             .iter()
             .map(|req| {
-                let mut critical_path = Duration::ZERO;
-                let per_shard: Vec<SearchResponse> = (&mut flat)
-                    .take(n_shards)
-                    .map(|(response, took)| {
-                        critical_path = critical_path.max(took);
-                        response
-                    })
-                    .collect();
-                let t_gather = Instant::now();
+                let per_shard: Vec<SearchResponse> = (&mut flat).take(n_shards).collect();
+                let t0 = Instant::now();
                 let merged = self.gather(per_shard, req.k).unwrap_or_else(|e| e.abort());
-                self.record_gather(req, &merged, t_gather.elapsed());
-                (merged, critical_path + t_gather.elapsed())
+                self.record_gather(req, &merged, t0.elapsed());
+                merged
             })
             .collect()
     }

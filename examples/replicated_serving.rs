@@ -58,28 +58,25 @@ fn main() {
     let requests =
         || (0..queries.len()).map(|qi| SearchRequest::new(queries.get(qi), 10).ef(96).rerank(8));
     let run = |index: Arc<dyn AnnIndex>, label: &str| {
-        let mut executor = BatchExecutor::new(index).batch_size(16);
-        executor.submit_all(requests());
-        let report = executor.run();
-        let found: Vec<Vec<u32>> = report
-            .responses
+        let requests: Vec<SearchRequest> = requests().collect();
+        let t0 = Instant::now();
+        let responses: Vec<SearchResponse> = requests
+            .chunks(16)
+            .flat_map(|batch| index.search_batch(batch))
+            .collect();
+        let qps = requests.len() as f64 / t0.elapsed().as_secs_f64();
+        let found: Vec<Vec<u32>> = responses
             .iter()
             .map(|r| r.hits.iter().map(|h| h.id as u32).collect())
             .collect();
         let recall = recall_at_k(&found, &gt, 10).recall();
-        let latency = report.latency();
-        println!(
-            "{label}: qps={:.0} p50={:.3}ms p99={:.3}ms recall@10={recall:.4}",
-            report.qps.qps(),
-            latency.p50_ms,
-            latency.p99_ms,
-        );
-        report
+        println!("{label}: qps={qps:.0} recall@10={recall:.4}");
+        responses
     };
 
     // ---------- healthy fleet -----------------------------------------
     let healthy = Arc::new(healthy);
-    let healthy_report = run(
+    let healthy_responses = run(
         Arc::clone(&healthy) as Arc<dyn AnnIndex>,
         "healthy fleet        ",
     );
@@ -88,15 +85,11 @@ fn main() {
     // Each shard's replica 0 serves its first 5 calls, then dies. The
     // router retries the sibling; callers never notice.
     let wounded = Arc::new(build(&|_, r| (r == 0).then(|| FaultPlan::new().die_at(5))));
-    let wounded_report = run(
+    let wounded_responses = run(
         Arc::clone(&wounded) as Arc<dyn AnnIndex>,
         "replica 0 dies @5    ",
     );
-    for (a, b) in healthy_report
-        .responses
-        .iter()
-        .zip(&wounded_report.responses)
-    {
+    for (a, b) in healthy_responses.iter().zip(&wounded_responses) {
         assert_eq!(a.hits, b.hits, "failover must not change results");
     }
     let f = wounded.failover_stats();
@@ -111,15 +104,11 @@ fn main() {
     let recovering = Arc::new(build(&|_, r| {
         (r == 0).then(|| FaultPlan::new().die_at(5).revive_at(7))
     }));
-    let recovering_report = run(
+    let recovering_responses = run(
         Arc::clone(&recovering) as Arc<dyn AnnIndex>,
         "dies @5, revives @7  ",
     );
-    for (a, b) in healthy_report
-        .responses
-        .iter()
-        .zip(&recovering_report.responses)
-    {
+    for (a, b) in healthy_responses.iter().zip(&recovering_responses) {
         assert_eq!(a.hits, b.hits, "recovery must not change results");
     }
     let f = recovering.failover_stats();

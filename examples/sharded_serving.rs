@@ -6,10 +6,9 @@
 //!
 //! Builds the same HNSW × Flash configuration twice — one monolithic
 //! index and one 4-shard [`ShardedIndex`] searched by a 4-thread worker
-//! pool — then drives a batched query workload through both and through a
-//! cache-fronted shard stack, printing the one-line serving summary the
-//! `flash_cli search` path also emits (shards, threads, QPS, p50/p99,
-//! cache hit rate).
+//! pool — then drives a batched query workload (`search_batch` over
+//! chunks of 16) through both and through a cache-fronted shard stack,
+//! printing QPS, recall@10 and the cache hit rate.
 
 use hnsw_flash::prelude::*;
 use std::sync::Arc;
@@ -49,24 +48,25 @@ fn main() {
     // ---------- serve: batched workload through both ------------------
     let requests =
         || (0..queries.len()).map(|qi| SearchRequest::new(queries.get(qi), 10).ef(96).rerank(8));
+    let drain = |index: &dyn AnnIndex, requests: &[SearchRequest]| {
+        let t0 = Instant::now();
+        let responses: Vec<SearchResponse> = requests
+            .chunks(16)
+            .flat_map(|batch| index.search_batch(batch))
+            .collect();
+        (
+            responses,
+            requests.len() as f64 / t0.elapsed().as_secs_f64(),
+        )
+    };
     let run = |index: Arc<dyn AnnIndex>, label: &str| {
-        let mut executor = BatchExecutor::new(index).batch_size(16);
-        executor.submit_all(requests());
-        let report = executor.run();
-        let found: Vec<Vec<u32>> = report
-            .responses
+        let (responses, qps) = drain(&*index, &requests().collect::<Vec<_>>());
+        let found: Vec<Vec<u32>> = responses
             .iter()
             .map(|r| r.hits.iter().map(|h| h.id as u32).collect())
             .collect();
         let recall = recall_at_k(&found, &gt, 10).recall();
-        let latency = report.latency();
-        println!(
-            "{label}: qps={:.0} p50={:.3}ms p99={:.3}ms recall@10={recall:.4}",
-            report.qps.qps(),
-            latency.p50_ms,
-            latency.p99_ms,
-        );
-        report
+        println!("{label}: qps={qps:.0} recall@10={recall:.4}");
     };
     run(Arc::from(monolith), "monolith (1 thread) ");
     let sharded = Arc::new(sharded);
@@ -80,22 +80,16 @@ fn main() {
         Arc::clone(&sharded) as Arc<dyn AnnIndex>,
         1024,
     ));
-    let mut executor = BatchExecutor::new(Arc::clone(&cached) as Arc<dyn AnnIndex>).batch_size(16);
     // A production-style Zipf-ish mix: every query once, the first 8 hot
     // queries repeated eight more times each.
-    executor.submit_all(requests());
+    let mut mix: Vec<SearchRequest> = requests().collect();
     for _ in 0..8 {
-        executor
-            .submit_all((0..8).map(|qi| SearchRequest::new(queries.get(qi), 10).ef(96).rerank(8)));
+        mix.extend((0..8).map(|qi| SearchRequest::new(queries.get(qi), 10).ef(96).rerank(8)));
     }
-    let report = executor.run();
+    let (_, qps) = drain(&*cached, &mix);
     let stats = cached.cache().stats();
-    let latency = report.latency();
     println!(
-        "cached   (4 threads): qps={:.0} p50={:.3}ms p99={:.3}ms cache_hit_rate={:.1}% ({} hits / {} lookups)",
-        report.qps.qps(),
-        latency.p50_ms,
-        latency.p99_ms,
+        "cached   (4 threads): qps={qps:.0} cache_hit_rate={:.1}% ({} hits / {} lookups)",
         stats.hit_rate() * 100.0,
         stats.hits,
         stats.hits + stats.misses,

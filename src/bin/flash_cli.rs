@@ -23,13 +23,14 @@
 use hnsw_flash::prelude::*;
 use hnsw_flash::serving::distributed::wire::{read_message, write_message};
 use hnsw_flash::serving::distributed::{
-    connect_round_robin_shards, ErrorCode, EventConfig, EventServer, Message, NodeAddr,
-    NodeHandler, ScrapeServer, SocketTransport, Transport,
+    ErrorCode, EventConfig, EventServer, Message, NodeAddr, NodeHandler, ScrapeServer,
+    SocketTransport, Transport,
 };
 use metrics::{
-    collect_traces, trace_id_for, transport_summary, BurnConfig, Objective, SloGuard, SpanRing,
-    TraceContext,
+    collect_traces, trace_id_for, transport_summary, BurnConfig, Objective, QpsReport, SloGuard,
+    SpanRing, TraceContext,
 };
+use scenario::{Stack, TopologySpec};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -718,18 +719,19 @@ fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     Ok((status, body))
 }
 
-fn cmd_search(opts: &Opts) -> Result<(), String> {
-    // Validate method/options before touching the (possibly huge) datasets.
-    let spec = BuildSpec::from_opts(opts)?;
-    let nodes: Option<Vec<NodeAddr>> = opts
-        .str("nodes")
-        .map(|csv| csv.split(',').map(str::parse).collect::<Result<_, _>>())
-        .transpose()?;
-    if let Some(addrs) = &nodes {
-        if addrs.is_empty() {
+/// The serving topology `--nodes` / `--shards` / `--replicas` /
+/// `--timeout-ms` name — the one rule `search` and `scenario` share.
+/// `preset` is what `scenario` serves when no count is given (a count of 0
+/// there means "not given", and any `--replicas` replicates); `search`
+/// passes `None`, so both counts default to 1, must be at least 1, and one
+/// replica is no replication.
+fn topology_from_opts(opts: &Opts, preset: Option<&TopologySpec>) -> Result<TopologySpec, String> {
+    if let Some(csv) = opts.str("nodes") {
+        let nodes: Vec<NodeAddr> = csv.split(',').map(str::parse).collect::<Result<_, _>>()?;
+        if nodes.is_empty() {
             return Err("--nodes needs at least one address".into());
         }
-        for flag in ["shards", "replicas", "graph"] {
+        for flag in ["shards", "replicas"] {
             if opts.str(flag).is_some() {
                 return Err(format!(
                     "--{flag} does not combine with --nodes (each node serves one shard; \
@@ -737,31 +739,43 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
                 ));
             }
         }
+        return Ok(TopologySpec::Remote {
+            nodes,
+            timeout_ms: opts.num("timeout-ms", 5_000)?,
+        });
     }
-    let shards: usize = match &nodes {
-        Some(addrs) => addrs.len(),
-        None => opts.num("shards", 1)?,
-    };
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let replicas: usize = opts.num("replicas", 1)?;
-    if replicas == 0 {
-        return Err("--replicas must be at least 1".into());
+    let unset = usize::from(preset.is_none());
+    let shards: usize = opts.num("shards", unset)?;
+    let replicas: usize = opts.num("replicas", unset)?;
+    Ok(match (preset, shards, replicas) {
+        (None, 0, _) => return Err("--shards must be at least 1".into()),
+        (None, _, 0) => return Err("--replicas must be at least 1".into()),
+        (Some(preset), 0, 0) => preset.clone(),
+        (None, s, r) if r > 1 => TopologySpec::Replicated {
+            shards: s,
+            replicas: r,
+        },
+        (Some(_), s, r) if r > 0 => TopologySpec::Replicated {
+            shards: s.max(1),
+            replicas: r,
+        },
+        (_, s, _) if s > 1 => TopologySpec::Sharded { shards: s },
+        _ => TopologySpec::Flat,
+    })
+}
+
+fn cmd_search(opts: &Opts) -> Result<(), String> {
+    // Validate method/options before touching the (possibly huge) datasets.
+    let spec = BuildSpec::from_opts(opts)?;
+    let topology = topology_from_opts(opts, None)?;
+    if matches!(topology, TopologySpec::Remote { .. }) && opts.str("graph").is_some() {
+        return Err("--graph does not combine with --nodes (each node serves one shard)".into());
     }
     let routing: RoutingPolicy = match opts.str("routing") {
         None => RoutingPolicy::RoundRobin,
         Some(s) => s.parse()?,
     };
-    // Default pool size: one worker per shard — and on the replicated
-    // path enough workers to also build the replica copies concurrently
-    // (capped; serving fan-out is per shard regardless).
-    let default_threads = if replicas > 1 {
-        (shards * replicas).min(8)
-    } else {
-        shards
-    };
-    let threads: usize = opts.num("threads", default_threads)?;
+    let threads: usize = opts.num("threads", topology.default_threads())?;
     let cache_capacity: usize = opts.num("cache-capacity", 0)?;
     let batch: usize = opts.num("batch", 32)?;
     let base = read_fvecs(&opts.path("base")?).map_err(io_err("read base"))?;
@@ -780,75 +794,13 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
     let ef: usize = opts.num("ef", 128)?;
     let (dim, n) = (base.dim(), base.len());
     let rerank = spec.coding.default_rerank();
-    // The worker pool only exists on the sharded/replicated/distributed
-    // paths; the monolithic serve path runs single-threaded regardless of
-    // --threads.
-    let threads_used = if shards > 1 || replicas > 1 || nodes.is_some() {
-        threads
-    } else {
-        1
-    };
+    let label = topology.label(routing, cache_capacity);
 
-    // Kept alongside the type-erased serving handle so failover stats
-    // stay readable after the workload drains.
-    let mut replicated: Option<Arc<ReplicatedIndex>> = None;
-    // Likewise for the per-node transport counters on the --nodes path.
-    let mut transports: Vec<Arc<SocketTransport>> = Vec::new();
-    let index: Arc<dyn AnnIndex> = if let Some(addrs) = &nodes {
-        // Distributed serving: each address hosts one shard of the same
-        // round-robin partition (`serve-node --shards N --shard I`); the
-        // coordinator only needs the id maps, which it recomputes from
-        // the shared base file.
-        eprintln!(
-            "distributed serving: scatter-gather across {} nodes...",
-            addrs.len()
-        );
-        let timeout_ms: u64 = opts.num("timeout-ms", 5_000)?;
-        let (sharded, connected) = connect_round_robin_shards(
-            addrs,
-            n,
-            dim,
-            Duration::from_millis(timeout_ms.max(1)),
-            threads,
-        )?;
-        transports = connected;
-        Arc::new(sharded)
-    } else if replicas > 1 {
-        // Replicas are deterministic rebuilds too (and every shard×replica
-        // shares one globally-trained codec), so --graph is not read.
-        eprintln!(
-            "replicated serving: building {shards} x {replicas} {} shard replicas \
-             on {threads} threads ({routing} routing)...",
-            spec.method_name()
-        );
-        let r = Arc::new(ReplicatedIndex::build(
-            base,
-            &spec.builder(dim, n),
-            shards,
-            replicas,
-            ShardPolicy::RoundRobin,
-            routing,
-            HealthConfig::default(),
-            threads,
-        ));
-        replicated = Some(Arc::clone(&r));
-        r
-    } else if shards > 1 {
-        // The persisted topology is one monolithic graph, which cannot be
-        // sliced; sharded serving rebuilds one deterministic sub-index per
-        // shard from the base vectors instead (--graph is not read).
-        eprintln!(
-            "sharded serving: building {shards} {} shards on {threads} threads...",
-            spec.method_name()
-        );
-        Arc::new(ShardedIndex::build(
-            base,
-            &spec.builder(dim, n),
-            shards,
-            ShardPolicy::RoundRobin,
-            threads,
-        ))
-    } else {
+    let Stack {
+        index,
+        replicated,
+        transports,
+    } = if let TopologySpec::Flat = topology {
         let graph =
             graphs::GraphLayers::load(&opts.path("graph")?).map_err(io_err("read graph"))?;
         if graph.len() != n {
@@ -861,7 +813,21 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             "re-deriving {} provider over {n} vectors...",
             spec.method_name()
         );
-        Arc::from(spec.builder(dim, n).serve(base, graph)?)
+        Stack {
+            index: Arc::from(spec.builder(dim, n).serve(base, graph)?),
+            replicated: None,
+            transports: Vec::new(),
+        }
+    } else {
+        // The persisted topology is one monolithic graph, which cannot be
+        // sliced: every other topology rebuilds one deterministic
+        // sub-index per shard (and replica) from the base vectors, or
+        // reaches nodes that host them, so --graph is not read.
+        eprintln!(
+            "serving {label}: assembling {} on {threads} threads...",
+            spec.method_name()
+        );
+        topology.assemble(base, &spec.builder(dim, n), threads, routing, |_, _| None)?
     };
     let cached = (cache_capacity > 0)
         .then(|| Arc::new(CachedIndex::new(Arc::clone(&index), cache_capacity)));
@@ -883,24 +849,31 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             (queries.len().max(1) * 64).clamp(1024, 1 << 21),
         ))
     });
-    let mut executor = BatchExecutor::new(serving).batch_size(batch);
-    executor.submit_all((0..queries.len()).map(|qi| {
-        let mut req = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank);
-        if let Some(ring) = &trace_ring {
-            req = req.trace(TraceContext::new(
-                Arc::clone(ring),
-                trace_id_for(spec.seed, qi as u64),
-            ));
-        }
-        req
-    }));
-    let report = executor.run();
-    let found: Vec<Vec<u32>> = report
-        .responses
+    let requests: Vec<SearchRequest> = (0..queries.len())
+        .map(|qi| {
+            let mut req = SearchRequest::new(queries.get(qi), k).ef(ef).rerank(rerank);
+            if let Some(ring) = &trace_ring {
+                req = req.trace(TraceContext::new(
+                    Arc::clone(ring),
+                    trace_id_for(spec.seed, qi as u64),
+                ));
+            }
+            req
+        })
+        .collect();
+    let t0 = Instant::now();
+    let responses: Vec<SearchResponse> = requests
+        .chunks(batch.max(1))
+        .flat_map(|chunk| serving.search_batch(chunk))
+        .collect();
+    let drain = QpsReport {
+        queries: requests.len(),
+        seconds: t0.elapsed().as_secs_f64(),
+    };
+    let found: Vec<Vec<u32>> = responses
         .iter()
         .map(|r| r.hits.iter().map(|h| h.id as u32).collect())
         .collect();
-    let latency = report.latency();
     let cache_line = match &cached {
         Some(c) => format!("{:.1}%", c.cache().stats().hit_rate() * 100.0),
         None => "off".to_string(),
@@ -909,12 +882,8 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         Some(r) => {
             let f = r.failover_stats();
             format!(
-                " replicas={} routing={} retries={} markdowns={} probes={}",
-                r.replica_count(),
-                r.routing(),
-                f.retries,
-                f.markdowns,
-                f.probes,
+                " retries={} markdowns={} probes={}",
+                f.retries, f.markdowns, f.probes
             )
         }
         None => String::new(),
@@ -931,16 +900,20 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             t.timeouts,
         )
     };
+    // The worker pool only exists off the flat path, which serves
+    // single-threaded regardless of --threads.
+    let threads_used = if let TopologySpec::Flat = topology {
+        1
+    } else {
+        threads
+    };
     println!(
-        "serving: shards={shards} threads={threads_used} qps={:.0} p50={:.3}ms p99={:.3}ms cache={cache_line}{failover_line}{transport_line}",
-        report.qps.qps(),
-        latency.p50_ms,
-        latency.p99_ms,
+        "serving: topology={label} threads={threads_used} cache={cache_line}{failover_line}{transport_line}"
     );
     println!(
         "QPS: {:.0}  mean latency: {:.3} ms",
-        report.qps.qps(),
-        report.qps.mean_latency_ms()
+        drain.qps(),
+        drain.mean_latency_ms()
     );
 
     if let Some(gtp) = opts.str("gt") {
@@ -1120,8 +1093,6 @@ fn diff_structural(old: &metrics::Json, new: &metrics::Json, path: &str, diffs: 
 /// Replays a named scenario workload and writes its `BENCH_*.json`,
 /// self-checking the emitted file against the report schema.
 fn cmd_scenario(opts: &Opts) -> Result<(), String> {
-    use scenario::TopologySpec;
-
     let name = opts.required("name")?;
     let smoke = opts.flag("smoke");
     let preset = scenario::by_name(name, smoke)?;
@@ -1131,36 +1102,7 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
         spec.routing = r.parse()?;
     }
 
-    let nodes: Option<Vec<NodeAddr>> = opts
-        .str("nodes")
-        .map(|csv| csv.split(',').map(str::parse).collect::<Result<_, _>>())
-        .transpose()?;
-    let topology = if let Some(addrs) = nodes {
-        if addrs.is_empty() {
-            return Err("--nodes needs at least one address".into());
-        }
-        for flag in ["shards", "replicas"] {
-            if opts.str(flag).is_some() {
-                return Err(format!("--{flag} does not combine with --nodes"));
-            }
-        }
-        TopologySpec::Remote {
-            nodes: addrs,
-            timeout_ms: opts.num("timeout-ms", 5_000u64)?,
-        }
-    } else {
-        let shards: usize = opts.num("shards", 0)?;
-        let replicas: usize = opts.num("replicas", 0)?;
-        match (shards, replicas) {
-            (0, 0) => preset.default_topology.clone(),
-            (s, 0) if s <= 1 => TopologySpec::Flat,
-            (s, 0) => TopologySpec::Sharded { shards: s },
-            (s, r) => TopologySpec::Replicated {
-                shards: s.max(1),
-                replicas: r.max(1),
-            },
-        }
-    };
+    let topology = topology_from_opts(opts, Some(&preset.default_topology))?;
     let cache_capacity: usize = opts.num("cache-capacity", preset.default_cache)?;
     let threads: usize = opts.num("threads", 0)?;
     let out = PathBuf::from(
@@ -1173,7 +1115,7 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
         "scenario {name}{}: {} — topology {}, seed {}...",
         if smoke { " (smoke)" } else { "" },
         preset.stresses,
-        topology.label(&spec, cache_capacity),
+        topology.label(spec.routing, cache_capacity),
         spec.seed,
     );
     let trace_out = opts.str("trace-out").map(PathBuf::from);
@@ -1314,6 +1256,109 @@ mod tests {
         );
         let o = opts(&[("method", "nsg:bogus")]);
         assert!(BuildSpec::from_opts(&o).is_err());
+    }
+
+    /// `search` and `scenario` map the topology flags through one helper
+    /// and keep their own defaults: `search` counts start at 1 and a 0 is
+    /// an error, `scenario` falls back to its preset and any `--replicas`
+    /// replicates. Outcomes are `{:?}` of the topology, or `error`.
+    #[test]
+    fn topology_flags_map_the_same_for_both_commands() {
+        let preset = TopologySpec::Sharded { shards: 5 };
+        let remote = |nodes: &[u16], timeout_ms: u64| {
+            let nodes: Vec<NodeAddr> = nodes
+                .iter()
+                .map(|port| NodeAddr::Tcp(format!("127.0.0.1:{port}")))
+                .collect();
+            format!("{:?}", TopologySpec::Remote { nodes, timeout_ms })
+        };
+        let flat = format!("{:?}", TopologySpec::Flat);
+        let sharded = |shards| format!("{:?}", TopologySpec::Sharded { shards });
+        let replicated =
+            |shards, replicas| format!("{:?}", TopologySpec::Replicated { shards, replicas });
+        let error = "error".to_string();
+        let node = "tcp:127.0.0.1:1";
+        let cases = [
+            (vec![], flat.clone(), sharded(5)),
+            (vec![("shards", "0")], error.clone(), sharded(5)),
+            (vec![("replicas", "0")], error.clone(), sharded(5)),
+            (
+                vec![("shards", "0"), ("replicas", "0")],
+                error.clone(),
+                sharded(5),
+            ),
+            (vec![("shards", "1")], flat.clone(), flat.clone()),
+            (vec![("shards", "3")], sharded(3), sharded(3)),
+            (vec![("replicas", "1")], flat.clone(), replicated(1, 1)),
+            (vec![("replicas", "2")], replicated(1, 2), replicated(1, 2)),
+            (
+                vec![("shards", "3"), ("replicas", "1")],
+                sharded(3),
+                replicated(3, 1),
+            ),
+            (
+                vec![("shards", "3"), ("replicas", "2")],
+                replicated(3, 2),
+                replicated(3, 2),
+            ),
+            (
+                vec![("shards", "0"), ("replicas", "2")],
+                error.clone(),
+                replicated(1, 2),
+            ),
+            (vec![("shards", "x")], error.clone(), error.clone()),
+            (
+                vec![("nodes", node)],
+                remote(&[1], 5_000),
+                remote(&[1], 5_000),
+            ),
+            (
+                vec![
+                    ("nodes", "tcp:127.0.0.1:1,tcp:127.0.0.1:2"),
+                    ("timeout-ms", "250"),
+                ],
+                remote(&[1, 2], 250),
+                remote(&[1, 2], 250),
+            ),
+            (
+                vec![("nodes", node), ("shards", "1")],
+                error.clone(),
+                error.clone(),
+            ),
+            (
+                vec![("nodes", node), ("replicas", "1")],
+                error.clone(),
+                error.clone(),
+            ),
+            (
+                vec![("nodes", node), ("timeout-ms", "x")],
+                error.clone(),
+                error.clone(),
+            ),
+            (vec![("nodes", "")], error.clone(), error.clone()),
+            // `--graph` is not a topology flag: `scenario` ignores it.
+            (
+                vec![("nodes", node), ("graph", "g.hfg")],
+                remote(&[1], 5_000),
+                remote(&[1], 5_000),
+            ),
+        ];
+        for (flags, search, scenario) in cases {
+            let o = opts(&flags);
+            let outcome = |preset| match topology_from_opts(&o, preset) {
+                Ok(topology) => format!("{topology:?}"),
+                Err(_) => "error".to_string(),
+            };
+            assert_eq!(outcome(None), search, "search {flags:?}");
+            assert_eq!(outcome(Some(&preset)), scenario, "scenario {flags:?}");
+        }
+        // `search` reads --graph only on the flat path, so it rejects the
+        // pair before any file I/O.
+        let err = cmd_search(&opts(&[("nodes", node), ("graph", "g.hfg")])).unwrap_err();
+        assert!(
+            err.contains("--graph does not combine with --nodes"),
+            "{err}"
+        );
     }
 
     /// A report-shaped document with structural fields at every depth.

@@ -11,7 +11,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`engine`] | **the serving API**: `AnnIndex`, `SearchRequest`/`SearchResponse`, `IndexBuilder`, `GraphKind` × `Coding` |
-//! | [`serving`] | **the query runtime**: `ShardedIndex` scatter-gather, `ReplicaGroup` failover routing, `BatchExecutor`, `QueryCache`, `FaultPlan` injection, cross-process nodes (`serving::distributed`) |
+//! | [`serving`] | **the query runtime**: `ShardedIndex` scatter-gather, `ReplicaGroup` failover routing, batched `search_batch` fan-out, `QueryCache`, `FaultPlan` injection, cross-process nodes (`serving::distributed`) |
 //! | [`scenario`] | **the workload harness**: seeded `WorkloadSpec` → deterministic event streams (Zipf, diurnal, churn, fault storms), `ScenarioRunner` over any topology, `BENCH_*.json` reports |
 //! | [`flash`] | the paper's contribution: `FlashCodec`, `FlashProvider`, `FlashHnsw` |
 //! | [`graphs`] | generic HNSW, NSG, τ-MG, Vamana, HCNNG; filtered search; ADSampling & VBase search variants |
@@ -61,8 +61,9 @@
 //!
 //! For heavy traffic, wrap the same builder in the [`serving`] runtime:
 //! partition the dataset across shards searched by a worker-thread pool,
-//! put a result cache in front, and drive batched workloads with
-//! latency/QPS accounting (see `examples/sharded_serving.rs`):
+//! put a result cache in front, and serve batches through
+//! `AnnIndex::search_batch`, which fans each batch's `(request × shard)`
+//! grid out at once (see `examples/sharded_serving.rs`):
 //!
 //! ```
 //! use hnsw_flash::prelude::*;
@@ -75,13 +76,14 @@
 //! let sharded = ShardedIndex::build(base, &builder, 4, ShardPolicy::RoundRobin, 4);
 //! let index: Arc<dyn AnnIndex> = Arc::new(CachedIndex::new(Arc::new(sharded), 1_024));
 //!
-//! let mut executor = BatchExecutor::new(index).batch_size(8);
-//! executor.submit_all((0..queries.len()).map(|qi| {
-//!     SearchRequest::new(queries.get(qi), 5).ef(64).rerank(8)
-//! }));
-//! let report = executor.run();
-//! assert_eq!(report.responses.len(), queries.len());
-//! println!("QPS {:.0}, p99 {:.3} ms", report.qps.qps(), report.latency().p99_ms);
+//! let requests: Vec<SearchRequest> = (0..queries.len())
+//!     .map(|qi| SearchRequest::new(queries.get(qi), 5).ef(64).rerank(8))
+//!     .collect();
+//! let responses: Vec<SearchResponse> = requests
+//!     .chunks(8)
+//!     .flat_map(|batch| index.search_batch(batch))
+//!     .collect();
+//! assert_eq!(responses.len(), queries.len());
 //! ```
 //!
 //! ## Replicated serving with failover
@@ -275,7 +277,7 @@
 //! | Scenario | Stresses | Key metric |
 //! |---|---|---|
 //! | `steady_zipf` | sharded fan-out + `QueryCache` under Zipf-skewed popularity | cache hit rate |
-//! | `diurnal_burst` | batch executor through trough-to-peak diurnal swings | span + profile counts under diurnal arrivals |
+//! | `diurnal_burst` | batched search through trough-to-peak diurnal swings | span + profile counts under diurnal arrivals |
 //! | `churn_lsm` | LSM overlay merge + cache generation invalidation under churn | recall\@k under churn |
 //! | `fault_storm` | replica markdown, probing, recovery (replica 0 survives) | recall parity + failover counters |
 //! | `overload` | admission control: bursty queueing, deadline shedding, `Overloaded` retries | admitted/shed/retried counters |
@@ -606,11 +608,10 @@ pub mod prelude {
         TopologySpec, WorkloadSpec,
     };
     pub use serving::{
-        AdmissionStats, BatchExecutor, BatchReport, CachedIndex, EventConfig, EventServer,
-        FallibleIndex, FaultError, FaultKind, FaultPlan, FaultyIndex, HealthConfig,
-        LoopbackTransport, NodeAddr, NodeHandler, NodeInfo, NodeStats, QueryCache, RemoteIndex,
-        ReplicaGroup, ReplicatedIndex, Router, RoutingPolicy, ShardPolicy, ShardedIndex,
-        SocketTransport, Transport, WorkerPool,
+        AdmissionStats, CachedIndex, EventConfig, EventServer, FallibleIndex, FaultError,
+        FaultKind, FaultPlan, FaultyIndex, HealthConfig, LoopbackTransport, NodeAddr, NodeHandler,
+        NodeInfo, NodeStats, QueryCache, RemoteIndex, ReplicaGroup, ReplicatedIndex, Router,
+        RoutingPolicy, ShardPolicy, ShardedIndex, SocketTransport, Transport, WorkerPool,
     };
     pub use simdops::{set_level_override, SimdLevel};
     pub use vecstore::{generate, ground_truth, DatasetProfile, DatasetSpec, VectorSet};

@@ -282,10 +282,9 @@ fn graph_index_answers_like_the_live_hnsw() {
             .collect();
 
         let leaf = GraphIndex::new(hnsw);
-        for qi in 0..queries.len() {
+        for (qi, [live_plain, live_reranked, exact_filtered]) in live.iter().enumerate() {
             let tag = format!("hnsw:{coding} query {qi}");
             let plain = SearchRequest::new(queries.get(qi), K).ef(EF);
-            let [live_plain, live_reranked, exact_filtered] = &live[qi];
             assert_same(live_plain, &leaf.search(&plain).hits, &tag);
             assert_same(
                 live_reranked,

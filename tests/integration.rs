@@ -208,10 +208,10 @@ fn search_variants_work_on_flash_built_graphs() {
     // ADSampling over the Flash-built topology, exact distances.
     let sampler = graphs::adsampling::AdSampler::new(&base, 2.1, 16, 3);
     let mut hits = 0;
-    for qi in 0..20 {
+    for (qi, truth) in gt.iter().enumerate().take(20) {
         let (found, _) = sampler.search(&graph, queries.get(qi), k, 64);
         let ids: Vec<u32> = found.iter().map(|r| r.id as u32).collect();
-        hits += gt[qi][..k].iter().filter(|t| ids.contains(&t.id)).count();
+        hits += truth[..k].iter().filter(|t| ids.contains(&t.id)).count();
     }
     assert!(
         hits as f64 / 60.0 >= 0.85,
@@ -222,10 +222,10 @@ fn search_variants_work_on_flash_built_graphs() {
     // VBase termination over the same graph with the full-precision provider.
     let full = FullPrecision::new(base);
     let mut hits = 0;
-    for qi in 0..20 {
+    for (qi, truth) in gt.iter().enumerate().take(20) {
         let found = graphs::vbase::search_vbase(&full, &graph, queries.get(qi), k, 48);
         let ids: Vec<u32> = found.iter().map(|r| r.id as u32).collect();
-        hits += gt[qi][..k].iter().filter(|t| ids.contains(&t.id)).count();
+        hits += truth[..k].iter().filter(|t| ids.contains(&t.id)).count();
     }
     assert!(
         hits as f64 / 60.0 >= 0.85,

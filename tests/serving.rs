@@ -457,19 +457,21 @@ fn multithreaded_batch_workload_is_deterministic() {
         .map(|qi| exact_request(queries.get(qi)))
         .collect();
 
-    let run = |index: Arc<ShardedIndex>| {
-        let mut executor = BatchExecutor::new(index).batch_size(7);
-        executor.submit_all(requests.iter().cloned());
-        executor.run()
+    // Batches of 7 through the shared handle, which forwards to the
+    // sharded index's own grid fan-out.
+    let run = |index: Arc<ShardedIndex>| -> Vec<SearchResponse> {
+        requests
+            .chunks(7)
+            .flat_map(|batch| index.search_batch(batch))
+            .collect()
     };
-    let report_a = run(Arc::clone(&index_a));
-    let report_b = run(Arc::new(build()));
-    assert_eq!(report_a.responses.len(), 64);
-    assert_eq!(report_a.batches, 10); // ceil(64 / 7)
-    for (a, b) in report_a.responses.iter().zip(&report_b.responses) {
+    let responses_a = run(Arc::clone(&index_a));
+    let responses_b = run(Arc::new(build()));
+    assert_eq!(responses_a.len(), 64);
+    for (a, b) in responses_a.iter().zip(&responses_b) {
         assert_eq!(a.hits, b.hits, "two runs diverged");
     }
-    for (req, a) in requests.iter().zip(&report_a.responses) {
+    for (req, a) in requests.iter().zip(&responses_a) {
         assert_eq!(
             a.hits,
             index_a.search(req).hits,
