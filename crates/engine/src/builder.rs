@@ -39,7 +39,7 @@ enum CodecKind {
     Pca(PcaCodec),
     Pq(ProductQuantizer),
     Opq(OptimizedProductQuantizer),
-    Flash(FlashCodec),
+    Flash(Arc<FlashCodec>),
 }
 
 impl TrainedCodec {
@@ -310,7 +310,10 @@ impl IndexBuilder {
                 12,
                 self.seed,
             )),
-            Coding::Flash => CodecKind::Flash(FlashCodec::train(base, self.derived_flash(dim, n))),
+            Coding::Flash => CodecKind::Flash(Arc::new(FlashCodec::train(
+                base,
+                self.derived_flash(dim, n),
+            ))),
         };
         TrainedCodec {
             coding: self.coding,
@@ -385,7 +388,7 @@ impl IndexBuilder {
             CodecKind::Pca(pca) => job.run(PcaProvider::from_codec(base, pca.clone())),
             CodecKind::Pq(pq) => job.run(PqProvider::from_quantizer(base, pq.clone())),
             CodecKind::Opq(opq) => job.run(OpqProvider::from_quantizer(base, opq.clone())),
-            CodecKind::Flash(fc) => job.run(FlashProvider::from_codec(base, fc.clone())),
+            CodecKind::Flash(fc) => job.run(FlashProvider::from_codec(base, Arc::clone(fc))),
         }
     }
 
@@ -482,7 +485,7 @@ impl IndexBuilder {
             }
             Coding::Flash => {
                 // Train once on the whole corpus; partitions only encode.
-                let codec = FlashCodec::train(base, self.derived_flash(dim, n));
+                let codec = Arc::new(FlashCodec::train(base, self.derived_flash(dim, n)));
                 Box::new(LabeledHnsw::build(base, labels, params, move |subset| {
                     FlashProvider::from_codec(subset, codec.clone())
                 }))

@@ -6,6 +6,8 @@ use simdops::{dist16, dist16_rows, LUT_BATCH};
 use std::cell::RefCell;
 use vecstore::VectorSet;
 
+mod bytes;
+
 /// Number of centroids per subspace. Fixed at 16 so one ADT (16 × 8-bit
 /// quantized distances) fills exactly one 128-bit register and codewords
 /// are 4 bits (`L_F = 4`).
@@ -92,6 +94,10 @@ pub struct FlashCodec {
     /// contiguous run (see [`FlashCodec::sdt_to`]). The table is not
     /// symmetric: `dists[b] + residual[a] + residual[b]` rounds per order.
     sdt: Vec<u8>,
+    /// [`FlashCodec::quantization_error`] of the training sample — the
+    /// yardstick a later batch's error is compared with to tell whether it
+    /// still fits this codec.
+    train_error: f64,
 }
 
 thread_local! {
@@ -105,6 +111,11 @@ thread_local! {
 /// streaming the basis, small enough that the projections stay in cache
 /// until they are encoded.
 const ENCODE_BATCH_ROWS: usize = 256;
+
+/// Rows [`FlashCodec::quantization_error`] averages over (a stride sample):
+/// enough for a stable mean, few enough to price a check at well under a
+/// millisecond at 256-d.
+const ERROR_SAMPLE: usize = 256;
 
 impl FlashCodec {
     /// Trains PCA, the subspace codebooks, the quantization grid and the
@@ -215,6 +226,7 @@ impl FlashCodec {
             inv_delta: ((1u32 << H_BITS) - 1) as f32 / delta,
             residuals,
             sdt: Vec::new(),
+            train_error: 0.0,
         };
         // Pre-quantized SDT, shared by every insertion (paper: resides in
         // cache, eliminating NS-stage vector fetches). `centroid_dists` is
@@ -223,7 +235,44 @@ impl FlashCodec {
         for (i, &d) in centroid_dists.iter().enumerate() {
             codec.sdt[sdt_at(i / (K * K), i / K % K, i % K)] = codec.quantize(d);
         }
+        codec.train_error = codec.quantization_error(&sample);
         codec
+    }
+
+    /// Mean input-space quantization error over a stride sample of 256
+    /// rows of `data`: the squared distance from each vector to its
+    /// reconstruction, which is its PCA residual (the energy of `v − mean`
+    /// off the retained components) plus its codeword error (the distance
+    /// from its projection to its centroids), averaged. `0` for an empty
+    /// `data`.
+    ///
+    /// # Panics
+    /// Panics if `data`'s dimensionality is not the codec's input's.
+    pub fn quantization_error(&self, data: &VectorSet) -> f64 {
+        assert_eq!(data.dim(), self.input_dim(), "dimensionality mismatch");
+        let sample = data.stride_sample(ERROR_SAMPLE);
+        let d_f = self.d_f();
+        let mut projected = vec![0.0f32; sample.len() * d_f];
+        self.pca.project_batch(sample.as_flat(), &mut projected);
+        let mut sum = 0.0f64;
+        for (v, p) in sample.iter().zip(projected.chunks_exact(d_f)) {
+            let kept: f32 = p.iter().map(|x| x * x).sum();
+            let residual = (simdops::l2_sq(v, self.pca.mean()) - kept).max(0.0);
+            let codeword: f32 = (0..self.subspaces())
+                .map(|s| {
+                    let dists = self.centroid_dists(s, p);
+                    dists[usize::from(nearest(&dists))]
+                })
+                .sum();
+            sum += f64::from(residual + codeword);
+        }
+        sum / sample.len().max(1) as f64
+    }
+
+    /// [`Self::quantization_error`] of the codec's own training sample,
+    /// measured when it was trained.
+    pub fn train_error(&self) -> f64 {
+        self.train_error
     }
 
     /// Number of subspaces `M_F`.
@@ -734,6 +783,28 @@ mod tests {
                 .sum()
         };
         assert!(err(&large) < err(&small));
+    }
+
+    #[test]
+    fn quantization_error_is_the_reconstruction_distance() {
+        use quantizers::Codec as _;
+        let (c, data) = codec(64, 16, 8);
+        let sample = data.stride_sample(ERROR_SAMPLE);
+        let direct: f64 = (sample.iter())
+            .map(|v| f64::from(simdops::l2_sq(v, &c.reconstruct(v))))
+            .sum::<f64>()
+            / sample.len() as f64;
+        let error = c.quantization_error(&data);
+        assert!(
+            (error - direct).abs() < 1e-3 * direct,
+            "{error} vs {direct}"
+        );
+        // The training sample is the 400-row stride of the same 500 rows.
+        let trained = c.train_error();
+        assert!(
+            trained > 0.0 && (trained / error - 1.0).abs() < 0.2,
+            "{trained} vs {error}"
+        );
     }
 
     #[test]

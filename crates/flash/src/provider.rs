@@ -9,6 +9,7 @@
 use crate::codec::{FlashCodec, FlashParams, K};
 use graphs::provider::DistanceProvider;
 use simdops::{lut16_batch, lut16_single, LUT_BATCH};
+use std::sync::Arc;
 use vecstore::VectorSet;
 
 /// Per-insert / per-query context: the quantized asymmetric distance table.
@@ -47,7 +48,9 @@ const NS_TABLE_SUBSPACES: usize = 64;
 /// Distance provider implementing the paper's Flash strategy.
 pub struct FlashProvider {
     base: VectorSet,
-    codec: FlashCodec,
+    /// Shared by every provider encoded through it (shards, label
+    /// partitions, LSM segments).
+    codec: Arc<FlashCodec>,
     /// Global per-vector codewords: `n * M_F` bytes (one 4-bit codeword per
     /// byte, shuffle-ready). Source of truth for payload rebuilds and
     /// NS-stage SDT lookups.
@@ -70,14 +73,17 @@ impl FlashProvider {
         provider
     }
 
-    /// Builds a provider over `base` with an already-trained codec.
+    /// Builds a provider over `base` with an already-trained codec, given
+    /// as a plain [`FlashCodec`] or as an `Arc` shared with other providers.
     ///
     /// Training is a fixed per-index cost, so deployments that build *many*
-    /// small indexes over one corpus — per-label specialized partitions,
-    /// LSM segments — should train once on the full distribution and share
-    /// the codec; only encoding is paid per partition. `coding_ns` then
-    /// covers encoding alone.
-    pub fn from_codec(base: VectorSet, codec: FlashCodec) -> Self {
+    /// small indexes over one corpus — shards, per-label specialized
+    /// partitions, LSM segments — train once and share the codec; only
+    /// encoding is paid per partition, and `coding_ns` then covers encoding
+    /// alone. `maintenance::LsmVectorIndex` does this for every flush whose
+    /// batch still fits its current codec.
+    pub fn from_codec(base: VectorSet, codec: impl Into<Arc<FlashCodec>>) -> Self {
+        let codec = codec.into();
         let t0 = std::time::Instant::now();
         let codes = codec.encode_batch(&base);
         let coding_ns = t0.elapsed().as_nanos() as u64;
@@ -90,8 +96,13 @@ impl FlashProvider {
     }
 
     /// The trained codec.
-    pub fn codec(&self) -> &FlashCodec {
+    pub fn codec(&self) -> &Arc<FlashCodec> {
         &self.codec
+    }
+
+    /// Codewords of every vector (`len * M_F` bytes, vector-major).
+    pub fn codes(&self) -> &[u8] {
+        &self.codes
     }
 
     /// Nanoseconds spent in codec training + dataset encoding.
@@ -411,7 +422,9 @@ mod tests {
         // (first code) to candidate `v` (second code) is Σ 13·c_u + c_v,
         // and reading the table the other way round gives Σ 13·c_v + c_u.
         let mut p = provider(200);
-        p.codec.set_sdt_with(|_, a, b| (13 * a + b) as u8);
+        Arc::get_mut(&mut p.codec)
+            .unwrap()
+            .set_sdt_with(|_, a, b| (13 * a + b) as u8);
         let sum = |first: u32, second: u32| -> u16 {
             p.codes_of(first)
                 .iter()

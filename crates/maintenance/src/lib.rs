@@ -15,10 +15,12 @@
 //!   tombstone deletes (search filters dead vertices but the graph keeps
 //!   routing through them — the structural decay that erodes recall).
 //! * [`LsmVectorIndex`] — the user-facing index: inserts go to the
-//!   memtable and spill into sealed segments; deletes tombstone; searches
-//!   fan out across memtable + segments and merge; [`LsmVectorIndex::rebuild`]
-//!   compacts every live vector into one fresh segment (the overnight
-//!   rebuild whose cost Flash attacks).
+//!   memtable and spill into sealed segments, coded through one shared
+//!   Flash codec that a flush re-fits only when the memtable has drifted
+//!   from it; deletes tombstone; searches fan out across memtable +
+//!   segments and merge; [`LsmVectorIndex::rebuild`] compacts every live
+//!   vector into one fresh segment (the overnight rebuild whose cost Flash
+//!   attacks).
 //! * [`cycles`] — the update-cycle simulator behind the `ext2` experiment
 //!   of `crates/bench` (`repro ext2`).
 //!

@@ -1,10 +1,11 @@
 //! An immutable, Flash-indexed data segment with tombstone deletes.
 
 use crate::Hit;
-use flash::{FlashParams, FlashProvider};
+use flash::{FlashCodec, FlashProvider};
 use graphs::{
     search_layers_filtered, DistanceProvider, FrozenGraph, GraphLayers, Hnsw, HnswParams,
 };
+use std::sync::Arc;
 use vecstore::VectorSet;
 
 /// A sealed segment: a frozen HNSW-Flash graph over one batch of vectors.
@@ -14,41 +15,48 @@ use vecstore::VectorSet;
 /// (removing them would require the re-linking surgery LSM systems avoid),
 /// so a segment's search quality decays as its dead fraction grows; the
 /// decay is what [`crate::LsmVectorIndex::rebuild`] repairs.
+///
+/// A segment does not own its codec: it encodes through the
+/// `Arc<FlashCodec>` its index hands it, which other segments of the same
+/// index share (see [`crate::LsmVectorIndex`]).
 pub struct Segment {
     index: FrozenGraph<FlashProvider>,
     /// External ids, indexed by the segment-local vector id.
     ids: Vec<u64>,
     dead: Vec<bool>,
     live: usize,
-    flash: FlashParams,
     hnsw: HnswParams,
 }
 
 impl Segment {
-    /// Seals `vectors` (with their external `ids`) into a Flash-indexed
-    /// segment.
+    /// Seals `vectors` (with their external `ids`) into a segment: encodes
+    /// them through `codec` (no training) and builds the HNSW graph.
     ///
     /// # Panics
     /// Panics if `vectors` and `ids` disagree in length or are empty.
-    pub fn build(vectors: VectorSet, ids: Vec<u64>, flash: FlashParams, hnsw: HnswParams) -> Self {
+    pub fn build(
+        vectors: VectorSet,
+        ids: Vec<u64>,
+        codec: Arc<FlashCodec>,
+        hnsw: HnswParams,
+    ) -> Self {
         assert_eq!(vectors.len(), ids.len(), "one external id per vector");
         assert!(!ids.is_empty(), "segments must be non-empty");
         let n = ids.len();
-        let provider = FlashProvider::new(vectors, flash);
+        let provider = FlashProvider::from_codec(vectors, codec);
         let index = Hnsw::build(provider, hnsw).into_frozen();
         Self {
             index,
             ids,
             dead: vec![false; n],
             live: n,
-            flash,
             hnsw,
         }
     }
 
-    /// Reassembles a segment from persisted parts: the codec retrains
-    /// deterministically from `flash` (same sample, same seed) and is
-    /// paired with the stored topology as is — used by
+    /// Reassembles a segment from persisted parts: `vectors` are encoded
+    /// through the stored `codec` (nothing is trained) and paired with the
+    /// stored topology as is — used by
     /// [`Segment::load`](crate::Segment::load).
     ///
     /// # Panics
@@ -58,19 +66,18 @@ impl Segment {
         topology: GraphLayers,
         ids: Vec<u64>,
         dead: Vec<bool>,
-        flash: FlashParams,
+        codec: Arc<FlashCodec>,
         hnsw: HnswParams,
     ) -> Self {
         assert_eq!(vectors.len(), ids.len(), "one external id per vector");
         assert_eq!(ids.len(), dead.len(), "one tombstone slot per vector");
-        let index = FrozenGraph::new(FlashProvider::new(vectors, flash), topology);
+        let index = FrozenGraph::new(FlashProvider::from_codec(vectors, codec), topology);
         let live = dead.iter().filter(|&&d| !d).count();
         Self {
             index,
             ids,
             dead,
             live,
-            flash,
             hnsw,
         }
     }
@@ -95,9 +102,14 @@ impl Segment {
         &self.dead
     }
 
-    /// The Flash parameters the segment was coded with.
-    pub fn flash_params(&self) -> &FlashParams {
-        &self.flash
+    /// The codec the segment is coded with.
+    pub fn codec(&self) -> &Arc<FlashCodec> {
+        self.index.provider().codec()
+    }
+
+    /// Codewords of every vector by local id (`len * M_F` bytes).
+    pub fn codes(&self) -> &[u8] {
+        self.index.provider().codes()
     }
 
     /// The HNSW parameters the segment was built with.
@@ -191,7 +203,9 @@ impl Segment {
         (out, ids)
     }
 
-    /// Index bytes (graph + Flash codes + id map + tombstones).
+    /// Index bytes (graph + Flash codes + codec + id map + tombstones). The
+    /// codec is counted whole even when other segments share it;
+    /// [`crate::LsmVectorIndex::bytes`] counts each codec once.
     pub fn bytes(&self) -> usize {
         self.index.index_bytes() + self.ids.len() * 8 + self.dead.len()
     }
@@ -200,15 +214,17 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash::FlashParams;
     use vecstore::{generate, DatasetProfile};
 
     fn small_segment(n: usize, seed: u64) -> (Segment, VectorSet) {
         let (base, queries) = generate(&DatasetProfile::SsnppLike.spec(), n, 8, seed);
         let ids: Vec<u64> = (0..n as u64).map(|i| i + 1000).collect();
+        let codec = Arc::new(FlashCodec::train(&base, FlashParams::auto(256)));
         let seg = Segment::build(
             base,
             ids,
-            FlashParams::auto(256),
+            codec,
             HnswParams {
                 c: 48,
                 r: 8,
@@ -279,10 +295,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_segment_rejected() {
+        let codec = FlashCodec::train(&VectorSet::from_flat(4, vec![0.0; 4]), FlashParams::auto(4));
         let _ = Segment::build(
             VectorSet::new(4),
             Vec::new(),
-            FlashParams::auto(4),
+            Arc::new(codec),
             HnswParams::default(),
         );
     }

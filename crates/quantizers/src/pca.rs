@@ -95,6 +95,65 @@ impl PcaCodec {
         self.keep
     }
 
+    /// Reassembles a fitted model from the parts its accessors expose
+    /// ([`Self::mean`], [`Self::components`], [`Self::mean_projection`],
+    /// [`Self::eigenvalues`], [`Self::total_variance`], [`Self::kept_dims`]),
+    /// so a serializer can store them bit for bit instead of refitting.
+    ///
+    /// # Errors
+    /// Refuses parts whose lengths disagree (`components` must hold
+    /// `mean_projection.len()` rows of `mean.len()` floats, one eigenvalue
+    /// per row, `1 <= keep <= rows <= dim`) or that hold a non-finite float.
+    pub fn from_parts(
+        mean: Vec<f32>,
+        components: Vec<f32>,
+        mean_projection: Vec<f32>,
+        eigenvalues: Vec<f32>,
+        total_variance: f64,
+        keep: usize,
+    ) -> Result<Self, &'static str> {
+        let (dim, rows) = (mean.len(), mean_projection.len());
+        if dim == 0 || rows > dim || keep == 0 || keep > rows {
+            return Err("PCA needs 1 <= kept <= solved <= dim");
+        }
+        if components.len() != rows * dim || eigenvalues.len() != rows {
+            return Err("PCA parts disagree on the solved component count");
+        }
+        let floats = [&mean, &components, &mean_projection, &eigenvalues];
+        if !total_variance.is_finite() || floats.iter().any(|v| v.iter().any(|x| !x.is_finite())) {
+            return Err("PCA parts hold a non-finite value");
+        }
+        Ok(Self {
+            mean,
+            components: Matrix::from_vec(rows, dim, components),
+            mean_projection,
+            eigenvalues,
+            total_variance,
+            keep,
+        })
+    }
+
+    /// The mean subtracted before projecting (`dim` floats).
+    pub fn mean(&self) -> &[f32] {
+        &self.mean
+    }
+
+    /// Every solved component, row-major (`rows × dim`, descending
+    /// eigenvalue); the first [`Self::kept_dims`] rows are the basis.
+    pub fn components(&self) -> &[f32] {
+        self.components.as_slice()
+    }
+
+    /// `components · mean`, one float per solved component.
+    pub fn mean_projection(&self) -> &[f32] {
+        &self.mean_projection
+    }
+
+    /// Total eigenvalue mass (covariance trace).
+    pub fn total_variance(&self) -> f64 {
+        self.total_variance
+    }
+
     /// Changes the retained dimensionality without refitting.
     ///
     /// # Panics
