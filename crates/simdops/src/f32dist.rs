@@ -3,7 +3,8 @@
 //! These implement the baseline HNSW distance path the paper profiles in
 //! Figure 1: each computation streams the two vectors through SIMD registers
 //! in `D / (register_width / 32)` loads per operand — the `N_RL_orig` cost of
-//! Equation (12).
+//! Equation (12). [`l2_sq_4x4`] scores four queries against four rows with
+//! each loaded chunk reused four times, for scans that visit every pair.
 
 use crate::level::{current_level, SimdLevel};
 
@@ -104,6 +105,39 @@ pub fn l2_sq_min_rows(rows: &[f32], c: &[f32], min_d2: &mut [f32]) {
     }
 }
 
+/// The sixteen distances `out[i][j] = l2_sq(queries[i], rows[j])`, each
+/// with [`l2_sq`]'s bits at the current level; one dispatch for the block.
+///
+/// Every result runs that tier's own sequence — the same lane-wise sub and
+/// multiply-add chain, horizontal sum and scalar tail — but each chunk of a
+/// row is loaded once for all four queries, so an exact scan over many
+/// queries is bound by arithmetic rather than by the cache holding the rows.
+///
+/// # Panics
+/// Panics if the eight slices do not all have the same length.
+pub fn l2_sq_4x4(queries: [&[f32]; 4], rows: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    let n = queries[0].len();
+    assert!(
+        queries.iter().chain(&rows).all(|v| v.len() == n),
+        "dimension mismatch in a 4x4 block"
+    );
+    match current_level() {
+        SimdLevel::Scalar => l2_sq_4x4_scalar(queries, rows),
+        // SAFETY: `current_level` never exceeds what the CPU supports, and
+        // every slice is `n` floats long.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse => unsafe { l2_sq_4x4_sse(queries, rows) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { l2_sq_4x4_avx2(queries, rows) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { l2_sq_4x4_avx512(queries, rows) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => l2_sq_4x4_scalar(queries, rows),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations.
 // ---------------------------------------------------------------------------
@@ -115,6 +149,20 @@ pub fn l2_sq_scalar(a: &[f32], b: &[f32]) -> f32 {
     for (&x, &y) in a.iter().zip(b.iter()) {
         let d = x - y;
         acc += d * d;
+    }
+    acc
+}
+
+/// [`l2_sq_scalar`] of each pair, the sixteen sums advanced together.
+fn l2_sq_4x4_scalar(q: [&[f32]; 4], r: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    let mut acc = [[0.0f32; 4]; 4];
+    for t in 0..q[0].len() {
+        for i in 0..4 {
+            for j in 0..4 {
+                let d = q[i][t] - r[j][t];
+                acc[i][j] += d * d;
+            }
+        }
     }
     acc
 }
@@ -176,6 +224,49 @@ unsafe fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
     out
 }
 
+/// `out[i][j] += (q[i][t] - r[j][t])²` for `t` from `from` to the end:
+/// the scalar tail every tier's `l2_sq` finishes with.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn l2_sq_4x4_tail(q: [&[f32]; 4], r: [&[f32]; 4], from: usize, out: &mut [[f32; 4]; 4]) {
+    for (out, q) in out.iter_mut().zip(q) {
+        for (out, r) in out.iter_mut().zip(r) {
+            for t in from..q.len() {
+                let d = q[t] - r[t];
+                *out += d * d;
+            }
+        }
+    }
+}
+
+/// [`l2_sq_sse`] of each pair.
+///
+/// # Safety
+/// The CPU must support sse2, and all eight slices have the same length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn l2_sq_4x4_sse(q: [&[f32]; 4], r: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    use std::arch::x86_64::*;
+    let full = q[0].len() / 4 * 4;
+    let mut acc = [[_mm_setzero_ps(); 4]; 4];
+    for t in (0..full).step_by(4) {
+        // SAFETY: `t + 4 <= full`, and every slice is at least that long.
+        let rv = r.map(|r| unsafe { _mm_loadu_ps(r.as_ptr().add(t)) });
+        for (acc, q) in acc.iter_mut().zip(q) {
+            // SAFETY: as above.
+            let qv = unsafe { _mm_loadu_ps(q.as_ptr().add(t)) };
+            for (acc, &rv) in acc.iter_mut().zip(&rv) {
+                let d = _mm_sub_ps(qv, rv);
+                *acc = _mm_add_ps(*acc, _mm_mul_ps(d, d));
+            }
+        }
+    }
+    // SAFETY: `hsum128` needs sse2 alone.
+    let mut out = acc.map(|row| row.map(|v| unsafe { hsum128(v) }));
+    l2_sq_4x4_tail(q, r, full, &mut out);
+    out
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn ip_sse(a: &[f32], b: &[f32]) -> f32 {
@@ -216,6 +307,35 @@ unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
     out
 }
 
+/// [`l2_sq_avx2`] of each pair.
+///
+/// # Safety
+/// The CPU must support avx2 and fma, and all eight slices have the same
+/// length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn l2_sq_4x4_avx2(q: [&[f32]; 4], r: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    use std::arch::x86_64::*;
+    let full = q[0].len() / 8 * 8;
+    let mut acc = [[_mm256_setzero_ps(); 4]; 4];
+    for t in (0..full).step_by(8) {
+        // SAFETY: `t + 8 <= full`, and every slice is at least that long.
+        let rv = r.map(|r| unsafe { _mm256_loadu_ps(r.as_ptr().add(t)) });
+        for (acc, q) in acc.iter_mut().zip(q) {
+            // SAFETY: as above.
+            let qv = unsafe { _mm256_loadu_ps(q.as_ptr().add(t)) };
+            for (acc, &rv) in acc.iter_mut().zip(&rv) {
+                let d = _mm256_sub_ps(qv, rv);
+                *acc = _mm256_fmadd_ps(d, d, *acc);
+            }
+        }
+    }
+    // SAFETY: `hsum256` needs avx, which avx2 implies.
+    let mut out = acc.map(|row| row.map(|v| unsafe { hsum256(v) }));
+    l2_sq_4x4_tail(q, r, full, &mut out);
+    out
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn ip_avx2(a: &[f32], b: &[f32]) -> f32 {
@@ -253,6 +373,34 @@ unsafe fn l2_sq_avx512(a: &[f32], b: &[f32]) -> f32 {
         let d = a[i] - b[i];
         out += d * d;
     }
+    out
+}
+
+/// [`l2_sq_avx512`] of each pair: sixteen accumulators, four row chunks
+/// and one query chunk fit the thirty-two registers.
+///
+/// # Safety
+/// The CPU must support avx512f, and all eight slices have the same length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn l2_sq_4x4_avx512(q: [&[f32]; 4], r: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    use std::arch::x86_64::*;
+    let full = q[0].len() / 16 * 16;
+    let mut acc = [[_mm512_setzero_ps(); 4]; 4];
+    for t in (0..full).step_by(16) {
+        // SAFETY: `t + 16 <= full`, and every slice is at least that long.
+        let rv = r.map(|r| unsafe { _mm512_loadu_ps(r.as_ptr().add(t)) });
+        for (acc, q) in acc.iter_mut().zip(q) {
+            // SAFETY: as above.
+            let qv = unsafe { _mm512_loadu_ps(q.as_ptr().add(t)) };
+            for (acc, &rv) in acc.iter_mut().zip(&rv) {
+                let d = _mm512_sub_ps(qv, rv);
+                *acc = _mm512_fmadd_ps(d, d, *acc);
+            }
+        }
+    }
+    let mut out = acc.map(|row| row.map(|v| _mm512_reduce_add_ps(v)));
+    l2_sq_4x4_tail(q, r, full, &mut out);
     out
 }
 
@@ -358,6 +506,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Floats for the 4x4 parity test: mostly uniform values, with signed
+    /// zeros, subnormals and magnitudes near `1e17`, whose squares swamp
+    /// the rest, mixed in at a stride that lands them in lanes and tails.
+    fn awkward_floats(n: usize) -> Vec<f32> {
+        let (mut v, _) = vecs(n);
+        for (i, x) in v.iter_mut().enumerate() {
+            *x = match i % 23 {
+                3 => 0.0,
+                7 => -0.0,
+                11 => f32::from_bits(1 + i as u32 % 0x7f_ffff),
+                13 => -f32::from_bits(0x40_0000 + i as u32 % 0x3f_ffff),
+                17 => *x * 1e17,
+                19 => -3e16,
+                _ => *x,
+            };
+        }
+        v
+    }
+
+    /// All sixteen outputs of `l2_sq_4x4` are `l2_sq`'s bits at every level,
+    /// for every dimension around the register widths and both paper
+    /// widths, with slices starting at odd float offsets.
+    #[test]
+    fn l2_sq_4x4_is_l2_sq_bit_for_bit_at_every_level() {
+        let _serial = crate::level::serialize_level_tests();
+        let dims = (1..=40usize).chain([63, 64, 65, 127, 128, 129, 255, 256, 257, 768, 1024]);
+        for dim in dims {
+            let buf = awkward_floats(8 * dim + 8);
+            // Vector `v` starts at float `1 + v * (dim + 1)`: odd offsets
+            // for even `dim`, and every alignment across the eight.
+            let at = |v: usize| &buf[1 + v * (dim + 1)..][..dim];
+            let queries = [at(0), at(1), at(2), at(3)];
+            let rows = [at(4), at(5), at(6), at(7)];
+            for level in supported_levels() {
+                let (got, want) = with_level(level, || {
+                    let want = queries.map(|q| rows.map(|r| l2_sq(q, r).to_bits()));
+                    (
+                        l2_sq_4x4(queries, rows).map(|row| row.map(f32::to_bits)),
+                        want,
+                    )
+                });
+                assert_eq!(got, want, "{level:?} dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn l2_sq_4x4_rejects_a_short_row() {
+        let (a, b) = ([1.0f32; 8], [1.0f32; 7]);
+        let _ = l2_sq_4x4([&a; 4], [&a, &a, &b, &a]);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! * [`f32dist`] — full-precision L2² / inner-product kernels (the baseline
 //!   HNSW distance path) in scalar, SSE (128-bit), AVX2 (256-bit) and
-//!   AVX-512 variants;
+//!   AVX-512 variants, plus [`l2_sq_4x4`], the register-blocked four
+//!   queries × four rows form of `l2_sq` behind the exact ground-truth
+//!   scan: each row chunk is loaded once for four queries, and each of the
+//!   sixteen results has `l2_sq`'s bits at every level;
 //! * [`u8dist`] — distances over scalar-quantized `u8` codes (HNSW-SQ path);
 //! * [`gemm`] — the coding layer's linear algebra: a register-tiled `A·Bᵀ`
 //!   (PCA fit and projection) and the one-to-sixteen centroid distance
@@ -29,7 +32,7 @@ pub mod lut;
 pub mod prefetch;
 pub mod u8dist;
 
-pub use f32dist::{inner_product, l2_sq, l2_sq_min_rows, norm_sq};
+pub use f32dist::{inner_product, l2_sq, l2_sq_4x4, l2_sq_min_rows, norm_sq};
 pub use gemm::{dist16, dist16_block, dist16_rows, gemm_nt, nearest16};
 pub use level::{current_level, detect_level, set_level_override, supported_levels, SimdLevel};
 pub use lut::{lut16_batch, lut16_single, LUT_BATCH};

@@ -21,6 +21,7 @@ use crate::set::VectorSet;
 use linalg::random_orthogonal;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 /// Named generation profiles mirroring the paper's eight datasets.
 ///
@@ -133,11 +134,37 @@ impl DatasetSpec {
     }
 }
 
+/// Rows generated per step. One step's draws are `CHUNK_ROWS × D` uniform
+/// pairs (3 MiB at 768-d), the only buffer besides the output.
+const CHUNK_ROWS: usize = 256;
+
 /// Generates `n` database vectors plus `n_queries` held-out query vectors
 /// from the same distribution.
 ///
 /// Queries are drawn from the mixture (not copied from the database), so
 /// exact-duplicate shortcuts cannot inflate recall.
+///
+/// The output is a function of `(spec, n, n_queries, seed)` alone, bit for
+/// bit, whatever the thread count. Rows are made [`CHUNK_ROWS`] at a time
+/// in two phases:
+///
+/// 1. **Draws, in order.** The one seeded generator draws each row's
+///    cluster and then, per axis, the Box–Muller uniforms `(u1, u2)`,
+///    redrawing `u1` while it is at most `f64::MIN_POSITIVE`: row after
+///    row, base rows before query rows, the order a one-row-at-a-time
+///    sampler consumes them in.
+/// 2. **Arithmetic, in parallel.** Each row turns its draws into normal
+///    deviates (`ln`, `sqrt`, `cos`), scales and offsets them, and rotates
+///    each full block, writing straight into its row of the output. A row
+///    reads nothing another row writes, so the threads need no order.
+///
+/// The rotation is a random orthogonal `B × B` matrix, `B = D/2` clamped to
+/// `1..=64`, applied to each full block of `B` axes; a ragged tail stays
+/// unrotated.
+/// It walks a column-major `f64` copy of the matrix, built once per call,
+/// so the `B` sums of one block advance together, each over the columns in
+/// order from `-0.0` — the sequence of `Iterator::sum::<f64>` over one row
+/// of the matrix, so the same bits as a row-by-row product.
 pub fn generate(
     spec: &DatasetSpec,
     n: usize,
@@ -161,60 +188,112 @@ pub fn generate(
 
     // A fixed rotation tied to the profile (not the caller seed) so database
     // and query batches of any size share the same principal directions.
-    // Rotating in blocks of at most 64 dims keeps generation O(D·64) per
-    // vector while still mixing axes within each block enough that PCA has
-    // real work to do.
+    // Blocks of at most 64 dims mix axes within each block enough that PCA
+    // has real work to do, at 64 multiply-adds per axis.
     // Block size < D so the geometric decay *across* blocks survives the
     // rotation (energy within a block is preserved by orthogonality).
     let block = (d / 2).clamp(1, 64);
     let rotation = random_orthogonal(block, spec.profile_seed);
+    let columns = (0..block)
+        .flat_map(|j| (0..block).map(move |i| (i, j)))
+        .map(|ij| f64::from(rotation[ij]))
+        .collect();
 
-    let sample = |rng: &mut SmallRng| -> Vec<f32> {
-        let c = rng.gen_range(0..spec.clusters);
-        let center = &centers[c];
-        let mut v: Vec<f64> = center
-            .iter()
-            .zip(stds.iter())
-            .map(|(&mu, &s)| mu + spec.cluster_tightness * s * normal(rng))
-            .collect();
-        // Rotate each 64-dim block in place.
-        let mut buf = vec![0.0f32; block];
-        for chunk in v.chunks_mut(block) {
-            if chunk.len() < block {
-                break; // leave the ragged tail unrotated
-            }
-            for (b, &x) in buf.iter_mut().zip(chunk.iter()) {
-                *b = x as f32;
-            }
-            let rotated = rotation.matvec(&buf);
-            for (x, r) in chunk.iter_mut().zip(rotated.iter()) {
-                *x = f64::from(*r);
-            }
-        }
-        v.into_iter().map(|x| x as f32).collect()
+    let sampler = Sampler {
+        spec,
+        stds,
+        centers,
+        block,
+        columns,
     };
-
-    let mut base = VectorSet::with_capacity(d, n);
-    for _ in 0..n {
-        base.push(&sample(&mut rng));
-    }
-    let mut queries = VectorSet::with_capacity(d, n_queries);
-    for _ in 0..n_queries {
-        queries.push(&sample(&mut rng));
-    }
+    let base = sampler.rows(&mut rng, n);
+    let queries = sampler.rows(&mut rng, n_queries);
     (base, queries)
 }
 
-/// Standard normal via Box–Muller.
-fn normal(rng: &mut SmallRng) -> f64 {
+/// Everything a row needs besides its own draws.
+struct Sampler<'a> {
+    spec: &'a DatasetSpec,
+    stds: Vec<f64>,
+    centers: Vec<Vec<f64>>,
+    block: usize,
+    /// The rotation, column-major: entry `(i, j)` at `j * block + i`.
+    columns: Vec<f64>,
+}
+
+impl Sampler<'_> {
+    /// The next `n` rows of `rng`'s stream, [`CHUNK_ROWS`] at a time.
+    fn rows(&self, rng: &mut SmallRng, n: usize) -> VectorSet {
+        let d = self.spec.dim;
+        let mut data = vec![0.0f32; n * d];
+        let mut clusters = Vec::with_capacity(CHUNK_ROWS.min(n));
+        let mut uniforms = Vec::with_capacity(CHUNK_ROWS.min(n) * d);
+        for chunk in data.chunks_mut(CHUNK_ROWS * d) {
+            clusters.clear();
+            uniforms.clear();
+            for _ in 0..chunk.len() / d {
+                clusters.push(rng.gen_range(0..self.spec.clusters));
+                uniforms.extend((0..d).map(|_| uniform_pair(rng)));
+            }
+            let mut rows: Vec<&mut [f32]> = chunk.chunks_exact_mut(d).collect();
+            rows.par_iter_mut().enumerate().for_each(|(r, row)| {
+                self.fill(row, clusters[r], &uniforms[r * d..(r + 1) * d]);
+            });
+        }
+        VectorSet::from_flat(d, data)
+    }
+
+    /// One row from its cluster and its `(u1, u2)` per axis.
+    fn fill(&self, row: &mut [f32], cluster: usize, uniforms: &[[f64; 2]]) {
+        let center = &self.centers[cluster];
+        let tightness = self.spec.cluster_tightness;
+        let value = |i: usize| center[i] + tightness * self.stds[i] * box_muller(uniforms[i]);
+        let block = self.block;
+        let mut sums = [0.0f64; 64];
+        let sums = &mut sums[..block];
+        for (b, out) in row.chunks_mut(block).enumerate() {
+            let first = b * block;
+            if out.len() < block {
+                // The ragged tail stays unrotated.
+                for (i, x) in out.iter_mut().enumerate() {
+                    *x = value(first + i) as f32;
+                }
+                continue;
+            }
+            sums.fill(-0.0);
+            for (j, column) in self.columns.chunks_exact(block).enumerate() {
+                let x = f64::from(value(first + j) as f32);
+                for (sum, &m) in sums.iter_mut().zip(column) {
+                    *sum += m * x;
+                }
+            }
+            for (x, &sum) in out.iter_mut().zip(sums.iter()) {
+                *x = sum as f32;
+            }
+        }
+    }
+}
+
+/// Box–Muller's `(u1, u2)` for one standard normal: `u1` is redrawn while
+/// it is at most `f64::MIN_POSITIVE`, so its logarithm is finite.
+fn uniform_pair(rng: &mut SmallRng) -> [f64; 2] {
     loop {
         let u1: f64 = rng.gen();
         if u1 <= f64::MIN_POSITIVE {
             continue;
         }
-        let u2: f64 = rng.gen();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        return [u1, rng.gen()];
     }
+}
+
+/// The standard normal Box–Muller makes of `[u1, u2]`.
+fn box_muller([u1, u2]: [f64; 2]) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Standard normal via Box–Muller.
+fn normal(rng: &mut SmallRng) -> f64 {
+    box_muller(uniform_pair(rng))
 }
 
 #[cfg(test)]
@@ -237,6 +316,25 @@ mod tests {
         let (a, _) = generate(&spec, 50, 5, 42);
         let (b, _) = generate(&spec, 50, 5, 42);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn three_threads_equal_one_bit_for_bit() {
+        // Both sets span several chunks and end in a partial one; 130-d
+        // leaves a two-axis tail out of the rotation.
+        let spec = DatasetSpec::new(130, 9, 0.97, 0.4, 5);
+        let at = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("a pool");
+            pool.install(|| generate(&spec, 2 * CHUNK_ROWS + 77, CHUNK_ROWS + 3, 9))
+        };
+        let bits = |(base, queries): (VectorSet, VectorSet)| -> Vec<u32> {
+            let all = base.as_flat().iter().chain(queries.as_flat());
+            all.map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(at(1)), bits(at(3)));
     }
 
     #[test]

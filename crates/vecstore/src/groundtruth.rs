@@ -1,13 +1,44 @@
 //! Exact brute-force k-nearest-neighbor ground truth.
 //!
 //! The paper generates ground truth "through a linear scan" (Section 4.1.1);
-//! this module is that linear scan, parallel over queries on the rayon pool.
-//! Each query's list is computed on its own and collected in query order,
-//! so the output is the same at any thread count.
+//! this module is that linear scan, tiled so it runs at the speed of the
+//! arithmetic rather than of the memory holding the database.
+//!
+//! **Tiling.** Queries are taken [`QUERY_TILE`] at a time, and each query
+//! tile walks the database one base tile of about [`BASE_TILE_BYTES`] at a
+//! time. Within a base tile, each group of four queries meets each group of
+//! four rows in one [`l2_sq_4x4`] call, which loads every chunk of a row
+//! once for four queries. A base tile of 768 KiB stays in one core's 2 MiB
+//! L2 while the eight query groups re-read it, and the four queries being
+//! scored (12 KiB at 768-d) stay in L1; without the tile, every query group
+//! would stream the whole database (24.6 MB for LAION-like n = 8 000) from
+//! L3 again. Thirty-two queries make eight re-reads of each tile, enough to
+//! amortise pulling it into L2, while the tile count stays high enough to
+//! spread across cores.
+//!
+//! **Identical to the per-pair scan.** Every distance has [`l2_sq`]'s bits
+//! at the current level (the kernel's contract), and each query's top-`k`
+//! list sees the rows in ascending id order: tile by tile, group by group,
+//! row by row. Its sequence of `(id, distance)` offers is therefore the one
+//! a per-pair loop makes, so ties, which go to the smaller id, and every
+//! output bit are unchanged.
+//!
+//! Query tiles run in parallel on the rayon pool and are collected in query
+//! order, so the output is the same at any thread count.
+//!
+//! [`l2_sq`]: simdops::l2_sq
 
 use crate::set::VectorSet;
 use rayon::prelude::*;
-use simdops::l2_sq;
+use simdops::l2_sq_4x4;
+
+/// Queries scored together against each base tile.
+pub const QUERY_TILE: usize = 32;
+
+/// Bytes of database rows per base tile (192 rows at 1024-d, 256 at 768-d,
+/// 768 at 256-d): under half of a 2 MiB per-core L2, which leaves room for
+/// the query tile and whatever else the core touches.
+pub const BASE_TILE_BYTES: usize = 768 << 10;
 
 /// One exact neighbor: vector id plus squared L2 distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,39 +60,58 @@ pub fn ground_truth(base: &VectorSet, queries: &VectorSet, k: usize) -> Vec<Vec<
     assert_eq!(base.dim(), queries.dim(), "dimensionality mismatch");
     assert!(k > 0, "k must be positive");
     let k = k.min(base.len());
+    let tile_rows = (BASE_TILE_BYTES / (4 * base.dim())).max(4) / 4 * 4;
 
-    (0..queries.len())
+    let tiles: Vec<Vec<Vec<Neighbor>>> = (0..queries.len().div_ceil(QUERY_TILE))
         .into_par_iter()
-        .map(|qi| {
-            let q = queries.get(qi);
-            let mut heap: Vec<Neighbor> = Vec::with_capacity(k + 1);
-            for (id, v) in base.iter().enumerate() {
-                let d = l2_sq(q, v);
-                if heap.len() < k {
-                    heap.push(Neighbor {
-                        id: id as u32,
-                        dist_sq: d,
-                    });
-                    if heap.len() == k {
-                        heap.sort_by(cmp_neighbor);
+        .map(|t| {
+            let first = t * QUERY_TILE;
+            let count = QUERY_TILE.min(queries.len() - first);
+            let mut heaps: Vec<Vec<Neighbor>> =
+                (0..count).map(|_| Vec::with_capacity(k + 1)).collect();
+            for tile in (0..base.len()).step_by(tile_rows) {
+                let end = base.len().min(tile + tile_rows);
+                for (g, heaps) in heaps.chunks_mut(4).enumerate() {
+                    let q = quad(queries, first + 4 * g, first + count);
+                    for r in (tile..end).step_by(4) {
+                        let d = l2_sq_4x4(q, quad(base, r, end));
+                        for (heap, d) in heaps.iter_mut().zip(d) {
+                            for (id, d) in (r..end).zip(d) {
+                                offer(heap, k, id as u32, d);
+                            }
+                        }
                     }
-                } else if d < heap[k - 1].dist_sq {
-                    // Insert in sorted position, drop the tail.
-                    let pos = heap.partition_point(|n| (n.dist_sq, n.id) < (d, id as u32));
-                    heap.insert(
-                        pos,
-                        Neighbor {
-                            id: id as u32,
-                            dist_sq: d,
-                        },
-                    );
-                    heap.pop();
                 }
             }
-            heap.sort_by(cmp_neighbor);
-            heap
+            for heap in &mut heaps {
+                heap.sort_by(cmp_neighbor);
+            }
+            heaps
         })
-        .collect()
+        .collect();
+    tiles.into_iter().flatten().collect()
+}
+
+/// Rows `i..i + 4` of `set`, the last row below `end` standing in for any
+/// at or past it; its repeated results are never read.
+fn quad(set: &VectorSet, i: usize, end: usize) -> [&[f32]; 4] {
+    [0, 1, 2, 3].map(|j| set.get((i + j).min(end - 1)))
+}
+
+/// Offers row `id` at `dist_sq` to one query's best `k` so far: the list
+/// fills unsorted, is sorted once full, then stays sorted as each closer row
+/// is inserted and the farthest dropped.
+fn offer(heap: &mut Vec<Neighbor>, k: usize, id: u32, dist_sq: f32) {
+    if heap.len() < k {
+        heap.push(Neighbor { id, dist_sq });
+        if heap.len() == k {
+            heap.sort_by(cmp_neighbor);
+        }
+    } else if dist_sq < heap[k - 1].dist_sq {
+        let pos = heap.partition_point(|n| (n.dist_sq, n.id) < (dist_sq, id));
+        heap.insert(pos, Neighbor { id, dist_sq });
+        heap.pop();
+    }
 }
 
 fn cmp_neighbor(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
