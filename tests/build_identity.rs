@@ -28,9 +28,16 @@
 //! introduced this file, before the builder was touched, the batched ones
 //! on the commit that introduced batches; a later commit that needs to
 //! edit any of them has changed the graph.
+//!
+//! The flat kinds — NSG, τ-MG, Vamana and HCNNG — are pinned the same way
+//! (the `flat_` cases), each with Flash and with full-precision coding,
+//! over a smaller SSNPP-like corpus of `FLAT_N` vectors and with the same
+//! two hashes. Their constants were recorded on the builders that preceded
+//! the shared Neighbor Selection routine.
 
 use hnsw_flash::graphs::{search_layers, GraphLayers};
 use hnsw_flash::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 const C: usize = 128;
 const R: usize = 16;
@@ -65,10 +72,15 @@ fn topology_hash(layers: &GraphLayers) -> u64 {
     h
 }
 
-fn hits_hash<P: DistanceProvider>(provider: &P, layers: &GraphLayers, queries: &VectorSet) -> u64 {
+fn hits_hash<P: DistanceProvider>(
+    provider: &P,
+    layers: &GraphLayers,
+    queries: &VectorSet,
+    ef: usize,
+) -> u64 {
     let mut h = FNV_OFFSET;
     for q in queries.iter() {
-        let hits = search_layers(provider, layers, q, K, EF);
+        let hits = search_layers(provider, layers, q, K, ef);
         fnv(&mut h, hits.len() as u64);
         for hit in hits {
             fnv(&mut h, hit.id);
@@ -111,7 +123,7 @@ fn grow<P: DistanceProvider>(provider: P, route: Route, queries: &VectorSet) -> 
     };
     (
         topology_hash(frozen.layers()),
-        hits_hash(frozen.provider(), frozen.layers(), queries),
+        hits_hash(frozen.provider(), frozen.layers(), queries, EF),
     )
 }
 
@@ -254,5 +266,155 @@ fn full_ssnpp_256d_any_width() {
         DatasetProfile::SsnppLike,
         Coding::Full,
         FULL_SSNPP_256D_BATCHED,
+    );
+}
+
+/// Corpus size of the flat-kind cases (SSNPP-like 256-d).
+const FLAT_N: usize = 500;
+/// Candidate pool `C` of the flat-kind cases.
+const FLAT_C: usize = 64;
+/// Search beam of the flat-kind hits hash: narrow, so that the hits
+/// depend on the graph and not only on the corpus.
+const FLAT_EF: usize = 12;
+
+/// Builds `kind` over `provider` with the flat-kind parameters and returns
+/// `(topology, hits)`.
+fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &VectorSet) -> (u64, u64) {
+    let flat = NsgParams {
+        r: R,
+        c: FLAT_C,
+        seed: GRAPH_SEED,
+    };
+    let frozen = match kind {
+        GraphKind::Nsg => Nsg::build(provider, flat).into_frozen(),
+        GraphKind::TauMg => TauMg::build(provider, TauMgParams { flat, tau: 2.0 }).into_frozen(),
+        GraphKind::Vamana => Vamana::build(
+            provider,
+            VamanaParams {
+                r: R,
+                c: FLAT_C,
+                alpha: 1.2,
+                seed: GRAPH_SEED,
+            },
+        )
+        .into_frozen(),
+        GraphKind::Hcnng => Hcnng::build(
+            provider,
+            HcnngParams {
+                trees: 4,
+                leaf_size: 48,
+                mst_degree: 3,
+                seed: GRAPH_SEED,
+            },
+        )
+        .into_frozen(),
+        other => panic!("no flat identity case for {other:?}"),
+    };
+    (
+        topology_hash(frozen.layers()),
+        hits_hash(frozen.provider(), frozen.layers(), queries, FLAT_EF),
+    )
+}
+
+/// The flat-kind corpus `(base, queries)` and its Flash codec, made once
+/// for all eight cases.
+fn flat_corpus() -> &'static (VectorSet, VectorSet, Arc<FlashCodec>) {
+    static CORPUS: OnceLock<(VectorSet, VectorSet, Arc<FlashCodec>)> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        set_level_override(Some(SimdLevel::Scalar));
+        let spec = DatasetProfile::SsnppLike.spec();
+        let (base, queries) = generate(&spec, FLAT_N, QUERIES, DATA_SEED);
+        let codec = FlashCodec::train(&base, FlashParams::auto(base.dim()));
+        (base, queries, Arc::new(codec))
+    })
+}
+
+fn check_flat(kind: GraphKind, coding: Coding, expect: (u64, u64)) {
+    set_level_override(Some(SimdLevel::Scalar));
+    let (base, queries, codec) = flat_corpus();
+    let got = match coding {
+        Coding::Flash => {
+            let provider = FlashProvider::from_codec(base.clone(), Arc::clone(codec));
+            flat_grow(kind, provider, queries)
+        }
+        Coding::Full => flat_grow(kind, FullPrecision::new(base.clone()), queries),
+        other => panic!("no identity case for {other:?}"),
+    };
+    assert_eq!(
+        got, expect,
+        "{kind:?} n={FLAT_N} {coding:?}: got (0x{:016x}, 0x{:016x})",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn flat_nsg_flash() {
+    check_flat(
+        GraphKind::Nsg,
+        Coding::Flash,
+        (0x67b7_e2d9_7085_37e2, 0xa9d6_cdd4_aa71_a5cb),
+    );
+}
+
+#[test]
+fn flat_nsg_full() {
+    check_flat(
+        GraphKind::Nsg,
+        Coding::Full,
+        (0x652d_ccfe_28b3_0486, 0xb91e_3d1f_26ad_232b),
+    );
+}
+
+#[test]
+fn flat_taumg_flash() {
+    check_flat(
+        GraphKind::TauMg,
+        Coding::Flash,
+        (0x9f84_446d_1152_489b, 0xf6ac_705d_1b50_3ee1),
+    );
+}
+
+#[test]
+fn flat_taumg_full() {
+    check_flat(
+        GraphKind::TauMg,
+        Coding::Full,
+        (0x6d03_7de3_cf37_47b3, 0x7a2c_a829_6ea4_ef7c),
+    );
+}
+
+#[test]
+fn flat_vamana_flash() {
+    check_flat(
+        GraphKind::Vamana,
+        Coding::Flash,
+        (0x6463_4c7e_2c0a_68cd, 0xba62_9c4f_bde1_5c5f),
+    );
+}
+
+#[test]
+fn flat_vamana_full() {
+    check_flat(
+        GraphKind::Vamana,
+        Coding::Full,
+        (0x056f_7bb1_99c3_b13f, 0x740e_a7d6_f0de_0f53),
+    );
+}
+
+#[test]
+fn flat_hcnng_flash() {
+    check_flat(
+        GraphKind::Hcnng,
+        Coding::Flash,
+        (0x811b_b1bb_452c_09e2, 0x999f_df64_ebb2_3d8a),
+    );
+}
+
+#[test]
+fn flat_hcnng_full() {
+    check_flat(
+        GraphKind::Hcnng,
+        Coding::Full,
+        (0x4a4d_ad19_05b4_821f, 0x399c_e971_e0bd_ea1e),
     );
 }
