@@ -7,8 +7,8 @@ use flash::{FlashCodec, FlashParams, FlashProvider};
 use graphs::flat_build::FlatParams;
 use graphs::providers::{FullPrecision, OpqProvider, PcaProvider, PqProvider, SqProvider};
 use graphs::{
-    DistanceProvider, FrozenGraph, GraphLayers, Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw,
-    LabeledParams, Nsg, TauMg, TauMgParams, Vamana, VamanaParams,
+    hcnng, nsg, taumg, vamana, DistanceProvider, FrozenGraph, GraphLayers, HcnngParams, Hnsw,
+    HnswParams, LabeledHnsw, LabeledParams, TauMgParams, VamanaParams,
 };
 use quantizers::sq::SqRange;
 use quantizers::{OptimizedProductQuantizer, PcaCodec, ProductQuantizer, ScalarQuantizer};
@@ -87,13 +87,13 @@ impl ProviderJob for Finish<'_> {
 
 /// Builds any [`GraphKind`] × [`Coding`] combination into a
 /// `Box<dyn AnnIndex>`: one fluent surface over the per-type constructors
-/// (`Hnsw::build`, `Nsg::build`, …). Construction runs to the end and the
+/// (`Hnsw::build`, `graphs::nsg::build`, …). Construction runs to the end and the
 /// result is frozen — every index this returns is a
 /// [`GraphIndex`] over a provider and a [`GraphLayers`] topology.
 ///
-/// Unset knobs fall back to the concrete types' defaults, so a builder
+/// Unset knobs fall back to the parameter types' defaults, so a builder
 /// configured with only `(graph, coding, c, r, seed)` produces an index
-/// identical to the corresponding concrete build — the property
+/// identical to the corresponding direct build — the property
 /// `tests/engine_api.rs` locks in for all 30 combinations.
 #[derive(Debug, Clone)]
 pub struct IndexBuilder {
@@ -396,16 +396,15 @@ impl IndexBuilder {
     fn construct<P: DistanceProvider>(&self, provider: P) -> FrozenGraph<P> {
         match self.graph {
             GraphKind::Hnsw => Hnsw::build(provider, self.hnsw_params()).into_frozen(),
-            GraphKind::Nsg => Nsg::build(provider, self.flat_params()).into_frozen(),
-            GraphKind::TauMg => TauMg::build(
+            GraphKind::Nsg => nsg::build(provider, self.flat_params()),
+            GraphKind::TauMg => taumg::build(
                 provider,
                 TauMgParams {
                     flat: self.flat_params(),
                     tau: self.tau,
                 },
-            )
-            .into_frozen(),
-            GraphKind::Vamana => Vamana::build(
+            ),
+            GraphKind::Vamana => vamana::build(
                 provider,
                 VamanaParams {
                     r: self.r,
@@ -413,9 +412,8 @@ impl IndexBuilder {
                     alpha: self.alpha,
                     seed: self.seed,
                 },
-            )
-            .into_frozen(),
-            GraphKind::Hcnng => Hcnng::build(
+            ),
+            GraphKind::Hcnng => hcnng::build(
                 provider,
                 HcnngParams {
                     trees: self.trees,
@@ -423,8 +421,7 @@ impl IndexBuilder {
                     mst_degree: self.mst_degree,
                     seed: self.seed,
                 },
-            )
-            .into_frozen(),
+            ),
         }
     }
 

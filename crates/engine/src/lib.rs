@@ -41,8 +41,9 @@
 //! ```
 //!
 //! Every search path returns [`Hit`]s sorted ascending by `(dist, id)`.
-//! The concrete builder types remain available for construction-time
-//! needs — an [`graphs::Hnsw`] that is still ingesting answers through its
+//! The `graphs` builders remain available for construction-time needs —
+//! the flat ones (`graphs::nsg::build`, …) return a frozen graph, and an
+//! [`graphs::Hnsw`] that is still ingesting answers through its
 //! own `search`, and [`GraphIndex::new`] freezes it when the batch is
 //! done; this trait is the *serving* surface that sharding, async request
 //! routing, and caching layers build on.

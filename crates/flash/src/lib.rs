@@ -17,9 +17,11 @@
 //! "is a selected vertex closer?" with the same kernel over the SDT (one
 //! lookup pass per 16 selected vertices — the SDT is stored so the
 //! distances *to* a code are contiguous), and maintains the per-node
-//! codeword blocks one appended lane at a time. [`FlashHnsw`] is the ready-made
-//! HNSW type; the other graphs take a [`FlashProvider`] like any other
-//! provider (`Nsg::build(FlashProvider::new(base, params), …)`).
+//! codeword blocks one appended lane at a time. Every builder's Neighbor
+//! Selection runs through that hook, whatever its prune rule, so NSG, τ-MG
+//! and Vamana get the batched kernel as HNSW does. [`FlashHnsw`] is the
+//! ready-made HNSW type; the other graphs take a [`FlashProvider`] like any
+//! other provider (`graphs::nsg::build(FlashProvider::new(base, params), …)`).
 //!
 //! ```
 //! use flash::{BuildFlash, FlashHnsw, FlashParams};
@@ -67,9 +69,10 @@ impl BuildFlash for FlashHnsw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphs::stats::GraphStats;
     use graphs::{
-        search_layers, search_layers_rerank, DistanceProvider, Hcnng, HcnngParams, Nsg, NsgParams,
-        TauMg, TauMgParams, Vamana, VamanaParams,
+        hcnng, nsg, search_layers, search_layers_rerank, taumg, vamana, DistanceProvider,
+        HcnngParams, NsgParams, TauMgParams, VamanaParams,
     };
 
     /// Held by every test that caps the process-wide `simdops` dispatch
@@ -127,15 +130,14 @@ mod tests {
     fn nsg_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 7);
-        let nsg = Nsg::build(
+        let nsg = nsg::build(
             FlashProvider::new(base, FlashParams::auto(256)),
             NsgParams {
                 r: 8,
                 c: 48,
                 seed: 3,
             },
-        )
-        .into_frozen();
+        );
         let hits = search_layers_rerank(nsg.provider(), nsg.layers(), queries.get(0), 3, 48, 4);
         assert_eq!(hits.len(), 3);
     }
@@ -163,7 +165,7 @@ mod tests {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 21);
         let gt = vecstore::ground_truth(&base, &queries, 1);
-        let index = Vamana::build(
+        let index = vamana::build(
             FlashProvider::new(base, FlashParams::auto(256)),
             VamanaParams {
                 r: 10,
@@ -171,8 +173,7 @@ mod tests {
                 alpha: 1.2,
                 seed: 5,
             },
-        )
-        .into_frozen();
+        );
         let mut hits = 0;
         for (qi, truth) in gt.iter().enumerate() {
             let found =
@@ -188,7 +189,7 @@ mod tests {
     fn hcnng_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 23);
-        let index = Hcnng::build(
+        let index = hcnng::build(
             FlashProvider::new(base, FlashParams::auto(256)),
             HcnngParams {
                 trees: 6,
@@ -197,8 +198,7 @@ mod tests {
                 seed: 5,
             },
         );
-        assert_eq!(index.graph().reachable_from_entry(), 400);
-        let index = index.into_frozen();
+        assert_eq!(GraphStats::from_layers(index.layers()).reachable, 400);
         let hits = search_layers_rerank(index.provider(), index.layers(), queries.get(0), 3, 48, 4);
         assert_eq!(hits.len(), 3);
     }
@@ -207,11 +207,10 @@ mod tests {
     fn taumg_flash_builds_and_searches() {
         let (base, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 300, 4, 9);
-        let index = TauMg::build(
+        let index = taumg::build(
             FlashProvider::new(base, FlashParams::auto(256)),
             TauMgParams::default(),
-        )
-        .into_frozen();
+        );
         let hits = search_layers(index.provider(), index.layers(), queries.get(1), 2, 32);
         assert_eq!(hits.len(), 2);
     }

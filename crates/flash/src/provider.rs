@@ -7,7 +7,7 @@
 //! [`lut16_batch`] kernel, 16 distances per call, in both.
 
 use crate::codec::{FlashCodec, FlashParams, K};
-use graphs::provider::DistanceProvider;
+use graphs::provider::{DistanceProvider, PruneRule};
 use simdops::{lut16_batch, lut16_single, LUT_BATCH};
 use std::sync::Arc;
 use vecstore::VectorSet;
@@ -112,9 +112,11 @@ impl FlashProvider {
 
     /// Scalar Neighbor Selection: one [`FlashCodec::sdc_quantized`] per
     /// selected vertex — the oracle [`DistanceProvider::dominated`]'s
-    /// batched path must equal.
-    fn dominated_scalar(&self, v: u32, d: f32, selected: &[u32]) -> bool {
-        selected.iter().any(|&u| self.dist_between(u, v) < d)
+    /// batched path must equal, for every rule.
+    fn dominated_scalar<R: PruneRule>(&self, rule: &R, v: u32, d: f32, selected: &[u32]) -> bool {
+        selected
+            .iter()
+            .any(|&u| rule.dominated(d, self.dist_between(u, v)))
     }
 
     /// Codewords of vector `id` (`M_F` bytes).
@@ -222,10 +224,17 @@ impl DistanceProvider for FlashProvider {
         }
     }
 
-    fn dominated(&self, v: u32, d: f32, selected: &[u32], payload: &FlashBlocks) -> bool {
+    fn dominated<R: PruneRule>(
+        &self,
+        rule: &R,
+        v: u32,
+        d: f32,
+        selected: &[u32],
+        payload: &FlashBlocks,
+    ) -> bool {
         let m = self.codec.subspaces();
         if m > NS_TABLE_SUBSPACES {
-            return self.dominated_scalar(v, d, selected);
+            return self.dominated_scalar(rule, v, d, selected);
         }
         // With `v` fixed the SDT has the ADT's shape, so 16 selected
         // vertices cost one shuffle pass over their block.
@@ -242,7 +251,9 @@ impl DistanceProvider for FlashProvider {
             .zip(payload.bytes.chunks_exact(m * LUT_BATCH))
             .any(|(lanes, block)| {
                 lut16_batch(table, block, m, &mut batch);
-                batch[..lanes.len()].iter().any(|&sum| f32::from(sum) < d)
+                batch[..lanes.len()]
+                    .iter()
+                    .any(|&sum| rule.dominated(d, f32::from(sum)))
             })
     }
 
@@ -283,6 +294,7 @@ pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphs::{AlphaRule, MrngRule, TauRule};
     use simdops::level::with_level;
 
     fn provider(n: usize) -> FlashProvider {
@@ -388,28 +400,44 @@ mod tests {
     fn batched_dominated_equals_the_scalar_loop() {
         // Even and odd M_F (the kernel's pair/quad tails), every block
         // boundary of the selected list, thresholds on both sides of each
-        // selected vertex's distance, at every dispatch level.
+        // rule's boundary for each selected vertex, every rule, at every
+        // dispatch level.
         let _serial = crate::tests::serialize_level_tests();
         for m_f in [8usize, 7, 5, 1] {
             let p = provider_m(160, m_f);
-            for len in [0usize, 1, 15, 16, 17, 32] {
-                let selected: Vec<u32> = (0..len as u32).map(|i| (i * 11 + 5) % 160).collect();
-                let payload = appended(&p, &selected);
-                for v in [0u32, 77, 159] {
-                    let mut thresholds = vec![0.0f32, f32::INFINITY, -1.0];
-                    for &u in &selected {
-                        let d = p.dist_between(u, v);
-                        thresholds.extend([d, d + 1.0]);
+            batched_equals_scalar(&p, &MrngRule, "MRNG");
+            batched_equals_scalar(&p, &TauRule { tau: 0.1 }, "τ 0.1");
+            batched_equals_scalar(&p, &TauRule { tau: 0.5 }, "τ 0.5");
+            batched_equals_scalar(&p, &AlphaRule::new(1.2), "α 1.2");
+        }
+    }
+
+    /// `dominated` under `rule` equals [`FlashProvider::dominated_scalar`]
+    /// at every dispatch level.
+    fn batched_equals_scalar<R: PruneRule>(p: &FlashProvider, rule: &R, name: &str) {
+        let m_f = p.codec().subspaces();
+        let alpha_sq = AlphaRule::new(1.2).alpha_sq;
+        for len in [0usize, 1, 15, 16, 17, 32] {
+            let selected: Vec<u32> = (0..len as u32).map(|i| (i * 11 + 5) % 160).collect();
+            let payload = appended(p, &selected);
+            for v in [0u32, 77, 159] {
+                let mut thresholds = vec![0.0f32, f32::INFINITY, -1.0];
+                for &u in &selected {
+                    // Where MRNG, α = 1.2 and τ ∈ {0.1, 0.5} start to prune.
+                    let d = p.dist_between(u, v);
+                    let tau = |t: f32| (d.sqrt() + 3.0 * t).powi(2);
+                    for edge in [d, alpha_sq * d, tau(0.1), tau(0.5)] {
+                        thresholds.extend([edge, edge + 1.0]);
                     }
-                    for d in thresholds {
-                        let expect = p.dominated_scalar(v, d, &selected);
-                        for level in simdops::supported_levels() {
-                            assert_eq!(
-                                with_level(level, || p.dominated(v, d, &selected, &payload)),
-                                expect,
-                                "m_f {m_f} len {len} v {v} d {d} {level:?}"
-                            );
-                        }
+                }
+                for d in thresholds {
+                    let expect = p.dominated_scalar(rule, v, d, &selected);
+                    for level in simdops::supported_levels() {
+                        assert_eq!(
+                            with_level(level, || p.dominated(rule, v, d, &selected, &payload)),
+                            expect,
+                            "{name} m_f {m_f} len {len} v {v} d {d} {level:?}"
+                        );
                     }
                 }
             }
@@ -441,8 +469,8 @@ mod tests {
             checked += 1;
             assert_eq!(p.codec.sdc_quantized(p.codes_of(u), p.codes_of(v)), column);
             let payload = appended(&p, &[u]);
-            assert!(!p.dominated(v, f32::from(column), &[u], &payload));
-            assert!(p.dominated(v, f32::from(column) + 1.0, &[u], &payload));
+            assert!(!p.dominated(&MrngRule, v, f32::from(column), &[u], &payload));
+            assert!(p.dominated(&MrngRule, v, f32::from(column) + 1.0, &[u], &payload));
         }
         assert!(checked > 0, "every pair happened to be symmetric");
     }

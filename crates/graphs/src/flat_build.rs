@@ -1,25 +1,32 @@
 //! Shared construction skeleton for the flat (single-layer) graph methods.
 //!
-//! NSG and τ-MG differ from HNSW only in their edge-selection rule and in
-//! being single-layer with a medoid entry point (paper Section 2.1.1: all
-//! of them share the CA + NS skeleton). This module implements that shared
-//! skeleton once:
+//! NSG and τ-MG differ from HNSW only in their Neighbor Selection rule and
+//! in being single-layer with a medoid entry point (paper Section 2.1.1: all
+//! of them share the CA + NS skeleton); Vamana starts from the same
+//! skeleton. This module implements that skeleton once:
 //!
 //! 1. build a helper HNSW over the same [`DistanceProvider`] (its CA stage
 //!    *is* the candidate acquisition the flat builders need);
 //! 2. compute the medoid (vector closest to the dataset mean);
 //! 3. for every vertex, acquire a candidate pool via beam search and prune
-//!    it with the method-specific rule;
+//!    it with HNSW's Neighbor Selection routine under the method's
+//!    [`PruneRule`] — [`crate::MrngRule`] for NSG, [`crate::TauRule`] for
+//!    τ-MG, [`crate::AlphaRule`] for Vamana;
 //! 4. repair connectivity so every vertex is reachable from the medoid.
 //!
-//! Because every distance flows through the provider, plugging in Flash
-//! accelerates NSG and τ-MG exactly as the paper's Figure 14 reports.
+//! Every NS decision goes through [`DistanceProvider::dominated`], so
+//! plugging in Flash runs its batched NS kernel here exactly as it does in
+//! HNSW (the paper's Figure 14). The flat builders — [`crate::nsg::build`],
+//! [`crate::taumg::build`], [`crate::vamana::build`] and
+//! [`crate::hcnng::build`] — return a [`FrozenGraph`] over a one-layer
+//! [`GraphLayers`] whose entry is the medoid.
 
-use crate::graph::FlatGraph;
-use crate::hnsw::{Hnsw, HnswParams};
-use crate::provider::DistanceProvider;
-use crate::Hit;
+use crate::graph::GraphLayers;
+use crate::hnsw::{select_neighbors, Hnsw, HnswParams};
+use crate::layers_search::FrozenGraph;
+use crate::provider::{DistanceProvider, PruneRule};
 use rayon::prelude::*;
+use vecstore::VectorSet;
 
 /// Shared parameters of the flat builders.
 #[derive(Debug, Clone, Copy)]
@@ -42,86 +49,21 @@ impl Default for FlatParams {
     }
 }
 
-/// An edge-pruning rule: given the candidate's distance to the inserted
-/// vertex (`d_xv`) and its distance to an already-selected neighbor
-/// (`d_uv`), decide whether the candidate is *dominated* (pruned).
-pub trait PruneRule: Sync {
-    /// Returns `true` if the candidate should be pruned.
-    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool;
-}
-
-/// MRNG rule (NSG): prune `v` when some selected `u` satisfies
-/// `δ(u,v) < δ(x,v)`.
-pub struct MrngRule;
-
-impl PruneRule for MrngRule {
-    #[inline]
-    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
-        d_uv < d_xv
-    }
-}
-
-/// τ-MG rule: prune `v` only when `δ(u,v) < δ(x,v) − 3τ` (distances, not
-/// squares), retaining extra edges that guarantee τ-monotonic search paths.
-/// We adapt the rule to squared-distance bookkeeping by comparing square
-/// roots, which is exact.
-pub struct TauRule {
-    /// The monotonicity slack τ (in distance units).
-    pub tau: f32,
-}
-
-impl PruneRule for TauRule {
-    #[inline]
-    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
-        let margin = d_xv.max(0.0).sqrt() - 3.0 * self.tau;
-        margin > 0.0 && d_uv.max(0.0).sqrt() < margin
-    }
-}
-
-/// Vamana's α-RNG rule (DiskANN): prune `v` when some selected `u`
-/// satisfies `α · δ(u,v) ≤ δ(x,v)`. With squared-distance bookkeeping this
-/// is `α² · d_uv ≤ d_xv`. `α = 1` coincides with [`MrngRule`] (up to the
-/// boundary case); `α > 1` keeps longer "highway" edges that shorten
-/// search paths at the cost of degree.
-pub struct AlphaRule {
-    /// α² — the rule compares squared distances, so the slack is squared
-    /// once at construction time.
-    pub alpha_sq: f32,
-}
-
-impl AlphaRule {
-    /// Builds the rule from the DiskANN-style α (distance units, `α ≥ 1`).
-    pub fn new(alpha: f32) -> Self {
-        assert!(alpha >= 1.0, "Vamana requires α ≥ 1, got {alpha}");
-        Self {
-            alpha_sq: alpha * alpha,
-        }
-    }
-}
-
-impl PruneRule for AlphaRule {
-    #[inline]
-    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
-        self.alpha_sq * d_uv <= d_xv
-    }
-}
-
-/// Builds a flat graph with the given pruning rule. Returns the graph and
-/// hands the provider back to the caller.
-pub fn build_flat<P: DistanceProvider, Rule: PruneRule>(
+/// Pairs `provider` with the nested adjacency `adj` frozen as a one-layer
+/// topology entered at `entry` — how every flat builder ends.
+pub(crate) fn freeze<P: DistanceProvider>(
     provider: P,
-    params: FlatParams,
-    rule: &Rule,
-) -> (FlatGraph, P) {
-    let (adj, entry, provider) = build_flat_nested(provider, params, rule);
-    (FlatGraph::from_nested(&adj, entry), provider)
+    adj: Vec<Vec<u32>>,
+    entry: u32,
+) -> FrozenGraph<P> {
+    FrozenGraph::new(provider, GraphLayers::from_nested(vec![adj], entry, 0))
 }
 
-/// [`build_flat`] stopping just before the CSR freeze: returns the nested
-/// adjacency, the entry point, and the provider. Builders that post-process
-/// edges (Vamana's α-pass) mutate the nested form and freeze once at the
-/// end.
-pub(crate) fn build_flat_nested<P: DistanceProvider, Rule: PruneRule>(
+/// Builds a flat graph with the given pruning rule, stopping just before
+/// the CSR freeze: returns the nested adjacency, the entry point, and the
+/// provider. Builders that post-process edges (Vamana's α-pass) mutate the
+/// nested form before they [`freeze`].
+pub(crate) fn build_flat<P: DistanceProvider, Rule: PruneRule>(
     provider: P,
     params: FlatParams,
     rule: &Rule,
@@ -143,45 +85,37 @@ pub(crate) fn build_flat_nested<P: DistanceProvider, Rule: PruneRule>(
 
     // Step 2: medoid = vector nearest the dataset mean.
     let medoid = {
-        let base = helper.provider().base();
-        let dim = base.dim();
-        let mut mean = vec![0.0f64; dim];
-        for v in base.iter() {
-            for (m, &x) in mean.iter_mut().zip(v.iter()) {
-                *m += f64::from(x);
-            }
-        }
-        let mean_f32: Vec<f32> = mean.iter().map(|&m| (m / n as f64) as f32).collect();
-        let hits = helper.search(&mean_f32, 1, params.c);
+        let mean = dataset_mean(helper.provider().base());
+        let hits = helper.search(&mean, 1, params.c);
         hits.first().map(|h| h.id as u32).unwrap_or(0)
     };
 
     // Step 3: per-vertex CA (beam search from the medoid side via the
     // helper index) + NS with the method's rule.
     let helper_ref = &helper;
-    let adj: Vec<Vec<u32>> = (0..n as u32)
+    let mut adj: Vec<Vec<u32>> = (0..n as u32)
         .into_par_iter()
         .map(|x| {
-            let base = helper_ref.provider().base();
-            let pool: Vec<Hit> = helper_ref.search(base.get(x as usize), params.c, params.c);
             let provider = helper_ref.provider();
-            let mut selected: Vec<(f32, u32)> = Vec::with_capacity(params.r);
-            for hit in pool.iter().filter(|h| h.id != u64::from(x)) {
-                if selected.len() >= params.r {
-                    break;
-                }
-                let dominated = selected.iter().any(|&(_, u)| {
-                    rule.dominated(hit.dist, provider.dist_between(u, hit.id as u32))
-                });
-                if !dominated {
-                    selected.push((hit.dist, hit.id as u32));
-                }
-            }
-            selected.into_iter().map(|(_, v)| v).collect()
+            let pool = helper_ref.search(provider.base().get(x as usize), params.c, params.c);
+            let candidates: Vec<(f32, u32)> = pool
+                .iter()
+                .filter(|h| h.id != u64::from(x))
+                .map(|h| (h.dist, h.id as u32))
+                .collect();
+            let mut selected = Vec::with_capacity(params.r);
+            let mut block = P::NodePayload::default();
+            select_neighbors(
+                provider,
+                rule,
+                &candidates,
+                params.r,
+                &mut selected,
+                &mut block,
+            );
+            selected
         })
         .collect();
-
-    let mut adj = adj;
 
     // Step 4: connectivity repair — attach unreachable vertices to their
     // nearest reachable candidate (NSG's tree-linking step, simplified).
@@ -206,7 +140,21 @@ pub(crate) fn build_flat_nested<P: DistanceProvider, Rule: PruneRule>(
     (adj, medoid, helper.into_provider())
 }
 
-/// BFS reachability over nested adjacency (the builders' pre-freeze form).
+/// The dataset mean, accumulated in `f64` and rounded to `f32` once — the
+/// point the flat builders' medoid entry is the nearest vector to.
+pub(crate) fn dataset_mean(base: &VectorSet) -> Vec<f32> {
+    let mut mean = vec![0.0f64; base.dim()];
+    for v in base.iter() {
+        for (m, &x) in mean.iter_mut().zip(v.iter()) {
+            *m += f64::from(x);
+        }
+    }
+    let n = base.len() as f64;
+    mean.iter().map(|&m| (m / n) as f32).collect()
+}
+
+/// BFS reachability from `entry` over nested adjacency (the builders'
+/// pre-freeze form).
 pub(crate) fn reachable_mask(adj: &[Vec<u32>], entry: u32) -> Vec<bool> {
     let n = adj.len();
     let mut seen = vec![false; n];
@@ -229,28 +177,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mrng_rule_is_strict_domination() {
-        let r = MrngRule;
-        assert!(r.dominated(1.0, 0.5));
-        assert!(!r.dominated(1.0, 1.5));
-        assert!(!r.dominated(1.0, 1.0));
-    }
-
-    #[test]
-    fn tau_rule_keeps_more_edges_than_mrng() {
-        let mrng = MrngRule;
-        let tau = TauRule { tau: 0.5 };
-        // A candidate MRNG would prune (d_uv < d_xv) survives with slack.
-        let d_xv = 4.0; // distance 2.0
-        let d_uv = 3.0; // distance ~1.73 < 2.0 → MRNG prunes
-        assert!(mrng.dominated(d_xv, d_uv));
-        assert!(!tau.dominated(d_xv, d_uv), "slack 3τ = 1.5 must retain it");
-    }
-
-    #[test]
-    fn tau_rule_still_prunes_far_dominated_edges() {
-        let tau = TauRule { tau: 0.1 };
-        // d_xv = 100 (dist 10), d_uv = 1 (dist 1) → 1 < 10 - 0.3 → pruned.
-        assert!(tau.dominated(100.0, 1.0));
+    fn reachability_follows_directed_edges() {
+        let cycle = [vec![1], vec![2], vec![0]];
+        assert_eq!(reachable_mask(&cycle, 0), vec![true; 3]);
+        let island = [vec![1], vec![0], vec![]];
+        assert_eq!(reachable_mask(&island, 0), vec![true, true, false]);
+        assert_eq!(reachable_mask(&island, 2), vec![false, false, true]);
     }
 }

@@ -137,7 +137,8 @@ impl PartialEq for CsrLayer {
 
 impl Eq for CsrLayer {}
 
-/// A frozen multi-layer graph (HNSW shape).
+/// A frozen graph: HNSW's layers, or the one layer of a flat builder (NSG,
+/// τ-MG, Vamana, HCNNG) entered at its medoid.
 ///
 /// Layer `l`, node `node` has the neighbor row `neighbors(l, node)`; nodes
 /// absent from a layer have empty rows. Layer 0 contains every node.
@@ -158,16 +159,6 @@ impl GraphLayers {
             layers: layers.iter().map(|l| CsrLayer::from_nested(l)).collect(),
             entry,
             max_layer,
-        }
-    }
-
-    /// Turns a flat graph into a single-layer topology (how NSG-family
-    /// indexes are served); the CSR slab moves, nothing is copied.
-    pub fn from_flat(flat: FlatGraph) -> Self {
-        Self {
-            layers: vec![flat.csr],
-            entry: flat.entry,
-            max_layer: 0,
         }
     }
 
@@ -213,112 +204,9 @@ impl GraphLayers {
     }
 }
 
-/// A frozen single-layer graph (NSG / τ-MG shape) with a designated entry
-/// (the medoid for NSG).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatGraph {
-    csr: CsrLayer,
-    /// Search entry point.
-    pub entry: u32,
-}
-
-impl FlatGraph {
-    /// Freezes nested adjacency (`adj[node]`) into CSR.
-    pub fn from_nested(adj: &[Vec<u32>], entry: u32) -> Self {
-        Self {
-            csr: CsrLayer::from_nested(adj),
-            entry,
-        }
-    }
-
-    /// The CSR adjacency.
-    #[inline]
-    pub fn csr(&self) -> &CsrLayer {
-        &self.csr
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.csr.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.csr.is_empty()
-    }
-
-    /// Neighbor list of `node`.
-    #[inline]
-    pub fn neighbors(&self, node: u32) -> &[u32] {
-        self.csr.neighbors(node as usize)
-    }
-
-    /// Total directed edges.
-    pub fn edges(&self) -> usize {
-        self.csr.edges()
-    }
-
-    /// Adjacency memory in bytes (ids only).
-    pub fn adjacency_bytes(&self) -> usize {
-        self.csr.edges() * std::mem::size_of::<u32>()
-    }
-
-    /// Thaws back into nested adjacency (tests, legacy interop).
-    pub fn to_nested(&self) -> Vec<Vec<u32>> {
-        self.csr.to_nested()
-    }
-
-    /// Checks every node can reach every other via BFS from `entry`
-    /// (treating edges as directed). Returns the number of reachable nodes.
-    pub fn reachable_from_entry(&self) -> usize {
-        let n = self.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[self.entry as usize] = true;
-        queue.push_back(self.entry);
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &v in self.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn triangle() -> FlatGraph {
-        FlatGraph::from_nested(&[vec![1], vec![2], vec![0]], 0)
-    }
-
-    #[test]
-    fn flat_graph_accounting() {
-        let g = triangle();
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.edges(), 3);
-        assert_eq!(g.adjacency_bytes(), 12);
-    }
-
-    #[test]
-    fn reachability_full_cycle() {
-        assert_eq!(triangle().reachable_from_entry(), 3);
-    }
-
-    #[test]
-    fn reachability_detects_islands() {
-        let g = FlatGraph::from_nested(&[vec![1], vec![0], vec![]], 0);
-        assert_eq!(g.reachable_from_entry(), 2);
-    }
 
     #[test]
     fn layers_accounting() {

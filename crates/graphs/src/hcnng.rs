@@ -15,7 +15,7 @@
 //! layout-level optimizations (neighbor-codeword batches) do not apply and
 //! only the cheap-distance effect remains.
 
-use crate::graph::{FlatGraph, GraphLayers};
+use crate::flat_build::{dataset_mean, freeze, reachable_mask};
 use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
 use rand::rngs::SmallRng;
@@ -47,109 +47,57 @@ impl Default for HcnngParams {
     }
 }
 
-/// A built HCNNG index.
-pub struct Hcnng<P: DistanceProvider> {
-    provider: P,
-    graph: FlatGraph,
-    params: HcnngParams,
-}
+/// Builds an HCNNG — `T` parallel random clusterings, a degree-bounded MST
+/// per leaf, union of edges — and returns the provider paired with a
+/// one-layer topology entered at the medoid.
+pub fn build<P: DistanceProvider>(provider: P, params: HcnngParams) -> FrozenGraph<P> {
+    assert!(params.trees >= 1, "at least one clustering pass required");
+    assert!(params.leaf_size >= 2, "leaf size must allow an edge");
+    assert!(params.mst_degree >= 1, "MST degree bound must be positive");
+    let n = provider.len();
+    if n == 0 {
+        return freeze(provider, Vec::new(), 0);
+    }
 
-impl<P: DistanceProvider> Hcnng<P> {
-    /// Builds the index: `T` parallel random clusterings, a degree-bounded
-    /// MST per leaf, union of edges, medoid entry point.
-    pub fn build(provider: P, params: HcnngParams) -> Self {
-        assert!(params.trees >= 1, "at least one clustering pass required");
-        assert!(params.leaf_size >= 2, "leaf size must allow an edge");
-        assert!(params.mst_degree >= 1, "MST degree bound must be positive");
-        let n = provider.len();
-        if n == 0 {
-            return Self {
-                provider,
-                graph: FlatGraph::from_nested(&[], 0),
-                params,
-            };
-        }
+    // Each pass produces its own edge list; passes are independent.
+    let provider_ref = &provider;
+    let forests: Vec<Vec<(u32, u32)>> = (0..params.trees)
+        .into_par_iter()
+        .map(|t| {
+            let mut rng =
+                SmallRng::seed_from_u64(params.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            let mut edges = Vec::new();
+            cluster_recurse(provider_ref, &mut ids, params, &mut rng, &mut edges);
+            edges
+        })
+        .collect();
 
-        // Each pass produces its own edge list; passes are independent.
-        let provider_ref = &provider;
-        let forests: Vec<Vec<(u32, u32)>> = (0..params.trees)
-            .into_par_iter()
-            .map(|t| {
-                let mut rng = SmallRng::seed_from_u64(
-                    params.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                );
-                let mut ids: Vec<u32> = (0..n as u32).collect();
-                let mut edges = Vec::new();
-                cluster_recurse(provider_ref, &mut ids, params, &mut rng, &mut edges);
-                edges
-            })
-            .collect();
-
-        // Union into bidirectional adjacency sets.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for edges in forests {
-            for (a, b) in edges {
-                if !adj[a as usize].contains(&b) {
-                    adj[a as usize].push(b);
-                }
-                if !adj[b as usize].contains(&a) {
-                    adj[b as usize].push(a);
-                }
+    // Union into bidirectional adjacency sets.
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for edges in forests {
+        for (a, b) in edges {
+            if !adj[a as usize].contains(&b) {
+                adj[a as usize].push(b);
+            }
+            if !adj[b as usize].contains(&a) {
+                adj[b as usize].push(a);
             }
         }
-
-        // Medoid entry: vector nearest the dataset mean.
-        let entry = {
-            let base = provider.base();
-            let dim = base.dim();
-            let mut mean = vec![0.0f64; dim];
-            for v in base.iter() {
-                for (m, &x) in mean.iter_mut().zip(v.iter()) {
-                    *m += f64::from(x);
-                }
-            }
-            let mean_f32: Vec<f32> = mean.iter().map(|&m| (m / n as f64) as f32).collect();
-            let ctx = provider.prepare_query(&mean_f32);
-            (0..n as u32)
-                .map(|i| (provider.dist_to(&ctx, i), i))
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .map(|(_, i)| i)
-                .unwrap_or(0)
-        };
-
-        attach_unreachable(&mut adj, entry);
-        Self {
-            provider,
-            graph: FlatGraph::from_nested(&adj, entry),
-            params,
-        }
     }
 
-    /// The navigating graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
+    // Medoid entry: vector nearest the dataset mean.
+    let entry = {
+        let ctx = provider.prepare_query(&dataset_mean(provider.base()));
+        (0..n as u32)
+            .map(|i| (provider.dist_to(&ctx, i), i))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, i)| i)
+            .unwrap_or(0)
+    };
 
-    /// The distance provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
-    /// Construction parameters.
-    pub fn params(&self) -> &HcnngParams {
-        &self.params
-    }
-
-    /// Index size: adjacency + provider auxiliary bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.graph.adjacency_bytes() + self.provider.aux_bytes()
-    }
-
-    /// Ends construction: the provider paired with the graph as a
-    /// one-layer topology, the form every serving path holds.
-    pub fn into_frozen(self) -> FrozenGraph<P> {
-        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
-    }
+    attach_unreachable(&mut adj, entry);
+    freeze(provider, adj, entry)
 }
 
 /// Recursively bipartitions `ids` with two random pivots; emits MST edges
@@ -212,7 +160,8 @@ fn cluster_recurse<P: DistanceProvider>(
 
 /// Degree-bounded MST inside one leaf: Kruskal over all pairwise edges,
 /// accepting an edge only if both endpoints stay under the degree bound
-/// and the edge merges two components.
+/// and the edge merges two components. Edges carry leaf-local indices and
+/// are taken in `(dist, ids[i], ids[j])` order.
 fn leaf_mst<P: DistanceProvider>(
     provider: &P,
     ids: &[u32],
@@ -223,16 +172,19 @@ fn leaf_mst<P: DistanceProvider>(
     if m < 2 {
         return;
     }
-    let mut all: Vec<(f32, u32, u32)> = Vec::with_capacity(m * (m - 1) / 2);
+    let mut all: Vec<(f32, usize, usize)> = Vec::with_capacity(m * (m - 1) / 2);
     for i in 0..m {
         for j in (i + 1)..m {
-            all.push((provider.dist_between(ids[i], ids[j]), ids[i], ids[j]));
+            all.push((provider.dist_between(ids[i], ids[j]), i, j));
         }
     }
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    all.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(ids[a.1].cmp(&ids[b.1]))
+            .then(ids[a.2].cmp(&ids[b.2]))
+    });
 
     // Union-find over leaf-local indices.
-    let index_of = |id: u32| ids.iter().position(|&x| x == id).unwrap();
     let mut parent: Vec<usize> = (0..m).collect();
     fn find(parent: &mut Vec<usize>, x: usize) -> usize {
         if parent[x] != x {
@@ -243,11 +195,10 @@ fn leaf_mst<P: DistanceProvider>(
     }
     let mut degree = vec![0usize; m];
     let mut accepted = 0;
-    for (_, a, b) in all {
+    for (_, ia, ib) in all {
         if accepted == m - 1 {
             break;
         }
-        let (ia, ib) = (index_of(a), index_of(b));
         if degree[ia] >= max_degree || degree[ib] >= max_degree {
             continue;
         }
@@ -258,7 +209,7 @@ fn leaf_mst<P: DistanceProvider>(
         parent[ra] = rb;
         degree[ia] += 1;
         degree[ib] += 1;
-        edges.push((a, b));
+        edges.push((ids[ia], ids[ib]));
         accepted += 1;
     }
 }
@@ -266,7 +217,7 @@ fn leaf_mst<P: DistanceProvider>(
 /// The degree bound can leave a leaf's forest (and hence the union graph)
 /// disconnected; link any unreachable vertex from the entry.
 fn attach_unreachable(adj: &mut [Vec<u32>], entry: u32) {
-    let seen = crate::flat_build::reachable_mask(adj, entry);
+    let seen = reachable_mask(adj, entry);
     let orphans: Vec<usize> = seen
         .iter()
         .enumerate()
@@ -284,6 +235,7 @@ mod tests {
     use super::*;
     use crate::providers::FullPrecision;
     use crate::search_layers;
+    use crate::stats::GraphStats;
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -296,8 +248,8 @@ mod tests {
         s
     }
 
-    fn build_grid(side: usize) -> Hcnng<FullPrecision> {
-        Hcnng::build(
+    fn build_grid(side: usize) -> FrozenGraph<FullPrecision> {
+        build(
             FullPrecision::new(grid(side)),
             HcnngParams {
                 trees: 6,
@@ -310,7 +262,7 @@ mod tests {
 
     #[test]
     fn finds_nearest_on_grid() {
-        let index = build_grid(10).into_frozen();
+        let index = build_grid(10);
         let hits = search_layers(index.provider(), index.layers(), &[7.1, 2.2], 1, 32);
         assert_eq!(hits[0].id, 72, "expected grid point (7,2)");
     }
@@ -318,11 +270,11 @@ mod tests {
     #[test]
     fn graph_is_bidirectional() {
         let index = build_grid(9);
-        let g = index.graph();
+        let g = index.layers();
         for u in 0..g.len() {
-            for &v in g.neighbors(u as u32) {
+            for &v in g.neighbors(0, u as u32) {
                 assert!(
-                    g.neighbors(v).contains(&(u as u32)),
+                    g.neighbors(0, v).contains(&(u as u32)),
                     "edge {u}→{v} missing its reverse"
                 );
             }
@@ -332,13 +284,13 @@ mod tests {
     #[test]
     fn fully_reachable() {
         let index = build_grid(9);
-        assert_eq!(index.graph().reachable_from_entry(), 81);
+        assert_eq!(GraphStats::from_layers(index.layers()).reachable, 81);
     }
 
     #[test]
     fn more_trees_add_edges() {
         let base = grid(10);
-        let few = Hcnng::build(
+        let few = build(
             FullPrecision::new(base.clone()),
             HcnngParams {
                 trees: 2,
@@ -347,7 +299,7 @@ mod tests {
                 seed: 1,
             },
         );
-        let many = Hcnng::build(
+        let many = build(
             FullPrecision::new(base),
             HcnngParams {
                 trees: 12,
@@ -356,7 +308,7 @@ mod tests {
                 seed: 1,
             },
         );
-        assert!(many.graph().edges() > few.graph().edges());
+        assert!(many.layers().base_edges() > few.layers().base_edges());
     }
 
     #[test]
@@ -364,7 +316,7 @@ mod tests {
         // With one tree and no repair edges, every vertex degree must be
         // ≤ mst_degree (union of passes may exceed it; one pass may not).
         let base = grid(8);
-        let index = Hcnng::build(
+        let index = build(
             FullPrecision::new(base),
             HcnngParams {
                 trees: 1,
@@ -373,13 +325,13 @@ mod tests {
                 seed: 5,
             },
         );
-        let g = index.graph();
+        let g = index.layers();
         let entry = g.entry as usize;
         for i in 0..g.len() {
             if i == entry {
                 continue; // connectivity repair may oversize the entry
             }
-            let deg = g.neighbors(i as u32).len();
+            let deg = g.neighbors(0, i as u32).len();
             assert!(deg <= 3 + 1, "degree {deg} at {i}");
         }
     }
@@ -387,7 +339,7 @@ mod tests {
     #[test]
     fn recall_reasonable_on_grid() {
         let base = grid(12);
-        let index = Hcnng::build(
+        let index = build(
             FullPrecision::new(base.clone()),
             HcnngParams {
                 trees: 8,
@@ -396,7 +348,6 @@ mod tests {
                 seed: 9,
             },
         );
-        let index = index.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {
@@ -413,16 +364,15 @@ mod tests {
 
     #[test]
     fn empty_and_single_vector() {
-        let empty = Hcnng::build(
+        let empty = build(
             FullPrecision::new(VectorSet::new(3)),
             HcnngParams::default(),
-        )
-        .into_frozen();
+        );
         assert!(search_layers(empty.provider(), empty.layers(), &[0.0; 3], 2, 8).is_empty());
 
         let mut one = VectorSet::new(2);
         one.push(&[1.0, 2.0]);
-        let index = Hcnng::build(FullPrecision::new(one), HcnngParams::default()).into_frozen();
+        let index = build(FullPrecision::new(one), HcnngParams::default());
         assert_eq!(
             search_layers(index.provider(), index.layers(), &[0.0, 0.0], 1, 4)[0].id,
             0
@@ -437,7 +387,7 @@ mod tests {
         for _ in 0..100 {
             s.push(&[1.0, 1.0]);
         }
-        let index = Hcnng::build(
+        let index = build(
             FullPrecision::new(s),
             HcnngParams {
                 trees: 2,
@@ -446,6 +396,6 @@ mod tests {
                 seed: 3,
             },
         );
-        assert_eq!(index.graph().len(), 100);
+        assert_eq!(index.layers().len(), 100);
     }
 }

@@ -44,7 +44,7 @@
 
 use crate::graph::GraphLayers;
 use crate::layers_search::FrozenGraph;
-use crate::provider::DistanceProvider;
+use crate::provider::{DistanceProvider, MrngRule, PruneRule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::Hit;
 use metrics::QueryProfile;
@@ -276,7 +276,14 @@ impl<P: DistanceProvider> Hnsw<P> {
                 };
                 cur = nearest;
                 let cap = self.params.cap(layer);
-                select_neighbors(&self.provider, candidates, cap, selected, payload);
+                select_neighbors(
+                    &self.provider,
+                    &MrngRule,
+                    candidates,
+                    cap,
+                    selected,
+                    payload,
+                );
                 // `selected` is a subsequence of `candidates`, so one
                 // forward walk pairs each kept vertex with its distance.
                 let mut kept = selected.iter().peekable();
@@ -530,14 +537,17 @@ impl<P: DistanceProvider> Hnsw<P> {
     }
 }
 
-/// The heuristic Neighbor Selection rule: walk candidates in ascending
-/// distance; keep `v` unless some already-selected `u` is closer to `v`
-/// than `v` is to the inserted vector (paper Section 2.2's MRNG-style
-/// rule). Leaves at most `cap` kept ids in `selected`, in candidate order,
-/// and `block` as their payload, lane for lane — the block the provider
-/// answers [`DistanceProvider::dominated`] from as it grows.
-fn select_neighbors<P: DistanceProvider>(
+/// Neighbor Selection, the one routine every builder prunes with: walk
+/// candidates in ascending distance; keep `v` unless `rule` finds it
+/// dominated by some already-selected `u` (HNSW and NSG pass [`MrngRule`],
+/// paper Section 2.2's rule: `u` is closer to `v` than `v` is to the vertex
+/// being linked). Leaves at most `cap` kept ids in `selected`, in candidate
+/// order, and `block` as their payload, lane for lane — the block the
+/// provider answers [`DistanceProvider::dominated`] from as it grows. With
+/// no candidates, `selected` is empty and `block` is left as it was.
+pub(crate) fn select_neighbors<P: DistanceProvider, R: PruneRule>(
     provider: &P,
+    rule: &R,
     candidates: &[(f32, u32)],
     cap: usize,
     selected: &mut Vec<u32>,
@@ -545,13 +555,13 @@ fn select_neighbors<P: DistanceProvider>(
 ) {
     // The first candidate is always kept, and its append at lane 0 is
     // what discards the block's previous contents.
-    debug_assert!(!candidates.is_empty() && cap >= 1);
+    debug_assert!(cap >= 1);
     selected.clear();
     for &(d, v) in candidates {
         if selected.len() >= cap {
             break;
         }
-        if !provider.dominated(v, d, selected, block) {
+        if !provider.dominated(rule, v, d, selected, block) {
             provider.append_payload(block, selected.len(), v);
             selected.push(v);
         }
@@ -588,7 +598,7 @@ fn link<P: DistanceProvider>(
     prune.extend(row.iter().map(|&nb| (provider.dist_between(y, nb), nb)));
     prune.push((d_xy, x));
     prune.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    select_neighbors(provider, prune, cap, row, block);
+    select_neighbors(provider, &MrngRule, prune, cap, row, block);
     std::mem::swap(payload, block);
 }
 

@@ -1,12 +1,15 @@
 //! Graph-based ANNS algorithms with pluggable distance computation.
 //!
-//! Every graph method the paper touches — HNSW, NSG, τ-MG — shares the same
-//! construction skeleton (Section 2.1.1): **Candidate Acquisition** (CA,
-//! a greedy beam search collecting the top-`C` candidates for each inserted
-//! vertex) followed by **Neighbor Selection** (NS, a pruning heuristic that
-//! keeps at most `R` diverse neighbors). Distance computation inside CA and
-//! NS is the 90 %+ cost the paper attacks, so this crate routes *every*
-//! distance through the [`DistanceProvider`] trait:
+//! Every graph method the paper touches — HNSW, NSG, τ-MG, and here also
+//! Vamana — shares the same construction skeleton (Section 2.1.1):
+//! **Candidate Acquisition** (CA, a greedy beam search collecting the
+//! top-`C` candidates for each inserted vertex) followed by **Neighbor
+//! Selection** (NS, a pruning heuristic that keeps at most `R` diverse
+//! neighbors). NS is one routine for all of them, HNSW's; a method differs
+//! only in the [`PruneRule`] it passes — [`MrngRule`] (HNSW, NSG),
+//! [`TauRule`] (τ-MG), [`AlphaRule`] (Vamana). Distance computation inside
+//! CA and NS is the 90 %+ cost the paper attacks, so this crate routes
+//! *every* distance through the [`DistanceProvider`] trait:
 //!
 //! * [`providers::FullPrecision`] — the standard float path (baseline HNSW);
 //! * [`providers::PqProvider`] — HNSW-PQ (ADC in CA, SDC in NS);
@@ -17,6 +20,13 @@
 //!   ([`DistanceProvider::dist_to_neighbors`], [`DistanceProvider::dominated`])
 //!   and maintains per-node codeword blocks through
 //!   [`DistanceProvider::append_payload`].
+//!
+//! [`Hnsw`] is the one builder with a type of its own: it keeps growing
+//! (streaming `insert`) until [`Hnsw::into_frozen`]. The flat builders —
+//! [`nsg::build`], [`taumg::build`], [`vamana::build`] and [`hcnng::build`]
+//! (HCNNG is MST-based and has no NS stage) — run to the end and return a
+//! [`FrozenGraph`] over a one-layer [`GraphLayers`], the form every serving
+//! path holds.
 //!
 //! Search-side optimizations evaluated in the paper's Figure 13 live in
 //! [`adsampling`] and [`vbase`]; both operate on an already-built
@@ -41,22 +51,22 @@ pub mod vbase;
 mod visited;
 
 pub use filtered::{LabeledHnsw, LabeledParams};
-pub use graph::{CsrLayer, FlatGraph, GraphLayers, LINE_U32S};
-pub use hcnng::{Hcnng, HcnngParams};
+pub use graph::{CsrLayer, GraphLayers, LINE_U32S};
+pub use hcnng::HcnngParams;
 pub use hnsw::{Hnsw, HnswParams};
 pub use layers_search::{
     search_layers, search_layers_cached, search_layers_filtered, search_layers_rerank, FrozenGraph,
     NodePayloads,
 };
 pub use metrics::QueryProfile;
-pub use nsg::{Nsg, NsgParams};
-pub use provider::DistanceProvider;
+pub use nsg::NsgParams;
+pub use provider::{AlphaRule, DistanceProvider, MrngRule, PruneRule, TauRule};
 pub use scratch::{
     profile_record, profile_reset, profile_take, register_scratch_metrics, scratch_stats,
     scratch_stats_global, ScratchStats,
 };
-pub use taumg::{TauMg, TauMgParams};
-pub use vamana::{Vamana, VamanaParams};
+pub use taumg::TauMgParams;
+pub use vamana::VamanaParams;
 
 /// One search hit: a database vector id and its distance to the query.
 ///

@@ -6,57 +6,18 @@
 //! NS stages route through the same [`DistanceProvider`] as HNSW, so the
 //! Flash provider accelerates NSG construction unchanged.
 
-use crate::flat_build::{build_flat, FlatParams, MrngRule};
-use crate::graph::{FlatGraph, GraphLayers};
+use crate::flat_build::{build_flat, freeze, FlatParams};
 use crate::layers_search::FrozenGraph;
-use crate::provider::DistanceProvider;
+use crate::provider::{DistanceProvider, MrngRule};
 
 /// NSG construction parameters.
 pub type NsgParams = FlatParams;
 
-/// A built NSG index.
-pub struct Nsg<P: DistanceProvider> {
-    provider: P,
-    graph: FlatGraph,
-    params: NsgParams,
-}
-
-impl<P: DistanceProvider> Nsg<P> {
-    /// Builds the index (helper-HNSW CA, MRNG NS, connectivity repair).
-    pub fn build(provider: P, params: NsgParams) -> Self {
-        let (graph, provider) = build_flat(provider, params, &MrngRule);
-        Self {
-            provider,
-            graph,
-            params,
-        }
-    }
-
-    /// The navigating graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-
-    /// The distance provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
-    /// Construction parameters.
-    pub fn params(&self) -> &NsgParams {
-        &self.params
-    }
-
-    /// Index size: adjacency + provider auxiliary bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.graph.adjacency_bytes() + self.provider.aux_bytes()
-    }
-
-    /// Ends construction: the provider paired with the graph as a
-    /// one-layer topology, the form every serving path holds.
-    pub fn into_frozen(self) -> FrozenGraph<P> {
-        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
-    }
+/// Builds an NSG (helper-HNSW CA, MRNG NS, connectivity repair): the
+/// provider paired with a one-layer topology entered at the medoid.
+pub fn build<P: DistanceProvider>(provider: P, params: NsgParams) -> FrozenGraph<P> {
+    let (adj, entry, provider) = build_flat(provider, params, &MrngRule);
+    freeze(provider, adj, entry)
 }
 
 #[cfg(test)]
@@ -64,6 +25,7 @@ mod tests {
     use super::*;
     use crate::providers::FullPrecision;
     use crate::search_layers;
+    use crate::stats::GraphStats;
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -78,7 +40,7 @@ mod tests {
 
     #[test]
     fn nsg_finds_nearest_on_grid() {
-        let nsg = Nsg::build(
+        let nsg = build(
             FullPrecision::new(grid(10)),
             NsgParams {
                 r: 8,
@@ -86,14 +48,13 @@ mod tests {
                 seed: 3,
             },
         );
-        let nsg = nsg.into_frozen();
         let hits = search_layers(nsg.provider(), nsg.layers(), &[4.1, 6.2], 1, 32);
         assert_eq!(hits[0].id, 46);
     }
 
     #[test]
     fn nsg_is_fully_reachable() {
-        let nsg = Nsg::build(
+        let nsg = build(
             FullPrecision::new(grid(9)),
             NsgParams {
                 r: 6,
@@ -101,12 +62,13 @@ mod tests {
                 seed: 5,
             },
         );
-        assert_eq!(nsg.graph().reachable_from_entry(), 81);
+        assert_eq!(nsg.layers().num_layers(), 1);
+        assert_eq!(GraphStats::from_layers(nsg.layers()).reachable, 81);
     }
 
     #[test]
     fn degrees_bounded_modulo_repair() {
-        let nsg = Nsg::build(
+        let nsg = build(
             FullPrecision::new(grid(8)),
             NsgParams {
                 r: 6,
@@ -115,9 +77,9 @@ mod tests {
             },
         );
         // Connectivity repair may add a few extra edges beyond R.
-        let g = nsg.graph();
+        let g = nsg.layers();
         for node in 0..g.len() {
-            let deg = g.neighbors(node as u32).len();
+            let deg = g.neighbors(0, node as u32).len();
             assert!(deg <= 6 + 4, "degree {deg} too large");
         }
     }
@@ -125,7 +87,7 @@ mod tests {
     #[test]
     fn recall_reasonable_on_grid() {
         let base = grid(12);
-        let nsg = Nsg::build(
+        let nsg = build(
             FullPrecision::new(base.clone()),
             NsgParams {
                 r: 8,
@@ -133,7 +95,6 @@ mod tests {
                 seed: 9,
             },
         );
-        let nsg = nsg.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {

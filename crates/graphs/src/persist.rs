@@ -3,14 +3,17 @@
 //! The paper's motivating deployment rebuilds indexes overnight and serves
 //! them immediately after; that requires writing the built topology to disk
 //! and mapping it back without re-running construction. This module gives
-//! [`GraphLayers`] and [`FlatGraph`] a compact little-endian on-disk format
-//! (magic + version + adjacency), dependency-free.
+//! [`GraphLayers`] a compact little-endian on-disk format (magic + version
+//! + kind + adjacency), dependency-free.
 //!
 //! The format (`HFGRAPH2`) mirrors the in-memory CSR layout — node count,
 //! the degree array, then all targets concatenated — so a load is two bulk
-//! reads per layer. The pre-CSR nested format (`HFGRAPH1`) is no longer
-//! read: nothing has written it since the CSR refactor, and such a file
-//! fails `load` with an "unsupported graph format version" error.
+//! reads per layer. There is one graph kind, `ML` (layer count, then the
+//! layers): HNSW writes its layers, a flat builder's graph (NSG, τ-MG,
+//! Vamana, HCNNG) is one layer. The retired single-layer kind `FL` is
+//! refused with an error naming it, and so is the pre-CSR nested format
+//! (`HFGRAPH1`, "unsupported graph format version"): nothing writes either
+//! any more.
 //!
 //! Length words come straight from the (possibly corrupt or hostile) file,
 //! so no allocation trusts them: preallocation is capped at
@@ -23,7 +26,7 @@
 //! codec seed), matching how segment files and index files are managed
 //! separately in LSM-style vector stores.
 
-use crate::graph::{FlatGraph, GraphLayers};
+use crate::graph::{CsrLayer, GraphLayers};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -52,7 +55,7 @@ fn bounded_vec<T>(claimed_len: usize) -> Vec<T> {
 
 /// Writes one layer in CSR shape: `n`, the `n` degrees, then all targets
 /// row-concatenated (no padding on disk).
-fn write_csr_adjacency(w: &mut impl Write, rows: &crate::graph::CsrLayer) -> io::Result<()> {
+fn write_csr_adjacency(w: &mut impl Write, rows: &CsrLayer) -> io::Result<()> {
     write_u32(w, rows.len() as u32)?;
     for node in 0..rows.len() {
         write_u32(w, rows.degree(node) as u32)?;
@@ -141,8 +144,14 @@ impl GraphLayers {
         read_magic(&mut r)?;
         let mut kind = [0u8; 2];
         r.read_exact(&mut kind)?;
-        if &kind != b"ML" {
-            return Err(bad("not a multi-layer graph file"));
+        match &kind {
+            b"ML" => {}
+            b"FL" => {
+                return Err(bad(
+                    "retired graph kind `FL` (rebuild the index to rewrite the file)",
+                ))
+            }
+            _ => return Err(bad("unknown graph kind")),
         }
         let entry = read_u32(&mut r)?;
         let max_layer = read_u32(&mut r)? as usize;
@@ -174,47 +183,6 @@ impl GraphLayers {
     }
 }
 
-impl FlatGraph {
-    /// Serializes the flat graph to `path` (current format).
-    ///
-    /// # Errors
-    /// Returns any underlying I/O error.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(MAGIC_V2)?;
-        w.write_all(b"FL")?;
-        write_u32(&mut w, self.entry)?;
-        write_csr_adjacency(&mut w, self.csr())?;
-        w.flush()
-    }
-
-    /// Loads a flat graph from `path`.
-    ///
-    /// # Errors
-    /// Returns an error on I/O failure or a malformed/corrupt file.
-    pub fn load(path: &Path) -> io::Result<FlatGraph> {
-        let mut r = BufReader::new(File::open(path)?);
-        read_magic(&mut r)?;
-        let mut kind = [0u8; 2];
-        r.read_exact(&mut kind)?;
-        if &kind != b"FL" {
-            return Err(bad("not a flat graph file"));
-        }
-        let entry = read_u32(&mut r)?;
-        let adj = read_csr_adjacency(&mut r, u32::MAX)?;
-        let n = adj.len() as u32;
-        if entry >= n {
-            return Err(bad("entry point out of range"));
-        }
-        for list in &adj {
-            if list.iter().any(|&id| id >= n) {
-                return Err(bad("edge target out of range"));
-            }
-        }
-        Ok(FlatGraph::from_nested(&adj, entry))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,19 +204,23 @@ mod tests {
         )
     }
 
-    /// A flat-graph file in the current format, written by hand so tests
-    /// can forge any field.
-    fn flat_bytes(entry: u32, adj: &[Vec<u32>]) -> Vec<u8> {
+    /// A graph file in the current format, written by hand so tests can
+    /// forge any field: `layers[l][node]` is a neighbor row.
+    fn graph_bytes(entry: u32, max_layer: u32, layers: &[Vec<Vec<u32>>]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC_V2);
-        bytes.extend_from_slice(b"FL");
+        bytes.extend_from_slice(b"ML");
         bytes.extend_from_slice(&entry.to_le_bytes());
-        bytes.extend_from_slice(&(adj.len() as u32).to_le_bytes());
-        for list in adj {
-            bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
-        }
-        for &id in adj.iter().flatten() {
-            bytes.extend_from_slice(&id.to_le_bytes());
+        bytes.extend_from_slice(&max_layer.to_le_bytes());
+        bytes.extend_from_slice(&(layers.len() as u32).to_le_bytes());
+        for adj in layers {
+            bytes.extend_from_slice(&(adj.len() as u32).to_le_bytes());
+            for list in adj {
+                bytes.extend_from_slice(&(list.len() as u32).to_le_bytes());
+            }
+            for &id in adj.iter().flatten() {
+                bytes.extend_from_slice(&id.to_le_bytes());
+            }
         }
         bytes
     }
@@ -267,10 +239,13 @@ mod tests {
 
     #[test]
     fn flat_roundtrip() {
+        // A flat builder's graph: one layer, entered off node 0.
         let path = tmp("b.graph");
-        let g = FlatGraph::from_nested(&[vec![1], vec![2, 0], vec![]], 1);
+        let g = GraphLayers::from_nested(vec![vec![vec![1], vec![2, 0], vec![]]], 1, 0);
         g.save(&path).unwrap();
-        let back = FlatGraph::load(&path).unwrap();
+        let back = GraphLayers::load(&path).unwrap();
+        assert_eq!(back.entry, 1);
+        assert_eq!(back.num_layers(), 1);
         assert_eq!(back, g);
         std::fs::remove_file(&path).ok();
     }
@@ -278,9 +253,14 @@ mod tests {
     #[test]
     fn hand_written_bytes_match_the_writer() {
         let path = tmp("bytes.graph");
-        let adj = vec![vec![1u32, 2], vec![0], vec![]];
-        FlatGraph::from_nested(&adj, 2).save(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), flat_bytes(2, &adj));
+        let layers = vec![
+            vec![vec![1u32, 2], vec![0], vec![]],
+            vec![vec![], vec![], vec![1]],
+        ];
+        GraphLayers::from_nested(layers.clone(), 2, 1)
+            .save(&path)
+            .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), graph_bytes(2, 1, &layers));
         std::fs::remove_file(&path).ok();
     }
 
@@ -294,18 +274,13 @@ mod tests {
             bytes.extend_from_slice(kind);
             bytes.extend_from_slice(&[0u8; 16]);
             std::fs::write(&path, &bytes).unwrap();
-            let errors = [
-                FlatGraph::load(&path).map(|_| ()).unwrap_err(),
-                GraphLayers::load(&path).map(|_| ()).unwrap_err(),
-            ];
-            for err in errors {
-                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-                assert!(
-                    err.to_string()
-                        .contains("unsupported graph format version `1`"),
-                    "{err}"
-                );
-            }
+            let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string()
+                    .contains("unsupported graph format version `1`"),
+                "{err}"
+            );
         }
         std::fs::remove_file(&path).ok();
     }
@@ -315,28 +290,39 @@ mod tests {
         let path = tmp("c.graph");
         std::fs::write(&path, b"NOTAGRAPHFILE").unwrap();
         assert!(GraphLayers::load(&path).is_err());
-        assert!(FlatGraph::load(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn rejects_type_confusion() {
+    fn retired_flat_kind_is_refused() {
+        // A well-formed file of the retired `FL` kind: magic, kind, entry,
+        // then one CSR layer.
         let path = tmp("d.graph");
-        sample_layers().save(&path).unwrap();
-        assert!(
-            FlatGraph::load(&path).is_err(),
-            "ML file must not load as FL"
-        );
+        let mut bytes = MAGIC_V2.to_vec();
+        bytes.extend_from_slice(b"FL");
+        for word in [0u32, 2, 1, 1, 1, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let err = GraphLayers::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("retired graph kind `FL`"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_out_of_range_edges() {
         let path = tmp("e.graph");
-        // Hand-craft a flat file with an edge to node 9 in a 2-node graph.
-        let bytes = flat_bytes(0, &[vec![9], vec![]]);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(FlatGraph::load(&path).is_err());
+        // Hand-craft a file with an edge to node 9 in a 2-node graph, on
+        // the base layer and on an upper one.
+        for layers in [
+            vec![vec![vec![9], vec![]]],
+            vec![vec![vec![1], vec![0]], vec![vec![], vec![9]]],
+        ] {
+            std::fs::write(&path, graph_bytes(0, 0, &layers)).unwrap();
+            let err = GraphLayers::load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -352,17 +338,20 @@ mod tests {
 
     #[test]
     fn forged_huge_node_count_fails_without_oom() {
-        // A 22-byte file claiming u32::MAX nodes: the reader must hit EOF
-        // with a clean error instead of preallocating gigabytes.
+        // A 30-byte file claiming u32::MAX nodes in its one layer: the
+        // reader must hit EOF with a clean error instead of preallocating
+        // gigabytes.
         let path = tmp("g.graph");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC_V2);
-        bytes.extend_from_slice(b"FL");
+        bytes.extend_from_slice(b"ML");
         bytes.extend_from_slice(&0u32.to_le_bytes()); // entry
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // max_layer
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // n_layers
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged n
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged len
         std::fs::write(&path, &bytes).unwrap();
-        let err = FlatGraph::load(&path).unwrap_err();
+        let err = GraphLayers::load(&path).unwrap_err();
         assert!(
             matches!(
                 err.kind(),

@@ -1,4 +1,5 @@
-//! The distance-computation abstraction shared by all graph builders.
+//! The distance-computation abstraction shared by all graph builders, and
+//! the Neighbor Selection rules it applies.
 
 use vecstore::VectorSet;
 
@@ -88,14 +89,26 @@ pub trait DistanceProvider: Sync + Send {
     /// block as Neighbor Selection keeps each vertex.
     fn append_payload(&self, _payload: &mut Self::NodePayload, _lane: usize, _id: u32) {}
 
-    /// The one question Neighbor Selection asks: is some vertex of
-    /// `selected` closer to `v` than `d`? `payload` holds `selected` lane
-    /// for lane (built by [`Self::append_payload`]), so a provider whose
-    /// NS distance is a table lookup can answer from the block in batches
-    /// (Flash: one SIMD lookup per 16 selected vertices). Must equal the
-    /// default, which ignores the payload.
-    fn dominated(&self, v: u32, d: f32, selected: &[u32], _payload: &Self::NodePayload) -> bool {
-        selected.iter().any(|&u| self.dist_between(u, v) < d)
+    /// The one question Neighbor Selection asks: does `rule` prune the
+    /// candidate `v`, at distance `d` from the vertex being linked, against
+    /// some vertex `u` of `selected` — `rule.dominated(d, dist_between(u, v))`
+    /// for any `u`? `payload` holds `selected` lane for lane (built by
+    /// [`Self::append_payload`]), so a provider whose NS distance is a
+    /// table lookup can answer from the block in batches (Flash: one SIMD
+    /// lookup per 16 selected vertices, the rule applied to each lane).
+    /// For every rule, an override must give the default's answer, which
+    /// ignores the payload.
+    fn dominated<R: PruneRule>(
+        &self,
+        rule: &R,
+        v: u32,
+        d: f32,
+        selected: &[u32],
+        _payload: &Self::NodePayload,
+    ) -> bool {
+        selected
+            .iter()
+            .any(|&u| rule.dominated(d, self.dist_between(u, v)))
     }
 
     /// Hint that the distance data of `id` (codes, or the raw vector) will
@@ -126,5 +139,108 @@ pub trait DistanceProvider: Sync + Send {
     /// `cap`. Used for index-size accounting (Figure 7).
     fn payload_bytes(&self, _cap: usize) -> usize {
         0
+    }
+}
+
+/// A Neighbor Selection rule: given a candidate's distance to the vertex
+/// being linked (`d_xv`) and its distance to an already-selected neighbor
+/// (`d_uv`), decide whether the candidate is *dominated* (pruned). Every
+/// builder selects neighbors with one routine and differs only in the rule
+/// it passes; [`DistanceProvider::dominated`] applies it.
+pub trait PruneRule: Sync {
+    /// Returns `true` if the candidate should be pruned.
+    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool;
+}
+
+/// MRNG rule (HNSW, NSG): prune `v` when some selected `u` satisfies
+/// `δ(u,v) < δ(x,v)`.
+pub struct MrngRule;
+
+impl PruneRule for MrngRule {
+    #[inline]
+    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
+        d_uv < d_xv
+    }
+}
+
+/// τ-MG rule: prune `v` only when `δ(u,v) < δ(x,v) − 3τ` (distances, not
+/// squares), retaining extra edges that guarantee τ-monotonic search paths.
+/// We adapt the rule to squared-distance bookkeeping by comparing square
+/// roots, which is exact.
+pub struct TauRule {
+    /// The monotonicity slack τ (in distance units).
+    pub tau: f32,
+}
+
+impl PruneRule for TauRule {
+    #[inline]
+    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
+        let margin = d_xv.max(0.0).sqrt() - 3.0 * self.tau;
+        margin > 0.0 && d_uv.max(0.0).sqrt() < margin
+    }
+}
+
+/// Vamana's α-RNG rule (DiskANN): prune `v` when some selected `u`
+/// satisfies `α · δ(u,v) ≤ δ(x,v)`. With squared-distance bookkeeping this
+/// is `α² · d_uv ≤ d_xv`. `α = 1` coincides with [`MrngRule`] (up to the
+/// boundary case); `α > 1` keeps longer "highway" edges that shorten
+/// search paths at the cost of degree.
+pub struct AlphaRule {
+    /// α² — the rule compares squared distances, so the slack is squared
+    /// once at construction time.
+    pub alpha_sq: f32,
+}
+
+impl AlphaRule {
+    /// Builds the rule from the DiskANN-style α (distance units, `α ≥ 1`).
+    pub fn new(alpha: f32) -> Self {
+        assert!(alpha >= 1.0, "Vamana requires α ≥ 1, got {alpha}");
+        Self {
+            alpha_sq: alpha * alpha,
+        }
+    }
+}
+
+impl PruneRule for AlphaRule {
+    #[inline]
+    fn dominated(&self, d_xv: f32, d_uv: f32) -> bool {
+        self.alpha_sq * d_uv <= d_xv
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mrng_rule_is_strict_domination() {
+        let r = MrngRule;
+        assert!(r.dominated(1.0, 0.5));
+        assert!(!r.dominated(1.0, 1.5));
+        assert!(!r.dominated(1.0, 1.0));
+    }
+
+    #[test]
+    fn tau_rule_keeps_more_edges_than_mrng() {
+        let mrng = MrngRule;
+        let tau = TauRule { tau: 0.5 };
+        // A candidate MRNG would prune (d_uv < d_xv) survives with slack.
+        let d_xv = 4.0; // distance 2.0
+        let d_uv = 3.0; // distance ~1.73 < 2.0 → MRNG prunes
+        assert!(mrng.dominated(d_xv, d_uv));
+        assert!(!tau.dominated(d_xv, d_uv), "slack 3τ = 1.5 must retain it");
+    }
+
+    #[test]
+    fn tau_rule_still_prunes_far_dominated_edges() {
+        let tau = TauRule { tau: 0.1 };
+        // d_xv = 100 (dist 10), d_uv = 1 (dist 1) → 1 < 10 - 0.3 → pruned.
+        assert!(tau.dominated(100.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "α ≥ 1")]
+    fn alpha_below_one_rejected() {
+        let _ = AlphaRule::new(0.9);
     }
 }

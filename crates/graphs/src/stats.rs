@@ -7,7 +7,7 @@
 //! without hardware counters.
 
 use crate::graph::GraphLayers;
-use crate::provider::DistanceProvider;
+use crate::provider::{DistanceProvider, PruneRule};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vecstore::VectorSet;
@@ -199,10 +199,17 @@ impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
         })
     }
 
-    fn dominated(&self, v: u32, d: f32, selected: &[u32], payload: &Self::NodePayload) -> bool {
+    fn dominated<R: PruneRule>(
+        &self,
+        rule: &R,
+        v: u32,
+        d: f32,
+        selected: &[u32],
+        payload: &Self::NodePayload,
+    ) -> bool {
         self.dist_calls.fetch_add(1, Ordering::Relaxed);
         Self::time(&self.dist_ns, || {
-            self.inner.dominated(v, d, selected, payload)
+            self.inner.dominated(rule, v, d, selected, payload)
         })
     }
 

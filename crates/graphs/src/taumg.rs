@@ -8,10 +8,9 @@
 //! Like NSG, the whole pipeline runs on [`DistanceProvider`] distances, so
 //! Flash plugs in unchanged.
 
-use crate::flat_build::{build_flat, FlatParams, TauRule};
-use crate::graph::{FlatGraph, GraphLayers};
+use crate::flat_build::{build_flat, freeze, FlatParams};
 use crate::layers_search::FrozenGraph;
-use crate::provider::DistanceProvider;
+use crate::provider::{DistanceProvider, TauRule};
 
 /// τ-MG construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,57 +30,19 @@ impl Default for TauMgParams {
     }
 }
 
-/// A built τ-MG index.
-pub struct TauMg<P: DistanceProvider> {
-    provider: P,
-    graph: FlatGraph,
-    params: TauMgParams,
-}
-
-impl<P: DistanceProvider> TauMg<P> {
-    /// Builds the index with the τ-relaxed pruning rule.
-    pub fn build(provider: P, params: TauMgParams) -> Self {
-        let rule = TauRule { tau: params.tau };
-        let (graph, provider) = build_flat(provider, params.flat, &rule);
-        Self {
-            provider,
-            graph,
-            params,
-        }
-    }
-
-    /// The navigating graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-
-    /// The distance provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
-    /// Construction parameters.
-    pub fn params(&self) -> &TauMgParams {
-        &self.params
-    }
-
-    /// Index size: adjacency + provider auxiliary bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.graph.adjacency_bytes() + self.provider.aux_bytes()
-    }
-
-    /// Ends construction: the provider paired with the graph as a
-    /// one-layer topology, the form every serving path holds.
-    pub fn into_frozen(self) -> FrozenGraph<P> {
-        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
-    }
+/// Builds a τ-MG with the τ-relaxed pruning rule: the provider paired with
+/// a one-layer topology entered at the medoid.
+pub fn build<P: DistanceProvider>(provider: P, params: TauMgParams) -> FrozenGraph<P> {
+    let rule = TauRule { tau: params.tau };
+    let (adj, entry, provider) = build_flat(provider, params.flat, &rule);
+    freeze(provider, adj, entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nsg::{Nsg, NsgParams};
     use crate::providers::FullPrecision;
+    use crate::stats::GraphStats;
     use vecstore::VectorSet;
 
     fn grid(side: usize) -> VectorSet {
@@ -96,7 +57,7 @@ mod tests {
 
     #[test]
     fn taumg_finds_nearest_on_grid() {
-        let index = TauMg::build(
+        let index = build(
             FullPrecision::new(grid(10)),
             TauMgParams {
                 flat: FlatParams {
@@ -107,14 +68,13 @@ mod tests {
                 tau: 0.2,
             },
         );
-        let index = index.into_frozen();
         let hits = crate::search_layers(index.provider(), index.layers(), &[7.2, 2.9], 1, 32);
         assert_eq!(hits[0].id, 73);
     }
 
     #[test]
     fn taumg_connected() {
-        let index = TauMg::build(
+        let index = build(
             FullPrecision::new(grid(9)),
             TauMgParams {
                 flat: FlatParams {
@@ -125,36 +85,20 @@ mod tests {
                 tau: 0.2,
             },
         );
-        assert_eq!(index.graph().reachable_from_entry(), 81);
+        assert_eq!(GraphStats::from_layers(index.layers()).reachable, 81);
     }
 
     #[test]
     fn tau_slack_yields_denser_graph_than_nsg() {
         let base = grid(10);
-        let nsg = Nsg::build(
-            FullPrecision::new(base.clone()),
-            NsgParams {
-                r: 8,
-                c: 32,
-                seed: 11,
-            },
-        );
-        let taumg = TauMg::build(
-            FullPrecision::new(base),
-            TauMgParams {
-                flat: FlatParams {
-                    r: 8,
-                    c: 32,
-                    seed: 11,
-                },
-                tau: 0.5,
-            },
-        );
-        assert!(
-            taumg.graph().edges() >= nsg.graph().edges(),
-            "τ-MG {} edges vs NSG {}",
-            taumg.graph().edges(),
-            nsg.graph().edges()
-        );
+        let flat = FlatParams {
+            r: 8,
+            c: 32,
+            seed: 11,
+        };
+        let nsg = crate::nsg::build(FullPrecision::new(base.clone()), flat);
+        let taumg = build(FullPrecision::new(base), TauMgParams { flat, tau: 0.5 });
+        let (dense, sparse) = (taumg.layers().base_edges(), nsg.layers().base_edges());
+        assert!(dense >= sparse, "τ-MG {dense} edges vs NSG {sparse}");
     }
 }

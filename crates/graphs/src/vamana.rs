@@ -3,26 +3,27 @@
 //!
 //! The paper's Section 2.1.1 places Vamana in the same construction family
 //! as HNSW/NSG/τ-MG: a Candidate Acquisition stage (greedy beam search for
-//! a per-vertex candidate pool) followed by Neighbor Selection (here the
-//! **α-RNG "RobustPrune"** rule, which keeps an edge to `v` unless an
-//! already-selected `u` satisfies `α·δ(u,v) ≤ δ(x,v)`). Because both stages
+//! a per-vertex candidate pool) followed by Neighbor Selection — the one
+//! routine every builder shares, here under the **α-RNG "RobustPrune"**
+//! rule ([`AlphaRule`]), which keeps an edge to `v` unless an
+//! already-selected `u` satisfies `α·δ(u,v) ≤ δ(x,v)`. Because both stages
 //! route every distance through [`DistanceProvider`], plugging in the Flash
 //! provider accelerates Vamana construction exactly as it does the three
 //! graphs the paper evaluates.
 //!
 //! The build follows DiskANN's two-pass recipe:
 //!
-//! 1. **Pass 1** (`α = 1`): the shared flat-build skeleton produces an
-//!    MRNG-pruned graph from per-vertex candidate pools.
+//! 1. **Pass 1** (`α = 1`): the shared flat-build skeleton produces a
+//!    pruned graph from per-vertex candidate pools.
 //! 2. **Pass 2** (`α > 1`): every vertex re-prunes the union of its current
 //!    neighbors and its two-hop neighborhood with the slacked rule, then
 //!    reverse edges are inserted with overflow re-pruning — this is the
 //!    pass that creates the long-range "highway" edges DiskANN relies on.
 
-use crate::flat_build::{build_flat_nested, AlphaRule, FlatParams, PruneRule};
-use crate::graph::{FlatGraph, GraphLayers};
+use crate::flat_build::{build_flat, freeze, reachable_mask, FlatParams};
+use crate::hnsw::select_neighbors;
 use crate::layers_search::FrozenGraph;
-use crate::provider::DistanceProvider;
+use crate::provider::{AlphaRule, DistanceProvider};
 use rayon::prelude::*;
 
 /// Vamana construction parameters.
@@ -51,73 +52,34 @@ impl Default for VamanaParams {
     }
 }
 
-/// A built Vamana index.
-pub struct Vamana<P: DistanceProvider> {
-    provider: P,
-    graph: FlatGraph,
-    params: VamanaParams,
-}
-
-impl<P: DistanceProvider> Vamana<P> {
-    /// Builds the index: pass 1 with `α = 1`, pass 2 with `params.alpha`.
-    pub fn build(provider: P, params: VamanaParams) -> Self {
-        let flat = FlatParams {
-            r: params.r,
-            c: params.c,
-            seed: params.seed,
-        };
-        // Both refinement passes mutate per-vertex lists, so the graph stays
-        // nested until the final freeze into CSR.
-        let (mut adj, entry, provider) = build_flat_nested(provider, flat, &AlphaRule::new(1.0));
-        if adj.len() > 2 {
-            alpha_pass(&provider, &mut adj, entry, params);
-            repair_connectivity(&mut adj, entry);
-        }
-        Self {
-            provider,
-            graph: FlatGraph::from_nested(&adj, entry),
-            params,
-        }
+/// Builds a Vamana graph — pass 1 with `α = 1`, pass 2 with
+/// `params.alpha` — and returns the provider paired with a one-layer
+/// topology entered at the medoid.
+pub fn build<P: DistanceProvider>(provider: P, params: VamanaParams) -> FrozenGraph<P> {
+    let flat = FlatParams {
+        r: params.r,
+        c: params.c,
+        seed: params.seed,
+    };
+    // Both refinement passes mutate per-vertex lists, so the graph stays
+    // nested until the final freeze into CSR.
+    let (mut adj, entry, provider) = build_flat(provider, flat, &AlphaRule::new(1.0));
+    if adj.len() > 2 {
+        alpha_pass(&provider, &mut adj, params);
+        repair_connectivity(&mut adj, entry);
     }
-
-    /// The navigating graph.
-    pub fn graph(&self) -> &FlatGraph {
-        &self.graph
-    }
-
-    /// The distance provider.
-    pub fn provider(&self) -> &P {
-        &self.provider
-    }
-
-    /// Construction parameters.
-    pub fn params(&self) -> &VamanaParams {
-        &self.params
-    }
-
-    /// Index size: adjacency + provider auxiliary bytes.
-    pub fn index_bytes(&self) -> usize {
-        self.graph.adjacency_bytes() + self.provider.aux_bytes()
-    }
-
-    /// Ends construction: the provider paired with the graph as a
-    /// one-layer topology, the form every serving path holds.
-    pub fn into_frozen(self) -> FrozenGraph<P> {
-        FrozenGraph::new(self.provider, GraphLayers::from_flat(self.graph))
-    }
+    freeze(provider, adj, entry)
 }
 
 /// The α refinement pass: every vertex re-prunes its one- and two-hop
 /// neighborhood with the slacked rule, then reverse edges are inserted
 /// (with overflow re-pruning from the receiving vertex's perspective).
-fn alpha_pass<P: DistanceProvider>(
-    provider: &P,
-    adj: &mut Vec<Vec<u32>>,
-    _entry: u32,
-    params: VamanaParams,
-) {
+/// Both prunes are the shared Neighbor Selection routine under
+/// [`AlphaRule`].
+fn alpha_pass<P: DistanceProvider>(provider: &P, adj: &mut Vec<Vec<u32>>, params: VamanaParams) {
     let rule = AlphaRule::new(params.alpha);
     let n = adj.len();
+    let by_distance = |a: &(f32, u32), b: &(f32, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
 
     // Re-prune pools in parallel; pools are read-only views of the pass-1
     // adjacency, so no locking is needed.
@@ -136,61 +98,44 @@ fn alpha_pass<P: DistanceProvider>(
                 .iter()
                 .map(|&v| (provider.dist_between(x, v), v))
                 .collect();
-            cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            robust_prune(provider, &rule, &cands, params.r)
+            cands.sort_by(by_distance);
+            let mut selected = Vec::with_capacity(params.r);
+            let mut block = P::NodePayload::default();
+            select_neighbors(provider, &rule, &cands, params.r, &mut selected, &mut block);
+            selected
         })
         .collect();
     *adj = new_adj;
 
     // Reverse-edge insertion (sequential: mutates many lists).
+    let mut block = P::NodePayload::default();
     for x in 0..n as u32 {
         let outs = adj[x as usize].clone();
         for v in outs {
-            if adj[v as usize].contains(&x) {
+            let row = &mut adj[v as usize];
+            if row.contains(&x) {
                 continue;
             }
-            if adj[v as usize].len() < params.r {
-                adj[v as usize].push(x);
+            if row.len() < params.r {
+                row.push(x);
             } else {
-                let mut cands: Vec<(f32, u32)> = adj[v as usize]
+                let mut cands: Vec<(f32, u32)> = row
                     .iter()
                     .chain(std::iter::once(&x))
                     .map(|&u| (provider.dist_between(v, u), u))
                     .collect();
-                cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                adj[v as usize] = robust_prune(provider, &rule, &cands, params.r);
+                cands.sort_by(by_distance);
+                select_neighbors(provider, &rule, &cands, params.r, row, &mut block);
             }
         }
     }
-}
-
-/// DiskANN's RobustPrune over a distance-sorted candidate list.
-fn robust_prune<P: DistanceProvider>(
-    provider: &P,
-    rule: &AlphaRule,
-    sorted_cands: &[(f32, u32)],
-    r: usize,
-) -> Vec<u32> {
-    let mut selected: Vec<(f32, u32)> = Vec::with_capacity(r);
-    for &(d, v) in sorted_cands {
-        if selected.len() >= r {
-            break;
-        }
-        let dominated = selected
-            .iter()
-            .any(|&(_, u)| rule.dominated(d, provider.dist_between(u, v)));
-        if !dominated {
-            selected.push((d, v));
-        }
-    }
-    selected.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Guarantees reachability from the entry after re-pruning: unreachable
 /// vertices are linked from the entry (the entry's list may exceed `R`,
 /// mirroring NSG's simplified tree-linking repair).
 fn repair_connectivity(adj: &mut [Vec<u32>], entry: u32) {
-    let seen = crate::flat_build::reachable_mask(adj, entry);
+    let seen = reachable_mask(adj, entry);
     let orphans: Vec<u32> = seen
         .iter()
         .enumerate()
@@ -204,6 +149,7 @@ fn repair_connectivity(adj: &mut [Vec<u32>], entry: u32) {
 mod tests {
     use super::*;
     use crate::providers::FullPrecision;
+    use crate::stats::GraphStats;
     use crate::{search_layers, search_layers_rerank};
     use vecstore::VectorSet;
 
@@ -217,8 +163,8 @@ mod tests {
         s
     }
 
-    fn build_grid(side: usize, alpha: f32) -> Vamana<FullPrecision> {
-        Vamana::build(
+    fn build_grid(side: usize, alpha: f32) -> FrozenGraph<FullPrecision> {
+        build(
             FullPrecision::new(grid(side)),
             VamanaParams {
                 r: 8,
@@ -231,7 +177,7 @@ mod tests {
 
     #[test]
     fn finds_nearest_on_grid() {
-        let index = build_grid(10, 1.2).into_frozen();
+        let index = build_grid(10, 1.2);
         let hits = search_layers(index.provider(), index.layers(), &[6.2, 3.1], 1, 32);
         assert_eq!(hits[0].id, 63, "expected grid point (6,3)");
     }
@@ -239,19 +185,19 @@ mod tests {
     #[test]
     fn fully_reachable_after_alpha_pass() {
         let index = build_grid(9, 1.3);
-        assert_eq!(index.graph().reachable_from_entry(), 81);
+        assert_eq!(GraphStats::from_layers(index.layers()).reachable, 81);
     }
 
     #[test]
     fn alpha_one_matches_param_default_degrees() {
         // α = 1 must still produce a legal bounded-degree graph.
         let index = build_grid(8, 1.0);
-        let g = index.graph();
+        let g = index.layers();
         for i in 0..g.len() {
             if i == g.entry as usize {
                 continue; // repair may oversize the entry
             }
-            let deg = g.neighbors(i as u32).len();
+            let deg = g.neighbors(0, i as u32).len();
             assert!(deg <= 8, "degree {deg} at {i}");
         }
     }
@@ -262,18 +208,14 @@ mod tests {
         // (or equal) edges before the R cap bites.
         let tight = build_grid(10, 1.0);
         let slack = build_grid(10, 1.4);
-        assert!(
-            slack.graph().edges() >= tight.graph().edges(),
-            "α=1.4 edges {} < α=1.0 edges {}",
-            slack.graph().edges(),
-            tight.graph().edges()
-        );
+        let (slack, tight) = (slack.layers().base_edges(), tight.layers().base_edges());
+        assert!(slack >= tight, "α=1.4 edges {slack} < α=1.0 edges {tight}");
     }
 
     #[test]
     fn recall_high_on_grid() {
         let base = grid(12);
-        let index = Vamana::build(
+        let index = build(
             FullPrecision::new(base.clone()),
             VamanaParams {
                 r: 8,
@@ -282,7 +224,6 @@ mod tests {
                 seed: 3,
             },
         );
-        let index = index.into_frozen();
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {
@@ -299,30 +240,23 @@ mod tests {
 
     #[test]
     fn empty_and_single_vector() {
-        let empty = Vamana::build(
+        let empty = build(
             FullPrecision::new(VectorSet::new(2)),
             VamanaParams::default(),
-        )
-        .into_frozen();
+        );
         assert!(search_layers(empty.provider(), empty.layers(), &[0.0, 0.0], 1, 8).is_empty());
 
         let mut one = VectorSet::new(2);
         one.push(&[5.0, 5.0]);
-        let index = Vamana::build(FullPrecision::new(one), VamanaParams::default()).into_frozen();
+        let index = build(FullPrecision::new(one), VamanaParams::default());
         let hits = search_layers(index.provider(), index.layers(), &[0.0, 0.0], 1, 8);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 0);
     }
 
     #[test]
-    #[should_panic(expected = "α ≥ 1")]
-    fn alpha_below_one_rejected() {
-        let _ = AlphaRule::new(0.9);
-    }
-
-    #[test]
     fn search_rerank_sorted_exact() {
-        let index = build_grid(8, 1.2).into_frozen();
+        let index = build_grid(8, 1.2);
         let hits = search_layers_rerank(index.provider(), index.layers(), &[3.3, 3.3], 4, 32, 3);
         for w in hits.windows(2) {
             assert!(w[0].dist <= w[1].dist);

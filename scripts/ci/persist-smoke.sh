@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# The persisted flat-kind gate, runnable locally: builds a `vamana:flash`
+# index over a small generated corpus, saves its topology to a `.hfg` file,
+# prints it with `info`, then serves it with `search --graph` against exact
+# ground truth. Fails on any non-zero exit and when `search` prints no
+# `recall@10` line.
+#
+# Outputs go to the directory given as $1 (default target/persist-smoke,
+# which .gitignore already covers).
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/../.."
+out="${1:-target/persist-smoke}"
+mkdir -p "$out"
+
+cargo build --release --bin flash_cli
+cli=./target/release/flash_cli
+
+"$cli" generate --profile ssnpp-like --n 2000 --nq 50 --k 10 \
+  --base "$out/base.fvecs" --queries "$out/q.fvecs" --gt "$out/gt.ivecs" --seed 3
+"$cli" build --base "$out/base.fvecs" --method vamana:flash --c 64 --r 16 \
+  --graph "$out/index.hfg" 2>&1 | tee "$out/build.txt"
+"$cli" info --graph "$out/index.hfg" | tee "$out/info.txt"
+"$cli" search --base "$out/base.fvecs" --graph "$out/index.hfg" \
+  --method vamana:flash --c 64 --r 16 --queries "$out/q.fvecs" --k 10 --ef 96 \
+  --gt "$out/gt.ivecs" | tee "$out/search.txt"
+
+if ! grep -q 'recall@10' "$out/search.txt"; then
+  echo "search over the persisted graph printed no recall@10 line" >&2
+  exit 1
+fi

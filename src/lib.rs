@@ -491,18 +491,18 @@
 //! codes, not arithmetic — so the frozen representation and the search
 //! kernels are built around three layout decisions:
 //!
-//! 1. **CSR adjacency.** Builders ([`graphs::Hnsw`], [`graphs::Nsg`],
-//!    [`graphs::TauMg`], [`graphs::Vamana`], [`graphs::Hcnng`]) grow
-//!    nested `Vec<Vec<u32>>` lists (HNSW in batches: planned on every core,
-//!    applied with the index held mutably — no lock), then
-//!    `into_frozen()` once into [`graphs::CsrLayer`]: a flat pool of
-//!    64-byte-aligned
+//! 1. **CSR adjacency.** Builders ([`graphs::Hnsw`], [`graphs::nsg::build`],
+//!    [`graphs::taumg::build`], [`graphs::vamana::build`],
+//!    [`graphs::hcnng::build`]) grow nested `Vec<Vec<u32>>` lists (HNSW in
+//!    batches: planned on every core, applied with the index held mutably
+//!    — no lock), then freeze once into [`graphs::CsrLayer`]s: a flat pool
+//!    of 64-byte-aligned
 //!    cache lines ([`graphs::LINE_U32S`] = 16 neighbor ids per line) plus
 //!    per-node start/length tables. Every neighbor list begins on a line
 //!    boundary, so expanding a node touches `ceil(degree/16)` lines and
-//!    never straddles one unnecessarily. Frozen graphs are constructed
-//!    via [`graphs::GraphLayers::from_nested`] /
-//!    [`graphs::FlatGraph::from_nested`] and read through
+//!    never straddles one unnecessarily. Frozen graphs — HNSW's layers, or
+//!    a flat builder's one layer — are constructed via
+//!    [`graphs::GraphLayers::from_nested`] and read through
 //!    `neighbors(layer, node)` — the adjacency fields themselves are
 //!    private, so the layout can keep evolving without breaking callers.
 //!
@@ -546,10 +546,10 @@
 //!
 //! ## Construction types and the engine
 //!
-//! The concrete builder types ([`graphs::Hnsw`], [`graphs::Nsg`], …)
-//! cover construction: `build`, streaming `insert`, `into_frozen`. They
-//! no longer carry per-type search wrappers — every query goes through a
-//! [`engine::SearchRequest`]:
+//! Construction is [`graphs::Hnsw`] (`build`, streaming `insert`,
+//! `into_frozen`) or one flat builder function (`graphs::nsg::build`, …,
+//! returning the frozen graph directly). Neither carries a search wrapper
+//! — every query goes through a [`engine::SearchRequest`]:
 //!
 //! | Need | Call |
 //! |---|---|
@@ -561,9 +561,8 @@
 //! | serve an index built by hand | `GraphIndex::new(hnsw)` / `GraphIndex::from_parts(provider, layers)` |
 //! | the kernel itself, no engine | `graphs::search_layers(frozen.provider(), frozen.layers(), q, k, ef)` |
 //!
-//! [`graphs::GraphLayers`] / [`graphs::FlatGraph`] values are made with
-//! `from_nested` / `from_flat` and read through the `neighbors()`
-//! accessors; the CSR layout described under
+//! [`graphs::GraphLayers`] values are made with `from_nested` and read
+//! through the `neighbors()` accessors; the CSR layout described under
 //! [Memory layout](#memory-layout) is private.
 
 pub use cachesim;
@@ -591,8 +590,8 @@ pub mod prelude {
     };
     pub use graphs::providers::{FullPrecision, OpqProvider, PcaProvider, PqProvider, SqProvider};
     pub use graphs::{
-        DistanceProvider, Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, Nsg,
-        NsgParams, TauMg, TauMgParams, Vamana, VamanaParams,
+        hcnng, nsg, taumg, vamana, DistanceProvider, HcnngParams, Hnsw, HnswParams, LabeledHnsw,
+        LabeledParams, NsgParams, TauMgParams, VamanaParams,
     };
     pub use maintenance::{CycleWorkload, LsmConfig, LsmVectorIndex};
     pub use metrics::{

@@ -286,9 +286,9 @@ fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &Vector
         seed: GRAPH_SEED,
     };
     let frozen = match kind {
-        GraphKind::Nsg => Nsg::build(provider, flat).into_frozen(),
-        GraphKind::TauMg => TauMg::build(provider, TauMgParams { flat, tau: 2.0 }).into_frozen(),
-        GraphKind::Vamana => Vamana::build(
+        GraphKind::Nsg => nsg::build(provider, flat),
+        GraphKind::TauMg => taumg::build(provider, TauMgParams { flat, tau: 2.0 }),
+        GraphKind::Vamana => vamana::build(
             provider,
             VamanaParams {
                 r: R,
@@ -296,9 +296,8 @@ fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &Vector
                 alpha: 1.2,
                 seed: GRAPH_SEED,
             },
-        )
-        .into_frozen(),
-        GraphKind::Hcnng => Hcnng::build(
+        ),
+        GraphKind::Hcnng => hcnng::build(
             provider,
             HcnngParams {
                 trees: 4,
@@ -306,8 +305,7 @@ fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &Vector
                 mst_degree: 3,
                 seed: GRAPH_SEED,
             },
-        )
-        .into_frozen(),
+        ),
         other => panic!("no flat identity case for {other:?}"),
     };
     (

@@ -6,8 +6,8 @@
 
 use graphs::providers::FullPrecision;
 use graphs::{
-    search_layers, search_layers_cached, CsrLayer, FlatGraph, GraphLayers, Hnsw, HnswParams,
-    NodePayloads, LINE_U32S,
+    search_layers, search_layers_cached, CsrLayer, GraphLayers, Hnsw, HnswParams, NodePayloads,
+    LINE_U32S,
 };
 use proptest::prelude::*;
 use vecstore::VectorSet;
@@ -64,7 +64,8 @@ proptest! {
         }
     }
 
-    /// Arbitrary nested adjacency → CSR in memory → disk → identical graph.
+    /// Arbitrary nested adjacency as a one-layer graph (a flat builder's
+    /// shape) → CSR in memory → disk → identical graph.
     #[test]
     fn persist_round_trips_arbitrary_flat_graphs(
         raw in raw_adjacency(),
@@ -72,12 +73,13 @@ proptest! {
     ) {
         let adj = normalize(&raw);
         let entry = (entry_seed % adj.len()) as u32;
-        let graph = FlatGraph::from_nested(&adj, entry);
+        let graph = GraphLayers::from_nested(vec![adj.clone()], entry, 0);
         let path = tmp(&format!("flat_{entry_seed}_{}", adj.len()));
         graph.save(&path).unwrap();
-        let reloaded = FlatGraph::load(&path).unwrap();
+        let reloaded = GraphLayers::load(&path).unwrap();
         prop_assert_eq!(&reloaded, &graph);
-        prop_assert_eq!(reloaded.to_nested(), adj);
+        prop_assert_eq!(reloaded.entry, entry);
+        prop_assert_eq!(reloaded.layer(0).to_nested(), adj);
         std::fs::remove_file(&path).ok();
     }
 }
@@ -161,18 +163,5 @@ fn cached_flash_search_is_bit_identical_to_plain() {
         for (a, b) in plain.iter().zip(&cached) {
             assert_eq!((a.id, a.dist), (b.id, b.dist), "query {qi}");
         }
-    }
-}
-
-#[test]
-fn frozen_graph_from_flat_matches_flat_view() {
-    let adj = vec![vec![1, 2], vec![0], vec![0, 1]];
-    let flat = FlatGraph::from_nested(&adj, 2);
-    let layered = GraphLayers::from_flat(flat.clone());
-    assert_eq!(layered.len(), flat.len());
-    assert_eq!(layered.entry, flat.entry);
-    assert_eq!(layered.max_layer, 0);
-    for node in 0..flat.len() as u32 {
-        assert_eq!(layered.neighbors(0, node), flat.neighbors(node));
     }
 }

@@ -1,6 +1,6 @@
 //! Engine-parity tests: every `GraphKind` × `Coding` combination built via
-//! `IndexBuilder` must return *identical* results to the concrete builder
-//! type on the same seed searched with `graphs::search_layers` directly
+//! `IndexBuilder` must return *identical* results to the direct builder
+//! call on the same seed searched with `graphs::search_layers` directly
 //! (and, for HNSW, to the live `Hnsw::search`, an independent loop), and
 //! every `SearchRequest` option must round-trip through
 //! `Box<dyn AnnIndex>`.
@@ -54,8 +54,8 @@ fn builder(kind: GraphKind, coding: Coding) -> IndexBuilder {
 
 type SearchFn = Box<dyn Fn(&[f32], usize, usize) -> Vec<Hit>>;
 
-/// Reference search closure for one combination: builds the concrete type
-/// (`Hnsw::build`, `Nsg::build`, …) over the matching provider and runs
+/// Reference search closure for one combination: builds directly
+/// (`Hnsw::build`, `nsg::build`, …) over the matching provider and runs
 /// `graphs::search_layers` over its frozen form. For HNSW the live
 /// `Hnsw::search` must agree before the answer counts.
 fn reference_search_fn(kind: GraphKind, coding: Coding, base: VectorSet) -> SearchFn {
@@ -85,34 +85,26 @@ fn reference_search_fn(kind: GraphKind, coding: Coding, base: VectorSet) -> Sear
                     hits
                 })
             }
-            GraphKind::Nsg => frozen(Nsg::build(provider, flat).into_frozen()),
-            GraphKind::TauMg => {
-                frozen(TauMg::build(provider, TauMgParams { flat, tau: 0.1 }).into_frozen())
-            }
-            GraphKind::Vamana => frozen(
-                Vamana::build(
-                    provider,
-                    VamanaParams {
-                        r: R,
-                        c: C,
-                        alpha: 1.2,
-                        seed: SEED,
-                    },
-                )
-                .into_frozen(),
-            ),
-            GraphKind::Hcnng => frozen(
-                Hcnng::build(
-                    provider,
-                    HcnngParams {
-                        trees: 10,
-                        leaf_size: 48,
-                        mst_degree: 3,
-                        seed: SEED,
-                    },
-                )
-                .into_frozen(),
-            ),
+            GraphKind::Nsg => frozen(nsg::build(provider, flat)),
+            GraphKind::TauMg => frozen(taumg::build(provider, TauMgParams { flat, tau: 0.1 })),
+            GraphKind::Vamana => frozen(vamana::build(
+                provider,
+                VamanaParams {
+                    r: R,
+                    c: C,
+                    alpha: 1.2,
+                    seed: SEED,
+                },
+            )),
+            GraphKind::Hcnng => frozen(hcnng::build(
+                provider,
+                HcnngParams {
+                    trees: 10,
+                    leaf_size: 48,
+                    mst_degree: 3,
+                    seed: SEED,
+                },
+            )),
         }
     }
 
@@ -183,15 +175,14 @@ fn rerank_matches_direct_kernel_call() {
     assert_eq!(direct, got);
 
     let nsg_index = builder(GraphKind::Nsg, Coding::Flash).build(base.clone());
-    let concrete = Nsg::build(
+    let concrete = nsg::build(
         FlashProvider::new(base, flash_fp()),
         NsgParams {
             r: R,
             c: C,
             seed: SEED,
         },
-    )
-    .into_frozen();
+    );
     let got = nsg_index
         .search(&SearchRequest::new(q, K).ef(EF).rerank(6))
         .hits;

@@ -4,8 +4,8 @@
 use flash::{BuildFlash, FlashParams, FlashProvider};
 use graphs::providers::{FullPrecision, OpqProvider};
 use graphs::{
-    search_layers, search_layers_filtered, search_layers_rerank, DistanceProvider, FrozenGraph,
-    Hcnng, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, Vamana, VamanaParams,
+    hcnng, search_layers, search_layers_filtered, search_layers_rerank, vamana, DistanceProvider,
+    FrozenGraph, HcnngParams, Hnsw, HnswParams, LabeledHnsw, LabeledParams, VamanaParams,
 };
 use maintenance::{LsmConfig, LsmVectorIndex};
 use rand::rngs::SmallRng;
@@ -55,10 +55,10 @@ fn vamana_flash_matches_full_precision_recall() {
         seed: 0x77,
     };
 
-    let full = Vamana::build(FullPrecision::new(base.clone()), params).into_frozen();
+    let full = vamana::build(FullPrecision::new(base.clone()), params);
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = 750;
-    let flash = Vamana::build(FlashProvider::new(base, fp), params).into_frozen();
+    let flash = vamana::build(FlashProvider::new(base, fp), params);
 
     let found_full = found_ids(&full, &queries, k, 96, 1);
     let found_flash = found_ids(&flash, &queries, k, 96, 8);
@@ -84,10 +84,10 @@ fn hcnng_flash_reaches_reasonable_recall() {
         seed: 0x88,
     };
 
-    let full = Hcnng::build(FullPrecision::new(base.clone()), params).into_frozen();
+    let full = hcnng::build(FullPrecision::new(base.clone()), params);
     let mut fp = FlashParams::auto(base.dim());
     fp.train_sample = 600;
-    let flash = Hcnng::build(FlashProvider::new(base, fp), params).into_frozen();
+    let flash = hcnng::build(FlashProvider::new(base, fp), params);
 
     let found_full = found_ids(&full, &queries, k, 128, 1);
     let found_flash = found_ids(&flash, &queries, k, 128, 8);

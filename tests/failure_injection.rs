@@ -14,7 +14,7 @@
 //! error and must equal the healthy run bit for bit.
 
 use graphs::providers::FullPrecision;
-use graphs::{FlatGraph, GraphLayers, Hnsw, HnswParams};
+use graphs::{GraphLayers, Hnsw, HnswParams};
 use hnsw_flash::prelude::*;
 use proptest::prelude::*;
 use std::fs;
@@ -93,36 +93,36 @@ fn wrong_magic_is_rejected() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
-#[test]
-fn flat_and_layered_formats_are_not_interchangeable() {
-    let g = sample_layers();
-    let path = tmp("kind_confusion.bin");
-    g.save(&path).unwrap();
-    assert!(
-        FlatGraph::load(&path).is_err(),
-        "a multi-layer file must not load as a flat graph"
-    );
+/// A flat builder's graph: one layer over two nodes, entered at node 0.
+fn one_layer() -> GraphLayers {
+    GraphLayers::from_nested(vec![vec![vec![1], vec![0]]], 0, 0)
+}
 
-    let flat = FlatGraph::from_nested(&[vec![1], vec![0]], 0);
-    let path2 = tmp("kind_confusion2.bin");
-    flat.save(&path2).unwrap();
-    assert!(
-        GraphLayers::load(&path2).is_err(),
-        "a flat file must not load as a multi-layer graph"
-    );
+#[test]
+fn retired_flat_kind_is_rejected() {
+    // Re-head a one-layer file as the retired `FL` kind, which carried the
+    // entry and then the layer: drop `max_layer` and the layer count.
+    let path = tmp("retired_kind.bin");
+    one_layer().save(&path).unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[8..10].copy_from_slice(b"FL");
+    bytes.drain(14..22);
+    fs::write(&path, &bytes).unwrap();
+    let err = GraphLayers::load(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("`FL`"), "{err}");
 }
 
 #[test]
 fn corrupt_edge_target_is_rejected_not_crashing() {
-    let flat = FlatGraph::from_nested(&[vec![1], vec![0]], 0);
     let path = tmp("bad_edge.bin");
-    flat.save(&path).unwrap();
+    one_layer().save(&path).unwrap();
     let mut bytes = fs::read(&path).unwrap();
     // The last u32 is an edge target; point it far out of range.
     let n = bytes.len();
     bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
-    let err = FlatGraph::load(&path).unwrap_err();
+    let err = GraphLayers::load(&path).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
@@ -181,7 +181,6 @@ fn empty_file_is_rejected_everywhere() {
     let path = tmp("empty.bin");
     fs::write(&path, b"").unwrap();
     assert!(GraphLayers::load(&path).is_err());
-    assert!(FlatGraph::load(&path).is_err());
     // An empty fvecs file is a legal empty dataset per the de-facto format —
     // but must come back as 0 vectors rather than erroring or panicking.
     // An error is also acceptable; never a panic.

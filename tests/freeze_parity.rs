@@ -215,7 +215,7 @@ fn check_flat<P: DistanceProvider>(what: &str, index: FrozenGraph<P>, queries: &
     }
 }
 
-/// Nsg / TauMg / Vamana / Hcnng × six codings × plain and filtered: a flat
+/// NSG / τ-MG / Vamana / HCNNG × six codings × plain and filtered: a flat
 /// graph served as a one-layer topology finds the exact provider-distance
 /// top-k once the beam is as wide as the graph.
 #[test]
@@ -227,11 +227,11 @@ fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
         seed: SEED,
     };
     for_each_coding!(base, |coding, provider| {
-        let nsg = Nsg::build(provider(), flat);
-        check_flat(&format!("nsg:{coding}"), nsg.into_frozen(), &queries);
-        let taumg = TauMg::build(provider(), TauMgParams { flat, tau: 0.1 });
-        check_flat(&format!("taumg:{coding}"), taumg.into_frozen(), &queries);
-        let vamana = Vamana::build(
+        let nsg_graph = nsg::build(provider(), flat);
+        check_flat(&format!("nsg:{coding}"), nsg_graph, &queries);
+        let taumg_graph = taumg::build(provider(), TauMgParams { flat, tau: 0.1 });
+        check_flat(&format!("taumg:{coding}"), taumg_graph, &queries);
+        let vamana_graph = vamana::build(
             provider(),
             VamanaParams {
                 r: R,
@@ -240,8 +240,8 @@ fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
                 seed: SEED,
             },
         );
-        check_flat(&format!("vamana:{coding}"), vamana.into_frozen(), &queries);
-        let hcnng = Hcnng::build(
+        check_flat(&format!("vamana:{coding}"), vamana_graph, &queries);
+        let hcnng_graph = hcnng::build(
             provider(),
             HcnngParams {
                 trees: 10,
@@ -250,7 +250,7 @@ fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
                 seed: SEED,
             },
         );
-        check_flat(&format!("hcnng:{coding}"), hcnng.into_frozen(), &queries);
+        check_flat(&format!("hcnng:{coding}"), hcnng_graph, &queries);
     });
 }
 

@@ -136,22 +136,21 @@ fn flash_generalizes_to_nsg_and_taumg() {
         grid_quantile: 0.5,
     };
 
-    let nsg = Nsg::build(
+    let nsg = nsg::build(
         FlashProvider::new(base.clone(), flash_params),
         NsgParams {
             r: 12,
             c: 96,
             seed: 6,
         },
-    )
-    .into_frozen();
+    );
     let found = reranked_ids(&nsg, &queries, k, 96, 16);
     let nsg_recall = recall_of(&found, &gt, k);
     // The paper's Figure 14 shows NSG-Flash trades a little recall for its
     // construction speedup; 0.75 at this tiny scale matches that shape.
     assert!(nsg_recall >= 0.75, "NSG-Flash recall {nsg_recall}");
 
-    let taumg = TauMg::build(
+    let taumg = taumg::build(
         FlashProvider::new(base, flash_params),
         TauMgParams {
             flat: NsgParams {
@@ -161,8 +160,7 @@ fn flash_generalizes_to_nsg_and_taumg() {
             },
             tau: 0.2,
         },
-    )
-    .into_frozen();
+    );
     // τ-MG search uses quantized distances: take an unreranked pool of 8·k.
     let found: Vec<Vec<u32>> = (0..20)
         .map(|qi| {

@@ -176,14 +176,15 @@ proptest! {
     }
 
     /// Flash's batched Neighbor Selection answer equals the trait's default
-    /// scalar loop at every dispatch tier, for an odd subspace count (the
-    /// kernels' tail paths) and selections crossing the 16-lane blocks.
+    /// scalar loop at every dispatch tier, under every prune rule, for an
+    /// odd subspace count (the kernels' tail paths) and selections crossing
+    /// the 16-lane blocks.
     #[test]
     fn flash_dominated_matches_default_loop_at_every_level(
         v in 0u32..200,
         selected in proptest::collection::vec(0u32..200, 0..34),
         slack in -2i32..3,
-        anchor in 0usize..34,
+        rule in 0usize..4,
     ) {
         use graphs::DistanceProvider as _;
         static PROVIDER: std::sync::OnceLock<FlashProvider> = std::sync::OnceLock::new();
@@ -205,18 +206,50 @@ proptest! {
         for (lane, &id) in selected.iter().enumerate() {
             provider.append_payload(&mut payload, lane, id);
         }
-        // A threshold at, just under or just over one selected distance.
-        let d = selected
-            .get(anchor)
-            .map_or(40.0, |&u| provider.dist_between(u, v) + slack as f32);
-        let expect = selected.iter().any(|&u| provider.dist_between(u, v) < d);
-        for level in simdops::level::supported_levels() {
-            let got = simdops::level::with_level(level, || {
-                provider.dominated(v, d, &selected, &payload)
-            });
-            prop_assert_eq!(got, expect, "level {:?}", level);
+        // A threshold at, just under or just over the distance at which the
+        // rule starts to prune against the nearest selected vertex — the one
+        // that decides the answer, as every rule is monotone in `d_uv`.
+        let alpha = graphs::AlphaRule::new(1.2);
+        let tau = |t: f32, x: f32| (x.sqrt() + 3.0 * t).powi(2);
+        let edge = |x: f32| match rule {
+            0 => x,
+            1 => tau(0.1, x),
+            2 => tau(0.5, x),
+            _ => alpha.alpha_sq * x,
+        };
+        let nearest = selected
+            .iter()
+            .map(|&u| provider.dist_between(u, v))
+            .min_by(f32::total_cmp);
+        let d = nearest.map_or(40.0, |x| edge(x) + slack as f32);
+        let case = (v, selected.as_slice(), &payload, d);
+        match rule {
+            0 => agrees(provider, &graphs::MrngRule, case)?,
+            1 => agrees(provider, &graphs::TauRule { tau: 0.1 }, case)?,
+            2 => agrees(provider, &graphs::TauRule { tau: 0.5 }, case)?,
+            _ => agrees(provider, &alpha, case)?,
         }
     }
+}
+
+/// Flash's answer to `dominated` under `rule` — candidate `v` against
+/// `selected`, whose block is `payload`, at threshold `d` — equals the
+/// trait's default loop at every dispatch level.
+fn agrees<R: graphs::PruneRule>(
+    provider: &FlashProvider,
+    rule: &R,
+    (v, selected, payload, d): (u32, &[u32], &flash::FlashBlocks, f32),
+) -> Result<(), TestCaseError> {
+    use graphs::DistanceProvider as _;
+    let expect = selected
+        .iter()
+        .any(|&u| rule.dominated(d, provider.dist_between(u, v)));
+    for level in simdops::level::supported_levels() {
+        let got =
+            simdops::level::with_level(level, || provider.dominated(rule, v, d, selected, payload));
+        prop_assert_eq!(got, expect, "level {:?} d {}", level, d);
+    }
+    Ok(())
 }
 
 /// After construction every node's payload at every layer mirrors its

@@ -2,9 +2,10 @@
 //! memtable/oracle agreement, Vamana structural invariants, filtered-search
 //! predicate safety, and OPQ rotation orthogonality.
 
-use graphs::flat_build::{AlphaRule, MrngRule, PruneRule};
 use graphs::providers::FullPrecision;
-use graphs::{search_layers_filtered, Hnsw, HnswParams, Vamana, VamanaParams};
+use graphs::stats::GraphStats;
+use graphs::{search_layers_filtered, vamana, Hnsw, HnswParams, VamanaParams};
+use graphs::{AlphaRule, MrngRule, PruneRule};
 use maintenance::MemTable;
 use proptest::prelude::*;
 use quantizers::OptimizedProductQuantizer;
@@ -124,14 +125,14 @@ proptest! {
             base.push(p);
         }
         let n = base.len();
-        let index = Vamana::build(
+        let index = vamana::build(
             FullPrecision::new(base),
             VamanaParams { r: 6, c: 24, alpha, seed: 5 },
         );
-        let g = index.graph();
-        prop_assert_eq!(g.reachable_from_entry(), n, "not fully reachable");
+        let g = index.layers();
+        prop_assert_eq!(GraphStats::from_layers(g).reachable, n, "not fully reachable");
         for i in 0..g.len() {
-            let nbrs = g.neighbors(i as u32);
+            let nbrs = g.neighbors(0, i as u32);
             prop_assert!(!nbrs.contains(&(i as u32)), "self edge at {i}");
             if i != g.entry as usize {
                 prop_assert!(nbrs.len() <= 6, "degree {} at non-entry {i}", nbrs.len());
