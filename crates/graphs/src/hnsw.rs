@@ -13,6 +13,12 @@
 //! neighbors by the heuristic pruning rule (**Neighbor Selection**) and adds
 //! reverse edges, pruning overflow with the same rule.
 //!
+//! The descent and the beam are the crate's one pair of search loops,
+//! [`crate::layers_search`]'s, which serving runs too. Here they read rows
+//! from the node records, whose payload blocks are resident: an expansion
+//! scores its whole row against the block and skips visited lanes after.
+//! [`Hnsw::search`] runs the same two loops at query time.
+//!
 //! [`Hnsw::build`] inserts batch-synchronously (ParlayANN, Manohar et al.,
 //! PPoPP 2024): batches on a fixed schedule — one vertex per 16 already in
 //! the graph, 1 to 256 (`BATCH_DIVISOR`, `MAX_BATCH`) — each in two phases.
@@ -43,7 +49,7 @@
 //! [`SearchScratch`].
 
 use crate::graph::GraphLayers;
-use crate::layers_search::FrozenGraph;
+use crate::layers_search::{beam_search, descend, FrozenGraph, Rows};
 use crate::provider::{DistanceProvider, MrngRule, PruneRule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::Hit;
@@ -111,6 +117,20 @@ struct NodeData<PL> {
     neighbors: Vec<Vec<u32>>,
     /// Provider payloads parallel to `neighbors`.
     payloads: Vec<PL>,
+}
+
+/// The node records are the row source of HNSW's own searches, every
+/// row's payload block resident.
+impl<PL> Rows<PL> for [NodeData<PL>] {
+    #[inline]
+    fn row(&self, layer: usize, node: u32) -> &[u32] {
+        self[node as usize].neighbors.get(layer).map_or(&[], Vec::as_slice)
+    }
+
+    #[inline]
+    fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
+        self[node as usize].payloads.get(layer)
+    }
 }
 
 #[derive(Clone, Copy, Default)]
@@ -253,37 +273,32 @@ impl<P: DistanceProvider> Hnsw<P> {
     fn plan(&self, id: u32, entry: EntryPoint) -> Vec<PlannedRow<P::NodePayload>> {
         let level = self.level_of(id);
         let ctx = self.provider.prepare_insert(id);
-        let mut cur = entry.node;
-        // Construction cost is not query cost: the profile is discarded,
-        // and the scratch checkout is the uncounted one.
-        let mut discard = QueryProfile::new();
+        let (provider, nodes) = (&self.provider, &self.nodes[..]);
+        // Construction cost is not query cost: the scratch checkout is the
+        // uncounted one, and nothing reads the profile the search loops
+        // leave in it.
         with_pooled::<P::NodePayload, _>(|scratch| {
-            for layer in (level + 1..=entry.level).rev() {
-                cur = self.greedy_closest(&ctx, cur, layer, scratch, &mut discard);
-            }
-            scratch.visited.begin(self.nodes.len());
+            let levels = (entry.level, level + 1);
+            let mut cur = descend(provider, nodes, &ctx, entry.node, levels, scratch);
+            scratch.visited.begin(nodes.len());
             let mut rows = Vec::new();
             for layer in (0..=level.min(entry.level)).rev() {
-                self.search_layer(&ctx, cur, self.params.c, layer, scratch, &mut discard);
+                beam_search(provider, nodes, &ctx, cur, layer, self.params.c, |_| true, scratch);
                 let SearchScratch {
+                    beam,
                     candidates,
                     selected,
                     payload,
                     ..
                 } = &mut *scratch;
-                let Some(&(_, nearest)) = candidates.first() else {
+                candidates.clear();
+                candidates.extend(beam.drain_sorted());
+                let Some(&(d, nearest)) = candidates.first() else {
                     continue;
                 };
-                cur = nearest;
+                cur = (nearest, d);
                 let cap = self.params.cap(layer);
-                select_neighbors(
-                    &self.provider,
-                    &MrngRule,
-                    candidates,
-                    cap,
-                    selected,
-                    payload,
-                );
+                select_neighbors(provider, &MrngRule, candidates, cap, selected, payload);
                 // `selected` is a subsequence of `candidates`, so one
                 // forward walk pairs each kept vertex with its distance.
                 let mut kept = selected.iter().peekable();
@@ -340,147 +355,26 @@ impl<P: DistanceProvider> Hnsw<P> {
             });
     }
 
-    /// Greedy walk to the locally closest vertex at `layer` (used for the
-    /// descent through upper layers, ef = 1).
-    fn greedy_closest(
-        &self,
-        ctx: &P::QueryCtx,
-        start: u32,
-        layer: usize,
-        scratch: &mut SearchScratch<P::NodePayload>,
-        profile: &mut QueryProfile,
-    ) -> u32 {
-        let cf = self.provider.coded() as u64;
-        let mut cur = start;
-        let mut cur_d = self.provider.dist_to(ctx, cur);
-        profile.dist_coded += cf;
-        profile.dist_exact += 1 - cf;
-        loop {
-            let ids = self.neighbor_dists(ctx, cur, layer, &mut scratch.dists, profile);
-            profile.hops_upper += 1;
-            let mut improved = false;
-            for (&id, &d) in ids.iter().zip(scratch.dists.iter()) {
-                if d < cur_d {
-                    cur = id;
-                    cur_d = d;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
-            }
-        }
-    }
-
-    /// `node`'s neighbor ids at `layer`, with their distances to the
-    /// prepared vector left in `dists`.
-    #[inline]
-    fn neighbor_dists(
-        &self,
-        ctx: &P::QueryCtx,
-        node: u32,
-        layer: usize,
-        dists: &mut Vec<f32>,
-        profile: &mut QueryProfile,
-    ) -> &[u32] {
-        let node = &self.nodes[node as usize];
-        let Some(ids) = node.neighbors.get(layer) else {
-            dists.clear();
-            return &[];
-        };
-        self.provider
-            .dist_to_neighbors(ctx, ids, &node.payloads[layer], dists);
-        let cf = self.provider.coded() as u64;
-        let n = ids.len() as u64;
-        profile.rows_scored += 1;
-        profile.dist_coded += n * cf;
-        profile.dist_exact += n * (1 - cf);
-        profile.codeword_bytes += self.provider.payload_bytes(ids.len()) as u64;
-        ids
-    }
-
-    /// Beam search at one layer (the Candidate Acquisition stage): leaves
-    /// up to `ef` nearest vertices in `scratch.candidates`, ascending by
-    /// `(distance, id)`. The caller owns the visited epoch.
-    fn search_layer(
-        &self,
-        ctx: &P::QueryCtx,
-        entry: u32,
-        ef: usize,
-        layer: usize,
-        scratch: &mut SearchScratch<P::NodePayload>,
-        profile: &mut QueryProfile,
-    ) {
-        let SearchScratch {
-            visited,
-            beam,
-            dists,
-            candidates,
-            ..
-        } = scratch;
-        // The entry is admitted unconditionally, so the result set never
-        // holds fewer than one vertex.
-        let ef = ef.max(1);
-        let cf = self.provider.coded() as u64;
-        let d0 = self.provider.dist_to(ctx, entry);
-        profile.dist_coded += cf;
-        profile.dist_exact += 1 - cf;
-        visited.check_and_mark(entry);
-        profile.visited_inserts += 1;
-
-        beam.reset();
-        beam.push_result(d0, entry, ef);
-        beam.push_frontier(d0, entry);
-        while let Some((d, u)) = beam.pop_frontier() {
-            if d > beam.worst() && beam.len() >= ef {
-                break;
-            }
-            let ids = self.neighbor_dists(ctx, u, layer, dists, profile);
-            profile.hops_base += 1;
-            for (&id, &nd) in ids.iter().zip(dists.iter()) {
-                if visited.check_and_mark(id) {
-                    continue;
-                }
-                profile.visited_inserts += 1;
-                beam.offer(nd, id, ef, || true);
-            }
-        }
-        candidates.clear();
-        candidates.extend(beam.drain_sorted());
-    }
-
     /// k-NN search over the live graph (the paper's search procedure:
     /// greedy descent, then a base-layer beam search with `ef`, reporting
-    /// provider distances) — the same `search_layer` loop `insert`
-    /// uses, so it works while the index is still ingesting and supplies
-    /// the flat builders' candidate pools. Serving goes through
+    /// provider distances) — the descent and beam `insert` runs, so it
+    /// works while the index is still ingesting and supplies the flat
+    /// builders' candidate pools. Serving goes through
     /// [`Self::into_frozen`] and [`crate::search_layers`] instead.
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
-        let mut cur = entry.node;
-
         let ctx = self.provider.prepare_query(query);
-        let mut profile = QueryProfile::new();
-        let hits = with_pooled::<P::NodePayload, _>(|scratch| {
-            for layer in (1..=entry.level).rev() {
-                cur = self.greedy_closest(&ctx, cur, layer, scratch, &mut profile);
-            }
-            scratch.visited.begin(self.nodes.len());
-            self.search_layer(&ctx, cur, ef.max(k), 0, scratch, &mut profile);
-            scratch
-                .candidates
-                .iter()
-                .take(k)
-                .map(|&(dist, id)| Hit {
-                    id: u64::from(id),
-                    dist,
-                })
-                .collect()
-        });
-        crate::scratch::profile_record(profile);
-        hits
+        let (provider, nodes) = (&self.provider, &self.nodes[..]);
+        with_pooled::<P::NodePayload, _>(|scratch| {
+            scratch.profile = QueryProfile::new();
+            let cur = descend(provider, nodes, &ctx, entry.node, (entry.level, 1), scratch);
+            scratch.visited.begin(nodes.len());
+            beam_search(provider, nodes, &ctx, cur, 0, ef.max(k), |_| true, scratch);
+            crate::scratch::profile_record(scratch.profile);
+            scratch.beam.drain_hits(k)
+        })
     }
 
     /// Freezes the adjacency into a read-only [`GraphLayers`]: the

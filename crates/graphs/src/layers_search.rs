@@ -1,26 +1,41 @@
-//! The serving beam: standard HNSW search over a frozen [`GraphLayers`]
-//! topology.
+//! The one descent and the one beam every graph search in this crate runs,
+//! and the serving entry points over a frozen [`GraphLayers`] topology.
 //!
-//! [`crate::Hnsw::search`] traverses the index's internal locked node
-//! records and exists for an index that is still ingesting. Once
-//! construction ends every graph index — HNSW or flat — is a
-//! [`FrozenGraph`], and [`search_layers_filtered`] is the one beam that
-//! answers plain, filtered and reranked queries over it. The topology is
-//! also the *persisted* representation (the format `persist` writes), so
-//! a graph built overnight is reloaded and served without the builder's
-//! data structures — the deployment the paper's maintenance scenario
-//! implies. Any [`DistanceProvider`] works: rebuild the provider
-//! deterministically from the dataset (codecs re-train/encode from the
-//! same seed) and pair it with the loaded graph.
+//! Candidate Acquisition is a greedy descent through the upper layers
+//! (`descend`) followed by an `ef`-wide beam at one layer
+//! (`beam_search`). HNSW runs that search when it inserts a vertex and
+//! when it answers a query, and so does serving: both loops are generic
+//! over a crate-private row source (`Rows`), which answers two questions
+//! about a node — what its neighbor row is at a layer, and whether a
+//! payload block for that row is already resident.
 //!
-//! The kernel is allocation-free in steady state: per-query state lives in
-//! a pooled [`crate::scratch::SearchScratch`], and each expanded candidate's
-//! unvisited neighbors are scored as one block through
-//! [`DistanceProvider::dist_to_neighbors`] (register-resident LUT lookups on
-//! the Flash path) while the next candidate's data is prefetched. Results
-//! are bit-identical to the naive per-neighbor loop: gathering first and
-//! scoring second changes neither the visit order nor any admission
-//! decision, because distances carry no side effects.
+//! * A frozen [`GraphLayers`] stores adjacency only, so it has no resident
+//!   block: each expansion gathers its unvisited neighbors, builds their
+//!   block with [`DistanceProvider::sync_payload`] and scores it as one
+//!   [`DistanceProvider::dist_to_neighbors`] call, while the next
+//!   candidate's data is prefetched (`gather_and_score`, which
+//!   [`crate::vbase`]'s windowed loop also calls).
+//! * [`crate::Hnsw`]'s node records hold each row's block, so an expansion
+//!   scores the whole row against it and skips visited lanes afterwards.
+//! * A frozen topology with prebuilt [`NodePayloads`] is resident at layer
+//!   0 only ([`search_layers_cached`]).
+//!
+//! The row source's type decides between gathering and scoring a resident
+//! block; the results are bit-identical either way, because distances
+//! carry no side effects and the admission loop walks each row in order,
+//! skipping visited lanes exactly where gathering never queued them.
+//! Callers own the visited epoch and the beam's entry distance.
+//!
+//! Once construction ends every graph index — HNSW or flat — is a
+//! [`FrozenGraph`], and [`search_layers_filtered`] answers plain, filtered
+//! and reranked queries over it. The topology is also the *persisted*
+//! representation (the format `persist` writes), so a graph built
+//! overnight is reloaded and served without the builder's data structures
+//! — the deployment the paper's maintenance scenario implies. Any
+//! [`DistanceProvider`] works: rebuild the provider deterministically from
+//! the dataset (codecs re-train/encode from the same seed) and pair it with
+//! the loaded graph. Serving is allocation-free in steady state: per-query
+//! state lives in a pooled [`crate::scratch::SearchScratch`].
 
 use crate::graph::GraphLayers;
 use crate::provider::DistanceProvider;
@@ -80,49 +95,84 @@ fn add_evals(profile: &mut QueryProfile, n: u64, cf: u64) {
     profile.dist_exact += n * (1 - cf);
 }
 
-/// k-NN beam search (greedy upper-layer descent, `ef`-wide base beam)
-/// over a frozen topology.
-pub fn search_layers<P: DistanceProvider>(
-    provider: &P,
-    graph: &GraphLayers,
-    query: &[f32],
-    k: usize,
-    ef: usize,
-) -> Vec<Hit> {
-    // The filtered beam with an accept-all predicate *is* the plain beam:
-    // every admitted vertex enters the result set, so the two loops are
-    // identical. Delegating keeps one copy of the descent + beam.
-    search_layers_filtered(provider, graph, query, k, ef, &|_| true)
+/// Where the descent and the beam read a node's neighbor row, and whether
+/// the payload block of that row is already resident.
+pub(crate) trait Rows<PL> {
+    /// `node`'s neighbor row at `layer` (empty when it has none there).
+    fn row(&self, layer: usize, node: u32) -> &[u32];
+
+    /// The payload block of that row, lane for lane, when one is resident;
+    /// `None` makes the search gather the ids it scores and build their
+    /// block.
+    fn resident(&self, layer: usize, node: u32) -> Option<&PL>;
 }
 
-/// Greedy descent through the upper layers, scoring each neighbor row as
-/// one block. Returns the layer-0 entry candidate and its distance.
-pub(crate) fn descend<P: DistanceProvider>(
+impl<PL> Rows<PL> for GraphLayers {
+    #[inline]
+    fn row(&self, layer: usize, node: u32) -> &[u32] {
+        self.neighbors(layer, node)
+    }
+
+    #[inline]
+    fn resident(&self, _layer: usize, _node: u32) -> Option<&PL> {
+        None
+    }
+}
+
+/// A frozen topology whose base-layer blocks are prebuilt.
+struct Prebuilt<'a, PL> {
+    graph: &'a GraphLayers,
+    payloads: &'a NodePayloads<PL>,
+}
+
+impl<PL: Default> Rows<PL> for Prebuilt<'_, PL> {
+    #[inline]
+    fn row(&self, layer: usize, node: u32) -> &[u32] {
+        self.graph.neighbors(layer, node)
+    }
+
+    #[inline]
+    fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
+        (layer == 0).then(|| self.payloads.row(node))
+    }
+}
+
+/// Greedy descent from `entry` through layers `top` down to `bottom`
+/// (none when `bottom > top`): at each layer, move to the closest neighbor
+/// while one is closer, scoring each row as one block. Returns the vertex
+/// it ends on and its distance.
+pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
     provider: &P,
-    graph: &GraphLayers,
+    rows: &S,
     ctx: &P::QueryCtx,
+    entry: u32,
+    (top, bottom): (usize, usize),
     scratch: &mut SearchScratch<P::NodePayload>,
 ) -> (u32, f32) {
     let cf = provider.coded() as u64;
-    let mut cur = graph.entry;
+    let mut cur = entry;
     let mut cur_d = provider.dist_to(ctx, cur);
     add_evals(&mut scratch.profile, 1, cf);
-    for layer in (1..=graph.max_layer).rev() {
+    for layer in (bottom..=top).rev() {
         loop {
-            let row = graph.neighbors(layer, cur);
+            let row = rows.row(layer, cur);
             if row.is_empty() {
                 break;
             }
-            scratch.ids.clear();
-            scratch.ids.extend_from_slice(row);
-            provider.sync_payload(&mut scratch.payload, &scratch.ids);
-            provider.dist_to_neighbors(ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
+            let block = match rows.resident(layer, cur) {
+                Some(block) => block,
+                None => {
+                    provider.sync_payload(&mut scratch.payload, row);
+                    &scratch.payload
+                }
+            };
+            provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
             scratch.profile.hops_upper += 1;
             scratch.profile.rows_scored += 1;
             scratch.profile.codeword_bytes += provider.payload_bytes(row.len()) as u64;
             add_evals(&mut scratch.profile, row.len() as u64, cf);
             let mut improved = false;
-            for (&nb, &d) in scratch.ids.iter().zip(&scratch.dists) {
+            for (&nb, &d) in row.iter().zip(&scratch.dists) {
                 if d < cur_d {
                     cur = nb;
                     cur_d = d;
@@ -137,11 +187,119 @@ pub(crate) fn descend<P: DistanceProvider>(
     (cur, cur_d)
 }
 
+/// The gathering half of an expansion of `node` at `layer`: marks the
+/// row's unvisited ids visited and leaves them in `scratch.ids`, then —
+/// unless there are none — prefetches the next frontier candidate, builds
+/// the ids' payload block and scores it into `scratch.dists`.
+pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
+    provider: &P,
+    rows: &S,
+    ctx: &P::QueryCtx,
+    layer: usize,
+    node: u32,
+    scratch: &mut SearchScratch<P::NodePayload>,
+) {
+    scratch.ids.clear();
+    for &nb in rows.row(layer, node) {
+        if !scratch.visited.check_and_mark(nb) {
+            scratch.ids.push(nb);
+        }
+    }
+    scratch.profile.visited_inserts += scratch.ids.len() as u64;
+    if scratch.ids.is_empty() {
+        return;
+    }
+    // Overlap the next candidate's misses with this block's scoring.
+    if let Some(next) = scratch.beam.peek_frontier() {
+        provider.prefetch(next);
+        simdops::prefetch_slice(rows.row(layer, next));
+    }
+    provider.sync_payload(&mut scratch.payload, &scratch.ids);
+    provider.dist_to_neighbors(ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
+    scratch.profile.rows_scored += 1;
+    scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
+    add_evals(&mut scratch.profile, scratch.ids.len() as u64, provider.coded() as u64);
+}
+
+/// Beam search at `layer` from `entry` at distance `entry_d`, with room for
+/// `ef` results: leaves the result set in `scratch.beam` for the caller to
+/// drain. The beam *traverses* every vertex it reaches, but only vertices
+/// `accept` passes enter the result set (filtered search routes through
+/// rejected vertices, as in hnswlib's filtering mode). The caller owns the
+/// visited epoch: the entry is admitted whether or not it was visited.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn beam_search<P, S, A>(
+    provider: &P,
+    rows: &S,
+    ctx: &P::QueryCtx,
+    (entry, entry_d): (u32, f32),
+    layer: usize,
+    ef: usize,
+    accept: A,
+    scratch: &mut SearchScratch<P::NodePayload>,
+) where
+    P: DistanceProvider,
+    S: Rows<P::NodePayload> + ?Sized,
+    A: Fn(u32) -> bool,
+{
+    let ef = ef.max(1);
+    let cf = provider.coded() as u64;
+    scratch.visited.check_and_mark(entry);
+    scratch.profile.visited_inserts += 1;
+    scratch.beam.reset();
+    if accept(entry) {
+        scratch.beam.push_result(entry_d, entry, ef);
+    }
+    scratch.beam.push_frontier(entry_d, entry);
+
+    while let Some((d, u)) = scratch.beam.pop_frontier() {
+        if d > scratch.beam.worst() && scratch.beam.len() >= ef {
+            break;
+        }
+        scratch.profile.hops_base += 1;
+        let Some(block) = rows.resident(layer, u) else {
+            gather_and_score(provider, rows, ctx, layer, u, scratch);
+            for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
+                scratch.beam.offer(nd, nb, ef, || accept(nb));
+            }
+            continue;
+        };
+        // Whole-row scoring: every lane is evaluated, visited or not, and
+        // the resident block is read in full.
+        let row = rows.row(layer, u);
+        if row.is_empty() {
+            continue;
+        }
+        provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
+        scratch.profile.rows_scored += 1;
+        scratch.profile.codeword_bytes += provider.payload_bytes(row.len()) as u64;
+        add_evals(&mut scratch.profile, row.len() as u64, cf);
+        for (&nb, &nd) in row.iter().zip(&scratch.dists) {
+            if scratch.visited.check_and_mark(nb) {
+                continue;
+            }
+            scratch.profile.visited_inserts += 1;
+            scratch.beam.offer(nd, nb, ef, || accept(nb));
+        }
+    }
+}
+
+/// k-NN beam search (greedy upper-layer descent, `ef`-wide base beam)
+/// over a frozen topology.
+pub fn search_layers<P: DistanceProvider>(
+    provider: &P,
+    graph: &GraphLayers,
+    query: &[f32],
+    k: usize,
+    ef: usize,
+) -> Vec<Hit> {
+    search_layers_filtered(provider, graph, query, k, ef, &|_| true)
+}
+
 /// k-NN beam search over a frozen topology restricted to vectors accepted
-/// by `accept` (hybrid / attribute-constrained ANNS): the beam *traverses*
-/// every vertex — rejected vertices still route the search, as in
-/// hnswlib's filtering mode — but only accepted vertices enter the result
-/// set, so recall is measured against the filtered ground truth.
+/// by `accept` (hybrid / attribute-constrained ANNS): rejected vertices
+/// still route the search, but only accepted ones are returned, so recall
+/// is measured against the filtered ground truth.
 pub fn search_layers_filtered<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,
@@ -150,57 +308,34 @@ pub fn search_layers_filtered<P: DistanceProvider>(
     ef: usize,
     accept: &(dyn Fn(u32) -> bool + Sync),
 ) -> Vec<Hit> {
+    search_frozen(provider, graph, graph, query, k, ef, accept)
+}
+
+/// The serving query over `graph`, its base-layer beam reading rows from
+/// `rows`: one scratch checkout, the descent, the beam, the best `k`.
+fn search_frozen<P, S, A>(
+    provider: &P,
+    graph: &GraphLayers,
+    rows: &S,
+    query: &[f32],
+    k: usize,
+    ef: usize,
+    accept: A,
+) -> Vec<Hit>
+where
+    P: DistanceProvider,
+    S: Rows<P::NodePayload>,
+    A: Fn(u32) -> bool,
+{
     if graph.is_empty() {
         return Vec::new();
     }
-    let ef = ef.max(k).max(1);
     let ctx = provider.prepare_query(query);
-    let cf = provider.coded() as u64;
-
     with_scratch::<P::NodePayload, _>(|scratch| {
-        let (cur, cur_d) = descend(provider, graph, &ctx, scratch);
-
+        let levels = (graph.max_layer, 1);
+        let entry = descend(provider, graph, &ctx, graph.entry, levels, scratch);
         scratch.visited.begin(graph.len());
-        scratch.visited.check_and_mark(cur);
-        scratch.profile.visited_inserts += 1;
-        // The result set holds only accepted vertices; the frontier
-        // expands all.
-        scratch.beam.reset();
-        if accept(cur) {
-            scratch.beam.push_result(cur_d, cur, ef);
-        }
-        scratch.beam.push_frontier(cur_d, cur);
-
-        while let Some((d, u)) = scratch.beam.pop_frontier() {
-            if d > scratch.beam.worst() && scratch.beam.len() >= ef {
-                break;
-            }
-            // Gather the unvisited neighbors, then score them as one block.
-            scratch.ids.clear();
-            for &nb in graph.neighbors(0, u) {
-                if !scratch.visited.check_and_mark(nb) {
-                    scratch.ids.push(nb);
-                }
-            }
-            scratch.profile.hops_base += 1;
-            scratch.profile.visited_inserts += scratch.ids.len() as u64;
-            if scratch.ids.is_empty() {
-                continue;
-            }
-            // Overlap the next candidate's misses with this block's scoring.
-            if let Some(next) = scratch.beam.peek_frontier() {
-                provider.prefetch(next);
-                simdops::prefetch_slice(graph.neighbors(0, next));
-            }
-            provider.sync_payload(&mut scratch.payload, &scratch.ids);
-            provider.dist_to_neighbors(&ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
-            scratch.profile.rows_scored += 1;
-            scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
-            add_evals(&mut scratch.profile, scratch.ids.len() as u64, cf);
-            for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                scratch.beam.offer(nd, nb, ef, || accept(nb));
-            }
-        }
+        beam_search(provider, rows, &ctx, entry, 0, ef.max(k), accept, scratch);
         scratch.beam.drain_hits(k)
     })
 }
@@ -246,14 +381,12 @@ impl<PL: Default> NodePayloads<PL> {
 }
 
 /// [`search_layers`] over prebuilt [`NodePayloads`]: identical `(dist, id)`
-/// results, but each expansion scores its *whole* neighbor row against the
-/// node's resident block instead of gathering unvisited ids and rebuilding
-/// a block for them. Scoring already-visited lanes is redundant work, but
-/// it is batched SIMD work on data the expansion touches anyway — cheaper
-/// than the per-expansion gather + block rebuild it replaces. Bit-exact
-/// because distances carry no side effects and the admission loop walks
-/// the row in order, skipping visited lanes exactly where the gathering
-/// kernel never queued them.
+/// results, but each base-layer expansion scores its *whole* neighbor row
+/// against the node's resident block instead of gathering unvisited ids
+/// and rebuilding a block for them. Scoring already-visited lanes is
+/// redundant work, but it is batched SIMD work on data the expansion
+/// touches anyway — cheaper than the per-expansion gather + block rebuild
+/// it replaces.
 pub fn search_layers_cached<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,
@@ -262,52 +395,8 @@ pub fn search_layers_cached<P: DistanceProvider>(
     k: usize,
     ef: usize,
 ) -> Vec<Hit> {
-    if graph.is_empty() {
-        return Vec::new();
-    }
-    let ef = ef.max(k).max(1);
-    let ctx = provider.prepare_query(query);
-    let cf = provider.coded() as u64;
-
-    with_scratch::<P::NodePayload, _>(|scratch| {
-        let (cur, cur_d) = descend(provider, graph, &ctx, scratch);
-
-        scratch.visited.begin(graph.len());
-        scratch.visited.check_and_mark(cur);
-        scratch.profile.visited_inserts += 1;
-        scratch.beam.reset();
-        scratch.beam.push_result(cur_d, cur, ef);
-        scratch.beam.push_frontier(cur_d, cur);
-
-        while let Some((d, u)) = scratch.beam.pop_frontier() {
-            if d > scratch.beam.worst() && scratch.beam.len() >= ef {
-                break;
-            }
-            let row = graph.neighbors(0, u);
-            if row.is_empty() {
-                continue;
-            }
-            if let Some(next) = scratch.beam.peek_frontier() {
-                provider.prefetch(next);
-                simdops::prefetch_slice(graph.neighbors(0, next));
-            }
-            provider.dist_to_neighbors(&ctx, row, payloads.row(u), &mut scratch.dists);
-            // Whole-row scoring: every lane is evaluated, visited or not,
-            // and the prebuilt block is read in full.
-            scratch.profile.hops_base += 1;
-            scratch.profile.rows_scored += 1;
-            scratch.profile.codeword_bytes += provider.payload_bytes(row.len()) as u64;
-            add_evals(&mut scratch.profile, row.len() as u64, cf);
-            for (&nb, &nd) in row.iter().zip(&scratch.dists) {
-                if scratch.visited.check_and_mark(nb) {
-                    continue;
-                }
-                scratch.profile.visited_inserts += 1;
-                scratch.beam.offer(nd, nb, ef, || true);
-            }
-        }
-        scratch.beam.drain_hits(k)
-    })
+    let rows = Prebuilt { graph, payloads };
+    search_frozen(provider, graph, &rows, query, k, ef, |_| true)
 }
 
 /// [`search_layers`] followed by exact reranking on the provider's raw

@@ -7,8 +7,13 @@
 //! until the fixed `ef` beam is exhausted, terminate when a window of `W`
 //! consecutive expansions yields no improvement to the top-k. Construction
 //! is untouched, so Flash-built graphs benefit directly.
+//!
+//! Only the termination loop is VBase's own. The upper-layer descent and
+//! each expansion's gather-and-score step are the serving beam's
+//! ([`crate::layers_search`]), so the two score identical blocks.
 
 use crate::graph::GraphLayers;
+use crate::layers_search::{descend, gather_and_score};
 use crate::provider::DistanceProvider;
 use crate::scratch::with_scratch;
 use crate::Hit;
@@ -20,11 +25,10 @@ use crate::Hit;
 /// best distance. `window` plays the role the beam width `ef` plays in
 /// standard HNSW search (bigger → higher recall, slower).
 ///
-/// Like [`crate::search_layers`], per-query state is pooled and each
-/// expansion scores its unvisited neighbors as one
-/// [`DistanceProvider::dist_to_neighbors`] block — bit-identical to the
-/// per-neighbor loop, since the windowed-termination decisions depend only
-/// on the distances, not on when they were computed.
+/// Per-query state is pooled, and each expansion scores its unvisited
+/// neighbors as one [`DistanceProvider::dist_to_neighbors`] block —
+/// bit-identical to the per-neighbor loop, since the windowed-termination
+/// decisions depend only on the distances, not on when they were computed.
 pub fn search_vbase<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,
@@ -40,10 +44,10 @@ pub fn search_vbase<P: DistanceProvider>(
     // fewer than one vertex.
     let cap = k.max(1);
     let ctx = provider.prepare_query(query);
-    let cf = provider.coded() as u64;
 
     with_scratch::<P::NodePayload, _>(|scratch| {
-        let (cur, cur_d) = crate::layers_search::descend(provider, graph, &ctx, scratch);
+        let levels = (graph.max_layer, 1);
+        let (cur, cur_d) = descend(provider, graph, &ctx, graph.entry, levels, scratch);
 
         // Base-layer expansion with windowed termination.
         scratch.visited.begin(graph.len());
@@ -58,43 +62,19 @@ pub fn search_vbase<P: DistanceProvider>(
             if since_improvement >= window {
                 break;
             }
-            scratch.ids.clear();
-            for &nb in graph.neighbors(0, u) {
-                if !scratch.visited.check_and_mark(nb) {
-                    scratch.ids.push(nb);
-                }
-            }
             scratch.profile.hops_base += 1;
-            scratch.profile.visited_inserts += scratch.ids.len() as u64;
+            gather_and_score(provider, graph, &ctx, 0, u, scratch);
             let mut improved = false;
-            if !scratch.ids.is_empty() {
-                if let Some(next) = scratch.beam.peek_frontier() {
-                    provider.prefetch(next);
-                    simdops::prefetch_slice(graph.neighbors(0, next));
+            for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
+                // Strict `<`: only a real improvement of the k-th best
+                // resets the window.
+                if scratch.beam.len() < k || nd < scratch.beam.worst() {
+                    scratch.beam.push_result(nd, nb, cap);
+                    improved = true;
                 }
-                provider.sync_payload(&mut scratch.payload, &scratch.ids);
-                provider.dist_to_neighbors(
-                    &ctx,
-                    &scratch.ids,
-                    &scratch.payload,
-                    &mut scratch.dists,
-                );
-                let n = scratch.ids.len() as u64;
-                scratch.profile.rows_scored += 1;
-                scratch.profile.dist_coded += n * cf;
-                scratch.profile.dist_exact += n * (1 - cf);
-                scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
-                for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                    // Strict `<`: only a real improvement of the k-th best
-                    // resets the window.
-                    if scratch.beam.len() < k || nd < scratch.beam.worst() {
-                        scratch.beam.push_result(nd, nb, cap);
-                        improved = true;
-                    }
-                    // Frontier admission stays generous so the walk can cross
-                    // plateaus; the window handles termination.
-                    scratch.beam.push_frontier(nd, nb);
-                }
+                // Frontier admission stays generous so the walk can cross
+                // plateaus; the window handles termination.
+                scratch.beam.push_frontier(nd, nb);
             }
             if improved {
                 since_improvement = 0;
