@@ -4,10 +4,11 @@
 //! the on-disk format, and the steady-state search loop must not allocate
 //! per-query scratch.
 
+use engine::{Coding, GraphKind, IndexBuilder, ProviderJob};
 use graphs::providers::FullPrecision;
 use graphs::{
-    search_layers, search_layers_cached, CsrLayer, GraphLayers, Hnsw, HnswParams, NodePayloads,
-    LINE_U32S,
+    search_layers, search_layers_cached, CsrLayer, DistanceProvider, GraphLayers, Hnsw,
+    HnswParams, NodePayloads, LINE_U32S,
 };
 use proptest::prelude::*;
 use vecstore::VectorSet;
@@ -132,36 +133,61 @@ fn steady_state_search_does_not_allocate_scratch() {
     assert_eq!(after.checkouts - before.checkouts, queries);
 }
 
+/// Builds HNSW through the provider it is handed and checks that
+/// [`search_layers_cached`] answers every query exactly as
+/// [`search_layers`] does.
+struct CachedMatchesPlain<'a> {
+    coding: Coding,
+    queries: &'a VectorSet,
+}
+
+impl ProviderJob for CachedMatchesPlain<'_> {
+    type Output = ();
+
+    fn run<P: DistanceProvider + 'static>(self, provider: P) {
+        let index = Hnsw::build(
+            provider,
+            HnswParams {
+                c: 48,
+                r: 8,
+                seed: 11,
+            },
+        );
+        let frozen = index.freeze();
+        let provider = index.provider();
+        let payloads = NodePayloads::build(provider, &frozen);
+        for qi in 0..self.queries.len() {
+            let q = self.queries.get(qi);
+            let plain = search_layers(provider, &frozen, q, 10, 64);
+            let cached = search_layers_cached(provider, &frozen, &payloads, q, 10, 64);
+            let key = |hits: &[graphs::Hit]| -> Vec<(u64, u32)> {
+                hits.iter().map(|h| (h.id, h.dist.to_bits())).collect()
+            };
+            assert_eq!(key(&plain), key(&cached), "{} query {qi}", self.coding);
+        }
+    }
+}
+
 #[test]
 fn cached_flash_search_is_bit_identical_to_plain() {
-    // The hotpath-bench pairing: Flash's batched LUT scoring over prebuilt
-    // per-node blocks must reproduce the gathering kernel's (dist, id)
-    // results exactly — visited lanes scored redundantly change nothing.
-    use flash::{BuildFlash, FlashHnsw, FlashParams};
-    let (base, queries) =
-        vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 600, 16, 11);
-    let mut fp = FlashParams::auto(base.dim());
-    fp.seed = 11;
-    fp.train_sample = 300;
-    let index = FlashHnsw::build_flash(
-        base,
-        fp,
-        HnswParams {
-            c: 48,
-            r: 8,
-            seed: 11,
-        },
-    );
-    let frozen = index.freeze();
-    let provider = index.provider();
-    let payloads = NodePayloads::build(provider, &frozen);
-    for qi in 0..queries.len() {
-        let q = queries.get(qi);
-        let plain = search_layers(provider, &frozen, q, 10, 64);
-        let cached = search_layers_cached(provider, &frozen, &payloads, q, 10, 64);
-        assert_eq!(plain.len(), cached.len(), "query {qi}");
-        for (a, b) in plain.iter().zip(&cached) {
-            assert_eq!((a.id, a.dist), (b.id, b.dist), "query {qi}");
-        }
+    // The hotpath-bench pairing, for every coding: scoring whole rows
+    // against prebuilt per-node blocks — Flash's batched LUT kernel, or the
+    // default per-id `dist_to_neighbors` every other provider uses — must
+    // reproduce the gathering kernel's (dist, id) results exactly; visited
+    // lanes scored redundantly change nothing.
+    // 64-d keeps OPQ's rotation fits quick in an unoptimized build.
+    let spec = vecstore::DatasetSpec {
+        dim: 64,
+        ..vecstore::DatasetProfile::SsnppLike.spec()
+    };
+    let (base, queries) = vecstore::generate(&spec, 600, 16, 11);
+    for coding in Coding::ALL {
+        let builder = IndexBuilder::new(GraphKind::Hnsw, coding).seed(11);
+        let codec = builder.train_codec(&base);
+        let job = CachedMatchesPlain {
+            coding,
+            queries: &queries,
+        };
+        builder.with_provider(base.clone(), &codec, job);
     }
 }
