@@ -4,16 +4,19 @@
 //! them immediately after; that requires writing the built topology to disk
 //! and mapping it back without re-running construction. This module gives
 //! [`GraphLayers`] a compact little-endian on-disk format (magic + version
-//! + kind + adjacency), dependency-free.
+//! + kind + method + adjacency), dependency-free.
 //!
-//! The format (`HFGRAPH2`) mirrors the in-memory CSR layout — node count,
+//! The format (`HFGRAPH3`) mirrors the in-memory CSR layout — node count,
 //! the degree array, then all targets concatenated — so a load is two bulk
 //! reads per layer. There is one graph kind, `ML` (layer count, then the
 //! layers): HNSW writes its layers, a flat builder's graph (NSG, τ-MG,
-//! Vamana, HCNNG) is one layer. The retired single-layer kind `FL` is
-//! refused with an error naming it, and so is the pre-CSR nested format
-//! (`HFGRAPH1`, "unsupported graph format version"): nothing writes either
-//! any more.
+//! Vamana, HCNNG) is one layer. The header records the method the topology
+//! was built with, a `<graph>:<coding>` label such as `vamana:flash`, so a
+//! server can refuse to pair the file with another provider. The retired
+//! single-layer kind `FL` is refused with an error naming it, and so are
+//! the earlier versions — the pre-CSR nested format (`HFGRAPH1`) and the
+//! CSR format without a method (`HFGRAPH2`), "unsupported graph format
+//! version": nothing writes any of them any more.
 //!
 //! Length words come straight from the (possibly corrupt or hostile) file,
 //! so no allocation trusts them: preallocation is capped at
@@ -31,8 +34,11 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic of the CSR format: the `HFGRAPH` tag plus the version digit.
-const MAGIC_V2: &[u8; 8] = b"HFGRAPH2";
+/// Magic of the current format: the `HFGRAPH` tag plus the version digit.
+const MAGIC: &[u8; 8] = b"HFGRAPH3";
+
+/// Longest method label a file may record.
+const MAX_METHOD_LEN: usize = 64;
 
 /// Ceiling on elements preallocated from an untrusted length word.
 const PREALLOC_CAP: usize = 1 << 16;
@@ -99,11 +105,11 @@ fn read_csr_adjacency(r: &mut impl Read, max_id: u32) -> io::Result<Vec<Vec<u32>
 fn read_magic(r: &mut impl Read) -> io::Result<()> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    if &magic == MAGIC_V2 {
+    if &magic == MAGIC {
         Ok(())
-    } else if magic[..7] == MAGIC_V2[..7] {
+    } else if magic[..7] == MAGIC[..7] {
         Err(bad(&format!(
-            "unsupported graph format version `{}` (this build reads version 2; \
+            "unsupported graph format version `{}` (this build reads version 3; \
              rebuild the index to rewrite the file)",
             char::from(magic[7])
         )))
@@ -112,19 +118,40 @@ fn read_magic(r: &mut impl Read) -> io::Result<()> {
     }
 }
 
+/// Reads the method label: a length word, then that many UTF-8 bytes.
+fn read_method(r: &mut impl Read) -> io::Result<String> {
+    let len = read_u32(r)? as usize;
+    if len > MAX_METHOD_LEN {
+        return Err(bad("method label longer than any method name"));
+    }
+    let mut bytes = vec![0u8; len];
+    r.read_exact(&mut bytes)?;
+    String::from_utf8(bytes).map_err(|_| bad("method label is not UTF-8"))
+}
+
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl GraphLayers {
-    /// Serializes the multi-layer graph to `path` (current format).
+    /// Serializes the multi-layer graph to `path` (current format),
+    /// recording `method`, the `<graph>:<coding>` pair it was built with.
     ///
     /// # Errors
-    /// Returns any underlying I/O error.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    /// Returns any underlying I/O error, or `InvalidInput` for a method
+    /// label longer than 64 bytes.
+    pub fn save(&self, path: &Path, method: &str) -> io::Result<()> {
+        if method.len() > MAX_METHOD_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("method label `{method}` is longer than {MAX_METHOD_LEN} bytes"),
+            ));
+        }
         let mut w = BufWriter::new(File::create(path)?);
-        w.write_all(MAGIC_V2)?;
+        w.write_all(MAGIC)?;
         w.write_all(b"ML")?;
+        write_u32(&mut w, method.len() as u32)?;
+        w.write_all(method.as_bytes())?;
         write_u32(&mut w, self.entry)?;
         write_u32(&mut w, self.max_layer as u32)?;
         write_u32(&mut w, self.num_layers() as u32)?;
@@ -135,11 +162,12 @@ impl GraphLayers {
     }
 
     /// Loads a multi-layer graph from `path`, validating the header and
-    /// all edge targets.
+    /// all edge targets. Returns the graph and the method it was built
+    /// with.
     ///
     /// # Errors
     /// Returns an error on I/O failure or a malformed/corrupt file.
-    pub fn load(path: &Path) -> io::Result<GraphLayers> {
+    pub fn load(path: &Path) -> io::Result<(GraphLayers, String)> {
         let mut r = BufReader::new(File::open(path)?);
         read_magic(&mut r)?;
         let mut kind = [0u8; 2];
@@ -153,6 +181,7 @@ impl GraphLayers {
             }
             _ => return Err(bad("unknown graph kind")),
         }
+        let method = read_method(&mut r)?;
         let entry = read_u32(&mut r)?;
         let max_layer = read_u32(&mut r)? as usize;
         let n_layers = read_u32(&mut r)? as usize;
@@ -179,7 +208,7 @@ impl GraphLayers {
             }
             layers.push(layer);
         }
-        Ok(GraphLayers::from_nested(layers, entry, max_layer))
+        Ok((GraphLayers::from_nested(layers, entry, max_layer), method))
     }
 }
 
@@ -204,12 +233,19 @@ mod tests {
         )
     }
 
+    /// The header of a current-format file up to the method label.
+    fn header(method: &str) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(b"ML");
+        bytes.extend_from_slice(&(method.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(method.as_bytes());
+        bytes
+    }
+
     /// A graph file in the current format, written by hand so tests can
     /// forge any field: `layers[l][node]` is a neighbor row.
     fn graph_bytes(entry: u32, max_layer: u32, layers: &[Vec<Vec<u32>>]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
-        bytes.extend_from_slice(b"ML");
+        let mut bytes = header("hnsw:flash");
         bytes.extend_from_slice(&entry.to_le_bytes());
         bytes.extend_from_slice(&max_layer.to_le_bytes());
         bytes.extend_from_slice(&(layers.len() as u32).to_le_bytes());
@@ -229,8 +265,9 @@ mod tests {
     fn layers_roundtrip() {
         let path = tmp("a.graph");
         let g = sample_layers();
-        g.save(&path).unwrap();
-        let back = GraphLayers::load(&path).unwrap();
+        g.save(&path, "hnsw:pq").unwrap();
+        let (back, method) = GraphLayers::load(&path).unwrap();
+        assert_eq!(method, "hnsw:pq");
         assert_eq!(back.entry, g.entry);
         assert_eq!(back.max_layer, g.max_layer);
         assert_eq!(back, g);
@@ -242,8 +279,9 @@ mod tests {
         // A flat builder's graph: one layer, entered off node 0.
         let path = tmp("b.graph");
         let g = GraphLayers::from_nested(vec![vec![vec![1], vec![2, 0], vec![]]], 1, 0);
-        g.save(&path).unwrap();
-        let back = GraphLayers::load(&path).unwrap();
+        g.save(&path, "vamana:flash").unwrap();
+        let (back, method) = GraphLayers::load(&path).unwrap();
+        assert_eq!(method, "vamana:flash");
         assert_eq!(back.entry, 1);
         assert_eq!(back.num_layers(), 1);
         assert_eq!(back, g);
@@ -258,7 +296,7 @@ mod tests {
             vec![vec![], vec![], vec![1]],
         ];
         GraphLayers::from_nested(layers.clone(), 2, 1)
-            .save(&path)
+            .save(&path, "hnsw:flash")
             .unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), graph_bytes(2, 1, &layers));
         std::fs::remove_file(&path).ok();
@@ -286,6 +324,50 @@ mod tests {
     }
 
     #[test]
+    fn v2_files_without_a_method_are_refused() {
+        // A well-formed version-2 file: the current layout minus the
+        // method label. One reader, one error for every retired version.
+        let path = tmp("v2.graph");
+        let mut bytes = b"HFGRAPH2ML".to_vec();
+        for word in [0u32, 0, 1, 1, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("unsupported graph format version `2`"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn forged_method_labels_are_refused() {
+        let path = tmp("method.graph");
+        let forged = |len: u32, label: &[u8]| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(b"ML");
+            bytes.extend_from_slice(&len.to_le_bytes());
+            bytes.extend_from_slice(label);
+            bytes
+        };
+        for (bytes, why) in [
+            (forged(u32::MAX, b""), "longer"),
+            (forged(2, &[0xff, 0xfe]), "UTF-8"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "{err}");
+        }
+        let err = sample_layers().save(&path, &"x".repeat(65)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn rejects_wrong_magic() {
         let path = tmp("c.graph");
         std::fs::write(&path, b"NOTAGRAPHFILE").unwrap();
@@ -298,7 +380,7 @@ mod tests {
         // A well-formed file of the retired `FL` kind: magic, kind, entry,
         // then one CSR layer.
         let path = tmp("d.graph");
-        let mut bytes = MAGIC_V2.to_vec();
+        let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(b"FL");
         for word in [0u32, 2, 1, 1, 1, 0] {
             bytes.extend_from_slice(&word.to_le_bytes());
@@ -329,7 +411,7 @@ mod tests {
     #[test]
     fn truncated_file_is_an_error() {
         let path = tmp("f.graph");
-        sample_layers().save(&path).unwrap();
+        sample_layers().save(&path, "hnsw:flash").unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         assert!(GraphLayers::load(&path).is_err());
@@ -338,13 +420,11 @@ mod tests {
 
     #[test]
     fn forged_huge_node_count_fails_without_oom() {
-        // A 30-byte file claiming u32::MAX nodes in its one layer: the
+        // A 44-byte file claiming u32::MAX nodes in its one layer: the
         // reader must hit EOF with a clean error instead of preallocating
         // gigabytes.
         let path = tmp("g.graph");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
-        bytes.extend_from_slice(b"ML");
+        let mut bytes = header("hnsw:flash");
         bytes.extend_from_slice(&0u32.to_le_bytes()); // entry
         bytes.extend_from_slice(&0u32.to_le_bytes()); // max_layer
         bytes.extend_from_slice(&1u32.to_le_bytes()); // n_layers
@@ -366,9 +446,7 @@ mod tests {
     #[test]
     fn forged_huge_layer_count_fails_without_oom() {
         let path = tmp("h.graph");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V2);
-        bytes.extend_from_slice(b"ML");
+        let mut bytes = header("hnsw:flash");
         bytes.extend_from_slice(&0u32.to_le_bytes()); // entry
         bytes.extend_from_slice(&0u32.to_le_bytes()); // max_layer
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // forged n_layers

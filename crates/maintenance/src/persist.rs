@@ -11,7 +11,8 @@
 //!   codec000.hfc …      each distinct Flash codec once (FlashCodec::to_bytes)
 //!   seg000/ … segNNN/   one directory per sealed segment:
 //!     vectors.fvecs       raw vectors (standard fvecs)
-//!     graph.hfg           frozen topology (graphs::persist format)
+//!     graph.hfg           frozen topology (graphs::persist format,
+//!                         method `hnsw:flash`)
 //!     seg.meta            ids, tombstones, codec slot, HNSW parameters
 //! ```
 //!
@@ -42,6 +43,8 @@ const SEG_MAGIC: &[u8; 8] = b"HFSEG02\0";
 const LSM_MAGIC: &[u8; 8] = b"HFLSM02\0";
 /// The current-codec slot of an index that has not flushed yet.
 const NO_CODEC: u32 = u32::MAX;
+/// The method every segment graph is built with, as its file records it.
+const SEGMENT_METHOD: &str = "hnsw:flash";
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -145,7 +148,7 @@ impl Segment {
     pub fn save(&self, dir: &Path, codec_slot: u32) -> io::Result<()> {
         fs::create_dir_all(dir)?;
         vecstore::io::write_fvecs(&dir.join("vectors.fvecs"), self.base_vectors())?;
-        self.topology().save(&dir.join("graph.hfg"))?;
+        self.topology().save(&dir.join("graph.hfg"), SEGMENT_METHOD)?;
 
         let mut w = io::BufWriter::new(fs::File::create(dir.join("seg.meta"))?);
         w.write_all(SEG_MAGIC)?;
@@ -172,7 +175,12 @@ impl Segment {
         let mut r = io::BufReader::new(fs::File::open(dir.join("seg.meta"))?);
         read_magic(&mut r, SEG_MAGIC, "LSM segment meta")?;
         let vectors = vecstore::io::read_fvecs(&dir.join("vectors.fvecs"))?;
-        let graph = graphs::GraphLayers::load(&dir.join("graph.hfg"))?;
+        let (graph, method) = graphs::GraphLayers::load(&dir.join("graph.hfg"))?;
+        if method != SEGMENT_METHOD {
+            return Err(bad(&format!(
+                "segment graph was built with `{method}`, not `{SEGMENT_METHOD}`"
+            )));
+        }
         let n = read_u32(&mut r)? as usize;
         if n != vectors.len() || n != graph.len() {
             return Err(bad("segment meta, vectors and graph disagree on size"));

@@ -37,7 +37,12 @@ fn main() {
     println!("built in {:.2?}", t0.elapsed());
 
     let graph_path = dir.join("index.hfg");
-    built.export_graph().unwrap().save(&graph_path).unwrap();
+    let method = format!("{}:{}", builder.graph_kind(), builder.coding());
+    built
+        .export_graph()
+        .unwrap()
+        .save(&graph_path, &method)
+        .unwrap();
     println!(
         "topology saved to {} ({} bytes)",
         graph_path.display(),
@@ -48,7 +53,8 @@ fn main() {
     // "New process": re-derive the provider (deterministic: same data,
     // same seed) and serve the loaded topology — no graph construction.
     let t0 = Instant::now();
-    let topology = graphs::GraphLayers::load(&graph_path).unwrap();
+    let (topology, saved_as) = graphs::GraphLayers::load(&graph_path).unwrap();
+    assert_eq!(saved_as, method, "the file records the method it was built with");
     let served = builder.serve(base, topology).unwrap();
     println!(
         "reloaded + re-encoded in {:.2?} (no graph construction)",

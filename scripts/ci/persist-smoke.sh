@@ -2,8 +2,10 @@
 # The persisted flat-kind gate, runnable locally: builds a `vamana:flash`
 # index over a small generated corpus, saves its topology to a `.hfg` file,
 # prints it with `info`, then serves it with `search --graph` against exact
-# ground truth. Fails on any non-zero exit and when `search` prints no
-# `recall@10` line.
+# ground truth. Fails on any non-zero exit, when `info` does not name the
+# method the file was built with, when `search --graph` serves the file
+# under another method (`hnsw:pq`) instead of refusing it, and when the
+# matching `search` prints no `recall@10` line.
 #
 # Outputs go to the directory given as $1 (default target/persist-smoke,
 # which .gitignore already covers).
@@ -20,6 +22,20 @@ cli=./target/release/flash_cli
 "$cli" build --base "$out/base.fvecs" --method vamana:flash --c 64 --r 16 \
   --graph "$out/index.hfg" 2>&1 | tee "$out/build.txt"
 "$cli" info --graph "$out/index.hfg" | tee "$out/info.txt"
+
+if ! grep -q 'method: *vamana:flash$' "$out/info.txt"; then
+  echo "info does not name the method the graph was built with (vamana:flash)" >&2
+  exit 1
+fi
+
+if "$cli" search --base "$out/base.fvecs" --graph "$out/index.hfg" \
+  --method hnsw:pq --c 64 --r 16 --queries "$out/q.fvecs" --k 10 --ef 96 \
+  --gt "$out/gt.ivecs" >"$out/mismatch.txt" 2>&1; then
+  echo "search served a vamana:flash graph as hnsw:pq instead of refusing it" >&2
+  exit 1
+fi
+cat "$out/mismatch.txt"
+
 "$cli" search --base "$out/base.fvecs" --graph "$out/index.hfg" \
   --method vamana:flash --c 64 --r 16 --queries "$out/q.fvecs" --k 10 --ef 96 \
   --gt "$out/gt.ivecs" | tee "$out/search.txt"

@@ -382,7 +382,9 @@ fn cmd_build(opts: &Opts) -> Result<(), String> {
     let frozen = index
         .export_graph()
         .ok_or("built index exposes no topology to persist")?;
-    frozen.save(&graph_path).map_err(io_err("write graph"))?;
+    frozen
+        .save(&graph_path, &spec.method_name())
+        .map_err(io_err("write graph"))?;
     eprintln!(
         "built in {took:.2?}: {} base edges, {:.1} MB in memory, topology -> {}",
         frozen.base_edges(),
@@ -801,8 +803,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         replicated,
         transports,
     } = if let TopologySpec::Flat = topology {
-        let graph =
-            graphs::GraphLayers::load(&opts.path("graph")?).map_err(io_err("read graph"))?;
+        let graph = load_graph_as(&opts.path("graph")?, &spec.method_name())?;
         if graph.len() != n {
             return Err(format!(
                 "graph covers {} nodes but base has {n} vectors",
@@ -1146,10 +1147,25 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads the topology at `path` to serve it as `method`, refusing a file
+/// built with another method: its edges were chosen by another provider's
+/// distances.
+fn load_graph_as(path: &Path, method: &str) -> Result<graphs::GraphLayers, String> {
+    let (graph, built) = graphs::GraphLayers::load(path).map_err(io_err("read graph"))?;
+    if built != method {
+        return Err(format!(
+            "graph {} was built with method `{built}`, not `{method}`",
+            path.display()
+        ));
+    }
+    Ok(graph)
+}
+
 fn cmd_info(opts: &Opts) -> Result<(), String> {
     let path = opts.path("graph")?;
-    let graph = graphs::GraphLayers::load(&path).map_err(io_err("read graph"))?;
+    let (graph, method) = graphs::GraphLayers::load(&path).map_err(io_err("read graph"))?;
     println!("topology: {}", path.display());
+    println!("  method:      {method}");
     println!("  nodes:       {}", graph.len());
     println!("  layers:      {}", graph.max_layer + 1);
     println!("  entry point: {}", graph.entry);
@@ -1464,5 +1480,25 @@ mod tests {
         let spec = BuildSpec::from_opts(&o).unwrap();
         assert_eq!(spec.graph_kind, GraphKind::Vamana);
         assert_eq!(spec.coding, Coding::Flash);
+    }
+
+    #[test]
+    fn a_graph_serves_only_under_the_method_it_was_built_with() {
+        let path = std::env::temp_dir().join(format!("flash_cli_{}.hfg", std::process::id()));
+        let built = BuildSpec::from_opts(&opts(&[("method", "vamana:flash")])).unwrap();
+        graphs::GraphLayers::from_nested(vec![vec![vec![1], vec![0]]], 0, 0)
+            .save(&path, &built.method_name())
+            .unwrap();
+        let served = BuildSpec::from_opts(&opts(&[("method", "hnsw:pq")])).unwrap();
+        let err = load_graph_as(&path, &served.method_name()).unwrap_err();
+        assert!(
+            err.contains("`vamana:flash`") && err.contains("`hnsw:pq`"),
+            "{err}"
+        );
+        // The legacy token `flash` is `hnsw:flash`: the graph kind counts too.
+        let flash = BuildSpec::from_opts(&opts(&[("method", "flash")])).unwrap();
+        assert!(load_graph_as(&path, &flash.method_name()).is_err());
+        assert_eq!(load_graph_as(&path, &built.method_name()).unwrap().len(), 2);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -76,8 +76,8 @@ proptest! {
         let entry = (entry_seed % adj.len()) as u32;
         let graph = GraphLayers::from_nested(vec![adj.clone()], entry, 0);
         let path = tmp(&format!("flat_{entry_seed}_{}", adj.len()));
-        graph.save(&path).unwrap();
-        let reloaded = GraphLayers::load(&path).unwrap();
+        graph.save(&path, "nsg:full").unwrap();
+        let (reloaded, _) = GraphLayers::load(&path).unwrap();
         prop_assert_eq!(&reloaded, &graph);
         prop_assert_eq!(reloaded.entry, entry);
         prop_assert_eq!(reloaded.layer(0).to_nested(), adj);

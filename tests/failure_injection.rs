@@ -55,8 +55,9 @@ fn sample_layers() -> GraphLayers {
 fn graph_roundtrip_is_exact() {
     let g = sample_layers();
     let path = tmp("roundtrip.bin");
-    g.save(&path).unwrap();
-    let loaded = GraphLayers::load(&path).unwrap();
+    g.save(&path, "hnsw:full").unwrap();
+    let (loaded, method) = GraphLayers::load(&path).unwrap();
+    assert_eq!(method, "hnsw:full");
     assert_eq!(loaded.entry, g.entry);
     assert_eq!(loaded.max_layer, g.max_layer);
     assert_eq!(loaded, g);
@@ -66,7 +67,7 @@ fn graph_roundtrip_is_exact() {
 fn truncated_graph_file_is_rejected_at_every_length() {
     let g = sample_layers();
     let path = tmp("truncate_src.bin");
-    g.save(&path).unwrap();
+    g.save(&path, "hnsw:full").unwrap();
     let bytes = fs::read(&path).unwrap();
     // Cut the file at a spread of prefix lengths; every one must error.
     for frac in [0usize, 1, 4, 9, 16, 64] {
@@ -85,7 +86,7 @@ fn truncated_graph_file_is_rejected_at_every_length() {
 fn wrong_magic_is_rejected() {
     let g = sample_layers();
     let path = tmp("magic.bin");
-    g.save(&path).unwrap();
+    g.save(&path, "hnsw:full").unwrap();
     let mut bytes = fs::read(&path).unwrap();
     bytes[0] ^= 0xFF;
     fs::write(&path, &bytes).unwrap();
@@ -101,12 +102,16 @@ fn one_layer() -> GraphLayers {
 #[test]
 fn retired_flat_kind_is_rejected() {
     // Re-head a one-layer file as the retired `FL` kind, which carried the
-    // entry and then the layer: drop `max_layer` and the layer count.
+    // entry and then the layer: drop the method label, `max_layer` and the
+    // layer count.
     let path = tmp("retired_kind.bin");
-    one_layer().save(&path).unwrap();
+    let method = "nsg:full";
+    one_layer().save(&path, method).unwrap();
     let mut bytes = fs::read(&path).unwrap();
     bytes[8..10].copy_from_slice(b"FL");
-    bytes.drain(14..22);
+    let entry = 14 + method.len();
+    bytes.drain(entry + 4..entry + 12);
+    bytes.drain(10..entry);
     fs::write(&path, &bytes).unwrap();
     let err = GraphLayers::load(&path).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -116,7 +121,7 @@ fn retired_flat_kind_is_rejected() {
 #[test]
 fn corrupt_edge_target_is_rejected_not_crashing() {
     let path = tmp("bad_edge.bin");
-    one_layer().save(&path).unwrap();
+    one_layer().save(&path, "nsg:full").unwrap();
     let mut bytes = fs::read(&path).unwrap();
     // The last u32 is an edge target; point it far out of range.
     let n = bytes.len();
@@ -327,8 +332,8 @@ fn saved_graph_survives_load_and_search_pipeline() {
     );
     let frozen = index.freeze();
     let path = tmp("pipeline.bin");
-    frozen.save(&path).unwrap();
-    let reloaded = GraphLayers::load(&path).unwrap();
+    frozen.save(&path, "hnsw:full").unwrap();
+    let (reloaded, _) = GraphLayers::load(&path).unwrap();
 
     // Same adjacency ⇒ same greedy routes. Spot-check base-layer equality
     // plus entry metadata rather than re-running a full search stack.
