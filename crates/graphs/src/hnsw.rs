@@ -120,16 +120,15 @@ struct NodeData<PL> {
 }
 
 /// The node records are the row source of HNSW's own searches, every
-/// row's payload block resident.
+/// row's payload block resident. A search at layer `l` reaches only
+/// vertices of level `l` or above, so every row it asks for exists.
 impl<PL> Rows<PL> for [NodeData<PL>] {
-    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
-        self[node as usize].neighbors.get(layer).map_or(&[], Vec::as_slice)
+        &self[node as usize].neighbors[layer]
     }
 
-    #[inline]
     fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
-        self[node as usize].payloads.get(layer)
+        Some(&self[node as usize].payloads[layer])
     }
 }
 
@@ -281,9 +280,9 @@ impl<P: DistanceProvider> Hnsw<P> {
             let levels = (entry.level, level + 1);
             let mut cur = descend(provider, nodes, &ctx, entry.node, levels, scratch);
             scratch.visited.begin(nodes.len());
-            let mut rows = Vec::new();
+            let (mut rows, c) = (Vec::new(), self.params.c);
             for layer in (0..=level.min(entry.level)).rev() {
-                beam_search(provider, nodes, &ctx, cur, layer, self.params.c, |_| true, scratch);
+                beam_search(provider, nodes, &ctx, cur, layer, c, |_| true, scratch);
                 let SearchScratch {
                     beam,
                     candidates,

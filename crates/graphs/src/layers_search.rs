@@ -1,41 +1,28 @@
-//! The one descent and the one beam every graph search in this crate runs,
-//! and the serving entry points over a frozen [`GraphLayers`] topology.
+//! The one greedy descent (`descend`) and the one `ef`-wide beam
+//! (`beam_search`) of the crate: HNSW's Candidate Acquisition,
+//! [`crate::Hnsw::search`] and every serving query run them. Both are
+//! generic over a crate-private row source (`Rows`), which answers two
+//! questions about a node: what its neighbor row is at a layer, and
+//! whether a payload block for that row is already resident.
 //!
-//! Candidate Acquisition is a greedy descent through the upper layers
-//! (`descend`) followed by an `ef`-wide beam at one layer
-//! (`beam_search`). HNSW runs that search when it inserts a vertex and
-//! when it answers a query, and so does serving: both loops are generic
-//! over a crate-private row source (`Rows`), which answers two questions
-//! about a node — what its neighbor row is at a layer, and whether a
-//! payload block for that row is already resident.
+//! * A frozen [`GraphLayers`] has none: an expansion gathers its unvisited
+//!   neighbors, builds their block with [`DistanceProvider::sync_payload`]
+//!   and scores it, prefetching the next candidate meanwhile
+//!   (`gather_and_score`, which [`crate::vbase`] also calls).
+//! * HNSW's node records hold every row's block: an expansion scores the
+//!   whole row against it and skips visited lanes afterwards.
+//! * A frozen graph with prebuilt [`NodePayloads`] is resident at layer 0.
 //!
-//! * A frozen [`GraphLayers`] stores adjacency only, so it has no resident
-//!   block: each expansion gathers its unvisited neighbors, builds their
-//!   block with [`DistanceProvider::sync_payload`] and scores it as one
-//!   [`DistanceProvider::dist_to_neighbors`] call, while the next
-//!   candidate's data is prefetched (`gather_and_score`, which
-//!   [`crate::vbase`]'s windowed loop also calls).
-//! * [`crate::Hnsw`]'s node records hold each row's block, so an expansion
-//!   scores the whole row against it and skips visited lanes afterwards.
-//! * A frozen topology with prebuilt [`NodePayloads`] is resident at layer
-//!   0 only ([`search_layers_cached`]).
+//! Either way the results are bit-identical: distances carry no side
+//! effects, and the admission loop walks each row in order, skipping
+//! visited lanes exactly where gathering never queued them. Callers own the
+//! visited epoch and the beam's entry distance.
 //!
-//! The row source's type decides between gathering and scoring a resident
-//! block; the results are bit-identical either way, because distances
-//! carry no side effects and the admission loop walks each row in order,
-//! skipping visited lanes exactly where gathering never queued them.
-//! Callers own the visited epoch and the beam's entry distance.
-//!
-//! Once construction ends every graph index — HNSW or flat — is a
-//! [`FrozenGraph`], and [`search_layers_filtered`] answers plain, filtered
-//! and reranked queries over it. The topology is also the *persisted*
-//! representation (the format `persist` writes), so a graph built
-//! overnight is reloaded and served without the builder's data structures
-//! — the deployment the paper's maintenance scenario implies. Any
-//! [`DistanceProvider`] works: rebuild the provider deterministically from
-//! the dataset (codecs re-train/encode from the same seed) and pair it with
-//! the loaded graph. Serving is allocation-free in steady state: per-query
-//! state lives in a pooled [`crate::scratch::SearchScratch`].
+//! Once construction ends every graph index is a [`FrozenGraph`], served
+//! allocation-free through [`search_layers_filtered`] with a pooled
+//! [`crate::scratch::SearchScratch`]. The topology is also what `persist`
+//! writes, so a graph built overnight is reloaded and served without the
+//! builder, paired with a provider re-derived from the dataset.
 
 use crate::graph::GraphLayers;
 use crate::provider::DistanceProvider;
@@ -87,12 +74,21 @@ impl<P: DistanceProvider> FrozenGraph<P> {
 }
 
 /// Splits `n` distance evaluations coded-vs-exact with the provider's
-/// hoisted `coded()` flag (`cf ∈ {0, 1}`) — a multiply instead of a
+/// constant `coded()` flag (`cf ∈ {0, 1}`) — a multiply instead of a
 /// branch, so the profile costs nothing on the beam's hot loop.
 #[inline]
-fn add_evals(profile: &mut QueryProfile, n: u64, cf: u64) {
-    profile.dist_coded += n * cf;
-    profile.dist_exact += n * (1 - cf);
+fn add_evals<P: DistanceProvider>(profile: &mut QueryProfile, provider: &P, n: usize) {
+    let cf = provider.coded() as u64;
+    profile.dist_coded += n as u64 * cf;
+    profile.dist_exact += n as u64 * (1 - cf);
+}
+
+/// Counts one block of `n` ids scored by `dist_to_neighbors`.
+#[inline]
+fn add_block<P: DistanceProvider>(profile: &mut QueryProfile, provider: &P, n: usize) {
+    profile.rows_scored += 1;
+    profile.codeword_bytes += provider.payload_bytes(n) as u64;
+    add_evals(profile, provider, n);
 }
 
 /// Where the descent and the beam read a node's neighbor row, and whether
@@ -101,19 +97,16 @@ pub(crate) trait Rows<PL> {
     /// `node`'s neighbor row at `layer` (empty when it has none there).
     fn row(&self, layer: usize, node: u32) -> &[u32];
 
-    /// The payload block of that row, lane for lane, when one is resident;
-    /// `None` makes the search gather the ids it scores and build their
-    /// block.
+    /// That row's payload block when one is resident; with `None` the
+    /// search gathers the ids it scores and builds their block.
     fn resident(&self, layer: usize, node: u32) -> Option<&PL>;
 }
 
 impl<PL> Rows<PL> for GraphLayers {
-    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.neighbors(layer, node)
     }
 
-    #[inline]
     fn resident(&self, _layer: usize, _node: u32) -> Option<&PL> {
         None
     }
@@ -126,12 +119,10 @@ struct Prebuilt<'a, PL> {
 }
 
 impl<PL: Default> Rows<PL> for Prebuilt<'_, PL> {
-    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.graph.neighbors(layer, node)
     }
 
-    #[inline]
     fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
         (layer == 0).then(|| self.payloads.row(node))
     }
@@ -149,10 +140,9 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
     (top, bottom): (usize, usize),
     scratch: &mut SearchScratch<P::NodePayload>,
 ) -> (u32, f32) {
-    let cf = provider.coded() as u64;
     let mut cur = entry;
     let mut cur_d = provider.dist_to(ctx, cur);
-    add_evals(&mut scratch.profile, 1, cf);
+    add_evals(&mut scratch.profile, provider, 1);
     for layer in (bottom..=top).rev() {
         loop {
             let row = rows.row(layer, cur);
@@ -168,9 +158,7 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
             };
             provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
             scratch.profile.hops_upper += 1;
-            scratch.profile.rows_scored += 1;
-            scratch.profile.codeword_bytes += provider.payload_bytes(row.len()) as u64;
-            add_evals(&mut scratch.profile, row.len() as u64, cf);
+            add_block(&mut scratch.profile, provider, row.len());
             let mut improved = false;
             for (&nb, &d) in row.iter().zip(&scratch.dists) {
                 if d < cur_d {
@@ -216,9 +204,7 @@ pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?S
     }
     provider.sync_payload(&mut scratch.payload, &scratch.ids);
     provider.dist_to_neighbors(ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
-    scratch.profile.rows_scored += 1;
-    scratch.profile.codeword_bytes += provider.payload_bytes(scratch.ids.len()) as u64;
-    add_evals(&mut scratch.profile, scratch.ids.len() as u64, provider.coded() as u64);
+    add_block(&mut scratch.profile, provider, scratch.ids.len());
 }
 
 /// Beam search at `layer` from `entry` at distance `entry_d`, with room for
@@ -243,7 +229,6 @@ pub(crate) fn beam_search<P, S, A>(
     A: Fn(u32) -> bool,
 {
     let ef = ef.max(1);
-    let cf = provider.coded() as u64;
     scratch.visited.check_and_mark(entry);
     scratch.profile.visited_inserts += 1;
     scratch.beam.reset();
@@ -271,9 +256,7 @@ pub(crate) fn beam_search<P, S, A>(
             continue;
         }
         provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
-        scratch.profile.rows_scored += 1;
-        scratch.profile.codeword_bytes += provider.payload_bytes(row.len()) as u64;
-        add_evals(&mut scratch.profile, row.len() as u64, cf);
+        add_block(&mut scratch.profile, provider, row.len());
         for (&nb, &nd) in row.iter().zip(&scratch.dists) {
             if scratch.visited.check_and_mark(nb) {
                 continue;

@@ -28,19 +28,12 @@
 //! [`FrozenGraph`] over a one-layer [`GraphLayers`], the form every serving
 //! path holds.
 //!
-//! Candidate Acquisition and search are one greedy descent and one
-//! `ef`-wide beam ([`layers_search`]), generic over where a node's row and
-//! its payload block come from: HNSW's inserts and [`Hnsw::search`] read
-//! the node records, whose blocks are resident, and serving reads a
-//! frozen [`GraphLayers`], gathering and scoring each expansion's
-//! unvisited neighbors ([`search_layers`], [`search_layers_filtered`]).
-//!
-//! Search-side optimizations evaluated in the paper's Figure 13 live in
-//! [`adsampling`] and [`vbase`]; both operate on an already-built
-//! [`GraphLayers`] and are orthogonal to the construction path. VBase
-//! keeps its own windowed loop around the serving beam's descent and
-//! gather-and-score step; ADSampling's progressive distances are a
-//! different algorithm with loops of its own.
+//! CA at insert time, [`Hnsw::search`] and serving run one greedy descent
+//! and one beam ([`layers_search`]) over the node records or a frozen
+//! [`GraphLayers`]. Search-side optimizations evaluated in the paper's
+//! Figure 13 live in [`adsampling`] and [`vbase`]; both operate on an
+//! already-built [`GraphLayers`] and are orthogonal to the construction
+//! path (VBase reuses the beam's descent and gather-and-score step).
 
 pub mod adsampling;
 pub mod filtered;

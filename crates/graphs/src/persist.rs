@@ -10,13 +10,11 @@
 //! the degree array, then all targets concatenated — so a load is two bulk
 //! reads per layer. There is one graph kind, `ML` (layer count, then the
 //! layers): HNSW writes its layers, a flat builder's graph (NSG, τ-MG,
-//! Vamana, HCNNG) is one layer. The header records the method the topology
-//! was built with, a `<graph>:<coding>` label such as `vamana:flash`, so a
-//! server can refuse to pair the file with another provider. The retired
-//! single-layer kind `FL` is refused with an error naming it, and so are
-//! the earlier versions — the pre-CSR nested format (`HFGRAPH1`) and the
-//! CSR format without a method (`HFGRAPH2`), "unsupported graph format
-//! version": nothing writes any of them any more.
+//! Vamana, HCNNG) is one layer. The header records the `<graph>:<coding>`
+//! method the topology was built with (`vamana:flash`), so a server can
+//! refuse to pair the file with another provider. The retired kind `FL` is
+//! refused with an error naming it, and so are the pre-CSR `HFGRAPH1` and
+//! the method-less `HFGRAPH2` ("unsupported graph format version").
 //!
 //! Length words come straight from the (possibly corrupt or hostile) file,
 //! so no allocation trusts them: preallocation is capped at
@@ -36,9 +34,6 @@ use std::path::Path;
 
 /// Magic of the current format: the `HFGRAPH` tag plus the version digit.
 const MAGIC: &[u8; 8] = b"HFGRAPH3";
-
-/// Longest method label a file may record.
-const MAX_METHOD_LEN: usize = 64;
 
 /// Ceiling on elements preallocated from an untrusted length word.
 const PREALLOC_CAP: usize = 1 << 16;
@@ -118,13 +113,11 @@ fn read_magic(r: &mut impl Read) -> io::Result<()> {
     }
 }
 
-/// Reads the method label: a length word, then that many UTF-8 bytes.
+/// Reads the method label: a length byte, then that many UTF-8 bytes.
 fn read_method(r: &mut impl Read) -> io::Result<String> {
-    let len = read_u32(r)? as usize;
-    if len > MAX_METHOD_LEN {
-        return Err(bad("method label longer than any method name"));
-    }
-    let mut bytes = vec![0u8; len];
+    let mut len = [0u8];
+    r.read_exact(&mut len)?;
+    let mut bytes = vec![0u8; usize::from(len[0])];
     r.read_exact(&mut bytes)?;
     String::from_utf8(bytes).map_err(|_| bad("method label is not UTF-8"))
 }
@@ -138,19 +131,16 @@ impl GraphLayers {
     /// recording `method`, the `<graph>:<coding>` pair it was built with.
     ///
     /// # Errors
-    /// Returns any underlying I/O error, or `InvalidInput` for a method
-    /// label longer than 64 bytes.
+    /// Returns any underlying I/O error.
+    ///
+    /// # Panics
+    /// Panics if `method` is longer than 255 bytes.
     pub fn save(&self, path: &Path, method: &str) -> io::Result<()> {
-        if method.len() > MAX_METHOD_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("method label `{method}` is longer than {MAX_METHOD_LEN} bytes"),
-            ));
-        }
+        let len = u8::try_from(method.len()).expect("a method label of at most 255 bytes");
         let mut w = BufWriter::new(File::create(path)?);
         w.write_all(MAGIC)?;
         w.write_all(b"ML")?;
-        write_u32(&mut w, method.len() as u32)?;
+        w.write_all(&[len])?;
         w.write_all(method.as_bytes())?;
         write_u32(&mut w, self.entry)?;
         write_u32(&mut w, self.max_layer as u32)?;
@@ -237,7 +227,7 @@ mod tests {
     fn header(method: &str) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(b"ML");
-        bytes.extend_from_slice(&(method.len() as u32).to_le_bytes());
+        bytes.push(method.len() as u8);
         bytes.extend_from_slice(method.as_bytes());
         bytes
     }
@@ -303,20 +293,26 @@ mod tests {
     }
 
     #[test]
-    fn retired_v1_files_fail_with_an_unsupported_version_error() {
-        let path = tmp("v1.graph");
-        for kind in [b"FL", b"ML"] {
-            // A well-formed pre-CSR file: only the version digit differs
-            // from what `load` accepts, and the error must say so.
-            let mut bytes = b"HFGRAPH1".to_vec();
+    fn retired_versions_fail_with_an_unsupported_version_error() {
+        let path = tmp("retired.graph");
+        // Well-formed files of the pre-CSR format (either kind) and of the
+        // CSR format without a method: only the version digit differs from
+        // what `load` accepts, and the error must say so.
+        for (magic, kind) in [
+            (b"HFGRAPH1", b"FL"),
+            (b"HFGRAPH1", b"ML"),
+            (b"HFGRAPH2", b"ML"),
+        ] {
+            let mut bytes = magic.to_vec();
             bytes.extend_from_slice(kind);
             bytes.extend_from_slice(&[0u8; 16]);
             std::fs::write(&path, &bytes).unwrap();
             let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let version = char::from(magic[7]);
             assert!(
                 err.to_string()
-                    .contains("unsupported graph format version `1`"),
+                    .contains(&format!("unsupported graph format version `{version}`")),
                 "{err}"
             );
         }
@@ -324,46 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_without_a_method_are_refused() {
-        // A well-formed version-2 file: the current layout minus the
-        // method label. One reader, one error for every retired version.
-        let path = tmp("v2.graph");
-        let mut bytes = b"HFGRAPH2ML".to_vec();
-        for word in [0u32, 0, 1, 1, 0] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
+    fn method_labels_that_are_not_utf8_are_refused() {
+        let path = tmp("method.graph");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(b"ML");
+        bytes.extend_from_slice(&[2, 0xff, 0xfe]); // a label that is not UTF-8
         std::fs::write(&path, &bytes).unwrap();
         let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("unsupported graph format version `2`"),
-            "{err}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn forged_method_labels_are_refused() {
-        let path = tmp("method.graph");
-        let forged = |len: u32, label: &[u8]| {
-            let mut bytes = MAGIC.to_vec();
-            bytes.extend_from_slice(b"ML");
-            bytes.extend_from_slice(&len.to_le_bytes());
-            bytes.extend_from_slice(label);
-            bytes
-        };
-        for (bytes, why) in [
-            (forged(u32::MAX, b""), "longer"),
-            (forged(2, &[0xff, 0xfe]), "UTF-8"),
-        ] {
-            std::fs::write(&path, &bytes).unwrap();
-            let err = GraphLayers::load(&path).map(|_| ()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(why), "{err}");
-        }
-        let err = sample_layers().save(&path, &"x".repeat(65)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("UTF-8"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -420,7 +385,7 @@ mod tests {
 
     #[test]
     fn forged_huge_node_count_fails_without_oom() {
-        // A 44-byte file claiming u32::MAX nodes in its one layer: the
+        // A 41-byte file claiming u32::MAX nodes in its one layer: the
         // reader must hit EOF with a clean error instead of preallocating
         // gigabytes.
         let path = tmp("g.graph");

@@ -148,7 +148,8 @@ impl Segment {
     pub fn save(&self, dir: &Path, codec_slot: u32) -> io::Result<()> {
         fs::create_dir_all(dir)?;
         vecstore::io::write_fvecs(&dir.join("vectors.fvecs"), self.base_vectors())?;
-        self.topology().save(&dir.join("graph.hfg"), SEGMENT_METHOD)?;
+        self.topology()
+            .save(&dir.join("graph.hfg"), SEGMENT_METHOD)?;
 
         let mut w = io::BufWriter::new(fs::File::create(dir.join("seg.meta"))?);
         w.write_all(SEG_MAGIC)?;

@@ -54,7 +54,10 @@ fn main() {
     // same seed) and serve the loaded topology — no graph construction.
     let t0 = Instant::now();
     let (topology, saved_as) = graphs::GraphLayers::load(&graph_path).unwrap();
-    assert_eq!(saved_as, method, "the file records the method it was built with");
+    assert_eq!(
+        saved_as, method,
+        "the file records the method it was built with"
+    );
     let served = builder.serve(base, topology).unwrap();
     println!(
         "reloaded + re-encoded in {:.2?} (no graph construction)",

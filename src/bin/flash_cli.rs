@@ -1148,8 +1148,7 @@ fn cmd_scenario(opts: &Opts) -> Result<(), String> {
 }
 
 /// Loads the topology at `path` to serve it as `method`, refusing a file
-/// built with another method: its edges were chosen by another provider's
-/// distances.
+/// built with another method (another provider's distances chose its edges).
 fn load_graph_as(path: &Path, method: &str) -> Result<graphs::GraphLayers, String> {
     let (graph, built) = graphs::GraphLayers::load(path).map_err(io_err("read graph"))?;
     if built != method {

@@ -7,8 +7,8 @@
 use engine::{Coding, GraphKind, IndexBuilder, ProviderJob};
 use graphs::providers::FullPrecision;
 use graphs::{
-    search_layers, search_layers_cached, CsrLayer, DistanceProvider, GraphLayers, Hnsw,
-    HnswParams, NodePayloads, LINE_U32S,
+    search_layers, search_layers_cached, CsrLayer, DistanceProvider, GraphLayers, Hnsw, HnswParams,
+    NodePayloads, LINE_U32S,
 };
 use proptest::prelude::*;
 use vecstore::VectorSet;

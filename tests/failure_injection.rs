@@ -109,7 +109,7 @@ fn retired_flat_kind_is_rejected() {
     one_layer().save(&path, method).unwrap();
     let mut bytes = fs::read(&path).unwrap();
     bytes[8..10].copy_from_slice(b"FL");
-    let entry = 14 + method.len();
+    let entry = 11 + method.len();
     bytes.drain(entry + 4..entry + 12);
     bytes.drain(10..entry);
     fs::write(&path, &bytes).unwrap();
