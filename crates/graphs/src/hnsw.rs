@@ -123,10 +123,12 @@ struct NodeData<PL> {
 /// row's payload block resident. A search at layer `l` reaches only
 /// vertices of level `l` or above, so every row it asks for exists.
 impl<PL> Rows<PL> for [NodeData<PL>] {
+    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         &self[node as usize].neighbors[layer]
     }
 
+    #[inline]
     fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
         Some(&self[node as usize].payloads[layer])
     }

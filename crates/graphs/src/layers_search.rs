@@ -103,10 +103,12 @@ pub(crate) trait Rows<PL> {
 }
 
 impl<PL> Rows<PL> for GraphLayers {
+    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.neighbors(layer, node)
     }
 
+    #[inline]
     fn resident(&self, _layer: usize, _node: u32) -> Option<&PL> {
         None
     }
@@ -119,10 +121,12 @@ struct Prebuilt<'a, PL> {
 }
 
 impl<PL: Default> Rows<PL> for Prebuilt<'_, PL> {
+    #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.graph.neighbors(layer, node)
     }
 
+    #[inline]
     fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
         (layer == 0).then(|| self.payloads.row(node))
     }
@@ -179,6 +183,7 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
 /// row's unvisited ids visited and leaves them in `scratch.ids`, then —
 /// unless there are none — prefetches the next frontier candidate, builds
 /// the ids' payload block and scores it into `scratch.dists`.
+#[inline]
 pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
     provider: &P,
     rows: &S,
@@ -392,13 +397,8 @@ pub fn search_layers_rerank<P: DistanceProvider>(
     ef: usize,
     rerank_factor: usize,
 ) -> Vec<Hit> {
-    let pool = search_layers(
-        provider,
-        graph,
-        query,
-        (k * rerank_factor.max(1)).max(k),
-        ef,
-    );
+    let pool_k = (k * rerank_factor.max(1)).max(k);
+    let pool = search_layers(provider, graph, query, pool_k, ef);
     crate::rerank_exact(provider.base(), query, pool, k)
 }
 

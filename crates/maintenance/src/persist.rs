@@ -369,6 +369,16 @@ mod tests {
         seg.save(&dir, 0).unwrap();
 
         assert!(Segment::load(&dir, &[]).is_err(), "slot 0 of no codecs");
+        // A topology built with another method is not this segment's.
+        let graph_path = dir.join("graph.hfg");
+        let (graph, method) = graphs::GraphLayers::load(&graph_path).unwrap();
+        assert_eq!(method, "hnsw:flash");
+        graph.save(&graph_path, "vamana:flash").unwrap();
+        let err = Segment::load(&dir, &[Arc::clone(&stored)])
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("`vamana:flash`"), "{err}");
+        graph.save(&graph_path, &method).unwrap();
         let loaded = Segment::load(&dir, &[stored]).unwrap();
         assert_eq!(loaded.len(), 400);
         assert_eq!(loaded.live(), 399);
