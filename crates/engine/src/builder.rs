@@ -244,7 +244,6 @@ impl IndexBuilder {
         FlatParams {
             r: self.r,
             c: self.c,
-            seed: self.seed,
         }
     }
 
@@ -410,7 +409,6 @@ impl IndexBuilder {
                     r: self.r,
                     c: self.c,
                     alpha: self.alpha,
-                    seed: self.seed,
                 },
             ),
             GraphKind::Hcnng => hcnng::build(

@@ -132,11 +132,7 @@ mod tests {
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 400, 4, 7);
         let nsg = nsg::build(
             FlashProvider::new(base, FlashParams::auto(256)),
-            NsgParams {
-                r: 8,
-                c: 48,
-                seed: 3,
-            },
+            NsgParams { r: 8, c: 48 },
         );
         let hits = search_layers_rerank(nsg.provider(), nsg.layers(), queries.get(0), 3, 48, 4);
         assert_eq!(hits.len(), 3);
@@ -171,7 +167,6 @@ mod tests {
                 r: 10,
                 c: 48,
                 alpha: 1.2,
-                seed: 5,
             },
         );
         let mut hits = 0;

@@ -3,16 +3,26 @@
 //! NSG and τ-MG differ from HNSW only in their Neighbor Selection rule and
 //! in being single-layer with a medoid entry point (paper Section 2.1.1: all
 //! of them share the CA + NS skeleton); Vamana starts from the same
-//! skeleton. This module implements that skeleton once:
+//! skeleton. So they build on HNSW's batch builder itself ([`Hnsw`]'s
+//! plan/apply batches), over one layer:
 //!
-//! 1. build a helper HNSW over the same [`DistanceProvider`] (its CA stage
-//!    *is* the candidate acquisition the flat builders need);
-//! 2. compute the medoid (vector closest to the dataset mean);
-//! 3. for every vertex, acquire a candidate pool via beam search and prune
-//!    it with HNSW's Neighbor Selection routine under the method's
-//!    [`PruneRule`] — [`crate::MrngRule`] for NSG, [`crate::TauRule`] for
-//!    τ-MG, [`crate::AlphaRule`] for Vamana;
-//! 4. repair connectivity so every vertex is reachable from the medoid.
+//! 1. the medoid (the vector nearest the dataset mean) is inserted first
+//!    and stays the entry;
+//! 2. every other vertex is inserted in batches: its CA is a `C`-wide beam
+//!    from the medoid over the graph as the batch found it, its NS keeps at
+//!    most `R` neighbors under the method's [`PruneRule`] —
+//!    [`crate::MrngRule`] for NSG, [`crate::TauRule`] for τ-MG,
+//!    [`crate::AlphaRule`] for Vamana — and a reverse edge that overflows
+//!    its row is re-pruned as in HNSW, under the MRNG rule;
+//! 3. every vertex the medoid cannot reach is linked from the nearest
+//!    vertex a beam from the medoid finds for it.
+//!
+//! Incremental insertion is what makes the graph navigable: a vertex
+//! inserted early links far, and the MRNG re-prune keeps such an edge while
+//! no nearer neighbor points the same way. Re-pruned under τ-MG's slack or
+//! Vamana's α, a full row would keep its nearest vertices instead; so would
+//! a second sweep re-planning every row over the finished graph, whose
+//! beams return only near candidates. Both measurably cost recall.
 //!
 //! Every NS decision goes through [`DistanceProvider::dominated`], so
 //! plugging in Flash runs its batched NS kernel here exactly as it does in
@@ -22,7 +32,7 @@
 //! [`GraphLayers`] whose entry is the medoid.
 
 use crate::graph::GraphLayers;
-use crate::hnsw::{select_neighbors, Hnsw, HnswParams};
+use crate::hnsw::Hnsw;
 use crate::layers_search::FrozenGraph;
 use crate::provider::{DistanceProvider, PruneRule};
 use rayon::prelude::*;
@@ -33,20 +43,51 @@ use vecstore::VectorSet;
 pub struct FlatParams {
     /// Maximum out-degree `R`.
     pub r: usize,
-    /// Candidate pool size `C` used during CA (also the helper HNSW's `C`).
+    /// Candidate pool size `C`: the width of each vertex's beam.
     pub c: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for FlatParams {
     fn default() -> Self {
-        Self {
-            r: 16,
-            c: 128,
-            seed: 0x5eed,
-        }
+        Self { r: 16, c: 128 }
     }
+}
+
+/// Builds a flat graph whose NS prunes under `rule`, then repairs its
+/// connectivity; returns the provider paired with the one-layer topology
+/// entered at the medoid.
+pub(crate) fn build_flat<P: DistanceProvider, R: PruneRule>(
+    provider: P,
+    params: FlatParams,
+    rule: &R,
+) -> FrozenGraph<P> {
+    let n = provider.len();
+    if n == 0 {
+        return freeze(provider, Vec::new(), 0);
+    }
+    let entry = medoid(&provider);
+    let mut graph = Hnsw::flat(provider, params.c, params.r);
+    graph.insert_all(entry, rule);
+    // A beam from the entry reaches only what the entry reaches, so its
+    // nearest hit for an unreachable vertex is an anchor that makes it
+    // reachable. The anchor's row may exceed `R` by the vertices it adopts.
+    let mut adj = graph.rows(0);
+    let reached = reachable_mask(&adj, entry);
+    let base = graph.provider().base();
+    let adopted: Vec<(u32, u32)> = (0..n as u32)
+        .into_par_iter()
+        .filter(|&x| !reached[x as usize])
+        .map(|x| {
+            (
+                graph.search(base.get(x as usize), 1, params.c)[0].id as u32,
+                x,
+            )
+        })
+        .collect();
+    for (anchor, x) in adopted {
+        adj[anchor as usize].push(x);
+    }
+    freeze(graph.into_provider(), adj, entry)
 }
 
 /// Pairs `provider` with the nested adjacency `adj` frozen as a one-layer
@@ -59,90 +100,19 @@ pub(crate) fn freeze<P: DistanceProvider>(
     FrozenGraph::new(provider, GraphLayers::from_nested(vec![adj], entry, 0))
 }
 
-/// Builds a flat graph with the given pruning rule, stopping just before
-/// the CSR freeze: returns the nested adjacency, the entry point, and the
-/// provider. Builders that post-process edges (Vamana's α-pass) mutate the
-/// nested form before they [`freeze`].
-pub(crate) fn build_flat<P: DistanceProvider, Rule: PruneRule>(
-    provider: P,
-    params: FlatParams,
-    rule: &Rule,
-) -> (Vec<Vec<u32>>, u32, P) {
-    let n = provider.len();
-    if n == 0 {
-        return (Vec::new(), 0, provider);
-    }
-
-    // Step 1: helper HNSW supplies the candidate pools.
-    let helper = Hnsw::build(
-        provider,
-        HnswParams {
-            c: params.c,
-            r: params.r.max(8),
-            seed: params.seed,
-        },
-    );
-
-    // Step 2: medoid = vector nearest the dataset mean.
-    let medoid = {
-        let mean = dataset_mean(helper.provider().base());
-        let hits = helper.search(&mean, 1, params.c);
-        hits.first().map(|h| h.id as u32).unwrap_or(0)
-    };
-
-    // Step 3: per-vertex CA (beam search from the medoid side via the
-    // helper index) + NS with the method's rule.
-    let helper_ref = &helper;
-    let mut adj: Vec<Vec<u32>> = (0..n as u32)
-        .into_par_iter()
-        .map(|x| {
-            let provider = helper_ref.provider();
-            let pool = helper_ref.search(provider.base().get(x as usize), params.c, params.c);
-            let candidates: Vec<(f32, u32)> = pool
-                .iter()
-                .filter(|h| h.id != u64::from(x))
-                .map(|h| (h.dist, h.id as u32))
-                .collect();
-            let mut selected = Vec::with_capacity(params.r);
-            let mut block = P::NodePayload::default();
-            select_neighbors(
-                provider,
-                rule,
-                &candidates,
-                params.r,
-                &mut selected,
-                &mut block,
-            );
-            selected
-        })
-        .collect();
-
-    // Step 4: connectivity repair — attach unreachable vertices to their
-    // nearest reachable candidate (NSG's tree-linking step, simplified).
-    for _round in 0..8 {
-        let reached = reachable_mask(&adj, medoid);
-        let todo: Vec<u32> = (0..n as u32).filter(|&i| !reached[i as usize]).collect();
-        if todo.is_empty() {
-            break;
-        }
-        for x in todo {
-            let base = helper.provider().base();
-            let pool = helper.search(base.get(x as usize), params.c, params.c);
-            let anchor = pool
-                .iter()
-                .find(|h| h.id != u64::from(x) && reached[h.id as usize])
-                .map(|h| h.id as u32)
-                .unwrap_or(medoid);
-            adj[anchor as usize].push(x);
-        }
-    }
-
-    (adj, medoid, helper.into_provider())
+/// The flat builders' entry: the vector nearest the dataset mean under the
+/// provider's distance, the first of equals. The provider must hold at
+/// least one vector.
+pub(crate) fn medoid<P: DistanceProvider>(provider: &P) -> u32 {
+    let ctx = provider.prepare_query(&dataset_mean(provider.base()));
+    (0..provider.len() as u32)
+        .map(|i| (provider.dist_to(&ctx, i), i))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map_or(0, |(_, i)| i)
 }
 
-/// The dataset mean, accumulated in `f64` and rounded to `f32` once — the
-/// point the flat builders' medoid entry is the nearest vector to.
-pub(crate) fn dataset_mean(base: &VectorSet) -> Vec<f32> {
+/// The dataset mean, accumulated in `f64` and rounded to `f32` once.
+fn dataset_mean(base: &VectorSet) -> Vec<f32> {
     let mut mean = vec![0.0f64; base.dim()];
     for v in base.iter() {
         for (m, &x) in mean.iter_mut().zip(v.iter()) {

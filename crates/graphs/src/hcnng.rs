@@ -15,7 +15,7 @@
 //! layout-level optimizations (neighbor-codeword batches) do not apply and
 //! only the cheap-distance effect remains.
 
-use crate::flat_build::{dataset_mean, freeze, reachable_mask};
+use crate::flat_build::{freeze, medoid, reachable_mask};
 use crate::layers_search::FrozenGraph;
 use crate::provider::DistanceProvider;
 use rand::rngs::SmallRng;
@@ -86,15 +86,7 @@ pub fn build<P: DistanceProvider>(provider: P, params: HcnngParams) -> FrozenGra
         }
     }
 
-    // Medoid entry: vector nearest the dataset mean.
-    let entry = {
-        let ctx = provider.prepare_query(&dataset_mean(provider.base()));
-        (0..n as u32)
-            .map(|i| (provider.dist_to(&ctx, i), i))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(_, i)| i)
-            .unwrap_or(0)
-    };
+    let entry = medoid(&provider);
 
     attach_unreachable(&mut adj, entry);
     freeze(provider, adj, entry)

@@ -22,6 +22,9 @@
 //! [`Hnsw::build`] inserts batch-synchronously (ParlayANN, Manohar et al.,
 //! PPoPP 2024): batches on a fixed schedule — one vertex per 16 already in
 //! the graph, 1 to 256 (`BATCH_DIVISOR`, `MAX_BATCH`) — each in two phases.
+//! The flat builders ([`crate::flat_build`]) run the same batches over one
+//! layer, planning under their own [`PruneRule`] with base rows capped at
+//! `R`; HNSW plans under [`MrngRule`] with base rows of `2R`.
 //!
 //! * **plan** (`&self`, on every core): every vertex of the batch runs its
 //!   descent, CA and NS against the graph as it stood when the batch began,
@@ -152,6 +155,9 @@ type ReverseEdge = (u32, u32, usize, f32);
 pub struct Hnsw<P: DistanceProvider> {
     provider: P,
     params: HnswParams,
+    /// Row cap at layer 0 (`params.r` above it): `2R`, or `R` for a flat
+    /// builder's one layer.
+    base_cap: usize,
     levels: Vec<u8>,
     nodes: Vec<NodeData<P::NodePayload>>,
     /// `None` until the first insert.
@@ -162,17 +168,27 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// Prepares an empty index over the provider's vectors: levels are
     /// sampled, node records allocated, nothing inserted yet.
     pub fn new(provider: P, params: HnswParams) -> Self {
-        assert!(params.r >= 1, "R must be at least 1");
-        assert!(params.c >= params.r, "C must be at least R (paper: R <= C)");
-        let n = provider.len();
         let mut rng = SmallRng::seed_from_u64(params.seed);
         let ml = 1.0 / f64::ln((params.r.max(2)) as f64);
-        let levels: Vec<u8> = (0..n)
+        let levels = (0..provider.len())
             .map(|_| {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 ((-u.ln() * ml) as usize).min(MAX_LEVEL) as u8
             })
             .collect();
+        Self::with_levels(provider, params, params.cap(0), levels)
+    }
+
+    /// An empty one-layer index for the flat builders: every vertex at
+    /// level 0, candidate pools of `c`, rows of at most `r`.
+    pub(crate) fn flat(provider: P, c: usize, r: usize) -> Self {
+        let levels = vec![0; provider.len()];
+        Self::with_levels(provider, HnswParams { c, r, seed: 0 }, r, levels)
+    }
+
+    fn with_levels(provider: P, params: HnswParams, base_cap: usize, levels: Vec<u8>) -> Self {
+        assert!(params.r >= 1, "R must be at least 1");
+        assert!(params.c >= params.r, "C must be at least R (paper: R <= C)");
         let nodes = levels
             .iter()
             .map(|&l| {
@@ -186,6 +202,7 @@ impl<P: DistanceProvider> Hnsw<P> {
         Self {
             provider,
             params,
+            base_cap,
             levels,
             nodes,
             entry: None,
@@ -198,19 +215,26 @@ impl<P: DistanceProvider> Hnsw<P> {
     pub fn build(provider: P, params: HnswParams) -> Self {
         let mut index = Self::new(provider, params);
         let n = index.len() as u32;
-        let Some(top) = (0..n).max_by_key(|&i| index.levels[i as usize]) else {
-            return index;
-        };
-        let order: Vec<u32> = std::iter::once(top)
-            .chain((0..n).filter(|&i| i != top))
+        if let Some(top) = (0..n).max_by_key(|&i| index.levels[i as usize]) {
+            index.insert_all(top, &MrngRule);
+        }
+        index
+    }
+
+    /// Inserts every vertex, `first` and then the rest by id ascending, in
+    /// batches on [`Self::build`]'s schedule, selecting neighbors under
+    /// `rule`.
+    pub(crate) fn insert_all<R: PruneRule>(&mut self, first: u32, rule: &R) {
+        let n = self.len() as u32;
+        let order: Vec<u32> = std::iter::once(first)
+            .chain((0..n).filter(|&i| i != first))
             .collect();
         let mut inserted = 0;
         while inserted < order.len() {
             let end = (inserted + batch_len(inserted)).min(order.len());
-            index.insert_batch(&order[inserted..end]);
+            self.insert_batch(&order[inserted..end], rule);
             inserted = end;
         }
-        index
     }
 
     /// The construction parameters.
@@ -249,20 +273,20 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// layer afresh. Beginning an epoch per layer changes every graph and
     /// every committed baseline, so it waits for a PR of its own (ROADMAP).
     pub fn insert(&mut self, id: u32) {
-        self.insert_batch(&[id]);
+        self.insert_batch(&[id], &MrngRule);
     }
 
     /// Plans every vertex of `batch` in parallel against the graph as it
     /// stands, then applies the plans in batch order. Into an empty graph a
     /// vertex only becomes the entry point, so that batch holds one.
-    fn insert_batch(&mut self, batch: &[u32]) {
+    fn insert_batch<R: PruneRule>(&mut self, batch: &[u32], rule: &R) {
         debug_assert!(self.entry.is_some() || batch.len() <= 1);
         let this = &*self;
         let plans: Vec<_> = batch
             .par_iter()
             .map(|&id| {
                 this.entry
-                    .map_or_else(Vec::new, |entry| this.plan(id, entry))
+                    .map_or_else(Vec::new, |entry| this.plan(id, entry, rule))
             })
             .collect();
         self.apply(batch, plans);
@@ -270,8 +294,13 @@ impl<P: DistanceProvider> Hnsw<P> {
 
     /// Decides `id`'s rows against the graph as it stands, from `entry`:
     /// greedy descent through the layers above its level, then CA and NS
-    /// per layer, top-down.
-    fn plan(&self, id: u32, entry: EntryPoint) -> Vec<PlannedRow<P::NodePayload>> {
+    /// under `rule` per layer, top-down.
+    fn plan<R: PruneRule>(
+        &self,
+        id: u32,
+        entry: EntryPoint,
+        rule: &R,
+    ) -> Vec<PlannedRow<P::NodePayload>> {
         let level = self.level_of(id);
         let ctx = self.provider.prepare_insert(id);
         let (provider, nodes) = (&self.provider, &self.nodes[..]);
@@ -298,8 +327,12 @@ impl<P: DistanceProvider> Hnsw<P> {
                     continue;
                 };
                 cur = (nearest, d);
-                let cap = self.params.cap(layer);
-                select_neighbors(provider, &MrngRule, candidates, cap, selected, payload);
+                let cap = if layer == 0 {
+                    self.base_cap
+                } else {
+                    self.params.r
+                };
+                select_neighbors(provider, rule, candidates, cap, selected, payload);
                 // `selected` is a subsequence of `candidates`, so one
                 // forward walk pairs each kept vertex with its distance.
                 let mut kept = selected.iter().peekable();
@@ -336,7 +369,8 @@ impl<P: DistanceProvider> Hnsw<P> {
         // Stable: each target keeps its edges in generation order.
         edges.sort_by_key(|edge| edge.0);
         let span = self.nodes.len().div_ceil(APPLY_RANGES);
-        let (provider, params, edges) = (&self.provider, self.params, &edges);
+        let (provider, edges) = (&self.provider, &edges);
+        let (base_cap, r) = (self.base_cap, self.params.r);
         let mut ranges: Vec<_> = self.nodes.chunks_mut(span).collect();
         ranges
             .par_iter_mut()
@@ -350,7 +384,8 @@ impl<P: DistanceProvider> Hnsw<P> {
                     for &edge in edges {
                         let node = &mut nodes[(edge.0 - first) as usize];
                         let (prune, block) = (&mut scratch.prune, &mut scratch.payload);
-                        link(provider, params.cap(edge.2), node, edge, prune, block);
+                        let cap = if edge.2 == 0 { base_cap } else { r };
+                        link(provider, cap, node, edge, prune, block);
                     }
                 });
             });
@@ -359,8 +394,8 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// k-NN search over the live graph (the paper's search procedure:
     /// greedy descent, then a base-layer beam search with `ef`, reporting
     /// provider distances) — the descent and beam `insert` runs, so it
-    /// works while the index is still ingesting and supplies the flat
-    /// builders' candidate pools. Serving goes through
+    /// works while the index is still ingesting and finds the anchors of
+    /// the flat builders' connectivity repair. Serving goes through
     /// [`Self::into_frozen`] and [`crate::search_layers`] instead.
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
         let Some(entry) = self.entry else {
@@ -383,15 +418,17 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// aligned CSR layout in one pass.
     pub fn freeze(&self) -> GraphLayers {
         let entry = self.entry.unwrap_or_default();
-        let layers = (0..=entry.level)
-            .map(|l| {
-                self.nodes
-                    .iter()
-                    .map(|node| node.neighbors.get(l).cloned().unwrap_or_default())
-                    .collect()
-            })
-            .collect();
+        let layers = (0..=entry.level).map(|l| self.rows(l)).collect();
         GraphLayers::from_nested(layers, entry.node, entry.level)
+    }
+
+    /// Every node's neighbor row at `layer`, nested (empty where a node has
+    /// none).
+    pub(crate) fn rows(&self, layer: usize) -> Vec<Vec<u32>> {
+        self.nodes
+            .iter()
+            .map(|node| node.neighbors.get(layer).cloned().unwrap_or_default())
+            .collect()
     }
 
     /// Ends construction: freezes the adjacency, keeps the provider, and

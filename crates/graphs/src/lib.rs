@@ -24,9 +24,11 @@
 //! [`Hnsw`] is the one builder with a type of its own: it keeps growing
 //! (streaming `insert`) until [`Hnsw::into_frozen`]. The flat builders —
 //! [`nsg::build`], [`taumg::build`], [`vamana::build`] and [`hcnng::build`]
-//! (HCNNG is MST-based and has no NS stage) — run to the end and return a
-//! [`FrozenGraph`] over a one-layer [`GraphLayers`], the form every serving
-//! path holds.
+//! — run to the end and return a [`FrozenGraph`] over a one-layer
+//! [`GraphLayers`], the form every serving path holds. NSG, τ-MG and Vamana
+//! build through HNSW's own batch builder, every vertex on one layer, under
+//! their own rule ([`flat_build`]); HCNNG is MST-based and has no CA or NS
+//! stage.
 //!
 //! CA at insert time, [`Hnsw::search`] and serving run one greedy descent
 //! and one beam ([`layers_search`]) over the node records or a frozen

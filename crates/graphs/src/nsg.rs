@@ -6,18 +6,18 @@
 //! NS stages route through the same [`DistanceProvider`] as HNSW, so the
 //! Flash provider accelerates NSG construction unchanged.
 
-use crate::flat_build::{build_flat, freeze, FlatParams};
+use crate::flat_build::{build_flat, FlatParams};
 use crate::layers_search::FrozenGraph;
 use crate::provider::{DistanceProvider, MrngRule};
 
 /// NSG construction parameters.
 pub type NsgParams = FlatParams;
 
-/// Builds an NSG (helper-HNSW CA, MRNG NS, connectivity repair): the
-/// provider paired with a one-layer topology entered at the medoid.
+/// Builds an NSG (batched inserts under the MRNG rule, then the
+/// connectivity repair): the provider paired with a one-layer topology
+/// entered at the medoid.
 pub fn build<P: DistanceProvider>(provider: P, params: NsgParams) -> FrozenGraph<P> {
-    let (adj, entry, provider) = build_flat(provider, params, &MrngRule);
-    freeze(provider, adj, entry)
+    build_flat(provider, params, &MrngRule)
 }
 
 #[cfg(test)]
@@ -40,42 +40,21 @@ mod tests {
 
     #[test]
     fn nsg_finds_nearest_on_grid() {
-        let nsg = build(
-            FullPrecision::new(grid(10)),
-            NsgParams {
-                r: 8,
-                c: 32,
-                seed: 3,
-            },
-        );
+        let nsg = build(FullPrecision::new(grid(10)), NsgParams { r: 8, c: 32 });
         let hits = search_layers(nsg.provider(), nsg.layers(), &[4.1, 6.2], 1, 32);
         assert_eq!(hits[0].id, 46);
     }
 
     #[test]
     fn nsg_is_fully_reachable() {
-        let nsg = build(
-            FullPrecision::new(grid(9)),
-            NsgParams {
-                r: 6,
-                c: 24,
-                seed: 5,
-            },
-        );
+        let nsg = build(FullPrecision::new(grid(9)), NsgParams { r: 6, c: 24 });
         assert_eq!(nsg.layers().num_layers(), 1);
         assert_eq!(GraphStats::from_layers(nsg.layers()).reachable, 81);
     }
 
     #[test]
     fn degrees_bounded_modulo_repair() {
-        let nsg = build(
-            FullPrecision::new(grid(8)),
-            NsgParams {
-                r: 6,
-                c: 24,
-                seed: 7,
-            },
-        );
+        let nsg = build(FullPrecision::new(grid(8)), NsgParams { r: 6, c: 24 });
         // Connectivity repair may add a few extra edges beyond R.
         let g = nsg.layers();
         for node in 0..g.len() {
@@ -87,14 +66,7 @@ mod tests {
     #[test]
     fn recall_reasonable_on_grid() {
         let base = grid(12);
-        let nsg = build(
-            FullPrecision::new(base.clone()),
-            NsgParams {
-                r: 8,
-                c: 48,
-                seed: 9,
-            },
-        );
+        let nsg = build(FullPrecision::new(base.clone()), NsgParams { r: 8, c: 48 });
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);
         let mut hit = 0;
         for (qi, truth) in gt.iter().enumerate() {

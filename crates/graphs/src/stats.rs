@@ -90,10 +90,11 @@ pub struct ProviderTimings {
 }
 
 /// Decorator measuring where a provider's time goes. Timing overhead is two
-/// `Instant` reads per call (~40 ns), small against the D-dimensional float
-/// kernels being profiled and amortized across a 16-wide batch on the Flash
-/// path. The counters sum over every thread that calls the provider, so
-/// they are shares of wall-clock time only for a build on one thread.
+/// `Instant` reads per call: on a shared 2-vCPU AVX-512 VM a pair measured
+/// 72–90 ns, which over the ≈ 1.27 M timed calls of a one-core LAION-like
+/// n = 4 000 Flash build (C 128, R 16) is ≈ 0.1 s of a 0.25–0.32 s build.
+/// The counters sum over every thread that calls the provider, so they are
+/// shares of wall-clock time only for a build on one thread.
 pub struct Instrumented<P> {
     inner: P,
     dist_ns: AtomicU64,

@@ -8,7 +8,7 @@
 //! Like NSG, the whole pipeline runs on [`DistanceProvider`] distances, so
 //! Flash plugs in unchanged.
 
-use crate::flat_build::{build_flat, freeze, FlatParams};
+use crate::flat_build::{build_flat, FlatParams};
 use crate::layers_search::FrozenGraph;
 use crate::provider::{DistanceProvider, TauRule};
 
@@ -33,9 +33,7 @@ impl Default for TauMgParams {
 /// Builds a τ-MG with the τ-relaxed pruning rule: the provider paired with
 /// a one-layer topology entered at the medoid.
 pub fn build<P: DistanceProvider>(provider: P, params: TauMgParams) -> FrozenGraph<P> {
-    let rule = TauRule { tau: params.tau };
-    let (adj, entry, provider) = build_flat(provider, params.flat, &rule);
-    freeze(provider, adj, entry)
+    build_flat(provider, params.flat, &TauRule { tau: params.tau })
 }
 
 #[cfg(test)]
@@ -60,11 +58,7 @@ mod tests {
         let index = build(
             FullPrecision::new(grid(10)),
             TauMgParams {
-                flat: FlatParams {
-                    r: 8,
-                    c: 32,
-                    seed: 3,
-                },
+                flat: FlatParams { r: 8, c: 32 },
                 tau: 0.2,
             },
         );
@@ -77,11 +71,7 @@ mod tests {
         let index = build(
             FullPrecision::new(grid(9)),
             TauMgParams {
-                flat: FlatParams {
-                    r: 8,
-                    c: 24,
-                    seed: 5,
-                },
+                flat: FlatParams { r: 8, c: 24 },
                 tau: 0.2,
             },
         );
@@ -91,11 +81,7 @@ mod tests {
     #[test]
     fn tau_slack_yields_denser_graph_than_nsg() {
         let base = grid(10);
-        let flat = FlatParams {
-            r: 8,
-            c: 32,
-            seed: 11,
-        };
+        let flat = FlatParams { r: 8, c: 32 };
         let nsg = crate::nsg::build(FullPrecision::new(base.clone()), flat);
         let taumg = build(FullPrecision::new(base), TauMgParams { flat, tau: 0.5 });
         let (dense, sparse) = (taumg.layers().base_edges(), nsg.layers().base_edges());

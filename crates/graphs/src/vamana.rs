@@ -11,20 +11,16 @@
 //! provider accelerates Vamana construction exactly as it does the three
 //! graphs the paper evaluates.
 //!
-//! The build follows DiskANN's two-pass recipe:
-//!
-//! 1. **Pass 1** (`α = 1`): the shared flat-build skeleton produces a
-//!    pruned graph from per-vertex candidate pools.
-//! 2. **Pass 2** (`α > 1`): every vertex re-prunes the union of its current
-//!    neighbors and its two-hop neighborhood with the slacked rule, then
-//!    reverse edges are inserted with overflow re-pruning — this is the
-//!    pass that creates the long-range "highway" edges DiskANN relies on.
+//! DiskANN builds in two passes, `α = 1` and then `α` over the finished
+//! graph. Here one batched pass of the shared flat skeleton
+//! ([`crate::flat_build`]) prunes under `α` from the start, as ParlayANN's
+//! single-pass Vamana does (Manohar et al., PPoPP 2024): a re-planning
+//! second pass draws every row's pool from the finished graph's nearest
+//! vertices and so loses the long edges early inserts made.
 
-use crate::flat_build::{build_flat, freeze, reachable_mask, FlatParams};
-use crate::hnsw::select_neighbors;
+use crate::flat_build::{build_flat, FlatParams};
 use crate::layers_search::FrozenGraph;
 use crate::provider::{AlphaRule, DistanceProvider};
-use rayon::prelude::*;
 
 /// Vamana construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -34,11 +30,8 @@ pub struct VamanaParams {
     /// Candidate pool size `L` (DiskANN's search-list size; plays the role
     /// of the paper's `C`).
     pub c: usize,
-    /// The α slack of the second pruning pass (`α ≥ 1`; DiskANN defaults
-    /// to 1.2).
+    /// The α slack of the pruning rule (`α ≥ 1`; DiskANN defaults to 1.2).
     pub alpha: f32,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for VamanaParams {
@@ -47,102 +40,19 @@ impl Default for VamanaParams {
             r: 16,
             c: 128,
             alpha: 1.2,
-            seed: 0x5eed,
         }
     }
 }
 
-/// Builds a Vamana graph — pass 1 with `α = 1`, pass 2 with
-/// `params.alpha` — and returns the provider paired with a one-layer
-/// topology entered at the medoid.
+/// Builds a Vamana graph under the α-RNG rule with `params.alpha` and
+/// returns the provider paired with a one-layer topology entered at the
+/// medoid.
 pub fn build<P: DistanceProvider>(provider: P, params: VamanaParams) -> FrozenGraph<P> {
     let flat = FlatParams {
         r: params.r,
         c: params.c,
-        seed: params.seed,
     };
-    // Both refinement passes mutate per-vertex lists, so the graph stays
-    // nested until the final freeze into CSR.
-    let (mut adj, entry, provider) = build_flat(provider, flat, &AlphaRule::new(1.0));
-    if adj.len() > 2 {
-        alpha_pass(&provider, &mut adj, params);
-        repair_connectivity(&mut adj, entry);
-    }
-    freeze(provider, adj, entry)
-}
-
-/// The α refinement pass: every vertex re-prunes its one- and two-hop
-/// neighborhood with the slacked rule, then reverse edges are inserted
-/// (with overflow re-pruning from the receiving vertex's perspective).
-/// Both prunes are the shared Neighbor Selection routine under
-/// [`AlphaRule`].
-fn alpha_pass<P: DistanceProvider>(provider: &P, adj: &mut Vec<Vec<u32>>, params: VamanaParams) {
-    let rule = AlphaRule::new(params.alpha);
-    let n = adj.len();
-    let by_distance = |a: &(f32, u32), b: &(f32, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-
-    // Re-prune pools in parallel; pools are read-only views of the pass-1
-    // adjacency, so no locking is needed.
-    let new_adj: Vec<Vec<u32>> = (0..n as u32)
-        .into_par_iter()
-        .map(|x| {
-            let mut pool: Vec<u32> = Vec::with_capacity(params.c);
-            pool.extend_from_slice(&adj[x as usize]);
-            for &nb in &adj[x as usize] {
-                pool.extend_from_slice(&adj[nb as usize]);
-            }
-            pool.sort_unstable();
-            pool.dedup();
-            pool.retain(|&v| v != x);
-            let mut cands: Vec<(f32, u32)> = pool
-                .iter()
-                .map(|&v| (provider.dist_between(x, v), v))
-                .collect();
-            cands.sort_by(by_distance);
-            let mut selected = Vec::with_capacity(params.r);
-            let mut block = P::NodePayload::default();
-            select_neighbors(provider, &rule, &cands, params.r, &mut selected, &mut block);
-            selected
-        })
-        .collect();
-    *adj = new_adj;
-
-    // Reverse-edge insertion (sequential: mutates many lists).
-    let mut block = P::NodePayload::default();
-    for x in 0..n as u32 {
-        let outs = adj[x as usize].clone();
-        for v in outs {
-            let row = &mut adj[v as usize];
-            if row.contains(&x) {
-                continue;
-            }
-            if row.len() < params.r {
-                row.push(x);
-            } else {
-                let mut cands: Vec<(f32, u32)> = row
-                    .iter()
-                    .chain(std::iter::once(&x))
-                    .map(|&u| (provider.dist_between(v, u), u))
-                    .collect();
-                cands.sort_by(by_distance);
-                select_neighbors(provider, &rule, &cands, params.r, row, &mut block);
-            }
-        }
-    }
-}
-
-/// Guarantees reachability from the entry after re-pruning: unreachable
-/// vertices are linked from the entry (the entry's list may exceed `R`,
-/// mirroring NSG's simplified tree-linking repair).
-fn repair_connectivity(adj: &mut [Vec<u32>], entry: u32) {
-    let seen = reachable_mask(adj, entry);
-    let orphans: Vec<u32> = seen
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| !s)
-        .map(|(x, _)| x as u32)
-        .collect();
-    adj[entry as usize].extend(orphans);
+    build_flat(provider, flat, &AlphaRule::new(params.alpha))
 }
 
 #[cfg(test)]
@@ -166,12 +76,7 @@ mod tests {
     fn build_grid(side: usize, alpha: f32) -> FrozenGraph<FullPrecision> {
         build(
             FullPrecision::new(grid(side)),
-            VamanaParams {
-                r: 8,
-                c: 32,
-                alpha,
-                seed: 11,
-            },
+            VamanaParams { r: 8, c: 32, alpha },
         )
     }
 
@@ -221,7 +126,6 @@ mod tests {
                 r: 8,
                 c: 48,
                 alpha: 1.2,
-                seed: 3,
             },
         );
         let gt = vecstore::ground_truth(&base, &base.slice(0, 30), 3);

@@ -43,11 +43,12 @@ const RANK_EPS: f64 = 1e-9;
 impl OptimizedProductQuantizer {
     /// Trains OPQ with `opq_iters` alternations of codebook training and
     /// Procrustes rotation updates. `m` and `bits` are the PQ shape
-    /// (`M_PQ`, `L_PQ`); each alternation retrains the codebooks with
-    /// `pq_iters` Lloyd iterations.
+    /// (`M_PQ`, `L_PQ`), with uneven spans where `m` does not divide the
+    /// dimension, as [`ProductQuantizer::train`] splits them; each
+    /// alternation retrains the codebooks with `pq_iters` Lloyd iterations.
     ///
     /// # Panics
-    /// Panics if `data` is empty or its dimension is not divisible by `m`.
+    /// Panics if `data` is empty.
     pub fn train(
         data: &VectorSet,
         m: usize,
@@ -58,7 +59,6 @@ impl OptimizedProductQuantizer {
     ) -> Self {
         assert!(!data.is_empty(), "OPQ needs training vectors");
         let dim = data.dim();
-        assert_eq!(dim % m, 0, "dimension {dim} must be divisible by m = {m}");
 
         let mut rotation = Matrix::identity(dim);
         let mut pq;
@@ -429,9 +429,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divisible")]
-    fn indivisible_dimension_rejected() {
+    fn indivisible_dimension_trains_uneven_spans() {
+        // dim = 6, m = 4 → spans of 2, 2, 1, 1.
         let data = correlated_set(50, 6, 15);
-        let _ = OptimizedProductQuantizer::train(&data, 4, 4, 1, 2, 1);
+        let opq = OptimizedProductQuantizer::train(&data, 4, 4, 1, 2, 1);
+        let codes = opq.encode(data.get(0));
+        assert_eq!(codes.len(), 4);
+        assert_eq!(opq.quantizer().decode(&codes).len(), 6);
     }
 }

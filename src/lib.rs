@@ -493,24 +493,25 @@
 //!
 //! 1. **CSR adjacency.** Builders ([`graphs::Hnsw`], [`graphs::nsg::build`],
 //!    [`graphs::taumg::build`], [`graphs::vamana::build`],
-//!    [`graphs::hcnng::build`]) grow nested `Vec<Vec<u32>>` lists (HNSW in
-//!    batches: planned on every core, applied with the index held mutably
-//!    — no lock), then freeze once into [`graphs::CsrLayer`]s: a flat pool
-//!    of 64-byte-aligned
-//!    cache lines ([`graphs::LINE_U32S`] = 16 neighbor ids per line) plus
-//!    per-node start/length tables. Every neighbor list begins on a line
-//!    boundary, so expanding a node touches `ceil(degree/16)` lines and
-//!    never straddles one unnecessarily. Frozen graphs — HNSW's layers, or
+//!    [`graphs::hcnng::build`]) grow nested `Vec<Vec<u32>>` lists — HNSW,
+//!    NSG, τ-MG and Vamana through the one batch builder (planned on every
+//!    core, applied with the index held mutably, no lock), HCNNG from its
+//!    spanning trees — then freeze once into [`graphs::CsrLayer`]s: a flat
+//!    pool of 64-byte-aligned cache lines ([`graphs::LINE_U32S`] = 16
+//!    neighbor ids per line) plus per-node start/length tables. Every
+//!    neighbor list begins on a line boundary, so expanding a node touches
+//!    `ceil(degree/16)` lines and never straddles one unnecessarily. Frozen graphs — HNSW's layers, or
 //!    a flat builder's one layer — are constructed via
 //!    [`graphs::GraphLayers::from_nested`] and read through
 //!    `neighbors(layer, node)` — the adjacency fields themselves are
 //!    private, so the layout can keep evolving without breaking callers.
 //!
 //! 2. **Pooled, allocation-free traversal state.** Each query — and each
-//!    `Hnsw::insert` — checks a `SearchScratch` out of a thread-local
-//!    pool instead of allocating a visited map, heaps and work lists per
-//!    call: the visited set is epoch-stamped (clearing is a counter bump,
-//!    not a memset), one `Beam` holds the result set and the frontier as
+//!    insert a batch plans or applies — checks a `SearchScratch` out of a
+//!    thread-local pool instead of allocating a visited map, heaps and
+//!    work lists per call: the visited set is epoch-stamped (clearing is a
+//!    counter bump, not a memset), one `Beam` holds the result set and the
+//!    frontier as
 //!    two heaps of packed `u64` keys (distance image in the high half,
 //!    id in the low, so a heap step is one integer compare and the
 //!    `(dist, id)` tie order is exactly that of the tuple heaps it

@@ -32,8 +32,9 @@
 //! The flat kinds — NSG, τ-MG, Vamana and HCNNG — are pinned the same way
 //! (the `flat_` cases), each with Flash and with full-precision coding,
 //! over a smaller SSNPP-like corpus of `FLAT_N` vectors and with the same
-//! two hashes. Their constants were recorded on the builders that preceded
-//! the shared Neighbor Selection routine.
+//! two hashes. HCNNG's constants were recorded on the builders that
+//! preceded the shared Neighbor Selection routine; NSG's, τ-MG's and
+//! Vamana's on the commit that moved them onto HNSW's batch builder.
 
 use hnsw_flash::graphs::{search_layers, GraphLayers};
 use hnsw_flash::prelude::*;
@@ -280,11 +281,7 @@ const FLAT_EF: usize = 12;
 /// Builds `kind` over `provider` with the flat-kind parameters and returns
 /// `(topology, hits)`.
 fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &VectorSet) -> (u64, u64) {
-    let flat = NsgParams {
-        r: R,
-        c: FLAT_C,
-        seed: GRAPH_SEED,
-    };
+    let flat = NsgParams { r: R, c: FLAT_C };
     let frozen = match kind {
         GraphKind::Nsg => nsg::build(provider, flat),
         GraphKind::TauMg => taumg::build(provider, TauMgParams { flat, tau: 2.0 }),
@@ -294,7 +291,6 @@ fn flat_grow<P: DistanceProvider>(kind: GraphKind, provider: P, queries: &Vector
                 r: R,
                 c: FLAT_C,
                 alpha: 1.2,
-                seed: GRAPH_SEED,
             },
         ),
         GraphKind::Hcnng => hcnng::build(
@@ -350,7 +346,7 @@ fn flat_nsg_flash() {
     check_flat(
         GraphKind::Nsg,
         Coding::Flash,
-        (0x67b7_e2d9_7085_37e2, 0xa9d6_cdd4_aa71_a5cb),
+        (0x28fa_c177_3897_02ad, 0x9c82_c17d_3630_9ba0),
     );
 }
 
@@ -359,7 +355,7 @@ fn flat_nsg_full() {
     check_flat(
         GraphKind::Nsg,
         Coding::Full,
-        (0x652d_ccfe_28b3_0486, 0xb91e_3d1f_26ad_232b),
+        (0x31ea_d10c_e66f_9c2a, 0x56f6_9298_1881_7df3),
     );
 }
 
@@ -368,7 +364,7 @@ fn flat_taumg_flash() {
     check_flat(
         GraphKind::TauMg,
         Coding::Flash,
-        (0x9f84_446d_1152_489b, 0xf6ac_705d_1b50_3ee1),
+        (0x7cad_f4ae_6c94_0ff5, 0x490b_b8b4_dcad_636c),
     );
 }
 
@@ -377,7 +373,7 @@ fn flat_taumg_full() {
     check_flat(
         GraphKind::TauMg,
         Coding::Full,
-        (0x6d03_7de3_cf37_47b3, 0x7a2c_a829_6ea4_ef7c),
+        (0xbe1f_9897_f95e_33cf, 0x418e_ba0d_eb94_0368),
     );
 }
 
@@ -386,7 +382,7 @@ fn flat_vamana_flash() {
     check_flat(
         GraphKind::Vamana,
         Coding::Flash,
-        (0x6463_4c7e_2c0a_68cd, 0xba62_9c4f_bde1_5c5f),
+        (0x6e51_bc8d_5521_5615, 0xe9a7_24eb_dfa5_37c8),
     );
 }
 
@@ -395,7 +391,7 @@ fn flat_vamana_full() {
     check_flat(
         GraphKind::Vamana,
         Coding::Full,
-        (0x056f_7bb1_99c3_b13f, 0x740e_a7d6_f0de_0f53),
+        (0x98e6_2281_b7a1_675d, 0x7c1b_2eda_8a5d_727f),
     );
 }
 

@@ -63,11 +63,7 @@ fn reference_search_fn(kind: GraphKind, coding: Coding, base: VectorSet) -> Sear
         Box::new(move |q, k, ef| search_layers(index.provider(), index.layers(), q, k, ef))
     }
     fn with_kind<P: DistanceProvider + 'static>(kind: GraphKind, provider: P) -> SearchFn {
-        let flat = NsgParams {
-            r: R,
-            c: C,
-            seed: SEED,
-        };
+        let flat = NsgParams { r: R, c: C };
         match kind {
             GraphKind::Hnsw => {
                 let idx = Hnsw::build(
@@ -93,7 +89,6 @@ fn reference_search_fn(kind: GraphKind, coding: Coding, base: VectorSet) -> Sear
                     r: R,
                     c: C,
                     alpha: 1.2,
-                    seed: SEED,
                 },
             )),
             GraphKind::Hcnng => frozen(hcnng::build(
@@ -177,11 +172,7 @@ fn rerank_matches_direct_kernel_call() {
     let nsg_index = builder(GraphKind::Nsg, Coding::Flash).build(base.clone());
     let concrete = nsg::build(
         FlashProvider::new(base, flash_fp()),
-        NsgParams {
-            r: R,
-            c: C,
-            seed: SEED,
-        },
+        NsgParams { r: R, c: C },
     );
     let got = nsg_index
         .search(&SearchRequest::new(q, K).ef(EF).rerank(6))
@@ -493,4 +484,14 @@ proptest! {
             );
         }
     }
+}
+
+/// Default options build at a dimension the default subspace count does
+/// not divide: 130-d OPQ trains 4 uneven spans, as PQ does.
+#[test]
+fn opq_defaults_build_at_an_indivisible_dimension() {
+    let (base, queries) = generate(&DatasetSpec::new(130, 4, 0.95, 0.4, 5), 60, 1, 99);
+    let index = IndexBuilder::new(GraphKind::Hnsw, Coding::Opq).build(base);
+    let hits = index.search(&SearchRequest::new(queries.get(0), K)).hits;
+    assert_eq!(hits.len(), K);
 }

@@ -52,7 +52,6 @@ fn vamana_flash_matches_full_precision_recall() {
         r: 12,
         c: 96,
         alpha: 1.2,
-        seed: 0x77,
     };
 
     let full = vamana::build(FullPrecision::new(base.clone()), params);

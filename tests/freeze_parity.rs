@@ -1,9 +1,10 @@
 //! Freeze-then-serve parity: the one frozen-topology beam
 //! (`graphs::search_layers_filtered`) answers for every graph index, so it
-//! is pinned — ids *and* `f32` distance bits — to the three references that
-//! do not share its loop: the live `Hnsw::search` (the insert-time
-//! `search_layer` beam), a provider-distance brute force, which a beam
-//! of exhaustive width must reproduce, and a naive per-neighbour beam
+//! is pinned — ids *and* `f32` distance bits — to three references: the
+//! live `Hnsw::search`, which runs the same `layers_search::beam_search`
+//! over the builder's node records and their resident payload blocks
+//! instead of the frozen CSR; a provider-distance brute force, which a beam
+//! of exhaustive width must reproduce; and a naive per-neighbour beam
 //! ([`naive_search_layers`]) that it must equal at the serving `ef`.
 //!
 //! The commit that introduced this file also compared against the paths
@@ -221,11 +222,7 @@ fn check_flat<P: DistanceProvider>(what: &str, index: FrozenGraph<P>, queries: &
 #[test]
 fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
     let (base, queries) = workload(260, 3);
-    let flat = NsgParams {
-        r: R,
-        c: C,
-        seed: SEED,
-    };
+    let flat = NsgParams { r: R, c: C };
     for_each_coding!(base, |coding, provider| {
         let nsg_graph = nsg::build(provider(), flat);
         check_flat(&format!("nsg:{coding}"), nsg_graph, &queries);
@@ -237,7 +234,6 @@ fn one_layer_topologies_match_brute_force_at_exhaustive_ef() {
                 r: R,
                 c: C,
                 alpha: 1.2,
-                seed: SEED,
             },
         );
         check_flat(&format!("vamana:{coding}"), vamana_graph, &queries);

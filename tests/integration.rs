@@ -138,11 +138,7 @@ fn flash_generalizes_to_nsg_and_taumg() {
 
     let nsg = nsg::build(
         FlashProvider::new(base.clone(), flash_params),
-        NsgParams {
-            r: 12,
-            c: 96,
-            seed: 6,
-        },
+        NsgParams { r: 12, c: 96 },
     );
     let found = reranked_ids(&nsg, &queries, k, 96, 16);
     let nsg_recall = recall_of(&found, &gt, k);
@@ -153,11 +149,7 @@ fn flash_generalizes_to_nsg_and_taumg() {
     let taumg = taumg::build(
         FlashProvider::new(base, flash_params),
         TauMgParams {
-            flat: NsgParams {
-                r: 8,
-                c: 48,
-                seed: 6,
-            },
+            flat: NsgParams { r: 8, c: 48 },
             tau: 0.2,
         },
     );

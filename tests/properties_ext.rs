@@ -127,7 +127,7 @@ proptest! {
         let n = base.len();
         let index = vamana::build(
             FullPrecision::new(base),
-            VamanaParams { r: 6, c: 24, alpha, seed: 5 },
+            VamanaParams { r: 6, c: 24, alpha },
         );
         let g = index.layers();
         prop_assert_eq!(GraphStats::from_layers(g).reachable, n, "not fully reachable");
