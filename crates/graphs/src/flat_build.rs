@@ -78,10 +78,8 @@ pub(crate) fn build_flat<P: DistanceProvider, R: PruneRule>(
         .into_par_iter()
         .filter(|&x| !reached[x as usize])
         .map(|x| {
-            (
-                graph.search(base.get(x as usize), 1, params.c)[0].id as u32,
-                x,
-            )
+            let nearest = graph.search(base.get(x as usize), 1, params.c);
+            (nearest[0].id as u32, x)
         })
         .collect();
     for (anchor, x) in adopted {

@@ -477,7 +477,7 @@ impl<P: DistanceProvider> Hnsw<P> {
 /// order, and `block` as their payload, lane for lane — the block the
 /// provider answers [`DistanceProvider::dominated`] from as it grows. With
 /// no candidates, `selected` is empty and `block` is left as it was.
-pub(crate) fn select_neighbors<P: DistanceProvider, R: PruneRule>(
+fn select_neighbors<P: DistanceProvider, R: PruneRule>(
     provider: &P,
     rule: &R,
     candidates: &[(f32, u32)],

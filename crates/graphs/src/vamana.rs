@@ -13,8 +13,7 @@
 //!
 //! DiskANN builds in two passes, `α = 1` and then `α` over the finished
 //! graph. Here one batched pass of the shared flat skeleton
-//! ([`crate::flat_build`]) prunes under `α` from the start, as ParlayANN's
-//! single-pass Vamana does (Manohar et al., PPoPP 2024): a re-planning
+//! ([`crate::flat_build`]) prunes under `α` from the start: a re-planning
 //! second pass draws every row's pool from the finished graph's nearest
 //! vertices and so loses the long edges early inserts made.
 
