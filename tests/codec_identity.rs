@@ -8,9 +8,12 @@
 //! 256-d) and pins FNV-1a hashes of
 //!
 //! * the codebooks (every centroid coordinate's bits, read back through
-//!   `reconstruct_projected`),
+//!   `reconstruct_projected` on a code row that names centroid `c` in
+//!   every subspace),
 //! * the quantized SDT, and
-//! * the codes `encode_batch` gives the training vectors.
+//! * the codeword sequence of the codes `encode_batch` gives the training
+//!   vectors: one byte per (vector, subspace), whatever the row's storage
+//!   layout.
 //!
 //! The PQ case pins the codebooks of `ProductQuantizer::train` at
 //! `k = 256` — sixteen 16-centroid blocks per subspace — read back through
@@ -54,6 +57,16 @@ fn corpus(profile: DatasetProfile) -> VectorSet {
     generate(&profile.spec(), N, 1, DATA_SEED).0
 }
 
+/// Codeword of subspace `s` in one vector's code row (one per byte).
+fn codeword(row: &[u8], s: usize) -> u8 {
+    row[s]
+}
+
+/// A code row naming centroid `c` in each of `m` subspaces.
+fn uniform_row(c: u8, m: usize) -> Vec<u8> {
+    vec![c; m]
+}
+
 /// `(codebooks, sdt, codes)` of a Flash codec trained on `profile`.
 fn flash_fingerprint(profile: DatasetProfile) -> (u64, u64, u64) {
     set_level_override(Some(SimdLevel::Scalar));
@@ -61,12 +74,17 @@ fn flash_fingerprint(profile: DatasetProfile) -> (u64, u64, u64) {
     let codec = FlashCodec::train(&data, FlashParams::auto(data.dim()));
     let m = codec.subspaces();
     let centroids: Vec<f32> = (0..16u8)
-        .flat_map(|c| codec.reconstruct_projected(&vec![c; m]))
+        .flat_map(|c| codec.reconstruct_projected(&uniform_row(c, m)))
+        .collect();
+    let codes = codec.encode_batch(&data);
+    let sequence: Vec<u8> = codes
+        .chunks_exact(codes.len() / data.len())
+        .flat_map(|row| (0..m).map(|s| codeword(row, s)))
         .collect();
     (
         fnv_floats(&centroids),
         fnv_bytes(codec.sdt()),
-        fnv_bytes(&codec.encode_batch(&data)),
+        fnv_bytes(&sequence),
     )
 }
 
