@@ -122,9 +122,20 @@ fn compressed_indexes_are_smaller_than_baseline() {
     );
 }
 
+/// Queries τ-MG-Flash's containment is measured over, drawn after the
+/// NSG half's 20 from the same stream (the base rows come first, so the
+/// corpus is the 900 vectors `workload(900, 20)` makes).
+const TAUMG_QUERIES: usize = 240;
+
+/// τ-MG-Flash's top-1 containment over those queries, as measured on the
+/// graph this test builds (232 of 240), less one margin of 0.03: a floor
+/// of 0.937, i.e. 225 of 240.
+const TAUMG_CONTAINMENT_FLOOR: f64 = 232.0 / 240.0 - 0.03;
+
 #[test]
 fn flash_generalizes_to_nsg_and_taumg() {
-    let (base, queries) = workload(900, 20);
+    let (base, all_queries) = workload(900, 20 + TAUMG_QUERIES);
+    let queries = all_queries.slice(0, 20);
     let k = 3;
     let gt = ground_truth(&base, &queries, k);
     let flash_params = FlashParams {
@@ -147,29 +158,28 @@ fn flash_generalizes_to_nsg_and_taumg() {
     assert!(nsg_recall >= 0.75, "NSG-Flash recall {nsg_recall}");
 
     let taumg = taumg::build(
-        FlashProvider::new(base, flash_params),
+        FlashProvider::new(base.clone(), flash_params),
         TauMgParams {
             flat: NsgParams { r: 8, c: 48 },
             tau: 0.2,
         },
     );
-    // τ-MG search uses quantized distances: take an unreranked pool of 8·k.
-    let found: Vec<Vec<u32>> = (0..20)
-        .map(|qi| {
-            search_layers(taumg.provider(), taumg.layers(), queries.get(qi), k * 8, 64)
+    // τ-MG search uses quantized distances: take an unreranked pool of 8·k
+    // and count how often it contains the true top-1.
+    let held_out = all_queries.slice(20, 20 + TAUMG_QUERIES);
+    let top1 = ground_truth(&base, &held_out, 1);
+    let hit = (0..TAUMG_QUERIES)
+        .filter(|&qi| {
+            search_layers(taumg.provider(), taumg.layers(), held_out.get(qi), k * 8, 64)
                 .iter()
-                .map(|r| r.id as u32)
-                .collect::<Vec<u32>>()
+                .any(|r| r.id == u64::from(top1[qi][0].id))
         })
-        .collect();
-    // Just containment of true top-1 in the pool.
-    let mut hit = 0;
-    for (qi, pool) in found.iter().enumerate() {
-        if pool.contains(&gt[qi][0].id) {
-            hit += 1;
-        }
-    }
-    assert!(hit >= 16, "τ-MG-Flash top-1 containment {hit}/20");
+        .count();
+    let containment = hit as f64 / TAUMG_QUERIES as f64;
+    assert!(
+        containment >= TAUMG_CONTAINMENT_FLOOR,
+        "τ-MG-Flash top-1 containment {hit}/{TAUMG_QUERIES} = {containment:.3}"
+    );
 }
 
 #[test]
