@@ -2,6 +2,7 @@
 //! distance tables (paper Sections 3.3.2 and 3.3.3).
 
 use quantizers::{train_subspaces, PcaCodec, Span};
+use rayon::prelude::*;
 use simdops::{dist16, dist16_rows, LUT_BATCH};
 use std::cell::RefCell;
 use vecstore::VectorSet;
@@ -107,7 +108,7 @@ thread_local! {
     static PROJECTED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Rows projected per [`FlashCodec::encode_batch`] step — enough to amortize
+/// Rows projected per [`FlashCodec::encode_batch`] piece — enough to amortize
 /// streaming the basis, small enough that the projections stay in cache
 /// until they are encoded.
 const ENCODE_BATCH_ROWS: usize = 256;
@@ -311,17 +312,23 @@ impl FlashCodec {
         }
     }
 
+    /// Bytes of one vector's code row: `⌈M_F / 2⌉`, two 4-bit codewords
+    /// per byte (see [`nibble`]).
+    pub fn code_bytes(&self) -> usize {
+        self.subspaces().div_ceil(2)
+    }
+
     /// Fills `table` (`M_F * 16` bytes, subspace-major) with the SDT
-    /// distances *to* the code sequence `b`: `table[s*16 + a]` is
-    /// `SDT_s[a][b[s]]`. That is the shape of an ADT, so
+    /// distances *to* the code row `b`: `table[s*16 + a]` is
+    /// `SDT_s[a][nibble(b, s)]`. That is the shape of an ADT, so
     /// [`simdops::lut16_batch`] over a block of first codes yields 16
     /// [`Self::sdc_quantized`]`(·, b)` sums at once — Neighbor Selection
     /// as a register-resident lookup (paper Section 3.3.5).
     #[inline]
     pub fn sdt_to(&self, b: &[u8], table: &mut [u8]) {
-        debug_assert_eq!(b.len(), self.subspaces());
-        for (s, (&cb, row)) in b.iter().zip(table.chunks_exact_mut(K)).enumerate() {
-            let at = sdt_at(s, 0, usize::from(cb));
+        debug_assert_eq!(b.len(), self.code_bytes());
+        for (s, row) in table.chunks_exact_mut(K).enumerate() {
+            let at = sdt_at(s, 0, usize::from(nibble(b, s)));
             row.copy_from_slice(&self.sdt[at..at + K]);
         }
     }
@@ -371,27 +378,38 @@ impl FlashCodec {
         })
     }
 
-    /// Encodes a *projected* vector, simultaneously emitting its codewords
-    /// (4-bit values stored one per byte) and its quantized ADT
-    /// (`M_F * 16` bytes, subspace-major) — the integrated implementation
-    /// the paper's Remark (2) describes: codeword selection and ADT
-    /// generation share the same centroid distance computations.
+    /// Encodes a *projected* vector, simultaneously emitting its code row
+    /// (`⌈M_F / 2⌉` bytes, 4-bit codewords two per byte, see [`nibble`])
+    /// and its quantized ADT (`M_F * 16` bytes, subspace-major) — the
+    /// integrated implementation the paper's Remark (2) describes:
+    /// codeword selection and ADT generation share the same centroid
+    /// distance computations.
     pub fn encode_projected(&self, projected: &[f32]) -> (Vec<u8>, Vec<u8>) {
         assert_eq!(
             projected.len(),
             self.d_f(),
             "projected dimensionality mismatch"
         );
-        let m = self.subspaces();
-        let mut codes = vec![0u8; m];
-        let mut adt = vec![0u8; m * K];
-        for (s, (code, table)) in codes.iter_mut().zip(adt.chunks_exact_mut(K)).enumerate() {
+        let mut codes = vec![0u8; self.code_bytes()];
+        let mut adt = vec![0u8; self.subspaces() * K];
+        for (s, table) in adt.chunks_exact_mut(K).enumerate() {
             let dists = self.centroid_dists(s, projected);
             // Codeword selection stays on the raw centroid distance.
-            *code = nearest(&dists);
+            set_nibble(&mut codes, s, nearest(&dists));
             self.quantize_adt(s, &dists, table);
         }
         (codes, adt)
+    }
+
+    /// Codewords of `v`, one byte per subspace: the unpacked reference a
+    /// test checks code rows against.
+    #[cfg(test)]
+    pub(crate) fn codewords(&self, v: &[f32]) -> Vec<u8> {
+        self.with_projected(v, |p| {
+            (0..self.subspaces())
+                .map(|s| nearest(&self.centroid_dists(s, p)))
+                .collect()
+        })
     }
 
     /// Convenience: project then encode.
@@ -411,49 +429,52 @@ impl FlashCodec {
         adt
     }
 
-    /// Codewords of every vector of `data` (`len * M_F` bytes), equal to
-    /// concatenating the codes [`Self::encode`] returns. Projects in batches
-    /// through a bounded transient buffer.
+    /// Code rows of every vector of `data` (`len * ⌈M_F / 2⌉` bytes),
+    /// equal to concatenating the codes [`Self::encode`] returns. Pieces of
+    /// 256 rows are projected through a bounded transient buffer and
+    /// encoded across the pool, each into its own rows.
     pub fn encode_batch(&self, data: &VectorSet) -> Vec<u8> {
-        let (m, d_f, dim) = (self.subspaces(), self.d_f(), data.dim());
-        let mut codes = vec![0u8; data.len() * m];
-        let mut projected = vec![0.0f32; ENCODE_BATCH_ROWS.min(data.len()) * d_f];
-        for (rows, codes) in data
+        let (m, row, d_f, dim) = (self.subspaces(), self.code_bytes(), self.d_f(), data.dim());
+        let mut codes = vec![0u8; data.len() * row];
+        let mut pieces: Vec<_> = data
             .as_flat()
             .chunks(ENCODE_BATCH_ROWS * dim)
-            .zip(codes.chunks_mut(ENCODE_BATCH_ROWS * m))
-        {
-            let projected = &mut projected[..rows.len() / dim * d_f];
-            self.pca.project_batch(rows, projected);
-            for (p, row_codes) in projected.chunks_exact(d_f).zip(codes.chunks_exact_mut(m)) {
-                for (s, code) in row_codes.iter_mut().enumerate() {
-                    *code = nearest(&self.centroid_dists(s, p));
+            .zip(codes.chunks_mut(ENCODE_BATCH_ROWS * row))
+            .collect();
+        pieces.par_iter_mut().for_each(|(rows, codes)| {
+            let mut projected = vec![0.0f32; rows.len() / dim * d_f];
+            self.pca.project_batch(rows, &mut projected);
+            for (p, row_codes) in projected.chunks_exact(d_f).zip(codes.chunks_exact_mut(row)) {
+                for s in 0..m {
+                    set_nibble(row_codes, s, nearest(&self.centroid_dists(s, p)));
                 }
             }
-        }
+        });
         codes
     }
 
-    /// Quantized symmetric distance between two code sequences (the
-    /// NS-stage distance; a pure SDT lookup, no vector access).
+    /// Quantized symmetric distance between two code rows (the NS-stage
+    /// distance; a pure SDT lookup, no vector access).
     #[inline]
     pub fn sdc_quantized(&self, a: &[u8], b: &[u8]) -> u16 {
-        debug_assert_eq!(a.len(), self.subspaces());
-        debug_assert_eq!(b.len(), self.subspaces());
-        let mut acc = 0u16;
-        for (s, (&ca, &cb)) in a.iter().zip(b.iter()).enumerate() {
-            acc += u16::from(self.sdt[sdt_at(s, usize::from(ca), usize::from(cb))]);
-        }
-        acc
+        debug_assert_eq!(a.len(), self.code_bytes());
+        debug_assert_eq!(b.len(), self.code_bytes());
+        (0..self.subspaces())
+            .map(|s| {
+                let (ca, cb) = (nibble(a, s), nibble(b, s));
+                u16::from(self.sdt[sdt_at(s, usize::from(ca), usize::from(cb))])
+            })
+            .sum()
     }
 
     /// Reconstructs the derived vector in PCA space (centroid
-    /// concatenation), for the Theorem-1 error analysis.
+    /// concatenation) from a code row, for the Theorem-1 error analysis.
     pub fn reconstruct_projected(&self, codes: &[u8]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.d_f()];
-        for (span, &c) in self.spans.iter().zip(codes.iter()) {
+        for (s, span) in self.spans.iter().enumerate() {
+            let c = usize::from(nibble(codes, s));
             for (t, x) in (span.start..).zip(&mut out[span.start..span.start + span.len]) {
-                *x = self.codebooks[t * K + usize::from(c)];
+                *x = self.codebooks[t * K + c];
             }
         }
         out
@@ -471,6 +492,21 @@ impl FlashCodec {
 #[inline]
 fn sdt_at(s: usize, a: usize, b: usize) -> usize {
     s * K * K + b * K + a
+}
+
+/// Codeword of subspace `s` in a code row. A row holds `⌈M_F / 2⌉` bytes:
+/// byte `p` carries subspace `2p` in its low nibble and subspace `2p + 1`
+/// in its high nibble, and when `M_F` is odd the last high nibble is zero.
+#[inline]
+pub fn nibble(codes: &[u8], s: usize) -> u8 {
+    (codes[s / 2] >> (4 * (s % 2))) & 0x0f
+}
+
+/// Writes codeword `c` (`< 16`) of subspace `s` into a row whose nibble
+/// is still zero.
+#[inline]
+pub(crate) fn set_nibble(codes: &mut [u8], s: usize, c: u8) {
+    codes[s / 2] |= c << (4 * (s % 2));
 }
 
 /// Index of the first minimum of one subspace's centroid distances.
@@ -500,8 +536,7 @@ impl quantizers::Codec for FlashCodec {
     }
 
     fn code_bytes(&self) -> usize {
-        // 4-bit codewords, two per byte.
-        self.subspaces().div_ceil(2)
+        FlashCodec::code_bytes(self)
     }
 }
 
@@ -530,13 +565,18 @@ mod tests {
     }
 
     #[test]
-    fn codes_fit_four_bits() {
-        let (c, data) = codec(64, 32, 8);
-        for i in 0..50 {
-            let (codes, adt) = c.encode(data.get(i));
-            assert_eq!(codes.len(), 8);
-            assert_eq!(adt.len(), 8 * 16);
-            assert!(codes.iter().all(|&x| x < 16));
+    fn codes_pack_two_per_byte() {
+        // Odd M_F leaves the last high nibble zero.
+        for m_f in [8usize, 7, 1] {
+            let (c, data) = codec(64, 32, m_f);
+            for i in 0..50 {
+                let (codes, adt) = c.encode(data.get(i));
+                assert_eq!(codes.len(), m_f.div_ceil(2));
+                assert_eq!(adt.len(), m_f * 16);
+                if m_f % 2 == 1 {
+                    assert_eq!(codes[m_f / 2] >> 4, 0, "m_f {m_f} vector {i}");
+                }
+            }
         }
     }
 
@@ -556,8 +596,8 @@ mod tests {
             let mut best = 0usize;
             let mut best_d = f32::INFINITY;
             for cand in 0..K {
-                let mut one_hot = vec![0u8; c.subspaces()];
-                one_hot[s] = cand as u8;
+                let mut one_hot = vec![0u8; c.code_bytes()];
+                set_nibble(&mut one_hot, s, cand as u8);
                 let centroid = &c.reconstruct_projected(&one_hot)[span.start..][..span.len];
                 let d = simdops::l2_sq(sub, centroid);
                 if d < best_d {
@@ -565,7 +605,7 @@ mod tests {
                     best = cand;
                 }
             }
-            assert_eq!(usize::from(codes[s]), best, "subspace {s}");
+            assert_eq!(usize::from(nibble(&codes, s)), best, "subspace {s}");
         }
     }
 
@@ -653,7 +693,7 @@ mod tests {
         let (codes2, adt2) = c.encode_projected(&projected);
         assert_eq!(codes, codes2, "reconstruction must encode to itself");
         for s in 0..c.subspaces() {
-            let own = usize::from(codes[s]);
+            let own = usize::from(nibble(&codes, s));
             let shift = (c.residuals[s * K + own] * c.inv_delta).round() as i16;
             for t in 0..K {
                 let via_adt = i16::from(adt2[s * K + t]);
@@ -725,13 +765,13 @@ mod tests {
         let _serial = crate::tests::serialize_level_tests();
         let (c, data) = codec(64, 32, 8);
         let codes = c.encode_batch(&data);
-        for (i, row) in codes.chunks_exact(c.subspaces()).enumerate() {
+        for (i, row) in codes.chunks_exact(c.code_bytes()).enumerate() {
             let (one, adt) = c.encode(data.get(i));
             assert_eq!(row, one, "vector {i}");
             assert_eq!(c.adt(data.get(i)), adt, "vector {i}");
         }
-        // 500 vectors: one full batch and a ragged one.
-        assert_eq!(codes.len(), 500 * c.subspaces());
+        // 500 vectors: one full piece and a ragged one.
+        assert_eq!(codes.len(), 500 * c.code_bytes());
     }
 
     #[test]
@@ -809,9 +849,12 @@ mod tests {
 
     #[test]
     fn code_bytes_packs_nibbles() {
-        let (c, _) = codec(64, 32, 8);
-        use quantizers::Codec as _;
-        assert_eq!(c.code_bytes(), 4);
+        for (m_f, bytes) in [(8usize, 4usize), (7, 4), (1, 1)] {
+            let (c, data) = codec(64, 32, m_f);
+            assert_eq!(c.code_bytes(), bytes);
+            assert_eq!(quantizers::Codec::code_bytes(&c), bytes);
+            assert_eq!(c.encode(data.get(0)).0.len(), bytes);
+        }
     }
 
     #[test]

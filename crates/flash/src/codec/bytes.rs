@@ -250,7 +250,7 @@ mod tests {
         if let Ok(codec) = FlashCodec::from_bytes(bytes) {
             let v = vec![0.5f32; codec.input_dim()];
             let (codes, adt) = codec.encode(&v);
-            assert_eq!(codes.len(), codec.subspaces());
+            assert_eq!(codes.len(), codec.code_bytes());
             assert_eq!(adt.len(), codec.subspaces() * K);
             let _ = codec.sdc_quantized(&codes, &codes);
             assert_eq!(

@@ -43,7 +43,7 @@ pub mod codec;
 pub mod provider;
 pub mod tune;
 
-pub use codec::{FlashCodec, FlashParams};
+pub use codec::{nibble, FlashCodec, FlashParams};
 pub use provider::{FlashBlocks, FlashCtx, FlashProvider};
 pub use tune::{tune_flash_params, TuneOptions, TuneOutcome};
 

@@ -5,8 +5,16 @@
 //! Selection shuffles the block of already-selected vertices through the
 //! SDT distances to the candidate ([`FlashCodec::sdt_to`]) — the same
 //! [`lut16_batch`] kernel, 16 distances per call, in both.
+//!
+//! Two copies of the codewords are kept, in two layouts. The global code
+//! table holds every vector's row at the paper's density, two 4-bit
+//! codewords per byte (`⌈M_F / 2⌉` bytes, read through [`nibble`]); it is
+//! what single lookups, SDT rows and payload rebuilds read. The neighbor
+//! payload blocks hold one codeword per byte, shuffle-ready, so one
+//! register load feeds `pshufb` directly; [`DistanceProvider::append_payload`]
+//! spreads each packed byte over its two subspaces' slots.
 
-use crate::codec::{FlashCodec, FlashParams, K};
+use crate::codec::{nibble, FlashCodec, FlashParams, K};
 use graphs::provider::{DistanceProvider, PruneRule};
 use simdops::{lut16_batch, lut16_single, LUT_BATCH};
 use std::sync::Arc;
@@ -51,9 +59,9 @@ pub struct FlashProvider {
     /// Shared by every provider encoded through it (shards, label
     /// partitions, LSM segments).
     codec: Arc<FlashCodec>,
-    /// Global per-vector codewords: `n * M_F` bytes (one 4-bit codeword per
-    /// byte, shuffle-ready). Source of truth for payload rebuilds and
-    /// NS-stage SDT lookups.
+    /// Global per-vector code rows: `n * ⌈M_F / 2⌉` bytes, two 4-bit
+    /// codewords per byte ([`nibble`] reads one). Source of truth for
+    /// payload rebuilds, single lookups and NS-stage SDT lookups.
     codes: Vec<u8>,
     /// Wall-clock nanoseconds spent training the codec and encoding the
     /// dataset (the paper's "coding time", Table 4).
@@ -100,7 +108,8 @@ impl FlashProvider {
         &self.codec
     }
 
-    /// Codewords of every vector (`len * M_F` bytes, vector-major).
+    /// Code rows of every vector (`len * ⌈M_F / 2⌉` bytes, vector-major,
+    /// two codewords per byte).
     pub fn codes(&self) -> &[u8] {
         &self.codes
     }
@@ -119,11 +128,12 @@ impl FlashProvider {
             .any(|&u| rule.dominated(d, self.dist_between(u, v)))
     }
 
-    /// Codewords of vector `id` (`M_F` bytes).
+    /// Code row of vector `id` (`⌈M_F / 2⌉` bytes; [`nibble`] reads
+    /// subspace `s`).
     #[inline]
     pub fn codes_of(&self, id: u32) -> &[u8] {
-        let m = self.codec.subspaces();
-        &self.codes[id as usize * m..(id as usize + 1) * m]
+        let row = self.codec.code_bytes();
+        &self.codes[id as usize * row..(id as usize + 1) * row]
     }
 }
 
@@ -211,7 +221,8 @@ impl DistanceProvider for FlashProvider {
     }
 
     fn append_payload(&self, payload: &mut FlashBlocks, lane: usize, id: u32) {
-        let block_bytes = self.codec.subspaces() * LUT_BATCH;
+        let m = self.codec.subspaces();
+        let block_bytes = m * LUT_BATCH;
         let (block, slot) = (lane / LUT_BATCH, lane % LUT_BATCH);
         if slot == 0 {
             // A new block, zero-padded; at lane 0, a new list.
@@ -219,8 +230,14 @@ impl DistanceProvider for FlashProvider {
             payload.bytes.resize((block + 1) * block_bytes, 0);
         }
         let dst = &mut payload.bytes[block * block_bytes..(block + 1) * block_bytes];
-        for (s, &c) in self.codes_of(id).iter().enumerate() {
-            dst[s * LUT_BATCH + slot] = c;
+        // Packed byte `p` fills the lane's slots of subspaces 2p and 2p + 1.
+        let codes = self.codes_of(id);
+        for (pair, &byte) in dst.chunks_exact_mut(2 * LUT_BATCH).zip(codes) {
+            pair[slot] = byte & 0x0f;
+            pair[LUT_BATCH + slot] = byte >> 4;
+        }
+        if m % 2 == 1 {
+            dst[(m - 1) * LUT_BATCH + slot] = nibble(codes, m - 1);
         }
     }
 
@@ -262,7 +279,7 @@ impl DistanceProvider for FlashProvider {
     }
 
     fn aux_bytes(&self) -> usize {
-        // Global codewords replace the original vectors; shared codec state
+        // Global code rows replace the original vectors; shared codec state
         // (codebooks, SDT, PCA basis) is counted once.
         self.codes.len() + self.codec.shared_bytes()
     }
@@ -278,17 +295,13 @@ impl DistanceProvider for FlashProvider {
 pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &[u32]) -> bool {
     let m = provider.codec().subspaces();
     let block_bytes = m * K;
-    for (j, &id) in ids.iter().enumerate() {
-        let block = j / K;
-        let lane = j % K;
+    ids.iter().enumerate().all(|(j, &id)| {
+        let (block, lane) = (j / K, j % K);
         let codes = provider.codes_of(id);
-        for (s, &code) in codes.iter().enumerate().take(m) {
-            if payload.bytes[block * block_bytes + s * K + lane] != code {
-                return false;
-            }
-        }
-    }
-    true
+        (0..m).all(|s| {
+            payload.bytes.get(block * block_bytes + s * K + lane) == Some(&nibble(codes, s))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -304,6 +317,12 @@ mod tests {
     /// A provider with `m_f` subspaces.
     fn provider_m(n: usize, m_f: usize) -> FlashProvider {
         let (base, _) = vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), n, 1, 21);
+        provider_over(base, m_f)
+    }
+
+    /// A provider with `m_f` subspaces over `base`.
+    fn provider_over(base: VectorSet, m_f: usize) -> FlashProvider {
+        let n = base.len();
         FlashProvider::new(
             base,
             FlashParams {
@@ -397,6 +416,77 @@ mod tests {
     }
 
     #[test]
+    fn packed_rows_serve_every_reader_at_every_level() {
+        let _serial = crate::tests::serialize_level_tests();
+        // 64-d rows keep the twenty PCA fits cheap.
+        let spec = vecstore::DatasetSpec::new(64, 40, 0.96, 0.4, 9);
+        let (base, _) = vecstore::generate(&spec, 140, 1, 21);
+        for level in simdops::supported_levels() {
+            for m_f in [1usize, 5, 7, 8, 16] {
+                with_level(level, || {
+                    let p = provider_over(base.clone(), m_f);
+                    packed_readers_agree(&p, &format!("{level:?} m_f {m_f}"))
+                });
+            }
+        }
+    }
+
+    /// Every reader of the packed code rows against an unpacked reference:
+    /// the codewords, single and batched lookups, SDT sums, payload blocks
+    /// and the byte accounting.
+    fn packed_readers_agree(p: &FlashProvider, name: &str) {
+        let codec = p.codec();
+        let (m, n) = (codec.subspaces(), p.len());
+        assert_eq!(
+            p.aux_bytes(),
+            n * codec.code_bytes() + codec.shared_bytes(),
+            "{name}"
+        );
+        assert_eq!(p.codes().len(), n * m.div_ceil(2), "{name}");
+        for id in 0..n as u32 {
+            let row = p.codes_of(id);
+            let want = codec.codewords(p.base().get(id as usize));
+            let got: Vec<u8> = (0..m).map(|s| nibble(row, s)).collect();
+            assert_eq!(got, want, "{name} id {id}");
+            if m % 2 == 1 {
+                assert_eq!(row[m / 2] >> 4, 0, "{name} id {id}: padding nibble");
+            }
+        }
+
+        let ids: Vec<u32> = (0..40u32).map(|i| (i * 7 + 1) % n as u32).collect();
+        let mut synced = FlashBlocks::default();
+        p.sync_payload(&mut synced, &ids);
+        assert!(blocks_consistent(p, &synced, &ids), "{name}");
+        assert_eq!(appended(p, &ids).as_bytes(), synced.as_bytes(), "{name}");
+        let ctx = p.prepare_insert(3);
+        let mut lanes = [0u16; LUT_BATCH];
+        for (block, chunk) in synced
+            .as_bytes()
+            .chunks_exact(m * LUT_BATCH)
+            .zip(ids.chunks(LUT_BATCH))
+        {
+            lut16_batch(&ctx.adt, block, m, &mut lanes);
+            for (&id, &lane) in chunk.iter().zip(&lanes) {
+                assert_eq!(p.dist_to(&ctx, id), f32::from(lane), "{name} id {id}");
+            }
+        }
+
+        // `SDT_s[a][b]` for first code `a`, second code `b` is at
+        // `s*256 + b*16 + a`.
+        let sdt = codec.sdt();
+        for (&a, &b) in ids.iter().zip(ids.iter().rev()) {
+            let (ra, rb) = (p.codes_of(a), p.codes_of(b));
+            let sum: u16 = (0..m)
+                .map(|s| {
+                    let (ca, cb) = (usize::from(nibble(ra, s)), usize::from(nibble(rb, s)));
+                    u16::from(sdt[s * K * K + cb * K + ca])
+                })
+                .sum();
+            assert_eq!(p.dist_between(a, b), f32::from(sum), "{name} ({a}, {b})");
+        }
+    }
+
+    #[test]
     fn batched_dominated_equals_the_scalar_loop() {
         // Even and odd M_F (the kernel's pair/quad tails), every block
         // boundary of the selected list, thresholds on both sides of each
@@ -454,10 +544,9 @@ mod tests {
             .unwrap()
             .set_sdt_with(|_, a, b| (13 * a + b) as u8);
         let sum = |first: u32, second: u32| -> u16 {
-            p.codes_of(first)
-                .iter()
-                .zip(p.codes_of(second))
-                .map(|(&a, &b)| 13 * u16::from(a) + u16::from(b))
+            let (a, b) = (p.codes_of(first), p.codes_of(second));
+            (0..p.codec().subspaces())
+                .map(|s| 13 * u16::from(nibble(a, s)) + u16::from(nibble(b, s)))
                 .sum()
         };
         let mut checked = 0;

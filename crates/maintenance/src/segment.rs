@@ -107,7 +107,8 @@ impl Segment {
         self.index.provider().codec()
     }
 
-    /// Codewords of every vector by local id (`len * M_F` bytes).
+    /// Code rows of every vector by local id (`len * ⌈M_F / 2⌉` bytes, two
+    /// codewords per byte).
     pub fn codes(&self) -> &[u8] {
         self.index.provider().codes()
     }

@@ -76,15 +76,29 @@ pub fn lut16_batch_scalar(tables: &[u8], codes: &[u8], m: usize, out: &mut [u16;
 /// Single-vector variant: looks up one codeword per subspace.
 ///
 /// Used when a distance is needed for one vertex outside a batch (e.g. the
-/// entry point of a search). `codes[s]` is the 4-bit codeword in subspace
-/// `s`.
+/// entry point of a search). `codes` is the vertex's packed code row,
+/// `m.div_ceil(2)` bytes: byte `p` holds the 4-bit codeword of subspace
+/// `2p` in its low nibble and that of subspace `2p + 1` in its high nibble.
+/// When `m` is odd the last byte's high nibble is not read.
+///
+/// # Panics
+/// Panics if `tables.len() != m * 16` or `codes.len() != m.div_ceil(2)`.
 #[inline]
 pub fn lut16_single(tables: &[u8], codes: &[u8], m: usize) -> u16 {
     assert_eq!(tables.len(), m * LUT_BATCH, "ADT length mismatch");
-    assert_eq!(codes.len(), m, "one codeword per subspace expected");
+    assert_eq!(
+        codes.len(),
+        m.div_ceil(2),
+        "two codewords per byte expected"
+    );
+    let (pairs, tail) = tables.split_at(m / 2 * 2 * LUT_BATCH);
     let mut acc = 0u16;
-    for s in 0..m {
-        acc += u16::from(tables[s * LUT_BATCH + usize::from(codes[s] & 0x0f)]);
+    for (pair, &byte) in pairs.chunks_exact(2 * LUT_BATCH).zip(codes) {
+        acc += u16::from(pair[usize::from(byte & 0x0f)]);
+        acc += u16::from(pair[LUT_BATCH + usize::from(byte >> 4)]);
+    }
+    if m % 2 == 1 {
+        acc += u16::from(tail[usize::from(codes[m / 2] & 0x0f)]);
     }
     acc
 }
@@ -241,14 +255,24 @@ mod tests {
 
     #[test]
     fn single_matches_batch_column() {
-        let m = 12;
-        let tables = arb_bytes(m * 16, 31, 255);
-        let codes = arb_bytes(m * 16, 37, 15);
-        let mut batch = [0u16; LUT_BATCH];
-        lut16_batch(&tables, &codes, m, &mut batch);
-        for j in 0..LUT_BATCH {
-            let per_subspace: Vec<u8> = (0..m).map(|s| codes[s * 16 + j]).collect();
-            assert_eq!(lut16_single(&tables, &per_subspace, m), batch[j]);
+        // Even and odd m: the odd tail reads only the last low nibble.
+        for m in [12usize, 7, 1] {
+            let tables = arb_bytes(m * 16, 31, 255);
+            let codes = arb_bytes(m * 16, 37, 15);
+            let mut batch = [0u16; LUT_BATCH];
+            lut16_batch(&tables, &codes, m, &mut batch);
+            for j in 0..LUT_BATCH {
+                // Lane j's codewords, two per byte, low nibble first.
+                let mut packed = vec![0u8; m.div_ceil(2)];
+                for s in 0..m {
+                    packed[s / 2] |= codes[s * 16 + j] << (4 * (s % 2));
+                }
+                assert_eq!(
+                    lut16_single(&tables, &packed, m),
+                    batch[j],
+                    "m {m} lane {j}"
+                );
+            }
         }
     }
 

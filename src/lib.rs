@@ -489,7 +489,7 @@
 //! Graph search is memory-bound — the paper's profiles (Table 2, Figure
 //! 15) show most cycles stall on cache misses chasing neighbor lists and
 //! codes, not arithmetic — so the frozen representation and the search
-//! kernels are built around three layout decisions:
+//! kernels are built around four layout decisions:
 //!
 //! 1. **CSR adjacency.** Builders ([`graphs::Hnsw`], [`graphs::nsg::build`],
 //!    [`graphs::taumg::build`], [`graphs::vamana::build`],
@@ -537,6 +537,14 @@
 //!    expansion, are measured by the benchmark's traced run but serve no
 //!    index: they are no faster than the gathering kernel on three of
 //!    the four benchmark corpora.)
+//!
+//! 4. **Flash codes at the paper's density.** [`flash::FlashProvider`]'s
+//!    global code table stores each vector's `M_F` 4-bit codewords two per
+//!    byte — `⌈M_F/2⌉` bytes, subspace `2p` in byte `p`'s low nibble,
+//!    read through [`flash::nibble`] — which is the size the paper's index
+//!    figure counts. The neighbor blocks the kernels shuffle keep one
+//!    codeword per byte, so one register load feeds `pshufb`; building a
+//!    block spreads each packed byte over its two subspaces' slots.
 //!
 //! Each of those claims has one home. Results identical to a naive
 //! per-neighbor kernel (fresh visited map, fresh heaps, one `dist_to` per

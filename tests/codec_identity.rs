@@ -57,14 +57,20 @@ fn corpus(profile: DatasetProfile) -> VectorSet {
     generate(&profile.spec(), N, 1, DATA_SEED).0
 }
 
-/// Codeword of subspace `s` in one vector's code row (one per byte).
+/// Codeword of subspace `s` in one vector's code row: two per byte,
+/// subspace `2p` in byte `p`'s low nibble, `2p + 1` in its high nibble.
 fn codeword(row: &[u8], s: usize) -> u8 {
-    row[s]
+    (row[s / 2] >> (4 * (s % 2))) & 0x0f
 }
 
-/// A code row naming centroid `c` in each of `m` subspaces.
+/// A code row naming centroid `c` in each of `m` subspaces (the last high
+/// nibble zero when `m` is odd).
 fn uniform_row(c: u8, m: usize) -> Vec<u8> {
-    vec![c; m]
+    let mut row = vec![c | c << 4; m.div_ceil(2)];
+    if m % 2 == 1 {
+        row[m / 2] = c;
+    }
+    row
 }
 
 /// `(codebooks, sdt, codes)` of a Flash codec trained on `profile`.

@@ -170,9 +170,15 @@ fn flash_generalizes_to_nsg_and_taumg() {
     let top1 = ground_truth(&base, &held_out, 1);
     let hit = (0..TAUMG_QUERIES)
         .filter(|&qi| {
-            search_layers(taumg.provider(), taumg.layers(), held_out.get(qi), k * 8, 64)
-                .iter()
-                .any(|r| r.id == u64::from(top1[qi][0].id))
+            search_layers(
+                taumg.provider(),
+                taumg.layers(),
+                held_out.get(qi),
+                k * 8,
+                64,
+            )
+            .iter()
+            .any(|r| r.id == u64::from(top1[qi][0].id))
         })
         .count();
     let containment = hit as f64 / TAUMG_QUERIES as f64;
