@@ -327,7 +327,7 @@ impl FlashCodec {
     #[inline]
     pub fn sdt_to(&self, b: &[u8], table: &mut [u8]) {
         debug_assert_eq!(b.len(), self.code_bytes());
-        for (s, row) in table.chunks_exact_mut(K).enumerate() {
+        for (s, row) in (0..self.subspaces()).zip(table.chunks_exact_mut(K)) {
             let at = sdt_at(s, 0, usize::from(nibble(b, s)));
             row.copy_from_slice(&self.sdt[at..at + K]);
         }
@@ -399,17 +399,6 @@ impl FlashCodec {
             self.quantize_adt(s, &dists, table);
         }
         (codes, adt)
-    }
-
-    /// Codewords of `v`, one byte per subspace: the unpacked reference a
-    /// test checks code rows against.
-    #[cfg(test)]
-    pub(crate) fn codewords(&self, v: &[f32]) -> Vec<u8> {
-        self.with_projected(v, |p| {
-            (0..self.subspaces())
-                .map(|s| nearest(&self.centroid_dists(s, p)))
-                .collect()
-        })
     }
 
     /// Convenience: project then encode.
@@ -541,9 +530,19 @@ impl quantizers::Codec for FlashCodec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simdops::lut16_single;
+
+    /// Codewords of `v` under `c`, one byte per subspace: the unpacked
+    /// reference code rows are checked against.
+    pub(crate) fn codewords(c: &FlashCodec, v: &[f32]) -> Vec<u8> {
+        c.with_projected(v, |p| {
+            (0..c.subspaces())
+                .map(|s| nearest(&c.centroid_dists(s, p)))
+                .collect()
+        })
+    }
 
     fn dataset(n: usize, dim: usize, seed: u64) -> VectorSet {
         // Cluster-rich data matching the embedding workloads Flash targets.

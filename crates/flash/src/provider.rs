@@ -231,6 +231,8 @@ impl DistanceProvider for FlashProvider {
         }
         let dst = &mut payload.bytes[block * block_bytes..(block + 1) * block_bytes];
         // Packed byte `p` fills the lane's slots of subspaces 2p and 2p + 1.
+        // Every query expansion runs this; one `nibble` call per subspace
+        // made `sync_payload` of 16 ids about twice as slow.
         let codes = self.codes_of(id);
         for (pair, &byte) in dst.chunks_exact_mut(2 * LUT_BATCH).zip(codes) {
             pair[slot] = byte & 0x0f;
@@ -295,13 +297,17 @@ impl DistanceProvider for FlashProvider {
 pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &[u32]) -> bool {
     let m = provider.codec().subspaces();
     let block_bytes = m * K;
-    ids.iter().enumerate().all(|(j, &id)| {
-        let (block, lane) = (j / K, j % K);
+    for (j, &id) in ids.iter().enumerate() {
+        let block = j / K;
+        let lane = j % K;
         let codes = provider.codes_of(id);
-        (0..m).all(|s| {
-            payload.bytes.get(block * block_bytes + s * K + lane) == Some(&nibble(codes, s))
-        })
-    })
+        for s in 0..m {
+            if payload.bytes[block * block_bytes + s * K + lane] != nibble(codes, s) {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -445,7 +451,7 @@ mod tests {
         assert_eq!(p.codes().len(), n * m.div_ceil(2), "{name}");
         for id in 0..n as u32 {
             let row = p.codes_of(id);
-            let want = codec.codewords(p.base().get(id as usize));
+            let want = crate::codec::tests::codewords(codec, p.base().get(id as usize));
             let got: Vec<u8> = (0..m).map(|s| nibble(row, s)).collect();
             assert_eq!(got, want, "{name} id {id}");
             if m % 2 == 1 {
