@@ -1,9 +1,14 @@
 //! Offline stand-in for `rayon`: the `par_iter` / `into_par_iter` /
-//! `par_iter_mut` surface the workspace uses, on a real pool. A parallel
-//! call runs on `std::thread::scope` helpers plus its caller, as worker 0.
-//! The pool is `std::thread::available_parallelism()` wide; only rayon's
-//! own `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`, which
-//! tests use, sets another width — no variable or option does.
+//! `par_iter_mut` surface the workspace uses, and `join`, on one persistent
+//! pool. A parallel call runs on its caller, as worker 0, plus helper
+//! threads (`rayon-helper`) that are spawned the first time a call wants
+//! them and park on a condvar between calls; the caller never waits for a
+//! helper to start, only for the pieces helpers have claimed. A call is
+//! `std::thread::available_parallelism()` wide; only rayon's own
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`, which
+//! tests use, sets another width — no variable or option does. The pool
+//! holds `width - 1` helpers for the widest call so far, and a call never
+//! uses more than its own width.
 //!
 //! Output never depends on the thread count: a source (an integer range or
 //! a slice) is cut into pieces by its length alone, workers claim pieces
@@ -16,10 +21,11 @@
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
 use std::sync::{Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+mod pool;
 
 /// Pieces a source is cut into: enough for dynamic balance across the core
 /// counts this runs on, few enough that the claim lock stays cold.
@@ -74,53 +80,42 @@ fn job_state(jobs: usize) -> (State, usize) {
 }
 
 /// Work left, at the caller's pace so far, below which a call finishes on
-/// its caller alone: a helper has to be created and reach a free core
-/// before it does any of it.
-const HELPER_WORTH: Duration = Duration::from_micros(500);
+/// its caller alone: a parked helper has to be woken and reach a free core
+/// before it does any of it. On a 2-vCPU AVX-512 VM a helper parked for
+/// 2 ms claimed its first piece a median 34 µs after the wake (p10 21 µs),
+/// one parked for 200 µs after 14 µs (`examples/wake_latency.rs`).
+const HELPER_WORTH: Duration = Duration::from_micros(40);
 
-/// Runs `job` on every piece across the pool and returns its results in
-/// piece order. A panic in any job is re-raised here.
-fn run<I: Send, R: Send>(pieces: Vec<I>, job: impl Fn(I) -> R + Sync) -> Vec<R> {
+/// Runs `job` on every piece across the pool, waking helpers once `worth`
+/// of work is left, and returns its results in piece order. A panic in any
+/// job is re-raised here.
+fn run<I: Send, R: Send>(pieces: Vec<I>, worth: Duration, job: impl Fn(I) -> R + Sync) -> Vec<R> {
     let (state, threads) = job_state(pieces.len());
+    if threads == 1 {
+        return with_state(state, || pieces.into_iter().map(job).collect());
+    }
     let total = pieces.len();
-    let pieces = Mutex::new(pieces.into_iter().enumerate());
-    let next = || pieces.lock().expect("claiming a piece cannot panic").next();
-    // Claims pieces until none is left, telling `after` how many it did.
-    let drain = |after: &mut dyn FnMut(usize)| {
-        with_state(state, || {
-            let mut done = Vec::new();
-            while let Some((index, piece)) = next() {
-                done.push((index, job(piece)));
-                after(done.len());
-            }
-            done
-        })
-    };
-    let start = Instant::now();
-    let mut done = thread::scope(|s| {
-        let mut helpers = Vec::new();
-        let mut done = drain(&mut |finished| {
-            let left = (total - finished) as u32;
-            if helpers.len() + 1 < threads
-                && start.elapsed() * left > HELPER_WORTH * finished as u32
-            {
-                helpers.extend((1..threads).map(|_| s.spawn(|| drain(&mut |_| {}))));
-            }
-        });
-        for helper in helpers {
-            done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
-        }
-        done
+    let pieces: Vec<Mutex<Option<I>>> = pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
+    // No job runs while a slot's lock is held, so none is ever poisoned.
+    pool::pool().call(total, threads - 1, worth, &|i| {
+        let piece = pieces[i]
+            .lock()
+            .expect("slot lock is never poisoned")
+            .take();
+        let result = with_state(state, || job(piece.expect("each piece is claimed once")));
+        *results[i].lock().expect("slot lock is never poisoned") = Some(result);
     });
-    done.sort_unstable_by_key(|&(index, _)| index);
-    done.into_iter().map(|(_, result)| result).collect()
+    (results.into_iter())
+        .map(|r| (r.into_inner().expect("slot lock is never poisoned")).expect("every piece ran"))
+        .collect()
 }
 
 pub mod iter {
     //! Parallel iterators: a source cut into pieces, plus the adapters
     //! applied so far.
 
-    use crate::{piece_len, run};
+    use crate::{piece_len, run, HELPER_WORTH};
     use std::iter::Zip;
     use std::ops::Range;
     use std::slice::{Iter, IterMut};
@@ -186,7 +181,9 @@ pub mod iter {
         /// Runs `g` on every item.
         pub fn for_each<G: Fn(T) + Sync>(self, g: G) {
             let f = &self.f;
-            run(self.pieces, |piece| piece.filter_map(f).for_each(&g));
+            run(self.pieces, HELPER_WORTH, |piece| {
+                piece.filter_map(f).for_each(&g)
+            });
         }
 
         /// Collects the items in index order.
@@ -195,7 +192,7 @@ pub mod iter {
             T: Send,
         {
             let f = &self.f;
-            let pieces = run(self.pieces, |piece| {
+            let pieces = run(self.pieces, HELPER_WORTH, |piece| {
                 let mut out = Vec::with_capacity(piece.size_hint().0);
                 out.extend(piece.filter_map(f));
                 out
@@ -283,8 +280,9 @@ pub mod prelude {
     };
 }
 
-/// Runs both closures, `oper_b` on a helper thread when the pool has two,
-/// and returns both results.
+/// Runs both closures, `oper_b` on a helper when the pool has two and one
+/// claims it before the caller is done with `oper_a`, and returns both
+/// results.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -292,15 +290,13 @@ where
     RA: Send,
     RB: Send,
 {
-    let (state, threads) = job_state(2);
-    if threads < 2 {
-        return (oper_a(), oper_b());
-    }
-    thread::scope(|s| {
-        let b = s.spawn(|| with_state(state, oper_b));
-        let a = with_state(state, oper_a);
-        (a, b.join().unwrap_or_else(|panic| resume_unwind(panic)))
-    })
+    let (mut ra, mut rb) = (None, None);
+    let opers: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+        Box::new(|| ra = Some(oper_a())),
+        Box::new(|| rb = Some(oper_b())),
+    ];
+    run(opers, Duration::ZERO, |oper| oper());
+    (ra.expect("ran"), rb.expect("ran"))
 }
 
 /// rayon's pool builder, reduced to the one setting tests use.
@@ -352,8 +348,9 @@ mod tests {
     use super::{current_num_threads, ThreadPoolBuilder};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread::{self, ThreadId};
+    use std::time::{Duration, Instant};
 
     /// Runs `f(n)` inside an installed pool of each width 1–4.
     fn at_widths(f: impl Fn(usize)) {
@@ -491,12 +488,79 @@ mod tests {
     }
 
     #[test]
+    fn a_helper_panic_is_raised_after_every_claimed_piece_finished() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let caller = thread::current().id();
+        let arrivals = AtomicUsize::new(0);
+        let (slow_started, slow_finished) = (AtomicBool::new(false), AtomicBool::new(false));
+        let panicked = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                (0..100usize).into_par_iter().for_each(|i| {
+                    if thread::current().id() == caller {
+                        // Past its first piece, the caller waits for the panic.
+                        thread::sleep(super::HELPER_WORTH);
+                        while i >= super::piece_len(100)
+                            && !panicked.load(Ordering::SeqCst)
+                            && Instant::now() < deadline
+                        {
+                            thread::yield_now();
+                        }
+                    } else if arrivals.fetch_add(1, Ordering::SeqCst) == 0 {
+                        slow_started.store(true, Ordering::SeqCst);
+                        thread::sleep(Duration::from_millis(50));
+                        slow_finished.store(true, Ordering::SeqCst);
+                    } else {
+                        while !slow_started.load(Ordering::SeqCst) {
+                            thread::yield_now();
+                        }
+                        panicked.store(true, Ordering::SeqCst);
+                        panic!("helper job {i}");
+                    }
+                })
+            })
+        }));
+        let payload = caught.expect_err("the helper's panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("formatted payload");
+        assert!(message.starts_with("helper job "), "{message}");
+        assert!(
+            slow_finished.load(Ordering::SeqCst),
+            "the caller left while a claimed piece still ran"
+        );
+        let next: Vec<usize> =
+            pool.install(|| (0..1000usize).into_par_iter().map(uneven).collect());
+        assert_eq!(next, (0..1000).map(uneven).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_index_order() {
+        let expect: Vec<(usize, usize)> = (0..3000).map(|i| (i, uneven(i))).collect();
+        thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+                    for _ in 0..10 {
+                        let got: Vec<(usize, usize)> = pool.install(|| {
+                            (0..3000usize)
+                                .into_par_iter()
+                                .map(|i| (i, uneven(i)))
+                                .collect()
+                        });
+                        assert_eq!(got, expect);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn a_call_inside_the_lone_job_of_a_call_still_spreads() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let caller = thread::current().id();
         let helped = AtomicBool::new(false);
         // Inline, the nested call would wait out the deadline on the caller.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         pool.install(|| {
             (0..1usize).into_par_iter().for_each(|_| {
                 (0..100usize).into_par_iter().for_each(|i| {
@@ -507,7 +571,7 @@ mod tests {
                     thread::sleep(super::HELPER_WORTH);
                     while i >= super::piece_len(100)
                         && !helped.load(Ordering::SeqCst)
-                        && std::time::Instant::now() < deadline
+                        && Instant::now() < deadline
                     {
                         thread::yield_now();
                     }

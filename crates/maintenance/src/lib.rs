@@ -18,9 +18,9 @@
 //!   memtable and spill into sealed segments, coded through one shared
 //!   Flash codec that a flush re-fits only when the memtable has drifted
 //!   from it; deletes tombstone; searches fan out across memtable +
-//!   segments and merge; [`LsmVectorIndex::rebuild`] compacts every live
-//!   vector into one fresh segment (the overnight rebuild whose cost Flash
-//!   attacks).
+//!   segments on the `rayon` pool and merge; [`LsmVectorIndex::rebuild`]
+//!   compacts every live vector into one fresh segment (the overnight
+//!   rebuild whose cost Flash attacks).
 //! * [`cycles`] — the update-cycle simulator behind the `ext2` experiment
 //!   of `crates/bench` (`repro ext2`).
 //!
@@ -56,3 +56,22 @@ pub use segment::Segment;
 /// LSM searches `id` is the stable external id and `dist` the exact
 /// (full-precision) squared L2 distance.
 pub use graphs::Hit;
+
+use std::cmp::Ordering;
+
+/// The order every LSM result is kept in: ascending `dist`, ties by `id`.
+fn by_dist_then_id(a: &Hit, b: &Hit) -> Ordering {
+    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+}
+
+/// The `k` first of `hits` under [`by_dist_then_id`], sorted: the `k` best
+/// are selected first, so only they are sorted. Ids are distinct, so this is
+/// the full sort's prefix, ties included.
+fn k_best(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
+    if hits.len() > k {
+        hits.select_nth_unstable_by(k, by_dist_then_id);
+        hits.truncate(k);
+    }
+    hits.sort_unstable_by(by_dist_then_id);
+    hits
+}

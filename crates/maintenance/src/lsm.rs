@@ -2,9 +2,10 @@
 
 use crate::memtable::MemTable;
 use crate::segment::Segment;
-use crate::Hit;
+use crate::{by_dist_then_id, Hit};
 use flash::{FlashCodec, FlashParams};
-use graphs::HnswParams;
+use graphs::{HnswParams, QueryProfile};
+use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vecstore::VectorSet;
@@ -83,8 +84,10 @@ pub struct RebuildReport {
 ///
 /// Inserts are `O(1)` appends until the memtable seals; deletes tombstone
 /// in place; searches fan out over the memtable scan and a filtered graph
-/// search per segment, merging by exact distance. Over many update cycles
-/// the segment count and tombstone fraction grow and search quality decays;
+/// search per segment, run side by side on the workspace's `rayon` pool as
+/// FreshDiskANN (arXiv:2105.09613) searches its fresh and main indexes,
+/// merging by exact distance. Over many update cycles the segment count
+/// and tombstone fraction grow and search quality decays;
 /// [`Self::rebuild`] compacts everything into one fresh segment, which is
 /// exactly the operation whose cost determines whether the maintenance
 /// window fits — and which Flash accelerates by an order of magnitude.
@@ -228,12 +231,33 @@ impl LsmVectorIndex {
     }
 
     /// k-NN across memtable and all segments, merged by exact distance.
+    ///
+    /// The memtable scan and each segment holding live vectors are one unit
+    /// each, run across the `rayon` pool; their hits are merged in unit
+    /// order and sorted by `(dist, id)`, so the result does not depend on
+    /// the pool's width. An index with one such unit (a rebuilt one) runs it
+    /// on the caller. What the units add to the query profile
+    /// ([`graphs::profile_take`]) lands on the caller's thread, wherever
+    /// they ran.
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
-        let mut hits = self.memtable.search(query, k);
-        for seg in &self.segments {
-            hits.extend(seg.search(query, k, ef));
+        let memtable = usize::from(self.memtable.live() > 0);
+        let segments: Vec<&Segment> = self.segments.iter().filter(|s| s.live() > 0).collect();
+        let unit = |u: usize| {
+            counted(|| match u.checked_sub(memtable) {
+                None => self.memtable.search(query, k),
+                Some(s) => segments[s].search(query, k, ef),
+            })
+        };
+        let units: Vec<(Vec<Hit>, QueryProfile)> = (0..memtable + segments.len())
+            .into_par_iter()
+            .map(unit)
+            .collect();
+        let mut hits = Vec::with_capacity(units.iter().map(|(h, _)| h.len()).sum());
+        for (unit_hits, profile) in units {
+            hits.extend(unit_hits);
+            graphs::profile_record(profile);
         }
-        hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        hits.sort_by(by_dist_then_id);
         hits.dedup_by_key(|h| h.id);
         hits.truncate(k);
         hits
@@ -326,6 +350,16 @@ impl LsmVectorIndex {
             .sum();
         self.memtable.bytes() + segments + codecs
     }
+}
+
+/// Runs `f` and returns, with its result, what it added to this thread's
+/// query profile, leaving the profile as it was before.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, QueryProfile) {
+    let before = graphs::profile_take();
+    let result = f();
+    let added = graphs::profile_take();
+    graphs::profile_record(before);
+    (result, added)
 }
 
 /// Whether `vectors` code so much worse through `codec` than its training

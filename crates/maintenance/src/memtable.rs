@@ -1,6 +1,6 @@
 //! The mutable write buffer of the LSM pipeline.
 
-use crate::Hit;
+use crate::{k_best, Hit};
 use vecstore::VectorSet;
 
 /// An append-only buffer of recent inserts, searched by brute force.
@@ -73,7 +73,7 @@ impl MemTable {
 
     /// Brute-force k-NN over the live vectors.
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let mut hits: Vec<Hit> = self
+        let hits: Vec<Hit> = self
             .vectors
             .iter()
             .enumerate()
@@ -83,9 +83,7 @@ impl MemTable {
                 dist: simdops::l2_sq(query, v),
             })
             .collect();
-        hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
-        hits
+        k_best(hits, k)
     }
 
     /// Drains the live contents for sealing, leaving the buffer empty.
@@ -162,6 +160,28 @@ mod tests {
         assert_eq!(vectors.len(), 2);
         assert!(t.is_empty());
         assert_eq!(t.live(), 0);
+    }
+
+    #[test]
+    fn tied_distances_keep_the_full_sort_order() {
+        // 60 points, each inserted five times under ids out of insertion
+        // order: every distance is shared by five rows.
+        let mut t = MemTable::new(2);
+        let mut full = Vec::new();
+        let q = [0.3, -0.2];
+        for i in 0..300u64 {
+            let p = (i % 60) as f32;
+            let v = [p.sin(), 2.0 * p.cos()];
+            let id = i * 7919 % 1009;
+            t.insert(id, &v);
+            let dist = simdops::l2_sq(&q, &v);
+            full.push(Hit { id, dist });
+        }
+        full.sort_by(crate::by_dist_then_id);
+        assert_eq!(full[0].dist, full[4].dist, "ties at the top");
+        for k in [0, 1, 4, 5, 6, 10, 299, 300, 301] {
+            assert_eq!(t.search(&q, k), full[..k.min(300)], "k = {k}");
+        }
     }
 
     #[test]

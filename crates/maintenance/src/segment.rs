@@ -1,6 +1,6 @@
 //! An immutable, Flash-indexed data segment with tombstone deletes.
 
-use crate::Hit;
+use crate::{k_best, Hit};
 use flash::{FlashCodec, FlashProvider};
 use graphs::{
     search_layers_filtered, DistanceProvider, FrozenGraph, GraphLayers, Hnsw, HnswParams,
@@ -178,16 +178,14 @@ impl Segment {
         let (provider, layers) = (self.index.provider(), self.index.layers());
         let found = search_layers_filtered(provider, layers, query, pool, ef, &accept);
         let base = provider.base();
-        let mut hits: Vec<Hit> = found
+        let hits: Vec<Hit> = found
             .into_iter()
             .map(|r| Hit {
                 id: self.ids[r.id as usize],
                 dist: simdops::l2_sq(query, base.get(r.id as usize)),
             })
             .collect();
-        hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
-        hits
+        k_best(hits, k)
     }
 
     /// Copies the live `(id, vector)` pairs out (rebuild input).

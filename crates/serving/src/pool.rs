@@ -1,8 +1,8 @@
 //! A hand-rolled fixed-size worker pool on `std::thread` + channels.
 //!
-//! The workspace's `rayon` pool spawns its threads for each call, which
-//! suits a build but not a query path that hands work off thousands of
-//! times a second, so the serving layer keeps its own threads: N OS
+//! The workspace's `rayon` pool is persistent too (its helpers park between
+//! calls); the serving layer keeps its own threads until its fan-out moves
+//! onto that pool and this file goes (ROADMAP N7's second half). N OS
 //! threads pull boxed jobs from one shared channel, and the thread calling
 //! [`WorkerPool::run`] runs the last job itself instead of parking. Results
 //! are returned **in job order** regardless of who finishes first, so every
