@@ -9,10 +9,15 @@
 //! Two copies of the codewords are kept, in two layouts. The global code
 //! table holds every vector's row at the paper's density, two 4-bit
 //! codewords per byte (`⌈M_F / 2⌉` bytes, read through [`nibble`]); it is
-//! what single lookups, SDT rows and payload rebuilds read. The neighbor
-//! payload blocks hold one codeword per byte, shuffle-ready, so one
-//! register load feeds `pshufb` directly; [`DistanceProvider::append_payload`]
-//! spreads each packed byte over its two subspaces' slots.
+//! what single lookups, SDT rows and payload builds read, and what a
+//! serving beam scores the ids it gathers on: it passes
+//! [`DistanceProvider::dist_to_neighbors`] no block, so each id is one
+//! table lookup straight on its packed row. The neighbor payload blocks —
+//! the node records' during construction, [`graphs::NodePayloads`], the
+//! frozen descent's rows — hold one codeword per byte, shuffle-ready, so
+//! one register load feeds `pshufb` directly;
+//! [`DistanceProvider::append_payload`] spreads each packed byte over its
+//! two subspaces' slots.
 
 use crate::codec::{nibble, FlashCodec, FlashParams, K};
 use graphs::provider::{DistanceProvider, PruneRule};
@@ -61,7 +66,8 @@ pub struct FlashProvider {
     codec: Arc<FlashCodec>,
     /// Global per-vector code rows: `n * ⌈M_F / 2⌉` bytes, two 4-bit
     /// codewords per byte ([`nibble`] reads one). Source of truth for
-    /// payload rebuilds, single lookups and NS-stage SDT lookups.
+    /// payload builds, single lookups (every id a serving beam gathers)
+    /// and NS-stage SDT lookups.
     codes: Vec<u8>,
     /// Wall-clock nanoseconds spent training the codec and encoding the
     /// dataset (the paper's "coding time", Table 4).
@@ -201,8 +207,9 @@ impl DistanceProvider for FlashProvider {
                 lut16_batch(&ctx.adt, block, m, &mut batch);
                 out.extend(batch[..take].iter().map(|&d| f32::from(d)));
             } else {
-                // A payload shorter than its id list (a caller that never
-                // synced it): fall back to single lookups.
+                // Ids the payload does not cover (the serving beam's
+                // gathered ids, scored against no block): one lookup each,
+                // straight on the packed code row.
                 out.extend(
                     ids[produced..produced + take]
                         .iter()
@@ -288,6 +295,10 @@ impl DistanceProvider for FlashProvider {
 
     fn payload_bytes(&self, cap: usize) -> usize {
         cap.div_ceil(LUT_BATCH) * self.codec.subspaces() * LUT_BATCH
+    }
+
+    fn code_row_bytes(&self) -> usize {
+        self.codec.code_bytes()
     }
 }
 

@@ -16,7 +16,10 @@
 //! The descent and the beam are the crate's one pair of search loops,
 //! [`crate::layers_search`]'s, which serving runs too. Here they read rows
 //! from the node records, whose payload blocks are resident: an expansion
-//! scores its whole row against the block and skips visited lanes after.
+//! scores its whole row against the block, then checks the lanes against
+//! the visited set — at layer 0, the insert's last beam, only the lanes a
+//! full beam can still admit. Serving has no resident blocks: it gathers
+//! the unvisited ids and scores them against none.
 //! [`Hnsw::search`] runs the same two loops at query time.
 //!
 //! [`Hnsw::build`] inserts batch-synchronously (ParlayANN, Manohar et al.,

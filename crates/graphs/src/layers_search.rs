@@ -5,18 +5,28 @@
 //! questions about a node: what its neighbor row is at a layer, and
 //! whether a payload block for that row is already resident.
 //!
-//! * A frozen [`GraphLayers`] has none: an expansion gathers its unvisited
-//!   neighbors, builds their block with [`DistanceProvider::sync_payload`]
-//!   and scores it, prefetching the next candidate meanwhile
-//!   (`gather_and_score`, which [`crate::vbase`] also calls).
+//! * A frozen [`GraphLayers`] has none. A beam expansion gathers its
+//!   unvisited neighbors without a branch per lane (every id is written,
+//!   the length advances by its not-seen bit) and scores them against no
+//!   block: the provider reads each id from its global state (Flash: table
+//!   lookups straight on the packed code rows), while the next candidate
+//!   is prefetched (`gather_and_score`, which [`crate::vbase`] also calls).
+//!   The descent builds each upper-layer row's block with
+//!   [`DistanceProvider::sync_payload`] and scores it whole.
 //! * HNSW's node records hold every row's block: an expansion scores the
-//!   whole row against it and skips visited lanes afterwards.
+//!   whole row against it and checks the lanes against the visited set
+//!   afterwards.
 //! * A frozen graph with prebuilt [`NodePayloads`] is resident at layer 0.
 //!
+//! A beam offers only the lanes of a 64-lane mask a full beam can still
+//! admit (`admissible`). At the epoch's last beam (layer 0) a resident
+//! expansion runs the visited check for those lanes only: nothing reads
+//! the epoch afterwards, while upper layers share it with the layers below.
+//!
 //! Either way the results are bit-identical: distances carry no side
-//! effects, and the admission loop walks each row in order, skipping
-//! visited lanes exactly where gathering never queued them. Callers own the
-//! visited epoch and the beam's entry distance.
+//! effects, and admission walks each row in order, skipping visited lanes
+//! exactly where gathering never queued them. Callers own the visited
+//! epoch and the beam's entry distance.
 //!
 //! Once construction ends every graph index is a [`FrozenGraph`], served
 //! allocation-free through [`search_layers_filtered`] with a pooled
@@ -26,7 +36,7 @@
 
 use crate::graph::GraphLayers;
 use crate::provider::DistanceProvider;
-use crate::scratch::{with_scratch, SearchScratch};
+use crate::scratch::{with_scratch, Beam, SearchScratch};
 use crate::Hit;
 use metrics::QueryProfile;
 
@@ -91,6 +101,42 @@ fn add_block<P: DistanceProvider>(profile: &mut QueryProfile, provider: &P, n: u
     add_evals(profile, provider, n);
 }
 
+/// Lanes one admission mask covers.
+const MASK_LANES: usize = 64;
+
+/// The admission mask of up to [`MASK_LANES`] scored lanes: bit `j` is set
+/// when `dists[j]` could still enter the beam. While the result set is
+/// short of `ef` every lane could; once it is full only lanes with
+/// `d ≤ worst` can, and since a full beam's worst never rises, a lane
+/// cleared here is refused by every later offer too.
+#[inline]
+fn admissible(dists: &[f32], beam: &Beam, ef: usize) -> u64 {
+    if beam.len() < ef {
+        return every(dists.len());
+    }
+    let worst = beam.worst();
+    (dists.iter().enumerate()).fold(0, |mask, (j, &d)| mask | (u64::from(d <= worst) << j))
+}
+
+/// The mask of all `n` lanes, `1 ≤ n ≤ MASK_LANES`.
+#[inline]
+fn every(n: usize) -> u64 {
+    debug_assert!((1..=MASK_LANES).contains(&n));
+    u64::MAX >> (MASK_LANES - n)
+}
+
+/// The set lanes of `mask`, ascending.
+#[inline]
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// Where the descent and the beam read a node's neighbor row, and whether
 /// the payload block of that row is already resident.
 pub(crate) trait Rows<PL> {
@@ -98,7 +144,8 @@ pub(crate) trait Rows<PL> {
     fn row(&self, layer: usize, node: u32) -> &[u32];
 
     /// That row's payload block when one is resident; with `None` the
-    /// search gathers the ids it scores and builds their block.
+    /// beam gathers the ids it scores and scores them against no block,
+    /// and the descent builds the row's block.
     fn resident(&self, layer: usize, node: u32) -> Option<&PL>;
 }
 
@@ -180,9 +227,11 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
 }
 
 /// The gathering half of an expansion of `node` at `layer`: marks the
-/// row's unvisited ids visited and leaves them in `scratch.ids`, then —
-/// unless there are none — prefetches the next frontier candidate, builds
-/// the ids' payload block and scores it into `scratch.dists`.
+/// row's unvisited ids visited and leaves them in `scratch.ids` — every id
+/// is written and the length advances by its not-seen bit, so no lane
+/// branches — then, unless there are none, prefetches the next frontier
+/// candidate and scores the ids into `scratch.dists` against no payload
+/// block: the provider reads each id from its global state.
 #[inline]
 pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
     provider: &P,
@@ -192,24 +241,29 @@ pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?S
     node: u32,
     scratch: &mut SearchScratch<P::NodePayload>,
 ) {
-    scratch.ids.clear();
-    for &nb in rows.row(layer, node) {
-        if !scratch.visited.check_and_mark(nb) {
-            scratch.ids.push(nb);
-        }
+    let row = rows.row(layer, node);
+    let ids = &mut scratch.ids;
+    ids.resize(row.len(), 0);
+    let mut len = 0;
+    for &nb in row {
+        ids[len] = nb;
+        len += usize::from(!scratch.visited.check_and_mark(nb));
     }
-    scratch.profile.visited_inserts += scratch.ids.len() as u64;
-    if scratch.ids.is_empty() {
+    ids.truncate(len);
+    scratch.profile.visited_inserts += len as u64;
+    if len == 0 {
         return;
     }
-    // Overlap the next candidate's misses with this block's scoring.
+    // Overlap the next candidate's misses with this row's scoring.
     if let Some(next) = scratch.beam.peek_frontier() {
         provider.prefetch(next);
         simdops::prefetch_slice(rows.row(layer, next));
     }
-    provider.sync_payload(&mut scratch.payload, &scratch.ids);
-    provider.dist_to_neighbors(ctx, &scratch.ids, &scratch.payload, &mut scratch.dists);
-    add_block(&mut scratch.profile, provider, scratch.ids.len());
+    let none = P::NodePayload::default();
+    provider.dist_to_neighbors(ctx, &scratch.ids, &none, &mut scratch.dists);
+    scratch.profile.rows_scored += 1;
+    scratch.profile.codeword_bytes += (len * provider.code_row_bytes()) as u64;
+    add_evals(&mut scratch.profile, provider, len);
 }
 
 /// Beam search at `layer` from `entry` at distance `entry_d`, with room for
@@ -217,7 +271,9 @@ pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?S
 /// drain. The beam *traverses* every vertex it reaches, but only vertices
 /// `accept` passes enter the result set (filtered search routes through
 /// rejected vertices, as in hnswlib's filtering mode). The caller owns the
-/// visited epoch: the entry is admitted whether or not it was visited.
+/// visited epoch: the entry is admitted whether or not it was visited, and
+/// at `layer` 0 — the epoch's last beam — a resident expansion leaves the
+/// lanes it cannot admit unmarked.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn beam_search<P, S, A>(
     provider: &P,
@@ -249,8 +305,13 @@ pub(crate) fn beam_search<P, S, A>(
         scratch.profile.hops_base += 1;
         let Some(block) = rows.resident(layer, u) else {
             gather_and_score(provider, rows, ctx, layer, u, scratch);
-            for (&nb, &nd) in scratch.ids.iter().zip(&scratch.dists) {
-                scratch.beam.offer(nd, nb, ef, || accept(nb));
+            let SearchScratch {
+                ids, dists, beam, ..
+            } = &mut *scratch;
+            for (ids, dists) in ids.chunks(MASK_LANES).zip(dists.chunks(MASK_LANES)) {
+                for j in lanes(admissible(dists, beam, ef)) {
+                    beam.offer(dists[j], ids[j], ef, || accept(ids[j]));
+                }
             }
             continue;
         };
@@ -262,12 +323,28 @@ pub(crate) fn beam_search<P, S, A>(
         }
         provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
         add_block(&mut scratch.profile, provider, row.len());
-        for (&nb, &nd) in row.iter().zip(&scratch.dists) {
-            if scratch.visited.check_and_mark(nb) {
-                continue;
+        let SearchScratch {
+            visited,
+            dists,
+            beam,
+            profile,
+            ..
+        } = &mut *scratch;
+        for (ids, dists) in row.chunks(MASK_LANES).zip(dists.chunks(MASK_LANES)) {
+            // Only the epoch's last beam may leave unadmittable lanes
+            // unmarked.
+            let mask = if layer == 0 {
+                admissible(dists, beam, ef)
+            } else {
+                every(dists.len())
+            };
+            for j in lanes(mask) {
+                if visited.check_and_mark(ids[j]) {
+                    continue;
+                }
+                profile.visited_inserts += 1;
+                beam.offer(dists[j], ids[j], ef, || accept(ids[j]));
             }
-            scratch.profile.visited_inserts += 1;
-            scratch.beam.offer(nd, nb, ef, || accept(nb));
         }
     }
 }
@@ -330,10 +407,10 @@ where
 
 /// Per-node payload blocks for a frozen graph's base layer, built once at
 /// load/freeze time — the serving-side half of the paper's access-aware
-/// layout (Section 3.3.4). [`search_layers`] must rebuild the expanded
-/// node's codeword block from the global code table on every expansion
-/// (the frozen topology stores adjacency only); with a sidecar the block
-/// is a plain read, so steady-state serving does no layout work at all.
+/// layout (Section 3.3.4). [`search_layers`] has no block to read (the
+/// frozen topology stores adjacency only): it scores the ids it gathers
+/// from the global code table one by one. With a sidecar each expansion
+/// scores its node's resident block whole instead.
 pub struct NodePayloads<PL> {
     rows: Vec<PL>,
 }
@@ -371,10 +448,9 @@ impl<PL: Default> NodePayloads<PL> {
 /// [`search_layers`] over prebuilt [`NodePayloads`]: identical `(dist, id)`
 /// results, but each base-layer expansion scores its *whole* neighbor row
 /// against the node's resident block instead of gathering unvisited ids
-/// and rebuilding a block for them. Scoring already-visited lanes is
-/// redundant work, but it is batched SIMD work on data the expansion
-/// touches anyway — cheaper than the per-expansion gather + block rebuild
-/// it replaces.
+/// and scoring them from the global code table. Scoring already-visited
+/// lanes is redundant work, but it is batched SIMD work on one contiguous
+/// block instead of one code-row read per gathered id.
 pub fn search_layers_cached<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,

@@ -58,12 +58,19 @@ pub trait DistanceProvider: Sync + Send {
     fn dist_between(&self, a: u32, b: u32) -> f32;
 
     /// Batched CA-stage distances from the prepared vector to all of `ids`
-    /// (a visited vertex's neighbor list). `payload` is the visited vertex's
-    /// node payload, whose layout mirrors `ids` (the lane invariant).
+    /// (a visited vertex's neighbor list). `payload` is either the visited
+    /// vertex's node payload, whose layout mirrors `ids` (the lane
+    /// invariant), or one that covers none of them (`NodePayload::default()`,
+    /// what the serving beam passes for the unvisited ids it gathers): the
+    /// provider then reads each id from its global state, at the cost of
+    /// [`Self::code_row_bytes`] per id. Either way the distances equal
+    /// [`Self::dist_to`]'s.
     ///
     /// The default implementation loops over [`Self::dist_to`] — one random
     /// memory access per neighbor, exactly the baseline behaviour the paper
-    /// profiles. Flash overrides this with register-resident table lookups.
+    /// profiles. Flash overrides this with register-resident table lookups
+    /// on a covering payload, and lookups straight on its packed code rows
+    /// otherwise.
     fn dist_to_neighbors(
         &self,
         ctx: &Self::QueryCtx,
@@ -76,10 +83,10 @@ pub trait DistanceProvider: Sync + Send {
     }
 
     /// Rebuilds `payload` from scratch for the list `ids` — every lane
-    /// gathered from the provider's global state. This is the serving-side
-    /// gather (a frozen topology stores adjacency only, so each expansion
-    /// builds the block of the ids it is about to score) and what
-    /// [`crate::NodePayloads::build`] runs once per node.
+    /// gathered from the provider's global state. [`crate::NodePayloads::build`]
+    /// runs it once per node, and the frozen descent once per upper-layer
+    /// row it scores (a frozen topology stores adjacency only). The serving
+    /// beam builds no block: it scores the ids it gathers against none.
     fn sync_payload(&self, _payload: &mut Self::NodePayload, _ids: &[u32]) {}
 
     /// Writes `id` into lane `lane` of `payload`, where `lane` is the
@@ -138,6 +145,16 @@ pub trait DistanceProvider: Sync + Send {
     /// Bytes one node payload occupies for a neighbor list of capacity
     /// `cap`. Used for index-size accounting (Figure 7).
     fn payload_bytes(&self, _cap: usize) -> usize {
+        0
+    }
+
+    /// Bytes of the global code row [`Self::dist_to`] reads for one vector:
+    /// what scoring an id against a payload that does not cover it reads.
+    /// The query profile's `codeword_bytes` counts it for every gathered
+    /// id, as it counts [`Self::payload_bytes`] for every block scored; the
+    /// default 0 keeps a provider out of that counter, as its default
+    /// payload size does.
+    fn code_row_bytes(&self) -> usize {
         0
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Every beam — a query's, or the Candidate Acquisition of an insert —
 //! needs a visited set, two heaps, and (for batched scoring) a gather
-//! buffer of neighbor ids, their distances, and a payload block of their
-//! codes; an insert additionally needs its candidate, selected and prune
-//! lists and the block Neighbor Selection builds. Allocating those per
+//! buffer of neighbor ids and their distances; the frozen descent needs a
+//! payload block for each upper-layer row it scores, and an insert
+//! additionally needs its candidate, selected and prune lists and the
+//! block Neighbor Selection builds. Allocating those per
 //! call puts the allocator on the hot path and cold memory under the beam;
 //! [`SearchScratch`] keeps one warm copy of all of them per thread,
 //! checked out around each query ([`with_scratch`]) and each insert.
@@ -176,8 +177,9 @@ pub struct SearchScratch<PL> {
     pub(crate) ids: Vec<u32>,
     /// Batched distances, parallel to `ids`.
     pub(crate) dists: Vec<f32>,
-    /// Provider payload for the gathered ids (Flash: codeword blocks);
-    /// during construction, the block Neighbor Selection is building.
+    /// A provider payload block (Flash: codewords): the frozen descent's
+    /// current upper-layer row; during construction, the block Neighbor
+    /// Selection is building.
     pub(crate) payload: PL,
     /// Construction: the sorted `(d, id)` output of Candidate Acquisition.
     pub(crate) candidates: Vec<(f32, u32)>,

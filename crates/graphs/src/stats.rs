@@ -220,12 +220,20 @@ impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
         self.inner.prefetch(id);
     }
 
+    fn coded(&self) -> bool {
+        self.inner.coded()
+    }
+
     fn aux_bytes(&self) -> usize {
         self.inner.aux_bytes()
     }
 
     fn payload_bytes(&self, cap: usize) -> usize {
         self.inner.payload_bytes(cap)
+    }
+
+    fn code_row_bytes(&self) -> usize {
+        self.inner.code_row_bytes()
     }
 }
 

@@ -26,7 +26,7 @@ use crate::Hit;
 /// standard HNSW search (bigger → higher recall, slower).
 ///
 /// Per-query state is pooled, and each expansion scores its unvisited
-/// neighbors as one [`DistanceProvider::dist_to_neighbors`] block —
+/// neighbors in one [`DistanceProvider::dist_to_neighbors`] call —
 /// bit-identical to the per-neighbor loop, since the windowed-termination
 /// decisions depend only on the distances, not on when they were computed.
 pub fn search_vbase<P: DistanceProvider>(

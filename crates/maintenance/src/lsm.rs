@@ -5,8 +5,8 @@ use crate::segment::Segment;
 use crate::{by_dist_then_id, Hit};
 use flash::{FlashCodec, FlashParams};
 use graphs::{HnswParams, QueryProfile};
-use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use vecstore::VectorSet;
 
@@ -233,12 +233,12 @@ impl LsmVectorIndex {
     /// k-NN across memtable and all segments, merged by exact distance.
     ///
     /// The memtable scan and each segment holding live vectors are one unit
-    /// each, run across the `rayon` pool; their hits are merged in unit
-    /// order and sorted by `(dist, id)`, so the result does not depend on
-    /// the pool's width. An index with one such unit (a rebuilt one) runs it
-    /// on the caller. What the units add to the query profile
-    /// ([`graphs::profile_take`]) lands on the caller's thread, wherever
-    /// they ran.
+    /// each, run across the `rayon` pool from the first unit on (`spread`);
+    /// their hits are merged in unit order and sorted by `(dist, id)`, so
+    /// the result does not depend on the pool's width. An index with one
+    /// such unit (a rebuilt one) runs it on the caller. What the units add
+    /// to the query profile ([`graphs::profile_take`]) lands on the
+    /// caller's thread, wherever they ran.
     pub fn search(&self, query: &[f32], k: usize, ef: usize) -> Vec<Hit> {
         let memtable = usize::from(self.memtable.live() > 0);
         let segments: Vec<&Segment> = self.segments.iter().filter(|s| s.live() > 0).collect();
@@ -248,10 +248,7 @@ impl LsmVectorIndex {
                 Some(s) => segments[s].search(query, k, ef),
             })
         };
-        let units: Vec<(Vec<Hit>, QueryProfile)> = (0..memtable + segments.len())
-            .into_par_iter()
-            .map(unit)
-            .collect();
+        let units = spread(memtable + segments.len(), &unit);
         let mut hits = Vec::with_capacity(units.iter().map(|(h, _)| h.len()).sum());
         for (unit_hits, profile) in units {
             hits.extend(unit_hits);
@@ -350,6 +347,30 @@ impl LsmVectorIndex {
             .sum();
         self.memtable.bytes() + segments + codecs
     }
+}
+
+/// `unit(i)` for every `i < units`, in order. The caller and one helper
+/// claim units in turn from a shared counter; [`rayon::join`] wakes the
+/// helper at once, where a parallel iterator wakes helpers only once the
+/// caller has timed a unit — so an iterator over two units never spreads,
+/// and a longer one runs its first unit alone.
+fn spread<R: Send + Sync>(units: usize, unit: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
+    if units <= 1 {
+        return (0..units).map(unit).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let done: Vec<OnceLock<R>> = (0..units).map(|_| OnceLock::new()).collect();
+    // The counter hands out indices only; results travel through the
+    // slots, and the join publishes them.
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = done.get(i) else { break };
+        assert!(slot.set(unit(i)).is_ok(), "unit {i} claimed twice");
+    };
+    rayon::join(claim, claim);
+    (done.into_iter())
+        .map(|slot| slot.into_inner().expect("every unit ran"))
+        .collect()
 }
 
 /// Runs `f` and returns, with its result, what it added to this thread's

@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use vecstore::{generate, DatasetSpec, VectorSet};
 
 const K: usize = 10;
-/// As wide as a segment, so a unit costs enough (≈ 30 µs in release) that
-/// the caller wakes the pool's helpers.
+/// As wide as a segment, so each unit is a real search (≈ 30 µs in
+/// release) that a helper can take while the caller runs another.
 const EF: usize = 200;
 
 /// Id `i` is row `i` of the returned corpus; `queries` follow.

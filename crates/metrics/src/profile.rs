@@ -47,8 +47,9 @@ pub struct QueryProfile {
     pub dist_exact: u64,
     /// Neighbor rows scored as one block via `dist_to_neighbors`.
     pub rows_scored: u64,
-    /// Bytes of codeword payload touched (`NodePayloads` reads and
-    /// per-expansion payload rebuilds).
+    /// Bytes of codewords read: payload blocks scored whole (node
+    /// records, `NodePayloads`, the rows of the frozen descent) and the
+    /// packed code rows of the ids a serving beam gathers.
     pub codeword_bytes: u64,
     /// Fresh inserts into the visited set.
     pub visited_inserts: u64,

@@ -407,7 +407,7 @@
 //! | `dist_coded` | distance evaluations through a coded provider (PQ/SQ/PCA/OPQ/Flash) |
 //! | `dist_exact` | full-precision distance evaluations (flat scans, rerank) |
 //! | `rows_scored` | neighbor-block rows scored by the block kernel |
-//! | `codeword_bytes` | compressed payload bytes streamed through the kernel |
+//! | `codeword_bytes` | codeword bytes read: payload blocks scored whole, plus the packed code rows of gathered ids |
 //! | `visited_inserts` | visited-set insertions (frontier pressure) |
 //! | `rerank_pool` | candidates re-scored at full precision |
 //! | `scratch_checkouts` | pooled scratch checkouts (1 per frozen-graph search) |
@@ -523,20 +523,23 @@
 //!    `created` stays flat while `checkouts` climbs — the zero-allocation
 //!    property the test suite asserts directly.
 //!
-//! 3. **Block-scored expansion with prefetch.** Kernels score a whole
-//!    neighbor line through [`graphs::DistanceProvider::dist_to_neighbors`]
-//!    (register-resident `lut16_batch` shuffles on the Flash path)
-//!    instead of per-neighbor `dist_to` calls, and while the current
-//!    block is scored they issue [`graphs::DistanceProvider::prefetch`]
-//!    for the next frontier candidate's codes plus a software prefetch of
-//!    its neighbor line — the lines are in flight before the beam
-//!    arrives. All of this is bit-exact: the same `(dist, id)` results as
-//!    the naive loop, enforced by the parity suites.
-//!    ([`graphs::NodePayloads`] + [`graphs::search_layers_cached`], which
-//!    prebuild every node's codeword block instead of gathering one per
-//!    expansion, are measured by the benchmark's traced run but serve no
-//!    index: they are no faster than the gathering kernel on three of
-//!    the four benchmark corpora.)
+//! 3. **Batched, branch-free expansion with prefetch.** Kernels score a
+//!    neighbor line in one [`graphs::DistanceProvider::dist_to_neighbors`]
+//!    call instead of per-neighbor `dist_to` calls. A serving expansion
+//!    gathers its unvisited neighbors without a branch per lane and scores
+//!    them against no block (Flash: table lookups straight on the packed
+//!    code rows); construction scores the node record's resident block
+//!    (register-resident `lut16_batch` shuffles). Admission offers only
+//!    the lanes a full beam can still take, picked by a 64-lane mask.
+//!    While a row is scored the kernel issues
+//!    [`graphs::DistanceProvider::prefetch`] for the next frontier
+//!    candidate's codes plus a software prefetch of its neighbor line —
+//!    the lines are in flight before the beam arrives. All of this is
+//!    bit-exact: the same `(dist, id)` results as the naive loop, enforced
+//!    by the parity suites. ([`graphs::NodePayloads`] +
+//!    [`graphs::search_layers_cached`], which prebuild every node's
+//!    codeword block and score whole rows against it, are measured by the
+//!    benchmark's traced run but serve no index.)
 //!
 //! 4. **Flash codes at the paper's density.** [`flash::FlashProvider`]'s
 //!    global code table stores each vector's `M_F` 4-bit codewords two per

@@ -60,7 +60,7 @@ fn flash_ssnpp_256d_profile() {
             dist_coded: 47_564,
             dist_exact: 0,
             rows_scored: 6434,
-            codeword_bytes: 1_767_424,
+            codeword_bytes: 424_280,
             visited_inserts: 45_885,
             rerank_pool: 0,
             scratch_checkouts: 50,

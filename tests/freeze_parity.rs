@@ -321,3 +321,55 @@ fn search_layers_matches_the_naive_beam_at_serving_ef() {
         }
     });
 }
+
+/// Rows wider than one 64-lane admission mask, at an `ef` narrower than
+/// such a row: base rows of up to 80 lanes (`r = 40`) over a flat 64-d
+/// spectrum, where Neighbor Selection keeps most candidates. The live
+/// `Hnsw::search` (resident blocks, whole rows scored), the frozen
+/// `search_layers` (gathered ids) and the naive beam must agree on ids and
+/// distance bits, for Flash and full precision.
+#[test]
+fn rows_wider_than_a_mask_word_match_every_reference() {
+    const WIDE_R: usize = 40;
+    const NARROW_EF: usize = 24;
+    let (base, queries) = generate(&DatasetSpec::new(128, 1, 1.0, 1.0, 11), 1200, 12, 77);
+    let params = HnswParams {
+        c: 96,
+        r: WIDE_R,
+        seed: SEED,
+    };
+    fn check<P: DistanceProvider>(what: &str, hnsw: Hnsw<P>, queries: &VectorSet) {
+        let live: Vec<Vec<Hit>> = queries
+            .iter()
+            .map(|q| hnsw.search(q, K, NARROW_EF))
+            .collect();
+        let index = hnsw.into_frozen();
+        let (provider, layers) = (index.provider(), index.layers());
+        let widest = layers.layer(0).rows().map(<[u32]>::len).max().unwrap_or(0);
+        let wide = layers.layer(0).rows().filter(|row| row.len() > 64).count();
+        assert!(
+            widest > NARROW_EF.max(64) && wide >= 10,
+            "{what}: {wide} base rows wider than 64 lanes (widest {widest})"
+        );
+        for (qi, (q, live)) in queries.iter().zip(&live).enumerate() {
+            let tag = format!("{what} query {qi}");
+            let naive = naive_search_layers(provider, layers, q, K, NARROW_EF);
+            assert_same(
+                &naive,
+                &search_layers(provider, layers, q, K, NARROW_EF),
+                &tag,
+            );
+            assert_same(&naive, live, &format!("{tag} live"));
+        }
+    }
+    check(
+        "hnsw:flash",
+        Hnsw::build(FlashProvider::new(base.clone(), flash_fp()), params),
+        &queries,
+    );
+    check(
+        "hnsw:full",
+        Hnsw::build(FullPrecision::new(base), params),
+        &queries,
+    );
+}
