@@ -94,9 +94,11 @@ pub struct Hit {
 
 /// Exact rerank shared by every search path in the workspace: rescore
 /// `pool` with full-precision squared-L2 distances against `base`, sort
-/// ascending by `(dist, id)`, and keep the best `k`. Centralized here so
-/// the frozen-topology serving path, the `engine` crate and callers
-/// reranking a live [`Hnsw::search`] pool all share one formula.
+/// ascending by `(dist, id)`, and keep the best `k` ([`nearest_exact`]).
+/// Centralized here so the frozen-topology serving path, the `engine`
+/// crate and callers reranking a live [`Hnsw::search`] pool all share one
+/// formula. The profile counts every pool entry as one exact evaluation
+/// begun, whether or not the bound cut it short.
 pub fn rerank_exact(
     base: &vecstore::VectorSet,
     query: &[f32],
@@ -108,16 +110,48 @@ pub fn rerank_exact(
         rerank_pool: pool.len() as u64,
         ..QueryProfile::new()
     });
-    let mut exact: Vec<Hit> = pool
-        .into_iter()
-        .map(|h| Hit {
-            id: h.id,
-            dist: simdops::l2_sq(query, base.get(h.id as usize)),
-        })
-        .collect();
-    exact.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    exact.truncate(k);
-    exact
+    let candidates = pool.iter().map(|h| (h.id, base.get(h.id as usize)));
+    nearest_exact(query, candidates, k)
+}
+
+/// The `k` best of `candidates` — `(id, vector)` pairs — by exact squared
+/// L2 to `query`, sorted ascending by `(dist, id)`: the first `k` of the
+/// fully scored and sorted list, ties and repeated ids included.
+///
+/// Candidates are scored in the order given, each bounded by the `k`-th
+/// best distance so far ([`simdops::l2_sq_bounded`]), and one the kernel
+/// abandons is dropped: its distance exceeds `k` others, so it could not
+/// have made the cut. Candidates sorted roughly best first (a beam's pool)
+/// set a tight bound early.
+pub fn nearest_exact<'a>(
+    query: &[f32],
+    candidates: impl IntoIterator<Item = (u64, &'a [f32])>,
+    k: usize,
+) -> Vec<Hit> {
+    let candidates = candidates.into_iter();
+    // `k` comes from the request; the list never outgrows the candidates.
+    let mut best: Vec<Hit> = Vec::with_capacity(k.min(candidates.size_hint().0) + 1);
+    if k == 0 {
+        return best;
+    }
+    let order = |a: &Hit, b: &Hit| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id));
+    for (id, v) in candidates {
+        let bound = if best.len() == k {
+            best[k - 1].dist
+        } else {
+            f32::INFINITY
+        };
+        let Some(dist) = simdops::l2_sq_bounded(query, v, bound) else {
+            continue;
+        };
+        let hit = Hit { id, dist };
+        let at = best.partition_point(|b| order(b, &hit).is_le());
+        if at < k {
+            best.insert(at, hit);
+            best.truncate(k);
+        }
+    }
+    best
 }
 
 /// `f32` wrapper with a total order (via `f32::total_cmp`) so distances can
@@ -142,6 +176,71 @@ impl Ord for OrdF32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `rerank_exact` before the bound: score the whole pool, sort, cut.
+    fn rerank_unbounded(
+        base: &vecstore::VectorSet,
+        query: &[f32],
+        pool: Vec<Hit>,
+        k: usize,
+    ) -> Vec<Hit> {
+        let mut exact: Vec<Hit> = pool
+            .into_iter()
+            .map(|h| Hit {
+                id: h.id,
+                dist: simdops::l2_sq(query, base.get(h.id as usize)),
+            })
+            .collect();
+        exact.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        exact.truncate(k);
+        exact
+    }
+
+    /// The bounded rerank keeps the unbounded one's ids and distance bits:
+    /// pools in beam order, reversed (the larger id of each tie first) and
+    /// shuffled, with repeated ids and exact ties (identical vectors),
+    /// shorter than `k`, and `k = 0`. Vectors are 256-d, so the kernel
+    /// checks its bound mid-vector.
+    #[test]
+    fn bounded_rerank_equals_the_unbounded_reference() {
+        let (raw, queries) =
+            vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 150, 4, 5);
+        // Row 150 + i repeats row i: every distance ties under two ids.
+        let mut base = vecstore::VectorSet::with_capacity(raw.dim(), 300);
+        for v in raw.iter().chain(raw.iter()) {
+            base.push(v);
+        }
+        let bits = |hits: &[Hit]| -> Vec<(u64, u32)> {
+            hits.iter().map(|h| (h.id, h.dist.to_bits())).collect()
+        };
+        for q in queries.iter() {
+            let mut by_dist: Vec<Hit> = (0..base.len() as u64)
+                .map(|id| Hit {
+                    id,
+                    dist: simdops::l2_sq(q, base.get(id as usize)),
+                })
+                .collect();
+            by_dist.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            let beam_order: Vec<Hit> = by_dist[..80].to_vec();
+            let shuffled: Vec<Hit> = (0..97u64)
+                .map(|i| by_dist[(i * 37 % 97) as usize])
+                .collect();
+            let repeated: Vec<Hit> = (0..60u64)
+                .map(|i| Hit {
+                    id: i % 7 + 146,
+                    dist: 0.0,
+                })
+                .collect();
+            let reversed: Vec<Hit> = beam_order.iter().rev().copied().collect();
+            for pool in [beam_order, shuffled, repeated, reversed] {
+                for k in [0usize, 1, 3, 10, 79, 80, 200] {
+                    let want = rerank_unbounded(&base, q, pool.clone(), k);
+                    let got = rerank_exact(&base, q, pool.clone(), k);
+                    assert_eq!(bits(&got), bits(&want), "k {k} pool {}", pool.len());
+                }
+            }
+        }
+    }
 
     #[test]
     fn ordf32_orders_like_floats() {

@@ -1,6 +1,6 @@
 //! An immutable, Flash-indexed data segment with tombstone deletes.
 
-use crate::{k_best, Hit};
+use crate::Hit;
 use flash::{FlashCodec, FlashProvider};
 use graphs::{
     search_layers_filtered, DistanceProvider, FrozenGraph, GraphLayers, Hnsw, HnswParams,
@@ -162,7 +162,8 @@ impl Segment {
     }
 
     /// k-NN over the live vectors: a filtered beam search on the Flash
-    /// graph followed by exact rescoring of the surviving candidates.
+    /// graph followed by exact rescoring of the surviving candidates, each
+    /// bounded by the `k`-th best so far ([`graphs::nearest_exact`]).
     ///
     /// The rerank pool is `ef` wide (not `k`): quantized distances tie
     /// heavily, and a pool as large as the beam keeps a consolidated
@@ -178,14 +179,8 @@ impl Segment {
         let (provider, layers) = (self.index.provider(), self.index.layers());
         let found = search_layers_filtered(provider, layers, query, pool, ef, &accept);
         let base = provider.base();
-        let hits: Vec<Hit> = found
-            .into_iter()
-            .map(|r| Hit {
-                id: self.ids[r.id as usize],
-                dist: simdops::l2_sq(query, base.get(r.id as usize)),
-            })
-            .collect();
-        k_best(hits, k)
+        let candidates = (found.iter()).map(|r| (self.ids[r.id as usize], base.get(r.id as usize)));
+        graphs::nearest_exact(query, candidates, k)
     }
 
     /// Copies the live `(id, vector)` pairs out (rebuild input).

@@ -42,8 +42,9 @@ pub struct QueryProfile {
     /// Distance evaluations against compressed codes (LUT lookups,
     /// scalar-quantized or projected comparisons).
     pub dist_coded: u64,
-    /// Distance evaluations against full-precision vectors (baseline
-    /// provider scoring, brute-force scans, exact rerank passes).
+    /// Distance evaluations against full-precision vectors begun (baseline
+    /// provider scoring, brute-force scans, exact rerank passes, where a
+    /// bounded evaluation may stop early).
     pub dist_exact: u64,
     /// Neighbor rows scored as one block via `dist_to_neighbors`.
     pub rows_scored: u64,

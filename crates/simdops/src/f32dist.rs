@@ -37,6 +37,47 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Floats [`l2_sq_bounded`] accumulates between two looks at its sum.
+const BOUND_CHECK_FLOATS: usize = 128;
+
+/// [`l2_sq`] that gives up once the sum is past `bound`: `Some` carries
+/// `l2_sq(a, b)`'s exact bits, and `None` means `l2_sq(a, b) > bound`.
+///
+/// Each level runs its `l2_sq` accumulation unchanged. Every 128 floats it
+/// reduces a copy of its accumulators the way the final sum does and
+/// returns `None` once that partial sum exceeds `bound`. The accumulators
+/// only ever add nonnegative squares and every step of the reduction is
+/// monotone in its inputs, so no partial sum exceeds the final one (for
+/// inputs free of NaNs and infinities). With `bound = +∞` this is
+/// `Some(l2_sq(a, b))`; a result past `bound` may still come back as
+/// `Some`.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn l2_sq_bounded(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "dimension mismatch: {} vs {}",
+        a.len(),
+        b.len()
+    );
+    match current_level() {
+        SimdLevel::Scalar => l2_sq_bounded_scalar(a, b, bound),
+        // SAFETY (all three): `current_level` never exceeds what the CPU
+        // supports.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse => unsafe { l2_sq_bounded_sse(a, b, bound) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { l2_sq_bounded_avx2(a, b, bound) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => unsafe { l2_sq_bounded_avx512(a, b, bound) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => l2_sq_bounded_scalar(a, b, bound),
+    }
+}
+
 /// Inner product `a · b`.
 ///
 /// # Panics
@@ -153,6 +194,24 @@ pub fn l2_sq_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
+/// [`l2_sq_bounded`] over [`l2_sq_scalar`]'s running sum.
+fn l2_sq_bounded_scalar(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
+    let mut acc = 0.0f32;
+    let blocks = a
+        .chunks(BOUND_CHECK_FLOATS)
+        .zip(b.chunks(BOUND_CHECK_FLOATS));
+    for (a, b) in blocks {
+        for (&x, &y) in a.iter().zip(b) {
+            let d = x - y;
+            acc += d * d;
+        }
+        if acc > bound {
+            return None;
+        }
+    }
+    Some(acc)
+}
+
 /// [`l2_sq_scalar`] of each pair, the sixteen sums advanced together.
 fn l2_sq_4x4_scalar(q: [&[f32]; 4], r: [&[f32]; 4]) -> [[f32; 4]; 4] {
     let mut acc = [[0.0f32; 4]; 4];
@@ -203,25 +262,73 @@ pub(crate) unsafe fn hsum256(v: std::arch::x86_64::__m256) -> f32 {
     ))
 }
 
+/// `out + Σ (a[i] − b[i])²` for `i` from `from` on: the scalar tail every
+/// tier's `l2_sq` finishes with.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn l2_sq_tail(a: &[f32], b: &[f32], from: usize, mut out: f32) -> f32 {
+    for (&x, &y) in a[from..].iter().zip(&b[from..]) {
+        let d = x - y;
+        out += d * d;
+    }
+    out
+}
+
+/// [`l2_sq_sse`]'s accumulator after the 4-float chunks `chunks` of `a`
+/// and `b`, starting from `acc`.
+///
+/// # Safety
+/// The CPU must support sse2, and both slices hold `4 * chunks.end` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
+#[inline]
+unsafe fn l2_sq_chunks_sse(
+    a: &[f32],
+    b: &[f32],
+    chunks: std::ops::Range<usize>,
+    mut acc: std::arch::x86_64::__m128,
+) -> std::arch::x86_64::__m128 {
     use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm_setzero_ps();
-    let chunks = n / 4;
-    for i in 0..chunks {
+    for i in chunks {
         let va = _mm_loadu_ps(a.as_ptr().add(i * 4));
         let vb = _mm_loadu_ps(b.as_ptr().add(i * 4));
         let d = _mm_sub_ps(va, vb);
         acc = _mm_add_ps(acc, _mm_mul_ps(d, d));
     }
-    let mut out = hsum128(acc);
-    for i in chunks * 4..n {
-        let d = a[i] - b[i];
-        out += d * d;
+    acc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn l2_sq_sse(a: &[f32], b: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 4;
+    let acc = l2_sq_chunks_sse(a, b, 0..chunks, _mm_setzero_ps());
+    l2_sq_tail(a, b, chunks * 4, hsum128(acc))
+}
+
+/// [`l2_sq_bounded`] over [`l2_sq_sse`]'s accumulation.
+///
+/// # Safety
+/// The CPU must support sse2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn l2_sq_bounded_sse(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 4;
+    let mut acc = _mm_setzero_ps();
+    // A block of fixed length unrolls like `l2_sq`'s loop.
+    let block = BOUND_CHECK_FLOATS / 4;
+    let mut from = 0;
+    while from + block <= chunks {
+        acc = l2_sq_chunks_sse(a, b, from..from + block, acc);
+        from += block;
+        if hsum128(acc) > bound {
+            return None;
+        }
     }
-    out
+    acc = l2_sq_chunks_sse(a, b, from..chunks, acc);
+    Some(l2_sq_tail(a, b, chunks * 4, hsum128(acc)))
 }
 
 /// `out[i][j] += (q[i][t] - r[j][t])²` for `t` from `from` to the end:
@@ -286,25 +393,62 @@ unsafe fn ip_sse(a: &[f32], b: &[f32]) -> f32 {
     out
 }
 
+/// [`l2_sq_avx2`]'s accumulator after the 8-float chunks `chunks`,
+/// starting from `acc`.
+///
+/// # Safety
+/// The CPU must support avx2 and fma, and both slices hold
+/// `8 * chunks.end` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
+#[inline]
+unsafe fn l2_sq_chunks_avx2(
+    a: &[f32],
+    b: &[f32],
+    chunks: std::ops::Range<usize>,
+    mut acc: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm256_setzero_ps();
-    let chunks = n / 8;
-    for i in 0..chunks {
+    for i in chunks {
         let va = _mm256_loadu_ps(a.as_ptr().add(i * 8));
         let vb = _mm256_loadu_ps(b.as_ptr().add(i * 8));
         let d = _mm256_sub_ps(va, vb);
         acc = _mm256_fmadd_ps(d, d, acc);
     }
-    let mut out = hsum256(acc);
-    for i in chunks * 8..n {
-        let d = a[i] - b[i];
-        out += d * d;
+    acc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 8;
+    let acc = l2_sq_chunks_avx2(a, b, 0..chunks, _mm256_setzero_ps());
+    l2_sq_tail(a, b, chunks * 8, hsum256(acc))
+}
+
+/// [`l2_sq_bounded`] over [`l2_sq_avx2`]'s accumulation.
+///
+/// # Safety
+/// The CPU must support avx2 and fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn l2_sq_bounded_avx2(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 8;
+    let mut acc = _mm256_setzero_ps();
+    // A block of fixed length unrolls like `l2_sq`'s loop.
+    let block = BOUND_CHECK_FLOATS / 8;
+    let mut from = 0;
+    while from + block <= chunks {
+        acc = l2_sq_chunks_avx2(a, b, from..from + block, acc);
+        from += block;
+        if hsum256(acc) > bound {
+            return None;
+        }
     }
-    out
+    acc = l2_sq_chunks_avx2(a, b, from..chunks, acc);
+    Some(l2_sq_tail(a, b, chunks * 8, hsum256(acc)))
 }
 
 /// [`l2_sq_avx2`] of each pair.
@@ -355,25 +499,62 @@ unsafe fn ip_avx2(a: &[f32], b: &[f32]) -> f32 {
     out
 }
 
+/// [`l2_sq_avx512`]'s accumulator after the 16-float chunks `chunks`,
+/// starting from `acc`.
+///
+/// # Safety
+/// The CPU must support avx512f, and both slices hold `16 * chunks.end`
+/// floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn l2_sq_avx512(a: &[f32], b: &[f32]) -> f32 {
+#[inline]
+unsafe fn l2_sq_chunks_avx512(
+    a: &[f32],
+    b: &[f32],
+    chunks: std::ops::Range<usize>,
+    mut acc: std::arch::x86_64::__m512,
+) -> std::arch::x86_64::__m512 {
     use std::arch::x86_64::*;
-    let n = a.len();
-    let mut acc = _mm512_setzero_ps();
-    let chunks = n / 16;
-    for i in 0..chunks {
+    for i in chunks {
         let va = _mm512_loadu_ps(a.as_ptr().add(i * 16));
         let vb = _mm512_loadu_ps(b.as_ptr().add(i * 16));
         let d = _mm512_sub_ps(va, vb);
         acc = _mm512_fmadd_ps(d, d, acc);
     }
-    let mut out = _mm512_reduce_add_ps(acc);
-    for i in chunks * 16..n {
-        let d = a[i] - b[i];
-        out += d * d;
+    acc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn l2_sq_avx512(a: &[f32], b: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 16;
+    let acc = l2_sq_chunks_avx512(a, b, 0..chunks, _mm512_setzero_ps());
+    l2_sq_tail(a, b, chunks * 16, _mm512_reduce_add_ps(acc))
+}
+
+/// [`l2_sq_bounded`] over [`l2_sq_avx512`]'s accumulation.
+///
+/// # Safety
+/// The CPU must support avx512f.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn l2_sq_bounded_avx512(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
+    use std::arch::x86_64::*;
+    let chunks = a.len() / 16;
+    let mut acc = _mm512_setzero_ps();
+    // A block of fixed length unrolls like `l2_sq`'s loop.
+    let block = BOUND_CHECK_FLOATS / 16;
+    let mut from = 0;
+    while from + block <= chunks {
+        acc = l2_sq_chunks_avx512(a, b, from..from + block, acc);
+        from += block;
+        if _mm512_reduce_add_ps(acc) > bound {
+            return None;
+        }
     }
-    out
+    acc = l2_sq_chunks_avx512(a, b, from..chunks, acc);
+    Some(l2_sq_tail(a, b, chunks * 16, _mm512_reduce_add_ps(acc)))
 }
 
 /// [`l2_sq_avx512`] of each pair: sixteen accumulators, four row chunks
@@ -550,6 +731,39 @@ mod tests {
                     )
                 });
                 assert_eq!(got, want, "{level:?} dim={dim}");
+            }
+        }
+    }
+
+    /// `l2_sq_bounded` at every level: `Some` with `l2_sq`'s bits for every
+    /// bound at or above the distance (exactly equal and `+∞` included),
+    /// and `None` only for bounds below it, at lengths around the register
+    /// widths and the check interval.
+    #[test]
+    fn l2_sq_bounded_is_l2_sq_or_a_proof_it_is_past_the_bound() {
+        let _serial = crate::level::serialize_level_tests();
+        for len in (1..=9usize).chain([16, 17, 96, 127, 128, 129, 768]) {
+            let buf = awkward_floats(2 * len + 1);
+            let (a, b) = (&buf[1..=len], &buf[len + 1..]);
+            for level in supported_levels() {
+                with_level(level, || {
+                    let exact = l2_sq(a, b);
+                    let at_or_above = [exact, exact * 1.5, f32::MAX, f32::INFINITY];
+                    for bound in at_or_above {
+                        let got = l2_sq_bounded(a, b, bound).map(f32::to_bits);
+                        assert_eq!(got, Some(exact.to_bits()), "{level:?} len={len} {bound}");
+                    }
+                    let below = [exact.next_down(), exact * 0.5, exact * 0.01, 0.0, -1.0];
+                    for bound in below {
+                        if let Some(d) = l2_sq_bounded(a, b, bound) {
+                            assert_eq!(d.to_bits(), exact.to_bits(), "{level:?} len={len}");
+                        }
+                    }
+                    // Bounds far below a long distance are caught early.
+                    if len >= 256 {
+                        assert_eq!(l2_sq_bounded(a, b, exact * 0.01), None, "{level:?}");
+                    }
+                });
             }
         }
     }

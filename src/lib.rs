@@ -405,7 +405,7 @@
 //! | `hops_upper` | node expansions above the base layer (greedy descent) |
 //! | `hops_base` | node expansions in the base-layer beam |
 //! | `dist_coded` | distance evaluations through a coded provider (PQ/SQ/PCA/OPQ/Flash) |
-//! | `dist_exact` | full-precision distance evaluations (flat scans, rerank) |
+//! | `dist_exact` | full-precision distance evaluations begun (flat scans, rerank; a bounded rerank evaluation may stop early) |
 //! | `rows_scored` | neighbor-block rows scored by the block kernel |
 //! | `codeword_bytes` | codeword bytes read: payload blocks scored whole, plus the packed code rows of gathered ids |
 //! | `visited_inserts` | visited-set insertions (frontier pressure) |
@@ -527,9 +527,12 @@
 //!    neighbor line in one [`graphs::DistanceProvider::dist_to_neighbors`]
 //!    call instead of per-neighbor `dist_to` calls. A serving expansion
 //!    gathers its unvisited neighbors without a branch per lane and scores
-//!    them against no block (Flash: table lookups straight on the packed
-//!    code rows); construction scores the node record's resident block
-//!    (register-resident `lut16_batch` shuffles). Admission offers only
+//!    them against no block (Flash: `simdops::lut16_gather` transposes
+//!    sixteen packed code rows in registers and scores them with the same
+//!    shuffles); construction scores the node record's resident block
+//!    (register-resident `lut16_batch` shuffles). The exact rerank after
+//!    the beam bounds each full-precision distance by the `k`-th best so
+//!    far and drops a candidate once its partial sum passes it. Admission offers only
 //!    the lanes a full beam can still take, picked by a 64-lane mask.
 //!    While a row is scored the kernel issues
 //!    [`graphs::DistanceProvider::prefetch`] for the next frontier
