@@ -11,9 +11,8 @@
 //! codewords per byte (`⌈M_F / 2⌉` bytes, read through [`nibble`]); it is
 //! what single lookups, SDT rows and payload builds read, and what a
 //! serving beam scores the ids it gathers on: it passes
-//! [`DistanceProvider::dist_to_neighbors`] no block, so every sixteen ids
-//! are one [`lut16_gather`], which transposes their packed rows into
-//! shuffle lanes in registers. The neighbor payload blocks —
+//! [`DistanceProvider::dist_to_neighbors`] no block, so each id is one
+//! table lookup straight on its packed row. The neighbor payload blocks —
 //! the node records' during construction, [`graphs::NodePayloads`], the
 //! frozen descent's rows — hold one codeword per byte, shuffle-ready, so
 //! one register load feeds `pshufb` directly;
@@ -22,7 +21,7 @@
 
 use crate::codec::{nibble, FlashCodec, FlashParams, K};
 use graphs::provider::{DistanceProvider, PruneRule};
-use simdops::{lut16_batch, lut16_gather, lut16_single, LUT_BATCH};
+use simdops::{lut16_batch, lut16_single, LUT_BATCH};
 use std::sync::Arc;
 use vecstore::VectorSet;
 
@@ -67,8 +66,8 @@ pub struct FlashProvider {
     codec: Arc<FlashCodec>,
     /// Global per-vector code rows: `n * ⌈M_F / 2⌉` bytes, two 4-bit
     /// codewords per byte ([`nibble`] reads one). Source of truth for
-    /// payload builds, single lookups, the gathers that score every id a
-    /// serving beam collects, and NS-stage SDT lookups.
+    /// payload builds, single lookups (every id a serving beam gathers)
+    /// and NS-stage SDT lookups.
     codes: Vec<u8>,
     /// Wall-clock nanoseconds spent training the codec and encoding the
     /// dataset (the paper's "coding time", Table 4).
@@ -209,11 +208,13 @@ impl DistanceProvider for FlashProvider {
                 out.extend(batch[..take].iter().map(|&d| f32::from(d)));
             } else {
                 // Ids the payload does not cover (the serving beam's
-                // gathered ids, scored against no block): their packed code
-                // rows, transposed in registers, sixteen per shuffle pass.
-                let lanes = &ids[produced..produced + take];
-                lut16_gather(&ctx.adt, &self.codes, lanes, m, &mut batch);
-                out.extend(batch[..take].iter().map(|&d| f32::from(d)));
+                // gathered ids, scored against no block): one lookup each,
+                // straight on the packed code row.
+                out.extend(
+                    ids[produced..produced + take]
+                        .iter()
+                        .map(|&id| self.dist_to(ctx, id)),
+                );
             }
             produced += take;
         }
@@ -580,11 +581,11 @@ mod tests {
         assert!(checked > 0, "every pair happened to be symmetric");
     }
 
-    /// Ids past the payload's blocks are gathered from the code table and
+    /// Ids past the payload's blocks are looked up on the code table and
     /// score `dist_to`'s bits at every level, for even and odd `M_F` and
-    /// 1 to 40 ids (so the last gather is partial), the table's last rows
+    /// 1 to 40 ids (so the last block is partial), the table's last rows
     /// included; a payload covering the first block leaves the rest to the
-    /// gather.
+    /// single lookups.
     #[test]
     fn payload_lag_falls_back_to_single_lookups() {
         let _serial = crate::tests::serialize_level_tests();

@@ -8,9 +8,9 @@
 //! * A frozen [`GraphLayers`] has none. A beam expansion gathers its
 //!   unvisited neighbors without a branch per lane (every id is written,
 //!   the length advances by its not-seen bit) and scores them against no
-//!   block: the provider reads the ids from its global state (Flash:
-//!   sixteen packed code rows at a time, transposed in registers and
-//!   scored by one shuffle pass), while the next candidate is prefetched (`gather_and_score`, which [`crate::vbase`] also calls).
+//!   block: the provider reads each id from its global state (Flash: table
+//!   lookups straight on the packed code rows), while the next candidate
+//!   is prefetched (`gather_and_score`, which [`crate::vbase`] also calls).
 //!   The descent builds each upper-layer row's block with
 //!   [`DistanceProvider::sync_payload`] and scores it whole.
 //! * HNSW's node records hold every row's block: an expansion scores the
@@ -409,9 +409,8 @@ where
 /// load/freeze time — the serving-side half of the paper's access-aware
 /// layout (Section 3.3.4). [`search_layers`] has no block to read (the
 /// frozen topology stores adjacency only): it scores the ids it gathers
-/// straight from the global code table (Flash: sixteen rows transposed in
-/// registers per shuffle pass). With a sidecar each expansion scores its
-/// node's resident block whole instead, visited lanes included.
+/// from the global code table one by one. With a sidecar each expansion
+/// scores its node's resident block whole instead.
 pub struct NodePayloads<PL> {
     rows: Vec<PL>,
 }

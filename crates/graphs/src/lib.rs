@@ -118,11 +118,11 @@ pub fn rerank_exact(
 /// L2 to `query`, sorted ascending by `(dist, id)`: the first `k` of the
 /// fully scored and sorted list, ties and repeated ids included.
 ///
-/// Candidates are scored in the order given, each bounded by the `k`-th
-/// best distance so far ([`simdops::l2_sq_bounded`]), and one the kernel
-/// abandons is dropped: its distance exceeds `k` others, so it could not
-/// have made the cut. Candidates sorted roughly best first (a beam's pool)
-/// set a tight bound early.
+/// Candidates are scored in the order given. Once `k` are kept, each is
+/// bounded by the `k`-th best distance so far ([`simdops::l2_sq_bounded`]),
+/// and one the kernel abandons is dropped: its distance exceeds `k` others,
+/// so it could not have made the cut. Candidates sorted roughly best first
+/// (a beam's pool) set a tight bound early.
 pub fn nearest_exact<'a>(
     query: &[f32],
     candidates: impl IntoIterator<Item = (u64, &'a [f32])>,
@@ -136,13 +136,13 @@ pub fn nearest_exact<'a>(
     }
     let order = |a: &Hit, b: &Hit| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id));
     for (id, v) in candidates {
-        let bound = if best.len() == k {
-            best[k - 1].dist
-        } else {
-            f32::INFINITY
-        };
-        let Some(dist) = simdops::l2_sq_bounded(query, v, bound) else {
-            continue;
+        // Until `k` are kept there is no bound, so the plain kernel runs.
+        let dist = match best.get(k - 1) {
+            None => simdops::l2_sq(query, v),
+            Some(kth) => match simdops::l2_sq_bounded(query, v, kth.dist) {
+                Some(dist) => dist,
+                None => continue,
+            },
         };
         let hit = Hit { id, dist };
         let at = best.partition_point(|b| order(b, &hit).is_le());
@@ -200,43 +200,56 @@ mod tests {
     /// pools in beam order, reversed (the larger id of each tie first) and
     /// shuffled, with repeated ids and exact ties (identical vectors),
     /// shorter than `k`, and `k = 0`. Vectors are 256-d, so the kernel
-    /// checks its bound mid-vector.
+    /// checks its bound mid-vector. In the second set their last 128 floats
+    /// are zero, so that check sees the whole distance, and a tie with the
+    /// `k`-th best must still reach the list.
     #[test]
     fn bounded_rerank_equals_the_unbounded_reference() {
         let (raw, queries) =
             vecstore::generate(&vecstore::DatasetProfile::SsnppLike.spec(), 150, 4, 5);
-        // Row 150 + i repeats row i: every distance ties under two ids.
-        let mut base = vecstore::VectorSet::with_capacity(raw.dim(), 300);
-        for v in raw.iter().chain(raw.iter()) {
-            base.push(v);
-        }
         let bits = |hits: &[Hit]| -> Vec<(u64, u32)> {
             hits.iter().map(|h| (h.id, h.dist.to_bits())).collect()
         };
-        for q in queries.iter() {
-            let mut by_dist: Vec<Hit> = (0..base.len() as u64)
-                .map(|id| Hit {
-                    id,
-                    dist: simdops::l2_sq(q, base.get(id as usize)),
-                })
-                .collect();
-            by_dist.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            let beam_order: Vec<Hit> = by_dist[..80].to_vec();
-            let shuffled: Vec<Hit> = (0..97u64)
-                .map(|i| by_dist[(i * 37 % 97) as usize])
-                .collect();
-            let repeated: Vec<Hit> = (0..60u64)
-                .map(|i| Hit {
-                    id: i % 7 + 146,
-                    dist: 0.0,
-                })
-                .collect();
-            let reversed: Vec<Hit> = beam_order.iter().rev().copied().collect();
-            for pool in [beam_order, shuffled, repeated, reversed] {
-                for k in [0usize, 1, 3, 10, 79, 80, 200] {
-                    let want = rerank_unbounded(&base, q, pool.clone(), k);
-                    let got = rerank_exact(&base, q, pool.clone(), k);
-                    assert_eq!(bits(&got), bits(&want), "k {k} pool {}", pool.len());
+        for zero_tail in [false, true] {
+            let row = |v: &[f32]| {
+                let mut v = v.to_vec();
+                if zero_tail {
+                    v[128..].fill(0.0);
+                }
+                v
+            };
+            // Row 150 + i repeats row i: every distance ties under two ids.
+            let mut base = vecstore::VectorSet::with_capacity(raw.dim(), 300);
+            for v in raw.iter().chain(raw.iter()) {
+                base.push(&row(v));
+            }
+            for q in queries.iter() {
+                let q = &row(q)[..];
+                let mut by_dist: Vec<Hit> = (0..base.len() as u64)
+                    .map(|id| Hit {
+                        id,
+                        dist: simdops::l2_sq(q, base.get(id as usize)),
+                    })
+                    .collect();
+                by_dist.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+                let beam_order: Vec<Hit> = by_dist[..80].to_vec();
+                let shuffled: Vec<Hit> = (0..97u64)
+                    .map(|i| by_dist[(i * 37 % 97) as usize])
+                    .collect();
+                let repeated: Vec<Hit> = (0..60u64)
+                    .map(|i| Hit {
+                        id: i % 7 + 146,
+                        dist: 0.0,
+                    })
+                    .collect();
+                let reversed: Vec<Hit> = beam_order.iter().rev().copied().collect();
+                for pool in [beam_order, shuffled, repeated, reversed] {
+                    for k in [0usize, 1, 3, 10, 79, 80, 200] {
+                        let want = rerank_unbounded(&base, q, pool.clone(), k);
+                        let got = rerank_exact(&base, q, pool.clone(), k);
+                        let at = format!("zero tail {zero_tail} k {k} pool {}", pool.len());
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                    }
                 }
             }
         }

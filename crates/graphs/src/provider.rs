@@ -62,16 +62,15 @@ pub trait DistanceProvider: Sync + Send {
     /// vertex's node payload, whose layout mirrors `ids` (the lane
     /// invariant), or one that covers none of them (`NodePayload::default()`,
     /// what the serving beam passes for the unvisited ids it gathers): the
-    /// provider then reads the ids from its global state, at the cost of
+    /// provider then reads each id from its global state, at the cost of
     /// [`Self::code_row_bytes`] per id. Either way the distances equal
     /// [`Self::dist_to`]'s, bit for bit.
     ///
     /// The default implementation loops over [`Self::dist_to`] — one random
     /// memory access per neighbor, exactly the baseline behaviour the paper
     /// profiles. Flash overrides this with register-resident table lookups
-    /// on a covering payload, and otherwise gathers sixteen packed code
-    /// rows at a time, transposes them in registers and scores them with
-    /// the same shuffles (`simdops::lut16_gather`).
+    /// on a covering payload, and lookups straight on its packed code rows
+    /// otherwise.
     fn dist_to_neighbors(
         &self,
         ctx: &Self::QueryCtx,

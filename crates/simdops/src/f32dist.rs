@@ -43,14 +43,14 @@ const BOUND_CHECK_FLOATS: usize = 128;
 /// [`l2_sq`] that gives up once the sum is past `bound`: `Some` carries
 /// `l2_sq(a, b)`'s exact bits, and `None` means `l2_sq(a, b) > bound`.
 ///
-/// Each level runs its `l2_sq` accumulation unchanged. Every 128 floats it
-/// reduces a copy of its accumulators the way the final sum does and
-/// returns `None` once that partial sum exceeds `bound`. The accumulators
-/// only ever add nonnegative squares and every step of the reduction is
-/// monotone in its inputs, so no partial sum exceeds the final one (for
-/// inputs free of NaNs and infinities). With `bound = +∞` this is
-/// `Some(l2_sq(a, b))`; a result past `bound` may still come back as
-/// `Some`.
+/// Each level runs its `l2_sq` accumulation unchanged. Every 128 floats
+/// (at the SIMD levels, only while more than 128 remain) it reduces a copy
+/// of its accumulators the way the final sum does and returns `None` once
+/// that partial sum exceeds `bound`. The accumulators only ever add
+/// nonnegative squares and every step of the reduction is monotone in its
+/// inputs, so no partial sum exceeds the final one (for inputs free of
+/// NaNs and infinities). With `bound = +∞` this is `Some(l2_sq(a, b))`; a
+/// result past `bound` may still come back as `Some`.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -317,10 +317,11 @@ unsafe fn l2_sq_bounded_sse(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
     use std::arch::x86_64::*;
     let chunks = a.len() / 4;
     let mut acc = _mm_setzero_ps();
-    // A block of fixed length unrolls like `l2_sq`'s loop.
+    // A block of fixed length unrolls like `l2_sq`'s loop; no look is
+    // taken once the rest fits in one block.
     let block = BOUND_CHECK_FLOATS / 4;
     let mut from = 0;
-    while from + block <= chunks {
+    while from + block < chunks {
         acc = l2_sq_chunks_sse(a, b, from..from + block, acc);
         from += block;
         if hsum128(acc) > bound {
@@ -437,10 +438,11 @@ unsafe fn l2_sq_bounded_avx2(a: &[f32], b: &[f32], bound: f32) -> Option<f32> {
     use std::arch::x86_64::*;
     let chunks = a.len() / 8;
     let mut acc = _mm256_setzero_ps();
-    // A block of fixed length unrolls like `l2_sq`'s loop.
+    // A block of fixed length unrolls like `l2_sq`'s loop; no look is
+    // taken once the rest fits in one block.
     let block = BOUND_CHECK_FLOATS / 8;
     let mut from = 0;
-    while from + block <= chunks {
+    while from + block < chunks {
         acc = l2_sq_chunks_avx2(a, b, from..from + block, acc);
         from += block;
         if hsum256(acc) > bound {
@@ -543,10 +545,11 @@ unsafe fn l2_sq_bounded_avx512(a: &[f32], b: &[f32], bound: f32) -> Option<f32> 
     use std::arch::x86_64::*;
     let chunks = a.len() / 16;
     let mut acc = _mm512_setzero_ps();
-    // A block of fixed length unrolls like `l2_sq`'s loop.
+    // A block of fixed length unrolls like `l2_sq`'s loop; no look is
+    // taken once the rest fits in one block.
     let block = BOUND_CHECK_FLOATS / 16;
     let mut from = 0;
-    while from + block <= chunks {
+    while from + block < chunks {
         acc = l2_sq_chunks_avx512(a, b, from..from + block, acc);
         from += block;
         if _mm512_reduce_add_ps(acc) > bound {
@@ -738,14 +741,23 @@ mod tests {
     /// `l2_sq_bounded` at every level: `Some` with `l2_sq`'s bits for every
     /// bound at or above the distance (exactly equal and `+∞` included),
     /// and `None` only for bounds below it, at lengths around the register
-    /// widths and the check interval.
+    /// widths and the check interval. In the second pair the vectors agree
+    /// past the first 128 floats, so the first look already sees the whole
+    /// distance and a bound equal to it must not stop the kernel there.
     #[test]
     fn l2_sq_bounded_is_l2_sq_or_a_proof_it_is_past_the_bound() {
         let _serial = crate::level::serialize_level_tests();
-        for len in (1..=9usize).chain([16, 17, 96, 127, 128, 129, 768]) {
+        for len in (1..=9usize).chain([16, 17, 96, 127, 128, 129, 256, 768]) {
             let buf = awkward_floats(2 * len + 1);
             let (a, b) = (&buf[1..=len], &buf[len + 1..]);
-            for level in supported_levels() {
+            let mut same_tail = b.to_vec();
+            if len > BOUND_CHECK_FLOATS {
+                same_tail[BOUND_CHECK_FLOATS..].copy_from_slice(&a[BOUND_CHECK_FLOATS..]);
+            }
+            for (b, level) in [b, &same_tail[..]]
+                .into_iter()
+                .flat_map(|b| supported_levels().into_iter().map(move |l| (b, l)))
+            {
                 with_level(level, || {
                     let exact = l2_sq(a, b);
                     let at_or_above = [exact, exact * 1.5, f32::MAX, f32::INFINITY];

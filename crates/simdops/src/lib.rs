@@ -19,10 +19,7 @@
 //!   (k-means assignment, codeword selection, ADT generation);
 //! * [`lut`] — the Flash kernel: 16-entry 8-bit lookup tables resident in a
 //!   SIMD register, indexed by 4-bit codewords via byte-shuffle instructions
-//!   (`pshufb` / `vpshufb`), producing 16 partial distances per instruction.
-//!   [`lut16_batch`] reads a subspace-major block, [`lut16_gather`] sixteen
-//!   packed code rows it transposes into that shape in registers, and
-//!   [`lut16_single`] one packed row (the gather's oracle);
+//!   (`pshufb` / `vpshufb`), producing 16 partial distances per instruction;
 //! * [`level`] — feature detection plus a process-wide dispatch override so
 //!   the benchmark harness can force SSE/AVX2/AVX-512 paths (paper Fig. 12)
 //!   and fully disable SIMD (paper Table 3).
@@ -40,6 +37,6 @@ pub mod u8dist;
 pub use f32dist::{inner_product, l2_sq, l2_sq_4x4, l2_sq_bounded, l2_sq_min_rows, norm_sq};
 pub use gemm::{dist16, dist16_block, dist16_rows, gemm_nt, nearest16};
 pub use level::{current_level, detect_level, set_level_override, supported_levels, SimdLevel};
-pub use lut::{lut16_batch, lut16_gather, lut16_single, LUT_BATCH};
+pub use lut::{lut16_batch, lut16_single, LUT_BATCH};
 pub use prefetch::{prefetch_read, prefetch_slice};
 pub use u8dist::l2_sq_u8;

@@ -75,9 +75,9 @@ pub fn lut16_batch_scalar(tables: &[u8], codes: &[u8], m: usize, out: &mut [u16;
 
 /// Single-vector variant: looks up one codeword per subspace.
 ///
-/// Used when a distance is needed for one vertex alone (e.g. the entry
-/// point of a search), and the oracle [`lut16_gather`] must equal for
-/// every id it scores. `codes` is the vertex's packed code row,
+/// Used when a distance is needed for one vertex outside a batch: the
+/// entry point of a search, and every id a serving beam gathers (scored
+/// against no block). `codes` is the vertex's packed code row,
 /// `m.div_ceil(2)` bytes: byte `p` holds the 4-bit codeword of subspace
 /// `2p` in its low nibble and that of subspace `2p + 1` in its high nibble.
 /// When `m` is odd the last byte's high nibble is not read.
@@ -102,155 +102,6 @@ pub fn lut16_single(tables: &[u8], codes: &[u8], m: usize) -> u16 {
         acc += u16::from(tail[usize::from(codes[m / 2] & 0x0f)]);
     }
     acc
-}
-
-/// Scores up to [`LUT_BATCH`] vectors straight from a packed code table.
-///
-/// * `tables`: the ADT, `m * 16` bytes, as [`lut16_batch`] reads it.
-/// * `codes`: vector-major code rows of `m.div_ceil(2)` bytes each, packed
-///   as [`lut16_single`] reads one.
-/// * `ids`: 1 to 16 row indices into `codes`; repeats are allowed.
-/// * `out[j]` receives `lut16_single(tables, row ids[j], m)` for
-///   `j < ids.len()`, and 0 past it.
-///
-/// The SIMD levels read the rows eight bytes at a time, transpose the
-/// sixteen rows in registers into one subspace-major nibble lane per
-/// subspace, and run [`lut16_batch`]'s shuffle-and-add over them: SSE with
-/// byte/word/dword/qword unpacks, AVX-512 with two eight-row gathers, one
-/// in-lane byte shuffle each and a word permute. AVX2 runs the SSE kernel:
-/// pairing a column's two subspaces in one 256-bit `vpshufb` measured only
-/// 5–10 % faster, since the transpose dominates.
-/// A row too close to the end of `codes` for an eight-byte load is read
-/// through a zero-padded copy. The scalar level is per-id [`lut16_single`].
-///
-/// # Panics
-/// Panics if `tables.len() != m * 16`, if `ids` is empty or longer than 16,
-/// or if an id's row lies past the end of `codes`.
-#[inline]
-pub fn lut16_gather(
-    tables: &[u8],
-    codes: &[u8],
-    ids: &[u32],
-    m: usize,
-    out: &mut [u16; LUT_BATCH],
-) {
-    assert_eq!(tables.len(), m * LUT_BATCH, "ADT length mismatch");
-    assert!(
-        (1..=LUT_BATCH).contains(&ids.len()),
-        "1 to {LUT_BATCH} ids per gather, got {}",
-        ids.len()
-    );
-    let row = m.div_ceil(2);
-    // Lanes past `ids.len()` score the first id again and are zeroed below.
-    let mut starts = [ids[0] as usize * row; LUT_BATCH];
-    for (start, &id) in starts.iter_mut().zip(ids) {
-        *start = id as usize * row;
-    }
-    let far = starts.iter().max().copied().unwrap_or(0);
-    assert!(
-        far + row <= codes.len(),
-        "id past the end of the code table"
-    );
-    // Whether every row's eight-byte loads stay inside `codes`.
-    let direct = far + row.next_multiple_of(GATHER_STEP) <= codes.len();
-    let singles = |out: &mut [u16; LUT_BATCH]| {
-        for (o, &start) in out.iter_mut().zip(&starts[..ids.len()]) {
-            *o = lut16_single(tables, &codes[start..start + row], m);
-        }
-    };
-    match current_level() {
-        SimdLevel::Scalar => singles(out),
-        // SAFETY (both): the level never exceeds what the CPU supports
-        // (AVX2 implies ssse3 and sse4.1), every row lies in `codes`
-        // (asserted above), and `direct` is exactly the kernels' condition
-        // for plain loads.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse | SimdLevel::Avx2 => unsafe {
-            lut16_gather_sse(tables, codes, &starts, m, direct, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { lut16_gather_avx512(tables, codes, &starts, m, direct, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => singles(out),
-    }
-    out[ids.len()..].fill(0);
-}
-
-/// Bytes of one row that a gather step reads at once.
-const GATHER_STEP: usize = 8;
-
-/// The `GATHER_STEP` bytes at `off` of the sixteen rows starting at
-/// `starts`, as little-endian words. `direct` says every such load lies in
-/// `codes`; otherwise each row's bytes past its end (and past `codes`) are
-/// zero.
-///
-/// # Safety
-/// With `direct`, `starts[j] + off + 8 <= codes.len()` for every `j`;
-/// without it, `starts[j] + row <= codes.len()` and `off < row`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn row_words(
-    codes: &[u8],
-    starts: &[usize; LUT_BATCH],
-    off: usize,
-    row: usize,
-    direct: bool,
-) -> [u64; LUT_BATCH] {
-    if direct {
-        // SAFETY: the caller guarantees the eight bytes lie in `codes`.
-        starts.map(|s| unsafe { codes.as_ptr().add(s + off).cast::<u64>().read_unaligned() })
-    } else {
-        let take = (row - off).min(GATHER_STEP);
-        starts.map(|s| {
-            let mut word = [0u8; GATHER_STEP];
-            word[..take].copy_from_slice(&codes[s + off..s + off + take]);
-            u64::from_le_bytes(word)
-        })
-    }
-}
-
-/// Sixteen rows of eight bytes (row `j` in the low half of `rows[j]`)
-/// transposed to eight columns: byte `j` of column `p` is byte `p` of row
-/// `j`. Four rounds of unpacks widen the interleaved unit from a byte to a
-/// quadword.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn transpose_16x8(
-    rows: [std::arch::x86_64::__m128i; LUT_BATCH],
-) -> [std::arch::x86_64::__m128i; GATHER_STEP] {
-    use std::arch::x86_64::*;
-    // Word p of `bytes[k]`: byte p of rows 2k and 2k + 1.
-    let mut bytes = [_mm_setzero_si128(); 8];
-    for (k, b) in bytes.iter_mut().enumerate() {
-        *b = _mm_unpacklo_epi8(rows[2 * k], rows[2 * k + 1]);
-    }
-    // Dword p of `words[k]` (p < 4) and `words[4 + k]` (p ≥ 4): byte p of
-    // rows 4k..4k + 4.
-    let mut words = [_mm_setzero_si128(); 8];
-    for k in 0..4 {
-        words[k] = _mm_unpacklo_epi16(bytes[2 * k], bytes[2 * k + 1]);
-        words[4 + k] = _mm_unpackhi_epi16(bytes[2 * k], bytes[2 * k + 1]);
-    }
-    // Qword q of `dwords[2h + i]`: byte 2i + q (plus 4 for h ≥ 2) of rows
-    // 0..8 (h even) or 8..16 (h odd).
-    let mut dwords = [_mm_setzero_si128(); 8];
-    for h in 0..4 {
-        let (a, b) = (words[2 * h], words[2 * h + 1]);
-        dwords[2 * h] = _mm_unpacklo_epi32(a, b);
-        dwords[2 * h + 1] = _mm_unpackhi_epi32(a, b);
-    }
-    // `dwords` 0, 1 hold bytes 0..4 of rows 0..8; 2, 3 of rows 8..16;
-    // 4, 5 bytes 4..8 of rows 0..8; 6, 7 of rows 8..16.
-    let mut cols = [_mm_setzero_si128(); GATHER_STEP];
-    for half in 0..2 {
-        for i in 0..2 {
-            let (low_rows, high_rows) = (dwords[4 * half + i], dwords[4 * half + 2 + i]);
-            cols[4 * half + 2 * i] = _mm_unpacklo_epi64(low_rows, high_rows);
-            cols[4 * half + 2 * i + 1] = _mm_unpackhi_epi64(low_rows, high_rows);
-        }
-    }
-    cols
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -330,179 +181,6 @@ unsafe fn lut16_batch_avx512(tables: &[u8], codes: &[u8], m: usize, out: &mut [u
         acc = _mm256_add_epi16(acc, _mm256_cvtepu8_epi16(partial));
     }
     _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, acc);
-}
-
-/// One subspace of [`lut16_batch_sse`]: `acc += ADT_s[codes]`, the low
-/// eight lanes in `acc[0]`, the high eight in `acc[1]`.
-///
-/// # Safety
-/// The CPU must support ssse3 and sse4.1, and `s < tables.len() / 16`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3,sse4.1")]
-#[inline]
-unsafe fn add_subspace_sse(
-    tables: &[u8],
-    s: usize,
-    codes: std::arch::x86_64::__m128i,
-    acc: &mut [std::arch::x86_64::__m128i; 2],
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: table `s` lies in `tables`.
-    let table = unsafe { _mm_loadu_si128(tables.as_ptr().add(s * 16).cast()) };
-    let partial = _mm_shuffle_epi8(table, codes);
-    acc[0] = _mm_add_epi16(acc[0], _mm_cvtepu8_epi16(partial));
-    acc[1] = _mm_add_epi16(acc[1], _mm_cvtepu8_epi16(_mm_srli_si128(partial, 8)));
-}
-
-/// [`lut16_gather`] at the SSE level.
-///
-/// # Safety
-/// The CPU must support ssse3 and sse4.1, every row `starts[j]..starts[j]
-/// + m.div_ceil(2)` lies in `codes`, and with `direct` so do the
-/// `m.div_ceil(2).next_multiple_of(8)` bytes from each start.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "ssse3,sse4.1")]
-unsafe fn lut16_gather_sse(
-    tables: &[u8],
-    codes: &[u8],
-    starts: &[usize; LUT_BATCH],
-    m: usize,
-    direct: bool,
-    out: &mut [u16; LUT_BATCH],
-) {
-    use std::arch::x86_64::*;
-    let (row, pairs) = (m.div_ceil(2), m / 2);
-    let nibble = _mm_set1_epi8(0x0f);
-    let mut acc = [_mm_setzero_si128(); 2];
-    for off in (0..row).step_by(GATHER_STEP) {
-        // SAFETY (here and below): forwarded from the caller; every
-        // subspace index is below `m`.
-        let words = unsafe { row_words(codes, starts, off, row, direct) };
-        let cols = transpose_16x8(words.map(|w| _mm_cvtsi64_si128(w as i64)));
-        let whole = pairs.saturating_sub(off).min(GATHER_STEP);
-        for (p, &col) in cols[..whole].iter().enumerate() {
-            // Byte `off + p` holds subspace 2(off + p) in its low nibble
-            // and 2(off + p) + 1 in its high nibble.
-            let s = 2 * (off + p);
-            unsafe {
-                add_subspace_sse(tables, s, _mm_and_si128(col, nibble), &mut acc);
-                let high = _mm_and_si128(_mm_srli_epi16(col, 4), nibble);
-                add_subspace_sse(tables, s + 1, high, &mut acc);
-            }
-        }
-        if m % 2 == 1 && pairs < off + GATHER_STEP {
-            // Odd `m`: the low nibble of the last byte.
-            let low = _mm_and_si128(cols[pairs - off], nibble);
-            unsafe { add_subspace_sse(tables, m - 1, low, &mut acc) };
-        }
-    }
-    // SAFETY: `out` holds sixteen `u16`s, two registers' worth.
-    unsafe {
-        _mm_storeu_si128(out.as_mut_ptr().cast(), acc[0]);
-        _mm_storeu_si128(out.as_mut_ptr().add(8).cast(), acc[1]);
-    }
-}
-
-/// Word indices that pick byte columns `first..first + 4` out of the two
-/// in-lane-interleaved gathers: word `8q + k` of the result is byte
-/// `first + q` of rows 2k and 2k + 1, found in lane `k % 4` of gather
-/// `k / 4` (words `32·(k / 4) + 8·(k % 4) + first + q`).
-const fn column_words(first: usize) -> [u16; 32] {
-    let mut idx = [0u16; 32];
-    let mut w = 0;
-    while w < 32 {
-        let (q, k) = (w / 8, w % 8);
-        idx[w] = (32 * (k / 4) + 8 * (k % 4) + first + q) as u16;
-        w += 1;
-    }
-    idx
-}
-
-/// [`column_words`] of columns 0..4 and 4..8.
-const COLUMN_WORDS: [[u16; 32]; 2] = [column_words(0), column_words(4)];
-
-/// [`lut16_gather`] at the AVX-512 level. Two gathers fetch eight rows'
-/// eight bytes each (row `j` in qword `j`); an in-lane byte shuffle
-/// interleaves each lane's two rows, so word `p` holds both rows' byte
-/// `p`; two word permutes collect four byte columns per register, one per
-/// 128-bit lane. A quadword permute then pairs each column's low and high
-/// nibbles into the subspace order of the ADT, so one 64-byte table load
-/// and one `vpshufb` score four subspaces. Subspaces at `m` and past it
-/// (the odd padding nibble, bytes past the row) read zero tables from a
-/// masked load and add nothing.
-///
-/// # Safety
-/// As [`lut16_gather_sse`], with avx512f and avx512bw.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn lut16_gather_avx512(
-    tables: &[u8],
-    codes: &[u8],
-    starts: &[usize; LUT_BATCH],
-    m: usize,
-    direct: bool,
-    out: &mut [u16; LUT_BATCH],
-) {
-    use std::arch::x86_64::*;
-    let row = m.div_ceil(2);
-    let nibble = _mm512_set1_epi8(0x0f);
-    let interleave = _mm512_broadcast_i32x4(_mm_setr_epi8(
-        0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15,
-    ));
-    // SAFETY (every load below): the index tables and `starts` are in
-    // bounds, `out` holds sixteen `u16`s, and the code and table reads are
-    // forwarded from the caller or masked to table bytes below `m * 16`.
-    let columns = COLUMN_WORDS.map(|idx| unsafe { _mm512_loadu_si512(idx.as_ptr().cast()) });
-    let quads = [
-        _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
-        _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
-    ];
-    let row_starts = unsafe {
-        [
-            _mm512_loadu_si512(starts.as_ptr().cast()),
-            _mm512_loadu_si512(starts.as_ptr().add(8).cast()),
-        ]
-    };
-    let mut acc_a = _mm512_setzero_si512();
-    let mut acc_b = _mm512_setzero_si512();
-    for off in (0..row).step_by(GATHER_STEP) {
-        let rows = if direct {
-            let at = _mm512_set1_epi64(off as i64);
-            row_starts.map(|s| unsafe {
-                _mm512_i64gather_epi64(_mm512_add_epi64(s, at), codes.as_ptr().cast(), 1)
-            })
-        } else {
-            let words = unsafe { row_words(codes, starts, off, row, false) };
-            [0, 8].map(|j| unsafe { _mm512_loadu_si512(words.as_ptr().add(j).cast()) })
-        };
-        let [pairs0, pairs1] = rows.map(|r| _mm512_shuffle_epi8(r, interleave));
-        for (half, idx) in columns.into_iter().enumerate() {
-            let cols = _mm512_permutex2var_epi16(pairs0, idx, pairs1);
-            let low = _mm512_and_si512(cols, nibble);
-            let high = _mm512_and_si512(_mm512_srli_epi16(cols, 4), nibble);
-            for (g, quad) in quads.into_iter().enumerate() {
-                let s = 2 * off + 8 * half + 4 * g;
-                if s >= m {
-                    break;
-                }
-                let live = u64::MAX >> (64 - 16 * (m - s).min(4));
-                let tables4 =
-                    unsafe { _mm512_maskz_loadu_epi8(live, tables.as_ptr().add(s * 16).cast()) };
-                let partial =
-                    _mm512_shuffle_epi8(tables4, _mm512_permutex2var_epi64(low, quad, high));
-                let lo256 = _mm512_castsi512_si256(partial);
-                let hi256 = _mm512_extracti64x4_epi64(partial, 1);
-                acc_a = _mm512_add_epi16(acc_a, _mm512_cvtepu8_epi16(lo256));
-                acc_b = _mm512_add_epi16(acc_b, _mm512_cvtepu8_epi16(hi256));
-            }
-        }
-    }
-    let acc512 = _mm512_add_epi16(acc_a, acc_b);
-    let acc = _mm256_add_epi16(
-        _mm512_castsi512_si256(acc512),
-        _mm512_extracti64x4_epi64(acc512, 1),
-    );
-    unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), acc) };
 }
 
 #[cfg(test)]
@@ -597,50 +275,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// `lut16_gather` equals per-id `lut16_single` at every level: `m`
-    /// even and odd around the eight-byte step, 1 to 16 ids, repeated ids,
-    /// and the table's last rows, whose eight-byte loads would run past the
-    /// end. Padding nibbles are random, so a kernel reading one fails.
-    #[test]
-    fn gather_is_per_id_single_lookups_at_every_level() {
-        let _serial = crate::level::serialize_level_tests();
-        for m in [1usize, 2, 5, 7, 8, 15, 16, 17, 32, 33, 64] {
-            let row = m.div_ceil(2);
-            let tables = arb_bytes(m * 16, 41 + m as u64, 255);
-            for n in [1u32, 40] {
-                let codes = arb_bytes(n as usize * row, 43 + m as u64, 255);
-                let spread = |len: u32| (0..len).map(|i| (i * 7 + 3) % n).collect::<Vec<u32>>();
-                let id_sets = [
-                    vec![n - 1],
-                    spread(7),
-                    spread(15),
-                    spread(16),
-                    (0..16).map(|i| n - 1 - i % n).collect(),
-                    vec![n / 2, n - 1, n / 2, 0, n / 2],
-                ];
-                for ids in &id_sets {
-                    let mut want = [0u16; LUT_BATCH];
-                    for (w, &id) in want.iter_mut().zip(ids) {
-                        let at = id as usize * row;
-                        *w = lut16_single(&tables, &codes[at..at + row], m);
-                    }
-                    for level in supported_levels() {
-                        let mut got = [u16::MAX; LUT_BATCH];
-                        with_level(level, || lut16_gather(&tables, &codes, ids, m, &mut got));
-                        assert_eq!(got, want, "{level:?} m={m} n={n} ids={ids:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "past the end of the code table")]
-    fn gather_rejects_an_id_past_the_table() {
-        let mut out = [0u16; LUT_BATCH];
-        lut16_gather(&[0u8; 64], &[0u8; 6], &[0, 3], 4, &mut out);
     }
 
     #[test]

@@ -527,13 +527,13 @@
 //!    neighbor line in one [`graphs::DistanceProvider::dist_to_neighbors`]
 //!    call instead of per-neighbor `dist_to` calls. A serving expansion
 //!    gathers its unvisited neighbors without a branch per lane and scores
-//!    them against no block (Flash: `simdops::lut16_gather` transposes
-//!    sixteen packed code rows in registers and scores them with the same
-//!    shuffles); construction scores the node record's resident block
-//!    (register-resident `lut16_batch` shuffles). The exact rerank after
-//!    the beam bounds each full-precision distance by the `k`-th best so
-//!    far and drops a candidate once its partial sum passes it. Admission offers only
-//!    the lanes a full beam can still take, picked by a 64-lane mask.
+//!    them against no block (Flash: table lookups straight on the packed
+//!    code rows); construction scores the node record's resident block
+//!    (register-resident `lut16_batch` shuffles). Admission offers only
+//!    the lanes a full beam can still take, picked by a 64-lane mask. The
+//!    exact rerank after the beam bounds each full-precision distance by
+//!    the `k`-th best so far and drops a candidate once its partial sum
+//!    passes it.
 //!    While a row is scored the kernel issues
 //!    [`graphs::DistanceProvider::prefetch`] for the next frontier
 //!    candidate's codes plus a software prefetch of its neighbor line —
