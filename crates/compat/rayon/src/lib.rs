@@ -1,14 +1,16 @@
 //! Offline stand-in for `rayon`: the `par_iter` / `into_par_iter` /
-//! `par_iter_mut` surface the workspace uses, and `join`, on one persistent
-//! pool. A parallel call runs on its caller, as worker 0, plus helper
-//! threads (`rayon-helper`) that are spawned the first time a call wants
-//! them and park on a condvar between calls; the caller never waits for a
-//! helper to start, only for the pieces helpers have claimed. A call is
+//! `par_iter_mut` surface the workspace uses, `join`, and [`fan_out`] (a
+//! list of jobs started at once), on one persistent pool. A parallel call
+//! runs on its caller, as worker 0, plus helper threads (`rayon-helper`)
+//! that are spawned the first time a call wants them and park on a condvar
+//! between calls; the caller never waits for a helper to start, only for
+//! the pieces helpers have claimed. A call is
 //! `std::thread::available_parallelism()` wide; only rayon's own
-//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`, which
-//! tests use, sets another width — no variable or option does. The pool
-//! holds `width - 1` helpers for the widest call so far, and a call never
-//! uses more than its own width.
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)` sets
+//! another width (tests do, and `serving::WorkerPool` does for its
+//! fan-out) — no variable or option does. The pool holds `width - 1`
+//! helpers for the widest call so far, and a call never uses more than its
+//! own width.
 //!
 //! Output never depends on the thread count: a source (an integer range or
 //! a slice) is cut into pieces by its length alone, workers claim pieces
@@ -280,6 +282,21 @@ pub mod prelude {
     };
 }
 
+/// Runs every job at once and returns their results in job order. As the
+/// caller claims the first job it wakes a helper for each other job, at
+/// most `width - 1`, and whoever is free claims the next. A panic in any
+/// job is re-raised here once every claimed job has finished; a call
+/// inside a job runs inline.
+///
+/// Unlike a parallel iterator, it does not wait until [`HELPER_WORTH`] of
+/// work is left before waking helpers. That wait is read off the jobs the
+/// caller has finished, and a caller cannot time a blocking job, such as a
+/// remote shard exchange, before that job ends: a `par_iter` over two
+/// shards would run both, one after the other, on the caller.
+pub fn fan_out<R: Send, F: FnOnce() -> R + Send>(jobs: Vec<F>) -> Vec<R> {
+    run(jobs, Duration::ZERO, |job| job())
+}
+
 /// Runs both closures, `oper_b` on a helper when the pool has two and one
 /// claims it before the caller is done with `oper_a`, and returns both
 /// results.
@@ -295,11 +312,11 @@ where
         Box::new(|| ra = Some(oper_a())),
         Box::new(|| rb = Some(oper_b())),
     ];
-    run(opers, Duration::ZERO, |oper| oper());
+    fan_out(opers);
     (ra.expect("ran"), rb.expect("ran"))
 }
 
-/// rayon's pool builder, reduced to the one setting tests use.
+/// rayon's pool builder, reduced to its one setting, the width.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,

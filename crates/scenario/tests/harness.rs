@@ -134,6 +134,28 @@ fn spans_cover_the_interval_they_name() {
     );
 }
 
+/// Every `shard_fanout` span times the fan-out it names: the fan-out half
+/// of `spans_cover_the_interval_they_name`, whose `rerank` half is open.
+#[test]
+fn shard_fanout_spans_time_the_fan_out() {
+    let scenario = by_name("steady_zipf", true).unwrap();
+    let (_, traces) = scenario.runner(7).run_traced().expect("traced run");
+    let mut checked = 0;
+    for trace in &traces {
+        for span in trace.get("spans").and_then(Json::as_arr).unwrap() {
+            if span.get("kind").and_then(Json::as_str) == Some("shard_fanout") {
+                let elapsed = span.get("elapsed_ns").and_then(Json::as_u64).unwrap();
+                assert!(
+                    elapsed > 0,
+                    "a shard_fanout span records no interval: {span:?}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "steady_zipf must record shard_fanout spans");
+}
+
 /// Running a scenario publishes the stack's live stats objects into the
 /// process-wide registry under stable `layer.component.metric` names,
 /// and the registry snapshot stays parseable JSON.

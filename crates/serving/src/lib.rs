@@ -6,10 +6,9 @@
 //!
 //! * [`ShardedIndex`] — partition a dataset across N shards
 //!   ([`ShardPolicy::RoundRobin`] or [`ShardPolicy::Hash`]), search the
-//!   shards concurrently on a hand-rolled [`WorkerPool`]
-//!   (long-lived `std::thread`s + channels; the workspace's `rayon` pool
-//!   spawns its threads per call, which suits builds, not a query path),
-//!   and scatter-gather merge per-shard hits into one
+//!   shards concurrently on the workspace's one `rayon` pool, whose parked
+//!   helpers are woken at once for a fan-out ([`WorkerPool`] is only its
+//!   width: it owns no threads), and scatter-gather merge per-shard hits into one
 //!   globally-ordered `(dist, id)` top-k with local→global id remapping.
 //!   `ShardedIndex` implements `AnnIndex` itself, so it nests under the
 //!   other layers, and its `search_batch` fans a whole batch's
@@ -49,7 +48,7 @@
 //! let (base, queries) = generate(&DatasetProfile::SsnppLike.spec(), 600, 8, 7);
 //! let builder = IndexBuilder::new(GraphKind::Hnsw, Coding::Flash).c(48).r(8).seed(1);
 //!
-//! // 4 shards searched by 4 worker threads, behind a 256-entry cache.
+//! // 4 shards searched 4 threads wide, behind a 256-entry cache.
 //! let sharded = ShardedIndex::build(base, &builder, 4, ShardPolicy::RoundRobin, 4);
 //! let index = Arc::new(CachedIndex::new(Arc::new(sharded), 256));
 //!

@@ -549,27 +549,21 @@ impl ReplicatedIndex {
         let pool = Arc::new(WorkerPool::new(threads));
 
         // Build the full (shard × replica) grid concurrently: one flat job
-        // list keeps every worker busy across shard boundaries. The last
+        // list keeps every thread busy across shard boundaries. The last
         // replica of each shard consumes the partition instead of cloning
-        // it once more (boxed closures: the two push sites differ in type).
-        type BuildJob = Box<dyn FnOnce() -> Arc<dyn AnnIndex> + Send + 'static>;
-        let mut jobs: Vec<BuildJob> = Vec::with_capacity(sets.len() * replicas);
+        // it once more.
+        let job = |set: VectorSet| {
+            let codec = &codec;
+            move || builder.build_with_codec(set, codec)
+        };
+        let mut jobs = Vec::with_capacity(sets.len() * replicas);
         for set in sets {
             for _ in 1..replicas {
-                let builder = builder.clone();
-                let codec = codec.clone();
-                let set = set.clone();
-                jobs.push(Box::new(move || {
-                    Arc::from(builder.build_with_codec(set, &codec)) as Arc<dyn AnnIndex>
-                }));
+                jobs.push(job(set.clone()));
             }
-            let builder = builder.clone();
-            let codec = codec.clone();
-            jobs.push(Box::new(move || {
-                Arc::from(builder.build_with_codec(set, &codec)) as Arc<dyn AnnIndex>
-            }));
+            jobs.push(job(set));
         }
-        let mut built = pool.run(jobs).into_iter();
+        let mut built = pool.run(jobs).into_iter().map(Arc::<dyn AnnIndex>::from);
 
         let mut groups = Vec::with_capacity(id_maps.len());
         let shard_parts: Vec<(Box<dyn AnnIndex>, Vec<u64>)> = id_maps

@@ -1,7 +1,8 @@
 //! Sharded scatter-gather serving over any [`AnnIndex`].
 //!
 //! A [`ShardedIndex`] partitions a dataset across N independent shards at
-//! build time, searches the shards concurrently on a [`WorkerPool`], and
+//! build time, searches the shards concurrently — a [`WorkerPool`] sets how
+//! many of the workspace's `rayon` threads one fan-out runs on — and
 //! merges the per-shard hits into one globally-ordered `(dist, id)` top-k,
 //! remapping shard-local ids back to global dataset ids. It implements
 //! [`AnnIndex`] itself, so shards compose with every `GraphKind × Coding`
@@ -49,13 +50,13 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// One shard: the index plus its local→global id map.
 struct Shard {
-    index: Arc<dyn AnnIndex>,
+    index: Box<dyn AnnIndex>,
     /// `global_ids[local]` is the dataset id of the shard's vector `local`.
     global_ids: Arc<Vec<u64>>,
 }
 
 /// A dataset partitioned across independent [`AnnIndex`] shards, searched
-/// with scatter-gather on a worker pool.
+/// with scatter-gather at a [`WorkerPool`]'s width.
 ///
 /// Per-shard results keep their native sort (ascending `(dist, id)` on
 /// local ids); the gather step remaps to global ids, merges, re-sorts by
@@ -92,8 +93,8 @@ impl ShardedIndex {
 
     /// Builds every shard with `builder` (the same `GraphKind × Coding`
     /// configuration on each shard's slice of the data), constructing
-    /// shards concurrently on a fresh pool of `threads` workers that the
-    /// index then serves from.
+    /// shards concurrently `threads` wide, the width the index then serves
+    /// at.
     ///
     /// The coding codec is trained **once on the full dataset** and shared
     /// by every shard ([`IndexBuilder::train_codec`]); each shard only
@@ -113,15 +114,15 @@ impl ShardedIndex {
     ) -> Self {
         assert!(!base.is_empty(), "cannot shard an empty dataset");
         let dim = base.dim();
-        let codec = Arc::new(builder.train_codec(&base));
+        let codec = builder.train_codec(&base);
         let parts = Self::partition(&base, shards, policy);
         drop(base);
         let jobs: Vec<_> = parts
             .into_iter()
             .map(|(set, global_ids)| {
-                let (builder, codec) = (builder.clone(), Arc::clone(&codec));
+                let codec = &codec;
                 move || Shard {
-                    index: Arc::from(builder.build_with_codec(set, &codec)),
+                    index: builder.build_with_codec(set, codec),
                     global_ids: Arc::new(global_ids),
                 }
             })
@@ -166,7 +167,7 @@ impl ShardedIndex {
                 );
                 assert_eq!(index.dim(), dim, "shards disagree on dimensionality");
                 Shard {
-                    index: Arc::from(index),
+                    index,
                     global_ids: Arc::new(global_ids),
                 }
             })
@@ -184,7 +185,7 @@ impl ShardedIndex {
         self.shards.len()
     }
 
-    /// Worker threads serving this index.
+    /// Threads one fan-out of this index runs on, the caller included.
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
@@ -274,19 +275,33 @@ impl ShardedIndex {
     /// Scatter half of scatter-gather: run the request on every shard
     /// concurrently.
     fn scatter(&self, req: &SearchRequest) -> Vec<SearchResponse> {
+        let t0 = Instant::now();
+        let per_shard = self.pool.run(self.shard_jobs(req).collect());
+        self.record_fanout(req, t0.elapsed());
+        per_shard
+    }
+
+    /// One job per shard, each running `req` on its shard.
+    fn shard_jobs<'a>(
+        &'a self,
+        req: &'a SearchRequest,
+    ) -> impl Iterator<Item = impl FnOnce() -> SearchResponse + Send + 'a> + 'a {
+        (self.shards.iter().enumerate()).map(move |(s, shard)| {
+            let shard_req = self.shard_request(s, req);
+            move || shard.index.search(&shard_req)
+        })
+    }
+
+    /// Records the coordinator-lane `shard_fanout` span over one fan-out.
+    fn record_fanout(&self, req: &SearchRequest, took: Duration) {
         if let Some(ctx) = &req.trace {
-            ctx.record(SpanKind::ShardFanout {
-                shards: self.shards.len() as u64,
-            });
+            ctx.record_timed(
+                SpanKind::ShardFanout {
+                    shards: self.shards.len() as u64,
+                },
+                took.as_nanos() as u64,
+            );
         }
-        let jobs: Vec<_> = (0..self.shards.len())
-            .map(|s| {
-                let index = Arc::clone(&self.shards[s].index);
-                let shard_req = self.shard_request(s, req);
-                move || index.search(&shard_req)
-            })
-            .collect();
-        self.pool.run(jobs)
     }
 
     /// Records the coordinator-lane `gather` span for one merged result.
@@ -358,25 +373,14 @@ impl AnnIndex for ShardedIndex {
     /// (no per-request barrier) while the gather stays per-request.
     fn search_batch(&self, requests: &[SearchRequest]) -> Vec<SearchResponse> {
         let n_shards = self.shards.len();
-        let jobs: Vec<_> = requests
-            .iter()
-            .flat_map(|req| {
-                if let Some(ctx) = &req.trace {
-                    ctx.record(SpanKind::ShardFanout {
-                        shards: n_shards as u64,
-                    });
-                }
-                (0..n_shards).map(move |s| {
-                    let index = Arc::clone(&self.shards[s].index);
-                    let shard_req = self.shard_request(s, req);
-                    move || index.search(&shard_req)
-                })
-            })
-            .collect();
-        let mut flat = self.pool.run(jobs).into_iter();
+        let start = Instant::now();
+        let jobs = requests.iter().flat_map(|req| self.shard_jobs(req));
+        let mut flat = self.pool.run(jobs.collect()).into_iter();
+        let took = start.elapsed();
         requests
             .iter()
             .map(|req| {
+                self.record_fanout(req, took);
                 let per_shard: Vec<SearchResponse> = (&mut flat).take(n_shards).collect();
                 let t0 = Instant::now();
                 let merged = self.gather(per_shard, req.k).unwrap_or_else(|e| e.abort());

@@ -72,7 +72,7 @@
 //! let (base, queries) = generate(&DatasetProfile::SsnppLike.spec(), 1_000, 10, 7);
 //! let builder = IndexBuilder::new(GraphKind::Hnsw, Coding::Flash).c(96).r(12).seed(1);
 //!
-//! // 4 shards, 4 worker threads, 1 024 cached responses — still an AnnIndex.
+//! // 4 shards searched 4 threads wide, 1 024 cached responses — still an AnnIndex.
 //! let sharded = ShardedIndex::build(base, &builder, 4, ShardPolicy::RoundRobin, 4);
 //! let index: Arc<dyn AnnIndex> = Arc::new(CachedIndex::new(Arc::new(sharded), 1_024));
 //!
@@ -104,7 +104,7 @@
 //! let (base, queries) = generate(&DatasetProfile::SsnppLike.spec(), 1_000, 10, 7);
 //! let builder = IndexBuilder::new(GraphKind::Hnsw, Coding::Flash).c(96).r(12).seed(1);
 //!
-//! // 4 shards x 2 replicas, round-robin routing, 4 worker threads.
+//! // 4 shards x 2 replicas, round-robin routing, 4 threads wide.
 //! let fleet = ReplicatedIndex::build(
 //!     base,
 //!     &builder,
@@ -226,8 +226,11 @@
 //! serves any number of clients — slow clients park no thread — and a
 //! connection can keep many frames in flight (pipelining), answered in
 //! request order. A strict request/response coordinator
-//! ([`serving::SocketTransport`]) is a pipeline of depth 1; the thread that
-//! fans out over [`serving::WorkerPool`] runs one shard's exchange itself.
+//! ([`serving::SocketTransport`]) is a pipeline of depth 1. A coordinator's
+//! fan-out runs on the workspace's one `rayon` pool, as wide as its
+//! [`serving::WorkerPool`] says: the calling thread runs the first shard's
+//! exchange itself, and parked `rayon-helper` threads, woken at once, run
+//! the others.
 //!
 //! Parsed requests enter a per-loop admission queue that executes as an
 //! adaptive batch — closing on size (`batch_max`) **or** age
