@@ -13,14 +13,24 @@
 //! serving beam scores the ids it gathers on: it passes
 //! [`DistanceProvider::dist_to_neighbors`] no block, so each id is one
 //! table lookup straight on its packed row. The neighbor payload blocks —
-//! the node records' during construction, [`graphs::NodePayloads`], the
-//! frozen descent's rows — hold one codeword per byte, shuffle-ready, so
-//! one register load feeds `pshufb` directly;
+//! the builder's row records during construction, [`graphs::NodePayloads`],
+//! the frozen descent's rows — hold one codeword per byte, shuffle-ready,
+//! so one register load feeds `pshufb` directly;
 //! [`DistanceProvider::append_payload`] spreads each packed byte over its
 //! two subspaces' slots.
+//!
+//! **Block layout.** The codewords of a neighbor list of length `L` with
+//! `M_F` subspaces fill `ceil(L / 16)` blocks of `M_F * 16` bytes, grouped
+//! subspace-major in batches of [`LUT_BATCH`] so one register load fetches
+//! one (batch, subspace) pair: within block `b`, byte `s*16 + j` is the
+//! codeword of neighbor `16b + j` in subspace `s`, zero past the end of the
+//! list. A block region may be longer (a row record holds room for its
+//! capacity); the blocks past `ceil(L / 16)` are never read.
 
 use crate::codec::{nibble, FlashCodec, FlashParams, K};
 use graphs::provider::{DistanceProvider, PruneRule};
+/// Neighbor codeword blocks a caller owns, in the layout above.
+pub use graphs::Blocks as FlashBlocks;
 use simdops::{lut16_batch, lut16_single, LUT_BATCH};
 use std::sync::Arc;
 use vecstore::VectorSet;
@@ -30,28 +40,6 @@ pub struct FlashCtx {
     /// `M_F * 16` bytes, subspace-major — each 16-byte run is one
     /// register-resident ADT.
     pub adt: Vec<u8>,
-}
-
-/// Per-node payload: the inserted vertex's neighbor codewords, grouped in
-/// subspace-major batches of [`LUT_BATCH`] so one register load fetches one
-/// (batch, subspace) pair.
-///
-/// Layout for a neighbor list of length `L` with `M_F` subspaces:
-/// `ceil(L / 16)` blocks, each `M_F * 16` bytes; within block `b`, byte
-/// `s*16 + j` is the codeword of neighbor `16b + j` in subspace `s`
-/// (zero-padded past the end of the list). A payload holds exactly
-/// `ceil(L / 16)` blocks — what `sync_payload` builds and what
-/// `append_payload` maintains one lane at a time.
-#[derive(Default)]
-pub struct FlashBlocks {
-    bytes: Vec<u8>,
-}
-
-impl FlashBlocks {
-    /// Raw block bytes (for tests and the cache-simulation harness).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
 }
 
 /// Most subspaces the on-stack Neighbor Selection table covers (1 KiB);
@@ -145,7 +133,6 @@ impl FlashProvider {
 
 impl DistanceProvider for FlashProvider {
     type QueryCtx = FlashCtx;
-    type NodePayload = FlashBlocks;
 
     fn len(&self) -> usize {
         self.base.len()
@@ -187,28 +174,22 @@ impl DistanceProvider for FlashProvider {
         simdops::prefetch_slice(self.codes_of(id));
     }
 
-    fn dist_to_neighbors(
-        &self,
-        ctx: &FlashCtx,
-        ids: &[u32],
-        payload: &FlashBlocks,
-        out: &mut Vec<f32>,
-    ) {
+    fn dist_to_neighbors(&self, ctx: &FlashCtx, ids: &[u32], blocks: &[u8], out: &mut Vec<f32>) {
         out.clear();
         let m = self.codec.subspaces();
         let block_bytes = m * LUT_BATCH;
-        let blocks_available = payload.bytes.len() / block_bytes.max(1);
+        let blocks_available = blocks.len() / block_bytes.max(1);
         let mut batch = [0u16; LUT_BATCH];
         let mut produced = 0usize;
         for b in 0..ids.len().div_ceil(LUT_BATCH) {
             let take = (ids.len() - produced).min(LUT_BATCH);
             if b < blocks_available {
-                let block = &payload.bytes[b * block_bytes..(b + 1) * block_bytes];
+                let block = &blocks[b * block_bytes..(b + 1) * block_bytes];
                 lut16_batch(&ctx.adt, block, m, &mut batch);
                 out.extend(batch[..take].iter().map(|&d| f32::from(d)));
             } else {
-                // Ids the payload does not cover (the serving beam's
-                // gathered ids, scored against no block): one lookup each,
+                // Ids no block covers (the beam's gathered ids, scored
+                // against none): one lookup each,
                 // straight on the packed code row.
                 out.extend(
                     ids[produced..produced + take]
@@ -220,23 +201,15 @@ impl DistanceProvider for FlashProvider {
         }
     }
 
-    fn sync_payload(&self, payload: &mut FlashBlocks, ids: &[u32]) {
-        payload.bytes.clear();
-        for (lane, &id) in ids.iter().enumerate() {
-            self.append_payload(payload, lane, id);
-        }
-    }
-
-    fn append_payload(&self, payload: &mut FlashBlocks, lane: usize, id: u32) {
+    fn append_payload(&self, blocks: &mut [u8], lane: usize, id: u32) {
         let m = self.codec.subspaces();
         let block_bytes = m * LUT_BATCH;
         let (block, slot) = (lane / LUT_BATCH, lane % LUT_BATCH);
+        let dst = &mut blocks[block * block_bytes..(block + 1) * block_bytes];
         if slot == 0 {
             // A new block, zero-padded; at lane 0, a new list.
-            payload.bytes.truncate(block * block_bytes);
-            payload.bytes.resize((block + 1) * block_bytes, 0);
+            dst.fill(0);
         }
-        let dst = &mut payload.bytes[block * block_bytes..(block + 1) * block_bytes];
         // Packed byte `p` fills the lane's slots of subspaces 2p and 2p + 1.
         // Every query expansion runs this; one `nibble` call per subspace
         // made `sync_payload` of 16 ids about twice as slow.
@@ -256,7 +229,7 @@ impl DistanceProvider for FlashProvider {
         v: u32,
         d: f32,
         selected: &[u32],
-        payload: &FlashBlocks,
+        blocks: &[u8],
     ) -> bool {
         let m = self.codec.subspaces();
         if m > NS_TABLE_SUBSPACES {
@@ -269,12 +242,12 @@ impl DistanceProvider for FlashProvider {
         self.codec.sdt_to(self.codes_of(v), table);
         let mut batch = [0u16; LUT_BATCH];
         debug_assert!(
-            payload.bytes.len() >= selected.len().div_ceil(LUT_BATCH) * m * LUT_BATCH,
-            "payload holds fewer blocks than the selected list needs"
+            blocks.len() >= selected.len().div_ceil(LUT_BATCH) * m * LUT_BATCH,
+            "the block region holds fewer blocks than the selected list needs"
         );
         selected
             .chunks(LUT_BATCH)
-            .zip(payload.bytes.chunks_exact(m * LUT_BATCH))
+            .zip(blocks.chunks_exact(m * LUT_BATCH))
             .any(|(lanes, block)| {
                 lut16_batch(table, block, m, &mut batch);
                 batch[..lanes.len()]
@@ -303,9 +276,9 @@ impl DistanceProvider for FlashProvider {
 }
 
 /// Checks the block layout invariant used by `dist_to_neighbors`: byte
-/// `(b, s, j)` equals the codeword of `ids[16b + j]` in subspace `s`.
-/// Exposed for tests and the cache-simulation harness.
-pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &[u32]) -> bool {
+/// `(b, s, j)` of `blocks` equals the codeword of `ids[16b + j]` in
+/// subspace `s`. Exposed for tests and the cache-simulation harness.
+pub fn blocks_consistent(provider: &FlashProvider, blocks: &[u8], ids: &[u32]) -> bool {
     let m = provider.codec().subspaces();
     let block_bytes = m * K;
     for (j, &id) in ids.iter().enumerate() {
@@ -313,7 +286,7 @@ pub fn blocks_consistent(provider: &FlashProvider, payload: &FlashBlocks, ids: &
         let lane = j % K;
         let codes = provider.codes_of(id);
         for s in 0..m {
-            if payload.bytes[block * block_bytes + s * K + lane] != nibble(codes, s) {
+            if blocks[block * block_bytes + s * K + lane] != nibble(codes, s) {
                 return false;
             }
         }
@@ -361,7 +334,7 @@ mod tests {
         let mut payload = FlashBlocks::default();
         p.sync_payload(&mut payload, &ids);
         let mut batched = Vec::new();
-        p.dist_to_neighbors(&ctx, &ids, &payload, &mut batched);
+        p.dist_to_neighbors(&ctx, &ids, payload.as_bytes(), &mut batched);
         assert_eq!(batched.len(), ids.len());
         for (&id, &d) in ids.iter().zip(batched.iter()) {
             assert_eq!(d, p.dist_to(&ctx, id), "id {id}");
@@ -387,7 +360,7 @@ mod tests {
         for level in simdops::supported_levels() {
             let mut got = Vec::new();
             with_level(level, || {
-                p.dist_to_neighbors(&ctx, &ids, &payload, &mut got)
+                p.dist_to_neighbors(&ctx, &ids, payload.as_bytes(), &mut got)
             });
             assert_eq!(got, want, "{level:?}");
         }
@@ -401,20 +374,23 @@ mod tests {
         ];
         let mut payload = FlashBlocks::default();
         p.sync_payload(&mut payload, &ids);
-        assert!(blocks_consistent(&p, &payload, &ids));
+        assert!(blocks_consistent(&p, payload.as_bytes(), &ids));
         // Two blocks for 18 ids with M_F = 8: 2 * 8 * 16 bytes.
         assert_eq!(payload.as_bytes().len(), 2 * 8 * 16);
     }
 
-    /// The block Neighbor Selection would have built for `selected`.
-    fn appended(p: &FlashProvider, selected: &[u32]) -> FlashBlocks {
+    /// The block Neighbor Selection would have built for `selected`, cut
+    /// to the list's own blocks.
+    fn appended(p: &FlashProvider, selected: &[u32]) -> Vec<u8> {
         // Stale bytes from a longer list: lane 0 must discard them.
-        let mut payload = FlashBlocks::default();
-        p.sync_payload(&mut payload, &(0..40).collect::<Vec<u32>>());
+        let mut stale = FlashBlocks::default();
+        p.sync_payload(&mut stale, &(0..40).collect::<Vec<u32>>());
+        let mut block = stale.as_bytes().to_vec();
         for (lane, &id) in selected.iter().enumerate() {
-            p.append_payload(&mut payload, lane, id);
+            p.append_payload(&mut block, lane, id);
         }
-        payload
+        block.truncate(p.payload_bytes(selected.len()));
+        block
     }
 
     #[test]
@@ -424,11 +400,7 @@ mod tests {
             let ids: Vec<u32> = (0..len as u32).map(|i| (i * 7 + 3) % 120).collect();
             let mut synced = FlashBlocks::default();
             p.sync_payload(&mut synced, &ids);
-            assert_eq!(
-                appended(&p, &ids).as_bytes(),
-                synced.as_bytes(),
-                "len {len}"
-            );
+            assert_eq!(appended(&p, &ids), synced.as_bytes(), "len {len}");
         }
     }
 
@@ -473,8 +445,8 @@ mod tests {
         let ids: Vec<u32> = (0..40u32).map(|i| (i * 7 + 1) % n as u32).collect();
         let mut synced = FlashBlocks::default();
         p.sync_payload(&mut synced, &ids);
-        assert!(blocks_consistent(p, &synced, &ids), "{name}");
-        assert_eq!(appended(p, &ids).as_bytes(), synced.as_bytes(), "{name}");
+        assert!(blocks_consistent(p, synced.as_bytes(), &ids), "{name}");
+        assert_eq!(appended(p, &ids), synced.as_bytes(), "{name}");
         let ctx = p.prepare_insert(3);
         let mut lanes = [0u16; LUT_BATCH];
         for (block, chunk) in synced
@@ -603,9 +575,9 @@ mod tests {
                     .map(|&id| p.dist_to(&ctx, id).to_bits())
                     .collect();
                 for level in simdops::supported_levels() {
-                    for payload in [&FlashBlocks::default(), &first_block] {
+                    for block in [&[][..], first_block.as_bytes()] {
                         let mut out = Vec::new();
-                        with_level(level, || p.dist_to_neighbors(&ctx, &ids, payload, &mut out));
+                        with_level(level, || p.dist_to_neighbors(&ctx, &ids, block, &mut out));
                         let got: Vec<u32> = out.iter().map(|d| d.to_bits()).collect();
                         assert_eq!(got, want, "{level:?} m_f {m_f} len {len}");
                     }

@@ -140,7 +140,7 @@ impl AdSampler {
         // the progressive evaluation itself cannot be block-batched (each
         // neighbor's threshold depends on the admissions before it), so
         // only the visited set and heaps change — the loop is untouched.
-        with_scratch::<(), _>(|scratch| {
+        with_scratch(|scratch| {
             scratch.visited.begin(graph.len());
             scratch.visited.check_and_mark(cur);
             scratch.profile.visited_inserts += 1;

@@ -1,24 +1,70 @@
 //! Flat, cache-friendly adjacency containers produced by the builders.
 //!
-//! Builders work on mutable node records; once construction finishes they
+//! Builders work on mutable row records; once construction finishes they
 //! freeze into these read-only structures, which the search routines (and
 //! the ADSampling / VBase variants) traverse without synchronization.
 //!
 //! The frozen layout is CSR (compressed sparse row), not nested vecs:
 //! every neighbor list lives in one flat, 64-byte-aligned slab and starts
 //! on a cache-line boundary, so expanding a candidate touches one or two
-//! lines instead of chasing a `Vec<Vec<u32>>` double indirection. The
-//! builders still assemble nested `Vec<Vec<u32>>` (cheap to grow one row at
-//! a time) and convert once via [`CsrLayer::from_nested`].
+//! lines instead of chasing a `Vec<Vec<u32>>` double indirection. HNSW
+//! freezes straight from its fixed-stride row records; nested adjacency
+//! (the flat builders' connectivity repair, `persist`'s loader) converts
+//! once via [`CsrLayer::from_nested`].
 
 /// `u32` slots per 64-byte cache line; neighbor rows start on multiples
 /// of this so a degree-16 list occupies exactly one line.
 pub const LINE_U32S: usize = 16;
 
-/// One 64-byte-aligned line of neighbor-id storage.
+/// One 64-byte-aligned line of neighbor-id storage (the CSR slab here, the
+/// builder's fixed-stride row records in [`crate::hnsw`]).
 #[repr(C, align(64))]
 #[derive(Debug, Clone, Copy)]
-struct Line([u32; LINE_U32S]);
+pub(crate) struct Line([u32; LINE_U32S]);
+
+impl Line {
+    /// A line of zeros.
+    pub(crate) const ZERO: Self = Self([0; LINE_U32S]);
+}
+
+/// `lines` as one contiguous `u32` array.
+#[inline]
+pub(crate) fn words(lines: &[Line]) -> &[u32] {
+    // SAFETY: `Line` is `#[repr(C)]` over `[u32; LINE_U32S]`, so a slice of
+    // lines is a contiguous array of `lines.len() * LINE_U32S` initialized
+    // `u32`s.
+    unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<u32>(), lines.len() * LINE_U32S) }
+}
+
+/// [`words`], mutably.
+#[inline]
+pub(crate) fn words_mut(lines: &mut [Line]) -> &mut [u32] {
+    // SAFETY: as in `words`; the borrow is exclusive for its lifetime.
+    unsafe {
+        std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast::<u32>(), lines.len() * LINE_U32S)
+    }
+}
+
+/// `words` as bytes, in memory order.
+#[inline]
+pub(crate) fn bytes(words: &[u32]) -> &[u8] {
+    // SAFETY: `u8` has alignment 1 and every `u32` is four initialized
+    // bytes.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words)) }
+}
+
+/// [`bytes`], mutably.
+#[inline]
+pub(crate) fn bytes_mut(words: &mut [u32]) -> &mut [u8] {
+    // SAFETY: as in `bytes`; any byte pattern is a valid `u32`, and the
+    // borrow is exclusive for its lifetime.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            words.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(words),
+        )
+    }
+}
 
 /// One adjacency layer in CSR form with cache-line-aligned rows.
 ///
@@ -38,28 +84,24 @@ impl CsrLayer {
     /// Freezes nested adjacency into CSR. Row order and within-row
     /// neighbor order are preserved exactly.
     pub fn from_nested(adj: &[Vec<u32>]) -> Self {
-        let total_lines: usize = adj.iter().map(|l| l.len().div_ceil(LINE_U32S)).sum();
+        Self::from_rows(adj.len(), |node| &adj[node])
+    }
+
+    /// Freezes the `n` rows `row(0..n)` into CSR, in one pass that sizes
+    /// the slab and one that copies the rows.
+    pub(crate) fn from_rows<'a>(n: usize, row: impl Fn(usize) -> &'a [u32]) -> Self {
+        let total_lines: usize = (0..n).map(|i| row(i).len().div_ceil(LINE_U32S)).sum();
         assert!(
             total_lines * LINE_U32S <= u32::MAX as usize,
             "adjacency too large for u32 CSR offsets"
         );
-        let mut starts = Vec::with_capacity(adj.len());
-        let mut lens = Vec::with_capacity(adj.len());
-        let mut lines = vec![Line([0; LINE_U32S]); total_lines];
-        let slab: &mut [u32] = {
-            // SAFETY: `Line` is `#[repr(C)]` over `[u32; LINE_U32S]`, so a
-            // `Vec<Line>` is a contiguous array of `lines.len() * LINE_U32S`
-            // properly initialized `u32`s.
-            unsafe {
-                std::slice::from_raw_parts_mut(
-                    lines.as_mut_ptr().cast::<u32>(),
-                    total_lines * LINE_U32S,
-                )
-            }
-        };
+        let mut starts = Vec::with_capacity(n);
+        let mut lens = Vec::with_capacity(n);
+        let mut lines = vec![Line::ZERO; total_lines];
+        let slab = words_mut(&mut lines);
         let mut cursor = 0usize;
         let mut edges = 0usize;
-        for list in adj {
+        for list in (0..n).map(row) {
             starts.push(cursor as u32);
             lens.push(list.len() as u32);
             slab[cursor..cursor + list.len()].copy_from_slice(list);
@@ -86,24 +128,12 @@ impl CsrLayer {
         self.starts.is_empty()
     }
 
-    /// The flat id slab (rows plus zero padding), line-aligned.
-    #[inline]
-    fn slab(&self) -> &[u32] {
-        // SAFETY: see `from_nested` — `Vec<Line>` is a contiguous `u32` array.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.lines.as_ptr().cast::<u32>(),
-                self.lines.len() * LINE_U32S,
-            )
-        }
-    }
-
     /// Neighbor row of `node`.
     #[inline]
     pub fn neighbors(&self, node: usize) -> &[u32] {
         let start = self.starts[node] as usize;
         let len = self.lens[node] as usize;
-        &self.slab()[start..start + len]
+        &words(&self.lines)[start..start + len]
     }
 
     /// Degree of `node`.
@@ -155,8 +185,14 @@ pub struct GraphLayers {
 impl GraphLayers {
     /// Freezes nested per-layer adjacency (`layers[l][node]`) into CSR.
     pub fn from_nested(layers: Vec<Vec<Vec<u32>>>, entry: u32, max_layer: usize) -> Self {
+        let layers = layers.iter().map(|l| CsrLayer::from_nested(l)).collect();
+        Self::from_layers(layers, entry, max_layer)
+    }
+
+    /// Assembles frozen layers (index 0 the base) entered at `entry`.
+    pub(crate) fn from_layers(layers: Vec<CsrLayer>, entry: u32, max_layer: usize) -> Self {
         Self {
-            layers: layers.iter().map(|l| CsrLayer::from_nested(l)).collect(),
+            layers,
             entry,
             max_layer,
         }

@@ -1,32 +1,36 @@
 //! The one greedy descent (`descend`) and the one `ef`-wide beam
 //! (`beam_search`) of the crate: HNSW's Candidate Acquisition,
 //! [`crate::Hnsw::search`] and every serving query run them. Both are
-//! generic over a crate-private row source (`Rows`), which answers two
-//! questions about a node: what its neighbor row is at a layer, and
-//! whether a payload block for that row is already resident.
+//! generic over a crate-private row source (`Rows`), which answers three
+//! things about a node: its neighbor row at a layer, the payload block of
+//! that row if one is resident, and a prefetch of both.
 //!
-//! * A frozen [`GraphLayers`] has none. A beam expansion gathers its
-//!   unvisited neighbors without a branch per lane (every id is written,
-//!   the length advances by its not-seen bit) and scores them against no
-//!   block: the provider reads each id from its global state (Flash: table
-//!   lookups straight on the packed code rows), while the next candidate
-//!   is prefetched (`gather_and_score`, which [`crate::vbase`] also calls).
-//!   The descent builds each upper-layer row's block with
-//!   [`DistanceProvider::sync_payload`] and scores it whole.
-//! * HNSW's node records hold every row's block: an expansion scores the
-//!   whole row against it and checks the lanes against the visited set
-//!   afterwards.
+//! * A frozen [`GraphLayers`] has no blocks.
+//! * HNSW's row records ([`crate::Hnsw`]'s slab) hold every row's block
+//!   beside its ids, one address computation away — when the provider
+//!   keeps blocks at all: a provider without a payload has none resident.
 //! * A frozen graph with prebuilt [`NodePayloads`] is resident at layer 0.
 //!
-//! A beam offers only the lanes of a 64-lane mask a full beam can still
-//! admit (`admissible`). At the epoch's last beam (layer 0) a resident
-//! expansion runs the visited check for those lanes only: nothing reads
-//! the epoch afterwards, while upper layers share it with the layers below.
+//! A beam expansion of a row **with a resident block** scores the whole
+//! row against it and checks the lanes against the visited set afterwards;
+//! at the epoch's last beam (layer 0) only the lanes a full beam can still
+//! admit, since nothing reads the epoch afterwards, while upper layers
+//! share it with the layers below. A row **without one** is gathered: its
+//! unvisited ids are collected without a branch per lane (every id is
+//! written, the length advances by its not-seen bit), marked, and scored
+//! against no block — the provider reads each from its global state
+//! (Flash: table lookups straight on the packed code rows; full precision:
+//! one vector each) — so no visited lane is scored (`gather_and_score`,
+//! which [`crate::vbase`] also calls). Either way the next frontier
+//! candidate's row (and block) is prefetched while this one is scored. The
+//! descent scores each upper-layer row whole, building its block with
+//! [`DistanceProvider::sync_payload`] when none is resident.
 //!
-//! Either way the results are bit-identical: distances carry no side
-//! effects, and admission walks each row in order, skipping visited lanes
-//! exactly where gathering never queued them. Callers own the visited
-//! epoch and the beam's entry distance.
+//! A beam offers only the lanes of a 64-lane mask a full beam can still
+//! admit (`admissible`). The results of both expansions are bit-identical:
+//! distances carry no side effects, both mark every lane at upper layers,
+//! and at layer 0 a lane the mask refuses is refused by every later offer.
+//! Callers own the visited epoch and the beam's entry distance.
 //!
 //! Once construction ends every graph index is a [`FrozenGraph`], served
 //! allocation-free through [`search_layers_filtered`] with a pooled
@@ -35,7 +39,7 @@
 //! builder, paired with a provider re-derived from the dataset.
 
 use crate::graph::GraphLayers;
-use crate::provider::DistanceProvider;
+use crate::provider::{Blocks, DistanceProvider};
 use crate::scratch::{with_scratch, Beam, SearchScratch};
 use crate::Hit;
 use metrics::QueryProfile;
@@ -138,44 +142,61 @@ fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 /// Where the descent and the beam read a node's neighbor row, and whether
-/// the payload block of that row is already resident.
-pub(crate) trait Rows<PL> {
+/// the payload block of that row is resident.
+pub(crate) trait Rows {
     /// `node`'s neighbor row at `layer` (empty when it has none there).
     fn row(&self, layer: usize, node: u32) -> &[u32];
 
     /// That row's payload block when one is resident; with `None` the
     /// beam gathers the ids it scores and scores them against no block,
     /// and the descent builds the row's block.
-    fn resident(&self, layer: usize, node: u32) -> Option<&PL>;
+    fn resident(&self, layer: usize, node: u32) -> Option<&[u8]>;
+
+    /// Hint that `node`'s row at `layer`, and its block if resident, will
+    /// be read shortly. Computes addresses only: it reads nothing.
+    fn prefetch(&self, layer: usize, node: u32);
 }
 
-impl<PL> Rows<PL> for GraphLayers {
+impl Rows for GraphLayers {
     #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.neighbors(layer, node)
     }
 
     #[inline]
-    fn resident(&self, _layer: usize, _node: u32) -> Option<&PL> {
+    fn resident(&self, _layer: usize, _node: u32) -> Option<&[u8]> {
         None
+    }
+
+    #[inline]
+    fn prefetch(&self, layer: usize, node: u32) {
+        simdops::prefetch_slice(self.neighbors(layer, node));
     }
 }
 
 /// A frozen topology whose base-layer blocks are prebuilt.
-struct Prebuilt<'a, PL> {
+struct Prebuilt<'a> {
     graph: &'a GraphLayers,
-    payloads: &'a NodePayloads<PL>,
+    payloads: &'a NodePayloads,
 }
 
-impl<PL: Default> Rows<PL> for Prebuilt<'_, PL> {
+impl Rows for Prebuilt<'_> {
     #[inline]
     fn row(&self, layer: usize, node: u32) -> &[u32] {
         self.graph.neighbors(layer, node)
     }
 
     #[inline]
-    fn resident(&self, layer: usize, node: u32) -> Option<&PL> {
-        (layer == 0).then(|| self.payloads.row(node))
+    fn resident(&self, layer: usize, node: u32) -> Option<&[u8]> {
+        (layer == 0 && self.payloads.stride > 0).then(|| self.payloads.row(node))
+    }
+
+    #[inline]
+    fn prefetch(&self, layer: usize, node: u32) {
+        self.graph.prefetch(layer, node);
+        if let Some(block) = self.resident(layer, node) {
+            simdops::prefetch_slice(block);
+        }
     }
 }
 
@@ -183,13 +204,13 @@ impl<PL: Default> Rows<PL> for Prebuilt<'_, PL> {
 /// (none when `bottom > top`): at each layer, move to the closest neighbor
 /// while one is closer, scoring each row as one block. Returns the vertex
 /// it ends on and its distance.
-pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
+pub(crate) fn descend<P: DistanceProvider, S: Rows + ?Sized>(
     provider: &P,
     rows: &S,
     ctx: &P::QueryCtx,
     entry: u32,
     (top, bottom): (usize, usize),
-    scratch: &mut SearchScratch<P::NodePayload>,
+    scratch: &mut SearchScratch,
 ) -> (u32, f32) {
     let mut cur = entry;
     let mut cur_d = provider.dist_to(ctx, cur);
@@ -204,7 +225,7 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
                 Some(block) => block,
                 None => {
                     provider.sync_payload(&mut scratch.payload, row);
-                    &scratch.payload
+                    scratch.payload.as_bytes()
                 }
             };
             provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
@@ -233,13 +254,13 @@ pub(crate) fn descend<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
 /// candidate and scores the ids into `scratch.dists` against no payload
 /// block: the provider reads each id from its global state.
 #[inline]
-pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?Sized>(
+pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows + ?Sized>(
     provider: &P,
     rows: &S,
     ctx: &P::QueryCtx,
     layer: usize,
     node: u32,
-    scratch: &mut SearchScratch<P::NodePayload>,
+    scratch: &mut SearchScratch,
 ) {
     let row = rows.row(layer, node);
     let ids = &mut scratch.ids;
@@ -257,10 +278,9 @@ pub(crate) fn gather_and_score<P: DistanceProvider, S: Rows<P::NodePayload> + ?S
     // Overlap the next candidate's misses with this row's scoring.
     if let Some(next) = scratch.beam.peek_frontier() {
         provider.prefetch(next);
-        simdops::prefetch_slice(rows.row(layer, next));
+        rows.prefetch(layer, next);
     }
-    let none = P::NodePayload::default();
-    provider.dist_to_neighbors(ctx, &scratch.ids, &none, &mut scratch.dists);
+    provider.dist_to_neighbors(ctx, &scratch.ids, &[], &mut scratch.dists);
     scratch.profile.rows_scored += 1;
     scratch.profile.codeword_bytes += (len * provider.code_row_bytes()) as u64;
     add_evals(&mut scratch.profile, provider, len);
@@ -283,10 +303,10 @@ pub(crate) fn beam_search<P, S, A>(
     layer: usize,
     ef: usize,
     accept: A,
-    scratch: &mut SearchScratch<P::NodePayload>,
+    scratch: &mut SearchScratch,
 ) where
     P: DistanceProvider,
-    S: Rows<P::NodePayload> + ?Sized,
+    S: Rows + ?Sized,
     A: Fn(u32) -> bool,
 {
     let ef = ef.max(1);
@@ -320,6 +340,9 @@ pub(crate) fn beam_search<P, S, A>(
         let row = rows.row(layer, u);
         if row.is_empty() {
             continue;
+        }
+        if let Some(next) = scratch.beam.peek_frontier() {
+            rows.prefetch(layer, next);
         }
         provider.dist_to_neighbors(ctx, row, block, &mut scratch.dists);
         add_block(&mut scratch.profile, provider, row.len());
@@ -389,14 +412,14 @@ fn search_frozen<P, S, A>(
 ) -> Vec<Hit>
 where
     P: DistanceProvider,
-    S: Rows<P::NodePayload>,
+    S: Rows,
     A: Fn(u32) -> bool,
 {
     if graph.is_empty() {
         return Vec::new();
     }
     let ctx = provider.prepare_query(query);
-    with_scratch::<P::NodePayload, _>(|scratch| {
+    with_scratch(|scratch| {
         let levels = (graph.max_layer, 1);
         let entry = descend(provider, graph, &ctx, graph.entry, levels, scratch);
         scratch.visited.begin(graph.len());
@@ -410,38 +433,45 @@ where
 /// layout (Section 3.3.4). [`search_layers`] has no block to read (the
 /// frozen topology stores adjacency only): it scores the ids it gathers
 /// from the global code table one by one. With a sidecar each expansion
-/// scores its node's resident block whole instead.
-pub struct NodePayloads<PL> {
-    rows: Vec<PL>,
+/// scores its node's resident block whole instead. The blocks sit at one
+/// fixed stride, the block size of the widest row; a provider without a
+/// payload has a stride of 0, and its rows are gathered as without one.
+pub struct NodePayloads {
+    bytes: Vec<u8>,
+    stride: usize,
+    len: usize,
 }
 
-impl<PL: Default> NodePayloads<PL> {
+impl NodePayloads {
     /// Builds the base-layer payload block of every node.
-    pub fn build<P: DistanceProvider<NodePayload = PL>>(provider: &P, graph: &GraphLayers) -> Self {
-        let rows = (0..graph.len())
-            .map(|node| {
-                let mut payload = PL::default();
-                provider.sync_payload(&mut payload, graph.neighbors(0, node as u32));
-                payload
-            })
-            .collect();
-        Self { rows }
+    pub fn build<P: DistanceProvider>(provider: &P, graph: &GraphLayers) -> Self {
+        let len = graph.len();
+        let widest = (0..len).map(|node| graph.layer(0).degree(node)).max();
+        let stride = provider.payload_bytes(widest.unwrap_or(0));
+        let mut bytes = vec![0; len * stride];
+        let mut block = Blocks::default();
+        for (node, dst) in bytes.chunks_exact_mut(stride.max(1)).enumerate() {
+            provider.sync_payload(&mut block, graph.neighbors(0, node as u32));
+            dst[..block.as_bytes().len()].copy_from_slice(block.as_bytes());
+        }
+        Self { bytes, stride, len }
     }
 
     /// The prebuilt payload block of `node`'s base-layer neighbor row.
     #[inline]
-    pub fn row(&self, node: u32) -> &PL {
-        &self.rows[node as usize]
+    pub fn row(&self, node: u32) -> &[u8] {
+        let at = node as usize * self.stride;
+        &self.bytes[at..at + self.stride]
     }
 
     /// Number of node rows covered.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether no rows are covered.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 }
 
@@ -454,7 +484,7 @@ impl<PL: Default> NodePayloads<PL> {
 pub fn search_layers_cached<P: DistanceProvider>(
     provider: &P,
     graph: &GraphLayers,
-    payloads: &NodePayloads<P::NodePayload>,
+    payloads: &NodePayloads,
     query: &[f32],
     k: usize,
     ef: usize,

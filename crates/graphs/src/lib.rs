@@ -31,7 +31,7 @@
 //! stage.
 //!
 //! CA at insert time, [`Hnsw::search`] and serving run one greedy descent
-//! and one beam ([`layers_search`]) over the node records or a frozen
+//! and one beam ([`layers_search`]) over the builder's row records or a frozen
 //! [`GraphLayers`]. Search-side optimizations evaluated in the paper's
 //! Figure 13 live in [`adsampling`] and [`vbase`]; both operate on an
 //! already-built [`GraphLayers`] and are orthogonal to the construction
@@ -49,6 +49,7 @@ pub mod persist;
 pub mod provider;
 pub mod providers;
 pub mod scratch;
+mod slab;
 pub mod stats;
 pub mod taumg;
 pub mod vamana;
@@ -65,7 +66,7 @@ pub use layers_search::{
 };
 pub use metrics::QueryProfile;
 pub use nsg::NsgParams;
-pub use provider::{AlphaRule, DistanceProvider, MrngRule, PruneRule, TauRule};
+pub use provider::{AlphaRule, Blocks, DistanceProvider, MrngRule, PruneRule, TauRule};
 pub use scratch::{
     profile_record, profile_reset, profile_take, register_scratch_metrics, scratch_stats,
     scratch_stats_global, ScratchStats,

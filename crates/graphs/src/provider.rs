@@ -3,18 +3,47 @@
 
 use vecstore::VectorSet;
 
+/// A payload block a caller owns: what [`DistanceProvider::sync_payload`]
+/// fills, the block Neighbor Selection builds, the frozen descent's block of
+/// the upper-layer row it scores. Every block a provider reads or writes is
+/// a byte slice in the same layout whoever holds it — one of these, a row
+/// record of [`crate::Hnsw`]'s slab, or a row of [`crate::NodePayloads`].
+#[derive(Debug, Default, Clone)]
+pub struct Blocks {
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl Blocks {
+    /// The block's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Sized to `len` bytes, every byte of the result writable as a block.
+    pub(crate) fn sized(&mut self, len: usize) -> &mut [u8] {
+        self.bytes.resize(len, 0);
+        &mut self.bytes
+    }
+}
+
 /// Supplies every distance the CA and NS stages need, plus the hooks that
 /// let a codec co-locate per-node data with the adjacency lists (the heart
 /// of Flash's access-aware layout, Section 3.3.4 of the paper).
 ///
-/// **The lane invariant.** A payload mirrors one neighbor list: lane `j`
+/// **Payload blocks.** A provider may keep a block of bytes beside each
+/// neighbor list, [`Self::payload_bytes`] of them for a list of a given
+/// capacity (Flash: the neighbors' codewords; every other provider keeps
+/// none, 0 bytes). The block is always a byte slice, so one layout serves
+/// the builder's fixed-stride row records, Neighbor Selection's scratch
+/// block, the frozen descent and [`crate::NodePayloads`].
+///
+/// **The lane invariant.** A block mirrors one neighbor list: lane `j`
 /// holds whatever the provider keeps for `ids[j]`, and nothing else in the
-/// payload depends on the list. Three functions write payloads and all
-/// keep it: [`Self::sync_payload`] rebuilds every lane from a list,
-/// [`Self::append_payload`] writes one lane at the list's end, and a
-/// whole payload may be moved from one owner to another with its list.
-/// The HNSW builder uses only the last two — it never re-derives a lane
-/// it already has.
+/// block depends on the list. Two functions write blocks and both keep it:
+/// [`Self::sync_payload`] rebuilds every lane from a list and
+/// [`Self::append_payload`] writes one lane at the list's end; a block may
+/// also be copied whole with its list. The HNSW builder uses only the last
+/// two — it never re-derives a lane it already has.
 ///
 /// Construction shares one provider across the pool: a batch of inserts
 /// plans on every core at once, each insert holding its own
@@ -24,14 +53,6 @@ pub trait DistanceProvider: Sync + Send {
     /// asymmetric distance table of the inserted vector; for the
     /// full-precision path it is just the query vector itself.
     type QueryCtx: Send;
-
-    /// Per-node data stored *inside* the graph's node records, written only
-    /// while a batch is applied — the builder then holds the index mutably
-    /// and each node belongs to one worker. Flash keeps its subspace-major
-    /// neighbor codeword blocks here; baseline providers use `()`.
-    /// `'static` because search kernels pool payload-typed scratch state in
-    /// thread-local storage keyed by `TypeId` (see [`crate::scratch`]).
-    type NodePayload: Send + Sync + Default + 'static;
 
     /// Number of database vectors.
     fn len(&self) -> usize;
@@ -58,60 +79,69 @@ pub trait DistanceProvider: Sync + Send {
     fn dist_between(&self, a: u32, b: u32) -> f32;
 
     /// Batched CA-stage distances from the prepared vector to all of `ids`
-    /// (a visited vertex's neighbor list). `payload` is either the visited
-    /// vertex's node payload, whose layout mirrors `ids` (the lane
-    /// invariant), or one that covers none of them (`NodePayload::default()`,
-    /// what the serving beam passes for the unvisited ids it gathers): the
-    /// provider then reads each id from its global state, at the cost of
-    /// [`Self::code_row_bytes`] per id. Either way the distances equal
-    /// [`Self::dist_to`]'s, bit for bit.
+    /// (a visited vertex's neighbor list). `block` is either the block of
+    /// that list (the lane invariant; it may hold lanes past `ids.len()`,
+    /// which are ignored) or covers only some leading blocks of it, or none
+    /// (`&[]`, what the beam passes for the unvisited ids it gathers): the
+    /// provider then reads each uncovered id from its global state, at the
+    /// cost of [`Self::code_row_bytes`] per id. Either way the distances
+    /// equal [`Self::dist_to`]'s, bit for bit.
     ///
     /// The default implementation loops over [`Self::dist_to`] — one random
     /// memory access per neighbor, exactly the baseline behaviour the paper
     /// profiles. Flash overrides this with register-resident table lookups
-    /// on a covering payload, and lookups straight on its packed code rows
+    /// on a covering block, and lookups straight on its packed code rows
     /// otherwise.
     fn dist_to_neighbors(
         &self,
         ctx: &Self::QueryCtx,
         ids: &[u32],
-        _payload: &Self::NodePayload,
+        _block: &[u8],
         out: &mut Vec<f32>,
     ) {
         out.clear();
         out.extend(ids.iter().map(|&id| self.dist_to(ctx, id)));
     }
 
-    /// Rebuilds `payload` from scratch for the list `ids` — every lane
-    /// gathered from the provider's global state. [`crate::NodePayloads::build`]
-    /// runs it once per node, and the frozen descent once per upper-layer
-    /// row it scores (a frozen topology stores adjacency only). The serving
-    /// beam builds no block: it scores the ids it gathers against none.
-    fn sync_payload(&self, _payload: &mut Self::NodePayload, _ids: &[u32]) {}
+    /// Rebuilds `blocks` from scratch for the list `ids`: sized to
+    /// [`Self::payload_bytes`]`(ids.len())`, every lane appended from the
+    /// provider's global state. [`crate::NodePayloads::build`] runs it once
+    /// per node, and the frozen descent once per upper-layer row it scores
+    /// (a frozen topology stores adjacency only). The serving beam builds no
+    /// block: it scores the ids it gathers against none.
+    fn sync_payload(&self, blocks: &mut Blocks, ids: &[u32]) {
+        let block = blocks.sized(self.payload_bytes(ids.len()));
+        for (lane, &id) in ids.iter().enumerate() {
+            self.append_payload(block, lane, id);
+        }
+    }
 
-    /// Writes `id` into lane `lane` of `payload`, where `lane` is the
-    /// length of the list before `id` joins it. Lane 0 starts a new list:
-    /// whatever the payload held before is discarded. Construction calls
-    /// this on the target's payload for a reverse edge, and on its scratch
-    /// block as Neighbor Selection keeps each vertex.
-    fn append_payload(&self, _payload: &mut Self::NodePayload, _lane: usize, _id: u32) {}
+    /// Writes `id` into lane `lane` of `block`, where `lane` is the length
+    /// of the list before `id` joins it and `block` holds at least
+    /// [`Self::payload_bytes`]`(lane + 1)` bytes. Lane 0 starts a new list:
+    /// the bytes of lanes past the list's end are whatever they were, and
+    /// no reader looks at them.
+    /// Construction calls this on the target's row record for a reverse
+    /// edge, and on its scratch block as Neighbor Selection keeps each
+    /// vertex.
+    fn append_payload(&self, _block: &mut [u8], _lane: usize, _id: u32) {}
 
     /// The one question Neighbor Selection asks: does `rule` prune the
     /// candidate `v`, at distance `d` from the vertex being linked, against
     /// some vertex `u` of `selected` — `rule.dominated(d, dist_between(u, v))`
-    /// for any `u`? `payload` holds `selected` lane for lane (built by
+    /// for any `u`? `block` holds `selected` lane for lane (built by
     /// [`Self::append_payload`]), so a provider whose NS distance is a
     /// table lookup can answer from the block in batches (Flash: one SIMD
     /// lookup per 16 selected vertices, the rule applied to each lane).
     /// For every rule, an override must give the default's answer, which
-    /// ignores the payload.
+    /// ignores the block.
     fn dominated<R: PruneRule>(
         &self,
         rule: &R,
         v: u32,
         d: f32,
         selected: &[u32],
-        _payload: &Self::NodePayload,
+        _block: &[u8],
     ) -> bool {
         selected
             .iter()
@@ -136,20 +166,21 @@ pub trait DistanceProvider: Sync + Send {
     }
 
     /// Bytes of compressed per-vector state this provider stores globally
-    /// (codes, tables) — for index-size accounting. Excludes node payloads,
+    /// (codes, tables) — for index-size accounting. Excludes payload blocks,
     /// which the graph accounts separately.
     fn aux_bytes(&self) -> usize {
         0
     }
 
-    /// Bytes one node payload occupies for a neighbor list of capacity
-    /// `cap`. Used for index-size accounting (Figure 7).
+    /// Bytes of the payload block of a neighbor list of capacity `cap`
+    /// (0: the provider keeps no blocks). Sizes every block the builder
+    /// holds, and the index-size accounting of Figure 7.
     fn payload_bytes(&self, _cap: usize) -> usize {
         0
     }
 
     /// Bytes of the global code row [`Self::dist_to`] reads for one vector:
-    /// what scoring an id against a payload that does not cover it reads.
+    /// what scoring an id against a block that does not cover it reads.
     /// The query profile's `codeword_bytes` counts it for every gathered
     /// id, as it counts [`Self::payload_bytes`] for every block scored; the
     /// default 0 keeps a provider out of that counter, as its default

@@ -20,7 +20,6 @@ impl FullPrecision {
 
 impl DistanceProvider for FullPrecision {
     type QueryCtx = Vec<f32>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()

@@ -71,7 +71,6 @@ impl OpqProvider {
 impl DistanceProvider for OpqProvider {
     /// The ADC table of the prepared (rotated) vector.
     type QueryCtx = Vec<f32>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()

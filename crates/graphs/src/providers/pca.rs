@@ -62,7 +62,6 @@ impl PcaProvider {
 impl DistanceProvider for PcaProvider {
     /// The projected query.
     type QueryCtx = Vec<f32>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()

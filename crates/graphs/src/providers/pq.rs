@@ -62,7 +62,6 @@ impl PqProvider {
 impl DistanceProvider for PqProvider {
     /// The ADC table of the prepared vector.
     type QueryCtx = Vec<f32>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()

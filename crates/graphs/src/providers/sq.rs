@@ -54,7 +54,6 @@ impl SqProvider {
 impl DistanceProvider for SqProvider {
     /// The encoded query.
     type QueryCtx = Vec<u8>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()
@@ -120,7 +119,6 @@ impl Sq16Provider {
 
 impl DistanceProvider for Sq16Provider {
     type QueryCtx = Vec<u16>;
-    type NodePayload = ();
 
     fn len(&self) -> usize {
         self.base.len()

@@ -10,20 +10,21 @@
 //! [`SearchScratch`] keeps one warm copy of all of them per thread,
 //! checked out around each query ([`with_scratch`]) and each insert.
 //!
-//! The pool is thread-local (search threads never contend) and keyed by
-//! the provider's payload type, so flash searches and full-precision
-//! searches each reuse their own scratch. [`ScratchStats`] counts query
+//! The pool is thread-local (search threads never contend). Its scratches
+//! hold no provider-specific type — a payload block is bytes
+//! ([`crate::Blocks`]) — so every search on a thread draws from one pool.
+//! [`ScratchStats`] counts query
 //! checkouts vs. fresh allocations; steady state is "checkouts grow,
 //! creations don't", which the zero-allocation regression test asserts.
 //! Construction checks out through the same pool but is not a query: it
 //! moves neither `checkouts` nor the thread's profile ledger.
 
+use crate::provider::Blocks;
 use crate::visited::VisitedList;
 use crate::Hit;
 use metrics::QueryProfile;
-use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Order-preserving `u32` image of `f32::total_cmp`: `fkey(a) < fkey(b)`
@@ -168,7 +169,7 @@ impl Beam {
 ///
 /// Buffers only ever grow; after the first few queries on a thread every
 /// checkout runs the whole beam without touching the allocator.
-pub struct SearchScratch<PL> {
+pub struct SearchScratch {
     /// Epoch-stamped visited set (O(1) reset).
     pub(crate) visited: VisitedList,
     /// Result set and frontier.
@@ -180,7 +181,7 @@ pub struct SearchScratch<PL> {
     /// A provider payload block (Flash: codewords): the frozen descent's
     /// current upper-layer row; during construction, the block Neighbor
     /// Selection is building.
-    pub(crate) payload: PL,
+    pub(crate) payload: Blocks,
     /// Construction: the sorted `(d, id)` output of Candidate Acquisition.
     pub(crate) candidates: Vec<(f32, u32)>,
     /// Construction: the ids Neighbor Selection kept for the new vertex.
@@ -194,14 +195,14 @@ pub struct SearchScratch<PL> {
     pub(crate) profile: QueryProfile,
 }
 
-impl<PL: Default> SearchScratch<PL> {
+impl SearchScratch {
     fn new() -> Self {
         Self {
             visited: VisitedList::new(0),
             beam: Beam::default(),
             ids: Vec::new(),
             dists: Vec::new(),
-            payload: PL::default(),
+            payload: Blocks::default(),
             candidates: Vec::new(),
             selected: Vec::new(),
             prune: Vec::new(),
@@ -220,8 +221,7 @@ pub struct ScratchStats {
 }
 
 thread_local! {
-    static POOL: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>> =
-        RefCell::new(HashMap::new());
+    static POOL: RefCell<Vec<SearchScratch>> = const { RefCell::new(Vec::new()) };
     static CREATED: Cell<u64> = const { Cell::new(0) };
     static CHECKOUTS: Cell<u64> = const { Cell::new(0) };
     static PROFILE: Cell<QueryProfile> = const { Cell::new(QueryProfile::new()) };
@@ -288,39 +288,25 @@ pub fn profile_record(profile: QueryProfile) {
 }
 
 /// Runs `f` with a pooled [`SearchScratch`], creating one only if this
-/// thread's pool has none for payload type `PL`. The scratch returns to
-/// the pool afterwards (it is dropped instead if `f` panics). Touches
+/// thread's pool is empty. The scratch returns to the pool afterwards (it
+/// is dropped instead if `f` panics). Touches
 /// neither the checkout counter nor the profile ledger: this is the
 /// checkout of construction and of the live [`crate::Hnsw::search`].
-pub(crate) fn with_pooled<PL: Default + 'static, R>(
-    f: impl FnOnce(&mut SearchScratch<PL>) -> R,
-) -> R {
-    let mut scratch: Box<SearchScratch<PL>> = POOL
-        .with(|p| {
-            p.borrow_mut()
-                .get_mut(&TypeId::of::<PL>())
-                .and_then(Vec::pop)
-        })
-        .map(|b| b.downcast().expect("pool entries are keyed by TypeId"))
-        .unwrap_or_else(|| {
-            CREATED.with(|c| c.set(c.get() + 1));
-            CREATED_GLOBAL.fetch_add(1, Ordering::Relaxed);
-            Box::new(SearchScratch::new())
-        });
-    let out = f(&mut scratch);
-    POOL.with(|p| {
-        p.borrow_mut()
-            .entry(TypeId::of::<PL>())
-            .or_default()
-            .push(scratch)
+pub(crate) fn with_pooled<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+    let mut scratch = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
+        CREATED.with(|c| c.set(c.get() + 1));
+        CREATED_GLOBAL.fetch_add(1, Ordering::Relaxed);
+        SearchScratch::new()
     });
+    let out = f(&mut scratch);
+    POOL.with(|p| p.borrow_mut().push(scratch));
     out
 }
 
 /// One query's checkout: [`with_pooled`], counted in [`ScratchStats`],
 /// with the scratch's profile zeroed going in and flushed to the thread's
 /// accumulator coming out.
-pub fn with_scratch<PL: Default + 'static, R>(f: impl FnOnce(&mut SearchScratch<PL>) -> R) -> R {
+pub fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     CHECKOUTS.with(|c| c.set(c.get() + 1));
     CHECKOUTS_GLOBAL.fetch_add(1, Ordering::Relaxed);
     with_pooled(|scratch| {
@@ -346,7 +332,7 @@ mod tests {
     fn scratch_is_reused_not_reallocated() {
         let before = scratch_stats();
         for _ in 0..64 {
-            with_scratch::<Vec<u8>, _>(|s| {
+            with_scratch(|s| {
                 s.ids.push(1);
                 s.dists.push(0.5);
             });
@@ -362,9 +348,9 @@ mod tests {
 
     #[test]
     fn nested_checkouts_get_distinct_scratches() {
-        with_scratch::<(), _>(|outer| {
+        with_scratch(|outer| {
             outer.ids.push(7);
-            with_scratch::<(), _>(|inner| {
+            with_scratch(|inner| {
                 assert!(inner.ids.is_empty() || inner.ids != outer.ids);
             });
         });
@@ -372,14 +358,14 @@ mod tests {
 
     #[test]
     fn beam_keeps_capacity_across_checkouts() {
-        with_scratch::<(), _>(|s| {
+        with_scratch(|s| {
             for i in 0..100 {
                 s.beam.push_result(i as f32, i, usize::MAX);
                 s.beam.push_frontier(i as f32, i);
             }
             assert_eq!(s.beam.drain_sorted().count(), 100);
         });
-        with_scratch::<(), _>(|s| {
+        with_scratch(|s| {
             assert_eq!((s.beam.len(), s.beam.peek_frontier()), (0, None));
             assert!(s.beam.results.capacity() >= 100 && s.beam.frontier.capacity() >= 100);
         });

@@ -7,7 +7,7 @@
 //! without hardware counters.
 
 use crate::graph::GraphLayers;
-use crate::provider::{DistanceProvider, PruneRule};
+use crate::provider::{Blocks, DistanceProvider, PruneRule};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vecstore::VectorSet;
@@ -149,7 +149,6 @@ impl<P> Instrumented<P> {
 
 impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
     type QueryCtx = P::QueryCtx;
-    type NodePayload = P::NodePayload;
 
     fn len(&self) -> usize {
         self.inner.len()
@@ -181,23 +180,21 @@ impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
         &self,
         ctx: &Self::QueryCtx,
         ids: &[u32],
-        payload: &Self::NodePayload,
+        block: &[u8],
         out: &mut Vec<f32>,
     ) {
         self.dist_calls.fetch_add(1, Ordering::Relaxed);
         Self::time(&self.dist_ns, || {
-            self.inner.dist_to_neighbors(ctx, ids, payload, out)
+            self.inner.dist_to_neighbors(ctx, ids, block, out)
         })
     }
 
-    fn sync_payload(&self, payload: &mut Self::NodePayload, ids: &[u32]) {
-        Self::time(&self.sync_ns, || self.inner.sync_payload(payload, ids))
+    fn sync_payload(&self, blocks: &mut Blocks, ids: &[u32]) {
+        Self::time(&self.sync_ns, || self.inner.sync_payload(blocks, ids))
     }
 
-    fn append_payload(&self, payload: &mut Self::NodePayload, lane: usize, id: u32) {
-        Self::time(&self.sync_ns, || {
-            self.inner.append_payload(payload, lane, id)
-        })
+    fn append_payload(&self, block: &mut [u8], lane: usize, id: u32) {
+        Self::time(&self.sync_ns, || self.inner.append_payload(block, lane, id))
     }
 
     fn dominated<R: PruneRule>(
@@ -206,11 +203,11 @@ impl<P: DistanceProvider> DistanceProvider for Instrumented<P> {
         v: u32,
         d: f32,
         selected: &[u32],
-        payload: &Self::NodePayload,
+        block: &[u8],
     ) -> bool {
         self.dist_calls.fetch_add(1, Ordering::Relaxed);
         Self::time(&self.dist_ns, || {
-            self.inner.dominated(rule, v, d, selected, payload)
+            self.inner.dominated(rule, v, d, selected, block)
         })
     }
 

@@ -45,7 +45,7 @@ pub fn search_vbase<P: DistanceProvider>(
     let cap = k.max(1);
     let ctx = provider.prepare_query(query);
 
-    with_scratch::<P::NodePayload, _>(|scratch| {
+    with_scratch(|scratch| {
         let levels = (graph.max_layer, 1);
         let (cur, cur_d) = descend(provider, graph, &ctx, graph.entry, levels, scratch);
 

@@ -504,10 +504,14 @@
 //!    neighbor ids per line) plus per-node start/length tables. Every
 //!    neighbor list begins on a line boundary, so expanding a node touches
 //!    `ceil(degree/16)` lines and never straddles one unnecessarily. Frozen graphs — HNSW's layers, or
-//!    a flat builder's one layer — are constructed via
-//!    [`graphs::GraphLayers::from_nested`] and read through
-//!    `neighbors(layer, node)` — the adjacency fields themselves are
-//!    private, so the layout can keep evolving without breaking callers.
+//!    a flat builder's one layer — are packed straight from the builder's
+//!    rows (or from nested lists via [`graphs::GraphLayers::from_nested`])
+//!    and read through `neighbors(layer, node)` — the adjacency fields
+//!    themselves are private, so the layout can keep evolving without
+//!    breaking callers. While it builds, HNSW keeps its rows at the paper's
+//!    access-aware layout: layer 0 is one slab of fixed-stride records,
+//!    each a row's length, `2R` id slots and the payload block for them
+//!    (Flash: the neighbors' codewords), indexed by node id.
 //!
 //! 2. **Pooled, allocation-free traversal state.** Each query — and each
 //!    insert a batch plans or applies — checks a `SearchScratch` out of a
@@ -531,16 +535,18 @@
 //!    call instead of per-neighbor `dist_to` calls. A serving expansion
 //!    gathers its unvisited neighbors without a branch per lane and scores
 //!    them against no block (Flash: table lookups straight on the packed
-//!    code rows); construction scores the node record's resident block
-//!    (register-resident `lut16_batch` shuffles). Admission offers only
+//!    code rows); construction scores the row record's resident block
+//!    (register-resident `lut16_batch` shuffles), or, for a provider
+//!    without blocks, gathers like serving. Admission offers only
 //!    the lanes a full beam can still take, picked by a 64-lane mask. The
 //!    exact rerank after the beam bounds each full-precision distance by
 //!    the `k`-th best so far and drops a candidate once its partial sum
 //!    passes it.
-//!    While a row is scored the kernel issues
-//!    [`graphs::DistanceProvider::prefetch`] for the next frontier
-//!    candidate's codes plus a software prefetch of its neighbor line —
-//!    the lines are in flight before the beam arrives. All of this is
+//!    While a row is scored the kernel prefetches the next frontier
+//!    candidate's row — its neighbor line, or its whole row record with
+//!    the block — and, when gathering, issues
+//!    [`graphs::DistanceProvider::prefetch`] for its codes: the lines are
+//!    in flight before the beam arrives. All of this is
 //!    bit-exact: the same `(dist, id)` results as the naive loop, enforced
 //!    by the parity suites. ([`graphs::NodePayloads`] +
 //!    [`graphs::search_layers_cached`], which prebuild every node's

@@ -172,7 +172,7 @@ proptest! {
         );
         let mut payload = flash::FlashBlocks::default();
         provider.sync_payload(&mut payload, &pick);
-        prop_assert!(flash::provider::blocks_consistent(&provider, &payload, &pick));
+        prop_assert!(flash::provider::blocks_consistent(&provider, payload.as_bytes(), &pick));
     }
 
     /// Flash's batched Neighbor Selection answer equals the trait's default
@@ -202,7 +202,7 @@ proptest! {
                 },
             )
         });
-        let mut payload = flash::FlashBlocks::default();
+        let mut payload = vec![0; provider.payload_bytes(selected.len())];
         for (lane, &id) in selected.iter().enumerate() {
             provider.append_payload(&mut payload, lane, id);
         }
@@ -222,7 +222,7 @@ proptest! {
             .map(|&u| provider.dist_between(u, v))
             .min_by(f32::total_cmp);
         let d = nearest.map_or(40.0, |x| edge(x) + slack as f32);
-        let case = (v, selected.as_slice(), &payload, d);
+        let case = (v, selected.as_slice(), payload.as_slice(), d);
         match rule {
             0 => agrees(provider, &graphs::MrngRule, case)?,
             1 => agrees(provider, &graphs::TauRule { tau: 0.1 }, case)?,
@@ -238,7 +238,7 @@ proptest! {
 fn agrees<R: graphs::PruneRule>(
     provider: &FlashProvider,
     rule: &R,
-    (v, selected, payload, d): (u32, &[u32], &flash::FlashBlocks, f32),
+    (v, selected, payload, d): (u32, &[u32], &[u8], f32),
 ) -> Result<(), TestCaseError> {
     use graphs::DistanceProvider as _;
     let expect = selected
@@ -252,49 +252,101 @@ fn agrees<R: graphs::PruneRule>(
     Ok(())
 }
 
-/// After construction every node's payload at every layer mirrors its
+/// After construction every row's block at every layer mirrors its
 /// neighbor list, lane for lane and block for block — the builder only ever
-/// appends lanes and installs whole blocks, never re-gathers.
+/// appends lanes, installs whole blocks and re-selects a full row's ids and
+/// block together, never re-gathers. Rows and blocks are read through the
+/// builder's row records, one-at-a-time inserts and the batched build alike;
+/// the rows checked end at lanes 16 and 17 and at the capacity `2R`, and
+/// rows re-pruned on overflow are checked the moment it happens.
 #[test]
 fn flash_build_leaves_every_payload_consistent() {
-    use graphs::DistanceProvider as _;
     let (base, _) = generate(&DatasetSpec::new(32, 20, 0.95, 0.4, 5), 600, 1, 11);
-    let provider = FlashProvider::new(
-        base,
-        FlashParams {
-            d_f: 16,
-            m_f: 4,
-            train_sample: 300,
-            kmeans_iters: 5,
-            seed: 3,
-            grid_quantile: 0.5,
-        },
-    );
-    // R = 4 so base rows overflow and upper rows fill: both `link` paths run.
-    let index = Hnsw::build(
-        provider,
-        HnswParams {
-            c: 32,
-            r: 4,
-            seed: 2,
-        },
-    );
-    let mut rows = 0;
-    let mut pruned_to_cap = 0;
-    index.for_each_row(|node, layer, ids, payload| {
-        rows += 1;
-        pruned_to_cap += usize::from(ids.len() == index.params().cap(layer));
-        assert!(
-            flash::provider::blocks_consistent(index.provider(), payload, ids),
-            "node {node} layer {layer}"
-        );
-        assert_eq!(
-            payload.as_bytes().len(),
-            index.provider().payload_bytes(ids.len()),
-            "node {node} layer {layer}: blocks held vs list length"
-        );
+    let flash = |base| {
+        FlashProvider::new(
+            base,
+            FlashParams {
+                d_f: 16,
+                m_f: 4,
+                train_sample: 300,
+                kmeans_iters: 5,
+                seed: 3,
+                grid_quantile: 0.5,
+            },
+        )
+    };
+    let params = HnswParams {
+        c: 48,
+        r: 16,
+        seed: 2,
+    };
+    // One at a time: a full row whose ids change was re-pruned (an append
+    // cannot touch a full row).
+    let mut index = Hnsw::new(flash(base.clone()), params);
+    let mut full: std::collections::HashMap<(u32, usize), Vec<u32>> = Default::default();
+    let mut repruned = 0;
+    for id in 0..index.len() as u32 {
+        index.insert(id);
+        index.for_each_row(|node, layer, ids, block| {
+            let was_full = full.get(&(node, layer)).is_some_and(|old| old != ids);
+            if was_full {
+                repruned += 1;
+                check_row(&index, (node, layer), ids, block);
+            }
+            if ids.len() == params.cap(layer) {
+                full.insert((node, layer), ids.to_vec());
+            } else {
+                full.remove(&(node, layer));
+            }
+        });
+    }
+    assert!(repruned > 0, "no full row was re-pruned");
+    check_every_row(&index);
+    check_every_row(&Hnsw::build(flash(base), params));
+}
+
+/// Checks every row of `index`, and that rows end at lanes 16 and 17 and
+/// at the base capacity.
+fn check_every_row(index: &Hnsw<FlashProvider>) {
+    let mut ends = [false; 3];
+    let cap = index.params().cap(0);
+    index.for_each_row(|node, layer, ids, block| {
+        check_row(index, (node, layer), ids, block);
+        for (seen, end) in ends.iter_mut().zip([16, 17, cap]) {
+            *seen |= ids.len() == end;
+        }
     });
-    assert!(rows > 600 && pruned_to_cap > 0);
+    assert_eq!(ends, [true; 3], "rows ending at lanes 16, 17 and {cap}");
+}
+
+/// Row `at` (node, layer): its block region is sized for the layer's
+/// capacity (the row record's fixed stride), every lane of the list holds
+/// its neighbor's codewords, and the lanes past the list's end in its last
+/// block are zero.
+fn check_row(index: &Hnsw<FlashProvider>, at: (u32, usize), ids: &[u32], block: &[u8]) {
+    use graphs::DistanceProvider as _;
+    let provider = index.provider();
+    let cap = index.params().cap(at.1);
+    assert_eq!(
+        block.len(),
+        provider.payload_bytes(cap),
+        "{at:?}: block region vs capacity"
+    );
+    assert!(
+        flash::provider::blocks_consistent(provider, block, ids),
+        "{at:?}"
+    );
+    let m = provider.codec().subspaces();
+    let (last, used) = (ids.len() / LUT_BATCH, ids.len() % LUT_BATCH);
+    if used > 0 {
+        let last = &block[last * m * LUT_BATCH..][..m * LUT_BATCH];
+        for lanes in last.chunks_exact(LUT_BATCH) {
+            assert!(
+                lanes[used..].iter().all(|&b| b == 0),
+                "{at:?}: padding lanes"
+            );
+        }
+    }
 }
 
 /// Non-proptest exhaustive check: FlashCodec's scalar quantizer η is
