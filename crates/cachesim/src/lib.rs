@@ -4,9 +4,9 @@
 //! L1 miss rates drop from ~19–26 % to ~5–8 % once neighbor codewords are
 //! stored inline with neighbor IDs (Table 2). This repository cannot read
 //! performance counters portably, so it reproduces the experiment in
-//! software: instrumented distance providers emit the *byte-address stream*
-//! their construction loop touches, and this crate replays that stream
-//! through a set-associative LRU cache model.
+//! software: the harness (`crates/bench`) emits the *byte-address stream*
+//! a graph traversal touches under each layout, and this crate replays that
+//! stream through a set-associative LRU cache model.
 //!
 //! The model is deliberately simple — physical == virtual addresses, no
 //! prefetcher, single level by default — because the effect being measured

@@ -363,7 +363,7 @@ impl IndexBuilder {
     /// Encodes `base` through `codec` into that coding's concrete provider
     /// and hands it to `job` — the step [`Self::build_with_codec`] runs
     /// before construction, for callers that need the provider itself
-    /// (construction-time sizes, instrumented builds).
+    /// (construction-time sizes, priced build profiles).
     ///
     /// # Panics
     /// Panics if `codec` was trained for a different coding than this

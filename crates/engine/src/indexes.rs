@@ -239,7 +239,7 @@ impl AnnIndex for FlatIndex {
     fn search(&self, req: &SearchRequest) -> SearchResponse {
         profiled(|| {
             let accept = |id: u64| req.filter.as_ref().is_none_or(|f| f(id));
-            let mut hits: Vec<Hit> = self
+            let hits: Vec<Hit> = self
                 .base
                 .iter()
                 .enumerate()
@@ -254,9 +254,7 @@ impl AnnIndex for FlatIndex {
                 dist_exact: hits.len() as u64,
                 ..metrics::QueryProfile::new()
             });
-            hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-            hits.truncate(req.k);
-            SearchResponse::from_hits(hits)
+            SearchResponse::from_hits(graphs::k_best(hits, req.k))
         })
     }
 

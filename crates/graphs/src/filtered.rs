@@ -156,7 +156,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
                     dist_exact: vectors.len() as u64,
                     ..metrics::QueryProfile::new()
                 });
-                let mut hits: Vec<Hit> = vectors
+                let hits: Vec<Hit> = vectors
                     .iter()
                     .enumerate()
                     .map(|(i, v)| Hit {
@@ -164,9 +164,7 @@ impl<P: DistanceProvider> LabeledHnsw<P> {
                         dist: simdops::l2_sq(query, v),
                     })
                     .collect();
-                hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-                hits.truncate(k);
-                hits
+                crate::k_best(hits, k)
             }
         }
     }

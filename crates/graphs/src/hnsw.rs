@@ -71,6 +71,7 @@ use crate::layers_search::{beam_search, descend, FrozenGraph};
 use crate::provider::{DistanceProvider, MrngRule, PruneRule};
 use crate::scratch::{with_pooled, SearchScratch};
 use crate::slab::{RowLayout, RowMut, Slab};
+use crate::stats::BuildProfile;
 use crate::Hit;
 use metrics::QueryProfile;
 use rand::rngs::SmallRng;
@@ -143,6 +144,9 @@ struct EntryPoint {
 /// block ([`DistanceProvider::payload_bytes`] of the kept count).
 type PlannedRow = (usize, Vec<(f32, u32)>, Vec<u8>);
 
+/// An insert's plan: its rows, and what deciding them counted.
+type Plan = (Vec<PlannedRow>, BuildProfile);
+
 /// The reverse edge `target → source`: `(target, source, layer, dist)`.
 type ReverseEdge = (u32, u32, usize, f32);
 
@@ -156,6 +160,8 @@ pub struct Hnsw<P: DistanceProvider> {
     slab: Slab,
     /// `None` until the first insert.
     entry: Option<EntryPoint>,
+    /// What every batch so far counted.
+    profile: BuildProfile,
 }
 
 impl<P: DistanceProvider> Hnsw<P> {
@@ -191,6 +197,7 @@ impl<P: DistanceProvider> Hnsw<P> {
             levels,
             slab,
             entry: None,
+            profile: BuildProfile::default(),
         }
     }
 
@@ -225,6 +232,13 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// The construction parameters.
     pub fn params(&self) -> &HnswParams {
         &self.params
+    }
+
+    /// What construction so far did, summed over every insert: the
+    /// descents and CA beams of the plans, and the Neighbor Selection work
+    /// of the plans and the reverse edges.
+    pub fn build_profile(&self) -> &BuildProfile {
+        &self.profile
     }
 
     /// The distance provider.
@@ -271,7 +285,7 @@ impl<P: DistanceProvider> Hnsw<P> {
             .par_iter()
             .map(|&id| {
                 this.entry
-                    .map_or_else(Vec::new, |entry| this.plan(id, entry, rule))
+                    .map_or_else(Plan::default, |entry| this.plan(id, entry, rule))
             })
             .collect();
         self.apply(batch, plans);
@@ -279,15 +293,21 @@ impl<P: DistanceProvider> Hnsw<P> {
 
     /// Decides `id`'s rows against the graph as it stands, from `entry`:
     /// greedy descent through the layers above its level, then CA and NS
-    /// under `rule` per layer, top-down.
-    fn plan<R: PruneRule>(&self, id: u32, entry: EntryPoint, rule: &R) -> Vec<PlannedRow> {
+    /// under `rule` per layer, top-down. The plan's counts start from its
+    /// one checkout.
+    fn plan<R: PruneRule>(&self, id: u32, entry: EntryPoint, rule: &R) -> Plan {
         let level = self.level_of(id);
         let ctx = self.provider.prepare_insert(id);
         let (provider, slab) = (&self.provider, &self.slab);
         // Construction cost is not query cost: the scratch checkout is the
-        // uncounted one, and nothing reads the profile the search loops
-        // leave in it.
+        // uncounted one, and the profile the search loops leave in it goes
+        // to the plan, not to the thread's ledger.
         with_pooled(|scratch| {
+            scratch.profile = QueryProfile {
+                scratch_checkouts: 1,
+                ..QueryProfile::new()
+            };
+            let mut counts = BuildProfile::default();
             let levels = (entry.level, level + 1);
             let mut cur = descend(provider, slab, &ctx, entry.node, levels, scratch);
             scratch.visited.begin(slab.len());
@@ -310,7 +330,8 @@ impl<P: DistanceProvider> Hnsw<P> {
                 let cap = slab.cap(layer);
                 selected.resize(cap, 0);
                 let block = payload.sized(provider.payload_bytes(cap));
-                let len = select_neighbors(provider, rule, candidates, selected, block);
+                let len =
+                    select_neighbors(provider, rule, candidates, selected, block, &mut counts);
                 // The kept ids are a subsequence of `candidates`, so one
                 // forward walk pairs each with its distance.
                 let mut kept = selected[..len].iter().peekable();
@@ -321,7 +342,8 @@ impl<P: DistanceProvider> Hnsw<P> {
                     .collect();
                 rows.push((layer, kept, block[..provider.payload_bytes(len)].to_vec()));
             }
-            rows
+            counts.search = scratch.profile;
+            (rows, counts)
         })
     }
 
@@ -329,10 +351,11 @@ impl<P: DistanceProvider> Hnsw<P> {
     /// point if a vertex tops the hierarchy — and adds their reverse edges
     /// (line 7 of Algorithm 1): per target in the order one-at-a-time
     /// insertion generates them, targets split across workers by disjoint
-    /// id ranges.
-    fn apply(&mut self, batch: &[u32], plans: Vec<Vec<PlannedRow>>) {
+    /// id ranges. Every plan's counts and every link's join the index's.
+    fn apply(&mut self, batch: &[u32], plans: Vec<Plan>) {
         let mut edges: Vec<ReverseEdge> = Vec::new();
-        for (&id, rows) in batch.iter().zip(plans) {
+        for (&id, (rows, counts)) in batch.iter().zip(plans) {
+            self.profile.add(&counts);
             for (layer, kept, block) in rows {
                 edges.extend(kept.iter().map(|&(dist, y)| (y, id, layer, dist)));
                 let mut row = (self.slab.row_mut(layer, id))
@@ -353,21 +376,28 @@ impl<P: DistanceProvider> Hnsw<P> {
         let span = self.len().div_ceil(APPLY_RANGES);
         let (provider, edges) = (&self.provider, &edges);
         let mut ranges = self.slab.ranges_mut(span);
-        ranges.par_iter_mut().for_each(|range| {
-            let first = range.first();
-            let edges = &edges[edges.partition_point(|e| e.0 < first)..];
-            let end = first + range.len() as u32;
-            let edges = &edges[..edges.partition_point(|e| e.0 < end)];
-            with_pooled(|scratch| {
-                for &edge in edges {
-                    // `None`: the target has no row at this layer (a stale
-                    // candidate).
-                    if let Some(row) = range.row_mut(edge.2, edge.0) {
-                        link(provider, row, edge, &mut scratch.prune);
+        let linked: Vec<BuildProfile> = (ranges.par_iter_mut())
+            .map(|range| {
+                let first = range.first();
+                let edges = &edges[edges.partition_point(|e| e.0 < first)..];
+                let end = first + range.len() as u32;
+                let edges = &edges[..edges.partition_point(|e| e.0 < end)];
+                with_pooled(|scratch| {
+                    let mut counts = BuildProfile::default();
+                    for &edge in edges {
+                        // `None`: the target has no row at this layer (a
+                        // stale candidate).
+                        if let Some(row) = range.row_mut(edge.2, edge.0) {
+                            link(provider, row, edge, &mut scratch.prune, &mut counts);
+                        }
                     }
-                }
-            });
-        });
+                    counts
+                })
+            })
+            .collect();
+        for counts in &linked {
+            self.profile.add(counts);
+        }
     }
 
     /// k-NN search over the live graph (the paper's search procedure:
@@ -436,7 +466,8 @@ impl<P: DistanceProvider> Hnsw<P> {
 
     /// Visits every `(node, layer)` row with its neighbor ids and its
     /// payload block, read from the row record (sized for the row's
-    /// capacity, not its length) — for the payload-invariant tests.
+    /// capacity, not its length) — for the payload-invariant tests, and
+    /// the rows `repro` measures unit costs on.
     #[doc(hidden)]
     pub fn for_each_row(&self, mut f: impl FnMut(u32, usize, &[u32], &[u8])) {
         for node in 0..self.len() as u32 {
@@ -465,13 +496,17 @@ impl<P: DistanceProvider> Hnsw<P> {
 /// order, at most `slots.len()` of them, and returns how many; `block`
 /// becomes their payload, lane for lane — the block the provider answers
 /// [`DistanceProvider::dominated`] from as it grows, sized for
-/// `slots.len()` lanes.
-fn select_neighbors<P: DistanceProvider, R: PruneRule>(
+/// `slots.len()` lanes. `counts` gains its `dominated` calls, the lanes
+/// offered to them and its appends. Public only so that `repro` prices
+/// Neighbor Selection by running this very routine.
+#[doc(hidden)]
+pub fn select_neighbors<P: DistanceProvider, R: PruneRule>(
     provider: &P,
     rule: &R,
     candidates: &[(f32, u32)],
     slots: &mut [u32],
     block: &mut [u8],
+    counts: &mut BuildProfile,
 ) -> usize {
     // The first candidate is always kept, and its append at lane 0 is
     // what starts the block afresh.
@@ -481,24 +516,28 @@ fn select_neighbors<P: DistanceProvider, R: PruneRule>(
         if len == slots.len() {
             break;
         }
+        counts.dominated += 1;
+        counts.dominated_lanes += len as u64;
         if !provider.dominated(rule, v, d, &slots[..len], block) {
             provider.append_payload(block, len, v);
             slots[len] = v;
             len += 1;
         }
     }
+    counts.appended += len as u64;
     len
 }
 
 /// Adds the reverse edge `y → x` to `y`'s `row`, pruning with the same
 /// heuristic if the row overflows its capacity: the re-selection writes
 /// the kept ids and their block over the row's own. `prune` is scratch for
-/// its input.
+/// its input; `counts` gains the append or the re-prune.
 fn link<P: DistanceProvider>(
     provider: &P,
     mut row: RowMut<'_>,
     (y, x, _, d_xy): ReverseEdge,
     prune: &mut Vec<(f32, u32)>,
+    counts: &mut BuildProfile,
 ) {
     if row.ids().contains(&x) {
         return;
@@ -507,6 +546,7 @@ fn link<P: DistanceProvider>(
     if len < row.slots.len() {
         // One more lane; the rest of the block is already right.
         provider.append_payload(row.block, len, x);
+        counts.appended += 1;
         row.slots[len] = x;
         row.set_len(len + 1);
         return;
@@ -519,9 +559,11 @@ fn link<P: DistanceProvider>(
             .iter()
             .map(|&nb| (provider.dist_between(y, nb), nb)),
     );
+    counts.reprunes += 1;
+    counts.reprune_rows += len as u64;
     prune.push((d_xy, x));
     prune.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let kept = select_neighbors(provider, &MrngRule, prune, row.slots, row.block);
+    let kept = select_neighbors(provider, &MrngRule, prune, row.slots, row.block, counts);
     row.set_len(kept);
 }
 
@@ -725,6 +767,9 @@ mod tests {
             counted.ns.load(Ordering::Relaxed),
         );
         assert_eq!((ca, ns), (486_561, 311_357));
+        // The build's own count of its CA lanes is the provider's.
+        let search = index.build_profile().search;
+        assert_eq!((search.dist_exact, search.dist_coded), (ca, 0));
     }
 
     #[test]

@@ -93,6 +93,24 @@ pub struct Hit {
     pub dist: f32,
 }
 
+/// The order every search path returns hits in: ascending `dist`, ties by
+/// `id`.
+pub fn by_dist_then_id(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+}
+
+/// The `k` first of `hits` under [`by_dist_then_id`], sorted: the `k` best
+/// are selected first, so only they are sorted. Two hits the order ties
+/// are equal bit for bit, so this is exactly the full sort's prefix.
+pub fn k_best(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
+    if hits.len() > k {
+        hits.select_nth_unstable_by(k, by_dist_then_id);
+        hits.truncate(k);
+    }
+    hits.sort_unstable_by(by_dist_then_id);
+    hits
+}
+
 /// Exact rerank shared by every search path in the workspace: rescore
 /// `pool` with full-precision squared-L2 distances against `base`, sort
 /// ascending by `(dist, id)`, and keep the best `k` ([`nearest_exact`]).
@@ -135,7 +153,6 @@ pub fn nearest_exact<'a>(
     if k == 0 {
         return best;
     }
-    let order = |a: &Hit, b: &Hit| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id));
     for (id, v) in candidates {
         // Until `k` are kept there is no bound, so the plain kernel runs.
         let dist = match best.get(k - 1) {
@@ -146,7 +163,7 @@ pub fn nearest_exact<'a>(
             },
         };
         let hit = Hit { id, dist };
-        let at = best.partition_point(|b| order(b, &hit).is_le());
+        let at = best.partition_point(|b| by_dist_then_id(b, &hit).is_le());
         if at < k {
             best.insert(at, hit);
             best.truncate(k);

@@ -12,7 +12,6 @@ use crate::Hit;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
-use vecstore::VectorSet;
 
 /// Workload description for [`simulate_cycles`].
 #[derive(Debug, Clone, Copy)]
@@ -173,16 +172,14 @@ fn measure(
 
 /// Exact k-NN over the live `(id, vector)` pairs.
 fn exact_topk(live: &[(u64, Vec<f32>)], q: &[f32], k: usize) -> Vec<Hit> {
-    let mut all: Vec<Hit> = live
+    let all: Vec<Hit> = live
         .iter()
         .map(|(id, v)| Hit {
             id: *id,
             dist: simdops::l2_sq(q, v),
         })
         .collect();
-    all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-    all.truncate(k);
-    all
+    graphs::k_best(all, k)
 }
 
 /// Convenience generator: clustered Gaussian vectors matching the dataset
@@ -201,17 +198,6 @@ pub fn gaussian_generator(dim: usize) -> impl FnMut(&mut SmallRng) -> Vec<f32> {
         c.iter()
             .map(|&x| x + rng.gen_range(-0.25..0.25f32))
             .collect()
-    }
-}
-
-/// Keeps `VectorSet` in the public surface for callers that already hold a
-/// dataset and want to drive cycles from it (sequential draws, wrap-around).
-pub fn dataset_generator(data: VectorSet) -> impl FnMut(&mut SmallRng) -> Vec<f32> {
-    let mut next = 0usize;
-    move |_rng: &mut SmallRng| {
-        let v = data.get(next % data.len()).to_vec();
-        next += 1;
-        v
     }
 }
 
@@ -285,17 +271,5 @@ mod tests {
         let with = simulate_cycles(config(), workload(6, 2), gaussian_generator(16));
         let last = with.last().unwrap();
         assert!(last.recall >= 0.80, "post-rebuild recall {}", last.recall);
-    }
-
-    #[test]
-    fn dataset_generator_cycles_through_data() {
-        let mut data = VectorSet::new(2);
-        data.push(&[1.0, 0.0]);
-        data.push(&[0.0, 1.0]);
-        let mut gen = dataset_generator(data);
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(gen(&mut rng), vec![1.0, 0.0]);
-        assert_eq!(gen(&mut rng), vec![0.0, 1.0]);
-        assert_eq!(gen(&mut rng), vec![1.0, 0.0], "wraps around");
     }
 }

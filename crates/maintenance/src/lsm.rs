@@ -2,9 +2,9 @@
 
 use crate::memtable::MemTable;
 use crate::segment::Segment;
-use crate::{by_dist_then_id, Hit};
+use crate::Hit;
 use flash::{FlashCodec, FlashParams};
-use graphs::{HnswParams, QueryProfile};
+use graphs::{by_dist_then_id, HnswParams, QueryProfile};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vecstore::VectorSet;

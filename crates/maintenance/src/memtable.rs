@@ -1,6 +1,7 @@
 //! The mutable write buffer of the LSM pipeline.
 
-use crate::{k_best, Hit};
+use crate::Hit;
+use graphs::k_best;
 use vecstore::VectorSet;
 
 /// An append-only buffer of recent inserts, searched by brute force.
@@ -177,7 +178,7 @@ mod tests {
             let dist = simdops::l2_sq(&q, &v);
             full.push(Hit { id, dist });
         }
-        full.sort_by(crate::by_dist_then_id);
+        full.sort_by(graphs::by_dist_then_id);
         assert_eq!(full[0].dist, full[4].dist, "ties at the top");
         for k in [0, 1, 4, 5, 6, 10, 299, 300, 301] {
             assert_eq!(t.search(&q, k), full[..k.min(300)], "k = {k}");

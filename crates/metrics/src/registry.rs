@@ -248,12 +248,6 @@ impl MetricsRegistry {
             .insert(name.to_string(), Metric::Source(Arc::new(source)));
     }
 
-    /// Removes `name` (a no-op when absent) — what a torn-down serving
-    /// stack calls so a long-lived registry doesn't scrape the dead.
-    pub fn unregister(&self, name: &str) {
-        self.metrics.lock().unwrap().remove(name);
-    }
-
     /// Drops every metric (tests; the global registry outlives scenarios).
     pub fn clear(&self) {
         self.metrics.lock().unwrap().clear();
@@ -364,8 +358,6 @@ mod tests {
         assert!(reg.snapshot().to_pretty_string().contains("1"));
         live.store(9, Ordering::Relaxed);
         assert!(reg.snapshot().to_pretty_string().contains("9"));
-        reg.unregister("x.live");
-        assert!(!reg.snapshot().to_pretty_string().contains("x.live"));
     }
 
     #[test]

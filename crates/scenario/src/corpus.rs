@@ -143,9 +143,7 @@ impl ScenarioCorpus {
             }
         }
 
-        hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        hits.truncate(req.k);
-        let mut response = SearchResponse::from_hits(hits);
+        let mut response = SearchResponse::from_hits(graphs::k_best(hits, req.k));
         response.stats = core_resp.stats;
         response
     }

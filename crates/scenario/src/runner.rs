@@ -738,7 +738,7 @@ fn simulate_admission(
 /// Exact top-`k` over the live mirror by `(dist, id)`, honoring the
 /// even-id predicate when `filtered`.
 fn oracle_top_k(mirror: &[Option<Vec<f32>>], query: &[f32], k: usize, filtered: bool) -> Vec<u64> {
-    let mut scored: Vec<(f32, u64)> = mirror
+    let scored: Vec<graphs::Hit> = mirror
         .iter()
         .enumerate()
         .filter_map(|(id, v)| {
@@ -747,12 +747,12 @@ fn oracle_top_k(mirror: &[Option<Vec<f32>>], query: &[f32], k: usize, filtered: 
             if filtered && !id.is_multiple_of(2) {
                 return None;
             }
-            Some((simdops::l2_sq(query, v), id))
+            let dist = simdops::l2_sq(query, v);
+            Some(graphs::Hit { id, dist })
         })
         .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    scored.truncate(k);
-    scored.into_iter().map(|(_, id)| id).collect()
+    let best = graphs::k_best(scored, k);
+    best.into_iter().map(|h| h.id).collect()
 }
 
 #[cfg(test)]

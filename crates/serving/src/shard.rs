@@ -249,10 +249,8 @@ impl ShardedIndex {
                 });
             }
         }
-        hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
         Ok(SearchResponse {
-            hits,
+            hits: graphs::k_best(hits, k),
             stats,
             profile,
         })

@@ -11,7 +11,13 @@
 //! `build_identity.rs`, so the constants hold on any host. They were
 //! recorded before HNSW's insert and live search moved onto the serving
 //! beam.
+//!
+//! The build's own counts ([`BuildProfile`]: the descents and CA beams of
+//! every insert, and Neighbor Selection's `dominated` lanes, payload
+//! appends and re-prunes) are pinned the same way, for the same two
+//! builds.
 
+use hnsw_flash::graphs::stats::BuildProfile;
 use hnsw_flash::graphs::{profile_reset, profile_take, search_layers, QueryProfile};
 use hnsw_flash::prelude::*;
 
@@ -84,4 +90,65 @@ fn full_ssnpp_256d_profile() {
             scratch_checkouts: 50,
         },
     );
+}
+
+/// The summed counts of `check`'s build of `coding`.
+fn build_counts(coding: Coding) -> BuildProfile {
+    set_level_override(Some(SimdLevel::Scalar));
+    let (base, _) = generate(&DatasetProfile::SsnppLike.spec(), N, QUERIES, DATA_SEED);
+    let params = HnswParams {
+        c: 128,
+        r: 16,
+        seed: 0x5eed,
+    };
+    match coding {
+        Coding::Flash => {
+            let fp = FlashParams::auto(base.dim());
+            *Hnsw::build(FlashProvider::new(base, fp), params).build_profile()
+        }
+        Coding::Full => *Hnsw::build(FullPrecision::new(base), params).build_profile(),
+        other => panic!("no build case for {other:?}"),
+    }
+}
+
+#[test]
+fn flash_and_full_ssnpp_256d_build_counts() {
+    let flash = BuildProfile {
+        search: QueryProfile {
+            hops_upper: 6498,
+            hops_base: 260_352,
+            dist_coded: 4_716_606,
+            dist_exact: 0,
+            rows_scored: 266_847,
+            codeword_bytes: 104_283_392,
+            visited_inserts: 478_741,
+            rerank_pool: 0,
+            scratch_checkouts: 1999,
+        },
+        dominated: 281_719,
+        dominated_lanes: 3_078_886,
+        appended: 70_380,
+        reprunes: 1030,
+        reprune_rows: 32_272,
+    };
+    let full = BuildProfile {
+        search: QueryProfile {
+            hops_upper: 7050,
+            hops_base: 255_433,
+            dist_coded: 0,
+            dist_exact: 1_233_940,
+            rows_scored: 212_670,
+            codeword_bytes: 0,
+            visited_inserts: 1_184_071,
+            rerank_pool: 0,
+            scratch_checkouts: 1999,
+        },
+        dominated: 260_618,
+        dominated_lanes: 1_491_088,
+        appended: 31_873,
+        reprunes: 173,
+        reprune_rows: 5152,
+    };
+    assert_eq!(build_counts(Coding::Flash), flash, "Flash");
+    assert_eq!(build_counts(Coding::Full), full, "Full");
 }
